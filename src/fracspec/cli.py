@@ -19,6 +19,7 @@ EXIT_CLAIM = 1
 EXIT_USAGE = 2
 
 GRID_RESOLUTIONS = {1: 64, 2: 48, 3: 24}
+P_DEPTH_BUDGET = 300_000     # spectrum points enumerated by the automatic Q1 depth
 
 
 class UsageError(Exception):
@@ -29,30 +30,27 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _config_echo(args, keys) -> dict:
-    return {k: getattr(args, k.replace("-", "_")) for k in keys
-            if getattr(args, k.replace("-", "_"), None) is not None}
+def _write(args, lines: list) -> None:
+    """Write the lines, each ended by a newline, to --out or stdout."""
+    text = "".join(line + "\n" for line in lines)
+    if args.out:
+        with open(args.out, "w") as out:
+            out.write(text)
+    else:
+        _sys.stdout.write(text)
 
 
 def _emit(args, header: dict, rows: list, columns: list, json_payload=None) -> None:
     """Write CSV rows (with a config-echo comment) or the JSON payload."""
-    out = open(args.out, "w") if args.out else _sys.stdout
-    try:
-        if args.format == "json":
-            doc = {"config": header}
-            doc.update(json_payload if json_payload is not None
-                       else {"columns": columns, "rows": rows})
-            json.dump(doc, out, indent=2, default=str)
-            out.write("\n")
-        else:
-            echo = " ".join(f"{k}={v}" for k, v in header.items())
-            out.write(f"# fracspec {echo}\n")
-            out.write(",".join(columns) + "\n")
-            for row in rows:
-                out.write(",".join(str(c) for c in row) + "\n")
-    finally:
-        if args.out:
-            out.close()
+    if args.format == "json":
+        doc = {"config": header}
+        doc.update(json_payload if json_payload is not None
+                   else {"columns": columns, "rows": rows})
+        _write(args, [json.dumps(doc, indent=2, default=str)])
+    else:
+        echo = " ".join(f"{k}={v}" for k, v in header.items())
+        _write(args, [f"# fracspec {echo}", ",".join(columns)]
+               + [",".join(str(c) for c in row) for row in rows])
 
 
 def _load(args) -> AffineSystem:
@@ -103,14 +101,8 @@ def cmd_validate(args) -> int:
     if args.format == "json":
         _emit(args, header, [], [], json_payload=payload)
     else:
-        out = open(args.out, "w") if args.out else _sys.stdout
-        try:
-            out.write(f"validation of {sys_obj.name or args.file} (n_check={args.n_check}):\n")
-            for line in report.summary_lines():
-                out.write(line + "\n")
-        finally:
-            if args.out:
-                out.close()
+        _write(args, [f"validation of {sys_obj.name or args.file} (n_check={args.n_check}):"]
+               + report.summary_lines())
     return EXIT_OK if report.passed else EXIT_CLAIM
 
 
@@ -162,28 +154,9 @@ def cmd_gram(args) -> int:
     return EXIT_OK
 
 
-def _completeness_grid(sys_obj: AffineSystem, hull, resolution: int):
-    if hull.affine_dim == 0:
-        return np.zeros((1, sys_obj.dim))
-    origin = np.array(hull.origin, dtype=float)
-    basis = np.array(hull.basis, dtype=float).reshape(hull.affine_dim, sys_obj.dim)
-    us = transfer.Chart(origin, basis).param(hull.vertex_array())
-    if hull.affine_dim == 1:
-        line = np.linspace(us[:, 0].min(), us[:, 0].max(), resolution)
-        return origin + line[:, None] * basis[0]
-    axes = [np.linspace(us[:, d].min(), us[:, d].max(), resolution)
-            for d in range(hull.affine_dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    U = np.stack([g.ravel() for g in mesh], axis=-1)
-    pts = origin + U @ basis
-    keep = [i for i, p in enumerate(pts) if transfer.contains_float(hull, p, tol=1e-9)]
-    return pts[keep] if keep else hull.vertex_array()
-
-
-def _auto_p_depth(sys_obj: AffineSystem, cap: int = spectrum.Q1_DEPTH_CAP,
-                  budget: int = 300_000) -> int:
+def _auto_p_depth(sys_obj: AffineSystem) -> int:
     d = 1
-    while sys_obj.N ** (d + 1) <= budget and d < cap:
+    while sys_obj.N ** (d + 1) <= P_DEPTH_BUDGET and d < spectrum.Q1_DEPTH_CAP:
         d += 1
     return d
 
@@ -195,7 +168,8 @@ def cmd_q1(args) -> int:
         return gate
     hull = geometry.dual_hull(sys_obj, 4)
     res = args.resolution or {1: 33, 2: 9, 3: 5}.get(sys_obj.dim, 5)
-    grid = _completeness_grid(sys_obj, hull, res)
+    grid = hull.sample(res)
+    grid = grid if len(grid) else hull.vertex_array()
     p_depth = args.p_depth or _auto_p_depth(sys_obj)
     rep = spectrum.completeness_test(sys_obj, grid, eps_conv=args.tol,
                                      p_depth_cap=p_depth)
@@ -291,7 +265,7 @@ def cmd_report(args) -> int:
     doc = {"system": system_to_json(sys_obj), "name": sys_obj.name,
            "validation": validation.to_dict()}
 
-    depth = min(3, 16)
+    depth = 3
     enum = spectrum.enumerate_P(sys_obj, depth)
     doc["spectrum"] = {
         "depth": depth,
@@ -310,7 +284,8 @@ def cmd_report(args) -> int:
                    "tail_bound": gram.tail_bound}
 
     hull = geometry.dual_hull(sys_obj, 4)
-    grid = _completeness_grid(sys_obj, hull, {1: 17, 2: 5, 3: 3}.get(sys_obj.dim, 3))
+    grid = hull.sample({1: 17, 2: 5, 3: 3}.get(sys_obj.dim, 3))
+    grid = grid if len(grid) else hull.vertex_array()
     comp = spectrum.completeness_test(sys_obj, grid,
                                       p_depth_cap=_auto_p_depth(sys_obj))
     doc["completeness"] = {

@@ -1,13 +1,16 @@
-"""Dual attractors, exact convex hulls (dimension <= 3), invariant simplices.
+"""Dual attractors, exact convex hulls (dimension <= 3), invariant simplices,
+and the float chart and sampling of a hull.
 
 All hull computations run in exact rational arithmetic, so membership and
 invariance checks are decisions, not tolerance calls.  Degenerate point sets
 (affine dimension below the ambient one) come back as lower-dimensional hulls
-carried by an explicit affine chart.
+carried by an explicit affine chart.  The float side (chart coordinates,
+membership within FLOAT_TOL, mesh samples) feeds the grid and sampling code.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,43 +19,29 @@ from fractions import Fraction
 import numpy as np
 
 from . import rational as rat
-from .system import AffineSystem, point
+from .system import SIDES, AffineSystem, point
 
 MAX_WORDS = 200_000
-SIDES = ("sigma", "rho", "tau", "omega")
+FLOAT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
 # word machinery for the four map families
 
-def _generators(sys: AffineSystem, side: str):
-    """Linear part M (shared) and the translation of each generator map."""
-    if side == "sigma":
-        M = sys.R.inverse
-        trans = [p for p in sys.B]
-    elif side == "rho":
-        M = rat.inverse(sys.R.transpose)
-        trans = [rat.vec_scale(-1, rat.mat_vec(M, l)) for l in sys.L]
-    elif side == "tau":
-        M = sys.R.transpose
-        trans = [p for p in sys.L]
-    elif side == "omega":
-        M = sys.R.entries
-        trans = [rat.vec_scale(-1, rat.mat_vec(M, b)) for b in sys.B]
-    else:
+def _word_translations(sys: AffineSystem, side: str, depth: int):
+    """Linear part M of the side's maps and the translations of all
+    length-`depth` compositions g_{w1} o ... o g_{wd}."""
+    if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    return M, trans
-
-
-def _word_translations(M, trans, depth: int):
-    """Translations of all length-`depth` compositions g_{w1} o ... o g_{wd}."""
+    M, table = sys.maps[side]
+    trans = list(table.values())
     n_words = len(trans) ** depth
     if n_words > MAX_WORDS:
         raise ValueError(f"{n_words} words at depth {depth} exceeds the exact-arithmetic cap")
     current = [tuple(Fraction(0) for _ in trans[0])]
     for _ in range(depth):
         current = [rat.vec_add(c, rat.mat_vec(M, t)) for c in trans for t in current]
-    return current
+    return M, current
 
 
 @dataclass(frozen=True)
@@ -70,8 +59,7 @@ def attractor_points(sys: AffineSystem, side: str, depth: int) -> AttractorSampl
     word images of 0 on the expansive sides (tau, omega)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    M, trans = _generators(sys, side)
-    words = _word_translations(M, trans, depth)
+    M, words = _word_translations(sys, side, depth)
     if side in ("sigma", "rho"):
         Mn = rat.identity(sys.dim)
         for _ in range(depth):
@@ -90,8 +78,46 @@ def attractor_points(sys: AffineSystem, side: str, depth: int) -> AttractorSampl
 
 def word_images(sys: AffineSystem, side: str, depth: int) -> tuple:
     """Images of 0 under every depth-n word (the orbit truncation)."""
-    M, trans = _generators(sys, side)
-    return tuple(sorted(set(tuple(p) for p in _word_translations(M, trans, depth))))
+    _, words = _word_translations(sys, side, depth)
+    return tuple(sorted(set(tuple(p) for p in words)))
+
+
+# ---------------------------------------------------------------------------
+# float charts
+
+@dataclass
+class Chart:
+    """Affine parametrization u -> origin + u @ basis of the carrying subspace."""
+    origin: np.ndarray           # (ambient,)
+    basis: np.ndarray            # (k, ambient), rows independent
+
+    @property
+    def k(self) -> int:
+        return self.basis.shape[0]
+
+    def ambient(self, U: np.ndarray) -> np.ndarray:
+        return self.origin + np.atleast_2d(U) @ self.basis
+
+    def _solve(self, X: np.ndarray):
+        """Least-squares parameters of the rows of X and the elementwise
+        residual of the reconstruction."""
+        X = np.atleast_2d(X) - self.origin
+        pinv = self.basis.T @ np.linalg.inv(self.basis @ self.basis.T)
+        U = X @ pinv
+        return U, np.abs(U @ self.basis - X)
+
+    def param(self, X: np.ndarray) -> np.ndarray:
+        """Parameters of ambient points; raises when a point leaves the
+        carrying subspace by more than FLOAT_TOL."""
+        U, resid = self._solve(X)
+        worst = resid.max() if resid.size else 0.0
+        if worst > FLOAT_TOL:
+            raise ValueError(f"point leaves the hull's carrying subspace "
+                             f"(residual {worst:.2e})")
+        return U
+
+    def metric(self) -> np.ndarray:
+        return self.basis @ self.basis.T
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +172,41 @@ class Polytope:
                 return False
         return True
 
-    def bounding_box(self):
-        """Per-ambient-axis exact (min, max)."""
-        return tuple((min(v[i] for v in self.vertices), max(v[i] for v in self.vertices))
-                     for i in range(self.ambient_dim))
-
     def vertex_array(self) -> np.ndarray:
         return np.array(self.vertices, dtype=float)
+
+    @functools.cached_property
+    def chart(self) -> Chart:
+        """Float chart of the carrying subspace (the identity when the hull
+        is full-dimensional)."""
+        return Chart(np.array(self.origin, dtype=float),
+                     np.array(self.basis, dtype=float).reshape(self.affine_dim, self.ambient_dim))
+
+    def _in_facets(self, U: np.ndarray) -> np.ndarray:
+        keep = np.ones(len(U), dtype=bool)
+        for nrm, c in self.facets:
+            keep &= U @ np.array(nrm, dtype=float) <= float(c) + FLOAT_TOL
+        return keep
+
+    def contains_float(self, X) -> np.ndarray:
+        """Float membership of each ambient row of X: within sqrt(FLOAT_TOL)
+        of the carrying subspace and within FLOAT_TOL of every facet."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.affine_dim == 0:
+            return np.abs(X - self.chart.origin).max(axis=1) <= FLOAT_TOL
+        U, resid = self.chart._solve(X)
+        return (resid.max(axis=1) <= math.sqrt(FLOAT_TOL)) & self._in_facets(U)
+
+    def sample(self, n: int) -> np.ndarray:
+        """Ambient points of the n-per-axis mesh of the chart box of the
+        vertices that lie inside every facet; the point itself for a 0-dim hull."""
+        if self.affine_dim == 0:
+            return self.chart.origin[None]
+        us = self.chart.param(self.vertex_array())
+        axes = [np.linspace(us[:, d].min(), us[:, d].max(), n) for d in range(self.affine_dim)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        U = np.stack([g.ravel() for g in mesh], axis=-1)
+        return self.chart.ambient(U[self._in_facets(U)])
 
 
 def _affine_frame(pts):
@@ -402,7 +456,7 @@ class InvarianceReport:
 def invariance_check(sys: AffineSystem, P: Polytope) -> InvarianceReport:
     """Check rho_l-invariance of P exactly, including the midpoints
     R*^{-1}(v - s l) for s in {0, 1/2, 1}."""
-    Rti = rat.inverse(sys.R.transpose)
+    Rti = sys.R.inverse_transpose
     rows = []
     svals = (Fraction(0), Fraction(1, 2), Fraction(1))
     for l in sys.L:

@@ -51,7 +51,7 @@ class SelfSimilarMeasure:
         self.system = sys
         self.dim = sys.dim
         self.tail_tol = tail_tol
-        self._S = np.array(rat.inverse(sys.R.transpose), dtype=float)
+        self._S = np.array(sys.R.inverse_transpose, dtype=float)
         self._kappa, self._rho, self._c = _contraction_data(self._S)
         self._b_max = math.sqrt(max(
             float(rat.dot(b, b)) for b in sys.B))
@@ -287,11 +287,7 @@ class ConvolvedMeasure:
         s = aa[:, None, :] + ab[None, :, :]
         return s.reshape(-1, self.dim)
 
-    def integrate(self, f, depth: int):
-        a = self.atoms(depth)
-        if self.dim == 1:
-            a = a[:, 0]
-        return np.mean(f(a), axis=0)
+    integrate = SelfSimilarMeasure.integrate
 
     def support_diameter(self, depth: int = 4) -> float:
         return sum(p.support_diameter(depth) for p in self.parts)

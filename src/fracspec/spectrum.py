@@ -18,6 +18,8 @@ Q1_DEPTH_CAP = 14
 Q1_EPS_CONV = 1e-6
 EPS_PASS = 0.02
 EPS_FAIL = 0.05
+Q1_SCRATCH = 6_000_000      # entries of the (probes, spectrum chunk) scratch array
+FD_STEP = 1e-3              # step of the gradient stencil at the origin
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +115,7 @@ def digits_of(sys: AffineSystem, lam, max_depth: int = 24):
     """
     lam = point(lam if hasattr(lam, "__len__") else (lam,), sys.dim)
     zero = sys.zero()
-    Rti = rat.inverse(sys.R.transpose)
+    Rti = sys.R.inverse_transpose
     lattice_den = 1
     if sys.R.is_integer():
         for l in sys.L:
@@ -254,19 +256,18 @@ def _prep_tpoints(dim, tpoints) -> np.ndarray:
 
 
 def q1_profile(system: AffineSystem, tpoints, p_depth: int = Q1_DEPTH_CAP,
-               measure=None, fourier_depth: int | None = None,
-               eps_conv: float | None = None, chunk: int | None = None) -> Q1Profile:
+               measure=None, eps_conv: float | None = None) -> Q1Profile:
     """Shared engine: accumulate the completeness partial sums layer by layer.
 
-    With `eps_conv` set, the layer loop stops early once every probe point's
-    increment falls below it (partial sums are monotone, so later layers only
-    add nonnegative mass).
+    Each transform value is truncated at the adaptive depth that meets the
+    measure's tail tolerance.  With `eps_conv` set, the layer loop stops early
+    once every probe point's increment falls below it (partial sums are
+    monotone, so later layers only add nonnegative mass).
     """
     measure = _as_measure(measure) if measure is not None else SelfSimilarMeasure(system)
     T = _prep_tpoints(system.dim, tpoints)
     m = T.shape[0]
-    if chunk is None:
-        chunk = max(1024, 6_000_000 // max(m, 1))   # bounds the (m, chunk) scratch
+    chunk = max(1024, Q1_SCRATCH // max(m, 1))
     sums = [np.zeros(m)]
     incs = []
     for d, layer in spectrum_layers(system, p_depth):
@@ -276,7 +277,7 @@ def q1_profile(system: AffineSystem, tpoints, p_depth: int = Q1_DEPTH_CAP,
             diffs = T[:, None, :] - block[None, :, :]
             if system.dim == 1:
                 diffs = diffs[..., 0]
-            vals, _ = measure.mu_hat_batch(diffs, fourier_depth)
+            vals, _ = measure.mu_hat_batch(diffs)
             inc += (np.abs(vals) ** 2).sum(axis=1)
         if d == 0:
             sums[0] = inc
@@ -301,12 +302,10 @@ class Q1Result:
         return bool(np.all(np.diff(self.partial_sums) >= -1e-15))
 
 
-def q1(system: AffineSystem, t, p_depth: int, measure=None,
-       fourier_depth: int | None = None) -> Q1Result:
+def q1(system: AffineSystem, t, p_depth: int, measure=None) -> Q1Result:
     """Partial sum of the completeness function at one point, to the given
     enumeration depth, with the final increment as a convergence certificate."""
-    prof = q1_profile(system, [t], p_depth,
-                      measure=measure, fourier_depth=fourier_depth)
+    prof = q1_profile(system, [t], p_depth, measure=measure)
     return Q1Result(float(prof.values()[0]), float(prof.last_increments()[0]),
                     prof.partial_sums[0], prof.depth)
 
@@ -335,17 +334,15 @@ class CompletenessReport:
 
 def completeness_test(system: AffineSystem, grid, measure=None,
                       eps_pass: float = EPS_PASS, eps_fail: float = EPS_FAIL,
-                      eps_conv: float = Q1_EPS_CONV, p_depth_cap: int = Q1_DEPTH_CAP,
-                      fourier_depth: int | None = None,
-                      fd_step: float = 1e-3) -> CompletenessReport:
+                      eps_conv: float = Q1_EPS_CONV,
+                      p_depth_cap: int = Q1_DEPTH_CAP) -> CompletenessReport:
     """Run the partial-sum verdict over a grid inside the hull.
 
     INCOMPLETE when a stabilized point sits at or below 1 - eps_fail;
     BASIS-CONSISTENT when every point stabilized at or above 1 - eps_pass;
     INDETERMINATE otherwise (the depth cap bound before stabilization).
     """
-    prof = q1_profile(system, grid, p_depth_cap, measure=measure,
-                      fourier_depth=fourier_depth, eps_conv=eps_conv)
+    prof = q1_profile(system, grid, p_depth_cap, measure=measure, eps_conv=eps_conv)
     vals = prof.values()
     stab = prof.stabilized_depth(eps_conv)
     stabilized = [s is not None for s in stab]
@@ -360,14 +357,13 @@ def completeness_test(system: AffineSystem, grid, measure=None,
     grad = np.empty(system.dim)
     for j in range(system.dim):
         stencil = []
-        for s in (+fd_step, -fd_step):
+        for s in (+FD_STEP, -FD_STEP):
             e = np.zeros(system.dim)
             e[j] = s
             stencil.append(e if system.dim > 1 else e[0])
-        p2 = q1_profile(system, stencil, prof.depth, measure=measure,
-                        fourier_depth=fourier_depth)
+        p2 = q1_profile(system, stencil, prof.depth, measure=measure)
         v = p2.values()
-        grad[j] = (v[0] - v[1]) / (2 * fd_step)
+        grad[j] = (v[0] - v[1]) / (2 * FD_STEP)
     return CompletenessReport(verdict, prof, eps_pass, eps_fail, eps_conv, grad)
 
 
@@ -441,7 +437,7 @@ def hardy_embedding(sys: AffineSystem, coeffs: dict, split_depth: int,
     digit expansion is unique.
     """
     zero = sys.zero()
-    Rti = rat.inverse(sys.R.transpose)
+    Rti = sys.R.inverse_transpose
     comps: dict = {}
     for lam, c in coeffs.items():
         p = point(lam if hasattr(lam, "__len__") else (lam,), sys.dim)

@@ -9,6 +9,7 @@ floating point enters only in trigonometric evaluation and eigenvalues.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import re
@@ -40,7 +41,8 @@ def _unit_phase(q: Fraction) -> complex:
 
 
 class ScalingMatrix:
-    """Expansive scaling matrix with cached exact determinant/inverse/transpose."""
+    """Expansive scaling matrix with cached exact determinant, inverse,
+    transpose and inverse transpose R*^{-1}."""
 
     def __init__(self, entries):
         self.entries = rat.mat(entries)
@@ -53,6 +55,7 @@ class ScalingMatrix:
             raise ValueError("scaling matrix is singular")
         self.inverse = rat.inverse(self.entries)
         self.transpose = rat.transpose(self.entries)
+        self.inverse_transpose = rat.inverse(self.transpose)
 
     def apply(self, v: Point) -> Point:
         return rat.mat_vec(self.entries, v)
@@ -133,6 +136,19 @@ class AffineSystem:
     def l_array(self) -> np.ndarray:
         return np.array(self.L, dtype=float).reshape(len(self.L), self.dim)
 
+    @functools.cached_property
+    def maps(self) -> dict:
+        """The four map families x -> M x + t_d: for each side, the linear
+        part M and the translation t_d of each digit d (of B for sigma and
+        omega, of L for rho and tau)."""
+        R, Rti = self.R, self.R.inverse_transpose
+        return {
+            "sigma": (R.inverse, {b: b for b in self.B}),
+            "rho": (Rti, {l: rat.vec_scale(-1, rat.mat_vec(Rti, l)) for l in self.L}),
+            "tau": (R.transpose, {l: l for l in self.L}),
+            "omega": (R.entries, {b: rat.vec_scale(-1, R.apply(b)) for b in self.B}),
+        }
+
     def __repr__(self):
         label = self.name or "system"
         return f"AffineSystem({label}: dim={self.dim}, N={self.N})"
@@ -149,12 +165,6 @@ def make_system(R, B, L, name="") -> AffineSystem:
     return AffineSystem(dim, Rm,
                         tuple(point(b, dim) for b in B),
                         tuple(point(l, dim) for l in L), name)
-
-
-def _system_1d(R, B, L, name="") -> AffineSystem:
-    Rm = ScalingMatrix([[R]])
-    return AffineSystem(1, Rm, tuple(point((b,)) for b in B),
-                        tuple(point((l,)) for l in L), name)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +195,7 @@ def chi_B(sys: AffineSystem, t) -> complex:
     if all(isinstance(c, (int, Fraction)) for c in t):
         tv = rat.vec(t)
         return sum(_unit_phase(rat.dot(b, tv)) for b in sys.B) / sys.N
-    tv = np.asarray(t, dtype=float)
-    return complex(np.exp(2j * np.pi * (sys.b_array() @ tv)).sum() / sys.N)
+    return complex(chi_B_batch(sys, t))
 
 
 def chi_B_batch(sys: AffineSystem, T: np.ndarray) -> np.ndarray:
@@ -207,40 +216,37 @@ def chi_B_sq_grad(sys: AffineSystem, t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the four affine map families
+# the four affine map families (read from AffineSystem.maps)
 
-def _require_member(p: Point, family, label: str):
-    if tuple(p) not in set(family):
-        raise ValueError(f"{tuple(p)} is not a point of {label}")
+SIDES = ("sigma", "rho", "tau", "omega")
+
+
+def _apply_map(sys: AffineSystem, side: str, digit, x) -> Point:
+    M, trans = sys.maps[side]
+    d = point(digit, sys.dim)
+    if d not in trans:
+        raise ValueError(f"{d} is not a point of {'B' if side in ('sigma', 'omega') else 'L'}")
+    return rat.vec_add(rat.mat_vec(M, point(x, sys.dim)), trans[d])
 
 
 def map_sigma(sys: AffineSystem, b, x) -> Point:
     """sigma_b(x) = R^{-1} x + b."""
-    b = point(b, sys.dim)
-    _require_member(b, sys.B, "B")
-    return rat.vec_add(sys.R.apply_inverse(point(x, sys.dim)), b)
+    return _apply_map(sys, "sigma", b, x)
 
 
 def map_omega(sys: AffineSystem, b, x) -> Point:
     """omega_b(x) = R(x - b), the inverse of sigma_b."""
-    b = point(b, sys.dim)
-    _require_member(b, sys.B, "B")
-    return sys.R.apply(rat.vec_sub(point(x, sys.dim), b))
+    return _apply_map(sys, "omega", b, x)
 
 
 def map_tau(sys: AffineSystem, l, x) -> Point:
     """tau_l(x) = R* x + l."""
-    l = point(l, sys.dim)
-    _require_member(l, sys.L, "L")
-    return rat.vec_add(sys.R.apply_transpose(point(x, sys.dim)), l)
+    return _apply_map(sys, "tau", l, x)
 
 
 def map_rho(sys: AffineSystem, l, t) -> Point:
     """rho_l(t) = R*^{-1}(t - l), the inverse of tau_l."""
-    l = point(l, sys.dim)
-    _require_member(l, sys.L, "L")
-    Rti = rat.inverse(sys.R.transpose)
-    return rat.mat_vec(Rti, rat.vec_sub(point(t, sys.dim), l))
+    return _apply_map(sys, "rho", l, t)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +372,8 @@ def two_digit_system(R: int, b, name="") -> AffineSystem:
     if b == 0:
         raise ValueError("b must be nonzero")
     z0 = 1 / abs(2 * b)
-    return _system_1d(R, (Fraction(0), b), (Fraction(0), z0),
-                      name or f"two-digit(R={R}, b={rat.format_fraction(b)})")
+    return make_system(R, (Fraction(0), b), (Fraction(0), z0),
+                       name or f"two-digit(R={R}, b={rat.format_fraction(b)})")
 
 
 def eiffel_system(r: int = 2) -> AffineSystem:
@@ -391,8 +397,8 @@ def planar_collapse_system() -> AffineSystem:
 _CATALOG = {
     "scale4": lambda: two_digit_system(4, Fraction(1, 2), name="scale4"),
     "scale2": lambda: two_digit_system(2, Fraction(1, 2), name="scale2"),
-    "triadic": lambda: _system_1d(3, (Fraction(0), Fraction(2, 3)),
-                                  (Fraction(0), Fraction(3, 4)), "triadic"),
+    "triadic": lambda: make_system(3, (Fraction(0), Fraction(2, 3)),
+                                   (Fraction(0), Fraction(3, 4)), "triadic"),
     "eiffel": eiffel_system,
     "planar-collapse": planar_collapse_system,
 }

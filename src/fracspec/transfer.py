@@ -12,47 +12,16 @@ import numpy as np
 from scipy import optimize
 
 from . import geometry, rational as rat
-from .geometry import Polytope
+from .geometry import Chart, Polytope
 from .system import AffineSystem, chi_B_batch
 
 DEFAULT_PAD = 0.05
 MIN_RESOLUTION = 8
+BETA_SAMPLES = 32     # mesh points per chart axis: at most 32**3 for a 3-D hull
 
 
 # ---------------------------------------------------------------------------
-# grid functions (with an affine chart for degenerate hulls)
-
-@dataclass
-class Chart:
-    """Affine parametrization u -> origin + u @ basis of the carrying subspace."""
-    origin: np.ndarray           # (ambient,)
-    basis: np.ndarray            # (k, ambient), rows independent
-
-    @property
-    def k(self) -> int:
-        return self.basis.shape[0]
-
-    def ambient(self, U: np.ndarray) -> np.ndarray:
-        return self.origin + np.atleast_2d(U) @ self.basis
-
-    def param(self, X: np.ndarray, tol: float | None = 1e-9) -> np.ndarray:
-        X = np.atleast_2d(X) - self.origin
-        pinv = self.basis.T @ np.linalg.inv(self.basis @ self.basis.T)
-        U = X @ pinv
-        if tol is not None:
-            resid = np.abs(U @ self.basis - X).max() if X.size else 0.0
-            if resid > tol:
-                raise ValueError(f"point leaves the hull's carrying subspace "
-                                 f"(residual {resid:.2e})")
-        return U
-
-    def metric(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
-
-def identity_chart(dim: int) -> Chart:
-    return Chart(np.zeros(dim), np.eye(dim))
-
+# grid functions over the hull's chart
 
 class GridFunction:
     """Real samples on a uniform rectangular grid in chart coordinates,
@@ -132,23 +101,18 @@ class GridFunction:
         return self.with_values(vals.reshape(self.values.shape))
 
 
-def grid_frame(sys: AffineSystem, resolution: int, pad: float = DEFAULT_PAD,
+def grid_frame(sys: AffineSystem, resolution: int,
                hull: Polytope | None = None) -> GridFunction:
     """Constant-1 grid over the hull's (padded) bounding box, in the hull's
     chart, with the origin snapped onto the node lattice and the box grown
     until every rho_l image of it stays inside."""
     hull = hull if hull is not None else geometry.dual_hull(sys, 4)
-    if hull.affine_dim == sys.dim:
-        chart = identity_chart(sys.dim)
-        vertices_u = hull.vertex_array()
-    else:
-        origin = np.array(hull.origin, dtype=float)
-        basis = np.array(hull.basis, dtype=float).reshape(hull.affine_dim, sys.dim)
-        chart = Chart(origin, basis)
-        vertices_u = chart.param(hull.vertex_array())
+    chart = hull.chart
+    vertices_u = chart.param(hull.vertex_array())
     u0 = chart.param(np.zeros((1, sys.dim)))[0]
 
-    S = np.array(rat.inverse(sys.R.transpose), dtype=float)
+    S = np.array(sys.R.inverse_transpose, dtype=float)
+    pad = DEFAULT_PAD
     Ls = sys.l_array()
     for attempt in range(6):
         axes = []
@@ -184,7 +148,7 @@ def grid_frame(sys: AffineSystem, resolution: int, pad: float = DEFAULT_PAD,
 
 def apply_C(sys: AffineSystem, Q: GridFunction) -> GridFunction:
     """(CQ)(t) = sum_l |chi_B(t - l)|^2 Q(R*^{-1}(t - l)) at the grid nodes."""
-    S = np.array(rat.inverse(sys.R.transpose), dtype=float)
+    S = np.array(sys.R.inverse_transpose, dtype=float)
     nodes = Q.node_points()
     total = np.zeros(nodes.shape[0])
     for l in sys.l_array():
@@ -274,33 +238,13 @@ def grad_norm(Q: GridFunction, flavor: str = "sup", domain: Polytope | None = No
     to nodes inside `domain`)."""
     field = _gradient_norm_field(Q)
     if domain is not None:
-        pts = Q.node_points()
-        mask = np.array([contains_float(domain, p) for p in pts])
-        field = field[mask]
+        field = field[domain.contains_float(Q.node_points())]
     if flavor == "sup":
         return float(field.max())
     if flavor == "l1":
         cell = float(np.prod(Q.spacing)) * math.sqrt(np.linalg.det(Q.chart.metric()))
         return float(field.sum() * cell)
     raise ValueError("flavor must be 'sup' or 'l1'")
-
-
-def contains_float(P: Polytope, x, tol: float = 1e-9) -> bool:
-    """Floating-point polytope membership (chart residual + facets)."""
-    x = np.asarray(x, dtype=float)
-    if P.affine_dim == 0:
-        return bool(np.abs(x - np.array(P.origin, dtype=float)).max() <= tol)
-    origin = np.array(P.origin, dtype=float)
-    basis = np.array(P.basis, dtype=float).reshape(P.affine_dim, P.ambient_dim)
-    chart = Chart(origin, basis)
-    try:
-        u = chart.param(x[None], tol=math.sqrt(tol))[0]
-    except ValueError:
-        return False
-    for nrm, c in P.facets:
-        if float(np.dot(np.array(nrm, dtype=float), u)) > float(c) + tol:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -376,25 +320,8 @@ def beta_constant(sys: AffineSystem, Y: Polytope) -> BetaResult:
     return BetaResult(beta, sin_sup, diam_B, 2 * math.pi * diam_B * sampled, agrees)
 
 
-def _beta_sampled(sys: AffineSystem, Y: Polytope, base: int = 32, cap: int = 32768):
-    k = max(Y.affine_dim, 1)
-    n = base
-    while n ** k > cap:
-        n = max(2, n // 2)
-    if Y.affine_dim == 0:
-        pts = np.array(Y.origin, dtype=float)[None]
-    else:
-        origin = np.array(Y.origin, dtype=float)
-        basis = np.array(Y.basis, dtype=float).reshape(Y.affine_dim, Y.ambient_dim)
-        chart = Chart(origin, basis)
-        us = chart.param(Y.vertex_array())
-        axes = [np.linspace(us[:, d].min(), us[:, d].max(), n) for d in range(Y.affine_dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        U = np.stack([g.ravel() for g in mesh], axis=-1)
-        keep = np.ones(len(U), dtype=bool)
-        for nrm, c in Y.facets:
-            keep &= U @ np.array(nrm, dtype=float) <= float(c) + 1e-12
-        pts = np.concatenate([Y.vertex_array(), chart.ambient(U[keep])], axis=0)
+def _beta_sampled(sys: AffineSystem, Y: Polytope):
+    pts = np.concatenate([Y.vertex_array(), Y.sample(BETA_SAMPLES)], axis=0)
 
     best = 0.0
     bs = sys.b_array()

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import fracspec as fs
@@ -46,3 +48,13 @@ def mu3(triadic):
 @pytest.fixture(scope="session")
 def mu34(mu3, mu4):
     return fs.convolve(mu3, mu4)
+
+
+@pytest.fixture(scope="session")
+def planar3d():
+    # 3-D system whose dual hull is a square in the plane x3 = 0: a hull of
+    # dimension 2 in a chart that is not the identity
+    h = Fraction(1, 2)
+    return fs.make_system([[4, 0, 0], [0, 4, 0], [0, 0, 4]],
+                          [(0, 0, 0), (h, 0, 0), (0, h, 0), (h, h, 0)],
+                          [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], name="planar3d")

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+import fracspec as fs
+
 RUN = [sys.executable, "-m", "fracspec.cli"]
 
 
@@ -130,6 +132,21 @@ class TestQ1Command:
                     "--p-depth", "4", "--format", "json")
         doc = json.loads(r.stdout)
         assert doc["verdict"] == "INDETERMINATE"
+
+
+class TestPlanarHullInSpace:
+    # the dual hull is a square in a plane of 3-space, so the Q1 grid, the
+    # transfer grid and the beta sample all run in a 2-D chart
+    @pytest.mark.parametrize("command, key, value", [
+        (("q1", "--p-depth", "4"), "p_depth", 4),
+        (("transfer",), "converged", True),
+        (("gamma",), "beta_sample_agrees", True)])
+    def test_runs(self, tmp_path, planar3d, command, key, value):
+        p = tmp_path / "planar3d.json"
+        p.write_text(json.dumps(fs.system_to_json(planar3d)))
+        r = run_cli(*command, "--file", str(p), "--format", "json")
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)[key] == value
 
 
 class TestReportCommand:

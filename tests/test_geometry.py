@@ -1,6 +1,8 @@
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import fracspec as fs
@@ -76,6 +78,23 @@ class TestConvexHull:
         assert hull.affine_dim == 0
         assert hull.contains((F(1, 2), F(1, 3)))
         assert not hull.contains((F(0), F(0)))
+
+
+class TestFloatChart:
+    def test_planar_hull_in_space(self, planar3d):
+        hull = fs.dual_hull(planar3d, 4)
+        assert hull.affine_dim == 2
+        pts = hull.sample(9)
+        assert hull.contains_float(pts).all()
+        assert not hull.contains_float(pts + [0, 0, 1e-3]).any()     # off the plane
+        assert not hull.contains_float(pts + [0.5, 0, 0]).any()      # beside the square
+        # brute force: the same mesh, each point mapped and tested on its own
+        us = hull.chart.param(hull.vertex_array())
+        axes = [np.linspace(us[:, d].min(), us[:, d].max(), 9) for d in range(2)]
+        mesh = [hull.chart.ambient(np.array(u))[0] for u in itertools.product(*axes)]
+        inside = [p for p in mesh if hull.contains_float(p)[0]]
+        assert len(inside) == len(pts)
+        assert np.allclose(inside, pts, rtol=0, atol=1e-12)
 
 
 class TestSimplex:

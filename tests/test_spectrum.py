@@ -158,6 +158,17 @@ class TestQ1:
         _, tail = mu4.mu_hat_batch(T)
         assert (prof.values() <= 1 + 3 * tail).all()
 
+    def test_no_fixed_transform_depth(self, planar):
+        # a fixed depth of 3 gave Q1 ~ 1.77e5 here, far above the Bessel
+        # bound; the depth is always the adaptive one that meets the tail
+        probes = np.array([[0.25, 0.25], [0.05, 0.05], [1.25, 1.25], [0.2, -0.1]])
+        with pytest.raises(TypeError):
+            fs.q1_profile(planar, probes, 14, fourier_depth=3, eps_conv=1e-6)
+        with pytest.raises(TypeError):
+            fs.q1(planar, probes[0], 14, fourier_depth=3)
+        with pytest.raises(TypeError):
+            fs.completeness_test(planar, probes, fourier_depth=3)
+
 
 class TestCompleteness:
     def test_scale4_basis(self, scale4):
