@@ -390,10 +390,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+    except (UsageError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
 

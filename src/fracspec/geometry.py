@@ -182,15 +182,25 @@ class Polytope:
         return Chart(np.array(self.origin, dtype=float),
                      np.array(self.basis, dtype=float).reshape(self.affine_dim, self.ambient_dim))
 
+    @functools.cached_property
+    def _unit_facets(self):
+        """Float facets (A, c), A u <= c, each row scaled so that A u - c is
+        the ambient distance beyond the facet: the normal n has length
+        sqrt(n^T G^{-1} n) in the chart metric G."""
+        A = np.array([n for n, _ in self.facets], dtype=float)
+        c = np.array([c for _, c in self.facets], dtype=float)
+        Ginv = np.linalg.inv(self.chart.metric())
+        scale = np.sqrt(np.einsum("fi,ij,fj->f", A, Ginv, A))
+        return A / scale[:, None], c / scale
+
     def _in_facets(self, U: np.ndarray) -> np.ndarray:
-        keep = np.ones(len(U), dtype=bool)
-        for nrm, c in self.facets:
-            keep &= U @ np.array(nrm, dtype=float) <= float(c) + FLOAT_TOL
-        return keep
+        A, c = self._unit_facets
+        return (U @ A.T <= c + FLOAT_TOL).all(axis=1)
 
     def contains_float(self, X) -> np.ndarray:
         """Float membership of each ambient row of X: within sqrt(FLOAT_TOL)
-        of the carrying subspace and within FLOAT_TOL of every facet."""
+        of the carrying subspace and within FLOAT_TOL of every facet, both
+        in ambient distance."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.affine_dim == 0:
             return np.abs(X - self.chart.origin).max(axis=1) <= FLOAT_TOL

@@ -246,15 +246,6 @@ class Q1Profile:
         return bool((self.increments >= -1e-15).all())
 
 
-def _prep_tpoints(dim, tpoints) -> np.ndarray:
-    T = np.asarray(tpoints, dtype=float)
-    if dim == 1:
-        T = T.reshape(-1, 1)
-    else:
-        T = T.reshape(-1, dim)
-    return T
-
-
 def q1_profile(system: AffineSystem, tpoints, p_depth: int = Q1_DEPTH_CAP,
                measure=None, eps_conv: float | None = None) -> Q1Profile:
     """Shared engine: accumulate the completeness partial sums layer by layer.
@@ -265,7 +256,7 @@ def q1_profile(system: AffineSystem, tpoints, p_depth: int = Q1_DEPTH_CAP,
     monotone, so later layers only add nonnegative mass).
     """
     measure = _as_measure(measure) if measure is not None else SelfSimilarMeasure(system)
-    T = _prep_tpoints(system.dim, tpoints)
+    T = np.asarray(tpoints, dtype=float).reshape(-1, system.dim)
     m = T.shape[0]
     chunk = max(1024, Q1_SCRATCH // max(m, 1))
     sums = [np.zeros(m)]
@@ -370,8 +361,7 @@ def completeness_test(system: AffineSystem, grid, measure=None,
 # ---------------------------------------------------------------------------
 # maximal orthogonal families
 
-def max_orthogonal_family(orthogonal, candidates, fourier_depth: int | None = None,
-                          tol: float = 1e-6) -> tuple:
+def max_orthogonal_family(orthogonal, candidates, tol: float = 1e-6) -> tuple:
     """Maximum subset of `candidates` whose pairwise differences are
     orthogonal directions.
 
@@ -392,7 +382,7 @@ def max_orthogonal_family(orthogonal, candidates, fourier_depth: int | None = No
     elif hasattr(orthogonal, "mu_hat"):
         def connected(a, b):
             da = np.atleast_1d(np.asarray(a, dtype=float)) - np.atleast_1d(np.asarray(b, dtype=float))
-            return abs(orthogonal.mu_hat(da, fourier_depth).value) <= tol
+            return abs(orthogonal.mu_hat(da).value) <= tol
     else:
         connected = orthogonal
 

@@ -63,9 +63,6 @@ class ScalingMatrix:
     def apply_transpose(self, v: Point) -> Point:
         return rat.mat_vec(self.transpose, v)
 
-    def apply_inverse(self, v: Point) -> Point:
-        return rat.mat_vec(self.inverse, v)
-
     def to_float(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
 
@@ -93,8 +90,8 @@ class ScalingMatrix:
             roots = np.linalg.eigvals(self.to_float())
         return sorted(abs(complex(z)) for z in roots)
 
-    def is_expansive(self, margin: float = EXPANSIVE_MARGIN) -> bool:
-        return self.eigenvalue_moduli()[0] > 1.0 + margin
+    def is_expansive(self) -> bool:
+        return self.eigenvalue_moduli()[0] > 1.0 + EXPANSIVE_MARGIN
 
     def is_integer(self) -> bool:
         return all(e.denominator == 1 for row in self.entries for e in row)

@@ -181,3 +181,15 @@ class TestUsage:
         r = run_cli("validate", "--system", "foo")
         assert r.returncode == 2
         assert "scale4" in r.stderr
+
+    def test_system_file_is_a_directory(self, tmp_path):
+        r = run_cli("validate", "--file", str(tmp_path))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("option", ["--out", "--dump-grid"])
+    def test_missing_output_directory(self, tmp_path, option):
+        target = str(tmp_path / "no-such-dir" / "x.csv")
+        r = run_cli("transfer", "--system", "scale4", "--resolution", "16", option, target)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr

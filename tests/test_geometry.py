@@ -96,6 +96,25 @@ class TestFloatChart:
         assert len(inside) == len(pts)
         assert np.allclose(inside, pts, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["planar3d", "eiffel2"])
+    def test_facet_tolerance_is_ambient_distance(self, request, name):
+        # a point off a facet's centre along its ambient unit normal is inside
+        # at 0.5 FLOAT_TOL and outside at 2 FLOAT_TOL, whatever the chart scale;
+        # the tower's depth-4 hull is its simplex (TestSimplex)
+        sysm = request.getfixturevalue(name)
+        hull = fs.dual_hull(sysm, 4) if name == "planar3d" else fs.simplex_Y(sysm)
+        tol = fs.geometry.FLOAT_TOL
+        us = [hull.chart_coords(v) for v in hull.vertices]
+        Ginv = np.linalg.inv(hull.chart.metric())
+        for n, c in hull.facets:
+            on = [u for u in us if rat.dot(n, u) == c]
+            centre = [sum(u[i] for u in on) / len(on) for i in range(hull.affine_dim)]
+            x = hull.chart.ambient(np.array(centre, dtype=float))[0]
+            nf = np.array(n, dtype=float)
+            w = hull.chart.basis.T @ Ginv @ nf / math.sqrt(nf @ Ginv @ nf)
+            assert hull.contains_float(x + 0.5 * tol * w)[0], (n, c)
+            assert not hull.contains_float(x + 2 * tol * w)[0], (n, c)
+
 
 class TestSimplex:
     def test_vertex_formula(self):

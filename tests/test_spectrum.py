@@ -168,6 +168,8 @@ class TestQ1:
             fs.q1(planar, probes[0], 14, fourier_depth=3)
         with pytest.raises(TypeError):
             fs.completeness_test(planar, probes, fourier_depth=3)
+        with pytest.raises(TypeError):
+            fs.max_orthogonal_family(fs.SelfSimilarMeasure(planar), probes, fourier_depth=3)
 
 
 class TestCompleteness:

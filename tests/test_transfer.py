@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -236,3 +238,40 @@ class TestFunctionalIdentity:
         qb = fs.q1_profile(scale4, (grid - 1) / 4, 10).values()
         rhs = np.cos(np.pi * grid / 2) ** 2 * qa + np.sin(np.pi * grid / 2) ** 2 * qb
         assert np.abs(q - rhs).max() <= 5e-3
+
+
+class TestOverlapDecision:
+    # Y and Y - l have disjoint interiors iff no nonzero l lies in the
+    # interior of the difference body Y - Y
+    def test_disjoint_translates(self, scale4, scale2, eiffel2):
+        for sysm in (scale4, scale2):                   # scale2: Y and Y - 1 touch
+            assert fs.transfer.overlaps_measure_zero(sysm, fs.dual_hull(sysm, 4))
+        # the tower's depth-4 hull is this simplex (see test_geometry)
+        assert fs.transfer.overlaps_measure_zero(eiffel2, fs.simplex_Y(eiffel2))
+
+    def test_degenerate_hull(self, planar):
+        Y = fs.dual_hull(planar, 4)
+        assert Y.affine_dim < Y.ambient_dim
+        assert fs.transfer.overlaps_measure_zero(planar, Y)
+
+    def test_overlapping_translates(self):
+        sysm = fs.make_system(4, [0, Fraction(1, 3), Fraction(2, 3)], [0, 1, 5])
+        Y = fs.dual_hull(sysm, 4)                       # [-5/3, 0] meets Y - 1
+        assert Y.vertices == ((Fraction(-5, 3),), (Fraction(0),))
+        assert not fs.transfer.overlaps_measure_zero(sysm, Y)
+
+    def test_overlap_below_float_tolerance(self):
+        # Y = [-1 - 1e-10, 0] overlaps Y - 1 on an interval of length 1e-10
+        far = Fraction(3) + Fraction(3, 10 ** 10)
+        sysm = fs.make_system(4, [0, Fraction(1, 3), Fraction(2, 3)], [0, 1, far])
+        Y = fs.dual_hull(sysm, 4)
+        assert Y.vertices[0] == (-far / 3,)
+        assert not fs.transfer.overlaps_measure_zero(sysm, Y)
+        assert fs.gamma_L1(sysm, Y)[1] is None
+
+    def test_cli_imports_no_scipy(self):
+        code = ("import sys, fracspec.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
