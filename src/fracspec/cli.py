@@ -167,10 +167,12 @@ def cmd_q1(args) -> int:
     if gate is not None:
         return gate
     hull = geometry.dual_hull(sys_obj, 4)
-    res = args.resolution or {1: 33, 2: 9, 3: 5}.get(sys_obj.dim, 5)
+    res = args.resolution
+    if res is None:
+        res = {1: 33, 2: 9, 3: 5}.get(sys_obj.dim, 5)
     grid = hull.sample(res)
     grid = grid if len(grid) else hull.vertex_array()
-    p_depth = args.p_depth or _auto_p_depth(sys_obj)
+    p_depth = args.p_depth if args.p_depth is not None else _auto_p_depth(sys_obj)
     rep = spectrum.completeness_test(sys_obj, grid, eps_conv=args.tol,
                                      p_depth_cap=p_depth)
     prof = rep.profile
@@ -194,7 +196,9 @@ def cmd_transfer(args) -> int:
     gate = _gate(args, sys_obj)
     if gate is not None:
         return gate
-    res = args.resolution or GRID_RESOLUTIONS.get(sys_obj.dim, 16)
+    res = args.resolution
+    if res is None:
+        res = GRID_RESOLUTIONS.get(sys_obj.dim, 16)
     if res < transfer.MIN_RESOLUTION:
         raise UsageError(f"resolution must be >= {transfer.MIN_RESOLUTION}")
     frame = transfer.grid_frame(sys_obj, res)
@@ -320,6 +324,22 @@ def cmd_report(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+POSITIVE_OPTIONS = ("p_depth", "resolution", "max_iters")
+
+
+def _check_options(args) -> None:
+    """Reject numeric options out of range before any work: counts and
+    depths below 1, and a convergence tolerance that is not positive."""
+    names = POSITIVE_OPTIONS + (("depth",) if args.command == "gram" else ())
+    for name in names:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not tol > 0:
+        raise UsageError(f"--tol must be > 0, got {tol}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fracspec",
                                 description="spectral analysis of affine self-similar measures")
@@ -389,6 +409,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        _check_options(args)
         return args.handler(args)
     except (UsageError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -142,6 +142,14 @@ class Polytope:
     ring: tuple = ()                     # CCW chart vertices (affine_dim == 2)
     faces: tuple = ()                    # outward-oriented triangles (affine_dim == 3)
 
+    @functools.cached_property
+    def _chart_solver(self):
+        """Pivot rows of the basis columns and the exact inverse of the
+        k x k submatrix they select."""
+        cols = rat.transpose(rat.mat(self.basis))      # ambient_dim x k
+        pivots = rat.pivot_columns(rat.mat(self.basis))
+        return pivots, rat.inverse(tuple(cols[i] for i in pivots))
+
     def chart_coords(self, x) -> tuple | None:
         """Exact chart coordinates of ambient point x, or None when x is off
         the carrying subspace."""
@@ -149,11 +157,8 @@ class Polytope:
         d = rat.vec_sub(x, self.origin)
         if self.affine_dim == 0:
             return () if all(c == 0 for c in d) else None
-        cols = rat.transpose(rat.mat(self.basis))      # ambient_dim x k
-        pivots = rat.pivot_columns(rat.mat(self.basis))
-        sub = rat.mat(tuple(tuple(cols[i][j] for j in range(self.affine_dim))
-                            for i in pivots))
-        u = rat.solve(sub, tuple(d[i] for i in pivots))
+        pivots, sub_inv = self._chart_solver
+        u = rat.mat_vec(sub_inv, tuple(d[i] for i in pivots))
         recon = tuple(sum(self.basis[j][i] * u[j] for j in range(self.affine_dim))
                       for i in range(self.ambient_dim))
         if tuple(recon) != tuple(d):
@@ -224,6 +229,8 @@ def _affine_frame(pts):
     origin = pts[0]
     basis = []
     for p in pts[1:]:
+        if len(basis) == len(origin):
+            break
         d = rat.vec_sub(p, origin)
         if rat.rank(rat.mat(basis + [d])) > len(basis):
             basis.append(d)
@@ -269,38 +276,66 @@ def _facets_2d(ring):
     return tuple(facets)
 
 
-def _orient3(a, b, c, p):
-    m = rat.mat([rat.vec_sub(b, a), rat.vec_sub(c, a), rat.vec_sub(p, a)])
-    return rat.det(m)
+def _sub3(p, q):
+    return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
+
+
+def _cross3(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _plane(a, b, c):
+    """Normal n = (b - a) x (c - a) of triangle (a, b, c) and its offset
+    n . a; p lies above the triangle (sees it) iff n . p > n . a."""
+    n = _cross3(_sub3(b, a), _sub3(c, a))
+    return n, _dot3(n, a)
+
+
+def _face(a, b, c):
+    return ((a, b, c),) + _plane(a, b, c)
 
 
 def _hull_3d(us):
-    """Incremental hull; returns outward-oriented triangle list (chart points)."""
+    """Incremental hull from an extremal starting tetrahedron; returns the
+    outward-oriented triangles (chart points).
+
+    The points are scaled once by the lcm of their denominators, which keeps
+    every orientation sign, so each visibility test is an integer dot product
+    with a face's plane.  A point is inserted only when it lies strictly
+    outside the hull built so far; starting from extreme points (Quickhull's
+    start) keeps the boundary points that are not vertices from becoming
+    faces, as on a simplex sampled densely on its boundary.
+    """
     pts = sorted(set(us))
-    # initial non-degenerate tetrahedron
-    a = pts[0]
-    b = next(p for p in pts if p != a)
-    c = next(p for p in pts if rat.rank(rat.mat([rat.vec_sub(b, a), rat.vec_sub(p, a)])) == 2)
-    d = next(p for p in pts if _orient3(a, b, c, p) != 0)
-    if _orient3(a, b, c, d) > 0:
-        a, b, c = a, c, b
-    faces = [(a, b, c), (a, d, b), (b, d, c), (a, c, d)]
-    for p in pts:
-        if p in (a, b, c, d):
-            continue
-        visible = [f for f in faces if _orient3(*f, p) > 0]
+    scale = math.lcm(*(c.denominator for p in pts for c in p))
+    lift = {tuple(c.numerator * (scale // c.denominator) for c in p): p for p in pts}
+    ips = list(lift)                                  # still sorted: scale > 0
+    a, b = ips[0], ips[-1]
+
+    def line_dist2(p):                                # |ab x ap|^2
+        w = _cross3(_sub3(b, a), _sub3(p, a))
+        return _dot3(w, w)
+
+    c = max(ips, key=line_dist2)
+    n, off = _plane(a, b, c)
+    d = max(ips, key=lambda p: abs(_dot3(n, p) - off))
+    if _dot3(n, d) > off:
+        b, c = c, b
+    faces = [_face(a, b, c), _face(a, d, b), _face(b, d, c), _face(a, c, d)]
+    for p in ips:
+        visible, kept = [], []
+        for f in faces:
+            (visible if _dot3(f[1], p) > f[2] else kept).append(f)
         if not visible:
             continue
-        visible_set = set(visible)
-        kept_edges = {(g[i], g[(i + 1) % 3])
-                      for g in faces if g not in visible_set for i in range(3)}
-        horizon = [(f[i], f[(i + 1) % 3])
-                   for f in visible for i in range(3)
-                   if (f[(i + 1) % 3], f[i]) in kept_edges]
-        faces = [f for f in faces if f not in visible_set]
-        for (u, v) in horizon:
-            faces.append((u, v, p))
-    return tuple(faces)
+        edges = [(t[i], t[(i + 1) % 3]) for t, _, _ in visible for i in range(3)]
+        seen = set(edges)
+        faces = kept + [_face(u, v, p) for (u, v) in edges if (v, u) not in seen]
+    return tuple(tuple(lift[q] for q in t) for t, _, _ in faces)
 
 
 def _normalize_halfspace(n, c):
@@ -319,12 +354,8 @@ def _normalize_halfspace(n, c):
 
 def _facets_3d(faces):
     facets = {}
-    for (a, b, c) in faces:
-        e1, e2 = rat.vec_sub(b, a), rat.vec_sub(c, a)
-        n = (e1[1] * e2[2] - e1[2] * e2[1],
-             e1[2] * e2[0] - e1[0] * e2[2],
-             e1[0] * e2[1] - e1[1] * e2[0])
-        facets[_normalize_halfspace(n, rat.dot(n, a))] = None
+    for face in faces:
+        facets[_normalize_halfspace(*_plane(*face))] = None
     return tuple(facets.keys())
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import fracspec as fs
+from fracspec import cli
 
 RUN = [sys.executable, "-m", "fracspec.cli"]
 
@@ -193,3 +194,20 @@ class TestUsage:
         r = run_cli("transfer", "--system", "scale4", "--resolution", "16", option, target)
         assert r.returncode == 2
         assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("q1", "--p-depth", "0"),           # 0 is a value, not "use the default"
+        ("q1", "--p-depth", "-3"),
+        ("q1", "--resolution", "0"),
+        ("q1", "--tol", "-1"),
+        ("q1", "--tol", "0"),
+        ("transfer", "--resolution", "0"),
+        ("transfer", "--max-iters", "0"),
+        ("transfer", "--tol", "-1"),
+        ("gram", "--depth", "-1"),
+        ("gram", "--depth", "0"),
+    ])
+    def test_numeric_option_out_of_range(self, capsys, command, option, value):
+        # rejected before any work, so the parser is run in process
+        assert cli.main([command, "--system", "scale4", option, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {option} must be ")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,108 @@ class TestConvexHull:
         assert hull.affine_dim == 0
         assert hull.contains((F(1, 2), F(1, 3)))
         assert not hull.contains((F(0), F(0)))
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _coprime_plane(n, c):
+    """(n, c) scaled by a positive rational to coprime integers."""
+    den = math.lcm(*(x.denominator for x in n + (c,)))
+    ints = [int(x * den) for x in n + (c,)]
+    g = math.gcd(*ints)
+    return tuple(F(v, g) for v in ints[:-1]), F(ints[-1], g)
+
+
+def _oracle_hull(pts):
+    """Brute-force facets and vertices of a full-dimensional 3-D point set.
+
+    A facet is the plane through a non-collinear triple with every point on
+    one side, as n . x <= c; a vertex is an input point on three facets with
+    independent normals.  The search runs on the points times the lcm L of
+    their denominators, in int64 (the bound on the scaled coordinates keeps
+    every product exact), and a plane n . y <= c found there is n . x <= c / L.
+    """
+    pts = sorted(set(pts))
+    L = math.lcm(*(x.denominator for p in pts for x in p))
+    P = np.array([[int(x * L) for x in p] for p in pts], dtype=np.int64)
+    assert np.abs(P).max() < 2 ** 16
+    a, b, c = P[np.array(list(itertools.combinations(range(len(P)), 3))).T]
+    n = np.cross(b - a, c - a)
+    off = (n * a).sum(axis=1)
+    side = P @ n.T - off                                  # points x triples
+    above, below = (side > 0).any(axis=0), (side < 0).any(axis=0)
+    one_side = n.any(axis=1) & ~(above & below)
+    sign = np.where(above, -1, 1)[one_side]
+    planes = set()
+    for nv, cv in zip((n[one_side] * sign[:, None]).tolist(), (off[one_side] * sign).tolist()):
+        g = math.gcd(*nv, cv)
+        planes.add((tuple(x // g for x in nv), cv // g))
+    facets = {_coprime_plane(tuple(F(x) for x in n), F(off, L)) for n, off in planes}
+    vertices = []
+    for p, q in zip(pts, P.tolist()):
+        active = [n for n, off in planes if _dot(n, q) == off]
+        if any(_dot(_cross(n1, n2), n3) for n1, n2, n3 in itertools.combinations(active, 3)):
+            vertices.append(p)
+    return facets, tuple(vertices)
+
+
+def _random_points(seed):
+    """5-40 points with mixed denominators and a few duplicates; every third
+    seed adds up to 40 points on the faces of the box [-2, 2]^3, with its
+    corners on every sixth."""
+    rng = random.Random(seed)
+
+    def coord():
+        return F(rng.randint(-12, 12), rng.choice((1, 2, 3, 5, 6, 7)))
+
+    pts = [tuple(coord() for _ in range(3)) for _ in range(rng.randint(5, 40))]
+    pts += rng.sample(pts, 3)
+    if seed % 3 == 0:
+        for _ in range(rng.randint(10, 40)):
+            p = [max(F(-2), min(F(2), coord())) for _ in range(3)]
+            p[rng.randrange(3)] = F(rng.choice((-2, 2)))
+            pts.append(tuple(p))
+    if seed % 6 == 0:
+        pts += [(F(x), F(y), F(z)) for x in (-2, 2) for y in (-2, 2) for z in (-2, 2)]
+    return pts
+
+
+class TestHullOracle:
+    """`convex_hull` in 3-D against brute force over every triple."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_rational_sets(self, seed):
+        pts = _random_points(seed)
+        hull = fs.convex_hull(pts)
+        assert hull.affine_dim == 3
+        facets, vertices = _oracle_hull(pts)
+        assert set(hull.facets) == facets
+        assert hull.vertices == vertices
+
+    def test_lattice_cube(self):
+        pts = [(F(x), F(y), F(z)) for x in range(4) for y in range(4) for z in range(4)]
+        hull = fs.convex_hull(pts)
+        facets, vertices = _oracle_hull(pts)
+        assert set(hull.facets) == facets and len(facets) == 6
+        assert hull.vertices == vertices and len(vertices) == 8
+        assert fs.hull_volume(hull) == 27
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_tower_hull_volume(self, r):
+        # a triangulation of the 256-point depth-4 hull against the closed form
+        assert fs.hull_volume(fs.dual_hull(fs.eiffel_system(r), 4)) == F(1, 3 * (r - 1) ** 3)
+
+    @pytest.mark.parametrize("hull", [fs.dual_hull, fs.support_hull], ids=["rho", "sigma"])
+    def test_tower_hull_keeps_no_coplanar_faces(self, eiffel2, hull):
+        # the depth-4 rho and sigma hulls are simplices: four triangles, with
+        # none of the boundary points that are not vertices made into faces
+        assert len(hull(eiffel2, 4).faces) == 4
 
 
 class TestFloatChart:
