@@ -8,7 +8,7 @@ constants, and compute the attractor geometry exactly.
 """
 
 from .system import (AffineSystem, ScalingMatrix, ValidationReport, builtin_catalog,
-                     chi_B, chi_B_batch, chi_B_sq_grad, eiffel_system, get_system,
+                     chi_B, chi_B_batch, chi_B_sq, chi_B_sq_grad, eiffel_system, get_system,
                      hadamard_matrix, load_system_file, make_system, map_omega,
                      map_rho, map_sigma, map_tau, planar_collapse_system,
                      system_from_json, system_to_json, two_digit_system,

@@ -41,6 +41,14 @@ def _contraction_data(S: np.ndarray):
     return kappa, rho, c
 
 
+def _max_distance(T: np.ndarray, Lam: np.ndarray) -> float:
+    """max |t - lambda| over the rows of T and Lam."""
+    if not (T.size and Lam.size):
+        return 0.0
+    d2 = (T ** 2).sum(axis=1)[:, None] + (Lam ** 2).sum(axis=1)[None, :] - 2 * (T @ Lam.T)
+    return math.sqrt(max(float(d2.max()), 0.0))
+
+
 class SelfSimilarMeasure:
     """The probability measure carried by (R, B); only the B side is used."""
 
@@ -97,6 +105,40 @@ class SelfSimilarMeasure:
             vals = vals * chi_B_batch(self.system, S)
             S = S @ self._S.T
         return vals, self.tail_bound(depth, t_norm)
+
+    def mu_hat_sq_pairs(self, T, Lam):
+        """|mu_hat(t - lambda)|^2 for every row t of T and lambda of Lam.
+
+        Returns the (m, n) array and the tail bound of |mu_hat| at the largest
+        |t - lambda|, whose adaptive depth truncates every product.  Factor k
+        is |a0 + sum_j w_j e^{i u_j.(t - lambda)}|^2 over the rows of
+        `AffineSystem.mask_table`, with u_j = 2 pi R*^{-k}' e_j.  Angle
+        addition splits each term into a t side and a lambda side: the lambda
+        side is evaluated once per point and level for all rows, and one
+        matrix product joins the two sides for the real part of the bracket
+        (and one more for the imaginary part unless the table is real).
+        """
+        T = np.asarray(T, dtype=float).reshape(-1, self.dim)
+        Lam = np.asarray(Lam, dtype=float).reshape(-1, self.dim)
+        t_norm = _max_distance(T, Lam)
+        depth = self.depth_for(t_norm)
+        a0, E, w, real = self.system.mask_table
+        U = 2 * np.pi * E.T
+        out = np.ones((len(T), len(Lam)))
+        for _ in range(depth):
+            pt, pl = T @ U, Lam @ U
+            ct, st = np.cos(pt) * w, np.sin(pt) * w
+            right = np.concatenate([np.cos(pl), np.sin(pl)], axis=1).T
+            re = np.concatenate([ct, st], axis=1) @ right
+            re += a0
+            re *= re
+            if not real:
+                im = np.concatenate([st, -ct], axis=1) @ right
+                im *= im
+                re += im
+            out *= re
+            U = self._S.T @ U
+        return out, self.tail_bound(depth, t_norm)
 
     def mu_hat(self, t, depth: int | None = None) -> FourierEvaluation:
         tv = np.asarray(t, dtype=float).reshape(-1)
@@ -272,6 +314,11 @@ class ConvolvedMeasure:
     def mu_hat_batch(self, T, depth=None):
         va, ta = self.parts[0].mu_hat_batch(T, depth)
         vb, tb = self.parts[1].mu_hat_batch(T, depth)
+        return va * vb, ta + tb
+
+    def mu_hat_sq_pairs(self, T, Lam):
+        va, ta = self.parts[0].mu_hat_sq_pairs(T, Lam)
+        vb, tb = self.parts[1].mu_hat_sq_pairs(T, Lam)
         return va * vb, ta + tb
 
     def mu_hat(self, t, depth=None) -> FourierEvaluation:

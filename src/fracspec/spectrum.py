@@ -220,12 +220,18 @@ def gram_matrix(measure, points, fourier_depth: int | None = None) -> GramReport
 
 @dataclass
 class Q1Profile:
-    """Partial sums of sum_{lambda} |mu_hat(t - lambda)|^2 per enumeration depth."""
+    """Partial sums of sum_{lambda} |mu_hat(t - lambda)|^2 per enumeration depth.
+
+    `fourier_tail` bounds, per point, how far the truncated transform products
+    can move the last partial sum: | |a|^2 - |b|^2 | <= 2 |a - b| for values of
+    modulus at most 1, summed over every spectrum point used.
+    """
     tpoints: np.ndarray
     partial_sums: np.ndarray      # shape (m, depths+1), cumulative
     increments: np.ndarray        # shape (m, depths)
     depth: int
     eps_conv: float | None
+    fourier_tail: np.ndarray      # shape (m,)
 
     def values(self) -> np.ndarray:
         return self.partial_sums[:, -1]
@@ -246,39 +252,48 @@ class Q1Profile:
         return bool((self.increments >= -1e-15).all())
 
 
-def q1_profile(system: AffineSystem, tpoints, p_depth: int = Q1_DEPTH_CAP,
-               measure=None, eps_conv: float | None = None) -> Q1Profile:
-    """Shared engine: accumulate the completeness partial sums layer by layer.
+def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int, measure,
+             eps_conv: float | None, watch: int) -> Q1Profile:
+    """Accumulate the partial sums of every row of T layer by layer.
 
-    Each transform value is truncated at the adaptive depth that meets the
-    measure's tail tolerance.  With `eps_conv` set, the layer loop stops early
-    once every probe point's increment falls below it (partial sums are
-    monotone, so later layers only add nonnegative mass).
+    With `eps_conv` set, the layer loop stops once the increment of each of
+    the first `watch` rows falls below it (partial sums are monotone, so
+    later layers only add nonnegative mass); the other rows ride along.
     """
     measure = _as_measure(measure) if measure is not None else SelfSimilarMeasure(system)
-    T = np.asarray(tpoints, dtype=float).reshape(-1, system.dim)
     m = T.shape[0]
     chunk = max(1024, Q1_SCRATCH // max(m, 1))
-    sums = [np.zeros(m)]
+    sums = []
     incs = []
+    tail = 0.0
     for d, layer in spectrum_layers(system, p_depth):
         inc = np.zeros(m)
         for start in range(0, len(layer), chunk):
             block = layer[start:start + chunk]
-            diffs = T[:, None, :] - block[None, :, :]
-            if system.dim == 1:
-                diffs = diffs[..., 0]
-            vals, _ = measure.mu_hat_batch(diffs)
-            inc += (np.abs(vals) ** 2).sum(axis=1)
+            vals, block_tail = measure.mu_hat_sq_pairs(T, block)
+            inc += vals.sum(axis=1)
+            tail += 2 * block_tail * len(block)
         if d == 0:
-            sums[0] = inc
+            sums.append(inc)
             continue
         incs.append(inc)
         sums.append(sums[-1] + inc)
-        if eps_conv is not None and d >= 1 and (inc < eps_conv).all():
+        if eps_conv is not None and (inc[:watch] < eps_conv).all():
             break
-    return Q1Profile(T, np.stack(sums, axis=1), np.stack(incs, axis=1),
-                     len(incs), eps_conv)
+    return Q1Profile(T, np.stack(sums, axis=1), np.stack(incs, axis=1), len(incs),
+                     eps_conv, np.full(m, tail))
+
+
+def q1_profile(system: AffineSystem, tpoints, p_depth: int = Q1_DEPTH_CAP,
+               measure=None, eps_conv: float | None = None) -> Q1Profile:
+    """Completeness partial sums at `tpoints`, accumulated layer by layer.
+
+    Each transform value is truncated at the adaptive depth that meets the
+    measure's tail tolerance.  With `eps_conv` set, the layer loop stops early
+    once every probe point's increment falls below it.
+    """
+    T = np.asarray(tpoints, dtype=float).reshape(-1, system.dim)
+    return _q1_pass(system, T, p_depth, measure, eps_conv, len(T))
 
 
 @dataclass
@@ -333,7 +348,15 @@ def completeness_test(system: AffineSystem, grid, measure=None,
     BASIS-CONSISTENT when every point stabilized at or above 1 - eps_pass;
     INDETERMINATE otherwise (the depth cap bound before stabilization).
     """
-    prof = q1_profile(system, grid, p_depth_cap, measure=measure, eps_conv=eps_conv)
+    # the rows +-FD_STEP e_j of the gradient stencil at the origin ride along
+    # in the same pass; only the probe rows decide when it stops
+    T = np.asarray(grid, dtype=float).reshape(-1, system.dim)
+    m = len(T)
+    stencil = np.concatenate([[FD_STEP * e, -FD_STEP * e] for e in np.eye(system.dim)])
+    full = _q1_pass(system, np.concatenate([T, stencil]), p_depth_cap, measure,
+                    eps_conv, m)
+    prof = Q1Profile(T, full.partial_sums[:m], full.increments[:m], full.depth,
+                     eps_conv, full.fourier_tail[:m])
     vals = prof.values()
     stab = prof.stabilized_depth(eps_conv)
     stabilized = [s is not None for s in stab]
@@ -345,16 +368,8 @@ def completeness_test(system: AffineSystem, grid, measure=None,
         verdict = VERDICT_INDETERMINATE
 
     # central finite-difference gradient of the partial sum at the origin
-    grad = np.empty(system.dim)
-    for j in range(system.dim):
-        stencil = []
-        for s in (+FD_STEP, -FD_STEP):
-            e = np.zeros(system.dim)
-            e[j] = s
-            stencil.append(e if system.dim > 1 else e[0])
-        p2 = q1_profile(system, stencil, prof.depth, measure=measure)
-        v = p2.values()
-        grad[j] = (v[0] - v[1]) / (2 * FD_STEP)
+    v = full.values()[m:]
+    grad = (v[0::2] - v[1::2]) / (2 * FD_STEP)
     return CompletenessReport(verdict, prof, eps_pass, eps_fail, eps_conv, grad)
 
 
@@ -482,14 +497,16 @@ def projection_norm_checks(system: AffineSystem, j: int = 0, n_order: int = 1,
 
     The quadrature atoms must resolve the largest enumerated frequency or the
     discrete coefficients alias; the default depth leaves a four-level margin
-    over `p_depth` where the atom budget allows it.
+    over `p_depth` where the atom budget allows it.  A convolution's atoms are
+    the sums a + b of its parts' atoms, so each coefficient is built from the
+    parts' own atom sums by the product rule, without the a + b grid.
     """
     if n_order not in (1, 2):
         raise ValueError("n_order must be 1 or 2")
     measure = _as_measure(measure) if measure is not None else SelfSimilarMeasure(system)
+    parts = getattr(measure, "parts", (measure,))
     if quad_depth is None:
-        branching = measure.parts[0].system.N * measure.parts[1].system.N \
-            if hasattr(measure, "parts") else measure.system.N
+        branching = math.prod(p.system.N for p in parts)
         quad_depth = p_depth + 4
         while branching ** quad_depth > 400_000 and quad_depth > 2:
             quad_depth -= 1
@@ -518,16 +535,24 @@ def projection_norm_checks(system: AffineSystem, j: int = 0, n_order: int = 1,
     d_h2 = (v[3] - 2 * v[1] + v[4]) / (h / 2) ** 2
     fd = (4 * d_h2 - d_h) / 3
 
-    atoms = measure.atoms(quad_depth)
-    xj = atoms[:, j]
-    x_norm_sq = float(np.mean(xj ** 2))
+    # E[x_j^2] and the coefficients E[e(-lambda.x) x_j] for x the sum of
+    # independent parts: e and f carry E[e(-lambda.x)] and E[e(-lambda.x) x_j]
+    atoms = [p.atoms(quad_depth) for p in parts]
+    mean = x_norm_sq = 0.0
+    for a in atoms:
+        xj = a[:, j]
+        x_norm_sq += 2 * mean * float(xj.mean()) + float(np.mean(xj ** 2))
+        mean += float(xj.mean())
     proj = 0.0
-    lam_chunk = max(1, 8_000_000 // max(len(atoms), 1))
+    lam_chunk = max(1, 8_000_000 // max(len(a) for a in atoms))
     for _, layer in spectrum_layers(system, p_depth):
         for start in range(0, len(layer), lam_chunk):
             block = layer[start:start + lam_chunk]
-            phases = np.exp(-2j * np.pi * (block @ atoms.T))     # (n, n_atoms)
-            coefs = phases @ xj / len(xj)
-            proj += float((np.abs(coefs) ** 2).sum())
+            e, f = 1.0, 0.0
+            for a in atoms:
+                phases = np.exp(-2j * np.pi * (block @ a.T))     # (n, n_atoms)
+                pe, pf = phases.mean(axis=1), phases @ a[:, j] / len(a)
+                e, f = e * pe, f * pe + e * pf
+            proj += float((np.abs(f) ** 2).sum())
     reference = 8 * math.pi ** 2 * (proj - x_norm_sq)
     return ProjectionCheck(2, float(fd), reference)

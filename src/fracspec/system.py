@@ -146,6 +146,27 @@ class AffineSystem:
             "omega": (R.entries, {b: rat.vec_scale(-1, R.apply(b)) for b in self.B}),
         }
 
+    @functools.cached_property
+    def mask_table(self) -> tuple:
+        """chi_B(x) = e^{i 2 pi c.x} (a0 + sum_k w_k e^{i 2 pi e_k.x}) as
+        (a0, E, w, real), with c the mean of B and the rows e_k of E the
+        nonzero digits b - c; a0 = #{b = c}/N.  When the centred digits are
+        symmetric (e and -e alike), E keeps one of each pair at weight 2/N and
+        the bracket is the real a0 + sum_k w_k cos(2 pi e_k.x) (`real` is
+        True); otherwise every digit stays at weight 1/N.
+
+        Squaring the bracket keeps |chi_B|^2 accurate to rounding squared at
+        its zeros, where the cosine series over B - B cancels to rounding.
+        """
+        c = rat.vec_scale(Fraction(1, self.N), functools.reduce(rat.vec_add, self.B))
+        centred = [rat.vec_sub(b, c) for b in self.B]
+        zero = self.zero()
+        real = sorted(centred) == sorted(rat.vec_scale(-1, e) for e in centred)
+        E = [e for e in centred if (e > rat.vec_scale(-1, e) if real else e != zero)]
+        return (centred.count(zero) / self.N,
+                np.array(E, dtype=float).reshape(len(E), self.dim),
+                np.full(len(E), (2 if real else 1) / self.N), real)
+
     def __repr__(self):
         label = self.name or "system"
         return f"AffineSystem({label}: dim={self.dim}, N={self.N})"
@@ -202,14 +223,27 @@ def chi_B_batch(sys: AffineSystem, T: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * phases).sum(axis=-1) / sys.N
 
 
+def _mask_parts(sys: AffineSystem, T):
+    """Real and imaginary parts of the bracket of `AffineSystem.mask_table`
+    at T, shape (..., dim), as two arrays of shape (...)."""
+    a0, E, w, real = sys.mask_table
+    P = 2 * np.pi * (np.asarray(T, dtype=float) @ E.T)
+    re = a0 + np.cos(P) @ w
+    return re, (np.zeros_like(re) if real else np.sin(P) @ w), P
+
+
+def chi_B_sq(sys: AffineSystem, T) -> np.ndarray:
+    """|chi_B|^2 for an array of frequency vectors, shape (..., dim)."""
+    re, im, _ = _mask_parts(sys, T)
+    return re * re + im * im
+
+
 def chi_B_sq_grad(sys: AffineSystem, t) -> np.ndarray:
-    """Analytic gradient of |chi_B|^2 at t:
-    -(2 pi / N^2) sum_{b,b'} (b - b') sin(2 pi (b - b').t)."""
-    tv = np.asarray(t, dtype=float)
-    bs = sys.b_array()
-    diffs = bs[:, None, :] - bs[None, :, :]
-    s = np.sin(2 * np.pi * (diffs @ tv))
-    return -(2 * np.pi / sys.N ** 2) * (diffs * s[..., None]).sum(axis=(0, 1))
+    """Analytic gradient of |chi_B|^2 at t: 2 (Re grad Re + Im grad Im) of
+    the bracket of `AffineSystem.mask_table`."""
+    _, E, w, _ = sys.mask_table
+    re, im, P = _mask_parts(sys, t)
+    return 4 * np.pi * (w * (im * np.cos(P) - re * np.sin(P))) @ E
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import geometry, rational as rat
 from .geometry import Chart, Polytope
-from .system import AffineSystem, chi_B_batch
+from .system import AffineSystem, chi_B_sq
 
 DEFAULT_PAD = 0.05
 MIN_RESOLUTION = 8
@@ -152,8 +152,7 @@ def apply_C(sys: AffineSystem, Q: GridFunction) -> GridFunction:
     total = np.zeros(nodes.shape[0])
     for l in sys.l_array():
         shifted = nodes - l
-        w = np.abs(chi_B_batch(sys, shifted)) ** 2
-        total += w * Q.interp(shifted @ S.T)
+        total += chi_B_sq(sys, shifted) * Q.interp(shifted @ S.T)
     return Q.with_values(total.reshape(Q.values.shape))
 
 

@@ -1,7 +1,9 @@
 import io
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -51,6 +53,57 @@ class TestMuHat:
         m = fs.SelfSimilarMeasure(eiffel2)
         ev = m.mu_hat((1.0, 2.0, 3.0))
         assert np.isfinite(abs(ev.value))
+
+
+class TestSquaredPairs:
+    """mu_hat_sq_pairs, the real |mu_hat(t - lambda)|^2 kernel of the
+    completeness sums."""
+
+    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2", "mu34"])
+    def test_matches_complex_transform(self, request, name):
+        meas = request.getfixturevalue(name)
+        if isinstance(meas, fs.AffineSystem):
+            meas = fs.SelfSimilarMeasure(meas)
+        rng = np.random.RandomState(11)
+        T = rng.uniform(-1, 1, size=(6, meas.dim))
+        Lam = rng.uniform(-1, 1, size=(40, meas.dim))
+        Lam *= rng.uniform(0, 49, size=(40, 1)) / np.linalg.norm(Lam, axis=1, keepdims=True)
+        diffs = T[:, None, :] - Lam[None, :, :]          # |t - lambda| <= 50
+        vals, tail = meas.mu_hat_batch(diffs if meas.dim > 1 else diffs[..., 0])
+        got, got_tail = meas.mu_hat_sq_pairs(T, Lam)
+        assert got.shape == (6, 40)
+        assert np.abs(got - np.abs(vals) ** 2).max() <= 1e-12
+        assert got_tail == pytest.approx(tail, rel=1e-12)
+
+    @pytest.mark.parametrize("R,b", [(7, Fraction(1, 4)), (5, Fraction(1, 2)),
+                                     (-7, Fraction(3, 2)), (3, Fraction(2, 3))])
+    def test_mpmath_oracle_at_large_frequencies(self, R, b):
+        # |mu_hat(x)|^2 = prod_{k>=0} cos^2(pi b R^-k x) for B = {0, b}, at 60
+        # digits with the exact depth-14 spectrum points; |lambda| reaches 1e11
+        sysm = fs.two_digit_system(R, b)
+        rng = random.Random(R * 1000 + b.denominator)
+        words = [[sysm.L[(n >> k) & 1] for k in range(14)]
+                 for n in rng.sample(range(2 ** 14), 60)]
+        lams = [fs.reconstruct(sysm, w)[0] for w in words]
+        probes = np.array([0.25, -0.625])
+        got, _ = fs.SelfSimilarMeasure(sysm).mu_hat_sq_pairs(
+            probes, np.array([float(lam) for lam in lams]))
+        with mpmath.workdps(60):
+            pib = mpmath.pi * b.numerator / b.denominator
+            for i, t in enumerate(probes):
+                for j, lam in enumerate(lams):
+                    x = mpmath.mpf(t) - mpmath.mpf(lam.numerator) / lam.denominator
+                    exact, k = mpmath.mpf(1), 0
+                    while abs(pib * x) >= mpmath.mpf(10) ** -35 * abs(R) ** k:
+                        exact *= mpmath.cos(pib * x / mpmath.mpf(R) ** k) ** 2
+                        k += 1
+                    assert abs(float(exact) - got[i, j]) <= 1e-9
+
+    def test_zero_of_the_mask_stays_at_rounding_squared(self, eiffel2):
+        # -(1, 1, 0) is orthogonal to the whole depth-4 spectrum at scale 2
+        lam = np.array(fs.enumerate_P(eiffel2, 4).coords(), dtype=float)
+        got, _ = fs.SelfSimilarMeasure(eiffel2).mu_hat_sq_pairs([[-1.0, -1.0, 0.0]], lam)
+        assert got.max() <= 1e-28
 
 
 class TestClosedForm:

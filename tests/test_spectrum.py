@@ -158,6 +158,19 @@ class TestQ1:
         _, tail = mu4.mu_hat_batch(T)
         assert (prof.values() <= 1 + 3 * tail).all()
 
+    @pytest.mark.parametrize("name,p_depth", [("scale4", 14), ("scale2", 14),
+                                              ("eiffel(2)", 6), ("planar-collapse", 8)])
+    def test_fourier_tail_keeps_bessel(self, name, p_depth):
+        # P(L) is orthogonal here, so the exact partial sums are <= 1 and the
+        # truncated products can only add up to the recorded Fourier tail
+        sysm = fs.get_system(name)
+        grid = fs.dual_hull(sysm, 4).sample({1: 17, 2: 5, 3: 3}[sysm.dim])
+        prof = fs.q1_profile(sysm, grid, p_depth)
+        tail = prof.fourier_tail
+        assert tail.shape == (len(grid),)
+        assert (tail >= 0).all() and np.isfinite(tail).all()
+        assert (prof.values() <= 1 + tail + 1e-12).all()
+
     def test_no_fixed_transform_depth(self, planar):
         # a fixed depth of 3 gave Q1 ~ 1.77e5 here, far above the Bessel
         # bound; the depth is always the adaptive one that meets the tail
@@ -196,6 +209,29 @@ class TestCompleteness:
         seg = np.stack([us, -us], axis=1)
         rep = fs.completeness_test(planar, seg)
         assert rep.verdict == fs.spectrum.VERDICT_BASIS
+
+    @pytest.mark.parametrize("name,cap", [("scale2", 14), ("triadic", 14), ("eiffel(2)", 5)])
+    def test_stencil_rides_along(self, name, cap):
+        # one pass carries the probes and the gradient stencil: the depth is
+        # the probes' own, and the gradient is that of separate stencil sums
+        sysm = fs.get_system(name)
+        grid = fs.dual_hull(sysm, 4).sample({1: 33, 3: 3}[sysm.dim])
+        rep = fs.completeness_test(sysm, grid, p_depth_cap=cap)
+        alone = fs.q1_profile(sysm, grid, cap, eps_conv=fs.spectrum.Q1_EPS_CONV)
+        assert rep.profile.depth == alone.depth
+        assert np.abs(rep.profile.values() - alone.values()).max() <= 1e-12
+        h = fs.spectrum.FD_STEP
+        for j, e in enumerate(np.eye(sysm.dim)):
+            v = fs.q1_profile(sysm, [h * e, -h * e], rep.profile.depth).values()
+            assert rep.grad_at_zero[j] == pytest.approx((v[0] - v[1]) / (2 * h),
+                                                        rel=1e-6, abs=1e-9)
+
+    def test_probes_alone_decide_the_stop(self, scale4):
+        # Q1 at the spectrum point 0 gains nothing after depth 0, while the
+        # stencil rows +-FD_STEP still gain about 1e-11 at depth 10
+        rep = fs.completeness_test(scale4, [0.0], eps_conv=1e-12, p_depth_cap=10)
+        assert rep.profile.depth == 1
+        assert fs.q1_profile(scale4, [0.0], 10, eps_conv=1e-12).depth == 1
 
     def test_tower_scale2_exactly_incomplete(self, eiffel2):
         # at scale 2, the reflected digit -(1,1,0) is orthogonal to the whole
@@ -290,3 +326,17 @@ class TestProjectionChecks:
     def test_bad_order(self, scale4):
         with pytest.raises(ValueError):
             fs.projection_norm_checks(scale4, n_order=3)
+
+    def test_convolution_coefficients_match_the_dense_sum(self, scale4, mu34):
+        # the product rule over the parts' atoms against the coefficient sum
+        # over all a + b atoms at once
+        chk = fs.projection_norm_checks(scale4, n_order=2, p_depth=6, measure=mu34,
+                                        quad_depth=5)
+        atoms = mu34.atoms(5)
+        x = atoms[:, 0]
+        proj = 0.0
+        for _, layer in fs.spectrum.spectrum_layers(scale4, 6):
+            coefs = np.exp(-2j * np.pi * (layer @ atoms.T)) @ x / len(x)
+            proj += float((np.abs(coefs) ** 2).sum())
+        dense = 8 * math.pi ** 2 * (proj - float(np.mean(x ** 2)))
+        assert abs(chk.reference - dense) <= 1e-12

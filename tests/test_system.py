@@ -79,6 +79,29 @@ class TestMask:
                 g = sum(fs.chi_B_sq_grad(sys_obj, t - l) for l in sys_obj.l_array())
                 assert np.abs(g).max() <= 1e-12
 
+    def test_squared_mask_matches_complex(self, scale4, triadic, planar, eiffel2):
+        rng = np.random.RandomState(4)
+        three = fs.make_system(6, [0, Fraction(1, 3), Fraction(2, 3)], [0, 1, 2])
+        for sys_obj in (scale4, triadic, planar, eiffel2, three):
+            T = rng.uniform(-20, 20, size=(50, sys_obj.dim))
+            ref = np.abs(fs.chi_B_batch(sys_obj, T)) ** 2
+            assert np.abs(fs.chi_B_sq(sys_obj, T) - ref).max() <= 1e-14
+
+    def test_mask_table_is_real_for_symmetric_digits(self, scale4, planar, eiffel2):
+        three = fs.make_system(6, [0, Fraction(1, 3), Fraction(2, 3)], [0, 1, 2])
+        assert [s.mask_table[3] for s in (scale4, three, planar, eiffel2)] == \
+            [True, True, False, False]
+        a0, E, w, _ = three.mask_table      # centred digits {0, +-1/3}
+        assert a0 == 1 / 3 and E.tolist() == [[1 / 3]] and w.tolist() == [2 / 3]
+
+    def test_squared_mask_resolves_its_zeros(self, scale4, eiffel2):
+        # |chi_B|^2 is a square of the bracket, so it stays at rounding
+        # squared where the mask vanishes (a cosine series over B - B would
+        # leave rounding itself there, and could go negative)
+        assert fs.chi_B_sq(scale4, np.array([[1.0], [3.0], [-5.0]])).max() <= 1e-30
+        zeros = np.array([[1.0, 1.0, 0.0], [-1.0, 0.0, 3.0], [0.0, 5.0, -1.0]])
+        assert fs.chi_B_sq(eiffel2, zeros).max() <= 1e-30
+
     def test_gradient_matches_finite_difference(self, eiffel2):
         rng = np.random.RandomState(3)
         t = rng.uniform(-1, 1, size=3)
