@@ -11,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import geometry, rational as rat, spectrum, transfer
-from .system import (AffineSystem, get_system, load_system_file, validate_system,
-                     system_to_json)
+from .system import (DEFAULT_N_CHECK, SIDES, AffineSystem, get_system, load_system_file,
+                     system_to_json, validate_system)
 
 EXIT_OK = 0
 EXIT_CLAIM = 1
@@ -95,13 +95,13 @@ def _gate(args, sys_obj: AffineSystem) -> int | None:
 
 def cmd_validate(args) -> int:
     sys_obj = _load(args)
-    report = validate_system(sys_obj, n_check=args.n_check)
-    header = {"command": "validate", "system": sys_obj.name, "n_check": args.n_check}
+    report = validate_system(sys_obj)
+    header = {"command": "validate", "system": sys_obj.name, "n_check": DEFAULT_N_CHECK}
     payload = {"system": system_to_json(sys_obj), "validation": report.to_dict()}
     if args.format == "json":
         _emit(args, header, [], [], json_payload=payload)
     else:
-        _write(args, [f"validation of {sys_obj.name or args.file} (n_check={args.n_check}):"]
+        _write(args, [f"validation of {sys_obj.name or args.file} (n_check={DEFAULT_N_CHECK}):"]
                + report.summary_lines())
     return EXIT_OK if report.passed else EXIT_CLAIM
 
@@ -249,8 +249,6 @@ def cmd_attractor(args) -> int:
     gate = _gate(args, sys_obj)
     if gate is not None:
         return gate
-    if args.side not in geometry.SIDES:
-        raise UsageError(f"--side must be one of {', '.join(geometry.SIDES)}")
     if args.depth < 1 or sys_obj.N ** args.depth > geometry.MAX_WORDS:
         raise UsageError("attractor depth out of range")
     sample = geometry.attractor_points(sys_obj, args.side, args.depth)
@@ -358,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="check the axioms of a system")
     common(sp)
-    sp.add_argument("--n-check", type=int, default=12)
     sp.set_defaults(handler=cmd_validate)
 
     sp = sub.add_parser("spectrum", help="enumerate the candidate spectrum")
@@ -393,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("attractor", help="attractor point clouds")
     common(sp, depth_default=4)
-    sp.add_argument("--side", choices=geometry.SIDES, default="sigma")
+    sp.add_argument("--side", choices=SIDES, default="sigma")
     sp.set_defaults(handler=cmd_attractor)
 
     sp = sub.add_parser("report", help="consolidated per-system report")

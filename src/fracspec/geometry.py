@@ -19,30 +19,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import rational as rat
-from .system import SIDES, AffineSystem, point
+from .system import AffineSystem, point
 
 MAX_WORDS = 200_000
 FLOAT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# word machinery for the four map families
-
-def _word_translations(sys: AffineSystem, side: str, depth: int):
-    """Linear part M of the side's maps and the translations of all
-    length-`depth` compositions g_{w1} o ... o g_{wd}."""
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    M, table = sys.maps[side]
-    trans = list(table.values())
-    n_words = len(trans) ** depth
-    if n_words > MAX_WORDS:
-        raise ValueError(f"{n_words} words at depth {depth} exceeds the exact-arithmetic cap")
-    current = [tuple(Fraction(0) for _ in trans[0])]
-    for _ in range(depth):
-        current = [rat.vec_add(c, rat.mat_vec(M, t)) for c in trans for t in current]
-    return M, current
-
+# attractor samples from the word walk of `AffineSystem.word_walk`
 
 @dataclass(frozen=True)
 class AttractorSample:
@@ -54,32 +38,30 @@ class AttractorSample:
         return np.array(self.points, dtype=float)
 
 
+def word_images(sys: AffineSystem, side: str, depth: int) -> tuple:
+    """Images of 0 under every depth-n word (the orbit truncation), sorted."""
+    n_words = sys.N ** depth
+    if n_words > MAX_WORDS:
+        raise ValueError(f"{n_words} words at depth {depth} exceeds the exact-arithmetic cap")
+    return tuple(sorted({p for p, _ in sys.word_walk(side, depth)}))
+
+
 def attractor_points(sys: AffineSystem, side: str, depth: int) -> AttractorSample:
     """Fixed points of every depth-n word on the contractive sides (sigma, rho);
     word images of 0 on the expansive sides (tau, omega)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    M, words = _word_translations(sys, side, depth)
+    pts = word_images(sys, side, depth)
     if side in ("sigma", "rho"):
-        Mn = rat.identity(sys.dim)
-        for _ in range(depth):
-            Mn = rat.mat_mul(M, Mn)
-        ImMn = rat.mat(tuple(
-            tuple(rat.identity(sys.dim)[i][j] - Mn[i][j] for j in range(sys.dim))
-            for i in range(sys.dim)))
+        # the word map x -> M^n x + t fixes (I - M^n)^{-1} t
+        Mn = functools.reduce(rat.mat_mul, [sys.maps[side][0]] * depth)
+        ImMn = tuple(tuple(int(i == j) - Mn[i][j] for j in range(sys.dim))
+                     for i in range(sys.dim))
         if rat.det(ImMn) == 0:
             raise ValueError("I - M^n is singular; the word maps are not contractions")
-        pts = [rat.solve(ImMn, t) for t in words]
-    else:
-        pts = words
-    uniq = sorted(set(tuple(p) for p in pts))
-    return AttractorSample(side, depth, tuple(uniq))
-
-
-def word_images(sys: AffineSystem, side: str, depth: int) -> tuple:
-    """Images of 0 under every depth-n word (the orbit truncation)."""
-    _, words = _word_translations(sys, side, depth)
-    return tuple(sorted(set(tuple(p) for p in words)))
+        inv = rat.inverse(ImMn)
+        pts = tuple(sorted(rat.mat_vec(inv, t) for t in pts))
+    return AttractorSample(side, depth, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -452,23 +434,21 @@ def hull_volume(P: Polytope) -> Fraction:
     return abs(s) / 6
 
 
-def simplex_Y(sys: AffineSystem, r=1) -> Polytope:
-    """Invariant simplex with vertices 0 and -(rR - I)^{-1} l over nonzero l.
+def simplex_Y(sys: AffineSystem) -> Polytope:
+    """Invariant simplex with vertices 0 and -(R - I)^{-1} l over nonzero l.
 
-    Requires the scaled matrix rR to be a positive integer multiple of the
-    identity (the only shape for which the simplex identity is proven); any
-    other matrix raises and the caller should fall back to hulls of deep
-    attractor samples.
+    Requires R to be a positive integer multiple of the identity (the only
+    shape for which the simplex identity is proven); any other matrix raises
+    and the caller should fall back to hulls of deep attractor samples.
     """
-    r = rat.as_fraction(r)
-    M = tuple(tuple(r * e for e in row) for row in sys.R.entries)
+    M = sys.R.entries
     d = sys.dim
     c = M[0][0]
     for i in range(d):
         for j in range(d):
             want = c if i == j else Fraction(0)
             if M[i][j] != want:
-                raise ValueError("simplex construction needs rR = c*I; "
+                raise ValueError("simplex construction needs R = c*I; "
                                  "use convex_hull(attractor_points(..., 'rho', depth)) instead")
     if c.denominator != 1 or c < 2:
         raise ValueError("simplex construction needs an integer scale >= 2")

@@ -52,13 +52,12 @@ def _max_distance(T: np.ndarray, Lam: np.ndarray) -> float:
 class SelfSimilarMeasure:
     """The probability measure carried by (R, B); only the B side is used."""
 
-    def __init__(self, sys: AffineSystem, tail_tol: float = DEFAULT_TAIL_TOL):
+    def __init__(self, sys: AffineSystem):
         if not sys.R.is_expansive():
             raise ValueError("transform evaluation needs an expansive matrix "
                              "(tail bound unavailable otherwise)")
         self.system = sys
         self.dim = sys.dim
-        self.tail_tol = tail_tol
         self._S = np.array(sys.R.inverse_transpose, dtype=float)
         self._kappa, self._rho, self._c = _contraction_data(self._S)
         self._b_max = math.sqrt(max(
@@ -72,10 +71,10 @@ class SelfSimilarMeasure:
         geo = self._kappa * self._rho ** (depth // self._kappa) / (1.0 - self._rho)
         return 2.0 * math.pi * self._b_max * self._c * t_norm * geo
 
-    def depth_for(self, t_norm: float, tol: float | None = None) -> int:
-        tol = self.tail_tol if tol is None else tol
+    def depth_for(self, t_norm: float) -> int:
+        """Smallest product depth whose tail bound is below DEFAULT_TAIL_TOL."""
         d = 1
-        while self.tail_bound(d, t_norm) >= tol and d < MAX_PRODUCT_DEPTH:
+        while self.tail_bound(d, t_norm) >= DEFAULT_TAIL_TOL and d < MAX_PRODUCT_DEPTH:
             d += 1
         return d
 
@@ -176,8 +175,8 @@ class SelfSimilarMeasure:
             a = a[:, 0]
         return np.mean(f(a), axis=0)
 
-    def support_diameter(self, depth: int = 4) -> float:
-        return geometry.hull_diameter(geometry.support_hull(self.system, depth))
+    def support_diameter(self) -> float:
+        return geometry.hull_diameter(geometry.support_hull(self.system))
 
     def moments(self, k_max: int):
         return moments(self.system, k_max)
@@ -336,8 +335,8 @@ class ConvolvedMeasure:
 
     integrate = SelfSimilarMeasure.integrate
 
-    def support_diameter(self, depth: int = 4) -> float:
-        return sum(p.support_diameter(depth) for p in self.parts)
+    def support_diameter(self) -> float:
+        return sum(p.support_diameter() for p in self.parts)
 
 
 def convolve(a, b) -> ConvolvedMeasure:
@@ -347,7 +346,7 @@ def convolve(a, b) -> ConvolvedMeasure:
 # ---------------------------------------------------------------------------
 # transform profile emitter
 
-def transform_profile(meas, ts, depth: int | None = None) -> list:
+def transform_profile(meas, ts) -> list:
     """Rows (t..., re, im, abs, tail_bound) of the transform along `ts`;
     entries of `ts` may be floats, exact rationals or 'p/q' strings."""
     rows = []
@@ -357,15 +356,15 @@ def transform_profile(meas, ts, depth: int | None = None) -> list:
         else:
             tv = tuple(float(rat.as_fraction(c)) if isinstance(c, (str, int, Fraction))
                        else float(c) for c in (t if hasattr(t, "__len__") else (t,)))
-        ev = meas.mu_hat(tv, depth)
+        ev = meas.mu_hat(tv)
         rows.append(tv + (ev.value.real, ev.value.imag, abs(ev.value), ev.tail_bound))
     return rows
 
 
-def write_transform_csv(meas, ts, fh, depth: int | None = None) -> None:
+def write_transform_csv(meas, ts, fh) -> None:
     cols = [f"t{i + 1}" for i in range(meas.dim)] + ["re", "im", "abs", "tail_bound"]
     fh.write(",".join(cols) + "\n")
-    for row in transform_profile(meas, ts, depth):
+    for row in transform_profile(meas, ts):
         fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, rational as rat
+from . import rational as rat
 from .measure import SelfSimilarMeasure, ZeroSetPredicate
-from .system import AffineSystem, point
+from .system import AffineSystem, map_tau, point
 
 MAX_EXACT_POINTS = 2_000_000
 MAX_FLOAT_POINTS = 6_000_000
@@ -20,6 +20,7 @@ EPS_PASS = 0.02
 EPS_FAIL = 0.05
 Q1_SCRATCH = 6_000_000      # entries of the (probes, spectrum chunk) scratch array
 FD_STEP = 1e-3              # step of the gradient stencil at the origin
+DIGIT_BUDGET = 24           # longest digit word that digits_of looks for
 
 
 # ---------------------------------------------------------------------------
@@ -44,25 +45,19 @@ class SpectrumEnumeration:
 
 
 def enumerate_P(sys: AffineSystem, depth: int) -> SpectrumEnumeration:
-    """Exact expansion of all N^depth words l_0 + R* l_1 + ... + R*^{d-1} l_{d-1}."""
+    """Exact expansion of all N^depth words l_0 + R* l_1 + ... + R*^{d-1} l_{d-1},
+    the tau side of `AffineSystem.word_walk`; a point reached by several
+    words keeps the first."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if sys.N ** depth > MAX_EXACT_POINTS:
         raise ValueError("too many words for exact enumeration at this depth")
-    zero = sys.zero()
-    entries = [(zero, ())]
-    power = rat.identity(sys.dim)          # R*^k
-    for _ in range(depth):
-        scaled = [rat.mat_vec(power, l) for l in sys.L]
-        entries = [(rat.vec_add(lam, scaled[i]), word + (sys.L[i],))
-                   for (lam, word) in entries for i in range(sys.N)]
-        power = rat.mat_mul(sys.R.transpose, power)
     seen = {}
-    for lam, word in entries:
+    for lam, word in sys.word_walk("tau", depth):
         seen.setdefault(lam, word)
-    collisions = len(entries) - len(seen)
+    zero = sys.zero()
     cleaned = sorted((lam, _strip(word, zero)) for lam, word in seen.items())
-    return SpectrumEnumeration(depth, tuple(cleaned), collisions)
+    return SpectrumEnumeration(depth, tuple(cleaned), sys.N ** depth - len(seen))
 
 
 def _strip(word, zero):
@@ -73,12 +68,11 @@ def _strip(word, zero):
 
 
 def reconstruct(sys: AffineSystem, word) -> tuple:
-    """Exact point of a digit word: sum_k R*^k word[k]."""
+    """Exact point sum_k R*^k word[k] of a word over L, by Horner's rule:
+    tau_{w_0}(tau_{w_1}(... tau_{w_last}(0)))."""
     lam = sys.zero()
-    power = rat.identity(sys.dim)
-    for digit in word:
-        lam = rat.vec_add(lam, rat.mat_vec(power, point(digit, sys.dim)))
-        power = rat.mat_mul(sys.R.transpose, power)
+    for digit in reversed(tuple(word)):
+        lam = map_tau(sys, digit, lam)
     return lam
 
 
@@ -105,57 +99,41 @@ def spectrum_layers(sys: AffineSystem, depth: int):
         power = Rt @ power
 
 
-def digits_of(sys: AffineSystem, lam, max_depth: int = 24):
-    """Digit word of a spectrum point, or None when no unique expansion of
-    length <= max_depth ends at 0 (failure value, not an exception).
+def digits_of(sys: AffineSystem, lam):
+    """Digit word of a spectrum point, or None when no expansion of length
+    <= DIGIT_BUDGET ends at 0 or a second one does (failure value, not an
+    exception).
 
-    Cyclic peel sequences are pruned: they can never terminate, and any
-    completion through a revisited point has a shorter acyclic form, so
-    uniqueness is certified over the acyclic expansions.
+    A breadth-first peel over the rho maps: level k keeps each remainder
+    rho_{w_{k-1}}(... rho_{w_0}(lam)) with the prefix w that reaches it, or
+    None once two prefixes reach it, and a remainder that reaches 0 ends an
+    expansion.  For integer R a remainder with a denominator that the
+    digits' lattice cannot carry is dropped.
     """
     lam = point(lam if hasattr(lam, "__len__") else (lam,), sys.dim)
     zero = sys.zero()
-    Rti = sys.R.inverse_transpose
-    lattice_den = 1
-    if sys.R.is_integer():
-        for l in sys.L:
-            for c in l:
-                lattice_den = lattice_den * c.denominator // math.gcd(lattice_den, c.denominator)
-
-    def off_lattice(p):
-        if not sys.R.is_integer():
-            return False
-        return any(lattice_den % c.denominator for c in p)
-
-    # failure depths are monotone: failing with some budget fails every
-    # smaller one, so dead branches are cached and cycles pruned by path
-    failed_at: dict = {}
-    words: dict = {}
-
-    def expand(p, budget, path):
-        if p == zero:
-            return ()
-        if budget == 0 or off_lattice(p) or p in path:
-            return None
-        if p in words and len(words[p]) <= budget:
-            return words[p]
-        if failed_at.get(p, -1) >= budget:
-            return None
-        path = path | {p}
-        found = None
-        for l in sys.L:
-            rest = expand(rat.mat_vec(Rti, rat.vec_sub(p, l)), budget - 1, path)
-            if rest is not None:
-                if found is not None:
-                    return None          # ambiguous expansion
-                found = (l,) + rest
-        if found is None:
-            failed_at[p] = max(failed_at.get(p, -1), budget)
-        else:
-            words[p] = found
-        return found
-
-    return expand(lam, max_depth, frozenset())
+    if lam == zero:
+        return ()
+    Rti, shift = sys.maps["rho"]
+    den = math.lcm(*(c.denominator for l in sys.L for c in l)) if sys.R.is_integer() else 0
+    level, found = {lam: ()}, None
+    for _ in range(DIGIT_BUDGET):
+        nxt = {}
+        for p, word in level.items():
+            base = rat.mat_vec(Rti, p)
+            for l, s in shift.items():
+                q = rat.vec_add(base, s)
+                if den and any(den % c.denominator for c in q):
+                    continue
+                w = None if word is None or q in nxt else word + (l,)
+                if q != zero:
+                    nxt[q] = w
+                elif w is None or found is not None:
+                    return None
+                else:
+                    found = w
+        level = nxt
+    return found
 
 
 def uniform_discreteness(enum: SpectrumEnumeration) -> float:
@@ -339,13 +317,12 @@ class CompletenessReport:
 
 
 def completeness_test(system: AffineSystem, grid, measure=None,
-                      eps_pass: float = EPS_PASS, eps_fail: float = EPS_FAIL,
                       eps_conv: float = Q1_EPS_CONV,
                       p_depth_cap: int = Q1_DEPTH_CAP) -> CompletenessReport:
     """Run the partial-sum verdict over a grid inside the hull.
 
-    INCOMPLETE when a stabilized point sits at or below 1 - eps_fail;
-    BASIS-CONSISTENT when every point stabilized at or above 1 - eps_pass;
+    INCOMPLETE when a stabilized point sits at or below 1 - EPS_FAIL;
+    BASIS-CONSISTENT when every point stabilized at or above 1 - EPS_PASS;
     INDETERMINATE otherwise (the depth cap bound before stabilization).
     """
     # the rows +-FD_STEP e_j of the gradient stencil at the origin ride along
@@ -360,9 +337,9 @@ def completeness_test(system: AffineSystem, grid, measure=None,
     vals = prof.values()
     stab = prof.stabilized_depth(eps_conv)
     stabilized = [s is not None for s in stab]
-    if any(st and v <= 1 - eps_fail for st, v in zip(stabilized, vals)):
+    if any(st and v <= 1 - EPS_FAIL for st, v in zip(stabilized, vals)):
         verdict = VERDICT_INCOMPLETE
-    elif all(stabilized) and (vals >= 1 - eps_pass).all():
+    elif all(stabilized) and (vals >= 1 - EPS_PASS).all():
         verdict = VERDICT_BASIS
     else:
         verdict = VERDICT_INDETERMINATE
@@ -370,7 +347,7 @@ def completeness_test(system: AffineSystem, grid, measure=None,
     # central finite-difference gradient of the partial sum at the origin
     v = full.values()[m:]
     grad = (v[0::2] - v[1::2]) / (2 * FD_STEP)
-    return CompletenessReport(verdict, prof, eps_pass, eps_fail, eps_conv, grad)
+    return CompletenessReport(verdict, prof, EPS_PASS, EPS_FAIL, eps_conv, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +409,7 @@ def max_orthogonal_family(orthogonal, candidates, tol: float = 1e-6) -> tuple:
 # ---------------------------------------------------------------------------
 # isometric coefficient splitting
 
-def hardy_embedding(sys: AffineSystem, coeffs: dict, split_depth: int,
-                    max_depth: int = 24) -> dict:
+def hardy_embedding(sys: AffineSystem, coeffs: dict, split_depth: int) -> dict:
     """Partition spectrum-indexed coefficients by their leading digit words.
 
     Returns {prefix: {reduced_point: coefficient}} where prefix is the tuple
@@ -442,19 +418,15 @@ def hardy_embedding(sys: AffineSystem, coeffs: dict, split_depth: int,
     digit expansion is unique.
     """
     zero = sys.zero()
-    Rti = sys.R.inverse_transpose
     comps: dict = {}
     for lam, c in coeffs.items():
-        p = point(lam if hasattr(lam, "__len__") else (lam,), sys.dim)
-        word = digits_of(sys, p, max_depth)
+        word = digits_of(sys, lam)
         if word is None:
-            raise ValueError(f"{lam} has no unique digit expansion (depth {max_depth})")
-        padded = word + (zero,) * max(0, split_depth - len(word))
-        prefix = padded[:split_depth]
-        rest = p
-        for digit in prefix:
-            rest = rat.mat_vec(Rti, rat.vec_sub(rest, digit))
-        comps.setdefault(prefix, {})[rest] = comps.get(prefix, {}).get(rest, 0) + c
+            raise ValueError(f"{lam} has no unique digit expansion (depth {DIGIT_BUDGET})")
+        prefix = (word + (zero,) * split_depth)[:split_depth]
+        rest = reconstruct(sys, word[split_depth:])
+        part = comps.setdefault(prefix, {})
+        part[rest] = part.get(rest, 0) + c
     return comps
 
 
@@ -485,14 +457,14 @@ class ProjectionCheck:
         return self.abs_error / scale
 
 
-def projection_norm_checks(system: AffineSystem, j: int = 0, n_order: int = 1,
-                           p_depth: int = 10, fd_step: float = 1e-3,
+def projection_norm_checks(system: AffineSystem, n_order: int = 1, p_depth: int = 10,
                            measure=None, quad_depth: int | None = None) -> ProjectionCheck:
-    """Match finite differences of the completeness sum at 0 against the
-    projection-norm identity computed by quadrature.
+    """Match finite differences (step FD_STEP) of the completeness sum at 0
+    along the first coordinate axis against the projection-norm identity
+    computed by quadrature.
 
     Order 1 checks the vanishing gradient; order 2 checks
-    d^2/dt_j^2 = 8 pi^2 (||A x_j||^2 - ||x_j||^2), the coordinate projected
+    d^2/dt_1^2 = 8 pi^2 (||A x_1||^2 - ||x_1||^2), the coordinate projected
     onto the exponential span (both sides computed by independent routes).
 
     The quadrature atoms must resolve the largest enumerated frequency or the
@@ -515,12 +487,12 @@ def projection_norm_checks(system: AffineSystem, j: int = 0, n_order: int = 1,
         prof = q1_profile(system, ts, p_depth, measure=measure)
         return prof.values()
 
-    h = fd_step
+    h = FD_STEP
     dim = system.dim
 
     def axis_pts(*offsets):
         pts = np.zeros((len(offsets), dim))
-        pts[:, j] = offsets
+        pts[:, 0] = offsets
         return pts if dim > 1 else pts[:, 0]
 
     if n_order == 1:
@@ -535,14 +507,14 @@ def projection_norm_checks(system: AffineSystem, j: int = 0, n_order: int = 1,
     d_h2 = (v[3] - 2 * v[1] + v[4]) / (h / 2) ** 2
     fd = (4 * d_h2 - d_h) / 3
 
-    # E[x_j^2] and the coefficients E[e(-lambda.x) x_j] for x the sum of
-    # independent parts: e and f carry E[e(-lambda.x)] and E[e(-lambda.x) x_j]
+    # E[x_1^2] and the coefficients E[e(-lambda.x) x_1] for x the sum of
+    # independent parts: e and f carry E[e(-lambda.x)] and E[e(-lambda.x) x_1]
     atoms = [p.atoms(quad_depth) for p in parts]
     mean = x_norm_sq = 0.0
     for a in atoms:
-        xj = a[:, j]
-        x_norm_sq += 2 * mean * float(xj.mean()) + float(np.mean(xj ** 2))
-        mean += float(xj.mean())
+        x1 = a[:, 0]
+        x_norm_sq += 2 * mean * float(x1.mean()) + float(np.mean(x1 ** 2))
+        mean += float(x1.mean())
     proj = 0.0
     lam_chunk = max(1, 8_000_000 // max(len(a) for a in atoms))
     for _, layer in spectrum_layers(system, p_depth):
@@ -551,7 +523,7 @@ def projection_norm_checks(system: AffineSystem, j: int = 0, n_order: int = 1,
             e, f = 1.0, 0.0
             for a in atoms:
                 phases = np.exp(-2j * np.pi * (block @ a.T))     # (n, n_atoms)
-                pe, pf = phases.mean(axis=1), phases @ a[:, j] / len(a)
+                pe, pf = phases.mean(axis=1), phases @ a[:, 0] / len(a)
                 e, f = e * pe, f * pe + e * pf
             proj += float((np.abs(f) ** 2).sum())
     reference = 8 * math.pi ** 2 * (proj - x_norm_sq)

@@ -67,28 +67,14 @@ class ScalingMatrix:
         return np.array(self.entries, dtype=float)
 
     def eigenvalue_moduli(self) -> list[float]:
-        """Moduli of the eigenvalues, via the characteristic polynomial for
-        dimension <= 3 and a numeric eigensolver above that; triangular
-        matrices read their diagonal exactly."""
+        """Moduli of the eigenvalues: triangular matrices read their diagonal
+        exactly, any other goes to the numeric eigensolver."""
         n = self.dim
         a = self.entries
         if all(a[i][j] == 0 for i in range(n) for j in range(n) if i > j) or \
            all(a[i][j] == 0 for i in range(n) for j in range(n) if i < j):
             return sorted(abs(float(a[i][i])) for i in range(n))
-        if n == 1:
-            roots = [complex(a[0][0])]
-        elif n == 2:
-            tr, d = a[0][0] + a[1][1], self.det
-            roots = np.roots([1.0, -float(tr), float(d)])
-        elif n == 3:
-            tr = a[0][0] + a[1][1] + a[2][2]
-            m2 = (a[1][1] * a[2][2] - a[1][2] * a[2][1]
-                  + a[0][0] * a[2][2] - a[0][2] * a[2][0]
-                  + a[0][0] * a[1][1] - a[0][1] * a[1][0])
-            roots = np.roots([1.0, -float(tr), float(m2), -float(self.det)])
-        else:
-            roots = np.linalg.eigvals(self.to_float())
-        return sorted(abs(complex(z)) for z in roots)
+        return sorted(abs(complex(z)) for z in np.linalg.eigvals(self.to_float()))
 
     def is_expansive(self) -> bool:
         return self.eigenvalue_moduli()[0] > 1.0 + EXPANSIVE_MARGIN
@@ -145,6 +131,22 @@ class AffineSystem:
             "tau": (R.transpose, {l: l for l in self.L}),
             "omega": (R.entries, {b: rat.vec_scale(-1, R.apply(b)) for b in self.B}),
         }
+
+    def word_walk(self, side: str, depth: int) -> list:
+        """(point, word) for every length-`depth` word w over the digits of
+        the side's maps x -> M x + t_d, in `itertools.product` order, with
+        point sum_k M^k t_{w_k} = g_{w_0}(g_{w_1}(... g_{w_last}(0))).  Level
+        k adds the vectors M^k t_d to the points of level k - 1, so a word
+        costs vector additions and no matrix product."""
+        if side not in SIDES:
+            raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+        M, table = self.maps[side]
+        step = list(table.items())
+        walk = [(self.zero(), ())]
+        for _ in range(depth):
+            walk = [(rat.vec_add(p, t), w + (d,)) for p, w in walk for d, t in step]
+            step = [(d, rat.mat_vec(M, t)) for d, t in step]
+        return walk
 
     @functools.cached_property
     def mask_table(self) -> tuple:
@@ -334,15 +336,14 @@ def _jsonable(w):
     return w
 
 
-def validate_system(sys: AffineSystem, n_check: int = DEFAULT_N_CHECK) -> ValidationReport:
-    """Check every axiom of the triple; compatibility runs in exact arithmetic.
+def validate_system(sys: AffineSystem) -> ValidationReport:
+    """Check every axiom of the triple; compatibility runs in exact arithmetic
+    over the powers R^n, n = 1..DEFAULT_N_CHECK.
 
     Mandatory axioms decide the overall verdict.  The span, integrality and
     cardinality-versus-determinant checks are informational: they gate the
     basis theorems, not the validity of the system itself.
     """
-    if n_check < 1:
-        raise ValueError("n_check must be a positive integer")
     checks: dict[str, AxiomCheck] = {}
     zero = sys.zero()
 
@@ -362,10 +363,9 @@ def validate_system(sys: AffineSystem, n_check: int = DEFAULT_N_CHECK) -> Valida
         checks["hadamard"] = AxiomCheck(False, "skipped: cardinality mismatch")
 
     failures = []
-    for n in range(1, n_check + 1):
-        Rn = sys.R.entries
-        for _ in range(n - 1):
-            Rn = rat.mat_mul(Rn, sys.R.entries)
+    Rn = rat.identity(sys.dim)
+    for n in range(1, DEFAULT_N_CHECK + 1):
+        Rn = rat.mat_mul(Rn, sys.R.entries)
         for b in sys.B:
             Rnb = rat.mat_vec(Rn, b)
             for l in sys.L:
@@ -391,7 +391,7 @@ def validate_system(sys: AffineSystem, n_check: int = DEFAULT_N_CHECK) -> Valida
         sys.N < abs(sys.R.det), (sys.N, rat.format_fraction(abs(sys.R.det))),
         mandatory=False)
 
-    return ValidationReport(checks, n_check)
+    return ValidationReport(checks, DEFAULT_N_CHECK)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .system import AffineSystem, chi_B_sq
 DEFAULT_PAD = 0.05
 MIN_RESOLUTION = 8
 BETA_SAMPLES = 32     # mesh points per chart axis: at most 32**3 for a 3-D hull
+LEBESGUE_TERMS = 4000  # terms of the Lebesgue fixed point's series
 
 
 # ---------------------------------------------------------------------------
@@ -92,20 +93,20 @@ class GridFunction:
         vals = self.values.ravel()
         return [tuple(p) + (float(v),) for p, v in zip(pts.tolist(), vals)]
 
-    def quadratic_bump(self, amplitude: float = 0.5) -> "GridFunction":
-        """1 plus a quadratic perturbation vanishing at the ambient origin."""
+    def quadratic_bump(self) -> "GridFunction":
+        """1 + |u - u0|^2 / 2, with u0 the chart parameter of the ambient origin."""
         u0 = self.param_of_ambient_zero()
         pts = self.node_params()
-        vals = 1.0 + amplitude * ((pts - u0) ** 2).sum(axis=1)
+        vals = 1.0 + 0.5 * ((pts - u0) ** 2).sum(axis=1)
         return self.with_values(vals.reshape(self.values.shape))
 
 
-def grid_frame(sys: AffineSystem, resolution: int,
-               hull: Polytope | None = None) -> GridFunction:
-    """Constant-1 grid over the hull's (padded) bounding box, in the hull's
-    chart, with the origin snapped onto the node lattice and the box grown
-    until every rho_l image of it stays inside."""
-    hull = hull if hull is not None else geometry.dual_hull(sys, 4)
+def grid_frame(sys: AffineSystem, resolution: int) -> GridFunction:
+    """Constant-1 grid over the (padded) bounding box of the hull
+    `dual_hull(sys, 4)`, in the hull's chart, with the origin snapped onto
+    the node lattice and the box grown until every rho_l image of it stays
+    inside."""
+    hull = geometry.dual_hull(sys, 4)
     chart = hull.chart
     vertices_u = chart.param(hull.vertex_array())
     u0 = chart.param(np.zeros((1, sys.dim)))[0]
@@ -202,18 +203,18 @@ def iterate_fixed_point(sys: AffineSystem, Q0: GridFunction,
 # ---------------------------------------------------------------------------
 # the Lebesgue-measure fixed point
 
-def lebesgue_Q(t, n_terms: int = 4000):
-    """sin^2(pi t)/pi^2 * sum_{n>=0} (t - n)^{-2}, summed directly with an
-    integral tail correction; equals the completeness sum of the Lebesgue
-    system over the nonnegative integers."""
+def lebesgue_Q(t):
+    """sin^2(pi t)/pi^2 * sum_{n>=0} (t - n)^{-2}, summed directly over
+    LEBESGUE_TERMS terms with an integral tail correction; equals the
+    completeness sum of the Lebesgue system over the nonnegative integers."""
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    if (t > n_terms / 2).any():
+    if (t > LEBESGUE_TERMS / 2).any():
         raise ValueError("argument too large for the configured series length")
-    n = np.arange(n_terms + 1)
+    n = np.arange(LEBESGUE_TERMS + 1)
     main = (np.sinc(t[:, None] - n[None, :]) ** 2).sum(axis=1)
-    tail = (np.sin(np.pi * t) / np.pi) ** 2 / (n_terms + 0.5 - t)
+    tail = (np.sin(np.pi * t) / np.pi) ** 2 / (LEBESGUE_TERMS + 0.5 - t)
     out = main + tail
     return float(out[0]) if scalar else out
 
@@ -248,7 +249,7 @@ def grad_norm(Q: GridFunction, flavor: str = "sup", domain: Polytope | None = No
 # ---------------------------------------------------------------------------
 # contractivity constants
 
-def gamma_1d(R: int, b=Fraction(1, 2)) -> float:
+def gamma_1d(R: int) -> float:
     """Contractivity constant of the two-digit family: depends only on the
     integer scale, with the sup of |sin| over the invariant interval saturating
     to 1 at |R| = 2."""

@@ -183,6 +183,10 @@ class TestUsage:
         assert r.returncode == 2
         assert "scale4" in r.stderr
 
+    def test_n_check_option_is_gone(self):
+        # validate always checks R^n for n <= 12 (system.DEFAULT_N_CHECK)
+        assert cli.main(["validate", "--system", "scale4", "--n-check", "3"]) == 2
+
     def test_system_file_is_a_directory(self, tmp_path):
         r = run_cli("validate", "--file", str(tmp_path))
         assert r.returncode == 2

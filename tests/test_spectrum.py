@@ -65,11 +65,16 @@ class TestDigits:
         # 2 = 0 + 2*1 = 2 + 2*0 when the digit set overflows the scale
         sysm = fs.make_system(2, [(0,), (F(1, 2),)], [(0,), (1,), (2,), (3,)])
         assert fs.digits_of(sysm, (F(2),)) is None
+        # 4 = 2 + 2*1 = 0 + 2*2 = 0 + 2*0 + 4*1: after the digit 0 the
+        # remainder 2 has two expansions, which is no dead end
+        assert fs.digits_of(sysm, (F(4),)) is None
 
-    def test_round_trip_depth6(self, scale4):
-        for lam, word in fs.enumerate_P(scale4, 6).points:
-            w = fs.digits_of(scale4, lam)
-            assert w is not None and fs.reconstruct(scale4, w) == lam
+    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar"])
+    def test_round_trip_depth6(self, request, name):
+        sysm = request.getfixturevalue(name)
+        for lam, word in fs.enumerate_P(sysm, 6).points:
+            w = fs.digits_of(sysm, lam)
+            assert w == word and fs.reconstruct(sysm, w) == lam
 
     def test_round_trip_eiffel(self, eiffel2):
         for lam, word in fs.enumerate_P(eiffel2, 6).points:
@@ -311,6 +316,13 @@ class TestHardyEmbedding:
     def test_non_member_raises(self, scale4):
         with pytest.raises(ValueError):
             fs.hardy_embedding(scale4, {F(2): 1.0}, 1)
+
+    def test_second_expansion_raises(self):
+        # 4 has the words (2, 1), (0, 2) and (0, 0, 1): its coefficient
+        # belongs to no single prefix class
+        sysm = fs.make_system(2, [(0,), (F(1, 2),)], [(0,), (1,), (2,), (3,)])
+        with pytest.raises(ValueError):
+            fs.hardy_embedding(sysm, {F(4): 1.0}, 1)
 
 
 class TestProjectionChecks:

@@ -1,3 +1,5 @@
+import io
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -138,6 +140,40 @@ class TestMaps:
             fs.map_rho(scale4, (Fraction(2),), (Fraction(0),))
 
 
+class TestWordWalk:
+    MAPS = {"sigma": fs.map_sigma, "rho": fs.map_rho, "tau": fs.map_tau, "omega": fs.map_omega}
+
+    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2", "planar3d"])
+    def test_matches_product_oracle(self, request, name):
+        # every word w of itertools.product, in its order, with the point
+        # g_{w_0}(g_{w_1}(... g_{w_last}(0))) composed map by map
+        sysm = request.getfixturevalue(name)
+        for side, g in self.MAPS.items():
+            digits = sysm.B if side in ("sigma", "omega") else sysm.L
+            for depth in (1, 2, 3):
+                oracle = []
+                for w in itertools.product(digits, repeat=depth):
+                    x = sysm.zero()
+                    for d in reversed(w):
+                        x = g(sysm, d, x)
+                    oracle.append((x, w))
+                assert sysm.word_walk(side, depth) == oracle
+
+
+class TestEigenvalues:
+    def test_rotation_scaling(self):
+        # [[2, -2], [2, 2]] has eigenvalues 2 +- 2i
+        mods = fs.ScalingMatrix([[2, -2], [2, 2]]).eigenvalue_moduli()
+        assert mods == pytest.approx([2 * math.sqrt(2)] * 2, rel=1e-12)
+
+    def test_companion_of_x3_minus_4(self):
+        mods = fs.ScalingMatrix([[0, 0, 4], [1, 0, 0], [0, 1, 0]]).eigenvalue_moduli()
+        assert mods == pytest.approx([4 ** (1 / 3)] * 3, rel=1e-12)
+
+    def test_triangular_read_exactly(self):
+        assert fs.ScalingMatrix([[3, 5], [0, -2]]).eigenvalue_moduli() == [2.0, 3.0]
+
+
 class TestValidation:
     def test_scale4_all_pass(self, scale4):
         rep = fs.validate_system(scale4)
@@ -243,3 +279,42 @@ class TestRational:
     def test_format(self):
         assert rat.format_fraction(Fraction(3, 4)) == "3/4"
         assert rat.format_fraction(Fraction(8, 4)) == "2"
+
+
+def _removed_keyword_calls():
+    """One call per keyword that no caller set: its default is now a constant
+    (gamma_1d never read its b)."""
+    s4, e2 = fs.get_system("scale4"), fs.eiffel_system(2)
+    mu = fs.SelfSimilarMeasure(s4)
+    F = Fraction
+    return {
+        "SelfSimilarMeasure-tail_tol": lambda: fs.SelfSimilarMeasure(s4, tail_tol=1e-10),
+        "depth_for-tol": lambda: mu.depth_for(1.0, tol=1e-10),
+        "support_diameter-depth": lambda: mu.support_diameter(depth=4),
+        "ConvolvedMeasure.support_diameter-depth":
+            lambda: fs.convolve(mu, mu).support_diameter(depth=4),
+        "transform_profile-depth": lambda: fs.transform_profile(mu, [0.5], depth=10),
+        "write_transform_csv-depth":
+            lambda: fs.write_transform_csv(mu, [0.5], io.StringIO(), depth=10),
+        "digits_of-max_depth": lambda: fs.digits_of(s4, (F(17),), max_depth=24),
+        "hardy_embedding-max_depth":
+            lambda: fs.hardy_embedding(s4, {F(1): 1.0}, 1, max_depth=24),
+        "projection_norm_checks-j": lambda: fs.projection_norm_checks(s4, j=0),
+        "projection_norm_checks-fd_step":
+            lambda: fs.projection_norm_checks(s4, fd_step=1e-3),
+        "completeness_test-eps_pass": lambda: fs.completeness_test(s4, [0.0], eps_pass=0.02),
+        "completeness_test-eps_fail": lambda: fs.completeness_test(s4, [0.0], eps_fail=0.05),
+        "lebesgue_Q-n_terms": lambda: fs.lebesgue_Q(0.5, n_terms=4000),
+        "quadratic_bump-amplitude":
+            lambda: fs.grid_frame(s4, 16).quadratic_bump(amplitude=0.5),
+        "grid_frame-hull": lambda: fs.grid_frame(s4, 16, hull=fs.dual_hull(s4, 4)),
+        "simplex_Y-r": lambda: fs.simplex_Y(e2, r=1),
+        "gamma_1d-b": lambda: fs.gamma_1d(6, b=F(1, 2)),
+        "validate_system-n_check": lambda: fs.validate_system(s4, n_check=12),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_removed_keyword_calls()))
+def test_removed_keyword_raises(call):
+    with pytest.raises(TypeError):
+        _removed_keyword_calls()[call]()

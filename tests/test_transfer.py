@@ -123,9 +123,6 @@ class TestGamma1d:
         assert abs(fs.gamma_1d(-4) - (math.pi / 8 * math.sin(math.pi / 15) + 0.25)) <= 1e-12
         assert fs.gamma_1d(-4) < 1
 
-    def test_independent_of_b(self):
-        assert fs.gamma_1d(6, Fraction(1, 2)) == fs.gamma_1d(6, Fraction(7, 3))
-
     def test_rejects_unit_scale(self):
         with pytest.raises(ValueError):
             fs.gamma_1d(1)
