@@ -7,12 +7,11 @@ the exponential family, run the transfer operator with its contractivity
 constants, and compute the attractor geometry exactly.
 """
 
-from .system import (AffineSystem, ScalingMatrix, ValidationReport, builtin_catalog,
-                     chi_B, chi_B_batch, chi_B_sq, chi_B_sq_grad, eiffel_system, get_system,
-                     hadamard_matrix, load_system_file, make_system, map_omega,
-                     map_rho, map_sigma, map_tau, planar_collapse_system,
-                     system_from_json, system_to_json, two_digit_system,
-                     unitarity_defect, validate_system)
+from .system import (AffineSystem, ScalingMatrix, ValidationReport, chi_B, chi_B_batch,
+                     chi_B_sq, chi_B_sq_grad, eiffel_system, get_system, hadamard_matrix,
+                     load_system_file, make_system, map_omega, map_rho, map_sigma, map_tau,
+                     planar_collapse_system, system_from_json, system_to_json,
+                     two_digit_system, unitarity_defect, validate_system)
 from .measure import (ConvolvedMeasure, FourierEvaluation, SelfSimilarMeasure,
                       ZeroSetPredicate, convolve, growth_bound_check, moments,
                       mu2_closed_form, transform_profile, write_transform_csv,

@@ -69,48 +69,30 @@ def _load(args) -> AffineSystem:
     raise UsageError("one of --system or --file is required")
 
 
+# The usability gate of the analysis commands; --force bypasses it.
+# Compatibility is deliberately not gated: systems that break it (the triadic
+# one, odd tower scales) are the counterexamples the analyses are for.
+# `validate` and `report` never gate; `validate` still treats compatibility as
+# mandatory for its own exit status.
 GATE_AXIOMS = ("cardinality", "zero_in_B", "zero_in_L", "expansive", "hadamard")
-
-
-def _gate(args, sys_obj: AffineSystem) -> int | None:
-    """Usability gate for analysis commands; --force bypasses it.
-
-    Compatibility is deliberately not gated: systems that break it (the
-    triadic one, odd tower scales) are the counterexamples the analyses are
-    for.  `validate` still treats it as mandatory for its own exit status.
-    """
-    report = validate_system(sys_obj)
-    bad = [name for name in GATE_AXIOMS if not report.checks[name].passed]
-    if bad and not args.force:
-        print(f"system {sys_obj.name or '<file>'} fails {', '.join(bad)} "
-              f"(rerun with --force to analyse anyway):", file=_sys.stderr)
-        for line in report.summary_lines():
-            print(line, file=_sys.stderr)
-        return EXIT_CLAIM
-    return None
+UNGATED = ("validate", "report")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_validate(args) -> int:
-    sys_obj = _load(args)
-    report = validate_system(sys_obj)
+def cmd_validate(args, sys_obj: AffineSystem, validation) -> int:
     header = {"command": "validate", "system": sys_obj.name, "n_check": DEFAULT_N_CHECK}
-    payload = {"system": system_to_json(sys_obj), "validation": report.to_dict()}
+    payload = {"system": system_to_json(sys_obj), "validation": validation.to_dict()}
     if args.format == "json":
         _emit(args, header, [], [], json_payload=payload)
     else:
         _write(args, [f"validation of {sys_obj.name or args.file} (n_check={DEFAULT_N_CHECK}):"]
-               + report.summary_lines())
-    return EXIT_OK if report.passed else EXIT_CLAIM
+               + validation.summary_lines())
+    return EXIT_OK if validation.passed else EXIT_CLAIM
 
 
-def cmd_spectrum(args) -> int:
-    sys_obj = _load(args)
-    gate = _gate(args, sys_obj)
-    if gate is not None:
-        return gate
+def cmd_spectrum(args, sys_obj: AffineSystem, validation) -> int:
     if args.depth < 0 or sys_obj.N ** args.depth > 200_000:
         raise UsageError("spectrum depth out of range for exact enumeration")
     enum = spectrum.enumerate_P(sys_obj, args.depth)
@@ -125,11 +107,7 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def cmd_gram(args) -> int:
-    sys_obj = _load(args)
-    gate = _gate(args, sys_obj)
-    if gate is not None:
-        return gate
+def cmd_gram(args, sys_obj: AffineSystem, validation) -> int:
     if args.count < 2:
         raise UsageError("gram needs at least two points")
     depth = 0
@@ -161,11 +139,7 @@ def _auto_p_depth(sys_obj: AffineSystem) -> int:
     return d
 
 
-def cmd_q1(args) -> int:
-    sys_obj = _load(args)
-    gate = _gate(args, sys_obj)
-    if gate is not None:
-        return gate
+def cmd_q1(args, sys_obj: AffineSystem, validation) -> int:
     hull = geometry.dual_hull(sys_obj, 4)
     res = args.resolution
     if res is None:
@@ -191,11 +165,7 @@ def cmd_q1(args) -> int:
     return EXIT_OK
 
 
-def cmd_transfer(args) -> int:
-    sys_obj = _load(args)
-    gate = _gate(args, sys_obj)
-    if gate is not None:
-        return gate
+def cmd_transfer(args, sys_obj: AffineSystem, validation) -> int:
     res = args.resolution
     if res is None:
         res = GRID_RESOLUTIONS.get(sys_obj.dim, 16)
@@ -221,11 +191,7 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
-def cmd_gamma(args) -> int:
-    sys_obj = _load(args)
-    gate = _gate(args, sys_obj)
-    if gate is not None:
-        return gate
+def cmd_gamma(args, sys_obj: AffineSystem, validation) -> int:
     rep = transfer.gamma_supnorm(sys_obj)
     doc = rep.to_dict()
     name = (sys_obj.name or "").split("(")[0]
@@ -244,11 +210,7 @@ def cmd_gamma(args) -> int:
     return EXIT_OK
 
 
-def cmd_attractor(args) -> int:
-    sys_obj = _load(args)
-    gate = _gate(args, sys_obj)
-    if gate is not None:
-        return gate
+def cmd_attractor(args, sys_obj: AffineSystem, validation) -> int:
     if args.depth < 1 or sys_obj.N ** args.depth > geometry.MAX_WORDS:
         raise UsageError("attractor depth out of range")
     sample = geometry.attractor_points(sys_obj, args.side, args.depth)
@@ -260,9 +222,7 @@ def cmd_attractor(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    sys_obj = _load(args)
-    validation = validate_system(sys_obj)
+def cmd_report(args, sys_obj: AffineSystem, validation) -> int:
     claims = {"axioms": validation.passed}
     doc = {"system": system_to_json(sys_obj), "name": sys_obj.name,
            "validation": validation.to_dict()}
@@ -407,7 +367,16 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         _check_options(args)
-        return args.handler(args)
+        sys_obj = _load(args)
+        validation = validate_system(sys_obj)
+        bad = [name for name in GATE_AXIOMS if not validation.checks[name].passed]
+        if bad and not args.force and args.command not in UNGATED:
+            print(f"system {sys_obj.name or '<file>'} fails {', '.join(bad)} "
+                  f"(rerun with --force to analyse anyway):", file=_sys.stderr)
+            for line in validation.summary_lines():
+                print(line, file=_sys.stderr)
+            return EXIT_CLAIM
+        return args.handler(args, sys_obj, validation)
     except (UsageError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE

@@ -109,10 +109,11 @@ class Chart:
 class Polytope:
     """Convex polytope in exact coordinates.
 
-    For full-dimensional hulls the chart is the identity; otherwise `origin`
-    and `basis` give the affine subspace carrying the hull, and facets live in
-    the chart coordinates.  `facets` is a tuple of (normal, offset) pairs with
-    the meaning  normal . u <= offset.
+    For full-dimensional hulls the chart is the identity, so the hull is
+    built in ambient coordinates; otherwise `origin` and `basis` give the
+    affine subspace carrying the hull, and facets, ring and faces live in the
+    chart coordinates.  `facets` is a tuple of (normal, offset) pairs with
+    the meaning  normal . u <= offset, scaled to coprime integers.
     """
 
     ambient_dim: int
@@ -207,7 +208,8 @@ class Polytope:
 
 
 def _affine_frame(pts):
-    """Origin plus a maximal independent set of difference vectors."""
+    """Origin plus a maximal independent set of difference vectors; the zero
+    origin and the identity basis when the points span the ambient space."""
     origin = pts[0]
     basis = []
     for p in pts[1:]:
@@ -216,12 +218,15 @@ def _affine_frame(pts):
         d = rat.vec_sub(p, origin)
         if rat.rank(rat.mat(basis + [d])) > len(basis):
             basis.append(d)
-    return origin, basis
+    if len(basis) == len(origin):
+        return tuple(Fraction(0) for _ in origin), rat.identity(len(origin))
+    return origin, tuple(basis)
 
 
 def _hull_1d(us):
     umin, umax = min(us), max(us)
-    facets = (((Fraction(1),), umax), ((Fraction(-1),), umin * -1))
+    facets = (_normalize_halfspace((Fraction(1),), umax),
+              _normalize_halfspace((Fraction(-1),), -umin))
     return (umin, umax), facets
 
 
@@ -254,7 +259,7 @@ def _facets_2d(ring):
         a, b = ring[i], ring[(i + 1) % k]
         e = rat.vec_sub(b, a)
         n = (e[1], -e[0])                      # outward for CCW
-        facets.append((n, rat.dot(n, a)))
+        facets.append(_normalize_halfspace(n, rat.dot(n, a)))
     return tuple(facets)
 
 
@@ -369,49 +374,33 @@ def convex_hull(points) -> Polytope:
     if k == 0:
         return Polytope(ambient, 0, (pts[0],), pts[0], (), ())
 
-    # exact chart coordinates of every input point
-    probe = Polytope(ambient, k, (), origin, tuple(basis), ())
-    us = [probe.chart_coords(p) for p in pts]
+    if k == ambient:
+        us = pts
+    else:
+        # exact chart coordinates of every input point
+        probe = Polytope(ambient, k, (), origin, basis, ())
+        us = [probe.chart_coords(p) for p in pts]
 
+    ring = faces = ()
     if k == 1:
         (umin, umax), facets = _hull_1d([u[0] for u in us])
         chart_vs = [(umin,), (umax,)]
-        ring, faces = (), ()
     elif k == 2:
-        ring = _hull_2d(us)
+        ring = _hull_2d(us)                    # the monotone chain keeps only vertices
         facets = _facets_2d(ring)
-        chart_vs = _filter_vertices(ring, facets, 2)
-        faces = ()
+        chart_vs = ring
     else:
         faces = _hull_3d(us)
         facets = _facets_3d(faces)
         cand = sorted(set(itertools.chain.from_iterable(faces)))
         chart_vs = _filter_vertices(cand, facets, 3)
-        ring = ()
 
     def to_ambient(u):
         return tuple(origin[i] + sum(basis[j][i] * u[j] for j in range(k))
                      for i in range(ambient))
 
     vertices = tuple(sorted(to_ambient(u) for u in chart_vs))
-
-    if k == ambient:
-        # rewrite halfspaces, ring and faces in ambient coordinates so the
-        # chart becomes the identity
-        cols = rat.transpose(rat.mat(basis))
-        cols_inv_t = rat.transpose(rat.inverse(cols))
-        amb_facets = []
-        for n, c in facets:
-            a = rat.mat_vec(cols_inv_t, n)
-            amb_facets.append(_normalize_halfspace(a, c + rat.dot(a, origin)))
-        ring = tuple(to_ambient(u) for u in ring)
-        faces = tuple(tuple(to_ambient(u) for u in f) for f in faces)
-        zero = tuple(Fraction(0) for _ in range(ambient))
-        return Polytope(ambient, k, vertices, zero, rat.identity(ambient),
-                        tuple(amb_facets), ring=ring, faces=faces)
-
-    return Polytope(ambient, k, vertices, origin, tuple(basis), tuple(facets),
-                    ring=tuple(ring), faces=tuple(faces))
+    return Polytope(ambient, k, vertices, origin, basis, facets, ring=ring, faces=faces)
 
 
 def hull_volume(P: Polytope) -> Fraction:

@@ -107,23 +107,25 @@ def digits_of(sys: AffineSystem, lam):
     A breadth-first peel over the rho maps: level k keeps each remainder
     rho_{w_{k-1}}(... rho_{w_0}(lam)) with the prefix w that reaches it, or
     None once two prefixes reach it, and a remainder that reaches 0 ends an
-    expansion.  For integer R a remainder with a denominator that the
-    digits' lattice cannot carry is dropped.
+    expansion.  A remainder with m levels of budget left is dropped unless
+    every denominator divides den(L) * s^m, s the lcm of the denominators of
+    R, as every tau-word image of length <= m does.
     """
     lam = point(lam if hasattr(lam, "__len__") else (lam,), sys.dim)
     zero = sys.zero()
     if lam == zero:
         return ()
     Rti, shift = sys.maps["rho"]
-    den = math.lcm(*(c.denominator for l in sys.L for c in l)) if sys.R.is_integer() else 0
+    den_L = math.lcm(*(c.denominator for l in sys.L for c in l))
+    s_R = math.lcm(*(e.denominator for row in sys.R.entries for e in row))
     level, found = {lam: ()}, None
-    for _ in range(DIGIT_BUDGET):
-        nxt = {}
+    for left in reversed(range(DIGIT_BUDGET)):
+        den, nxt = den_L * s_R ** left, {}
         for p, word in level.items():
             base = rat.mat_vec(Rti, p)
             for l, s in shift.items():
                 q = rat.vec_add(base, s)
-                if den and any(den % c.denominator for c in q):
+                if any(den % c.denominator for c in q):
                     continue
                 w = None if word is None or q in nxt else word + (l,)
                 if q != zero:

@@ -79,9 +79,6 @@ class ScalingMatrix:
     def is_expansive(self) -> bool:
         return self.eigenvalue_moduli()[0] > 1.0 + EXPANSIVE_MARGIN
 
-    def is_integer(self) -> bool:
-        return all(e.denominator == 1 for row in self.entries for e in row)
-
     def __repr__(self):
         rows = "; ".join(" ".join(rat.format_fraction(e) for e in r) for r in self.entries)
         return f"ScalingMatrix([{rows}])"
@@ -285,10 +282,6 @@ def map_rho(sys: AffineSystem, l, t) -> Point:
 # ---------------------------------------------------------------------------
 # validation
 
-MANDATORY_AXIOMS = ("cardinality", "zero_in_B", "zero_in_L",
-                    "expansive", "hadamard", "compatibility")
-
-
 @dataclass
 class AxiomCheck:
     passed: bool
@@ -433,12 +426,6 @@ _CATALOG = {
     "eiffel": eiffel_system,
     "planar-collapse": planar_collapse_system,
 }
-
-
-def builtin_catalog() -> dict:
-    """Named systems, exactly as printed in the source material; 'eiffel'
-    takes an optional integer scale."""
-    return dict(_CATALOG)
 
 
 def get_system(name: str, r=None) -> AffineSystem:

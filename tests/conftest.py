@@ -21,6 +21,13 @@ def triadic():
 
 
 @pytest.fixture(scope="session")
+def scale5half():
+    # Hadamard system with the rational scale R = 5/2
+    return fs.make_system(Fraction(5, 2), (Fraction(0), Fraction(1, 2)),
+                          (Fraction(0), Fraction(1)), "scale5half")
+
+
+@pytest.fixture(scope="session")
 def eiffel2():
     return fs.eiffel_system(2)
 

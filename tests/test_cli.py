@@ -173,6 +173,34 @@ class TestReportCommand:
         assert doc["validation"]["axioms"]["l_spans"]["passed"] is False
 
 
+class TestGate:
+    """Analysis commands refuse a system that fails a structural axiom unless
+    --force is given; validate and report never gate."""
+
+    @pytest.fixture
+    def non_hadamard(self, tmp_path):
+        # e(b l) = e(1/3) for b = 1/3, l = 1: the 2 x 2 matrix is not Hadamard
+        doc = {"dim": 1, "R": [["4"]], "B": [["0"], ["1/3"]], "L": [["0"], ["1"]]}
+        p = tmp_path / "nonhadamard.json"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    @pytest.mark.parametrize("command", ["spectrum", "gamma"])
+    def test_analysis_commands_gate(self, capsys, non_hadamard, command):
+        assert cli.main([command, "--file", non_hadamard]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"system {non_hadamard} fails hadamard ")
+        assert cli.main([command, "--file", non_hadamard, "--force"]) == 0
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_validate_and_report_do_not_gate(self, capsys, non_hadamard, command):
+        assert cli.main([command, "--file", non_hadamard]) == 1
+        out, err = capsys.readouterr()
+        assert out and err == ""
+
+
 class TestUsage:
     def test_no_system(self):
         r = run_cli("spectrum")

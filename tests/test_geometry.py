@@ -151,6 +151,12 @@ def _random_points(seed):
     return pts
 
 
+def _signed_volume6(hull):
+    """Sum of det(a, b, c) over the faces: 6 times the volume when every face
+    is outward-oriented."""
+    return sum(rat.det(rat.mat(list(face))) for face in hull.faces)
+
+
 class TestHullOracle:
     """`convex_hull` in 3-D against brute force over every triple."""
 
@@ -162,6 +168,7 @@ class TestHullOracle:
         facets, vertices = _oracle_hull(pts)
         assert set(hull.facets) == facets
         assert hull.vertices == vertices
+        assert _signed_volume6(hull) == 6 * fs.hull_volume(hull)
 
     def test_lattice_cube(self):
         pts = [(F(x), F(y), F(z)) for x in range(4) for y in range(4) for z in range(4)]
@@ -170,11 +177,14 @@ class TestHullOracle:
         assert set(hull.facets) == facets and len(facets) == 6
         assert hull.vertices == vertices and len(vertices) == 8
         assert fs.hull_volume(hull) == 27
+        assert _signed_volume6(hull) == 6 * 27
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_tower_hull_volume(self, r):
         # a triangulation of the 256-point depth-4 hull against the closed form
-        assert fs.hull_volume(fs.dual_hull(fs.eiffel_system(r), 4)) == F(1, 3 * (r - 1) ** 3)
+        hull = fs.dual_hull(fs.eiffel_system(r), 4)
+        assert fs.hull_volume(hull) == F(1, 3 * (r - 1) ** 3)
+        assert _signed_volume6(hull) == 6 * fs.hull_volume(hull)
 
     @pytest.mark.parametrize("hull", [fs.dual_hull, fs.support_hull], ids=["rho", "sigma"])
     def test_tower_hull_keeps_no_coplanar_faces(self, eiffel2, hull):

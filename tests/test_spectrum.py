@@ -69,7 +69,7 @@ class TestDigits:
         # remainder 2 has two expansions, which is no dead end
         assert fs.digits_of(sysm, (F(4),)) is None
 
-    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar"])
+    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "scale5half"])
     def test_round_trip_depth6(self, request, name):
         sysm = request.getfixturevalue(name)
         for lam, word in fs.enumerate_P(sysm, 6).points:
