@@ -22,9 +22,9 @@ from .spectrum import (CompletenessReport, GramReport, Q1Profile, Q1Result,
                        max_orthogonal_family, projection_norm_checks, q1,
                        q1_profile, reconstruct, uniform_discreteness)
 from .transfer import (ContractivityReport, FixedPointResult, GridFunction,
-                       apply_C, beta_constant, gamma_1d, gamma_eiffel, gamma_L1,
-                       gamma_supnorm, grad_norm, grid_frame, iterate_fixed_point,
-                       lebesgue_Q)
+                       TransferOperator, apply_C, beta_constant, gamma_1d,
+                       gamma_eiffel, gamma_L1, gamma_supnorm, grad_norm, grid_frame,
+                       iterate_fixed_point, lebesgue_Q)
 from .geometry import (AttractorSample, Chart, Polytope, attractor_points, convex_hull,
                        dual_hull, hausdorff_dimension, hull_diameter, hull_volume,
                        invariance_check, polytope_to_json, simplex_Y, support_hull,

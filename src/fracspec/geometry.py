@@ -282,20 +282,26 @@ def _plane(a, b, c):
     return n, _dot3(n, a)
 
 
-def _face(a, b, c):
-    return ((a, b, c),) + _plane(a, b, c)
+def _face(a, b, c, pending):
+    """Triangle (a, b, c) with its plane and the points of `pending`
+    strictly above it."""
+    n, off = _plane(a, b, c)
+    return (a, b, c), n, off, [p for p in pending if _dot3(n, p) > off]
 
 
 def _hull_3d(us):
-    """Incremental hull from an extremal starting tetrahedron; returns the
+    """Quickhull from an extremal starting tetrahedron; returns the
     outward-oriented triangles (chart points).
 
     The points are scaled once by the lcm of their denominators, which keeps
     every orientation sign, so each visibility test is an integer dot product
-    with a face's plane.  A point is inserted only when it lies strictly
-    outside the hull built so far; starting from extreme points (Quickhull's
-    start) keeps the boundary points that are not vertices from becoming
-    faces, as on a simplex sampled densely on its boundary.
+    with a face's plane.  Every face keeps all the points strictly above it
+    (its outside set), and each step inserts the point farthest above a
+    face, ties going to the lexicographically largest.  That point, like
+    each starting point (a maximizer of a convex function with the same tie
+    rule), is a vertex of the hull, so the boundary points that are not
+    vertices never become faces: a facet with m vertices gives m - 2
+    triangles.
     """
     pts = sorted(set(us))
     scale = math.lcm(*(c.denominator for p in pts for c in p))
@@ -305,24 +311,24 @@ def _hull_3d(us):
 
     def line_dist2(p):                                # |ab x ap|^2
         w = _cross3(_sub3(b, a), _sub3(p, a))
-        return _dot3(w, w)
+        return _dot3(w, w), p
 
     c = max(ips, key=line_dist2)
     n, off = _plane(a, b, c)
-    d = max(ips, key=lambda p: abs(_dot3(n, p) - off))
+    d = max(ips, key=lambda p: (abs(_dot3(n, p) - off), p))
     if _dot3(n, d) > off:
         b, c = c, b
-    faces = [_face(a, b, c), _face(a, d, b), _face(b, d, c), _face(a, c, d)]
-    for p in ips:
+    faces = [_face(*t, ips) for t in ((a, b, c), (a, d, b), (b, d, c), (a, c, d))]
+    while (f := next((f for f in faces if f[3]), None)) is not None:
+        p = max(f[3], key=lambda q: (_dot3(f[1], q), q))
+        pending = {q for g in faces for q in g[3]} - {p}   # outside the hull but p
         visible, kept = [], []
-        for f in faces:
-            (visible if _dot3(f[1], p) > f[2] else kept).append(f)
-        if not visible:
-            continue
-        edges = [(t[i], t[(i + 1) % 3]) for t, _, _ in visible for i in range(3)]
+        for g in faces:
+            (visible if _dot3(g[1], p) > g[2] else kept).append(g)
+        edges = [(t[i], t[(i + 1) % 3]) for t, _, _, _ in visible for i in range(3)]
         seen = set(edges)
-        faces = kept + [_face(u, v, p) for (u, v) in edges if (v, u) not in seen]
-    return tuple(tuple(lift[q] for q in t) for t, _, _ in faces)
+        faces = kept + [_face(u, v, p, pending) for (u, v) in edges if (v, u) not in seen]
+    return tuple(tuple(lift[q] for q in t) for t, _, _, _ in faces)
 
 
 def _normalize_halfspace(n, c):
@@ -344,16 +350,6 @@ def _facets_3d(faces):
     for face in faces:
         facets[_normalize_halfspace(*_plane(*face))] = None
     return tuple(facets.keys())
-
-
-def _filter_vertices(candidates, facets, k):
-    """True vertices support >= k independent facet normals with equality."""
-    out = []
-    for v in candidates:
-        active = [n for (n, c) in facets if rat.dot(n, v) == c]
-        if active and rat.rank(rat.mat(active)) >= k:
-            out.append(v)
-    return out
 
 
 def convex_hull(points) -> Polytope:
@@ -390,10 +386,9 @@ def convex_hull(points) -> Polytope:
         facets = _facets_2d(ring)
         chart_vs = ring
     else:
-        faces = _hull_3d(us)
+        faces = _hull_3d(us)                   # every face corner is a vertex
         facets = _facets_3d(faces)
-        cand = sorted(set(itertools.chain.from_iterable(faces)))
-        chart_vs = _filter_vertices(cand, facets, 3)
+        chart_vs = set(itertools.chain.from_iterable(faces))
 
     def to_ambient(u):
         return tuple(origin[i] + sum(basis[j][i] * u[j] for j in range(k))

@@ -48,10 +48,13 @@ class GridFunction:
     def node_points(self) -> np.ndarray:
         return self.chart.ambient(self.node_params())
 
-    def interp_params(self, U: np.ndarray) -> np.ndarray:
+    def stencil(self, U: np.ndarray) -> tuple:
+        """Flat index of the lower corner of the grid cell of each parameter
+        row of U, and the per-axis fractions of the row within it, (k, m);
+        raises when a row escapes the grid box."""
         U = np.atleast_2d(U)
-        idx = []
-        frac = []
+        base = np.zeros(U.shape[0], dtype=np.intp)
+        frac = np.empty((self.k, U.shape[0]))
         for d, axis in enumerate(self.axes):
             lo, h, n = axis[0], self.spacing[d], len(axis)
             s = (U[:, d] - lo) / h
@@ -61,18 +64,29 @@ class GridFunction:
                 raise ValueError(f"interpolation point {self.chart.ambient(bad[None])[0]} "
                                  f"escapes the grid box")
             s = np.clip(s, 0.0, n - 1)
-            i = np.minimum(s.astype(int), n - 2)
-            idx.append(i)
-            frac.append(s - i)
-        out = np.zeros(U.shape[0])
+            i = np.minimum(s.astype(np.intp), n - 2)
+            base = base * n + i
+            frac[d] = s - i
+        return base, frac
+
+    def corner_sum(self, values: np.ndarray, base: np.ndarray, frac: np.ndarray) -> np.ndarray:
+        """Multilinear interpolation of the node values over a `stencil`: a
+        corner's weight is the product of its axis factors in axis order,
+        and its values are a gather at `base` from the node array shifted by
+        the corner's flat offset."""
+        flat = values.ravel()
+        rest = 1.0 - frac
+        out = np.zeros(base.shape[0])
         for corner in itertools.product((0, 1), repeat=self.k):
-            w = np.ones(U.shape[0])
-            flat = np.zeros(U.shape[0], dtype=int)
+            w, offset = 1.0, 0
             for d in range(self.k):
-                w = w * (frac[d] if corner[d] else 1.0 - frac[d])
-                flat = flat * len(self.axes[d]) + idx[d] + corner[d]
-            out += w * self.values.ravel()[flat]
+                w = w * (frac[d] if corner[d] else rest[d])
+                offset = offset * len(self.axes[d]) + corner[d]
+            out += w * flat[offset:].take(base)
         return out
+
+    def interp_params(self, U: np.ndarray) -> np.ndarray:
+        return self.corner_sum(self.values, *self.stencil(U))
 
     def interp(self, X: np.ndarray) -> np.ndarray:
         """Multilinear interpolation at ambient points (m, ambient_dim)."""
@@ -146,15 +160,33 @@ def grid_frame(sys: AffineSystem, resolution: int) -> GridFunction:
 # ---------------------------------------------------------------------------
 # the operator and its iteration
 
+class TransferOperator:
+    """C assembled on one grid: (Cv)(t) = sum_l |chi_B(t - l)|^2 v(R*^{-1}(t - l))
+    at the grid nodes t.  Per digit l it keeps the weights at the nodes and
+    the interpolation stencil of R*^{-1}(t - l), so each application is a
+    gather and a multiply-add over node value arrays."""
+
+    def __init__(self, sys: AffineSystem, frame: GridFunction):
+        self.frame = frame
+        S = np.array(sys.R.inverse_transpose, dtype=float)
+        nodes = frame.node_points()
+        self.digits = [self._digit(sys, nodes - l, S) for l in sys.l_array()]
+
+    def _digit(self, sys: AffineSystem, shifted: np.ndarray, S: np.ndarray) -> tuple:
+        """Weights and stencil of one digit; its temporaries die on return."""
+        w = chi_B_sq(sys, shifted)
+        return (w,) + self.frame.stencil(self.frame.chart.param(shifted @ S.T))
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        total = np.zeros(self.frame.values.size)
+        for w, base, frac in self.digits:
+            total += w * self.frame.corner_sum(values, base, frac)
+        return total.reshape(self.frame.values.shape)
+
+
 def apply_C(sys: AffineSystem, Q: GridFunction) -> GridFunction:
     """(CQ)(t) = sum_l |chi_B(t - l)|^2 Q(R*^{-1}(t - l)) at the grid nodes."""
-    S = np.array(sys.R.inverse_transpose, dtype=float)
-    nodes = Q.node_points()
-    total = np.zeros(nodes.shape[0])
-    for l in sys.l_array():
-        shifted = nodes - l
-        total += chi_B_sq(sys, shifted) * Q.interp(shifted @ S.T)
-    return Q.with_values(total.reshape(Q.values.shape))
+    return Q.with_values(TransferOperator(sys, Q)(Q.values))
 
 
 @dataclass
@@ -171,22 +203,24 @@ class FixedPointResult:
 
 def iterate_fixed_point(sys: AffineSystem, Q0: GridFunction,
                         max_iters: int = 200, tol: float = 1e-8) -> FixedPointResult:
-    """Iterate C from Q0 (normalized to Q0(0) = 1), recording sup-norm residuals.
+    """Iterate C, assembled once on Q0's grid, from Q0 (normalized to
+    Q0(0) = 1), recording sup-norm residuals.
 
     Residual growth over ten consecutive iterations flags divergence without
     raising; convergent runs stop once the residual drops below `tol`.
     """
     if abs(Q0.value_at_zero() - 1.0) > 1e-8:
         raise ValueError("Q0 must be normalized to Q0(0) = 1")
-    Q = Q0
+    C = TransferOperator(sys, Q0)
+    values = Q0.values
     residuals = []
     growth = 0
     diverged = False
     for _ in range(max_iters):
-        QN = apply_C(sys, Q)
-        r = float(np.abs(QN.values - Q.values).max())
+        new = C(values)
+        r = float(np.abs(new - values).max())
         residuals.append(r)
-        Q = QN
+        values = new
         if len(residuals) >= 2 and r > residuals[-2]:
             growth += 1
             if growth >= 10:
@@ -197,7 +231,7 @@ def iterate_fixed_point(sys: AffineSystem, Q0: GridFunction,
         if r < tol:
             break
     converged = bool(residuals and residuals[-1] < tol)
-    return FixedPointResult(Q, residuals, converged, diverged)
+    return FixedPointResult(Q0.with_values(values), residuals, converged, diverged)
 
 
 # ---------------------------------------------------------------------------

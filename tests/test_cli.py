@@ -115,6 +115,16 @@ class TestTransferCommand:
         assert doc["final_deviation_from_one"] <= 1e-7
         assert dump.read_text().startswith("x1,value")
 
+    def test_eiffel2_default_resolution(self):
+        # the 3-D grid at the CLI's default resolution, 24 nodes per axis
+        r = run_cli("transfer", "--system", "eiffel(2)", "--format", "json")
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout)
+        assert doc["config"]["resolution"] == 24
+        assert doc["converged"] is True and doc["diverged"] is False
+        assert len(doc["residuals"]) == 36
+        assert doc["residuals"][-1] < 1e-8
+
     def test_resolution_floor(self):
         r = run_cli("transfer", "--system", "scale4", "--resolution", "4")
         assert r.returncode == 2

@@ -160,15 +160,21 @@ def _signed_volume6(hull):
 class TestHullOracle:
     """`convex_hull` in 3-D against brute force over every triple."""
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_random_rational_sets(self, seed):
-        pts = _random_points(seed)
+    @staticmethod
+    def _check(pts):
+        # facets and vertices as the oracle's, every face corner a vertex,
+        # every face outward
         hull = fs.convex_hull(pts)
         assert hull.affine_dim == 3
         facets, vertices = _oracle_hull(pts)
         assert set(hull.facets) == facets
         assert hull.vertices == vertices
+        assert set(itertools.chain.from_iterable(hull.faces)) == set(vertices)
         assert _signed_volume6(hull) == 6 * fs.hull_volume(hull)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_rational_sets(self, seed):
+        self._check(_random_points(seed))
 
     def test_lattice_cube(self):
         pts = [(F(x), F(y), F(z)) for x in range(4) for y in range(4) for z in range(4)]
@@ -178,6 +184,17 @@ class TestHullOracle:
         assert hull.vertices == vertices and len(vertices) == 8
         assert fs.hull_volume(hull) == 27
         assert _signed_volume6(hull) == 6 * 27
+        # two triangles per square: no boundary lattice point becomes a face corner
+        assert len(hull.faces) == 12
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_lattice_subsets(self, seed, m):
+        # 14-22 points of {0..m}^3: many boundary points that are not
+        # vertices, and ties for the point farthest above a face
+        rng = random.Random(seed)
+        n = rng.randint(14, 22)
+        self._check([tuple(F(rng.randint(0, m)) for _ in range(3)) for _ in range(n)])
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_tower_hull_volume(self, r):

@@ -43,6 +43,31 @@ class TestApplyC:
         resid = np.abs(fs.apply_C(scale2, Q).values - Q.values).max()
         assert resid <= 5e-4
 
+    @pytest.mark.parametrize("name,res", [("eiffel(2)", 10), ("scale2", 64),
+                                          ("triadic", 64), ("planar-collapse", 48)])
+    def test_matches_the_sum_over_digits(self, name, res):
+        # C assembled once agrees with sum_l |chi_B(t - l)|^2 Q(R*^{-1}(t - l))
+        sysm = fs.get_system(name)
+        frame = fs.grid_frame(sysm, res)
+        rng = np.random.RandomState(3)
+        Q = frame.with_values(rng.rand(*frame.values.shape))
+        S = np.array(sysm.R.inverse_transpose, dtype=float)
+        t = frame.node_points()
+        direct = sum(fs.chi_B_sq(sysm, t - l) * Q.interp((t - l) @ S.T)
+                     for l in sysm.l_array())
+        out = fs.apply_C(sysm, Q).values.ravel()
+        assert np.abs(out - direct).max() <= 1e-14
+
+    def test_interpolation_is_exact_on_affine_values(self, eiffel2):
+        frame = fs.grid_frame(eiffel2, 10)
+        a, c = np.array([0.3, -1.7, 2.2]), 0.4
+        Q = frame.with_values((frame.node_params() @ a + c).reshape(frame.values.shape))
+        lo = np.array([ax[0] for ax in frame.axes])
+        hi = np.array([ax[-1] for ax in frame.axes])
+        U = lo + (hi - lo) * np.random.RandomState(5).rand(200, 3)
+        U[:3] = [lo, hi, (lo + hi) / 2]                    # box corners and centre
+        assert np.abs(Q.interp_params(U) - (U @ a + c)).max() <= 1e-12
+
     def test_escaping_box_named(self, scale4):
         frame = fs.grid_frame(scale4, 32)
         narrow = fs.GridFunction([np.linspace(-0.05, 0.0, 32)],
@@ -73,6 +98,19 @@ class TestIteration:
         res = fs.iterate_fixed_point(scale2, Q0, max_iters=40, tol=1e-12)
         drift = np.abs(res.final.values - Q0.values).max()
         assert drift <= 2e-2            # pinned by interpolation error, not contraction
+
+    @pytest.mark.parametrize("name,res", [("scale4", 64), ("eiffel(2)", 10)])
+    def test_residuals_match_repeated_apply(self, name, res):
+        sysm = fs.get_system(name)
+        Q = fs.grid_frame(sysm, res).quadratic_bump()
+        out = fs.iterate_fixed_point(sysm, Q)
+        residuals = []
+        for _ in out.residuals:
+            QN = fs.apply_C(sysm, Q)
+            residuals.append(float(np.abs(QN.values - Q.values).max()))
+            Q = QN
+        assert out.residuals == residuals
+        assert np.array_equal(out.final.values, Q.values)
 
     def test_unnormalized_start_rejected(self, scale4):
         frame = fs.grid_frame(scale4, 32)
