@@ -233,8 +233,9 @@ def cmd_report(args, sys_obj: AffineSystem, validation) -> int:
         "depth": depth,
         "collision_count": enum.collision_count,
         "count": len(enum.points),
+        # one point (N = 1) has no gap: None, not an infinity JSON cannot hold
         "min_gap": (spectrum.uniform_discreteness(enum)
-                    if enum.collision_count == 0 and len(enum.points) <= 1000 else None),
+                    if enum.collision_count == 0 and 1 < len(enum.points) <= 1000 else None),
     }
 
     pts = [p for p, _ in enum.points][:16]

@@ -1,8 +1,9 @@
 """Dual attractors, exact convex hulls (dimension <= 3), invariant simplices,
 and the float chart and sampling of a hull.
 
-All hull computations run in exact rational arithmetic, so membership and
-invariance checks are decisions, not tolerance calls.  Degenerate point sets
+All hull computations run in exact arithmetic, on the point set lifted once
+to integers over its common denominator, so membership and invariance checks
+are decisions, not tolerance calls.  Degenerate point sets
 (affine dimension below the ambient one) come back as lower-dimensional hulls
 carried by an explicit affine chart.  The float side (chart coordinates,
 membership within FLOAT_TOL, mesh samples) feeds the grid and sampling code.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,12 +40,19 @@ class AttractorSample:
         return np.array(self.points, dtype=float)
 
 
-def word_images(sys: AffineSystem, side: str, depth: int) -> tuple:
-    """Images of 0 under every depth-n word (the orbit truncation), sorted."""
+def _lifted_images(sys: AffineSystem, side: str, depth: int) -> tuple:
+    """The distinct images of 0 under the depth-n words, lifted to integers
+    and sorted, with their common denominator."""
     n_words = sys.N ** depth
     if n_words > MAX_WORDS:
         raise ValueError(f"{n_words} words at depth {depth} exceeds the exact-arithmetic cap")
-    return tuple(sorted({p for p, _ in sys.word_walk(side, depth)}))
+    walk, scale = sys.lifted_walk(side, depth)
+    return sorted(set(walk)), scale
+
+
+def word_images(sys: AffineSystem, side: str, depth: int) -> tuple:
+    """Images of 0 under every depth-n word (the orbit truncation), sorted."""
+    return tuple(rat.unlift(*_lifted_images(sys, side, depth)))
 
 
 def attractor_points(sys: AffineSystem, side: str, depth: int) -> AttractorSample:
@@ -51,17 +60,19 @@ def attractor_points(sys: AffineSystem, side: str, depth: int) -> AttractorSampl
     word images of 0 on the expansive sides (tau, omega)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    pts = word_images(sys, side, depth)
+    pts, scale = _lifted_images(sys, side, depth)
     if side in ("sigma", "rho"):
-        # the word map x -> M^n x + t fixes (I - M^n)^{-1} t
+        # the word map x -> M^n x + t fixes (I - M^n)^{-1} t, one integer
+        # matrix over the lifted images; it is injective, so no point repeats
         Mn = functools.reduce(rat.mat_mul, [sys.maps[side][0]] * depth)
         ImMn = tuple(tuple(int(i == j) - Mn[i][j] for j in range(sys.dim))
                      for i in range(sys.dim))
         if rat.det(ImMn) == 0:
             raise ValueError("I - M^n is singular; the word maps are not contractions")
-        inv = rat.inverse(ImMn)
-        pts = tuple(sorted(rat.mat_vec(inv, t) for t in pts))
-    return AttractorSample(side, depth, pts)
+        inv, den = rat.lift(rat.inverse(ImMn))
+        pts = sorted(rat.mat_vec(inv, t) for t in pts)
+        scale *= den
+    return AttractorSample(side, depth, tuple(rat.unlift(pts, scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +101,10 @@ class Chart:
 
     def param(self, X: np.ndarray) -> np.ndarray:
         """Parameters of ambient points; raises when a point leaves the
-        carrying subspace by more than FLOAT_TOL."""
+        carrying subspace by more than FLOAT_TOL.  A full-rank chart spans
+        the ambient space, so it has no residual to check."""
+        if self.k == len(self.origin):
+            return (np.atleast_2d(X) - self.origin) @ np.linalg.inv(self.basis)
         U, resid = self._solve(X)
         worst = resid.max() if resid.size else 0.0
         if worst > FLOAT_TOL:
@@ -207,26 +221,30 @@ class Polytope:
         return self.chart.ambient(U[self._in_facets(U)])
 
 
-def _affine_frame(pts):
-    """Origin plus a maximal independent set of difference vectors; the zero
-    origin and the identity basis when the points span the ambient space."""
-    origin = pts[0]
-    basis = []
-    for p in pts[1:]:
+def _affine_frame(ipts):
+    """Origin plus a maximal independent set of difference vectors of the
+    integer points.  Each difference is reduced, fraction-free, against the
+    reduced vectors kept so far, and kept when a remainder is left."""
+    origin = ipts[0]
+    basis, reduced = [], []
+    for p in ipts[1:]:
         if len(basis) == len(origin):
             break
-        d = rat.vec_sub(p, origin)
-        if rat.rank(rat.mat(basis + [d])) > len(basis):
+        d = r = tuple(map(operator.sub, p, origin))
+        for e in reduced:
+            c = next(i for i, x in enumerate(e) if x)
+            if r[c]:
+                r = tuple(e[c] * x - r[c] * y for x, y in zip(r, e))
+        if any(r):
             basis.append(d)
-    if len(basis) == len(origin):
-        return tuple(Fraction(0) for _ in origin), rat.identity(len(origin))
-    return origin, tuple(basis)
+            reduced.append(r)
+    return origin, basis
 
 
-def _hull_1d(us):
+def _hull_1d(us, den):
     umin, umax = min(us), max(us)
-    facets = (_normalize_halfspace((Fraction(1),), umax),
-              _normalize_halfspace((Fraction(-1),), -umin))
+    facets = (_normalize_halfspace((1,), Fraction(umax, den)),
+              _normalize_halfspace((-1,), Fraction(-umin, den)))
     return (umin, umax), facets
 
 
@@ -252,14 +270,14 @@ def _hull_2d(us):
     return tuple(lower[:-1] + upper[:-1])
 
 
-def _facets_2d(ring):
+def _facets_2d(ring, den):
+    """Edge halfspaces of a CCW ring of integer points over denominator den."""
     facets = []
     k = len(ring)
     for i in range(k):
         a, b = ring[i], ring[(i + 1) % k]
-        e = rat.vec_sub(b, a)
-        n = (e[1], -e[0])                      # outward for CCW
-        facets.append(_normalize_halfspace(n, rat.dot(n, a)))
+        n = (b[1] - a[1], a[0] - b[0])                 # outward for CCW
+        facets.append(_normalize_halfspace(n, Fraction(n[0] * a[0] + n[1] * a[1], den)))
     return tuple(facets)
 
 
@@ -289,24 +307,18 @@ def _face(a, b, c, pending):
     return (a, b, c), n, off, [p for p in pending if _dot3(n, p) > off]
 
 
-def _hull_3d(us):
-    """Quickhull from an extremal starting tetrahedron; returns the
-    outward-oriented triangles (chart points).
+def _hull_3d(ips):
+    """Quickhull from an extremal starting tetrahedron over sorted distinct
+    integer points; returns the outward-oriented triangles.
 
-    The points are scaled once by the lcm of their denominators, which keeps
-    every orientation sign, so each visibility test is an integer dot product
-    with a face's plane.  Every face keeps all the points strictly above it
-    (its outside set), and each step inserts the point farthest above a
-    face, ties going to the lexicographically largest.  That point, like
-    each starting point (a maximizer of a convex function with the same tie
-    rule), is a vertex of the hull, so the boundary points that are not
-    vertices never become faces: a facet with m vertices gives m - 2
-    triangles.
+    Each visibility test is an integer dot product with a face's plane.
+    Every face keeps all the points strictly above it (its outside set), and
+    each step inserts the point farthest above a face, ties going to the
+    lexicographically largest.  That point, like each starting point (a
+    maximizer of a convex function with the same tie rule), is a vertex of
+    the hull, so the boundary points that are not vertices never become
+    faces: a facet with m vertices gives m - 2 triangles.
     """
-    pts = sorted(set(us))
-    scale = math.lcm(*(c.denominator for p in pts for c in p))
-    lift = {tuple(c.numerator * (scale // c.denominator) for c in p): p for p in pts}
-    ips = list(lift)                                  # still sorted: scale > 0
     a, b = ips[0], ips[-1]
 
     def line_dist2(p):                                # |ab x ap|^2
@@ -328,7 +340,7 @@ def _hull_3d(us):
         edges = [(t[i], t[(i + 1) % 3]) for t, _, _, _ in visible for i in range(3)]
         seen = set(edges)
         faces = kept + [_face(u, v, p, pending) for (u, v) in edges if (v, u) not in seen]
-    return tuple(tuple(lift[q] for q in t) for t, _, _, _ in faces)
+    return tuple(t for t, _, _, _ in faces)
 
 
 def _normalize_halfspace(n, c):
@@ -345,10 +357,12 @@ def _normalize_halfspace(n, c):
     return tuple(ints[:-1]), ints[-1]
 
 
-def _facets_3d(faces):
+def _facets_3d(faces, den):
+    """Face planes of integer triangles over denominator den, one per facet."""
     facets = {}
     for face in faces:
-        facets[_normalize_halfspace(*_plane(*face))] = None
+        n, off = _plane(*face)
+        facets[_normalize_halfspace(n, Fraction(off, den))] = None
     return tuple(facets.keys())
 
 
@@ -356,45 +370,55 @@ def convex_hull(points) -> Polytope:
     """Exact convex hull of rational points in dimension <= 3.
 
     Degenerate inputs return the hull of their affine span, flagged through
-    `affine_dim` and carried by the chart (origin, basis).
+    `affine_dim` and carried by the chart (origin, basis).  The points are
+    lifted once to integers over their common denominator, and the hull is
+    built on integer chart coordinates: the points themselves when they span
+    the ambient space, else A^{-1} (x - origin) on k independent ambient
+    coordinates, lifted once more.  Every hull vertex is an input point.
     """
-    pts = sorted(set(tuple(point(p)) for p in points))
+    pts = [point(p) for p in points]
     if not pts:
         raise ValueError("convex hull of an empty point set")
-    ambient = len(pts[0])
-    origin, basis = _affine_frame(pts)
+    ipts, scale = rat.lift(pts)
+    ipts = sorted(set(ipts))
+    ambient = len(ipts[0])
+    origin, basis = _affine_frame(ipts)
     k = len(basis)
     if k > 3:
         raise ValueError("exact hulls are implemented for affine dimension <= 3")
 
     if k == 0:
-        return Polytope(ambient, 0, (pts[0],), pts[0], (), ())
+        p = rat.unlift(ipts[:1], scale)[0]
+        return Polytope(ambient, 0, (p,), p, (), ())
 
     if k == ambient:
-        us = pts
+        # the identity chart: the hull is built in ambient coordinates
+        us, den = ipts, scale
+        origin, basis = tuple(Fraction(0) for _ in origin), rat.identity(ambient)
     else:
-        # exact chart coordinates of every input point
-        probe = Polytope(ambient, k, (), origin, basis, ())
-        us = [probe.chart_coords(p) for p in pts]
+        pivots = rat.pivot_columns(rat.mat(basis))
+        inv, den = rat.lift(rat.inverse(rat.mat([[b[i] for b in basis] for i in pivots])))
+        us = [rat.mat_vec(inv, [p[i] - origin[i] for i in pivots]) for p in ipts]
+        origin, = rat.unlift([origin], scale)
+        basis = tuple(rat.unlift(basis, scale))
+    point_of = dict(zip(us, ipts))
 
     ring = faces = ()
     if k == 1:
-        (umin, umax), facets = _hull_1d([u[0] for u in us])
+        (umin, umax), facets = _hull_1d([u[0] for u in us], den)
         chart_vs = [(umin,), (umax,)]
     elif k == 2:
-        ring = _hull_2d(us)                    # the monotone chain keeps only vertices
-        facets = _facets_2d(ring)
-        chart_vs = ring
+        chart_vs = _hull_2d(us)                # the monotone chain keeps only vertices
+        facets = _facets_2d(chart_vs, den)
+        ring = tuple(rat.unlift(chart_vs, den))
     else:
-        faces = _hull_3d(us)                   # every face corner is a vertex
-        facets = _facets_3d(faces)
+        faces = _hull_3d(sorted(us))           # every face corner is a vertex
+        facets = _facets_3d(faces, den)
         chart_vs = set(itertools.chain.from_iterable(faces))
+        frac = dict(zip(chart_vs, rat.unlift(chart_vs, den)))
+        faces = tuple(tuple(frac[q] for q in t) for t in faces)
 
-    def to_ambient(u):
-        return tuple(origin[i] + sum(basis[j][i] * u[j] for j in range(k))
-                     for i in range(ambient))
-
-    vertices = tuple(sorted(to_ambient(u) for u in chart_vs))
+    vertices = tuple(rat.unlift(sorted(point_of[u] for u in chart_vs), scale))
     return Polytope(ambient, k, vertices, origin, basis, facets, ring=ring, faces=faces)
 
 

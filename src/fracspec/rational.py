@@ -2,11 +2,14 @@
 
 Everything in here operates on tuples of Fractions (vectors) and tuples of
 row tuples (matrices).  Sizes are tiny (dimension <= 3 in practice), so the
-implementations favour exactness and clarity over speed.
+implementations favour exactness and clarity over speed.  A large point set
+is lifted once to integer vectors over a common denominator (`lift`) and
+turned back into Fractions once at the end (`unlift`).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Vec = tuple
@@ -81,6 +84,20 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
 def vec_scale(c, v: Vec) -> Vec:
     c = as_fraction(c)
     return tuple(c * a for a in v)
+
+
+def lift(vectors) -> tuple:
+    """Integer vectors over one common denominator: (ivecs, scale) with
+    vectors[i] = ivecs[i] / scale, scale the lcm of every denominator.  Lift
+    a point set once and work on the integers: scale > 0, so sums, equality,
+    lexicographic order and orientation signs carry over unchanged."""
+    scale = math.lcm(*(c.denominator for v in vectors for c in v))
+    return [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vectors], scale
+
+
+def unlift(ivecs, scale: int) -> list:
+    """The rational vectors ivecs[i] / scale, built once per coordinate."""
+    return [tuple(Fraction(c, scale) for c in v) for v in ivecs]
 
 
 def _eliminate(rows):

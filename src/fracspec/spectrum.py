@@ -92,8 +92,9 @@ def spectrum_layers(sys: AffineSystem, depth: int):
     for d in range(1, depth + 1):
         if len(all_pts) * sys.N > MAX_FLOAT_POINTS:
             raise ValueError("spectrum layer exceeds the point cap")
+        # with no nonzero digit (N = 1) every layer past 0 is empty
         blocks = [all_pts + (power @ l) for l in nonzero]
-        new = np.concatenate(blocks, axis=0)
+        new = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, sys.dim))
         yield d, new
         all_pts = np.concatenate([all_pts, new], axis=0)
         power = Rt @ power

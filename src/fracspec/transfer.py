@@ -121,6 +121,10 @@ def grid_frame(sys: AffineSystem, resolution: int) -> GridFunction:
     the node lattice and the box grown until every rho_l image of it stays
     inside."""
     hull = geometry.dual_hull(sys, 4)
+    if hull.affine_dim == 0:
+        where = ", ".join(rat.format_fraction(c) for c in hull.vertices[0])
+        raise ValueError(f"the hull Y is the single point ({where}); the transfer "
+                         f"operator needs a hull of dimension >= 1 to grid")
     chart = hull.chart
     vertices_u = chart.param(hull.vertex_array())
     u0 = chart.param(np.zeros((1, sys.dim)))[0]

@@ -211,6 +211,36 @@ class TestGate:
         assert out and err == ""
 
 
+class TestSingleDigitSystem:
+    """N = 1 (B = L = {0}) passes validation; mu is the point mass delta_0,
+    whose one exponential e_0 is an orthonormal basis, so Q1 = 1."""
+
+    @pytest.fixture
+    def single(self, tmp_path):
+        p = tmp_path / "single.json"
+        p.write_text(json.dumps({"dim": 1, "R": [[2]], "B": [[0]], "L": [[0]]}))
+        return str(p)
+
+    def test_q1_is_one(self, capsys, single):
+        assert cli.main(["q1", "--file", single, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "BASIS-CONSISTENT"
+        assert doc["values"] == [1.0]
+
+    def test_report(self, capsys, single):
+        assert cli.main(["report", "--file", single, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert doc["claims_pass"] is True
+        assert doc["completeness"]["min_value"] == doc["completeness"]["max_value"] == 1.0
+        assert doc["spectrum"]["min_gap"] is None
+        assert doc["geometry"]["hull_affine_dim"] == 0
+
+    def test_transfer_names_the_point_hull(self, capsys, single):
+        assert cli.main(["transfer", "--file", single]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the hull Y is the single point (0)")
+
+
 class TestUsage:
     def test_no_system(self):
         r = run_cli("spectrum")

@@ -196,6 +196,69 @@ class TestHullOracle:
         n = rng.randint(14, 22)
         self._check([tuple(F(rng.randint(0, m)) for _ in range(3)) for _ in range(n)])
 
+    @staticmethod
+    def _extreme_params(params):
+        """Brute force over the 1-D or 2-D parameters: a point is extreme
+        unless it lies on a segment between two others or in a triangle of
+        three others (Caratheodory in the plane)."""
+        params = sorted(set(params))
+
+        def cross(o, a, b):
+            return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+        def on_segment(p, a, b):
+            return (len(p) == 1 or cross(a, b, p) == 0) and \
+                _dot(rat.vec_sub(p, a), rat.vec_sub(p, b)) <= 0
+
+        def in_triangle(p, a, b, c):
+            signs = {cross(a, b, p) >= 0, cross(b, c, p) >= 0, cross(c, a, p) >= 0}
+            return cross(a, b, c) != 0 and len(signs) == 1
+
+        extreme = []
+        for p in params:
+            rest = [q for q in params if q != p]
+            if any(on_segment(p, a, b) for a, b in itertools.combinations(rest, 2)):
+                continue
+            if len(p) == 2 and any(in_triangle(p, *t) for t in itertools.combinations(rest, 3)):
+                continue
+            extreme.append(p)
+        return extreme
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("ambient, k", [(3, 1), (3, 2), (2, 1)])
+    def test_degenerate_sets(self, seed, ambient, k):
+        # points o + sum_j s_j e_j on a rational line or plane: the hull
+        # keeps the images of the extreme parameters and contains every input
+        rng = random.Random(1000 * ambient + 100 * k + seed)
+
+        def coord(lo=-12, hi=12):
+            return F(rng.randint(lo, hi), rng.choice((1, 2, 3, 5, 6)))
+
+        while True:
+            frame = [tuple(coord() for _ in range(ambient)) for _ in range(k + 1)]
+            if rat.rank(rat.mat(frame[1:])) == k:
+                break
+        o, dirs = frame[0], frame[1:]
+
+        def image(s):
+            return tuple(o[i] + sum(s[j] * dirs[j][i] for j in range(k)) for i in range(ambient))
+
+        params = [tuple(coord(-4, 4) for _ in range(k)) for _ in range(rng.randint(3, 14))]
+        params += [tuple(F(int(i == j)) for j in range(k)) for i in range(k + 1)]
+        params += rng.sample(params, 2)                       # duplicates
+        pts = [image(s) for s in params]
+        hull = fs.convex_hull(pts)
+        assert hull.affine_dim == k
+        assert hull.vertices == tuple(sorted(image(s) for s in self._extreme_params(params)))
+        assert all(hull.contains(p) for p in pts)
+        # off the carrying subspace, and past a vertex away from the centroid
+        normal = next(n for n in itertools.product((0, 1, 2), repeat=ambient)
+                      if rat.rank(rat.mat(dirs + [n])) == k + 1)
+        centroid = [sum(c) / len(pts) for c in zip(*pts)]
+        for v in hull.vertices:
+            assert not hull.contains(rat.vec_add(v, rat.vec_scale(F(1, 7), normal)))
+            assert not hull.contains(tuple(2 * a - b for a, b in zip(v, centroid)))
+
     @pytest.mark.parametrize("r", [2, 3])
     def test_tower_hull_volume(self, r):
         # a triangulation of the 256-point depth-4 hull against the closed form
@@ -211,6 +274,22 @@ class TestHullOracle:
 
 
 class TestFloatChart:
+    def test_identity_chart_param_is_the_points(self):
+        X = np.random.default_rng(3).normal(size=(7, 3))
+        assert np.array_equal(fs.Chart(np.zeros(3), np.eye(3)).param(X), X)
+
+    def test_full_rank_chart_param_is_the_exact_inverse(self):
+        # u = B^{-T} (x - o): the parameters of rational points, exactly
+        o = (F(1, 2), F(-1), F(0))
+        B = rat.mat([[2, 1, 0], [F(1, 3), 1, 0], [0, F(-1, 2), 4]])
+        X = [(F(i, 3), F(-j, 5), F(i * j, 7)) for i in range(3) for j in range(3)]
+        BinvT = rat.transpose(rat.inverse(B))
+        want = [rat.mat_vec(BinvT, rat.vec_sub(x, o)) for x in X]
+        chart = fs.Chart(np.array(o, dtype=float), np.array(B, dtype=float))
+        got = chart.param(np.array(X, dtype=float))
+        assert np.allclose(got, np.array(want, dtype=float), rtol=1e-13, atol=1e-13)
+        assert np.allclose(chart.ambient(got), np.array(X, dtype=float), rtol=0, atol=1e-13)
+
     def test_planar_hull_in_space(self, planar3d):
         hull = fs.dual_hull(planar3d, 4)
         assert hull.affine_dim == 2

@@ -1,0 +1,185 @@
+"""The integer layer of the exact code against the Fraction loops it stands
+for: the word walk, the attractor fixed points and the compatibility check.
+Each reference below is the plain Fraction computation, written out."""
+
+import functools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import fracspec as fs
+from fracspec import rational as rat
+from fracspec.system import DEFAULT_N_CHECK, SIDES
+
+
+F = Fraction
+
+
+def fraction_word_walk(sysm, side, depth):
+    """(point, word) level by level in Fractions: level k adds M^k t_d."""
+    M, table = sysm.maps[side]
+    step = list(table.items())
+    walk = [(sysm.zero(), ())]
+    for _ in range(depth):
+        walk = [(rat.vec_add(p, t), w + (d,)) for p, w in walk for d, t in step]
+        step = [(d, rat.mat_vec(M, t)) for d, t in step]
+    return walk
+
+
+def fraction_attractor_points(sysm, side, depth):
+    """Sorted distinct word images, mapped by (I - M^n)^{-1} on the
+    contractive sides; None when I - M^n is singular."""
+    pts = tuple(sorted({p for p, _ in fraction_word_walk(sysm, side, depth)}))
+    if side in ("sigma", "rho"):
+        Mn = functools.reduce(rat.mat_mul, [sysm.maps[side][0]] * depth)
+        ImMn = rat.mat([[int(i == j) - Mn[i][j] for j in range(sysm.dim)]
+                        for i in range(sysm.dim)])
+        if rat.det(ImMn) == 0:
+            return None
+        inv = rat.inverse(ImMn)
+        pts = tuple(sorted(rat.mat_vec(inv, t) for t in pts))
+    return pts
+
+
+def fraction_compatibility(sysm):
+    """(passed, first five witnesses or None) of R^n b . l in Z over every
+    power n <= DEFAULT_N_CHECK."""
+    failures = []
+    Rn = rat.identity(sysm.dim)
+    for n in range(1, DEFAULT_N_CHECK + 1):
+        Rn = rat.mat_mul(Rn, sysm.R.entries)
+        for b in sysm.B:
+            Rnb = rat.mat_vec(Rn, b)
+            for l in sysm.L:
+                v = rat.dot(Rnb, l)
+                if v.denominator != 1:
+                    failures.append((n, tuple(map(rat.format_fraction, b)),
+                                     tuple(map(rat.format_fraction, l)),
+                                     rat.format_fraction(v)))
+    return not failures, failures[:5] or None
+
+
+def random_system(seed, dim):
+    """A rational system with a nonsingular R near 3 I and 2-4 distinct
+    digits on each side, zero among them."""
+    rng = random.Random(seed)
+
+    def q():
+        return F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 5)))
+
+    while True:
+        R = [[q() + 3 * (i == j) for j in range(dim)] for i in range(dim)]
+        if rat.det(rat.mat(R)) != 0:
+            break
+    n = rng.randint(2, 4)
+    zero = (F(0),) * dim
+    digits = []
+    for _ in range(2):
+        pts = {zero}
+        while len(pts) < n:
+            pts.add(tuple(q() for _ in range(dim)))
+        digits.append(sorted(pts))
+    return fs.make_system(R, *digits, name=f"random{dim}d-{seed}")
+
+
+SYSTEMS = (
+    [(name, functools.partial(fs.get_system, name))
+     for name in ("scale4", "scale2", "triadic", "planar-collapse")]
+    + [(f"eiffel{r}", functools.partial(fs.eiffel_system, r)) for r in (2, 3, 4)]
+    + [("scale5half", lambda: fs.make_system(F(5, 2), (F(0), F(1, 2)), (F(0), F(1)))),
+       ("planar3d", lambda: fs.make_system(
+           [[4, 0, 0], [0, 4, 0], [0, 0, 4]],
+           [(0, 0, 0), (F(1, 2), 0, 0), (0, F(1, 2), 0), (F(1, 2), F(1, 2), 0)],
+           [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]))]
+    + [(f"random{dim}d-{seed}", functools.partial(random_system, seed, dim))
+       for dim in (2, 3) for seed in range(4)])
+
+
+def _all_fractions(points):
+    return all(type(c) is Fraction for p in points for c in p)
+
+
+@pytest.fixture(scope="module", params=SYSTEMS, ids=[name for name, _ in SYSTEMS])
+def system(request):
+    return request.param[1]()
+
+
+@pytest.mark.parametrize("side", SIDES)
+class TestAgainstFractionLoops:
+    def test_word_walk(self, system, side):
+        for depth in range(1, 5):
+            walk = system.word_walk(side, depth)
+            assert walk == fraction_word_walk(system, side, depth)
+            assert _all_fractions(p for p, _ in walk)
+
+    def test_attractor_points(self, system, side):
+        for depth in range(1, 5):
+            want = fraction_attractor_points(system, side, depth)
+            if want is None:
+                with pytest.raises(ValueError, match="singular"):
+                    fs.attractor_points(system, side, depth)
+                continue
+            got = fs.attractor_points(system, side, depth).points
+            assert got == want
+            assert _all_fractions(got)
+
+
+class TestCompatibility:
+    """Integer R decides R^n b . l in Z at n <= dim (Cayley-Hamilton);
+    rational R keeps the 12-power sample.  Verdict and witnesses must match
+    the 12-power loop either way."""
+
+    @staticmethod
+    def _check(sysm):
+        check = fs.validate_system(sysm).checks["compatibility"]
+        assert (check.passed, check.witness) == fraction_compatibility(sysm)
+        return check
+
+    def test_triadic_recorded_witnesses(self, triadic):
+        check = self._check(triadic)
+        assert check.witness == [(n, ("2/3",), ("3/4",), f"{3 ** n}/2") for n in range(1, 6)]
+
+    def test_scale5half(self, scale5half):
+        check = self._check(scale5half)
+        assert check.witness == [(n, ("1/2",), ("1",), rat.format_fraction(F(5, 2) ** n / 2))
+                                 for n in range(1, 6)]
+
+    def test_rational_scale_fails_late(self):
+        # (3/2)^n * 8 is an integer up to n = 3 and not from n = 4 on, which
+        # only the 12-power sample sees
+        sysm = fs.make_system(F(3, 2), (F(0), F(8)), (F(0), F(1)))
+        check = self._check(sysm)
+        assert [w[0] for w in check.witness] == [4, 5, 6, 7, 8]
+
+    def test_integer_scale_fails_first_at_dim(self):
+        # R = [[0, 3], [1, 0]]: R b . l = 0 and R^2 = 3 I gives 3/2
+        sysm = fs.make_system([[0, 3], [1, 0]], [(0, 0), (F(1, 2), 0)], [(0, 0), (1, 0)])
+        check = self._check(sysm)
+        assert [w[0] for w in check.witness] == [2, 4, 6, 8, 10]
+
+    @staticmethod
+    def _digits(data, dim):
+        # 1-4 distinct points of (Z / q)^dim, q drawn per set, so that both
+        # verdicts come up often
+        q = data.draw(st.sampled_from((1, 2, 3, 4)))
+        coord = st.integers(-4, 4).map(lambda k: F(k, q))
+        return data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4,
+                                  unique=True))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_integer_scale_agrees_with_loop(self, data):
+        dim = data.draw(st.sampled_from((1, 2)))
+        entry = st.integers(-6, 6)
+        R = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                               min_size=dim, max_size=dim)
+                      .filter(lambda m: rat.det(rat.mat(m)) != 0))
+        self._check(fs.make_system(R, self._digits(data, dim), self._digits(data, dim)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_rational_scale_agrees_with_loop(self, data):
+        r = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool))
+        self._check(fs.make_system(r, self._digits(data, 1), self._digits(data, 1)))
