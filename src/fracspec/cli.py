@@ -110,6 +110,8 @@ def cmd_spectrum(args, sys_obj: AffineSystem, validation) -> int:
 def cmd_gram(args, sys_obj: AffineSystem, validation) -> int:
     if args.count < 2:
         raise UsageError("gram needs at least two points")
+    if sys_obj.N == 1:
+        raise UsageError("a one-digit system has a single spectrum point and no Gram pair")
     depth = 0
     while sys_obj.N ** depth < args.count:
         depth += 1

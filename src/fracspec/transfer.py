@@ -85,6 +85,25 @@ class GridFunction:
             out += w * flat[offset:].take(base)
         return out
 
+    def axis_stencils(self, base: np.ndarray, frac: np.ndarray) -> list | None:
+        """A `stencil` over the nodes as one 1-D stencil per axis, when every
+        axis's cell index and fraction, laid out on the grid, are constant
+        along the other axes; None when the stencil does not factor.  Axis d
+        gets its lower and upper node indices along the axis, (n_d,), and the
+        weights 1 - f and f of those nodes shaped to broadcast along axis d."""
+        shape = self.values.shape
+        cells = np.unravel_index(base, shape)
+        axes = []
+        for d in range(self.k):
+            line = tuple(slice(None) if e == d else slice(0, 1) for e in range(self.k))
+            cell, f = cells[d].reshape(shape), frac[d].reshape(shape)
+            if not (np.array_equal(cell, np.broadcast_to(cell[line], shape)) and
+                    np.array_equal(f, np.broadcast_to(f[line], shape))):
+                return None
+            cell, f = cell[line].ravel(), f[line]
+            axes.append((cell, cell + 1, 1.0 - f, f))
+        return axes
+
     def interp_params(self, U: np.ndarray) -> np.ndarray:
         return self.corner_sum(self.values, *self.stencil(U))
 
@@ -167,25 +186,49 @@ def grid_frame(sys: AffineSystem, resolution: int) -> GridFunction:
 class TransferOperator:
     """C assembled on one grid: (Cv)(t) = sum_l |chi_B(t - l)|^2 v(R*^{-1}(t - l))
     at the grid nodes t.  Per digit l it keeps the weights at the nodes and
-    the interpolation stencil of R*^{-1}(t - l), so each application is a
-    gather and a multiply-add over node value arrays."""
+    the interpolation stencil of R*^{-1}(t - l) in one of two forms:
+
+    - `factored`: when the stencil factors over the grid axes (R* acts
+      diagonally in the chart, as on every catalog system), one 1-D stencil
+      per axis, so each application is k two-node interpolations, one along
+      each axis;
+    - `gathered`: otherwise (a sheared R, say), the stencil's base indices
+      and fractions, so each application is a gather over the cell corners.
+
+    Either way it ends in a multiply-add over node value arrays."""
 
     def __init__(self, sys: AffineSystem, frame: GridFunction):
         self.frame = frame
+        self.factored, self.gathered = [], []
         S = np.array(sys.R.inverse_transpose, dtype=float)
         nodes = frame.node_points()
-        self.digits = [self._digit(sys, nodes - l, S) for l in sys.l_array()]
+        for l in sys.l_array():
+            self._digit(sys, nodes - l, S)
 
-    def _digit(self, sys: AffineSystem, shifted: np.ndarray, S: np.ndarray) -> tuple:
+    def _digit(self, sys: AffineSystem, shifted: np.ndarray, S: np.ndarray) -> None:
         """Weights and stencil of one digit; its temporaries die on return."""
         w = chi_B_sq(sys, shifted)
-        return (w,) + self.frame.stencil(self.frame.chart.param(shifted @ S.T))
+        base, frac = self.frame.stencil(self.frame.chart.param(shifted @ S.T))
+        axes = self.frame.axis_stencils(base, frac)
+        if axes is None:
+            self.gathered.append((w, base, frac))
+        else:
+            self.factored.append((w.reshape(self.frame.values.shape), axes))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        total = np.zeros(self.frame.values.size)
-        for w, base, frac in self.digits:
-            total += w * self.frame.corner_sum(values, base, frac)
-        return total.reshape(self.frame.values.shape)
+        total = np.zeros(self.frame.values.shape)
+        for w, axes in self.factored:
+            y = values
+            for d, (lower, upper, rest, f) in enumerate(axes):
+                y, hi = y.take(lower, axis=d), y.take(upper, axis=d)
+                y *= rest                # in place: both gathers are new arrays
+                hi *= f
+                y += hi
+            total += w * y
+        flat = total.reshape(-1)
+        for w, base, frac in self.gathered:
+            flat += w * self.frame.corner_sum(values, base, frac)
+        return total
 
 
 def apply_C(sys: AffineSystem, Q: GridFunction) -> GridFunction:
@@ -336,20 +379,20 @@ def beta_constant(sys: AffineSystem, Y: Polytope) -> BetaResult:
 
     The sin argument is linear over the polytope, so its range is pinned by
     the vertices exactly and the sup has a closed form on that interval; a
-    sampled maximization cross-checks the value.
+    sampled maximization cross-checks the value.  Both visit each unordered
+    pair {b, b'} once: (b', b) negates the argument, and |sin| and the peaks
+    of |sin 2 pi q| are symmetric under q -> -q, so it gives the same value
+    bit for bit.
     """
     diam_sq = max((rat.dot(rat.vec_sub(p, q), rat.vec_sub(p, q))
                    for p in sys.B for q in sys.B), default=Fraction(0))
     diam_B = math.sqrt(float(diam_sq))
     sin_sup = 0.0
-    for bi in range(sys.N):
-        for bj in range(sys.N):
-            if bi == bj:
-                continue
-            d = rat.vec_sub(sys.B[bi], sys.B[bj])
-            for l in sys.L:
-                qs = [rat.dot(d, rat.vec_sub(v, l)) for v in Y.vertices]
-                sin_sup = max(sin_sup, _sin_sup_on_interval(min(qs), max(qs)))
+    for bi, bj in itertools.combinations(range(sys.N), 2):
+        d = rat.vec_sub(sys.B[bi], sys.B[bj])
+        for l in sys.L:
+            qs = [rat.dot(d, rat.vec_sub(v, l)) for v in Y.vertices]
+            sin_sup = max(sin_sup, _sin_sup_on_interval(min(qs), max(qs)))
     beta = 2 * math.pi * diam_B * sin_sup
 
     sampled = _beta_sampled(sys, Y)
@@ -363,14 +406,11 @@ def _beta_sampled(sys: AffineSystem, Y: Polytope):
     best = 0.0
     bs = sys.b_array()
     ls = sys.l_array()
-    for i in range(sys.N):
-        for j in range(sys.N):
-            if i == j:
-                continue
-            d = bs[i] - bs[j]
-            for l in ls:
-                vals = np.abs(np.sin(2 * np.pi * ((pts - l) @ d)))
-                best = max(best, float(vals.max()))
+    for i, j in itertools.combinations(range(sys.N), 2):
+        d = bs[i] - bs[j]
+        for l in ls:
+            vals = np.abs(np.sin(2 * np.pi * ((pts - l) @ d)))
+            best = max(best, float(vals.max()))
     # one bisection refinement around the incumbent is subsumed by the exact
     # interval evaluation; the sample is a cross-check only
     return best

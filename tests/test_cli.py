@@ -240,6 +240,12 @@ class TestSingleDigitSystem:
         err = capsys.readouterr().err
         assert err.startswith("error: the hull Y is the single point (0)")
 
+    def test_gram_names_the_single_point(self, capsys, single):
+        assert cli.main(["gram", "--file", single]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a one-digit system has a single spectrum point "
+                              "and no Gram pair")
+
 
 class TestUsage:
     def test_no_system(self):

@@ -5,9 +5,34 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import polygamma
 
 import fracspec as fs
+from fracspec import rational as rat
+
+# Passes every axiom; R* = [[4, 0], [2, 4]] mixes the grid axes, so the
+# stencil of its transfer operator does not factor over them.
+SHEARED = fs.make_system([[4, 2], [0, 4]],
+                         [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2)),
+                          (Fraction(1, 2), Fraction(1, 2))],
+                         [(0, 0), (1, 0), (0, 1), (1, 1)], name="sheared")
+
+
+def _system(name):
+    return SHEARED if name == "sheared" else fs.get_system(name)
+
+
+def _cases(*cases):
+    # ids name the system and resolution only; the form taken is checked inside
+    return [pytest.param(*c, id=f"{c[0]}-{c[1]}") for c in cases]
+
+
+def _assert_form(sysm, frame, factored):
+    C = fs.transfer.TransferOperator(sysm, frame)
+    assert len(C.factored if factored else C.gathered) == sysm.N
+    assert not (C.gathered if factored else C.factored)
 
 
 class TestApplyC:
@@ -43,12 +68,14 @@ class TestApplyC:
         resid = np.abs(fs.apply_C(scale2, Q).values - Q.values).max()
         assert resid <= 5e-4
 
-    @pytest.mark.parametrize("name,res", [("eiffel(2)", 10), ("scale2", 64),
-                                          ("triadic", 64), ("planar-collapse", 48)])
-    def test_matches_the_sum_over_digits(self, name, res):
+    @pytest.mark.parametrize("name,res,factored", _cases(
+        ("eiffel(2)", 10, True), ("eiffel(2)", 24, True), ("scale2", 64, True),
+        ("triadic", 64, True), ("planar-collapse", 48, True), ("sheared", 48, False)))
+    def test_matches_the_sum_over_digits(self, name, res, factored):
         # C assembled once agrees with sum_l |chi_B(t - l)|^2 Q(R*^{-1}(t - l))
-        sysm = fs.get_system(name)
+        sysm = _system(name)
         frame = fs.grid_frame(sysm, res)
+        _assert_form(sysm, frame, factored)
         rng = np.random.RandomState(3)
         Q = frame.with_values(rng.rand(*frame.values.shape))
         S = np.array(sysm.R.inverse_transpose, dtype=float)
@@ -67,6 +94,36 @@ class TestApplyC:
         U = lo + (hi - lo) * np.random.RandomState(5).rand(200, 3)
         U[:3] = [lo, hi, (lo + hi) / 2]                    # box corners and centre
         assert np.abs(Q.interp_params(U) - (U @ a + c)).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_two_digit_hadamard_properties(self, data):
+        # (R, {0, 1/2}, {0, p}) with p odd: C1 = 1, and C keeps a non-negative
+        # grid non-negative
+        R = data.draw(st.integers(2, 9).flatmap(lambda a: st.sampled_from((a, -a))))
+        p = data.draw(st.integers(0, 22)) * 2 + 1
+        sysm = fs.make_system(R, (0, Fraction(1, 2)), (0, p))
+        frame = fs.grid_frame(sysm, 64)
+        assert np.abs(fs.apply_C(sysm, frame).values - 1).max() <= 1e-12
+        Q = frame.with_values(data.draw(arrays(float, frame.values.shape,
+                                               elements=st.floats(0, 1e6))))
+        assert (fs.apply_C(sysm, Q).values >= 0).all()
+
+    def test_factored_form_is_linear_in_the_axis_lengths(self, scale4):
+        # a fine 1-D grid: each axis keeps (n,) stencils, not an (n, n) matrix,
+        # and one step equals the gather over the same stencil bit for bit
+        frame = fs.grid_frame(scale4, 20000)
+        C = fs.transfer.TransferOperator(scale4, frame)
+        assert len(C.factored) == scale4.N and not C.gathered
+        assert all(a.size == 20000 for _, axes in C.factored for a in axes[0])
+        v = np.random.RandomState(5).rand(20000)
+        S = np.array(scale4.R.inverse_transpose, dtype=float)
+        t = frame.node_points()
+        gathered = np.zeros(20000)
+        for l in scale4.l_array():
+            gathered += fs.chi_B_sq(scale4, t - l) * frame.corner_sum(
+                v, *frame.stencil(frame.chart.param((t - l) @ S.T)))
+        assert np.array_equal(C(v), gathered)
 
     def test_escaping_box_named(self, scale4):
         frame = fs.grid_frame(scale4, 32)
@@ -99,10 +156,13 @@ class TestIteration:
         drift = np.abs(res.final.values - Q0.values).max()
         assert drift <= 2e-2            # pinned by interpolation error, not contraction
 
-    @pytest.mark.parametrize("name,res", [("scale4", 64), ("eiffel(2)", 10)])
-    def test_residuals_match_repeated_apply(self, name, res):
-        sysm = fs.get_system(name)
+    @pytest.mark.parametrize("name,res,factored", _cases(
+        ("scale4", 64, True), ("eiffel(2)", 10, True), ("eiffel(2)", 24, True),
+        ("sheared", 48, False)))
+    def test_residuals_match_repeated_apply(self, name, res, factored):
+        sysm = _system(name)
         Q = fs.grid_frame(sysm, res).quadratic_bump()
+        _assert_form(sysm, Q, factored)
         out = fs.iterate_fixed_point(sysm, Q)
         residuals = []
         for _ in out.residuals:
@@ -201,6 +261,28 @@ class TestGammaSupnorm:
         for sysm in (scale4, eiffel2):
             rep = fs.gamma_supnorm(sysm)
             assert rep.beta_detail.sample_agrees
+
+    @pytest.mark.parametrize("name", ["scale4", "scale2", "triadic", "planar-collapse",
+                                      "eiffel(2)", "eiffel(3)", "eiffel(4)"])
+    def test_unordered_pairs_match_ordered(self, name):
+        # the ordered-pair loops, kept as the reference for the halved ones
+        sysm = fs.get_system(name)
+        Y = fs.dual_hull(sysm, 4)
+        pairs = [(i, j) for i in range(sysm.N) for j in range(sysm.N) if i != j]
+        exact = 0.0
+        for i, j in pairs:
+            d = rat.vec_sub(sysm.B[i], sysm.B[j])
+            for l in sysm.L:
+                qs = [rat.dot(d, rat.vec_sub(v, l)) for v in Y.vertices]
+                exact = max(exact, fs.transfer._sin_sup_on_interval(min(qs), max(qs)))
+        pts = np.concatenate([Y.vertex_array(), Y.sample(fs.transfer.BETA_SAMPLES)])
+        bs, sampled = sysm.b_array(), 0.0
+        for i, j in pairs:
+            for l in sysm.l_array():
+                vals = np.abs(np.sin(2 * np.pi * ((pts - l) @ (bs[i] - bs[j]))))
+                sampled = max(sampled, float(vals.max()))
+        assert fs.transfer.beta_constant(sysm, Y).sin_sup == exact
+        assert fs.transfer._beta_sampled(sysm, Y) == sampled
 
     def test_rescaling_kills_gamma(self):
         vals = [fs.gamma_supnorm(fs.get_system("scale4", r=r)).gamma_sup
