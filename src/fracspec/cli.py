@@ -115,11 +115,9 @@ def cmd_gram(args, sys_obj: AffineSystem, validation) -> int:
     depth = 0
     while sys_obj.N ** depth < args.count:
         depth += 1
-        if depth > 16:
-            raise UsageError("gram count too large")
     enum = spectrum.enumerate_P(sys_obj, depth)
     pts = [p for p, _ in enum.points][:args.count]
-    rep = spectrum.gram_matrix(sys_obj, pts, fourier_depth=args.depth)
+    rep = spectrum.gram_matrix(sys_obj, pts)
     header = {"command": "gram", "system": sys_obj.name, "count": args.count,
               "max_offdiag": fmt(rep.max_offdiag), "tail_bound": fmt(rep.tail_bound)}
     cols = ["i", "j", "re", "im", "abs"]
@@ -213,8 +211,6 @@ def cmd_gamma(args, sys_obj: AffineSystem, validation) -> int:
 
 
 def cmd_attractor(args, sys_obj: AffineSystem, validation) -> int:
-    if args.depth < 1 or sys_obj.N ** args.depth > geometry.MAX_WORDS:
-        raise UsageError("attractor depth out of range")
     sample = geometry.attractor_points(sys_obj, args.side, args.depth)
     cols = [f"x{i + 1}" for i in range(sys_obj.dim)]
     rows = [[fmt(c) for c in p] for p in sample.points]
@@ -291,8 +287,7 @@ POSITIVE_OPTIONS = ("p_depth", "resolution", "max_iters")
 def _check_options(args) -> None:
     """Reject numeric options out of range before any work: counts and
     depths below 1, and a convergence tolerance that is not positive."""
-    names = POSITIVE_OPTIONS + (("depth",) if args.command == "gram" else ())
-    for name in names:
+    for name in POSITIVE_OPTIONS:
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
@@ -326,9 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_spectrum)
 
     sp = sub.add_parser("gram", help="Gram matrix of the first spectrum points")
-    common(sp, depth_default=None)
-    sp.add_argument("--depth", type=int, default=None,
-                    help="fixed transform truncation depth (default adaptive)")
+    common(sp)
     sp.add_argument("--count", type=int, default=16)
     sp.set_defaults(handler=cmd_gram)
 

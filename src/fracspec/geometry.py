@@ -24,6 +24,7 @@ from . import rational as rat
 from .system import AffineSystem, point
 
 MAX_WORDS = 200_000
+MAX_MESH_POINTS = 2 ** 20   # float nodes of one mesh or grid, entries of one Gram matrix
 FLOAT_TOL = 1e-9
 
 
@@ -214,6 +215,9 @@ class Polytope:
         vertices that lie inside every facet; the point itself for a 0-dim hull."""
         if self.affine_dim == 0:
             return self.chart.origin[None]
+        if n ** self.affine_dim > MAX_MESH_POINTS:
+            raise ValueError(f"a mesh of {n}^{self.affine_dim} points exceeds the cap "
+                             f"of {MAX_MESH_POINTS}")
         us = self.chart.param(self.vertex_array())
         axes = [np.linspace(us[:, d].min(), us[:, d].max(), n) for d in range(self.affine_dim)]
         mesh = np.meshgrid(*axes, indexing="ij")

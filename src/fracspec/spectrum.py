@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rational as rat
+from . import geometry, rational as rat
 from .measure import SelfSimilarMeasure, ZeroSetPredicate
 from .system import AffineSystem, map_tau, point
 
@@ -180,6 +180,9 @@ def gram_matrix(measure, points, fourier_depth: int | None = None) -> GramReport
     lambda_j - lambda_i."""
     measure = _as_measure(measure)
     pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
+    if len(pts) ** 2 > geometry.MAX_MESH_POINTS:
+        raise ValueError(f"a Gram matrix of {len(pts)} points exceeds the cap of "
+                         f"{geometry.MAX_MESH_POINTS} entries")
     arr = np.stack(pts)
     if len({tuple(p) for p in arr.round(12).tolist()}) != len(pts):
         raise ValueError("Gram points must be pairwise distinct")
@@ -243,7 +246,10 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int, measure,
     """
     measure = _as_measure(measure) if measure is not None else SelfSimilarMeasure(system)
     m = T.shape[0]
-    chunk = max(1024, Q1_SCRATCH // max(m, 1))
+    cap = Q1_SCRATCH // 1024          # so that every chunk holds 1024 spectrum points or more
+    if m > cap:
+        raise ValueError(f"a Q1 pass over {m} rows exceeds its cap of {cap} rows")
+    chunk = Q1_SCRATCH // max(m, 1)
     sums = []
     incs = []
     tail = 0.0

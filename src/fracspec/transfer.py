@@ -85,25 +85,6 @@ class GridFunction:
             out += w * flat[offset:].take(base)
         return out
 
-    def axis_stencils(self, base: np.ndarray, frac: np.ndarray) -> list | None:
-        """A `stencil` over the nodes as one 1-D stencil per axis, when every
-        axis's cell index and fraction, laid out on the grid, are constant
-        along the other axes; None when the stencil does not factor.  Axis d
-        gets its lower and upper node indices along the axis, (n_d,), and the
-        weights 1 - f and f of those nodes shaped to broadcast along axis d."""
-        shape = self.values.shape
-        cells = np.unravel_index(base, shape)
-        axes = []
-        for d in range(self.k):
-            line = tuple(slice(None) if e == d else slice(0, 1) for e in range(self.k))
-            cell, f = cells[d].reshape(shape), frac[d].reshape(shape)
-            if not (np.array_equal(cell, np.broadcast_to(cell[line], shape)) and
-                    np.array_equal(f, np.broadcast_to(f[line], shape))):
-                return None
-            cell, f = cell[line].ravel(), f[line]
-            axes.append((cell, cell + 1, 1.0 - f, f))
-        return axes
-
     def interp_params(self, U: np.ndarray) -> np.ndarray:
         return self.corner_sum(self.values, *self.stencil(U))
 
@@ -144,6 +125,9 @@ def grid_frame(sys: AffineSystem, resolution: int) -> GridFunction:
         where = ", ".join(rat.format_fraction(c) for c in hull.vertices[0])
         raise ValueError(f"the hull Y is the single point ({where}); the transfer "
                          f"operator needs a hull of dimension >= 1 to grid")
+    if resolution ** hull.affine_dim > geometry.MAX_MESH_POINTS:
+        raise ValueError(f"a grid of {resolution}^{hull.affine_dim} nodes exceeds the cap "
+                         f"of {geometry.MAX_MESH_POINTS}")
     chart = hull.chart
     vertices_u = chart.param(hull.vertex_array())
     u0 = chart.param(np.zeros((1, sys.dim)))[0]
@@ -186,12 +170,14 @@ def grid_frame(sys: AffineSystem, resolution: int) -> GridFunction:
 class TransferOperator:
     """C assembled on one grid: (Cv)(t) = sum_l |chi_B(t - l)|^2 v(R*^{-1}(t - l))
     at the grid nodes t.  Per digit l it keeps the weights at the nodes and
-    the interpolation stencil of R*^{-1}(t - l) in one of two forms:
+    the interpolation stencil of R*^{-1}(t - l), in a form decided once from
+    the matrix M of R*^{-1} in the grid's chart:
 
-    - `factored`: when the stencil factors over the grid axes (R* acts
-      diagonally in the chart, as on every catalog system), one 1-D stencil
-      per axis, so each application is k two-node interpolations, one along
-      each axis;
+    - `factored`: when M is diagonal (always for k = 1, and on every catalog
+      system), axis d keeps the 1-D stencil of the line of nodes along it
+      through the first node: lower and upper node indices, (n_d,), and
+      weights 1 - f and f shaped to broadcast along d, so each application
+      is k two-node interpolations, one along each axis;
     - `gathered`: otherwise (a sheared R, say), the stencil's base indices
       and fractions, so each application is a gather over the cell corners.
 
@@ -200,20 +186,27 @@ class TransferOperator:
     def __init__(self, sys: AffineSystem, frame: GridFunction):
         self.frame = frame
         self.factored, self.gathered = [], []
+        chart, shape, k = frame.chart, frame.values.shape, frame.k
         S = np.array(sys.R.inverse_transpose, dtype=float)
+        M = chart.param(chart.ambient(np.eye(k)) @ S.T) - chart.param(chart.origin @ S.T)
+        factors = not M[~np.eye(k, dtype=bool)].any()
+        if factors:
+            # the axis lines in one stencil call: its escape check meets them in grid order
+            first = [a[0] for a in frame.axes]
+            lines = chart.ambient(np.concatenate(
+                [np.where(np.arange(k) == d, a[:, None], first) for d, a in enumerate(frame.axes)]))
+            rows = [slice(end - n, end) for n, end in zip(shape, np.cumsum(shape))]
         nodes = frame.node_points()
         for l in sys.l_array():
-            self._digit(sys, nodes - l, S)
-
-    def _digit(self, sys: AffineSystem, shifted: np.ndarray, S: np.ndarray) -> None:
-        """Weights and stencil of one digit; its temporaries die on return."""
-        w = chi_B_sq(sys, shifted)
-        base, frac = self.frame.stencil(self.frame.chart.param(shifted @ S.T))
-        axes = self.frame.axis_stencils(base, frac)
-        if axes is None:
-            self.gathered.append((w, base, frac))
-        else:
-            self.factored.append((w.reshape(self.frame.values.shape), axes))
+            w = chi_B_sq(sys, nodes - l)
+            if not factors:
+                self.gathered.append((w, *frame.stencil(chart.param((nodes - l) @ S.T))))
+                continue
+            base, frac = frame.stencil(chart.param((lines - l) @ S.T))
+            cells = np.unravel_index(base, shape)
+            axes = [(cells[d][r], frac[d, r].reshape([-1 if e == d else 1 for e in range(k)]))
+                    for d, r in enumerate(rows)]
+            self.factored.append((w.reshape(shape), [(c, c + 1, 1.0 - f, f) for c, f in axes]))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         total = np.zeros(self.frame.values.shape)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -282,10 +283,37 @@ class TestUsage:
         ("transfer", "--resolution", "0"),
         ("transfer", "--max-iters", "0"),
         ("transfer", "--tol", "-1"),
-        ("gram", "--depth", "-1"),
-        ("gram", "--depth", "0"),
     ])
     def test_numeric_option_out_of_range(self, capsys, command, option, value):
         # rejected before any work, so the parser is run in process
         assert cli.main([command, "--system", "scale4", option, value]) == 2
         assert capsys.readouterr().err.startswith(f"error: {option} must be ")
+
+    def test_gram_depth_option_is_gone(self, capsys):
+        # gram always truncates the transform at its adaptive depth
+        assert cli.main(["gram", "--system", "scale4", "--depth", "3"]) == 2
+        assert "unrecognized arguments: --depth 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (("q1", "--system", "eiffel(2)", "--resolution", "1000000"), "a mesh of 1000000^3 points"),
+        (("q1", "--system", "scale4", "--resolution", "100000000000"), "a mesh of "),
+        (("transfer", "--system", "eiffel(2)", "--resolution", "100000"), "a grid of 100000^3"),
+        (("q1", "--system", "scale4", "--resolution", "10000"), "a Q1 pass over 10002 rows"),
+        # the smallest count over the cap: 20000 would enumerate 32768 exact
+        # points (about 5 s) before reaching it
+        (("gram", "--system", "scale4", "--count", "1025"), "a Gram matrix of 1025 points"),
+        (("attractor", "--system", "scale4", "--depth", "0"), "depth must be >= 1"),
+        (("attractor", "--system", "eiffel(2)", "--depth", "20"), "exact-arithmetic cap"),
+    ])
+    def test_size_out_of_range(self, capsys, args, message):
+        # refused before the arrays are taken: the run stays far below the
+        # exabytes, petabytes or gigabytes the sizes ask for
+        tracemalloc.start()
+        try:
+            assert cli.main(list(args)) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert peak < 16 * 2 ** 20

@@ -125,6 +125,11 @@ class TestGram:
         with pytest.raises(ValueError):
             fs.gram_matrix(scale4, [F(0), F(0)])
 
+    def test_point_count_capped(self, scale4):
+        # 1025^2 entries exceed the 2^20 cap, refused before the differences
+        with pytest.raises(ValueError, match="a Gram matrix of 1025 points"):
+            fs.gram_matrix(scale4, range(1025))
+
     def test_even_scale_family_orthogonal(self):
         # digits {0, b} at an even scale >= 4 pair with L = {0, 1/(2b)}
         for R, b in ((6, F(3, 2)), (4, F(2)), (-4, F(1, 2))):
@@ -150,6 +155,13 @@ class TestQ1:
         res = fs.q1(scale2, -0.5, p_depth=18)
         assert abs(res.value - 0.5) < 1e-3
         assert res.value <= 0.5
+
+    def test_rows_capped_by_the_scratch(self, scale4):
+        # each chunk holds at least 1024 spectrum points, so Q1_SCRATCH caps
+        # the rows of one pass at 5859
+        assert len(fs.q1_profile(scale4, np.linspace(-1, 0, 5859), 1).values()) == 5859
+        with pytest.raises(ValueError, match="5860 rows exceeds its cap of 5859"):
+            fs.q1_profile(scale4, np.linspace(-1, 0, 5860), 1)
 
     def test_monotone_in_depth(self, scale4):
         rng = np.random.RandomState(9)

@@ -20,7 +20,11 @@ SHEARED = fs.make_system([[4, 2], [0, 4]],
                          [(0, 0), (1, 0), (0, 1), (1, 1)], name="sheared")
 
 
-def _system(name):
+def _system(name, request):
+    # planar3d is the conftest fixture: a 2-D hull in 3-space, so a chart
+    # that is not the identity
+    if name == "planar3d":
+        return request.getfixturevalue(name)
     return SHEARED if name == "sheared" else fs.get_system(name)
 
 
@@ -70,10 +74,11 @@ class TestApplyC:
 
     @pytest.mark.parametrize("name,res,factored", _cases(
         ("eiffel(2)", 10, True), ("eiffel(2)", 24, True), ("scale2", 64, True),
-        ("triadic", 64, True), ("planar-collapse", 48, True), ("sheared", 48, False)))
-    def test_matches_the_sum_over_digits(self, name, res, factored):
+        ("triadic", 64, True), ("planar-collapse", 48, True), ("planar3d", 24, True),
+        ("sheared", 48, False)))
+    def test_matches_the_sum_over_digits(self, request, name, res, factored):
         # C assembled once agrees with sum_l |chi_B(t - l)|^2 Q(R*^{-1}(t - l))
-        sysm = _system(name)
+        sysm = _system(name, request)
         frame = fs.grid_frame(sysm, res)
         _assert_form(sysm, frame, factored)
         rng = np.random.RandomState(3)
@@ -158,9 +163,9 @@ class TestIteration:
 
     @pytest.mark.parametrize("name,res,factored", _cases(
         ("scale4", 64, True), ("eiffel(2)", 10, True), ("eiffel(2)", 24, True),
-        ("sheared", 48, False)))
-    def test_residuals_match_repeated_apply(self, name, res, factored):
-        sysm = _system(name)
+        ("planar3d", 24, True), ("sheared", 48, False)))
+    def test_residuals_match_repeated_apply(self, request, name, res, factored):
+        sysm = _system(name, request)
         Q = fs.grid_frame(sysm, res).quadratic_bump()
         _assert_form(sysm, Q, factored)
         out = fs.iterate_fixed_point(sysm, Q)
