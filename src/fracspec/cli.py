@@ -112,6 +112,7 @@ def cmd_gram(args, sys_obj: AffineSystem, validation) -> int:
         raise UsageError("gram needs at least two points")
     if sys_obj.N == 1:
         raise UsageError("a one-digit system has a single spectrum point and no Gram pair")
+    spectrum.check_gram_count(args.count)
     depth = 0
     while sys_obj.N ** depth < args.count:
         depth += 1
@@ -140,6 +141,8 @@ def _auto_p_depth(sys_obj: AffineSystem) -> int:
 
 
 def cmd_q1(args, sys_obj: AffineSystem, validation) -> int:
+    if args.p_depth is not None:
+        spectrum.check_layer_depth(sys_obj, args.p_depth)
     hull = geometry.dual_hull(sys_obj, 4)
     res = args.resolution
     if res is None:

@@ -18,7 +18,7 @@ Q1_DEPTH_CAP = 14
 Q1_EPS_CONV = 1e-6
 EPS_PASS = 0.02
 EPS_FAIL = 0.05
-Q1_SCRATCH = 6_000_000      # entries of the (probes, spectrum chunk) scratch array
+Q1_SCRATCH = 6_000_000      # (t, lambda) pairs of one kernel call in a Q1 pass
 FD_STEP = 1e-3              # step of the gradient stencil at the origin
 DIGIT_BUDGET = 24           # longest digit word that digits_of looks for
 
@@ -76,28 +76,51 @@ def reconstruct(sys: AffineSystem, word) -> tuple:
     return lam
 
 
-def spectrum_layers(sys: AffineSystem, depth: int):
-    """Float coordinates of P(L) grouped by first appearance depth.
+def check_layer_depth(sys: AffineSystem, depth: int) -> None:
+    """Refuse a layer depth whose N^depth points exceed MAX_FLOAT_POINTS."""
+    if sys.N ** depth > MAX_FLOAT_POINTS:
+        raise ValueError(f"spectrum layer exceeds the point cap: depth {depth} "
+                         f"reaches {sys.N}^{depth} points, over {MAX_FLOAT_POINTS}")
 
-    Yields (d, new_points) where new_points has shape (n, dim); the union over
-    d = 0..depth is the full depth-`depth` enumeration.  Assumes digit
-    uniqueness (no dedupe is attempted).
+
+def layer_digits(sys: AffineSystem, depth: int):
+    """Float digit sets of the spectrum layers.
+
+    Yields (d, sets) for d = 0..depth, where layer d is the Minkowski sum of
+    `sets`: R*^k L for k < d - 1 and R*^{d-1} (L minus 0), the points whose
+    last nonzero digit is the d-th.  Layer 0 is {0}, the empty sum.
     """
     Rt = np.array(sys.R.transpose, dtype=float)
     Ls = sys.l_array()
-    nonzero = [Ls[i] for i in range(sys.N) if any(c != 0 for c in sys.L[i])]
-    all_pts = np.zeros((1, sys.dim))
-    yield 0, all_pts
+    nonzero = Ls[[any(c != 0 for c in l) for l in sys.L]]
+    low = []
+    yield 0, []
     power = np.eye(sys.dim)
     for d in range(1, depth + 1):
-        if len(all_pts) * sys.N > MAX_FLOAT_POINTS:
-            raise ValueError("spectrum layer exceeds the point cap")
+        check_layer_depth(sys, d)
         # with no nonzero digit (N = 1) every layer past 0 is empty
-        blocks = [all_pts + (power @ l) for l in nonzero]
-        new = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, sys.dim))
-        yield d, new
-        all_pts = np.concatenate([all_pts, new], axis=0)
+        yield d, low + [nonzero @ power.T]
+        low.append(Ls @ power.T)
         power = Rt @ power
+
+
+def digit_sum(sets, dim: int) -> np.ndarray:
+    """Minkowski sum of digit sets as an (n, dim) array, the last set slowest."""
+    pts = np.zeros((1, dim))
+    for s in sets:
+        pts = (s[:, None, :] + pts[None, :, :]).reshape(-1, dim)
+    return pts
+
+
+def spectrum_layers(sys: AffineSystem, depth: int):
+    """Float coordinates of P(L) grouped by the depth of the last nonzero digit.
+
+    Yields (d, points) with points of shape (n, dim), the sum of the digit
+    sets of `layer_digits`; the union over d = 0..depth is the depth-`depth`
+    enumeration.  Assumes digit uniqueness (no dedupe is attempted).
+    """
+    for d, sets in layer_digits(sys, depth):
+        yield d, digit_sum(sets, sys.dim)
 
 
 def digits_of(sys: AffineSystem, lam):
@@ -175,14 +198,19 @@ def _as_measure(m):
     return SelfSimilarMeasure(m) if isinstance(m, AffineSystem) else m
 
 
+def check_gram_count(count: int) -> None:
+    """Refuse a Gram matrix of more than geometry.MAX_MESH_POINTS entries."""
+    if count ** 2 > geometry.MAX_MESH_POINTS:
+        raise ValueError(f"a Gram matrix of {count} points exceeds the cap of "
+                         f"{geometry.MAX_MESH_POINTS} entries")
+
+
 def gram_matrix(measure, points, fourier_depth: int | None = None) -> GramReport:
     """Inner products of exponentials: entry (i, j) is the transform at
     lambda_j - lambda_i."""
     measure = _as_measure(measure)
     pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
-    if len(pts) ** 2 > geometry.MAX_MESH_POINTS:
-        raise ValueError(f"a Gram matrix of {len(pts)} points exceeds the cap of "
-                         f"{geometry.MAX_MESH_POINTS} entries")
+    check_gram_count(len(pts))
     arr = np.stack(pts)
     if len({tuple(p) for p in arr.round(12).tolist()}) != len(pts):
         raise ValueError("Gram points must be pairwise distinct")
@@ -243,23 +271,40 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int, measure,
     With `eps_conv` set, the layer loop stops once the increment of each of
     the first `watch` rows falls below it (partial sums are monotone, so
     later layers only add nonnegative mass); the other rows ride along.
+
+    A layer of n points is the sum P_h + H of its first h digit sets (the
+    low part) and the rest (the high part), so t - lambda runs over the rows
+    t - eta, eta in H, against the points of P_h: the same pairs, with the
+    kernel's cos/sin taken on m |H| + |P_h| points instead of n.  h is the
+    largest with |P_h|^2 <= m n, which balances the two sides, and with
+    m |P_h| <= Q1_SCRATCH; H is chunked so that no call has more than
+    Q1_SCRATCH pairs.
     """
     measure = _as_measure(measure) if measure is not None else SelfSimilarMeasure(system)
-    m = T.shape[0]
-    cap = Q1_SCRATCH // 1024          # so that every chunk holds 1024 spectrum points or more
+    m, dim = T.shape
+    cap = Q1_SCRATCH // 1024          # so that a call has room for 1024 spectrum points a row
     if m > cap:
         raise ValueError(f"a Q1 pass over {m} rows exceeds its cap of {cap} rows")
-    chunk = Q1_SCRATCH // max(m, 1)
     sums = []
     incs = []
     tail = 0.0
-    for d, layer in spectrum_layers(system, p_depth):
+    for d, sets in layer_digits(system, p_depth):
+        n = math.prod(len(s) for s in sets)
+        h, low_n = 0, 1
+        while h < len(sets):
+            grown = low_n * len(sets[h])
+            if grown ** 2 > m * n or m * grown > Q1_SCRATCH:
+                break
+            h, low_n = h + 1, grown
+        low, high = digit_sum(sets[:h], dim), digit_sum(sets[h:], dim)
+        chunk = Q1_SCRATCH // max(m * low_n, 1)
         inc = np.zeros(m)
-        for start in range(0, len(layer), chunk):
-            block = layer[start:start + chunk]
-            vals, block_tail = measure.mu_hat_sq_pairs(T, block)
-            inc += vals.sum(axis=1)
-            tail += 2 * block_tail * len(block)
+        for start in range(0, len(high), chunk):
+            eta = high[start:start + chunk]
+            rows = (T[:, None, :] - eta[None, :, :]).reshape(-1, dim)
+            vals, block_tail = measure.mu_hat_sq_pairs(rows, low)
+            inc += vals.reshape(m, len(eta) * low_n).sum(axis=1)
+            tail += 2 * block_tail * len(eta) * low_n
         if d == 0:
             sums.append(inc)
             continue

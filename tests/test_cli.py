@@ -299,8 +299,7 @@ class TestUsage:
         (("q1", "--system", "scale4", "--resolution", "100000000000"), "a mesh of "),
         (("transfer", "--system", "eiffel(2)", "--resolution", "100000"), "a grid of 100000^3"),
         (("q1", "--system", "scale4", "--resolution", "10000"), "a Q1 pass over 10002 rows"),
-        # the smallest count over the cap: 20000 would enumerate 32768 exact
-        # points (about 5 s) before reaching it
+        # the smallest count over the cap
         (("gram", "--system", "scale4", "--count", "1025"), "a Gram matrix of 1025 points"),
         (("attractor", "--system", "scale4", "--depth", "0"), "depth must be >= 1"),
         (("attractor", "--system", "eiffel(2)", "--depth", "20"), "exact-arithmetic cap"),
@@ -317,3 +316,21 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("args, message", [
+        # about 50 s of layers before the cap was reached inside the loop
+        (("q1", "--system", "triadic", "--p-depth", "30"), "depth 30 reaches 2^30 points"),
+        # converged at depth 17 and exited 0 before the depth was checked
+        (("q1", "--system", "scale2", "--p-depth", "30"), "depth 30 reaches 2^30 points"),
+        # enumerated 32768 exact points (about 2 s) before the Gram cap
+        (("gram", "--system", "scale4", "--count", "20000"), "a Gram matrix of 20000 points"),
+    ])
+    def test_capped_before_enumeration(self, monkeypatch, capsys, args, message):
+        def refuse(*_):
+            raise AssertionError("enumeration started past the cap")
+
+        monkeypatch.setattr(fs.spectrum, "layer_digits", refuse)
+        monkeypatch.setattr(fs.spectrum, "enumerate_P", refuse)
+        assert cli.main(list(args)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err

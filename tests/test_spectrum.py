@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -42,6 +43,26 @@ class TestEnumeration:
         for _, layer in fs.spectrum.spectrum_layers(scale4, 4):
             acc.extend(layer[:, 0].tolist())
         assert sorted(acc) == coords
+
+    @pytest.mark.parametrize("name", ["scale4", "eiffel(2)", "planar-collapse", "shear"])
+    def test_digit_sums_are_the_layers(self, name):
+        # layer d holds the points whose last nonzero digit is the d-th: the
+        # exact points with words of length d; the shear has R* != R
+        sysm = (fs.make_system([[2, 1], [0, 3]], [(0, 0), (F(1, 2), 0)], [(0, 0), (1, 1)])
+                if name == "shear" else fs.get_system(name))
+        enum = fs.enumerate_P(sysm, 6)
+
+        def rows(a):
+            a = np.asarray(a, dtype=float).reshape(-1, sysm.dim)
+            return a[np.lexsort(np.round(a, 9).T[::-1])]
+
+        layers = fs.spectrum.spectrum_layers(sysm, 6)
+        for (d, sets), (d2, layer) in zip(fs.spectrum.layer_digits(sysm, 6), layers):
+            got = fs.spectrum.digit_sum(sets, sysm.dim)
+            exact = rows([p for p, word in enum.points if len(word) == d])
+            assert d == d2 and len(got) == len(exact) == len(layer)
+            assert np.abs(rows(got) - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
+            assert np.array_equal(got, layer)
 
     def test_words_reconstruct(self, scale4, eiffel2):
         for sysm in (scale4, eiffel2):
@@ -162,6 +183,76 @@ class TestQ1:
         assert len(fs.q1_profile(scale4, np.linspace(-1, 0, 5859), 1).values()) == 5859
         with pytest.raises(ValueError, match="5860 rows exceeds its cap of 5859"):
             fs.q1_profile(scale4, np.linspace(-1, 0, 5860), 1)
+
+    @pytest.mark.parametrize("name,p_depth", [("scale2", 12), ("scale4", 7), ("R=-2", 12),
+                                              ("R=6", 5), ("eiffel(2)", 6)])
+    def test_split_pass_is_the_per_point_sum(self, name, p_depth):
+        # rows t - eta against the low digits give the same pairs as every
+        # probe against every exact point of the layer
+        sysm = (fs.two_digit_system(int(name[2:]), F(1, 2)) if name.startswith("R=")
+                else fs.get_system(name))
+        meas = fs.SelfSimilarMeasure(sysm)
+        T = np.random.RandomState(12).uniform(-1, 1, size=(5, sysm.dim))
+        prof = fs.q1_profile(sysm, T, p_depth)
+        enum = fs.enumerate_P(sysm, p_depth)
+        acc, tail = np.zeros(len(T)), 0.0
+        for d in range(p_depth + 1):
+            layer = np.array([p for p, word in enum.points if len(word) == d], dtype=float)
+            vals, layer_tail = meas.mu_hat_sq_pairs(T, layer)
+            acc += vals.sum(axis=1)
+            tail += 2 * layer_tail * len(layer)
+            assert np.abs(prof.partial_sums[:, d] - acc).max() <= 1e-12
+        # one call per layer here, so the same truncation and the same tail
+        assert prof.fourier_tail == pytest.approx(np.full(len(T), tail), rel=1e-9)
+
+    @pytest.mark.parametrize("name,p_depth", [("scale2", 12), ("triadic", 12), ("eiffel(2)", 6)])
+    def test_chunks_over_the_high_digits(self, monkeypatch, name, p_depth):
+        # a scratch of 1024 entries per row splits the deep layers over
+        # several calls, each within the scratch, that cover every pair once
+        sysm = fs.get_system(name)
+        T = fs.dual_hull(sysm, 4).sample({1: 8, 3: 2}[sysm.dim])[:8]
+        whole = fs.q1_profile(sysm, T, p_depth)
+        pairs = []
+        kernel = fs.SelfSimilarMeasure.mu_hat_sq_pairs
+
+        def counted(self, rows, lam):
+            pairs.append(len(rows) * len(lam))
+            return kernel(self, rows, lam)
+
+        monkeypatch.setattr(fs.spectrum, "Q1_SCRATCH", 1024 * len(T))
+        monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_pairs", counted)
+        chunked = fs.q1_profile(sysm, T, p_depth)
+        assert len(pairs) > p_depth + 1 and max(pairs) <= 1024 * len(T)
+        assert sum(pairs) == len(T) * sysm.N ** p_depth
+        assert np.abs(chunked.partial_sums - whole.partial_sums).max() <= 1e-12
+        # each call truncates at the adaptive depth of its own pairs, so a
+        # chunk nearer the probes may stop a level earlier with its own tail
+        assert chunked.fourier_tail == pytest.approx(whole.fourier_tail, rel=0.1)
+
+    def test_odd_scale_against_mpmath(self):
+        # R = 7, B = {0, 1/4}, L = {0, 2}: the depth-14 sum of
+        # prod_k cos^2(pi (t - lambda) / (4 7^k)) over 16384 exact points
+        # with lambda up to 2.3e11.  Factor k depends on lambda mod 4 7^k
+        # only, so the first 14 factors are multiplied at 40 digits once per
+        # residue; past them the arguments are below pi/12 and double
+        # precision holds.  The direct pass was 8.6e-8 off, the split one is
+        # 6.0e-8 off.
+        sysm = fs.two_digit_system(7, F(1, 4))
+        lams = [int(p[0]) for p in fs.enumerate_P(sysm, 14).coords()]
+        t = 0.137
+        got = fs.q1(sysm, t, 14).value
+        with mpmath.workdps(40):
+            tq = mpmath.mpf(t)
+            prods, prev = {0: mpmath.mpf(1)}, 1
+            for k in range(14):
+                mod = 4 * 7 ** k
+                prods = {r: prods[r % prev] * mpmath.cos(mpmath.pi * (tq - r) / mod) ** 2
+                         for r in {lam % mod for lam in lams}}
+                prev = mod
+            x = np.array([float((F(t) - lam) / (4 * 7 ** 14)) for lam in lams])
+            tail = np.prod(np.cos(np.pi * x[:, None] / 7.0 ** np.arange(40)) ** 2, axis=1)
+            exact = mpmath.fsum(prods[lam] * float(w) for lam, w in zip(lams, tail))
+        assert abs(got - float(exact)) <= 8.6e-8
 
     def test_monotone_in_depth(self, scale4):
         rng = np.random.RandomState(9)
