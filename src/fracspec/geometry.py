@@ -11,6 +11,7 @@ membership within FLOAT_TOL, mesh samples) feeds the grid and sampling code.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -126,7 +127,7 @@ class Polytope:
 
     For full-dimensional hulls the chart is the identity, so the hull is
     built in ambient coordinates; otherwise `origin` and `basis` give the
-    affine subspace carrying the hull, and facets, ring and faces live in the
+    affine subspace carrying the hull, and facets and faces live in the
     chart coordinates.  `facets` is a tuple of (normal, offset) pairs with
     the meaning  normal . u <= offset, scaled to coprime integers.
     """
@@ -137,8 +138,8 @@ class Polytope:
     origin: tuple
     basis: tuple                         # affine_dim ambient vectors
     facets: tuple                        # halfspaces in chart coordinates
-    ring: tuple = ()                     # CCW chart vertices (affine_dim == 2)
-    faces: tuple = ()                    # outward-oriented triangles (affine_dim == 3)
+    faces: tuple = ()                    # boundary: affine_dim chart vertices per face,
+                                         # outward-oriented for affine_dim 2 and 3
 
     @functools.cached_property
     def _chart_solver(self):
@@ -245,140 +246,100 @@ def _affine_frame(ipts):
     return origin, basis
 
 
-def _hull_1d(us, den):
-    umin, umax = min(us), max(us)
-    facets = (_normalize_halfspace((1,), Fraction(umax, den)),
-              _normalize_halfspace((-1,), Fraction(-umin, den)))
-    return (umin, umax), facets
+def _dot(u, v):
+    return sum(map(operator.mul, u, v))
 
 
-def _cross2(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _det(rows):
+    """Determinant of a small square matrix (0 x 0 included) by cofactor
+    expansion along the first row, in the entries' own arithmetic."""
+    if len(rows) < 2:
+        return rows[0][0] if rows else 1
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
 
 
-def _hull_2d(us):
-    """Monotone chain; returns CCW ring of chart points."""
-    pts = sorted(set(us))
-    if len(pts) <= 2:
-        return tuple(pts)
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return tuple(lower[:-1] + upper[:-1])
+def _plane(face):
+    """Normal n of face (a, ...) as the signed first-row cofactors of its
+    edges, so n . (p - a) = det(p - a, edges), and its offset n . a; p lies
+    above the face (sees it) iff n . p > n . a.  A 1-D face (a,) has n = (1,)."""
+    a = face[0]
+    edges = [tuple(map(operator.sub, q, a)) for q in face[1:]]
+    n = tuple((-1) ** j * _det([e[:j] + e[j + 1:] for e in edges]) for j in range(len(a)))
+    return n, _dot(n, a)
 
 
-def _facets_2d(ring, den):
-    """Edge halfspaces of a CCW ring of integer points over denominator den."""
-    facets = []
-    k = len(ring)
-    for i in range(k):
-        a, b = ring[i], ring[(i + 1) % k]
-        n = (b[1] - a[1], a[0] - b[0])                 # outward for CCW
-        facets.append(_normalize_halfspace(n, Fraction(n[0] * a[0] + n[1] * a[1], den)))
-    return tuple(facets)
+def _hull(ips):
+    """Quickhull over sorted distinct integer points of affine dimension k,
+    the length of each point; returns the faces as (k corners, outward
+    normal, offset).
 
-
-def _sub3(p, q):
-    return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
-
-
-def _cross3(u, v):
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
-def _dot3(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _plane(a, b, c):
-    """Normal n = (b - a) x (c - a) of triangle (a, b, c) and its offset
-    n . a; p lies above the triangle (sees it) iff n . p > n . a."""
-    n = _cross3(_sub3(b, a), _sub3(c, a))
-    return n, _dot3(n, a)
-
-
-def _face(a, b, c, pending):
-    """Triangle (a, b, c) with its plane and the points of `pending`
-    strictly above it."""
-    n, off = _plane(a, b, c)
-    return (a, b, c), n, off, [p for p in pending if _dot3(n, p) > off]
-
-
-def _hull_3d(ips):
-    """Quickhull from an extremal starting tetrahedron over sorted distinct
-    integer points; returns the outward-oriented triangles.
-
-    Each visibility test is an integer dot product with a face's plane.
-    Every face keeps all the points strictly above it (its outside set), and
-    each step inserts the point farthest above a face, ties going to the
+    The start is the two lexicographic extremes; for k = 3 the point
+    farthest from their line; for k >= 2 the point farthest from the
+    hyperplane the start then spans.  Each face is oriented against the
+    start's centroid, an interior point of every hull built from it.  Each
+    visibility test is an integer dot product with a face's plane.  Every
+    face keeps all the points strictly above it (its outside set), and each
+    step inserts the point farthest above a face, ties going to the
     lexicographically largest.  That point, like each starting point (a
     maximizer of a convex function with the same tie rule), is a vertex of
     the hull, so the boundary points that are not vertices never become
-    faces: a facet with m vertices gives m - 2 triangles.
+    corners: a 3-D facet with m vertices gives m - 2 triangles.
     """
-    a, b = ips[0], ips[-1]
+    k = len(ips[0])
+    a = ips[0]
+    start = [a, ips[-1]]
+    if len(start) < k:                         # a line ab: Lagrange's identity
+        u = tuple(map(operator.sub, start[1], a))
+        uu = _dot(u, u)
 
-    def line_dist2(p):                                # |ab x ap|^2
-        w = _cross3(_sub3(b, a), _sub3(p, a))
-        return _dot3(w, w), p
+        def line_dist2(p):                     # |u|^2 |w|^2 - (u.w)^2 = |ab x ap|^2
+            w = tuple(map(operator.sub, p, a))
+            return uu * _dot(w, w) - _dot(u, w) ** 2, p
+        start.append(max(ips, key=line_dist2))
+    if len(start) == k:                        # a hyperplane
+        n, off = _plane(start)
+        start.append(max(ips, key=lambda p: (abs(_dot(n, p) - off), p)))
+    inner = tuple(map(sum, zip(*start)))       # (k + 1) times the centroid
 
-    c = max(ips, key=line_dist2)
-    n, off = _plane(a, b, c)
-    d = max(ips, key=lambda p: (abs(_dot3(n, p) - off), p))
-    if _dot3(n, d) > off:
-        b, c = c, b
-    faces = [_face(*t, ips) for t in ((a, b, c), (a, d, b), (b, d, c), (a, c, d))]
+    def face(t, pending):
+        n, off = _plane(t)
+        if _dot(n, inner) > (k + 1) * off:
+            n, off = tuple(-x for x in n), -off
+            t = (t[1], t[0]) + t[2:] if k > 1 else t
+        return t, n, off, [p for p in pending if _dot(n, p) > off]
+
+    faces = [face(t, ips) for t in itertools.combinations(start, k)]
     while (f := next((f for f in faces if f[3]), None)) is not None:
-        p = max(f[3], key=lambda q: (_dot3(f[1], q), q))
+        p = max(f[3], key=lambda q: (_dot(f[1], q), q))
         pending = {q for g in faces for q in g[3]} - {p}   # outside the hull but p
         visible, kept = [], []
         for g in faces:
-            (visible if _dot3(g[1], p) > g[2] else kept).append(g)
-        edges = [(t[i], t[(i + 1) % 3]) for t, _, _, _ in visible for i in range(3)]
-        seen = set(edges)
-        faces = kept + [_face(u, v, p, pending) for (u, v) in edges if (v, u) not in seen]
-    return tuple(t for t, _, _, _ in faces)
+            (visible if _dot(g[1], p) > g[2] else kept).append(g)
+        ridges = collections.Counter(r for t, _, _, _ in visible
+                                     for r in itertools.combinations(sorted(t), k - 1))
+        faces = kept + [face(r + (p,), pending) for r, m in ridges.items() if m == 1]
+    return tuple(f[:3] for f in faces)
 
 
-def _normalize_halfspace(n, c):
-    """Scale (n, c) by a positive rational so entries become coprime integers."""
-    den = 1
-    for x in tuple(n) + (c,):
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in tuple(n) + (c,)]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    g = g or 1
-    ints = [Fraction(v, g) for v in ints]
-    return tuple(ints[:-1]), ints[-1]
-
-
-def _facets_3d(faces, den):
-    """Face planes of integer triangles over denominator den, one per facet."""
-    facets = {}
-    for face in faces:
-        n, off = _plane(*face)
-        facets[_normalize_halfspace(n, Fraction(off, den))] = None
-    return tuple(facets.keys())
+def _normalize_halfspace(n, off, den):
+    """The halfspace n . u <= off / den of an integer plane as coprime
+    integers (Fractions)."""
+    ints = [x * den for x in n] + [off]
+    g = math.gcd(*ints)
+    return tuple(Fraction(v, g) for v in ints[:-1]), Fraction(ints[-1], g)
 
 
 def convex_hull(points) -> Polytope:
-    """Exact convex hull of rational points in dimension <= 3.
+    """Exact convex hull of rational points of affine dimension k <= 3.
 
     Degenerate inputs return the hull of their affine span, flagged through
     `affine_dim` and carried by the chart (origin, basis).  The points are
-    lifted once to integers over their common denominator, and the hull is
-    built on integer chart coordinates: the points themselves when they span
-    the ambient space, else A^{-1} (x - origin) on k independent ambient
-    coordinates, lifted once more.  Every hull vertex is an input point.
+    lifted once to integers over their common denominator, and one Quickhull
+    builds the hull of every k >= 1 on integer chart coordinates: the points
+    themselves when they span the ambient space, else A^{-1} (x - origin) on
+    k independent ambient coordinates, lifted once more.  Every hull vertex
+    is an input point, and `faces` holds k vertices per face.
     """
     pts = [point(p) for p in points]
     if not pts:
@@ -389,7 +350,8 @@ def convex_hull(points) -> Polytope:
     origin, basis = _affine_frame(ipts)
     k = len(basis)
     if k > 3:
-        raise ValueError("exact hulls are implemented for affine dimension <= 3")
+        raise ValueError(f"exact hulls are implemented for affine dimension <= 3; "
+                         f"these points span {k}")
 
     if k == 0:
         p = rat.unlift(ipts[:1], scale)[0]
@@ -407,43 +369,23 @@ def convex_hull(points) -> Polytope:
         basis = tuple(rat.unlift(basis, scale))
     point_of = dict(zip(us, ipts))
 
-    ring = faces = ()
-    if k == 1:
-        (umin, umax), facets = _hull_1d([u[0] for u in us], den)
-        chart_vs = [(umin,), (umax,)]
-    elif k == 2:
-        chart_vs = _hull_2d(us)                # the monotone chain keeps only vertices
-        facets = _facets_2d(chart_vs, den)
-        ring = tuple(rat.unlift(chart_vs, den))
-    else:
-        faces = _hull_3d(sorted(us))           # every face corner is a vertex
-        facets = _facets_3d(faces, den)
-        chart_vs = set(itertools.chain.from_iterable(faces))
-        frac = dict(zip(chart_vs, rat.unlift(chart_vs, den)))
-        faces = tuple(tuple(frac[q] for q in t) for t in faces)
-
+    hull = _hull(sorted(us))                   # every face corner is a vertex
+    facets = tuple(dict.fromkeys(_normalize_halfspace(n, off, den) for _, n, off in hull))
+    chart_vs = set(itertools.chain.from_iterable(t for t, _, _ in hull))
+    frac = dict(zip(chart_vs, rat.unlift(chart_vs, den)))
+    faces = tuple(tuple(frac[q] for q in t) for t, _, _ in hull)
     vertices = tuple(rat.unlift(sorted(point_of[u] for u in chart_vs), scale))
-    return Polytope(ambient, k, vertices, origin, basis, facets, ring=ring, faces=faces)
+    return Polytope(ambient, k, vertices, origin, basis, facets, faces)
 
 
 def hull_volume(P: Polytope) -> Fraction:
-    """Exact ambient-dimensional volume (0 for degenerate hulls)."""
+    """Exact ambient-dimensional volume (0 for degenerate hulls): the cones
+    from the first vertex c over the faces, sum |det(v - c)| / k!."""
     if P.affine_dim < P.ambient_dim:
         return Fraction(0)
-    if P.ambient_dim == 1:
-        vals = [v[0] for v in P.vertices]
-        return max(vals) - min(vals)
-    if P.ambient_dim == 2:
-        ring = P.ring
-        s = Fraction(0)
-        for i in range(len(ring)):
-            a, b = ring[i], ring[(i + 1) % len(ring)]
-            s += a[0] * b[1] - b[0] * a[1]
-        return abs(s) / 2
-    s = Fraction(0)
-    for (a, b, c) in P.faces:
-        s += rat.det(rat.mat([a, b, c]))
-    return abs(s) / 6
+    c = P.vertices[0]
+    cones = sum(abs(_det([rat.vec_sub(v, c) for v in face])) for face in P.faces)
+    return Fraction(cones) / math.factorial(P.affine_dim)
 
 
 def simplex_Y(sys: AffineSystem) -> Polytope:

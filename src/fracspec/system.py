@@ -502,7 +502,7 @@ def system_from_json(data: dict, name="") -> AffineSystem:
         R = [[rat.as_fraction(e) for e in row] for row in data["R"]]
         B = [tuple(rat.as_fraction(c) for c in p) for p in data["B"]]
         L = [tuple(rat.as_fraction(c) for c in p) for p in data["L"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed system definition: {exc}") from exc
     if len(R) != dim or any(len(row) != dim for row in R):
         raise ValueError("R must be a dim x dim matrix")

@@ -30,11 +30,16 @@ class TestValidateCommand:
         r = run_cli("validate", "--file", "/no/such/file.json")
         assert r.returncode == 2
 
-    def test_malformed_file(self, tmp_path):
+    @pytest.mark.parametrize("doc", [
+        "{\"dim\": 2, \"R\": [[2]]}",
+        "{\"dim\": 1, \"R\": [[\"4\"]], \"B\": [[\"0\"], [\"1/2\"]], \"L\": [[\"0\"], [\"1/0\"]]}",
+    ], ids=["short-R", "zero-denominator"])
+    def test_malformed_file(self, tmp_path, doc):
         p = tmp_path / "bad.json"
-        p.write_text("{\"dim\": 2, \"R\": [[2]]}")
+        p.write_text(doc)
         r = run_cli("validate", "--file", str(p))
         assert r.returncode == 2
+        assert "cannot parse system file" in r.stderr
 
     def test_json_format(self):
         r = run_cli("validate", "--system", "scale4", "--format", "json")

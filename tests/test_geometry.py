@@ -74,6 +74,11 @@ class TestConvexHull:
         assert not hull.contains((F(2), F(2)), strict=True)
         assert not hull.contains((F(3), F(3)))
 
+    def test_above_dimension_three_names_the_span(self):
+        simplex = [tuple(F(int(i == j)) for j in range(4)) for i in range(5)]
+        with pytest.raises(ValueError, match="span 4"):
+            fs.convex_hull(simplex)
+
     def test_single_point(self):
         hull = fs.convex_hull([(F(1, 2), F(1, 3))])
         assert hull.affine_dim == 0
@@ -225,7 +230,7 @@ class TestHullOracle:
         return extreme
 
     @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("ambient, k", [(3, 1), (3, 2), (2, 1)])
+    @pytest.mark.parametrize("ambient, k", [(3, 1), (3, 2), (2, 1), (2, 2), (1, 1)])
     def test_degenerate_sets(self, seed, ambient, k):
         # points o + sum_j s_j e_j on a rational line or plane: the hull
         # keeps the images of the extreme parameters and contains every input
@@ -251,12 +256,20 @@ class TestHullOracle:
         assert hull.affine_dim == k
         assert hull.vertices == tuple(sorted(image(s) for s in self._extreme_params(params)))
         assert all(hull.contains(p) for p in pts)
-        # off the carrying subspace, and past a vertex away from the centroid
-        normal = next(n for n in itertools.product((0, 1, 2), repeat=ambient)
-                      if rat.rank(rat.mat(dirs + [n])) == k + 1)
+        if k == ambient:
+            # the identity chart: every face corner is a vertex, and in the
+            # plane every edge (a, b) is outward, so sum det(a, b) = 2 vol
+            assert set(itertools.chain.from_iterable(hull.faces)) == set(hull.vertices)
+            if k == 2:
+                assert sum(rat.det(rat.mat(list(e))) for e in hull.faces) == 2 * fs.hull_volume(hull)
+        # off the carrying subspace (none when k == ambient), and past a
+        # vertex away from the centroid
+        normal = next((n for n in itertools.product((0, 1, 2), repeat=ambient)
+                       if rat.rank(rat.mat(dirs + [n])) == k + 1), None)
         centroid = [sum(c) / len(pts) for c in zip(*pts)]
         for v in hull.vertices:
-            assert not hull.contains(rat.vec_add(v, rat.vec_scale(F(1, 7), normal)))
+            if k < ambient:
+                assert not hull.contains(rat.vec_add(v, rat.vec_scale(F(1, 7), normal)))
             assert not hull.contains(tuple(2 * a - b for a, b in zip(v, centroid)))
 
     @pytest.mark.parametrize("r", [2, 3])

@@ -257,9 +257,13 @@ class TestSystemFiles:
         with pytest.raises((ValueError, TypeError)):
             fs.system_from_json(data)
 
-    def test_malformed_rejected(self):
+    @pytest.mark.parametrize("data", [
+        {"dim": 2, "R": [[2]], "B": [], "L": []},
+        {"dim": 1, "R": [["4"]], "B": [["0"], ["1/2"]], "L": [["0"], ["1/0"]]},
+    ], ids=["short-R", "zero-denominator"])
+    def test_malformed_rejected(self, data):
         with pytest.raises(ValueError):
-            fs.system_from_json({"dim": 2, "R": [[2]], "B": [], "L": []})
+            fs.system_from_json(data)
 
 
 class TestRational:
