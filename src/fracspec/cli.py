@@ -93,8 +93,10 @@ def cmd_validate(args, sys_obj: AffineSystem, validation) -> int:
 
 
 def cmd_spectrum(args, sys_obj: AffineSystem, validation) -> int:
-    if args.depth < 0 or sys_obj.N ** args.depth > 200_000:
+    if args.depth < 0:
         raise UsageError("spectrum depth out of range for exact enumeration")
+    sys_obj.check_words(args.depth, 200_000, "spectrum depth out of range for exact enumeration",
+                        "words")
     enum = spectrum.enumerate_P(sys_obj, args.depth)
     cols = [f"t{i + 1}" for i in range(sys_obj.dim)] + ["digits"]
     rows = []

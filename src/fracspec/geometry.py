@@ -45,9 +45,7 @@ class AttractorSample:
 def _lifted_images(sys: AffineSystem, side: str, depth: int) -> tuple:
     """The distinct images of 0 under the depth-n words, lifted to integers
     and sorted, with their common denominator."""
-    n_words = sys.N ** depth
-    if n_words > MAX_WORDS:
-        raise ValueError(f"{n_words} words at depth {depth} exceeds the exact-arithmetic cap")
+    sys.check_words(depth, MAX_WORDS, "attractor words exceed the exact-arithmetic cap", "words")
     walk, scale = sys.lifted_walk(side, depth)
     return sorted(set(walk)), scale
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import geometry, rational as rat
-from .system import AffineSystem, chi_B_batch
+from .system import AffineSystem
 
 DEFAULT_TAIL_TOL = 1e-10
 MAX_PRODUCT_DEPTH = 200
@@ -25,11 +25,13 @@ class FourierEvaluation:
 
 
 def _contraction_data(S: np.ndarray):
-    """Smallest power kappa with ||S^kappa||_op < 1, plus the geometric data
-    (rho, c) bounding ||S^n t|| <= c rho^{floor(n/kappa)} ||t||."""
+    """Smallest power kappa <= MAX_PRODUCT_DEPTH with ||S^kappa||_op < 1, plus
+    the geometric data (rho, c) bounding ||S^n t|| <= c rho^{floor(n/kappa)} ||t||.
+    A shear can take many powers to contract: R = [[2, 100], [0, 2]] first
+    contracts at kappa = 9."""
     rho = None
     powers = [np.eye(S.shape[0])]
-    for k in range(1, 9):
+    for k in range(1, MAX_PRODUCT_DEPTH + 1):
         powers.append(powers[-1] @ S)
         nrm = float(np.linalg.norm(powers[-1], 2))
         if nrm < 1.0:
@@ -87,6 +89,43 @@ class SelfSimilarMeasure:
             raise ValueError(f"frequency array must have trailing axis {self.dim}")
         return T
 
+    def _levels(self, T: np.ndarray, Lam: np.ndarray, depth: int):
+        """The bracket of `AffineSystem.mask_table` at level k < depth of the
+        product, for every row t of T and lambda of Lam.
+
+        Yields (re, im), each of shape (m, n): the real and imaginary parts
+        of a0 + sum_j w_j e^{i u_j.(t - lambda)}, with u_j = 2 pi R*^{-k}' e_j;
+        im is None when the table is real.  Angle addition splits each term
+        into a t side and a lambda side: the lambda side is evaluated once per
+        point and level for all rows, and one matrix product joins the two
+        sides for the real part (and one more for the imaginary part).
+        """
+        a0, E, w, real, _ = self.system.mask_table
+        U = 2 * np.pi * E.T
+        for _ in range(depth):
+            pt, pl = T @ U, Lam @ U
+            ct, st = np.cos(pt) * w, np.sin(pt) * w
+            right = np.concatenate([np.cos(pl), np.sin(pl)], axis=1).T
+            re = np.concatenate([ct, st], axis=1) @ right
+            re += a0
+            yield re, (None if real else np.concatenate([st, -ct], axis=1) @ right)
+            U = self._S.T @ U
+
+    def _pairs(self, T: np.ndarray, Lam: np.ndarray, depth: int) -> np.ndarray:
+        """The depth-`depth` product mu_hat(t - lambda) as an (m, n) complex
+        array: the brackets of `_levels` times the centre phase
+        e^{i 2 pi c_d.(t - lambda)}, with c_d = sum_{k < depth} R^{-k} c."""
+        *_, real, c = self.system.mask_table
+        out = np.ones((len(T), len(Lam)), dtype=float if real else complex)
+        for re, im in self._levels(T, Lam, depth):
+            out *= re if im is None else re + 1j * im
+        c, cd = np.array(c, dtype=float), np.zeros(self.dim)
+        for _ in range(depth):
+            c, cd = self._S.T @ c, cd + c
+        out = out * np.exp(2j * np.pi * (T @ cd))[:, None]
+        out *= np.exp(-2j * np.pi * (Lam @ cd))[None, :]
+        return out
+
     def mu_hat_batch(self, T, depth: int | None = None):
         """Transform values for an array of frequencies.
 
@@ -98,46 +137,38 @@ class SelfSimilarMeasure:
         t_norm = float(np.sqrt((T ** 2).sum(axis=-1)).max()) if T.size else 0.0
         if depth is None:
             depth = self.depth_for(t_norm)
-        vals = np.ones(T.shape[:-1], dtype=complex)
-        S = T.copy()
-        for _ in range(depth):
-            vals = vals * chi_B_batch(self.system, S)
-            S = S @ self._S.T
-        return vals, self.tail_bound(depth, t_norm)
+        vals = self._pairs(T.reshape(-1, self.dim), np.zeros((1, self.dim)), depth)
+        return vals.reshape(T.shape[:-1]), self.tail_bound(depth, t_norm)
 
-    def mu_hat_sq_pairs(self, T, Lam):
-        """|mu_hat(t - lambda)|^2 for every row t of T and lambda of Lam.
-
-        Returns the (m, n) array and the tail bound of |mu_hat| at the largest
-        |t - lambda|, whose adaptive depth truncates every product.  Factor k
-        is |a0 + sum_j w_j e^{i u_j.(t - lambda)}|^2 over the rows of
-        `AffineSystem.mask_table`, with u_j = 2 pi R*^{-k}' e_j.  Angle
-        addition splits each term into a t side and a lambda side: the lambda
-        side is evaluated once per point and level for all rows, and one
-        matrix product joins the two sides for the real part of the bracket
-        (and one more for the imaginary part unless the table is real).
-        """
+    def _adaptive(self, T, Lam):
+        """T and Lam as (m, dim) and (n, dim) arrays, the depth that meets the
+        tail tolerance at the largest |t - lambda|, and its tail bound."""
         T = np.asarray(T, dtype=float).reshape(-1, self.dim)
         Lam = np.asarray(Lam, dtype=float).reshape(-1, self.dim)
         t_norm = _max_distance(T, Lam)
         depth = self.depth_for(t_norm)
-        a0, E, w, real = self.system.mask_table
-        U = 2 * np.pi * E.T
+        return T, Lam, depth, self.tail_bound(depth, t_norm)
+
+    def mu_hat_pairs(self, T, Lam):
+        """mu_hat(t - lambda) for every row t of T and lambda of Lam: the
+        (m, n) complex array and the tail bound of the adaptive depth."""
+        T, Lam, depth, tail = self._adaptive(T, Lam)
+        return self._pairs(T, Lam, depth), tail
+
+    def mu_hat_sq_pairs(self, T, Lam):
+        """|mu_hat(t - lambda)|^2 for every row t of T and lambda of Lam: the
+        (m, n) array and the tail bound of |mu_hat| at the adaptive depth.
+        Factor k is re^2 + im^2 of the bracket of `_levels`, real throughout:
+        the centre phase has modulus one."""
+        T, Lam, depth, tail = self._adaptive(T, Lam)
         out = np.ones((len(T), len(Lam)))
-        for _ in range(depth):
-            pt, pl = T @ U, Lam @ U
-            ct, st = np.cos(pt) * w, np.sin(pt) * w
-            right = np.concatenate([np.cos(pl), np.sin(pl)], axis=1).T
-            re = np.concatenate([ct, st], axis=1) @ right
-            re += a0
+        for re, im in self._levels(T, Lam, depth):
             re *= re
-            if not real:
-                im = np.concatenate([st, -ct], axis=1) @ right
+            if im is not None:
                 im *= im
                 re += im
             out *= re
-            U = self._S.T @ U
-        return out, self.tail_bound(depth, t_norm)
+        return out, tail
 
     def mu_hat(self, t, depth: int | None = None) -> FourierEvaluation:
         tv = np.asarray(t, dtype=float).reshape(-1)
@@ -145,17 +176,13 @@ class SelfSimilarMeasure:
             raise ValueError(f"expected a {self.dim}-vector, got shape {tv.shape}")
         if depth is None:
             depth = self.depth_for(float(np.linalg.norm(tv)))
-        arg = tv[0] if self.dim == 1 else tv.reshape(1, self.dim)
-        vals, tail = self.mu_hat_batch(arg, depth)
-        value = complex(vals if np.ndim(vals) == 0 else vals[0])
-        return FourierEvaluation(value, depth, tail)
+        vals, tail = self.mu_hat_batch(tv.reshape(1, self.dim), depth)
+        return FourierEvaluation(complex(vals.flat[0]), depth, tail)
 
     # -- quadrature ---------------------------------------------------------
     def atoms(self, depth: int) -> np.ndarray:
         """All N^depth depth-d word images of 0 under the sigma maps."""
-        n_atoms = self.system.N ** depth
-        if n_atoms > 20_000_000:
-            raise ValueError(f"{n_atoms} quadrature atoms is beyond reason")
+        self.system.check_words(depth, 20_000_000, "too many quadrature atoms", "atoms")
         Rinv = np.array(self.system.R.inverse, dtype=float)
         bs = self.system.b_array()
         a = np.zeros((1, self.dim))
@@ -313,6 +340,11 @@ class ConvolvedMeasure:
     def mu_hat_batch(self, T, depth=None):
         va, ta = self.parts[0].mu_hat_batch(T, depth)
         vb, tb = self.parts[1].mu_hat_batch(T, depth)
+        return va * vb, ta + tb
+
+    def mu_hat_pairs(self, T, Lam):
+        va, ta = self.parts[0].mu_hat_pairs(T, Lam)
+        vb, tb = self.parts[1].mu_hat_pairs(T, Lam)
         return va * vb, ta + tb
 
     def mu_hat_sq_pairs(self, T, Lam):

@@ -50,8 +50,7 @@ def enumerate_P(sys: AffineSystem, depth: int) -> SpectrumEnumeration:
     words keeps the first."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if sys.N ** depth > MAX_EXACT_POINTS:
-        raise ValueError("too many words for exact enumeration at this depth")
+    sys.check_words(depth, MAX_EXACT_POINTS, "too many words for exact enumeration", "words")
     seen = {}
     for lam, word in sys.word_walk("tau", depth):
         seen.setdefault(lam, word)
@@ -78,9 +77,7 @@ def reconstruct(sys: AffineSystem, word) -> tuple:
 
 def check_layer_depth(sys: AffineSystem, depth: int) -> None:
     """Refuse a layer depth whose N^depth points exceed MAX_FLOAT_POINTS."""
-    if sys.N ** depth > MAX_FLOAT_POINTS:
-        raise ValueError(f"spectrum layer exceeds the point cap: depth {depth} "
-                         f"reaches {sys.N}^{depth} points, over {MAX_FLOAT_POINTS}")
+    sys.check_words(depth, MAX_FLOAT_POINTS, "spectrum layer exceeds the point cap", "points")
 
 
 def layer_digits(sys: AffineSystem, depth: int):
@@ -116,8 +113,10 @@ def spectrum_layers(sys: AffineSystem, depth: int):
     """Float coordinates of P(L) grouped by the depth of the last nonzero digit.
 
     Yields (d, points) with points of shape (n, dim), the sum of the digit
-    sets of `layer_digits`; the union over d = 0..depth is the depth-`depth`
-    enumeration.  Assumes digit uniqueness (no dedupe is attempted).
+    sets of `layer_digits`.  When 0 is in L, the union over d = 0..depth is
+    the depth-`depth` enumeration of `enumerate_P`; without 0 in L (a system
+    that fails the zero_in_L axiom) the layers are another set.  Assumes digit uniqueness
+    (no dedupe is attempted).
     """
     for d, sets in layer_digits(sys, depth):
         yield d, digit_sum(sets, sys.dim)
@@ -205,24 +204,23 @@ def check_gram_count(count: int) -> None:
                          f"{geometry.MAX_MESH_POINTS} entries")
 
 
-def gram_matrix(measure, points, fourier_depth: int | None = None) -> GramReport:
+def gram_matrix(measure, points) -> GramReport:
     """Inner products of exponentials: entry (i, j) is the transform at
-    lambda_j - lambda_i."""
+    lambda_j - lambda_i, the transpose of `mu_hat_pairs` of the points
+    against themselves."""
     measure = _as_measure(measure)
     pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
     check_gram_count(len(pts))
     arr = np.stack(pts)
     if len({tuple(p) for p in arr.round(12).tolist()}) != len(pts):
         raise ValueError("Gram points must be pairwise distinct")
-    diffs = arr[None, :, :] - arr[:, None, :]
-    if measure.dim == 1:
-        diffs = diffs[..., 0]
-    vals, tail = measure.mu_hat_batch(diffs, fourier_depth)
-    G = np.asarray(vals)
-    off = np.abs(G - np.diag(np.diag(G)))
+    vals, tail = measure.mu_hat_pairs(arr, arr)
+    G = vals.T
+    off = np.abs(G)
+    np.fill_diagonal(off, 0.0)
     top = float(off.max())
-    tied = np.argwhere(off >= top - 1e-12)
-    i, j = min(map(tuple, tied))
+    # argwhere is in row-major order, so its first row is the least tied pair
+    i, j = np.argwhere(off >= top - 1e-12)[0]
     return GramReport(tuple(map(tuple, arr.tolist())), G, tail,
                       top, (tuple(arr[i].tolist()), tuple(arr[j].tolist())))
 

@@ -162,11 +162,11 @@ class AffineSystem:
     @functools.cached_property
     def mask_table(self) -> tuple:
         """chi_B(x) = e^{i 2 pi c.x} (a0 + sum_k w_k e^{i 2 pi e_k.x}) as
-        (a0, E, w, real), with c the mean of B and the rows e_k of E the
-        nonzero digits b - c; a0 = #{b = c}/N.  When the centred digits are
-        symmetric (e and -e alike), E keeps one of each pair at weight 2/N and
-        the bracket is the real a0 + sum_k w_k cos(2 pi e_k.x) (`real` is
-        True); otherwise every digit stays at weight 1/N.
+        (a0, E, w, real, c), with c the exact mean of B and the rows e_k of E
+        the nonzero digits b - c; a0 = #{b = c}/N.  When the centred digits
+        are symmetric (e and -e alike), E keeps one of each pair at weight
+        2/N and the bracket is the real a0 + sum_k w_k cos(2 pi e_k.x)
+        (`real` is True); otherwise every digit stays at weight 1/N.
 
         Squaring the bracket keeps |chi_B|^2 accurate to rounding squared at
         its zeros, where the cosine series over B - B cancels to rounding.
@@ -178,7 +178,21 @@ class AffineSystem:
         E = [e for e in centred if (e > rat.vec_scale(-1, e) if real else e != zero)]
         return (centred.count(zero) / self.N,
                 np.array(E, dtype=float).reshape(len(E), self.dim),
-                np.full(len(E), (2 if real else 1) / self.N), real)
+                np.full(len(E), (2 if real else 1) / self.N), real, c)
+
+    def check_words(self, depth: int, cap: int, what: str, unit: str) -> None:
+        """Refuse a depth whose N^depth words exceed `cap`, with a ValueError
+        that names N, the depth and the cap.  The count is multiplied up one
+        level at a time and the loop stops once past the cap, so the power
+        is never formed.  A one-digit system counts as two digits: its words
+        are one point, but every level still costs a step."""
+        total = 1
+        for _ in range(depth):
+            total *= max(self.N, 2)
+            if total > cap:
+                counted = " (one digit counts as two)" if self.N == 1 else ""
+                raise ValueError(f"{what}: depth {depth} reaches {self.N}^{depth} "
+                                 f"{unit}{counted}, over {cap}")
 
     def __repr__(self):
         label = self.name or "system"
@@ -230,16 +244,17 @@ def chi_B(sys: AffineSystem, t) -> complex:
 
 
 def chi_B_batch(sys: AffineSystem, T: np.ndarray) -> np.ndarray:
-    """Mask values for an array of frequency vectors, shape (..., dim)."""
+    """Mask values e^{i 2 pi c.x} (re + i im) for an array of frequency
+    vectors, shape (..., dim), from the bracket of `AffineSystem.mask_table`."""
     T = np.asarray(T, dtype=float)
-    phases = T @ sys.b_array().T          # (..., N)
-    return np.exp(2j * np.pi * phases).sum(axis=-1) / sys.N
+    re, im, _ = _mask_parts(sys, T)
+    return np.exp(2j * np.pi * (T @ np.array(sys.mask_table[4], dtype=float))) * (re + 1j * im)
 
 
 def _mask_parts(sys: AffineSystem, T):
     """Real and imaginary parts of the bracket of `AffineSystem.mask_table`
     at T, shape (..., dim), as two arrays of shape (...)."""
-    a0, E, w, real = sys.mask_table
+    a0, E, w, real, _ = sys.mask_table
     P = 2 * np.pi * (np.asarray(T, dtype=float) @ E.T)
     re = a0 + np.cos(P) @ w
     return re, (np.zeros_like(re) if real else np.sin(P) @ w), P
@@ -254,7 +269,7 @@ def chi_B_sq(sys: AffineSystem, T) -> np.ndarray:
 def chi_B_sq_grad(sys: AffineSystem, t) -> np.ndarray:
     """Analytic gradient of |chi_B|^2 at t: 2 (Re grad Re + Im grad Im) of
     the bracket of `AffineSystem.mask_table`."""
-    _, E, w, _ = sys.mask_table
+    _, E, w, _, _ = sys.mask_table
     re, im, P = _mask_parts(sys, t)
     return 4 * np.pi * (w * (im * np.cos(P) - re * np.sin(P))) @ E
 

@@ -50,7 +50,7 @@ def test_criterion_03_orthogonality(scale4):
 
 
 def test_criterion_04_triadic_witness(triadic):
-    rep = fs.gram_matrix(triadic, [F(0), F(3, 4), F(9, 4)], fourier_depth=45)
+    rep = fs.gram_matrix(triadic, [F(0), F(3, 4), F(9, 4)])
     entry = abs(rep.matrix[1, 2])       # pair (3/4, 9/4)
     # independent oracle: cosine-product form of the transform at 3/2
     oracle = abs(np.prod([math.cos(2 * math.pi * 1.5 / 3 ** n) for n in range(1, 60)]))

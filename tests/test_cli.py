@@ -322,6 +322,27 @@ class TestUsage:
         assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert peak < 16 * 2 ** 20
 
+    @pytest.mark.parametrize("args", [
+        ("spectrum", "--system", "planar-collapse", "--depth", "100000000"),
+        ("q1", "--system", "planar-collapse", "--p-depth", "100000000"),
+        ("attractor", "--system", "planar-collapse", "--depth", "100000000"),
+        ("attractor", "--system", "scale4", "--depth", "100000000"),
+        ("spectrum", "--file", "ONE_DIGIT", "--depth", "10000000"),
+        ("attractor", "--file", "ONE_DIGIT", "--depth", "10000000"),
+    ])
+    def test_depth_capped_without_the_power(self, tmp_path, args):
+        # N^depth was formed before the cap compared it: 3^(10^8) ran past
+        # 60 s, a 4^(10^8) message failed to format, and a one-digit system
+        # (1^depth = 1) passed every cap
+        one = tmp_path / "one-digit.json"
+        one.write_text(json.dumps({"dim": 1, "R": [["3"]], "B": [["0"]], "L": [["0"]]}))
+        args = [str(one) if a == "ONE_DIGIT" else a for a in args]
+        r = subprocess.run(RUN + args, capture_output=True, text=True, timeout=20)
+        assert r.returncode == 2
+        depth = args[-1]
+        assert r.stderr.startswith("error: ") and f"^{depth} " in r.stderr
+        assert "Traceback" not in r.stderr and "string conversion" not in r.stderr
+
     @pytest.mark.parametrize("args, message", [
         # about 50 s of layers before the cap was reached inside the loop
         (("q1", "--system", "triadic", "--p-depth", "30"), "depth 30 reaches 2^30 points"),

@@ -10,6 +10,41 @@ import pytest
 import fracspec as fs
 
 
+def per_digit_product(meas, X):
+    """Reference transform at the rows of X, shape (..., dim): the product
+    prod_{k < depth} (1/N) sum_b e^{i 2 pi b.R*^{-k} x}, one complex
+    exponential per digit and level, at the adaptive depth of the largest
+    |x|.  A convolution multiplies its parts' products and adds their tails.
+    Returns (values, tail bound)."""
+    X = np.asarray(X, dtype=float)
+    norm = float(np.sqrt((X ** 2).sum(axis=-1)).max())
+    vals, tail = np.ones(X.shape[:-1], dtype=complex), 0.0
+    for part in getattr(meas, "parts", (meas,)):
+        depth = part.depth_for(norm)
+        S = np.array(part.system.R.inverse_transpose, dtype=float)
+        B = part.system.b_array()
+        Y = X
+        for _ in range(depth):
+            vals = vals * np.exp(2j * np.pi * (Y @ B.T)).sum(axis=-1) / part.system.N
+            Y = Y @ S.T
+        tail += part.tail_bound(depth, norm)
+    return vals, tail
+
+
+def _measure(request, name):
+    meas = request.getfixturevalue(name)
+    return fs.SelfSimilarMeasure(meas) if isinstance(meas, fs.AffineSystem) else meas
+
+
+def _probe_pairs(dim):
+    """Six probes t and forty points lambda with |t - lambda| <= 50."""
+    rng = np.random.RandomState(11)
+    T = rng.uniform(-1, 1, size=(6, dim))
+    Lam = rng.uniform(-1, 1, size=(40, dim))
+    Lam *= rng.uniform(0, 49, size=(40, 1)) / np.linalg.norm(Lam, axis=1, keepdims=True)
+    return T, Lam
+
+
 class TestMuHat:
     def test_at_zero_exact(self, mu4, mu2, mu3):
         for m in (mu4, mu2, mu3):
@@ -49,6 +84,17 @@ class TestMuHat:
         with pytest.raises(ValueError):
             fs.SelfSimilarMeasure(sysm)
 
+    def test_late_contracting_shear(self):
+        # R is expansive (moduli 2, 2), but the first power of R*^-1 of norm
+        # below 1 is the ninth (0.88)
+        sysm = fs.make_system([[2, 100], [0, 2]], [(0, 0), (Fraction(1, 2), 0)],
+                              [(0, 0), (1, 0)])
+        assert fs.validate_system(sysm).passed
+        assert fs.SelfSimilarMeasure(sysm).mu_hat((0.0, 0.0)).value == 1
+        rep = fs.gram_matrix(sysm, fs.enumerate_P(sysm, 2).coords())
+        assert rep.matrix.shape == (4, 4)
+        assert rep.max_offdiag <= 1e-8 and rep.max_diag_defect <= 1e-10
+
     def test_eiffel_value_finite(self, eiffel2):
         m = fs.SelfSimilarMeasure(eiffel2)
         ev = m.mu_hat((1.0, 2.0, 3.0))
@@ -61,19 +107,30 @@ class TestSquaredPairs:
 
     @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2", "mu34"])
     def test_matches_complex_transform(self, request, name):
-        meas = request.getfixturevalue(name)
-        if isinstance(meas, fs.AffineSystem):
-            meas = fs.SelfSimilarMeasure(meas)
-        rng = np.random.RandomState(11)
-        T = rng.uniform(-1, 1, size=(6, meas.dim))
-        Lam = rng.uniform(-1, 1, size=(40, meas.dim))
-        Lam *= rng.uniform(0, 49, size=(40, 1)) / np.linalg.norm(Lam, axis=1, keepdims=True)
-        diffs = T[:, None, :] - Lam[None, :, :]          # |t - lambda| <= 50
-        vals, tail = meas.mu_hat_batch(diffs if meas.dim > 1 else diffs[..., 0])
+        meas = _measure(request, name)
+        T, Lam = _probe_pairs(meas.dim)
+        vals, tail = per_digit_product(meas, T[:, None, :] - Lam[None, :, :])
         got, got_tail = meas.mu_hat_sq_pairs(T, Lam)
         assert got.shape == (6, 40)
         assert np.abs(got - np.abs(vals) ** 2).max() <= 1e-12
         assert got_tail == pytest.approx(tail, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2", "mu34"])
+    def test_complex_kernels_match_per_digit_product(self, request, name):
+        # mu_hat_pairs and mu_hat_batch read the mask table; the reference
+        # takes one exponential per digit
+        meas = _measure(request, name)
+        T, Lam = _probe_pairs(meas.dim)
+        diffs = T[:, None, :] - Lam[None, :, :]
+        vals, tail = per_digit_product(meas, diffs)
+        got, got_tail = meas.mu_hat_pairs(T, Lam)
+        assert got.shape == (6, 40)
+        assert np.abs(got - vals).max() <= 1e-12
+        assert got_tail == pytest.approx(tail, rel=1e-12)
+        batch, batch_tail = meas.mu_hat_batch(diffs if meas.dim > 1 else diffs[..., 0])
+        assert batch.shape == (6, 40)
+        assert np.abs(batch - vals).max() <= 1e-12
+        assert batch_tail == pytest.approx(tail, rel=1e-12)
 
     @pytest.mark.parametrize("R,b", [(7, Fraction(1, 4)), (5, Fraction(1, 2)),
                                      (-7, Fraction(3, 2)), (3, Fraction(2, 3))])
@@ -104,6 +161,22 @@ class TestSquaredPairs:
         lam = np.array(fs.enumerate_P(eiffel2, 4).coords(), dtype=float)
         got, _ = fs.SelfSimilarMeasure(eiffel2).mu_hat_sq_pairs([[-1.0, -1.0, 0.0]], lam)
         assert got.max() <= 1e-28
+
+
+class TestGramOracle:
+    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar-collapse", "eiffel(2)"])
+    def test_matches_per_digit_product(self, name):
+        # 256 spectrum points: |lambda| reaches 2.2e4 on scale4, where angle
+        # addition costs about 1e-12 of phase
+        sysm = fs.get_system(name)
+        depth = next(d for d in range(1, 10) if sysm.N ** d >= 256)
+        pts = np.array(fs.enumerate_P(sysm, depth).coords(), dtype=float)[:256]
+        rep = fs.gram_matrix(sysm, pts)
+        ref, tail = per_digit_product(fs.SelfSimilarMeasure(sysm),
+                                      pts[None, :, :] - pts[:, None, :])
+        assert rep.matrix.shape == (256, 256)
+        assert np.abs(rep.matrix - ref).max() <= 1e-11
+        assert rep.tail_bound == pytest.approx(tail, rel=1e-12)
 
 
 class TestClosedForm:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -126,7 +127,7 @@ class TestGram:
         assert rep.max_diag_defect <= 1e-10
 
     def test_triadic_witness(self, triadic, mu3):
-        rep = fs.gram_matrix(triadic, [F(0), F(3, 4), F(9, 4)], fourier_depth=45)
+        rep = fs.gram_matrix(triadic, [F(0), F(3, 4), F(9, 4)])
         assert rep.max_offdiag > 0.4
         assert rep.worst_pair == ((0.75,), (2.25,))
         # independent cosine-product oracle for the witness value
@@ -150,6 +151,19 @@ class TestGram:
         # 1025^2 entries exceed the 2^20 cap, refused before the differences
         with pytest.raises(ValueError, match="a Gram matrix of 1025 points"):
             fs.gram_matrix(scale4, range(1025))
+
+    def test_memory_of_the_largest_matrix(self, scale4):
+        # 1024 points, the most under the cap: the pairs kernel keeps a few
+        # 1024 x 1024 arrays, and no 1024 x 1024 x dim difference tensor
+        pts = fs.enumerate_P(scale4, 10).coords()
+        tracemalloc.start()
+        try:
+            rep = fs.gram_matrix(scale4, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.matrix.shape == (1024, 1024)
+        assert peak < 64 * 2 ** 20
 
     def test_even_scale_family_orthogonal(self):
         # digits {0, b} at an even scale >= 4 pair with L = {0, 1/(2b)}
@@ -291,6 +305,8 @@ class TestQ1:
             fs.completeness_test(planar, probes, fourier_depth=3)
         with pytest.raises(TypeError):
             fs.max_orthogonal_family(fs.SelfSimilarMeasure(planar), probes, fourier_depth=3)
+        with pytest.raises(TypeError):
+            fs.gram_matrix(planar, probes, fourier_depth=45)
 
 
 class TestCompleteness:

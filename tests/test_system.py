@@ -82,19 +82,22 @@ class TestMask:
                 assert np.abs(g).max() <= 1e-12
 
     def test_squared_mask_matches_complex(self, scale4, triadic, planar, eiffel2):
+        # against chi_B's exact branch: the phases b.t of the float points,
+        # read as rationals, are reduced mod 1 exactly
         rng = np.random.RandomState(4)
         three = fs.make_system(6, [0, Fraction(1, 3), Fraction(2, 3)], [0, 1, 2])
         for sys_obj in (scale4, triadic, planar, eiffel2, three):
             T = rng.uniform(-20, 20, size=(50, sys_obj.dim))
-            ref = np.abs(fs.chi_B_batch(sys_obj, T)) ** 2
+            ref = np.array([abs(fs.chi_B(sys_obj, tuple(map(Fraction, t)))) ** 2 for t in T])
             assert np.abs(fs.chi_B_sq(sys_obj, T) - ref).max() <= 1e-14
 
     def test_mask_table_is_real_for_symmetric_digits(self, scale4, planar, eiffel2):
         three = fs.make_system(6, [0, Fraction(1, 3), Fraction(2, 3)], [0, 1, 2])
         assert [s.mask_table[3] for s in (scale4, three, planar, eiffel2)] == \
             [True, True, False, False]
-        a0, E, w, _ = three.mask_table      # centred digits {0, +-1/3}
+        a0, E, w, _, c = three.mask_table      # centred digits {0, +-1/3}
         assert a0 == 1 / 3 and E.tolist() == [[1 / 3]] and w.tolist() == [2 / 3]
+        assert c == (Fraction(1, 3),)
 
     def test_squared_mask_resolves_its_zeros(self, scale4, eiffel2):
         # |chi_B|^2 is a square of the bracket, so it stays at rounding
