@@ -4,6 +4,7 @@ and over user-supplied system files."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys as _sys
 from fractions import Fraction
@@ -30,14 +31,22 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write(args, lines: list) -> None:
-    """Write the lines, each ended by a newline, to --out or stdout."""
-    text = "".join(line + "\n" for line in lines)
+def fmt_rows(template: str, table: np.ndarray) -> str:
+    """The rows of a 2-D array as lines joined by newlines, each `template`
+    %-formatted with the row's values in one formatting call for the whole
+    table: a `%.17g` field prints what `fmt` prints, and a `%d` field needs
+    integral values."""
+    return "\n".join([template] * len(table)) % tuple(table.ravel().tolist())
+
+
+def _write(args, lines) -> None:
+    """Write the lines of an iterable, each ended by a newline, to --out or
+    stdout, one at a time."""
     if args.out:
         with open(args.out, "w") as out:
-            out.write(text)
+            out.writelines(line + "\n" for line in lines)
     else:
-        _sys.stdout.write(text)
+        _sys.stdout.writelines(line + "\n" for line in lines)
 
 
 def _emit(args, header: dict, rows: list, columns: list, json_payload=None) -> None:
@@ -48,9 +57,14 @@ def _emit(args, header: dict, rows: list, columns: list, json_payload=None) -> N
                    else {"columns": columns, "rows": rows})
         _write(args, [json.dumps(doc, indent=2, default=str)])
     else:
-        echo = " ".join(f"{k}={v}" for k, v in header.items())
-        _write(args, [f"# fracspec {echo}", ",".join(columns)]
+        _write(args, _csv_head(header, columns)
                + [",".join(str(c) for c in row) for row in rows])
+
+
+def _csv_head(header: dict, columns: list) -> list:
+    """The config-echo comment and the column line of a CSV report."""
+    echo = " ".join(f"{k}={v}" for k, v in header.items())
+    return [f"# fracspec {echo}", ",".join(columns)]
 
 
 def _load(args) -> AffineSystem:
@@ -76,6 +90,10 @@ def _load(args) -> AffineSystem:
 # mandatory for its own exit status.
 GATE_AXIOMS = ("cardinality", "zero_in_B", "zero_in_L", "expansive", "hadamard")
 UNGATED = ("validate", "report")
+# The completeness sums run over the Q1 layers, which are the P(L) that
+# `spectrum` lists only when 0 is in L: these commands refuse a system
+# without it, even under --force.
+NEED_ZERO_IN_L = ("q1", "report")
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +141,22 @@ def cmd_gram(args, sys_obj: AffineSystem, validation) -> int:
     rep = spectrum.gram_matrix(sys_obj, pts)
     header = {"command": "gram", "system": sys_obj.name, "count": args.count,
               "max_offdiag": fmt(rep.max_offdiag), "tail_bound": fmt(rep.tail_bound)}
-    cols = ["i", "j", "re", "im", "abs"]
-    rows = [[i, j, fmt(rep.matrix[i, j].real), fmt(rep.matrix[i, j].imag),
-             fmt(abs(rep.matrix[i, j]))]
-            for i in range(len(pts)) for j in range(len(pts))]
-    payload = {"points": [[rat.format_fraction(c) for c in p] for p in pts],
-               "max_offdiag": rep.max_offdiag, "worst_pair": rep.worst_pair,
-               "tail_bound": rep.tail_bound,
-               "matrix_abs": [[abs(x) for x in row] for row in rep.matrix.tolist()]}
-    _emit(args, header, rows, cols, json_payload=payload)
+    # |G| by np.hypot, which rounds as abs() of one entry does; np.abs of a
+    # complex array can differ in the last bit
+    G = rep.matrix
+    absG = np.hypot(G.real, G.imag)
+    if args.format == "json":
+        payload = {"points": [[rat.format_fraction(c) for c in p] for p in pts],
+                   "max_offdiag": rep.max_offdiag, "worst_pair": rep.worst_pair,
+                   "tail_bound": rep.tail_bound, "matrix_abs": absG.tolist()}
+        _emit(args, header, [], [], json_payload=payload)
+        return EXIT_OK
+    # one block of lines per row of G, each formatted in one call as it is written
+    j = np.arange(len(G))
+    blocks = (fmt_rows("%d,%d,%.17g,%.17g,%.17g",
+                       np.column_stack([np.full(len(G), i), j, g.real, g.imag, a]))
+              for i, (g, a) in enumerate(zip(G, absG)))
+    _write(args, itertools.chain(_csv_head(header, ["i", "j", "re", "im", "abs"]), blocks))
     return EXIT_OK
 
 
@@ -370,6 +395,10 @@ def main(argv=None) -> int:
         _check_options(args)
         sys_obj = _load(args)
         validation = validate_system(sys_obj)
+        if args.command in NEED_ZERO_IN_L and not validation.checks["zero_in_L"].passed:
+            raise UsageError(f"{args.command} needs the zero_in_L axiom (0 in L), which "
+                             "--force does not lift: without it the Q1 layers are "
+                             "another set than P(L)")
         bad = [name for name in GATE_AXIOMS if not validation.checks[name].passed]
         if bad and not args.force and args.command not in UNGATED:
             print(f"system {sys_obj.name or '<file>'} fails {', '.join(bad)} "

@@ -14,6 +14,7 @@ from .system import AffineSystem
 
 DEFAULT_TAIL_TOL = 1e-10
 MAX_PRODUCT_DEPTH = 200
+STACK_ENTRIES = 1 << 15     # (level, t, lambda) entries of one stacked product in _brackets
 
 
 @dataclass
@@ -64,6 +65,9 @@ class SelfSimilarMeasure:
         self._kappa, self._rho, self._c = _contraction_data(self._S)
         self._b_max = math.sqrt(max(
             float(rat.dot(b, b)) for b in sys.B))
+        _, E, _, _, c = sys.mask_table
+        # the level frequencies and centres built so far; see _level_data
+        self._stack = (2 * np.pi * E.T[None], np.array(c, dtype=float)[None])
 
     # -- tail machinery ----------------------------------------------------
     def tail_bound(self, depth: int, t_norm: float) -> float:
@@ -74,9 +78,24 @@ class SelfSimilarMeasure:
         return 2.0 * math.pi * self._b_max * self._c * t_norm * geo
 
     def depth_for(self, t_norm: float) -> int:
-        """Smallest product depth whose tail bound is below DEFAULT_TAIL_TOL."""
-        d = 1
-        while self.tail_bound(d, t_norm) >= DEFAULT_TAIL_TOL and d < MAX_PRODUCT_DEPTH:
+        """Smallest product depth d >= 1 whose tail bound is below
+        DEFAULT_TAIL_TOL, or MAX_PRODUCT_DEPTH when no smaller one is.
+
+        The bound is its depth-0 value times rho^{floor(d/kappa)}, so one
+        logarithm places d; steps of `tail_bound` itself then settle the
+        rounding, so d is the one a depth-by-depth search would find.
+        """
+        head = self.tail_bound(0, t_norm)
+        if not head >= DEFAULT_TAIL_TOL:             # also a zero or NaN norm
+            d = 1
+        elif head == math.inf:
+            d = MAX_PRODUCT_DEPTH
+        else:
+            q = math.floor(math.log(DEFAULT_TAIL_TOL / head) / math.log(self._rho)) + 1
+            d = min(max(self._kappa * q, 1), MAX_PRODUCT_DEPTH)
+        while d > 1 and self.tail_bound(d - 1, t_norm) < DEFAULT_TAIL_TOL:
+            d -= 1
+        while d < MAX_PRODUCT_DEPTH and self.tail_bound(d, t_norm) >= DEFAULT_TAIL_TOL:
             d += 1
         return d
 
@@ -89,40 +108,78 @@ class SelfSimilarMeasure:
             raise ValueError(f"frequency array must have trailing axis {self.dim}")
         return T
 
-    def _levels(self, T: np.ndarray, Lam: np.ndarray, depth: int):
-        """The bracket of `AffineSystem.mask_table` at level k < depth of the
-        product, for every row t of T and lambda of Lam.
+    def _level_data(self, depth: int):
+        """(U, C) of the depth-`depth` product: U of shape (depth, dim, J)
+        stacks the columns u_kj = 2 pi R*^{-k}' e_j of each level k, e_j the
+        rows of E in `AffineSystem.mask_table`, and C of shape (depth, dim)
+        the level centres R*^{-k}' c.  Both follow the recurrence
+        x_{k+1} = R*^{-1}' x_k, run once per level and measure: a deeper
+        product extends the stack, a shallower one takes a slice."""
+        U, C = self._stack
+        if depth > len(U):
+            built = len(U)
+            U = np.concatenate([U, np.empty((depth - built,) + U.shape[1:])])
+            C = np.concatenate([C, np.empty((depth - built, self.dim))])
+            for k in range(built, depth):
+                np.matmul(self._S.T, U[k - 1], out=U[k])
+                np.matmul(self._S.T, C[k - 1], out=C[k])
+            self._stack = U, C
+        return U[:depth], C[:depth]
 
-        Yields (re, im), each of shape (m, n): the real and imaginary parts
-        of a0 + sum_j w_j e^{i u_j.(t - lambda)}, with u_j = 2 pi R*^{-k}' e_j;
-        im is None when the table is real.  Angle addition splits each term
-        into a t side and a lambda side: the lambda side is evaluated once per
-        point and level for all rows, and one matrix product joins the two
-        sides for the real part (and one more for the imaginary part).
+    def _brackets(self, T: np.ndarray, Lam: np.ndarray, depth: int) -> np.ndarray:
+        """The product over levels k < depth of the bracket of
+        `AffineSystem.mask_table`, a0 + sum_j w_j e^{i u_kj.(t - lambda)},
+        for every row t of T and lambda of Lam: an (m, n) array, real when
+        the table is.
+
+        Angle addition splits each term into a t side and a lambda side, and
+        a0 rides along as a constant column, so one matrix product forms a
+        level's bracket: [a0, w cos pt, w sin pt] @ [1; cos pl; sin pl] for a
+        real table, [a0, w e^{i pt}] @ [1; e^{-i pl}] for a complex one, with
+        pt = t.u_kj and pl = lambda.u_kj.  The lambda side is evaluated once
+        per point and level for all rows.  One stacked product forms c levels
+        with c m n <= STACK_ENTRIES: a small block takes all its levels in one
+        call, a large one a level per call.
         """
-        a0, E, w, real, _ = self.system.mask_table
-        U = 2 * np.pi * E.T
-        for _ in range(depth):
-            pt, pl = T @ U, Lam @ U
-            ct, st = np.cos(pt) * w, np.sin(pt) * w
-            right = np.concatenate([np.cos(pl), np.sin(pl)], axis=1).T
-            re = np.concatenate([ct, st], axis=1) @ right
-            re += a0
-            yield re, (None if real else np.concatenate([st, -ct], axis=1) @ right)
-            U = self._S.T @ U
+        a0, _, w, real, _ = self.system.mask_table
+        U, _ = self._level_data(depth)
+        m, n, J = len(T), len(Lam), len(w)
+        if real:
+            w, width, dtype = np.concatenate([w, w]), 1 + 2 * J, float
+        else:
+            width, dtype = 1 + J, complex
+        out = np.ones((m, n), dtype=dtype)
+        step = max(1, STACK_ENTRIES // max(m * n, 1))
+        for k in range(0, depth, step):
+            Uk = U[k:k + step]
+            pt = T @ Uk                             # (c, m, J)
+            pl = np.swapaxes(Uk, 1, 2) @ Lam.T      # (c, J, n)
+            left = np.empty((len(Uk), m, width), dtype=dtype)
+            right = np.empty((len(Uk), width, n), dtype=dtype)
+            if real:
+                np.cos(pt, out=left[..., 1:J + 1])
+                np.sin(pt, out=left[..., J + 1:])
+                np.cos(pl, out=right[:, 1:J + 1])
+                np.sin(pl, out=right[:, J + 1:])
+            else:
+                np.cos(pt, out=left.real[..., 1:])
+                np.sin(pt, out=left.imag[..., 1:])
+                np.cos(pl, out=right.real[:, 1:])
+                np.sin(np.negative(pl, out=pl), out=right.imag[:, 1:])
+            left[..., 1:] *= w
+            left[..., 0] = a0
+            right[:, 0] = 1
+            level = left @ right
+            out *= level[0] if len(Uk) == 1 else level.prod(axis=0)
+        return out
 
     def _pairs(self, T: np.ndarray, Lam: np.ndarray, depth: int) -> np.ndarray:
         """The depth-`depth` product mu_hat(t - lambda) as an (m, n) complex
-        array: the brackets of `_levels` times the centre phase
-        e^{i 2 pi c_d.(t - lambda)}, with c_d = sum_{k < depth} R^{-k} c."""
-        *_, real, c = self.system.mask_table
-        out = np.ones((len(T), len(Lam)), dtype=float if real else complex)
-        for re, im in self._levels(T, Lam, depth):
-            out *= re if im is None else re + 1j * im
-        c, cd = np.array(c, dtype=float), np.zeros(self.dim)
-        for _ in range(depth):
-            c, cd = self._S.T @ c, cd + c
-        out = out * np.exp(2j * np.pi * (T @ cd))[:, None]
+        array: `_brackets` times the centre phase e^{i 2 pi c_d.(t - lambda)},
+        with c_d = sum_{k < depth} R*^{-k}' c."""
+        _, C = self._level_data(depth)
+        cd = np.cumsum(C, axis=0)[-1] if depth else np.zeros(self.dim)
+        out = self._brackets(T, Lam, depth) * np.exp(2j * np.pi * (T @ cd))[:, None]
         out *= np.exp(-2j * np.pi * (Lam @ cd))[None, :]
         return out
 
@@ -158,17 +215,16 @@ class SelfSimilarMeasure:
     def mu_hat_sq_pairs(self, T, Lam):
         """|mu_hat(t - lambda)|^2 for every row t of T and lambda of Lam: the
         (m, n) array and the tail bound of |mu_hat| at the adaptive depth.
-        Factor k is re^2 + im^2 of the bracket of `_levels`, real throughout:
-        the centre phase has modulus one."""
+        The product of `_brackets` is squared once, at the end; the centre
+        phase has modulus one and is left out.  Each bracket is formed before
+        it is squared, so a factor near a zero of the mask keeps |chi_B|^2
+        accurate to rounding squared."""
         T, Lam, depth, tail = self._adaptive(T, Lam)
-        out = np.ones((len(T), len(Lam)))
-        for re, im in self._levels(T, Lam, depth):
-            re *= re
-            if im is not None:
-                im *= im
-                re += im
-            out *= re
-        return out, tail
+        prod = self._brackets(T, Lam, depth)
+        if prod.dtype == complex:
+            re, im = np.square(prod.real, out=prod.real), np.square(prod.imag, out=prod.imag)
+            return re + im, tail
+        return np.square(prod, out=prod), tail
 
     def mu_hat(self, t, depth: int | None = None) -> FourierEvaluation:
         tv = np.asarray(t, dtype=float).reshape(-1)

@@ -168,8 +168,11 @@ class AffineSystem:
         2/N and the bracket is the real a0 + sum_k w_k cos(2 pi e_k.x)
         (`real` is True); otherwise every digit stays at weight 1/N.
 
-        Squaring the bracket keeps |chi_B|^2 accurate to rounding squared at
-        its zeros, where the cosine series over B - B cancels to rounding.
+        Every kernel forms the bracket before it squares it (`chi_B_sq` one
+        bracket, `SelfSimilarMeasure.mu_hat_sq_pairs` the product of the
+        brackets of its levels), so |chi_B|^2 stays accurate to rounding
+        squared at its zeros, where the cosine series over B - B would cancel
+        to rounding.
         """
         c = rat.vec_scale(Fraction(1, self.N), functools.reduce(rat.vec_add, self.B))
         centred = [rat.vec_sub(b, c) for b in self.B]

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import fracspec as fs
@@ -83,6 +84,30 @@ class TestGramCommand:
         assert r.returncode == 0
         doc = json.loads(r.stdout)
         assert doc["max_offdiag"] > 0.4
+
+    def test_csv_rows_match_fmt(self, capsys):
+        # the vectorised rows print what fmt prints, entry by entry
+        assert cli.main(["gram", "--system", "eiffel(2)", "--count", "16"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        sysm = fs.get_system("eiffel(2)")
+        G = fs.gram_matrix(sysm, fs.enumerate_P(sysm, 2).coords()).matrix
+        assert lines[1] == "i,j,re,im,abs"
+        assert lines[2:] == [f"{i},{j},{cli.fmt(G[i, j].real)},{cli.fmt(G[i, j].imag)},"
+                             f"{cli.fmt(abs(G[i, j]))}" for i in range(16) for j in range(16)]
+
+
+class TestFmtRows:
+    def test_same_bytes_as_fmt(self):
+        vals = np.array([0.0, -0.0, 1 / 3, -2.5e17, 1e-300, -5e-324, np.inf, -np.inf,
+                         np.nan, 0.1, 1e16, 123456789.123456789])
+        table = np.column_stack([np.arange(len(vals)), vals, vals[::-1]])
+        want = "\n".join(f"{i},{cli.fmt(a)},{cli.fmt(b)}"
+                         for i, (a, b) in enumerate(zip(vals, vals[::-1])))
+        assert cli.fmt_rows("%d,%.17g,%.17g", table) == want
+        assert "-0," in want and ",-0\n" in want
+
+    def test_empty_table(self):
+        assert cli.fmt_rows("%.17g", np.zeros((0, 1))) == ""
 
 
 class TestGammaCommand:
@@ -191,7 +216,28 @@ class TestReportCommand:
 
 class TestGate:
     """Analysis commands refuse a system that fails a structural axiom unless
-    --force is given; validate and report never gate."""
+    --force is given; validate and report never gate.  q1 and report exit 2
+    on a system without 0 in L, even under --force."""
+
+    @pytest.fixture
+    def no_zero_in_L(self, tmp_path):
+        doc = {"dim": 1, "R": [["4"]], "B": [["0"], ["1/2"]], "L": [["1"], ["2"]]}
+        p = tmp_path / "nozero.json"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    def test_layers_are_not_the_spectrum_without_zero_in_L(self, no_zero_in_L):
+        sysm = fs.load_system_file(no_zero_in_L)
+        layers = sum(len(pts) for _, pts in fs.spectrum.spectrum_layers(sysm, 3))
+        assert (layers, len(fs.enumerate_P(sysm, 3).points)) == (15, 8)
+
+    @pytest.mark.parametrize("argv", [["q1"], ["q1", "--force"], ["report"],
+                                      ["report", "--force"]])
+    def test_completeness_needs_zero_in_L(self, capsys, no_zero_in_L, argv):
+        assert cli.main(argv[:1] + ["--file", no_zero_in_L] + argv[1:]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "zero_in_L" in err
 
     @pytest.fixture
     def non_hadamard(self, tmp_path):

@@ -21,14 +21,21 @@ def per_digit_product(meas, X):
     vals, tail = np.ones(X.shape[:-1], dtype=complex), 0.0
     for part in getattr(meas, "parts", (meas,)):
         depth = part.depth_for(norm)
-        S = np.array(part.system.R.inverse_transpose, dtype=float)
-        B = part.system.b_array()
-        Y = X
-        for _ in range(depth):
-            vals = vals * np.exp(2j * np.pi * (Y @ B.T)).sum(axis=-1) / part.system.N
-            Y = Y @ S.T
+        vals = vals * per_digit_levels(part.system, X, depth)
         tail += part.tail_bound(depth, norm)
     return vals, tail
+
+
+def per_digit_levels(sysm, X, depth):
+    """prod_{k < depth} (1/N) sum_b e^{i 2 pi b.R*^{-k} x} at the rows of X,
+    shape (..., dim): one complex exponential per digit and level."""
+    S = np.array(sysm.R.inverse_transpose, dtype=float)
+    B = sysm.b_array()
+    vals, Y = np.ones(X.shape[:-1], dtype=complex), X
+    for _ in range(depth):
+        vals = vals * np.exp(2j * np.pi * (Y @ B.T)).sum(axis=-1) / sysm.N
+        Y = Y @ S.T
+    return vals
 
 
 def _measure(request, name):
@@ -161,6 +168,90 @@ class TestSquaredPairs:
         lam = np.array(fs.enumerate_P(eiffel2, 4).coords(), dtype=float)
         got, _ = fs.SelfSimilarMeasure(eiffel2).mu_hat_sq_pairs([[-1.0, -1.0, 0.0]], lam)
         assert got.max() <= 1e-28
+
+
+class TestBrackets:
+    """The stacked bracket product behind every transform kernel, against
+    the per-digit product at a fixed depth."""
+
+    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2"])
+    @pytest.mark.parametrize("levels", [1, 7, 30])
+    def test_stack_boundaries(self, request, monkeypatch, name, levels):
+        # 1 level per stacked product, 7 (which does not divide 30) and all
+        # 30; scale4 and triadic have real tables, planar and eiffel2 complex
+        sysm = request.getfixturevalue(name)
+        meas = fs.SelfSimilarMeasure(sysm)
+        T, Lam = _probe_pairs(sysm.dim)
+        monkeypatch.setattr(fs.measure, "STACK_ENTRIES", levels * len(T) * len(Lam))
+        diffs = T[:, None, :] - Lam[None, :, :]
+        got = meas._pairs(T, Lam, 30)
+        assert np.abs(got - per_digit_levels(sysm, diffs, 30)).max() <= 1e-13
+        ref, _ = per_digit_product(meas, diffs)
+        sq, _ = meas.mu_hat_sq_pairs(T, Lam)
+        assert np.abs(sq - np.abs(ref) ** 2).max() <= 1e-13
+
+    def test_one_digit_system(self):
+        # B = {1/3}: no digit off the centre (J = 0), mu is a point mass
+        sysm = fs.make_system(2, [(Fraction(1, 3),)], [(0,)])
+        meas = fs.SelfSimilarMeasure(sysm)
+        assert meas.system.mask_table[1].shape == (0, 1)
+        T, Lam = _probe_pairs(1)
+        diffs = T[:, None, :] - Lam[None, :, :]
+        got = meas._pairs(T, Lam, 30)
+        assert np.abs(got - per_digit_levels(sysm, diffs, 30)).max() <= 1e-13
+        sq, _ = meas.mu_hat_sq_pairs(T, Lam)
+        assert (sq == 1.0).all()
+
+    @pytest.mark.parametrize("name", ["scale4", "eiffel2"])
+    def test_shallower_after_deeper(self, request, name):
+        # the level stack built for a deep product must be sliced, not run
+        # through, for a shallower one, and extended for a deeper one
+        sysm = request.getfixturevalue(name)
+        meas = fs.SelfSimilarMeasure(sysm)
+        T, Lam = _probe_pairs(sysm.dim)
+        diffs = T[:, None, :] - Lam[None, :, :]
+        for depth in (40, 12, 90, 3, 0):
+            got = meas._pairs(T, Lam, depth)
+            assert np.abs(got - per_digit_levels(sysm, diffs, depth)).max() <= 1e-13
+            batch, _ = meas.mu_hat_batch(diffs if sysm.dim > 1 else diffs[..., 0], depth)
+            assert np.abs(batch - per_digit_levels(sysm, diffs, depth)).max() <= 1e-13
+
+
+class TestDepthFor:
+    """depth_for places the depth with one logarithm; it must give the depth
+    of the depth-by-depth search everywhere, the cap included."""
+
+    SYSTEMS = (["scale4", "scale2", "triadic", "eiffel(2)", "eiffel(3)", "eiffel(4)",
+                "planar-collapse"]
+               + [f"R={r}" for r in (2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8)]
+               + ["shear"])
+
+    @staticmethod
+    def search(meas, t_norm):
+        d = 1
+        while meas.tail_bound(d, t_norm) >= fs.measure.DEFAULT_TAIL_TOL \
+                and d < fs.measure.MAX_PRODUCT_DEPTH:
+            d += 1
+        return d
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_matches_depth_by_depth_search(self, name):
+        if name.startswith("R="):
+            sysm = fs.two_digit_system(int(name[2:]), Fraction(1, 2))
+        elif name == "shear":
+            # kappa = 9, and the cap binds from a norm of about 3e-13 on
+            sysm = fs.make_system([[2, 100], [0, 2]], [(0, 0), (Fraction(1, 2), 0)],
+                                  [(0, 0), (1, 0)])
+        else:
+            sysm = fs.get_system(name)
+        meas = fs.SelfSimilarMeasure(sysm)
+        norms = [0.0, math.inf, math.nan] + np.logspace(-6, 12, 241).tolist()
+        # the norms at which the bound crosses the tolerance, and their neighbours
+        for d in range(1, 80):
+            t = fs.measure.DEFAULT_TAIL_TOL / meas.tail_bound(d, 1.0)
+            norms += [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)]
+        for t in norms:
+            assert meas.depth_for(t) == self.search(meas, t), t
 
 
 class TestGramOracle:
