@@ -14,13 +14,11 @@ from .system import (AffineSystem, ScalingMatrix, ValidationReport, chi_B, chi_B
                      two_digit_system, unitarity_defect, validate_system)
 from .measure import (ConvolvedMeasure, FourierEvaluation, SelfSimilarMeasure,
                       ZeroSetPredicate, convolve, growth_bound_check, moments,
-                      mu2_closed_form, transform_profile, write_transform_csv,
-                      zero_set_member)
-from .spectrum import (CompletenessReport, GramReport, Q1Profile, Q1Result,
-                       SpectrumEnumeration, completeness_test, digits_of,
-                       enumerate_P, gram_matrix, hardy_embedding,
-                       max_orthogonal_family, projection_norm_checks, q1,
-                       q1_profile, reconstruct, uniform_discreteness)
+                      mu2_closed_form, transform_profile, write_transform_csv)
+from .spectrum import (CompletenessReport, GramReport, Q1Profile, SpectrumEnumeration,
+                       completeness_test, digits_of, enumerate_P, gram_matrix,
+                       hardy_embedding, max_orthogonal_family, projection_norm_checks,
+                       q1_depth, q1_profile, reconstruct, uniform_discreteness)
 from .transfer import (ContractivityReport, FixedPointResult, GridFunction,
                        TransferOperator, apply_C, beta_constant, gamma_1d,
                        gamma_eiffel, gamma_L1, gamma_supnorm, grad_norm, grid_frame,

@@ -20,7 +20,6 @@ EXIT_CLAIM = 1
 EXIT_USAGE = 2
 
 GRID_RESOLUTIONS = {1: 64, 2: 48, 3: 24}
-P_DEPTH_BUDGET = 300_000     # spectrum points enumerated by the automatic Q1 depth
 
 
 class UsageError(Exception):
@@ -77,7 +76,7 @@ def _load(args) -> AffineSystem:
             raise UsageError(f"cannot parse system file: {exc}") from exc
     if args.system:
         try:
-            return get_system(args.system, getattr(args, "r", None))
+            return get_system(args.system)
         except KeyError as exc:
             raise UsageError(str(exc.args[0])) from exc
     raise UsageError("one of --system or --file is required")
@@ -160,23 +159,15 @@ def cmd_gram(args, sys_obj: AffineSystem, validation) -> int:
     return EXIT_OK
 
 
-def _auto_p_depth(sys_obj: AffineSystem) -> int:
-    d = 1
-    while sys_obj.N ** (d + 1) <= P_DEPTH_BUDGET and d < spectrum.Q1_DEPTH_CAP:
-        d += 1
-    return d
-
-
 def cmd_q1(args, sys_obj: AffineSystem, validation) -> int:
-    if args.p_depth is not None:
-        spectrum.check_layer_depth(sys_obj, args.p_depth)
+    p_depth = args.p_depth if args.p_depth is not None else spectrum.q1_depth(sys_obj)
+    spectrum.check_layer_depth(sys_obj, p_depth)
     hull = geometry.dual_hull(sys_obj, 4)
     res = args.resolution
     if res is None:
         res = {1: 33, 2: 9, 3: 5}.get(sys_obj.dim, 5)
     grid = hull.sample(res)
     grid = grid if len(grid) else hull.vertex_array()
-    p_depth = args.p_depth if args.p_depth is not None else _auto_p_depth(sys_obj)
     rep = spectrum.completeness_test(sys_obj, grid, eps_conv=args.tol,
                                      p_depth_cap=p_depth)
     prof = rep.profile
@@ -277,8 +268,7 @@ def cmd_report(args, sys_obj: AffineSystem, validation) -> int:
     hull = geometry.dual_hull(sys_obj, 4)
     grid = hull.sample({1: 17, 2: 5, 3: 3}.get(sys_obj.dim, 3))
     grid = grid if len(grid) else hull.vertex_array()
-    comp = spectrum.completeness_test(sys_obj, grid,
-                                      p_depth_cap=_auto_p_depth(sys_obj))
+    comp = spectrum.completeness_test(sys_obj, grid)
     doc["completeness"] = {
         "verdict": comp.verdict,
         "p_depth": comp.profile.depth,
@@ -332,9 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, depth_default=None):
-        sp.add_argument("--system", help="catalog name, e.g. scale4 or eiffel(3)")
+        # no prefix matching: a mistyped or retired option is an error, not
+        # a silent match of a longer one (--r would be read as --resolution)
+        sp.allow_abbrev = False
+        sp.add_argument("--system", help="catalog name, e.g. scale4, eiffel(3) or scale4(3)")
         sp.add_argument("--file", help="system definition JSON file")
-        sp.add_argument("--r", type=int, help="scale multiplier / eiffel scale")
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--force", action="store_true",

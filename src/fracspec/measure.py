@@ -1,5 +1,5 @@
 """Fourier side of self-similar measures: truncated products with tail bounds,
-exact moments, word quadrature, catalog zero sets, convolution."""
+exact moments, word quadrature, two-digit zero sets, convolution."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ STACK_ENTRIES = 1 << 15     # (level, t, lambda) entries of one stacked product 
 class FourierEvaluation:
     """One value of the transform: truncated product plus its tail bound."""
     value: complex
-    truncation_depth: int
     tail_bound: float
 
 
@@ -49,7 +48,10 @@ def _max_distance(T: np.ndarray, Lam: np.ndarray) -> float:
     if not (T.size and Lam.size):
         return 0.0
     d2 = (T ** 2).sum(axis=1)[:, None] + (Lam ** 2).sum(axis=1)[None, :] - 2 * (T @ Lam.T)
-    return math.sqrt(max(float(d2.max()), 0.0))
+    top = float(d2.max())
+    if math.isnan(top) and not (np.isnan(T).any() or np.isnan(Lam).any()):
+        return math.inf             # an infinite row: inf - inf in the expansion
+    return math.sqrt(max(top, 0.0))
 
 
 class SelfSimilarMeasure:
@@ -100,14 +102,6 @@ class SelfSimilarMeasure:
         return d
 
     # -- evaluation --------------------------------------------------------
-    def _prep(self, T) -> np.ndarray:
-        T = np.asarray(T, dtype=float)
-        if self.dim == 1:
-            return T[..., None]            # any shape, elementwise
-        if T.ndim == 0 or T.shape[-1] != self.dim:
-            raise ValueError(f"frequency array must have trailing axis {self.dim}")
-        return T
-
     def _level_data(self, depth: int):
         """(U, C) of the depth-`depth` product: U of shape (depth, dim, J)
         stacks the columns u_kj = 2 pi R*^{-k}' e_j of each level k, e_j the
@@ -183,33 +177,36 @@ class SelfSimilarMeasure:
         out *= np.exp(-2j * np.pi * (Lam @ cd))[None, :]
         return out
 
+    def _adaptive(self, T, Lam, depth):
+        """T and Lam as (m, dim) and (n, dim) arrays, the depth (when None,
+        the one that meets the tail tolerance at the largest |t - lambda|),
+        and its tail bound at that distance."""
+        T = np.asarray(T, dtype=float).reshape(-1, self.dim)
+        Lam = np.asarray(Lam, dtype=float).reshape(-1, self.dim)
+        t_norm = _max_distance(T, Lam)
+        if depth is None:
+            depth = self.depth_for(t_norm)
+        return T, Lam, depth, self.tail_bound(depth, t_norm)
+
     def mu_hat_batch(self, T, depth: int | None = None):
         """Transform values for an array of frequencies.
 
         In one dimension `T` is elementwise; above, its trailing axis must be
-        the ambient dimension.  Returns (values, tail_bound) with a single
-        conservative tail bound taken at the largest norm in the batch.
+        the ambient dimension.  Returns (values, tail_bound): the product at
+        `depth`, by default the adaptive depth of the largest norm in the
+        batch, and one conservative tail bound taken at that norm.
         """
-        T = self._prep(T)
-        t_norm = float(np.sqrt((T ** 2).sum(axis=-1)).max()) if T.size else 0.0
-        if depth is None:
-            depth = self.depth_for(t_norm)
-        vals = self._pairs(T.reshape(-1, self.dim), np.zeros((1, self.dim)), depth)
-        return vals.reshape(T.shape[:-1]), self.tail_bound(depth, t_norm)
-
-    def _adaptive(self, T, Lam):
-        """T and Lam as (m, dim) and (n, dim) arrays, the depth that meets the
-        tail tolerance at the largest |t - lambda|, and its tail bound."""
-        T = np.asarray(T, dtype=float).reshape(-1, self.dim)
-        Lam = np.asarray(Lam, dtype=float).reshape(-1, self.dim)
-        t_norm = _max_distance(T, Lam)
-        depth = self.depth_for(t_norm)
-        return T, Lam, depth, self.tail_bound(depth, t_norm)
+        T = np.asarray(T, dtype=float)
+        if self.dim > 1 and (T.ndim == 0 or T.shape[-1] != self.dim):
+            raise ValueError(f"frequency array must have trailing axis {self.dim}")
+        shape = T.shape if self.dim == 1 else T.shape[:-1]
+        T, origin, depth, tail = self._adaptive(T, np.zeros(self.dim), depth)
+        return self._pairs(T, origin, depth).reshape(shape), tail
 
     def mu_hat_pairs(self, T, Lam):
         """mu_hat(t - lambda) for every row t of T and lambda of Lam: the
         (m, n) complex array and the tail bound of the adaptive depth."""
-        T, Lam, depth, tail = self._adaptive(T, Lam)
+        T, Lam, depth, tail = self._adaptive(T, Lam, None)
         return self._pairs(T, Lam, depth), tail
 
     def mu_hat_sq_pairs(self, T, Lam):
@@ -219,7 +216,7 @@ class SelfSimilarMeasure:
         phase has modulus one and is left out.  Each bracket is formed before
         it is squared, so a factor near a zero of the mask keeps |chi_B|^2
         accurate to rounding squared."""
-        T, Lam, depth, tail = self._adaptive(T, Lam)
+        T, Lam, depth, tail = self._adaptive(T, Lam, None)
         prod = self._brackets(T, Lam, depth)
         if prod.dtype == complex:
             re, im = np.square(prod.real, out=prod.real), np.square(prod.imag, out=prod.imag)
@@ -230,10 +227,8 @@ class SelfSimilarMeasure:
         tv = np.asarray(t, dtype=float).reshape(-1)
         if tv.shape[0] != self.dim:
             raise ValueError(f"expected a {self.dim}-vector, got shape {tv.shape}")
-        if depth is None:
-            depth = self.depth_for(float(np.linalg.norm(tv)))
         vals, tail = self.mu_hat_batch(tv.reshape(1, self.dim), depth)
-        return FourierEvaluation(complex(vals.flat[0]), depth, tail)
+        return FourierEvaluation(complex(vals.flat[0]), tail)
 
     # -- quadrature ---------------------------------------------------------
     def atoms(self, depth: int) -> np.ndarray:
@@ -349,7 +344,18 @@ class ZeroSetPredicate:
     transform of a two-digit measure with digits {0, offset} at `scale`."""
     scale: int
     offset: Fraction
-    tag: str = ""
+
+    @classmethod
+    def of(cls, sys: AffineSystem) -> "ZeroSetPredicate":
+        """The zero set of a one-dimensional system with an integer scale
+        and digits B = {0, b}; ValueError for any other system."""
+        zero = sys.zero()
+        if (sys.dim != 1 or sys.N != 2 or zero not in sys.B
+                or sys.R.entries[0][0].denominator != 1):
+            raise ValueError(f"{sys!r} is not a one-dimensional two-digit system "
+                             "with an integer scale and 0 in B")
+        (b,) = next(d for d in sys.B if d != zero)
+        return cls(int(sys.R.entries[0][0]), b)
 
     def member(self, t) -> bool:
         t = rat.as_fraction(t) if not isinstance(t, Fraction) else t
@@ -362,23 +368,6 @@ class ZeroSetPredicate:
                 return True
             u = u / base
         return False
-
-
-ZERO_SETS = {
-    "mu2": ZeroSetPredicate(2, Fraction(1, 2), "mu2"),
-    "mu4": ZeroSetPredicate(4, Fraction(1, 2), "mu4"),
-    "mu3": ZeroSetPredicate(3, Fraction(2, 3), "mu3"),
-}
-
-
-def zero_set_member(predicate, t) -> bool:
-    """Exact membership in a catalog zero set; `predicate` is a tag or a
-    ZeroSetPredicate."""
-    if isinstance(predicate, str):
-        if predicate not in ZERO_SETS:
-            raise KeyError(f"unknown zero set {predicate!r}; have {sorted(ZERO_SETS)}")
-        predicate = ZERO_SETS[predicate]
-    return predicate.member(t)
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +397,13 @@ class ConvolvedMeasure:
         vb, tb = self.parts[1].mu_hat_sq_pairs(T, Lam)
         return va * vb, ta + tb
 
-    def mu_hat(self, t, depth=None) -> FourierEvaluation:
-        ea = self.parts[0].mu_hat(t, depth)
-        eb = self.parts[1].mu_hat(t, depth)
-        return FourierEvaluation(ea.value * eb.value,
-                                 max(ea.truncation_depth, eb.truncation_depth),
-                                 ea.tail_bound + eb.tail_bound)
-
     def atoms(self, depth: int) -> np.ndarray:
         aa = self.parts[0].atoms(depth)
         ab = self.parts[1].atoms(depth)
         s = aa[:, None, :] + ab[None, :, :]
         return s.reshape(-1, self.dim)
 
+    mu_hat = SelfSimilarMeasure.mu_hat
     integrate = SelfSimilarMeasure.integrate
 
     def support_diameter(self) -> float:

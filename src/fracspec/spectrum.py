@@ -15,6 +15,7 @@ from .system import AffineSystem, map_tau, point
 MAX_EXACT_POINTS = 2_000_000
 MAX_FLOAT_POINTS = 6_000_000
 Q1_DEPTH_CAP = 14
+Q1_POINT_BUDGET = 300_000   # spectrum points enumerated at the default Q1 depth
 Q1_EPS_CONV = 1e-6
 EPS_PASS = 0.02
 EPS_FAIL = 0.05
@@ -85,8 +86,11 @@ def layer_digits(sys: AffineSystem, depth: int):
 
     Yields (d, sets) for d = 0..depth, where layer d is the Minkowski sum of
     `sets`: R*^k L for k < d - 1 and R*^{d-1} (L minus 0), the points whose
-    last nonzero digit is the d-th.  Layer 0 is {0}, the empty sum.
+    last nonzero digit is the d-th.  Layer 0 is {0}, the empty sum.  A depth
+    past the point cap of `check_layer_depth` is refused before any layer
+    is yielded.
     """
+    check_layer_depth(sys, depth)
     Rt = np.array(sys.R.transpose, dtype=float)
     Ls = sys.l_array()
     nonzero = Ls[[any(c != 0 for c in l) for l in sys.L]]
@@ -94,7 +98,6 @@ def layer_digits(sys: AffineSystem, depth: int):
     yield 0, []
     power = np.eye(sys.dim)
     for d in range(1, depth + 1):
-        check_layer_depth(sys, d)
         # with no nonzero digit (N = 1) every layer past 0 is empty
         yield d, low + [nonzero @ power.T]
         low.append(Ls @ power.T)
@@ -240,7 +243,6 @@ class Q1Profile:
     partial_sums: np.ndarray      # shape (m, depths+1), cumulative
     increments: np.ndarray        # shape (m, depths)
     depth: int
-    eps_conv: float | None
     fourier_tail: np.ndarray      # shape (m,)
 
     def values(self) -> np.ndarray:
@@ -311,39 +313,31 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int, measure,
         if eps_conv is not None and (inc[:watch] < eps_conv).all():
             break
     return Q1Profile(T, np.stack(sums, axis=1), np.stack(incs, axis=1), len(incs),
-                     eps_conv, np.full(m, tail))
+                     np.full(m, tail))
 
 
-def q1_profile(system: AffineSystem, tpoints, p_depth: int = Q1_DEPTH_CAP,
+def q1_depth(system: AffineSystem) -> int:
+    """Default enumeration depth of the completeness sums: the largest
+    d <= Q1_DEPTH_CAP with N^d <= Q1_POINT_BUDGET, and at least 1."""
+    d = 1
+    while system.N ** (d + 1) <= Q1_POINT_BUDGET and d < Q1_DEPTH_CAP:
+        d += 1
+    return d
+
+
+def q1_profile(system: AffineSystem, tpoints, p_depth: int | None = None,
                measure=None, eps_conv: float | None = None) -> Q1Profile:
-    """Completeness partial sums at `tpoints`, accumulated layer by layer.
+    """Completeness partial sums at `tpoints`, accumulated layer by layer
+    to `p_depth`, by default `q1_depth(system)`.
 
     Each transform value is truncated at the adaptive depth that meets the
     measure's tail tolerance.  With `eps_conv` set, the layer loop stops early
     once every probe point's increment falls below it.
     """
     T = np.asarray(tpoints, dtype=float).reshape(-1, system.dim)
+    if p_depth is None:
+        p_depth = q1_depth(system)
     return _q1_pass(system, T, p_depth, measure, eps_conv, len(T))
-
-
-@dataclass
-class Q1Result:
-    value: float
-    last_increment: float
-    partial_sums: np.ndarray
-    depth: int
-
-    @property
-    def monotone(self) -> bool:
-        return bool(np.all(np.diff(self.partial_sums) >= -1e-15))
-
-
-def q1(system: AffineSystem, t, p_depth: int, measure=None) -> Q1Result:
-    """Partial sum of the completeness function at one point, to the given
-    enumeration depth, with the final increment as a convergence certificate."""
-    prof = q1_profile(system, [t], p_depth, measure=measure)
-    return Q1Result(float(prof.values()[0]), float(prof.last_increments()[0]),
-                    prof.partial_sums[0], prof.depth)
 
 
 VERDICT_BASIS = "BASIS-CONSISTENT"
@@ -355,8 +349,6 @@ VERDICT_INDETERMINATE = "INDETERMINATE"
 class CompletenessReport:
     verdict: str
     profile: Q1Profile
-    eps_pass: float
-    eps_fail: float
     eps_conv: float
     grad_at_zero: np.ndarray
 
@@ -365,13 +357,14 @@ class CompletenessReport:
         stab = self.profile.stabilized_depth(self.eps_conv)
         return [(tuple(self.profile.tpoints[i]), float(vals[i]))
                 for i in range(len(vals))
-                if stab[i] is not None and vals[i] <= 1 - self.eps_fail]
+                if stab[i] is not None and vals[i] <= 1 - EPS_FAIL]
 
 
 def completeness_test(system: AffineSystem, grid, measure=None,
                       eps_conv: float = Q1_EPS_CONV,
-                      p_depth_cap: int = Q1_DEPTH_CAP) -> CompletenessReport:
-    """Run the partial-sum verdict over a grid inside the hull.
+                      p_depth_cap: int | None = None) -> CompletenessReport:
+    """Run the partial-sum verdict over a grid inside the hull, with the
+    layers capped at `p_depth_cap`, by default `q1_depth(system)`.
 
     INCOMPLETE when a stabilized point sits at or below 1 - EPS_FAIL;
     BASIS-CONSISTENT when every point stabilized at or above 1 - EPS_PASS;
@@ -382,10 +375,12 @@ def completeness_test(system: AffineSystem, grid, measure=None,
     T = np.asarray(grid, dtype=float).reshape(-1, system.dim)
     m = len(T)
     stencil = np.concatenate([[FD_STEP * e, -FD_STEP * e] for e in np.eye(system.dim)])
+    if p_depth_cap is None:
+        p_depth_cap = q1_depth(system)
     full = _q1_pass(system, np.concatenate([T, stencil]), p_depth_cap, measure,
                     eps_conv, m)
     prof = Q1Profile(T, full.partial_sums[:m], full.increments[:m], full.depth,
-                     eps_conv, full.fourier_tail[:m])
+                     full.fourier_tail[:m])
     vals = prof.values()
     stab = prof.stabilized_depth(eps_conv)
     stabilized = [s is not None for s in stab]
@@ -399,7 +394,7 @@ def completeness_test(system: AffineSystem, grid, measure=None,
     # central finite-difference gradient of the partial sum at the origin
     v = full.values()[m:]
     grad = (v[0::2] - v[1::2]) / (2 * FD_STEP)
-    return CompletenessReport(verdict, prof, EPS_PASS, EPS_FAIL, eps_conv, grad)
+    return CompletenessReport(verdict, prof, eps_conv, grad)
 
 
 # ---------------------------------------------------------------------------

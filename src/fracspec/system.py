@@ -484,11 +484,11 @@ _CATALOG = {
 }
 
 
-def get_system(name: str, r=None) -> AffineSystem:
+def get_system(name: str) -> AffineSystem:
+    """A catalog system; `eiffel(r)` is the tower at scale r, and `name(r)`
+    of any other entry is that system with R times r, named `name*r{r}`."""
     m = re.fullmatch(r"(\w[\w-]*)\((\d+)\)", name.strip())
-    if m:
-        name, r = m.group(1), int(m.group(2))
-    name = name.strip()
+    name, r = (m.group(1), int(m.group(2))) if m else (name.strip(), None)
     if name not in _CATALOG:
         raise KeyError(f"unknown system {name!r}; available: {', '.join(sorted(_CATALOG))}")
     factory = _CATALOG[name]

@@ -112,7 +112,7 @@ class TestFmtRows:
 
 class TestGammaCommand:
     def test_eiffel3_constants(self):
-        r = run_cli("gamma", "--system", "eiffel", "--r", "3", "--format", "json")
+        r = run_cli("gamma", "--system", "eiffel(3)", "--format", "json")
         doc = json.loads(r.stdout)
         assert doc["gamma_closed_form"] == pytest.approx(0.5296828741826953, abs=1e-12)
         assert doc["beta"] == pytest.approx(4.442882938158366, abs=1e-9)
@@ -339,6 +339,13 @@ class TestUsage:
         # rejected before any work, so the parser is run in process
         assert cli.main([command, "--system", "scale4", option, value]) == 2
         assert capsys.readouterr().err.startswith(f"error: {option} must be ")
+
+    @pytest.mark.parametrize("command", ["gamma", "q1", "transfer"])
+    def test_r_option_is_gone(self, capsys, command):
+        # the scale is spelled in the name, eiffel(3) or scale4(3); nor is
+        # --r taken as an abbreviation of --resolution
+        assert cli.main([command, "--system", "eiffel", "--r", "3"]) == 2
+        assert "unrecognized arguments: --r 3" in capsys.readouterr().err
 
     def test_gram_depth_option_is_gone(self, capsys):
         # gram always truncates the transform at its adaptive depth

@@ -86,6 +86,16 @@ class TestMuHat:
         ev = mu4.mu_hat(7.25)
         assert ev.tail_bound < 1e-10
 
+    def test_infinite_frequency_has_no_bound(self, mu4):
+        # the batch's largest norm is inf: the deepest product and an infinite
+        # tail, for the rows of a batch and for pairs alike
+        with np.errstate(invalid="ignore"):
+            vals, tail = mu4.mu_hat_batch([np.inf, 1.0])
+            assert tail == math.inf
+            assert vals[1] == mu4.mu_hat_batch([1.0], fs.measure.MAX_PRODUCT_DEPTH)[0][0]
+            assert mu4.mu_hat_pairs([[np.inf]], [[1.0]])[1] == math.inf
+            assert math.isnan(mu4.mu_hat_batch([np.nan])[1])
+
     def test_non_expansive_rejected(self):
         sysm = fs.make_system(1, [(0,), (Fraction(1, 2),)], [(0,), (1,)])
         with pytest.raises(ValueError):
@@ -350,25 +360,42 @@ class TestSupportDiameter:
         assert abs(m.support_diameter() - math.sqrt(2)) < 1e-12
 
 
+def _zeros(name):
+    return fs.ZeroSetPredicate.of(fs.get_system(name))
+
+
 class TestZeroSets:
     def test_mu4_examples(self):
-        assert fs.zero_set_member("mu4", 12)          # 12 = 4 * 3
-        assert not fs.zero_set_member("mu4", 2)
-        assert fs.zero_set_member("mu4", 1)
-        assert not fs.zero_set_member("mu4", 0)
+        mu4 = _zeros("scale4")
+        assert mu4.member(12)          # 12 = 4 * 3
+        assert not mu4.member(2)
+        assert mu4.member(1)
+        assert not mu4.member(0)
 
     def test_mu3_examples(self):
-        assert fs.zero_set_member("mu3", Fraction(3, 4))
-        assert fs.zero_set_member("mu3", Fraction(9, 4))
-        assert not fs.zero_set_member("mu3", Fraction(3, 2))
+        mu3 = _zeros("triadic")
+        assert mu3.member(Fraction(3, 4))
+        assert mu3.member(Fraction(9, 4))
+        assert not mu3.member(Fraction(3, 2))
 
     def test_mu2_is_nonzero_integers(self):
         for n in range(-5, 6):
-            assert fs.zero_set_member("mu2", n) == (n != 0)
+            assert _zeros("scale2").member(n) == (n != 0)
 
-    def test_unknown_tag(self):
-        with pytest.raises(KeyError):
-            fs.zero_set_member("mu7", 1)
+    def test_derived_from_the_catalog(self):
+        assert _zeros("scale4") == fs.ZeroSetPredicate(4, Fraction(1, 2))
+        assert _zeros("scale2") == fs.ZeroSetPredicate(2, Fraction(1, 2))
+        assert _zeros("triadic") == fs.ZeroSetPredicate(3, Fraction(2, 3))
+        assert _zeros("scale4(3)") == fs.ZeroSetPredicate(12, Fraction(1, 2))
+
+    @pytest.mark.parametrize("name", ["planar-collapse", "eiffel(2)"])
+    def test_not_a_two_digit_system(self, name):
+        with pytest.raises(ValueError, match="not a one-dimensional two-digit system"):
+            _zeros(name)
+
+    def test_rational_scale_refused(self, scale5half):
+        with pytest.raises(ValueError, match="integer scale"):
+            fs.ZeroSetPredicate.of(scale5half)
 
     def test_general_odd_scale_predicate(self):
         # two-digit measure at scale 5: the transform vanishes exactly on the
@@ -391,7 +418,7 @@ class TestZeroSets:
             if abs(t) > 50 or t == 0:
                 continue
             v = abs(mu4.mu_hat(float(t), depth=40).value)
-            if fs.zero_set_member("mu4", t):
+            if _zeros("scale4").member(t):
                 hits += 1
                 assert v <= 1e-8
             else:

@@ -177,19 +177,19 @@ class TestGram:
 
 class TestQ1:
     def test_at_spectrum_point(self, scale4):
-        res = fs.q1(scale4, 5.0, p_depth=4)
-        assert res.value >= 1 - 1e-9
-        assert res.monotone
+        prof = fs.q1_profile(scale4, [5.0], 4)
+        assert prof.values()[0] >= 1 - 1e-9
+        assert prof.monotone
 
     def test_scale4_interior_point(self, scale4):
-        res = fs.q1(scale4, -1 / 6, p_depth=10)
-        assert res.value >= 0.98
-        assert res.last_increment >= 0
+        prof = fs.q1_profile(scale4, [-1 / 6], 10)
+        assert prof.values()[0] >= 0.98
+        assert prof.last_increments()[0] >= 0
 
     def test_lebesgue_limit_half(self, scale2):
-        res = fs.q1(scale2, -0.5, p_depth=18)
-        assert abs(res.value - 0.5) < 1e-3
-        assert res.value <= 0.5
+        value = fs.q1_profile(scale2, [-0.5], 18).values()[0]
+        assert abs(value - 0.5) < 1e-3
+        assert value <= 0.5
 
     def test_rows_capped_by_the_scratch(self, scale4):
         # each chunk holds at least 1024 spectrum points, so Q1_SCRATCH caps
@@ -197,6 +197,47 @@ class TestQ1:
         assert len(fs.q1_profile(scale4, np.linspace(-1, 0, 5859), 1).values()) == 5859
         with pytest.raises(ValueError, match="5860 rows exceeds its cap of 5859"):
             fs.q1_profile(scale4, np.linspace(-1, 0, 5860), 1)
+
+    @pytest.mark.parametrize("N", range(1, 7))
+    def test_default_depth_rule(self, N):
+        # d grows from 1 while N^(d + 1) points fit the budget of 300 000,
+        # up to Q1_DEPTH_CAP = 14: the rule the CLI's q1 and report applied
+        d = 1
+        while N ** (d + 1) <= 300_000 and d < 14:
+            d += 1
+        sysm = fs.make_system(N + 1, [(F(k, N),) for k in range(N)], [(k,) for k in range(N)])
+        assert sysm.N == N
+        assert fs.q1_depth(sysm) == d
+
+    def test_default_depth_is_q1_depth(self, monkeypatch, eiffel2):
+        # a four-digit tower stops at 4^9 points; a default of 14 ran every
+        # layer up to depth 12 before the point cap refused it
+        class Recorded(Exception):
+            pass
+
+        depths = []
+
+        def recorded(system, T, p_depth, *rest):
+            depths.append(p_depth)
+            raise Recorded
+
+        monkeypatch.setattr(fs.spectrum, "_q1_pass", recorded)
+        probes = fs.dual_hull(eiffel2, 4).sample(3)
+        with pytest.raises(Recorded):
+            fs.completeness_test(eiffel2, probes)
+        with pytest.raises(Recorded):
+            fs.q1_profile(eiffel2, probes)
+        assert depths == [fs.q1_depth(eiffel2)] * 2 == [9, 9]
+
+    def test_depth_refused_before_the_kernel(self, monkeypatch, triadic):
+        # the point cap is checked before the first layer, not when the
+        # loop reaches the layer past it
+        def refuse(*_):
+            raise AssertionError("the kernel ran before the layer cap was checked")
+
+        monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_pairs", refuse)
+        with pytest.raises(ValueError, match=r"depth 30 reaches 2\^30 points"):
+            fs.q1_profile(triadic, [0.1], 30)
 
     @pytest.mark.parametrize("name,p_depth", [("scale2", 12), ("scale4", 7), ("R=-2", 12),
                                               ("R=6", 5), ("eiffel(2)", 6)])
@@ -254,7 +295,7 @@ class TestQ1:
         sysm = fs.two_digit_system(7, F(1, 4))
         lams = [int(p[0]) for p in fs.enumerate_P(sysm, 14).coords()]
         t = 0.137
-        got = fs.q1(sysm, t, 14).value
+        got = fs.q1_profile(sysm, [t], 14).values()[0]
         with mpmath.workdps(40):
             tq = mpmath.mpf(t)
             prods, prev = {0: mpmath.mpf(1)}, 1
@@ -300,8 +341,6 @@ class TestQ1:
         with pytest.raises(TypeError):
             fs.q1_profile(planar, probes, 14, fourier_depth=3, eps_conv=1e-6)
         with pytest.raises(TypeError):
-            fs.q1(planar, probes[0], 14, fourier_depth=3)
-        with pytest.raises(TypeError):
             fs.completeness_test(planar, probes, fourier_depth=3)
         with pytest.raises(TypeError):
             fs.max_orthogonal_family(fs.SelfSimilarMeasure(planar), probes, fourier_depth=3)
@@ -310,6 +349,11 @@ class TestQ1:
 
 
 class TestCompleteness:
+    def test_tower_at_the_default_depth(self, eiffel2):
+        # the former default of 14 ran into the layer cap at depth 12
+        rep = fs.completeness_test(eiffel2, fs.dual_hull(eiffel2, 4).sample(3))
+        assert (rep.verdict, rep.profile.depth) == (fs.spectrum.VERDICT_INCOMPLETE, 9)
+
     def test_scale4_basis(self, scale4):
         grid = np.linspace(-1 / 3, 0, 16)
         rep = fs.completeness_test(scale4, grid, p_depth_cap=12)
@@ -365,8 +409,7 @@ class TestCompleteness:
         for lam, _ in fs.enumerate_P(eiffel2, 4).points:
             u = np.array(lam, dtype=float) + np.array([1.0, 1.0, 0.0])
             assert abs(m.mu_hat(u).value) <= 1e-12
-        res = fs.q1(eiffel2, (-1.0, -1.0, 0.0), p_depth=6)
-        assert res.value <= 1e-20
+        assert fs.q1_profile(eiffel2, [(-1.0, -1.0, 0.0)], 6).values()[0] <= 1e-20
 
     def test_tower_scale4_fills_in(self):
         # at scale 4 the same vertex frequencies carry near-unit mass
@@ -384,7 +427,7 @@ class TestMaxOrthogonalFamily:
             assert len(fam) == 2
 
     def test_mu4_maximal(self):
-        pred = fs.ZeroSetPredicate(4, F(1, 2), "mu4")
+        pred = fs.ZeroSetPredicate(4, F(1, 2))
         p4 = [F(n) for n in (0, 1, 4, 5, 16, 17, 20, 21)]
         fam = fs.max_orthogonal_family(pred, p4 + [F(n) for n in (2, 3, 6, 7)])
         assert sorted(fam) == p4

@@ -224,7 +224,12 @@ class TestCatalog:
     def test_eiffel_parsing(self):
         e3 = fs.get_system("eiffel(3)")
         assert e3.R.entries[0][0] == 3
-        assert fs.get_system("eiffel", r=4).R.entries[2][2] == 4
+        assert fs.get_system("eiffel(4)").R.entries[2][2] == 4
+
+    def test_scaled_catalog_name(self):
+        s = fs.get_system("scale4(3)")
+        assert s.name == "scale4*r3" and s.R.entries == ((Fraction(12),),)
+        assert (s.B, s.L) == (fs.get_system("scale4").B, fs.get_system("scale4").L)
 
     def test_planar_data(self, planar):
         assert planar.dim == 2 and planar.N == 3
@@ -309,6 +314,7 @@ def _removed_keyword_calls():
         "projection_norm_checks-j": lambda: fs.projection_norm_checks(s4, j=0),
         "projection_norm_checks-fd_step":
             lambda: fs.projection_norm_checks(s4, fd_step=1e-3),
+        "get_system-r": lambda: fs.get_system("eiffel", r=4),
         "completeness_test-eps_pass": lambda: fs.completeness_test(s4, [0.0], eps_pass=0.02),
         "completeness_test-eps_fail": lambda: fs.completeness_test(s4, [0.0], eps_fail=0.05),
         "lebesgue_Q-n_terms": lambda: fs.lebesgue_Q(0.5, n_terms=4000),

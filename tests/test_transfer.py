@@ -201,10 +201,10 @@ class TestLebesgueQ:
             assert abs(fs.lebesgue_Q(t) - exact) <= 1e-10
 
     def test_against_partial_sums(self, scale2):
-        res = fs.q1(scale2, -0.25, p_depth=18)
-        assert abs(fs.lebesgue_Q(-0.25) - res.value) <= 1e-4
+        value = fs.q1_profile(scale2, [-0.25], 18).values()[0]
+        assert abs(fs.lebesgue_Q(-0.25) - value) <= 1e-4
         # truncated partial sums sit below the series value
-        assert res.value <= fs.lebesgue_Q(-0.25)
+        assert value <= fs.lebesgue_Q(-0.25)
 
     def test_operator_identity(self):
         ts = np.linspace(-1, 0, 128)
@@ -290,7 +290,7 @@ class TestGammaSupnorm:
         assert fs.transfer._beta_sampled(sysm, Y) == sampled
 
     def test_rescaling_kills_gamma(self):
-        vals = [fs.gamma_supnorm(fs.get_system("scale4", r=r)).gamma_sup
+        vals = [fs.gamma_supnorm(fs.get_system(f"scale4({r})")).gamma_sup
                 for r in (1, 4, 16)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 0.05
