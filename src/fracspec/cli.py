@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import geometry, rational as rat, spectrum, transfer
-from .system import (DEFAULT_N_CHECK, SIDES, AffineSystem, get_system, load_system_file,
-                     system_to_json, validate_system)
+from .system import (DEFAULT_N_CHECK, SIDES, AffineSystem, eiffel_system, get_system,
+                     load_system_file, system_to_json, validate_system)
 
 EXIT_OK = 0
 EXIT_CLAIM = 1
@@ -215,10 +215,13 @@ def cmd_transfer(args, sys_obj: AffineSystem, validation) -> int:
 def cmd_gamma(args, sys_obj: AffineSystem, validation) -> int:
     rep = transfer.gamma_supnorm(sys_obj)
     doc = rep.to_dict()
-    name = (sys_obj.name or "").split("(")[0]
-    if name == "eiffel":
-        scale = int(round(float(sys_obj.R.entries[0][0])))
-        doc["gamma_closed_form"] = transfer.gamma_eiffel(scale)
+    r = sys_obj.R.entries[0][0]
+    if sys_obj.dim == 3 and r.denominator == 1 and r >= 2:
+        # the tower eiffel(r), whatever the system's name or digit order
+        tower = eiffel_system(int(r))
+        if (sys_obj.R.entries, set(sys_obj.B), set(sys_obj.L)) == \
+           (tower.R.entries, set(tower.B), set(tower.L)):
+            doc["gamma_closed_form"] = transfer.gamma_eiffel(int(r))
     if sys_obj.dim == 1 and sys_obj.N == 2:
         Rv = sys_obj.R.entries[0][0]
         if Rv.denominator == 1 and abs(Rv) >= 2:

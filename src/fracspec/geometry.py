@@ -136,16 +136,10 @@ class Polytope:
     origin: tuple
     basis: tuple                         # affine_dim ambient vectors
     facets: tuple                        # halfspaces in chart coordinates
+    solver: tuple                        # (k pivot rows of the basis, exact inverse
+                                         # of the k x k submatrix they select)
     faces: tuple = ()                    # boundary: affine_dim chart vertices per face,
                                          # outward-oriented for affine_dim 2 and 3
-
-    @functools.cached_property
-    def _chart_solver(self):
-        """Pivot rows of the basis columns and the exact inverse of the
-        k x k submatrix they select."""
-        cols = rat.transpose(rat.mat(self.basis))      # ambient_dim x k
-        pivots = rat.pivot_columns(rat.mat(self.basis))
-        return pivots, rat.inverse(tuple(cols[i] for i in pivots))
 
     def chart_coords(self, x) -> tuple | None:
         """Exact chart coordinates of ambient point x, or None when x is off
@@ -154,7 +148,7 @@ class Polytope:
         d = rat.vec_sub(x, self.origin)
         if self.affine_dim == 0:
             return () if all(c == 0 for c in d) else None
-        pivots, sub_inv = self._chart_solver
+        pivots, sub_inv = self.solver
         u = rat.mat_vec(sub_inv, tuple(d[i] for i in pivots))
         recon = tuple(sum(self.basis[j][i] * u[j] for j in range(self.affine_dim))
                       for i in range(self.ambient_dim))
@@ -226,35 +220,12 @@ class Polytope:
 
 def _affine_frame(ipts):
     """Origin plus a maximal independent set of difference vectors of the
-    integer points.  Each difference is reduced, fraction-free, against the
-    reduced vectors kept so far, and kept when a remainder is left."""
+    integer points: the first independent ones, the pivot columns of the
+    matrix whose column i is point i + 1 minus the origin."""
     origin = ipts[0]
-    basis, reduced = [], []
-    for p in ipts[1:]:
-        if len(basis) == len(origin):
-            break
-        d = r = tuple(map(operator.sub, p, origin))
-        for e in reduced:
-            c = next(i for i, x in enumerate(e) if x)
-            if r[c]:
-                r = tuple(e[c] * x - r[c] * y for x, y in zip(r, e))
-        if any(r):
-            basis.append(d)
-            reduced.append(r)
-    return origin, basis
-
-
-def _dot(u, v):
-    return sum(map(operator.mul, u, v))
-
-
-def _det(rows):
-    """Determinant of a small square matrix (0 x 0 included) by cofactor
-    expansion along the first row, in the entries' own arithmetic."""
-    if len(rows) < 2:
-        return rows[0][0] if rows else 1
-    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j, x in enumerate(rows[0]) if x)
+    diffs = [[x - o for x in xs] for xs, o in zip(zip(*ipts[1:]), origin)]
+    return origin, [tuple(map(operator.sub, ipts[c + 1], origin))
+                    for c in rat.pivot_columns(diffs)]
 
 
 def _plane(face):
@@ -263,8 +234,8 @@ def _plane(face):
     above the face (sees it) iff n . p > n . a.  A 1-D face (a,) has n = (1,)."""
     a = face[0]
     edges = [tuple(map(operator.sub, q, a)) for q in face[1:]]
-    n = tuple((-1) ** j * _det([e[:j] + e[j + 1:] for e in edges]) for j in range(len(a)))
-    return n, _dot(n, a)
+    n = tuple((-1) ** j * rat.det([e[:j] + e[j + 1:] for e in edges]) for j in range(len(a)))
+    return n, rat.dot(n, a)
 
 
 def _hull(ips):
@@ -289,31 +260,31 @@ def _hull(ips):
     start = [a, ips[-1]]
     if len(start) < k:                         # a line ab: Lagrange's identity
         u = tuple(map(operator.sub, start[1], a))
-        uu = _dot(u, u)
+        uu = rat.dot(u, u)
 
         def line_dist2(p):                     # |u|^2 |w|^2 - (u.w)^2 = |ab x ap|^2
             w = tuple(map(operator.sub, p, a))
-            return uu * _dot(w, w) - _dot(u, w) ** 2, p
+            return uu * rat.dot(w, w) - rat.dot(u, w) ** 2, p
         start.append(max(ips, key=line_dist2))
     if len(start) == k:                        # a hyperplane
         n, off = _plane(start)
-        start.append(max(ips, key=lambda p: (abs(_dot(n, p) - off), p)))
+        start.append(max(ips, key=lambda p: (abs(rat.dot(n, p) - off), p)))
     inner = tuple(map(sum, zip(*start)))       # (k + 1) times the centroid
 
     def face(t, pending):
         n, off = _plane(t)
-        if _dot(n, inner) > (k + 1) * off:
+        if rat.dot(n, inner) > (k + 1) * off:
             n, off = tuple(-x for x in n), -off
             t = (t[1], t[0]) + t[2:] if k > 1 else t
-        return t, n, off, [p for p in pending if _dot(n, p) > off]
+        return t, n, off, [p for p in pending if rat.dot(n, p) > off]
 
     faces = [face(t, ips) for t in itertools.combinations(start, k)]
     while (f := next((f for f in faces if f[3]), None)) is not None:
-        p = max(f[3], key=lambda q: (_dot(f[1], q), q))
+        p = max(f[3], key=lambda q: (rat.dot(f[1], q), q))
         pending = {q for g in faces for q in g[3]} - {p}   # outside the hull but p
         visible, kept = [], []
         for g in faces:
-            (visible if _dot(g[1], p) > g[2] else kept).append(g)
+            (visible if rat.dot(g[1], p) > g[2] else kept).append(g)
         ridges = collections.Counter(r for t, _, _, _ in visible
                                      for r in itertools.combinations(sorted(t), k - 1))
         faces = kept + [face(r + (p,), pending) for r, m in ridges.items() if m == 1]
@@ -353,18 +324,22 @@ def convex_hull(points) -> Polytope:
 
     if k == 0:
         p = rat.unlift(ipts[:1], scale)[0]
-        return Polytope(ambient, 0, (p,), p, (), ())
+        return Polytope(ambient, 0, (p,), p, (), (), ())
 
     if k == ambient:
         # the identity chart: the hull is built in ambient coordinates
         us, den = ipts, scale
         origin, basis = tuple(Fraction(0) for _ in origin), rat.identity(ambient)
+        solver = (tuple(range(ambient)), basis)
     else:
-        pivots = rat.pivot_columns(rat.mat(basis))
-        inv, den = rat.lift(rat.inverse(rat.mat([[b[i] for b in basis] for i in pivots])))
+        # A u = (x - origin)[pivots]; the Fraction basis A / scale has inverse scale A^-1
+        pivots = rat.pivot_columns(basis)
+        sub_inv = rat.inverse([[b[i] for b in basis] for i in pivots])
+        inv, den = rat.lift(sub_inv)
         us = [rat.mat_vec(inv, [p[i] - origin[i] for i in pivots]) for p in ipts]
         origin, = rat.unlift([origin], scale)
         basis = tuple(rat.unlift(basis, scale))
+        solver = (tuple(pivots), tuple(rat.vec_scale(scale, r) for r in sub_inv))
     point_of = dict(zip(us, ipts))
 
     hull = _hull(sorted(us))                   # every face corner is a vertex
@@ -373,7 +348,7 @@ def convex_hull(points) -> Polytope:
     frac = dict(zip(chart_vs, rat.unlift(chart_vs, den)))
     faces = tuple(tuple(frac[q] for q in t) for t, _, _ in hull)
     vertices = tuple(rat.unlift(sorted(point_of[u] for u in chart_vs), scale))
-    return Polytope(ambient, k, vertices, origin, basis, facets, faces)
+    return Polytope(ambient, k, vertices, origin, basis, facets, solver, faces)
 
 
 def hull_volume(P: Polytope) -> Fraction:
@@ -382,7 +357,7 @@ def hull_volume(P: Polytope) -> Fraction:
     if P.affine_dim < P.ambient_dim:
         return Fraction(0)
     c = P.vertices[0]
-    cones = sum(abs(_det([rat.vec_sub(v, c) for v in face])) for face in P.faces)
+    cones = sum(abs(rat.det([rat.vec_sub(v, c) for v in face])) for face in P.faces)
     return Fraction(cones) / math.factorial(P.affine_dim)
 
 
@@ -428,14 +403,16 @@ class InvarianceReport:
 
 def invariance_check(sys: AffineSystem, P: Polytope) -> InvarianceReport:
     """Check rho_l-invariance of P exactly, including the midpoints
-    R*^{-1}(v - s l) for s in {0, 1/2, 1}."""
-    Rti = sys.R.inverse_transpose
+    R*^{-1}(v - s l) = M v + s t_l for s in {0, 1/2, 1}, with M and t_l
+    from the rho maps' table."""
+    M, shift = sys.maps["rho"]
     rows = []
     svals = (Fraction(0), Fraction(1, 2), Fraction(1))
     for l in sys.L:
         for v in P.vertices:
+            Mv = rat.mat_vec(M, v)
             for s in svals:
-                img = rat.mat_vec(Rti, rat.vec_sub(v, rat.vec_scale(s, l)))
+                img = rat.vec_add(Mv, rat.vec_scale(s, shift[l]))
                 rows.append((l, v, s, img, P.contains(img)))
     return InvarianceReport(P, rows)
 

@@ -1,15 +1,18 @@
 """Exact linear algebra over fractions.Fraction.
 
-Everything in here operates on tuples of Fractions (vectors) and tuples of
-row tuples (matrices).  Sizes are tiny (dimension <= 3 in practice), so the
-implementations favour exactness and clarity over speed.  A large point set
-is lifted once to integer vectors over a common denominator (`lift`) and
-turned back into Fractions once at the end (`unlift`).
+Vectors are tuples of Fractions and matrices tuples of row tuples.  A large
+point set is lifted once to integer vectors over a common denominator
+(`lift`) and turned back into Fractions once at the end (`unlift`).  One
+fraction-free elimination (`_eliminate`, Bareiss's integer-preserving
+Gaussian elimination on `lift` output) is behind `det`, `rank`,
+`pivot_columns`, `solve` and `inverse`; `det` and `dot` work in the
+entries' own arithmetic, so integer input gives an int.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 Vec = tuple
@@ -67,10 +70,10 @@ def identity(n: int) -> Mat:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def dot(u: Vec, v: Vec) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch in dot")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def dot(u: Vec, v: Vec):
+    """u . v of two vectors of one length, in the entries' own arithmetic:
+    an int for integer vectors."""
+    return sum(map(operator.mul, u, v))
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -91,8 +94,8 @@ def lift(vectors) -> tuple:
     vectors[i] = ivecs[i] / scale, scale the lcm of every denominator.  Lift
     a point set once and work on the integers: scale > 0, so sums, equality,
     lexicographic order and orientation signs carry over unchanged."""
-    scale = math.lcm(*(c.denominator for v in vectors for c in v))
-    return [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vectors], scale
+    scale = math.lcm(*[c.denominator for v in vectors for c in v])
+    return [tuple([c.numerator * (scale // c.denominator) for c in v]) for v in vectors], scale
 
 
 def unlift(ivecs, scale: int) -> list:
@@ -100,76 +103,86 @@ def unlift(ivecs, scale: int) -> list:
     return [tuple(Fraction(c, scale) for c in v) for v in ivecs]
 
 
-def _eliminate(rows):
-    """Forward elimination; returns (echelon rows, pivot columns, sign)."""
+def _eliminate(m):
+    """Bareiss's fraction-free forward elimination of the rows of m, lifted
+    to integers over one common denominator.  Returns (echelon rows, pivot
+    columns, d, scale): pivots are the greedy first independent columns,
+    and d is the last pivot with the sign of the row swaps, so that for a
+    square nonsingular m, d = det(m) * scale^n.  Each step divides exactly
+    by the pivot before it, so every entry stays a minor of the lifted rows."""
+    rows, scale = lift(m)
     rows = [list(r) for r in rows]
     n = len(rows)
-    m = len(rows[0]) if rows else 0
-    pivots = []
-    sign = 1
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if piv is None:
+    width = len(rows[0]) if rows else 0
+    pivots, d, prev = [], 1, 1
+    for c in range(width):
+        r = len(pivots)
+        for i in range(r, n):
+            if rows[i][c]:
+                break
+        else:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
-        for i in range(r + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / rows[r][c]
-                for j in range(c, m):
-                    rows[i][j] -= f * rows[r][j]
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            d = -d
+        top, p = rows[r], rows[r][c]
+        for row in rows[r + 1:]:
+            f, row[c] = row[c], 0
+            for j in range(c + 1, width):
+                row[j] = (p * row[j] - f * top[j]) // prev
         pivots.append(c)
-        r += 1
-        if r == n:
+        prev = p
+        if r + 1 == n:
             break
-    return rows, pivots, sign
+    return rows, pivots, d * prev, scale
 
 
 def rank(m: Mat) -> int:
-    if not m:
-        return 0
-    _, pivots, _ = _eliminate(m)
-    return len(pivots)
+    return len(pivot_columns(m))
 
 
 def pivot_columns(m: Mat) -> list:
-    """Column indices of a maximal independent set of columns."""
-    _, pivots, _ = _eliminate(m)
-    return pivots
+    """Column indices of a maximal independent set of columns: the greedy
+    choice, each column kept when it is independent of those kept before."""
+    return _eliminate(m)[1]
 
 
-def det(m: Mat) -> Fraction:
+def det(m: Mat):
+    """Determinant in the entries' own arithmetic: an int for integer
+    entries, a Fraction otherwise."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant of non-square matrix")
-    rows, pivots, sign = _eliminate(m)
-    if len(pivots) < n:
-        return Fraction(0)
-    d = Fraction(sign)
-    for i in range(n):
-        d *= rows[i][pivots[i]]
-    return d
+    _, pivots, d, scale = _eliminate(m)
+    d = d if len(pivots) == n else 0
+    if all(type(c) is int for r in m for c in r):
+        return d
+    return Fraction(d, scale ** n)
+
+
+def _solve_columns(m: Mat, rhs: Mat) -> Mat:
+    """X with m X = rhs (m square, nonsingular): one elimination of
+    [m | rhs], then back substitution on the integers d X, d the eliminated
+    determinant, whose entries are integers by Cramer's rule."""
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError("solve of a non-square matrix")
+    rows, pivots, d, _ = _eliminate([tuple(m[i]) + tuple(rhs[i]) for i in range(n)])
+    if pivots != list(range(n)):
+        raise ValueError("singular system")
+    Y = [None] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        Y[i] = [(d * row[c] - sum(row[j] * Y[j][c - n] for j in range(i + 1, n))) // row[i]
+                for c in range(n, len(row))]
+    return tuple(tuple(Fraction(y, d) for y in r) for r in Y)
 
 
 def solve(m: Mat, rhs: Vec) -> Vec:
     """Solve m x = rhs exactly (m square, nonsingular)."""
-    n = len(m)
-    aug = [list(m[i]) + [as_fraction(rhs[i])] for i in range(n)]
-    rows, pivots, _ = _eliminate(aug)
-    if len(pivots) < n or any(p >= n for p in pivots):
-        raise ValueError("singular system")
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        c = pivots[i]
-        s = rows[i][n] - sum(rows[i][j] * x[j] for j in range(c + 1, n))
-        x[c] = s / rows[i][c]
-    return tuple(x)
+    return tuple(r[0] for r in _solve_columns(m, [(as_fraction(x),) for x in rhs]))
 
 
 def inverse(m: Mat) -> Mat:
-    n = len(m)
-    cols = [solve(m, tuple(Fraction(1 if i == j else 0) for i in range(n)))
-            for j in range(n)]
-    return transpose(mat(cols))
+    """m^{-1}: one elimination of [m | I]."""
+    return _solve_columns(m, identity(len(m)))

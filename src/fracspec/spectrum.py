@@ -4,6 +4,7 @@ completeness partial sums, maximal orthogonal families."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +41,6 @@ class SpectrumEnumeration:
 
     def coords(self) -> tuple:
         return tuple(p for p, _ in self.points)
-
-    def array(self) -> np.ndarray:
-        return np.array([p for p, _ in self.points], dtype=float)
 
 
 def enumerate_P(sys: AffineSystem, depth: int) -> SpectrumEnumeration:
@@ -135,26 +133,33 @@ def digits_of(sys: AffineSystem, lam):
     None once two prefixes reach it, and a remainder that reaches 0 ends an
     expansion.  A remainder with m levels of budget left is dropped unless
     every denominator divides den(L) * s^m, s the lcm of the denominators of
-    R, as every tau-word image of length <= m does.
+    R, as every tau-word image of length <= m does.  On the integer lift a
+    remainder is P / D, D = lcm(den(lam), den(L) s^DIGIT_BUDGET), the rho
+    table M, t_l is A / a, T_l / a, and the image (A P + D T_l) / (a D) is
+    kept iff a D / (den(L) s^m) divides it.
     """
     lam = point(lam if hasattr(lam, "__len__") else (lam,), sys.dim)
-    zero = sys.zero()
-    if lam == zero:
+    if not any(lam):
         return ()
     Rti, shift = sys.maps["rho"]
+    ivecs, a = rat.lift(list(Rti) + list(shift.values()))
+    A = ivecs[:sys.dim]
     den_L = math.lcm(*(c.denominator for l in sys.L for c in l))
     s_R = math.lcm(*(e.denominator for row in sys.R.entries for e in row))
-    level, found = {lam: ()}, None
+    D = math.lcm(*(c.denominator for c in lam), den_L * s_R ** DIGIT_BUDGET)
+    steps = [(l, tuple(D * x for x in t)) for l, t in zip(shift, ivecs[sys.dim:])]
+    level, found = {tuple(int(c * D) for c in lam): ()}, None
     for left in reversed(range(DIGIT_BUDGET)):
-        den, nxt = den_L * s_R ** left, {}
+        g, nxt = a * (D // (den_L * s_R ** left)), {}
         for p, word in level.items():
-            base = rat.mat_vec(Rti, p)
-            for l, s in shift.items():
-                q = rat.vec_add(base, s)
-                if any(den % c.denominator for c in q):
+            base = [rat.dot(row, p) for row in A]
+            for l, t in steps:
+                q = tuple(map(operator.add, base, t))
+                if any(x % g for x in q):
                     continue
+                q = tuple(x // a for x in q)
                 w = None if word is None or q in nxt else word + (l,)
-                if q != zero:
+                if any(q):
                     nxt[q] = w
                 elif w is None or found is not None:
                     return None

@@ -384,7 +384,7 @@ def _compatibility_witnesses(sys: AffineSystem) -> list:
         for b, bi in zip(sys.B, Bi):
             Rnb = rat.mat_vec(Rn, bi)
             for l, li in zip(sys.L, Li):
-                v = sum(map(operator.mul, Rnb, li))
+                v = rat.dot(Rnb, li)
                 if v % den:
                     failures.append((n, tuple(map(rat.format_fraction, b)),
                                      tuple(map(rat.format_fraction, l)),

@@ -121,6 +121,28 @@ class TestGammaCommand:
         r = run_cli("gamma", "--system", "scale4")
         assert "gamma_sup" in r.stdout
 
+    @staticmethod
+    def _gamma_of_file(tmp_path, monkeypatch, capsys, filename, sysm):
+        # the system's name is the path as given: a bare file name here
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / filename).write_text(json.dumps(fs.system_to_json(sysm)))
+        assert cli.main(["gamma", "--file", filename, "--format", "json", "--force"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_closed_form_is_decided_by_the_system_not_its_name(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # a planar system named like a tower gets no tower closed form
+        doc = self._gamma_of_file(tmp_path, monkeypatch, capsys, "eiffel(9).json",
+                                  fs.get_system("planar-collapse"))
+        assert "gamma_closed_form" not in doc
+
+    def test_tower_under_another_name_gets_its_closed_form(self, tmp_path, monkeypatch, capsys):
+        # eiffel(3) with its digits in another order, saved as tower3.json
+        e3 = fs.get_system("eiffel(3)")
+        tower = fs.make_system(e3.R.entries, e3.B[::-1], e3.L[1:] + e3.L[:1])
+        doc = self._gamma_of_file(tmp_path, monkeypatch, capsys, "tower3.json", tower)
+        assert doc["gamma_closed_form"] == fs.transfer.gamma_eiffel(3)
+
 
 class TestAttractorCommand:
     def test_eiffel_cloud_size(self):

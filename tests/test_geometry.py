@@ -256,6 +256,14 @@ class TestHullOracle:
         assert hull.affine_dim == k
         assert hull.vertices == tuple(sorted(image(s) for s in self._extreme_params(params)))
         assert all(hull.contains(p) for p in pts)
+        # the kept chart solver inverts the basis on its pivot rows, and the
+        # chart coordinates rebuild every input point
+        pivots, sub_inv = hull.solver
+        sub = [[b[i] for b in hull.basis] for i in pivots]
+        assert rat.mat_mul(sub_inv, sub) == rat.identity(k)
+        for p in pts:
+            u = hull.chart_coords(p)
+            assert rat.vec_add(hull.origin, rat.mat_vec(rat.transpose(hull.basis), u)) == p
         if k == ambient:
             # the identity chart: every face corner is a vertex, and in the
             # plane every edge (a, b) is outward, so sum det(a, b) = 2 vol
@@ -398,6 +406,15 @@ class TestInvariance:
     def test_planar_segment_invariant(self, planar):
         hull = fs.dual_hull(planar, 2)
         assert fs.invariance_check(planar, hull).passed
+
+    def test_images_are_rho_of_the_shifted_vertices(self, eiffel2, planar):
+        # each image, read from the rho maps' table, is R*^{-1}(v - s l)
+        for sysm in (eiffel2, planar):
+            Rti = sysm.R.inverse_transpose
+            rows = fs.invariance_check(sysm, fs.dual_hull(sysm, 3)).rows
+            assert len(rows) == 3 * sysm.N * len(fs.dual_hull(sysm, 3).vertices)
+            for l, v, s, img, _ in rows:
+                assert img == rat.mat_vec(Rti, rat.vec_sub(v, rat.vec_scale(s, l)))
 
 
 class TestNesting:

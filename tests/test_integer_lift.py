@@ -183,3 +183,98 @@ class TestCompatibility:
     def test_rational_scale_agrees_with_loop(self, data):
         r = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool))
         self._check(fs.make_system(r, self._digits(data, 1), self._digits(data, 1)))
+
+
+def cofactor_det(rows):
+    """Determinant by cofactor expansion along the first row (0 x 0
+    included), in the entries' own arithmetic."""
+    if len(rows) < 2:
+        return rows[0][0] if rows else 1
+    return sum((-1) ** j * x * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def greedy_pivot_columns(rows):
+    """Indices of the columns kept by a greedy scan: each column is reduced,
+    fraction-free, against the reduced columns kept so far, and kept when a
+    remainder is left."""
+    kept, reduced = [], []
+    for i, col in enumerate(zip(*rows)):
+        r = col
+        for e in reduced:
+            c = next(k for k, x in enumerate(e) if x)
+            if r[c]:
+                r = tuple(e[c] * x - r[c] * y for x, y in zip(r, e))
+        if any(r):
+            kept.append(i)
+            reduced.append(r)
+    return kept
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Integer or rational matrices up to 5 x 5; half of them are a product
+    through a narrower inner dimension, so that rank deficiency is common."""
+    n = draw(st.integers(1, 5))
+    m = n if square else draw(st.integers(1, 5))
+    entry = draw(st.sampled_from((st.integers(-4, 4),
+                                  st.fractions(-4, 4, max_denominator=6))))
+
+    def block(rows, cols):
+        return [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+    if draw(st.booleans()):
+        return block(n, m)
+    k = draw(st.integers(1, min(n, m)))
+    left, right = block(n, k), block(k, m)
+    return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(m)]
+            for i in range(n)]
+
+
+def _integer(m):
+    return all(type(c) is int for r in m for c in r)
+
+
+class TestEliminationKernel:
+    """`det`, `rank`, `pivot_columns`, `solve` and `inverse` read one
+    fraction-free elimination; each is checked against a written-out
+    reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(square=True))
+    def test_det_against_cofactor_expansion(self, m):
+        d = rat.det(m)
+        assert d == cofactor_det(m)
+        assert type(d) is (int if _integer(m) else Fraction)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_pivot_columns_and_rank_against_greedy_selection(self, m):
+        want = greedy_pivot_columns(m)
+        assert rat.pivot_columns(m) == want
+        assert rat.rank(m) == len(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(square=True), st.data())
+    def test_inverse_and_solve(self, m, data):
+        if cofactor_det(m) == 0:
+            with pytest.raises(ValueError, match="singular"):
+                rat.inverse(m)
+            return
+        n = len(m)
+        M = rat.mat(m)
+        assert rat.mat_mul(M, rat.inverse(m)) == rat.identity(n)
+        b = data.draw(st.lists(st.fractions(-9, 9, max_denominator=5), min_size=n, max_size=n))
+        x = rat.solve(m, b)
+        assert rat.mat_vec(M, x) == tuple(b)
+        assert all(type(c) is Fraction for c in x)
+
+    def test_empty_matrix(self):
+        assert rat.det(()) == 1
+        assert rat.rank(()) == 0 and rat.pivot_columns(()) == []
+
+    def test_non_square_is_refused(self):
+        m = [[1, 2, 3], [4, 5, 6]]
+        for call in (rat.det, rat.inverse, lambda m: rat.solve(m, [1, 1])):
+            with pytest.raises(ValueError, match="non-square"):
+                call(m)

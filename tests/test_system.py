@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -259,6 +260,24 @@ class TestSystemFiles:
         p.write_text(json.dumps(data))
         sysm = fs.load_system_file(str(p))
         assert sysm.B[1] == (Fraction(1, 2),)
+
+    def test_twelve_dimensional_file_validates_quickly(self, tmp_path):
+        # R = 2 I plus a superdiagonal of ones, B = {0, e1/2}, L = {0, e1}: a
+        # determinant by full cofactor expansion (12! products) would not finish
+        n = 12
+        unit = [["1" if i == 0 else "0" for i in range(n)]]
+        data = {"dim": n,
+                "R": [["2" if j == i else "1" if j == i + 1 else "0" for j in range(n)]
+                      for i in range(n)],
+                "B": [["0"] * n, ["1/2" if i == 0 else "0" for i in range(n)]],
+                "L": [["0"] * n] + unit}
+        p = tmp_path / "twelve.json"
+        p.write_text(json.dumps(data))
+        start = time.perf_counter()
+        rep = fs.validate_system(fs.load_system_file(str(p)))
+        assert time.perf_counter() - start < 2.0
+        assert rep.passed
+        assert rep.checks["l_spans"].witness == 1
 
     def test_floats_rejected(self):
         data = {"dim": 1, "R": [[4]], "B": [[0], [0.5]], "L": [[0], [1]]}
