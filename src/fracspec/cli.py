@@ -4,6 +4,7 @@ and over user-supplied system files."""
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys as _sys
@@ -319,7 +320,10 @@ def _check_options(args) -> None:
         raise UsageError(f"--tol must be > 0, got {tol}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, so every `main` call shares it."""
     p = argparse.ArgumentParser(prog="fracspec",
                                 description="spectral analysis of affine self-similar measures")
     sub = p.add_subparsers(dest="command", required=True)

@@ -130,10 +130,16 @@ class SelfSimilarMeasure:
         a0 rides along as a constant column, so one matrix product forms a
         level's bracket: [a0, w cos pt, w sin pt] @ [1; cos pl; sin pl] for a
         real table, [a0, w e^{i pt}] @ [1; e^{-i pl}] for a complex one, with
-        pt = t.u_kj and pl = lambda.u_kj.  The lambda side is evaluated once
-        per point and level for all rows.  One stacked product forms c levels
-        with c m n <= STACK_ENTRIES: a small block takes all its levels in one
-        call, a large one a level per call.
+        pt = t.u_kj and pl = lambda.u_kj.
+
+        The tables are formed once per call for all levels, in one
+        (depth, width, m + n) array whose first m columns are the t side and
+        the rest the lambda side: one stacked product for the angles, one cos
+        and one sin, then the weights, the a0 row and the ones row, each set
+        once.  The level loop forms c levels with c m n <= STACK_ENTRIES by
+        one matrix product into one (c, m, n) buffer, reused by every step,
+        and multiplies them into the result: a small block takes all its
+        levels in one step, a large one a level per step.
         """
         a0, _, w, real, _ = self.system.mask_table
         U, _ = self._level_data(depth)
@@ -142,29 +148,30 @@ class SelfSimilarMeasure:
             w, width, dtype = np.concatenate([w, w]), 1 + 2 * J, float
         else:
             width, dtype = 1 + J, complex
+        # a complex table's lambda side is e^{-i pl}, at the angles of -lambda
+        # (exact; numpy 2.4's in-place negative of those columns of P is wrong
+        # at a 64-byte stride)
+        X = np.concatenate([T, Lam if real else -Lam])
+        P = np.swapaxes(U, 1, 2) @ X.T              # (depth, J, m + n)
+        tab = np.empty((depth, width, m + n), dtype=dtype)
+        if real:
+            np.cos(P, out=tab[:, 1:J + 1])
+            np.sin(P, out=tab[:, J + 1:])
+        else:
+            np.cos(P, out=tab.real[:, 1:])
+            np.sin(P, out=tab.imag[:, 1:])
+        del X, P
+        tab[:, 1:, :m] *= w[:, None]
+        tab[:, 0, :m] = a0
+        tab[:, 0, m:] = 1
+        left, right = np.swapaxes(tab[..., :m], 1, 2), tab[..., m:]
         out = np.ones((m, n), dtype=dtype)
         step = max(1, STACK_ENTRIES // max(m * n, 1))
+        buf = np.empty((min(step, depth), m, n), dtype=dtype)
         for k in range(0, depth, step):
-            Uk = U[k:k + step]
-            pt = T @ Uk                             # (c, m, J)
-            pl = np.swapaxes(Uk, 1, 2) @ Lam.T      # (c, J, n)
-            left = np.empty((len(Uk), m, width), dtype=dtype)
-            right = np.empty((len(Uk), width, n), dtype=dtype)
-            if real:
-                np.cos(pt, out=left[..., 1:J + 1])
-                np.sin(pt, out=left[..., J + 1:])
-                np.cos(pl, out=right[:, 1:J + 1])
-                np.sin(pl, out=right[:, J + 1:])
-            else:
-                np.cos(pt, out=left.real[..., 1:])
-                np.sin(pt, out=left.imag[..., 1:])
-                np.cos(pl, out=right.real[:, 1:])
-                np.sin(np.negative(pl, out=pl), out=right.imag[:, 1:])
-            left[..., 1:] *= w
-            left[..., 0] = a0
-            right[:, 0] = 1
-            level = left @ right
-            out *= level[0] if len(Uk) == 1 else level.prod(axis=0)
+            level = buf[:min(step, depth - k)]
+            np.matmul(left[k:k + step], right[k:k + step], out=level)
+            out *= level[0] if len(level) == 1 else level.prod(axis=0)
         return out
 
     def _pairs(self, T: np.ndarray, Lam: np.ndarray, depth: int) -> np.ndarray:

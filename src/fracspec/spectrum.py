@@ -11,7 +11,7 @@ import numpy as np
 
 from . import geometry, rational as rat
 from .measure import SelfSimilarMeasure, ZeroSetPredicate
-from .system import AffineSystem, map_tau, point
+from .system import AffineSystem, point
 
 MAX_EXACT_POINTS = 2_000_000
 MAX_FLOAT_POINTS = 6_000_000
@@ -66,12 +66,21 @@ def _strip(word, zero):
 
 
 def reconstruct(sys: AffineSystem, word) -> tuple:
-    """Exact point sum_k R*^k word[k] of a word over L, by Horner's rule:
-    tau_{w_0}(tau_{w_1}(... tau_{w_last}(0)))."""
-    lam = sys.zero()
+    """Exact point sum_k R*^k word[k] of a word over L, by Horner's rule
+    tau_{w_0}(tau_{w_1}(... tau_{w_last}(0))) on the integer lift: with the
+    tau table lifted once, R* = A / a and l = T_l / a, the point after j
+    digits is P_j / a^j and the next digit l gives A P_j + a^j T_l."""
+    M, shift = sys.maps["tau"]
+    ivecs, a = rat.lift(list(M) + list(shift))
+    A, steps = ivecs[:sys.dim], dict(zip(shift, ivecs[sys.dim:]))
+    p, scale = (0,) * sys.dim, 1
     for digit in reversed(tuple(word)):
-        lam = map_tau(sys, digit, lam)
-    return lam
+        d = point(digit, sys.dim)
+        if d not in steps:
+            raise ValueError(f"{d} is not a point of L")
+        p = tuple(rat.dot(row, p) + scale * x for row, x in zip(A, steps[d]))
+        scale *= a
+    return rat.unlift([p], scale)[0]
 
 
 def check_layer_depth(sys: AffineSystem, depth: int) -> None:
@@ -379,6 +388,9 @@ def completeness_test(system: AffineSystem, grid, measure=None,
     # in the same pass; only the probe rows decide when it stops
     T = np.asarray(grid, dtype=float).reshape(-1, system.dim)
     m = len(T)
+    if not m:
+        # all() over no rows is True: an empty grid would pass unexamined
+        raise ValueError("the completeness grid is empty: no probe point to decide on")
     stencil = np.concatenate([[FD_STEP * e, -FD_STEP * e] for e in np.eye(system.dim)])
     if p_depth_cap is None:
         p_depth_cap = q1_depth(system)

@@ -321,6 +321,30 @@ class TestSingleDigitSystem:
                               "and no Gram pair")
 
 
+class TestSharedParser:
+    """`main` parses with one parser per process."""
+
+    RUNS = (["q1", "--system", "scale4", "--resolution", "9", "--p-depth", "6",
+             "--format", "json"],
+            ["transfer", "--system", "scale4", "--resolution", "many"],
+            ["transfer", "--system", "scale4", "--resolution", "16", "--format", "json"])
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_match_a_fresh_parser(self, capsys):
+        # q1, a usage error, then transfer through the shared parser: each
+        # prints what it prints from a parser built for it alone
+        shared = [(cli.main(list(argv)), capsys.readouterr()) for argv in self.RUNS]
+        fresh = []
+        for argv in self.RUNS:
+            cli.build_parser.cache_clear()
+            fresh.append((cli.main(list(argv)), capsys.readouterr()))
+        assert [code for code, _ in shared] == [0, 2, 0]
+        assert "invalid int value: 'many'" in shared[1][1].err
+        assert shared == fresh
+
+
 class TestUsage:
     def test_no_system(self):
         r = run_cli("spectrum")

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -211,6 +212,66 @@ class TestBrackets:
         assert np.abs(got - per_digit_levels(sysm, diffs, 30)).max() <= 1e-13
         sq, _ = meas.mu_hat_sq_pairs(T, Lam)
         assert (sq == 1.0).all()
+
+    @pytest.mark.parametrize("name, m, n, depth", [
+        ("scale4", 0, 40, 30), ("scale4", 6, 0, 30), ("scale4", 6, 40, 0),
+        ("eiffel2", 0, 40, 30), ("eiffel2", 6, 0, 30), ("eiffel2", 6, 40, 0),
+        ("eiffel2", 0, 0, 0), ("one_digit", 6, 40, 30), ("one_digit", 0, 40, 30),
+        ("one_digit", 6, 40, 0),
+    ])
+    def test_edge_shapes(self, request, name, m, n, depth):
+        # no rows, no points, no levels or no digit off the centre (J = 0):
+        # the level buffer and the side tables may be empty, the product is
+        # ones of shape (m, n)
+        if name == "one_digit":
+            sysm = fs.make_system(2, [(Fraction(1, 3),)], [(0,)])
+        else:
+            sysm = request.getfixturevalue(name)
+        meas = fs.SelfSimilarMeasure(sysm)
+        T, Lam = _probe_pairs(sysm.dim)
+        T, Lam = T[:m], Lam[:n]
+        got = meas._brackets(T, Lam, depth)
+        assert got.shape == (m, n) and (got == 1).all()
+        diffs = T[:, None, :] - Lam[None, :, :]
+        ref = per_digit_levels(sysm, diffs, depth)
+        assert np.abs(meas._pairs(T, Lam, depth) - ref).max(initial=0.0) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["scale4", "planar", "eiffel2"])
+    def test_small_shapes(self, request, name):
+        # every split of up to 18 table columns between the two sides,
+        # vectors included: the strides of the t and lambda parts of the
+        # tables run through each small value (planar-collapse at m + n = 8
+        # puts the lambda column 64 bytes apart)
+        sysm = request.getfixturevalue(name)
+        meas = fs.SelfSimilarMeasure(sysm)
+        rng = np.random.RandomState(3)
+        for m in range(10):
+            for n in range(10):
+                T, Lam = rng.uniform(-20, 20, (m, sysm.dim)), rng.uniform(-20, 20, (n, sysm.dim))
+                diffs = T[:, None, :] - Lam[None, :, :]
+                ref = per_digit_levels(sysm, diffs, 13)
+                got = meas._pairs(T, Lam, 13)
+                assert np.abs(got - ref).max(initial=0.0) <= 1e-13, (m, n)
+
+    def test_level_per_call_holds_two_products(self, eiffel2):
+        # a product too large to stack takes a level per call; beside the
+        # side tables it holds the result and one reused level buffer, no
+        # (m, n) array per level
+        meas = fs.SelfSimilarMeasure(eiffel2)
+        rng = np.random.RandomState(5)
+        T, Lam = rng.uniform(-20, 20, (2000, 3)), rng.uniform(-20, 20, (500, 3))
+        meas._level_data(40)
+        tracemalloc.start()
+        try:
+            out = meas._brackets(T, Lam, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _, _, w, real, _ = eiffel2.mask_table
+        width = 1 + len(w) * (2 if real else 1)
+        tables = 40 * width * (len(T) + len(Lam)) * out.itemsize
+        assert out.shape == (2000, 500)
+        assert peak <= tables + 2 * out.nbytes + 2 ** 20
 
     @pytest.mark.parametrize("name", ["scale4", "eiffel2"])
     def test_shallower_after_deeper(self, request, name):

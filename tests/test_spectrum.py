@@ -394,6 +394,14 @@ class TestCompleteness:
             assert rep.grad_at_zero[j] == pytest.approx((v[0] - v[1]) / (2 * h),
                                                         rel=1e-6, abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["scale4", "eiffel(2)"])
+    def test_empty_grid_is_refused(self, name):
+        # all() over no probe rows is True: an empty grid would come back
+        # BASIS-CONSISTENT with nothing examined
+        sysm = fs.get_system(name)
+        with pytest.raises(ValueError, match="grid is empty"):
+            fs.completeness_test(sysm, np.zeros((0, sysm.dim)))
+
     def test_probes_alone_decide_the_stop(self, scale4):
         # Q1 at the spectrum point 0 gains nothing after depth 0, while the
         # stencil rows +-FD_STEP still gain about 1e-11 at depth 10
