@@ -44,9 +44,17 @@ def _contraction_data(S: np.ndarray):
 
 
 def _max_distance(T: np.ndarray, Lam: np.ndarray) -> float:
-    """max |t - lambda| over the rows of T and Lam."""
+    """max |t - lambda| over the rows of T and Lam.  In one dimension it is
+    max(max T - min Lam, max Lam - min T), exactly; above, the largest
+    |t|^2 + |lambda|^2 - 2 t.lambda.  NaN when a coordinate is NaN, inf
+    when one is infinite."""
     if not (T.size and Lam.size):
         return 0.0
+    if T.shape[1] == 1:
+        top = float(max(T.max() - Lam.min(), Lam.max() - T.min()))
+        if math.isnan(top) and not (np.isnan(T).any() or np.isnan(Lam).any()):
+            return math.inf             # the same infinity in both: inf - inf
+        return top
     d2 = (T ** 2).sum(axis=1)[:, None] + (Lam ** 2).sum(axis=1)[None, :] - 2 * (T @ Lam.T)
     top = float(d2.max())
     if math.isnan(top) and not (np.isnan(T).any() or np.isnan(Lam).any()):
@@ -67,37 +75,70 @@ class SelfSimilarMeasure:
         self._kappa, self._rho, self._c = _contraction_data(self._S)
         self._b_max = math.sqrt(max(
             float(rat.dot(b, b)) for b in sys.B))
-        _, E, _, _, c = sys.mask_table
+        _, E, w, _, c = sys.mask_table
+        # sigma^2 = N^-1 sum_b |b - c|^2: a real table keeps one row of each
+        # +-e pair at weight 2/N, so the weighted sum over rows is sigma^2
+        self._sigma_sq = float(w @ (E ** 2).sum(axis=1))
         # the level frequencies and centres built so far; see _level_data
         self._stack = (2 * np.pi * E.T[None], np.array(c, dtype=float)[None])
 
     # -- tail machinery ----------------------------------------------------
-    def tail_bound(self, depth: int, t_norm: float) -> float:
-        """sum_{n >= depth} 2 pi max_b|b| ||R*^{-n} t||, via the contraction data."""
-        if self._b_max == 0.0:
-            return 0.0
-        geo = self._kappa * self._rho ** (depth // self._kappa) / (1.0 - self._rho)
-        return 2.0 * math.pi * self._b_max * self._c * t_norm * geo
+    def tail_bound(self, depth: int, t_norm: float, squared: bool = False) -> float:
+        """Bound on what the levels k >= depth can move the product at any
+        frequency x with |x| <= t_norm, via ||R*^{-k} x|| <=
+        c rho^{floor(k/kappa)} |x| and sum_{k >= d} r^{floor(k/kappa)} <=
+        kappa r^{floor(d/kappa)} / (1 - r).
 
-    def depth_for(self, t_norm: float) -> int:
-        """Smallest product depth d >= 1 whose tail bound is below
-        DEFAULT_TAIL_TOL, or MAX_PRODUCT_DEPTH when no smaller one is.
+        Linear form, for mu_hat: |1 - chi_B(y)| <= 2 pi max_b|b| |y| and
+        |prod a_k - prod b_k| <= sum |a_k - b_k| for factors of modulus at
+        most one give 2 pi max_b|b| c t_norm kappa rho^{floor(d/kappa)} / (1 - rho).
 
-        The bound is its depth-0 value times rho^{floor(d/kappa)}, so one
-        logarithm places d; steps of `tail_bound` itself then settle the
-        rounding, so d is the one a depth-by-depth search would find.
+        Squared form, for |mu_hat|^2: with sigma^2 = N^-1 sum_b |b - c|^2
+        and c the mean of B, 1 - |chi_B(y)|^2 = N^-2 sum_{b,b'} (1 -
+        cos 2 pi (b - b').y) <= 4 pi^2 sigma^2 |y|^2.  With a_k =
+        |chi_B(R*^{-k} x)|^2 in [0, 1], 0 <= prod_{k<d} a_k - prod_k a_k <=
+        sum_{k>=d} (1 - a_k), so the bound is 4 pi^2 sigma^2 c^2 t_norm^2
+        kappa rho^{2 floor(d/kappa)} / (1 - rho^2), and the truncated value
+        is never below the true one.
         """
-        head = self.tail_bound(0, t_norm)
+        if squared:
+            if self._sigma_sq == 0.0:
+                return 0.0
+            r = self._rho ** 2
+            amp = 4.0 * math.pi ** 2 * self._sigma_sq * (self._c * t_norm) ** 2
+        else:
+            if self._b_max == 0.0:
+                return 0.0
+            r = self._rho
+            amp = 2.0 * math.pi * self._b_max * self._c * t_norm
+        if amp == math.inf:
+            return amp                  # where r^{floor(d/kappa)} underflows to 0
+        return amp * (self._kappa * r ** (depth // self._kappa) / (1.0 - r))
+
+    def depth_for(self, t_norm: float, squared: bool = False) -> int:
+        """Smallest product depth d >= 1 whose tail bound (of the form
+        `squared` picks) is below DEFAULT_TAIL_TOL, or MAX_PRODUCT_DEPTH when
+        no smaller one is.
+
+        Either bound is its depth-0 value times r^{floor(d/kappa)}, with
+        r = rho for the linear form and rho^2 for the squared one, so one
+        logarithm places d; steps of `tail_bound` itself then settle the
+        rounding, so d is the one a depth-by-depth search would find.  The
+        squared bound is below the linear one wherever the linear one meets
+        the tolerance (sigma <= max_b|b|), so its depth is never deeper.
+        """
+        head = self.tail_bound(0, t_norm, squared)
         if not head >= DEFAULT_TAIL_TOL:             # also a zero or NaN norm
             d = 1
         elif head == math.inf:
             d = MAX_PRODUCT_DEPTH
         else:
-            q = math.floor(math.log(DEFAULT_TAIL_TOL / head) / math.log(self._rho)) + 1
+            r = self._rho ** 2 if squared else self._rho
+            q = math.floor(math.log(DEFAULT_TAIL_TOL / head) / math.log(r)) + 1
             d = min(max(self._kappa * q, 1), MAX_PRODUCT_DEPTH)
-        while d > 1 and self.tail_bound(d - 1, t_norm) < DEFAULT_TAIL_TOL:
+        while d > 1 and self.tail_bound(d - 1, t_norm, squared) < DEFAULT_TAIL_TOL:
             d -= 1
-        while d < MAX_PRODUCT_DEPTH and self.tail_bound(d, t_norm) >= DEFAULT_TAIL_TOL:
+        while d < MAX_PRODUCT_DEPTH and self.tail_bound(d, t_norm, squared) >= DEFAULT_TAIL_TOL:
             d += 1
         return d
 
@@ -184,16 +225,17 @@ class SelfSimilarMeasure:
         out *= np.exp(-2j * np.pi * (Lam @ cd))[None, :]
         return out
 
-    def _adaptive(self, T, Lam, depth):
+    def _adaptive(self, T, Lam, depth, squared):
         """T and Lam as (m, dim) and (n, dim) arrays, the depth (when None,
         the one that meets the tail tolerance at the largest |t - lambda|),
-        and its tail bound at that distance."""
+        and its tail bound at that distance; `squared` picks the tail of
+        |mu_hat|^2 over that of mu_hat."""
         T = np.asarray(T, dtype=float).reshape(-1, self.dim)
         Lam = np.asarray(Lam, dtype=float).reshape(-1, self.dim)
         t_norm = _max_distance(T, Lam)
         if depth is None:
-            depth = self.depth_for(t_norm)
-        return T, Lam, depth, self.tail_bound(depth, t_norm)
+            depth = self.depth_for(t_norm, squared)
+        return T, Lam, depth, self.tail_bound(depth, t_norm, squared)
 
     def mu_hat_batch(self, T, depth: int | None = None):
         """Transform values for an array of frequencies.
@@ -207,23 +249,24 @@ class SelfSimilarMeasure:
         if self.dim > 1 and (T.ndim == 0 or T.shape[-1] != self.dim):
             raise ValueError(f"frequency array must have trailing axis {self.dim}")
         shape = T.shape if self.dim == 1 else T.shape[:-1]
-        T, origin, depth, tail = self._adaptive(T, np.zeros(self.dim), depth)
+        T, origin, depth, tail = self._adaptive(T, np.zeros(self.dim), depth, squared=False)
         return self._pairs(T, origin, depth).reshape(shape), tail
 
     def mu_hat_pairs(self, T, Lam):
         """mu_hat(t - lambda) for every row t of T and lambda of Lam: the
         (m, n) complex array and the tail bound of the adaptive depth."""
-        T, Lam, depth, tail = self._adaptive(T, Lam, None)
+        T, Lam, depth, tail = self._adaptive(T, Lam, None, squared=False)
         return self._pairs(T, Lam, depth), tail
 
     def mu_hat_sq_pairs(self, T, Lam):
         """|mu_hat(t - lambda)|^2 for every row t of T and lambda of Lam: the
-        (m, n) array and the tail bound of |mu_hat| at the adaptive depth.
-        The product of `_brackets` is squared once, at the end; the centre
-        phase has modulus one and is left out.  Each bracket is formed before
-        it is squared, so a factor near a zero of the mask keeps |chi_B|^2
-        accurate to rounding squared."""
-        T, Lam, depth, tail = self._adaptive(T, Lam, None)
+        (m, n) array and the squared-form tail bound of |mu_hat|^2 at its
+        own adaptive depth, which the truncated values overestimate by at
+        most that bound.  The product of `_brackets` is squared once, at the
+        end; the centre phase has modulus one and is left out.  Each bracket
+        is formed before it is squared, so a factor near a zero of the mask
+        keeps |chi_B|^2 accurate to rounding squared."""
+        T, Lam, depth, tail = self._adaptive(T, Lam, None, squared=True)
         prod = self._brackets(T, Lam, depth)
         if prod.dtype == complex:
             re, im = np.square(prod.real, out=prod.real), np.square(prod.imag, out=prod.imag)

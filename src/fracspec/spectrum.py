@@ -250,8 +250,12 @@ class Q1Profile:
     """Partial sums of sum_{lambda} |mu_hat(t - lambda)|^2 per enumeration depth.
 
     `fourier_tail` bounds, per point, how far the truncated transform products
-    can move the last partial sum: | |a|^2 - |b|^2 | <= 2 |a - b| for values of
-    modulus at most 1, summed over every spectrum point used.
+    can move the last partial sum: each |mu_hat(t - lambda)|^2 is a product
+    of factors a_k = |chi_B(R*^{-k}(t - lambda))|^2 in [0, 1], and cutting it
+    at depth d overestimates it by at most sum_{k >= d} (1 - a_k), below the
+    squared-form `SelfSimilarMeasure.tail_bound` of its kernel call.  The
+    tail is that bound times the pairs of the call, summed over every call;
+    the truncated sum is never below the exact one by more than rounding.
     """
     tpoints: np.ndarray
     partial_sums: np.ndarray      # shape (m, depths+1), cumulative
@@ -318,7 +322,7 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int, measure,
             rows = (T[:, None, :] - eta[None, :, :]).reshape(-1, dim)
             vals, block_tail = measure.mu_hat_sq_pairs(rows, low)
             inc += vals.reshape(m, len(eta) * low_n).sum(axis=1)
-            tail += 2 * block_tail * len(eta) * low_n
+            tail += block_tail * len(eta) * low_n
         if d == 0:
             sums.append(inc)
             continue

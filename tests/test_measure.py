@@ -7,23 +7,25 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fracspec as fs
 
 
-def per_digit_product(meas, X):
+def per_digit_product(meas, X, squared=False):
     """Reference transform at the rows of X, shape (..., dim): the product
     prod_{k < depth} (1/N) sum_b e^{i 2 pi b.R*^{-k} x}, one complex
     exponential per digit and level, at the adaptive depth of the largest
-    |x|.  A convolution multiplies its parts' products and adds their tails.
+    |x|, the depth and tail of |mu_hat|^2 when `squared` is set.  A
+    convolution multiplies its parts' products and adds their tails.
     Returns (values, tail bound)."""
     X = np.asarray(X, dtype=float)
     norm = float(np.sqrt((X ** 2).sum(axis=-1)).max())
     vals, tail = np.ones(X.shape[:-1], dtype=complex), 0.0
     for part in getattr(meas, "parts", (meas,)):
-        depth = part.depth_for(norm)
+        depth = part.depth_for(norm, squared)
         vals = vals * per_digit_levels(part.system, X, depth)
-        tail += part.tail_bound(depth, norm)
+        tail += part.tail_bound(depth, norm, squared)
     return vals, tail
 
 
@@ -37,6 +39,29 @@ def per_digit_levels(sysm, X, depth):
         vals = vals * np.exp(2j * np.pi * (Y @ B.T)).sum(axis=-1) / sysm.N
         Y = Y @ S.T
     return vals
+
+
+def full_depth_sq(meas, T, Lam):
+    """|mu_hat(t - lambda)|^2 from the same brackets as the kernel, at
+    MAX_PRODUCT_DEPTH: the value the truncated kernel may only exceed, and
+    by at most its tail.  A convolution multiplies its parts."""
+    T = np.asarray(T, dtype=float).reshape(-1, meas.dim)
+    Lam = np.asarray(Lam, dtype=float).reshape(-1, meas.dim)
+    out = np.ones((len(T), len(Lam)))
+    for part in getattr(meas, "parts", (meas,)):
+        out *= np.abs(part._brackets(T, Lam, fs.measure.MAX_PRODUCT_DEPTH)) ** 2
+    return out
+
+
+def _named_system(name):
+    """A catalog system, "R=r" for (r, {0, 1/2}, {0, 1}), or "shear", whose
+    inverse transpose first contracts at its ninth power."""
+    if name.startswith("R="):
+        return fs.two_digit_system(int(name[2:]), Fraction(1, 2))
+    if name == "shear":
+        return fs.make_system([[2, 100], [0, 2]], [(0, 0), (Fraction(1, 2), 0)],
+                              [(0, 0), (1, 0)])
+    return fs.get_system(name)
 
 
 def _measure(request, name):
@@ -119,6 +144,33 @@ class TestMuHat:
         assert np.isfinite(abs(ev.value))
 
 
+class TestMaxDistance:
+    """The largest |t - lambda| of a kernel call, from which the adaptive
+    depth and the tail bound are taken."""
+
+    def test_one_dimension_from_the_ranges(self):
+        # the extreme coordinates give the same subtraction as the pair, also
+        # where |t|^2 + |lambda|^2 - 2 t lambda cancels (points near 1e6)
+        rng = np.random.RandomState(8)
+        for m, n, shift in ((1, 1, 0), (5, 1, 0), (1, 7, 0), (30, 200, 0), (30, 200, 1e6)):
+            T = shift + rng.uniform(-50, 9, (m, 1))
+            Lam = shift + rng.uniform(-3, 1e6 if not shift else 1, (n, 1))
+            assert fs.measure._max_distance(T, Lam) == np.abs(T - Lam.T).max()
+            assert fs.measure._max_distance(Lam, T) == np.abs(T - Lam.T).max()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_inf_and_nan(self, dim):
+        dist = fs.measure._max_distance
+        col = lambda *x: np.array(x, dtype=float)[:, None] * np.ones(dim)
+        with np.errstate(invalid="ignore"):
+            assert dist(col(np.inf, 1.0), col(2.0)) == math.inf
+            assert dist(col(1.0), col(-np.inf)) == math.inf
+            assert dist(col(np.inf), col(np.inf)) == math.inf
+            assert math.isnan(dist(col(np.nan, 1.0), col(2.0)))
+            assert math.isnan(dist(col(np.inf), col(np.nan)))
+        assert dist(col(), col(2.0)) == dist(col(1.0), col()) == 0.0
+
+
 class TestSquaredPairs:
     """mu_hat_sq_pairs, the real |mu_hat(t - lambda)|^2 kernel of the
     completeness sums."""
@@ -127,7 +179,7 @@ class TestSquaredPairs:
     def test_matches_complex_transform(self, request, name):
         meas = _measure(request, name)
         T, Lam = _probe_pairs(meas.dim)
-        vals, tail = per_digit_product(meas, T[:, None, :] - Lam[None, :, :])
+        vals, tail = per_digit_product(meas, T[:, None, :] - Lam[None, :, :], squared=True)
         got, got_tail = meas.mu_hat_sq_pairs(T, Lam)
         assert got.shape == (6, 40)
         assert np.abs(got - np.abs(vals) ** 2).max() <= 1e-12
@@ -181,6 +233,73 @@ class TestSquaredPairs:
         assert got.max() <= 1e-28
 
 
+class TestSquaredTail:
+    """The squared-form tail of mu_hat_sq_pairs: the truncated |mu_hat|^2 is
+    never below the full-depth one and at most its tail above it."""
+
+    ROUNDING = 1e-15
+    TWO_DIGIT = [f"R={r}" for r in (2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8)]
+
+    @staticmethod
+    def assert_one_sided(meas, T, Lam):
+        got, tail = meas.mu_hat_sq_pairs(T, Lam)
+        gap = got - full_depth_sq(meas, T, Lam)
+        assert gap.min() >= -TestSquaredTail.ROUNDING
+        assert gap.max() <= tail + TestSquaredTail.ROUNDING
+        return tail
+
+    @pytest.mark.parametrize("name", ["scale4", "scale2", "triadic", "planar-collapse",
+                                      "eiffel(2)", "mu34"] + TWO_DIGIT)
+    def test_one_sided_up_to_large_frequencies(self, request, name):
+        # |lambda| from 1 to 1e8, log-spaced, in random directions
+        meas = (request.getfixturevalue(name) if name == "mu34"
+                else fs.SelfSimilarMeasure(_named_system(name)))
+        rng = np.random.RandomState(21)
+        T = rng.uniform(-1, 1, size=(6, meas.dim))
+        Lam = rng.normal(size=(40, meas.dim))
+        Lam *= np.logspace(0, 8, 40)[:, None] / np.linalg.norm(Lam, axis=1, keepdims=True)
+        assert 0 < self.assert_one_sided(meas, T, Lam) < 2 * fs.measure.DEFAULT_TAIL_TOL
+
+    def test_sigma_of_half_digits(self):
+        # B = {0, 1/2}: c = 1/4 and sigma^2 = 1/16; the real table keeps the
+        # one row e = 1/4 at weight 2/N = 1, and rows summed over N would
+        # give half of it
+        sysm = fs.two_digit_system(4, Fraction(1, 2))
+        _, E, w, real, _ = sysm.mask_table
+        assert real and E.tolist() == [[0.25]] and w.tolist() == [1.0]
+        assert fs.SelfSimilarMeasure(sysm)._sigma_sq == 1 / 16
+
+    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar-collapse", "eiffel(2)",
+                                      "R=-5", "shear"])
+    def test_sigma_is_the_variance_of_B(self, name):
+        # real tables (scale4, triadic, R=-5) and complex ones alike
+        sysm = _named_system(name)
+        c = [sum(b[i] for b in sysm.B) / sysm.N for i in range(sysm.dim)]
+        exact = sum(sum((b[i] - c[i]) ** 2 for i in range(sysm.dim)) for b in sysm.B) / sysm.N
+        assert fs.SelfSimilarMeasure(sysm)._sigma_sq == pytest.approx(float(exact), rel=1e-15)
+
+    def test_one_point_mass_has_no_tail(self):
+        # B = {1/3}: sigma = 0, so |mu_hat|^2 = 1 at depth 1 with no tail,
+        # while the linear form still needs max|b| = 1/3
+        meas = fs.SelfSimilarMeasure(fs.make_system(2, [(Fraction(1, 3),)], [(0,)]))
+        assert meas.tail_bound(0, 1e8, squared=True) == 0.0
+        assert meas.depth_for(1e8, squared=True) == 1
+        assert meas.tail_bound(0, 1e8) > 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_two_digit_hadamard_triples(self, data):
+        # (R, {0, 1/2}, {0, p}) with p odd: every point of P(L) up to depth 6
+        # against up to four probes in [-2, 2]
+        R = data.draw(st.integers(2, 9).flatmap(lambda a: st.sampled_from((a, -a))))
+        p = data.draw(st.integers(0, 22)) * 2 + 1
+        sysm = fs.make_system(R, (0, Fraction(1, 2)), (0, p))
+        depth = data.draw(st.integers(1, 6))
+        T = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=1, max_size=4)))
+        Lam = np.array(fs.enumerate_P(sysm, depth).coords(), dtype=float)
+        self.assert_one_sided(fs.SelfSimilarMeasure(sysm), T, Lam)
+
+
 class TestBrackets:
     """The stacked bracket product behind every transform kernel, against
     the per-digit product at a fixed depth."""
@@ -197,7 +316,7 @@ class TestBrackets:
         diffs = T[:, None, :] - Lam[None, :, :]
         got = meas._pairs(T, Lam, 30)
         assert np.abs(got - per_digit_levels(sysm, diffs, 30)).max() <= 1e-13
-        ref, _ = per_digit_product(meas, diffs)
+        ref, _ = per_digit_product(meas, diffs, squared=True)
         sq, _ = meas.mu_hat_sq_pairs(T, Lam)
         assert np.abs(sq - np.abs(ref) ** 2).max() <= 1e-13
 
@@ -298,31 +417,42 @@ class TestDepthFor:
                + ["shear"])
 
     @staticmethod
-    def search(meas, t_norm):
+    def search(meas, t_norm, squared=False):
         d = 1
-        while meas.tail_bound(d, t_norm) >= fs.measure.DEFAULT_TAIL_TOL \
+        while meas.tail_bound(d, t_norm, squared) >= fs.measure.DEFAULT_TAIL_TOL \
                 and d < fs.measure.MAX_PRODUCT_DEPTH:
             d += 1
         return d
 
+    @staticmethod
+    def norms(meas, squared=False):
+        """Log-spaced norms, 0, inf and NaN, and the norms at which the bound
+        of each depth crosses the tolerance, with their neighbours; on the
+        shear (kappa = 9) the cap binds from a norm of about 3e-13 on."""
+        norms = [0.0, math.inf, math.nan] + np.logspace(-6, 12, 241).tolist()
+        for d in range(1, 80):
+            ratio = fs.measure.DEFAULT_TAIL_TOL / meas.tail_bound(d, 1.0, squared)
+            t = math.sqrt(ratio) if squared else ratio
+            norms += [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)]
+        return norms
+
     @pytest.mark.parametrize("name", SYSTEMS)
     def test_matches_depth_by_depth_search(self, name):
-        if name.startswith("R="):
-            sysm = fs.two_digit_system(int(name[2:]), Fraction(1, 2))
-        elif name == "shear":
-            # kappa = 9, and the cap binds from a norm of about 3e-13 on
-            sysm = fs.make_system([[2, 100], [0, 2]], [(0, 0), (Fraction(1, 2), 0)],
-                                  [(0, 0), (1, 0)])
-        else:
-            sysm = fs.get_system(name)
-        meas = fs.SelfSimilarMeasure(sysm)
-        norms = [0.0, math.inf, math.nan] + np.logspace(-6, 12, 241).tolist()
-        # the norms at which the bound crosses the tolerance, and their neighbours
-        for d in range(1, 80):
-            t = fs.measure.DEFAULT_TAIL_TOL / meas.tail_bound(d, 1.0)
-            norms += [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)]
-        for t in norms:
+        meas = fs.SelfSimilarMeasure(_named_system(name))
+        for t in self.norms(meas):
             assert meas.depth_for(t) == self.search(meas, t), t
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_squared_matches_search_and_is_never_deeper(self, name):
+        # the logarithm over rho^2 gives the searched depth, the cap, inf and
+        # NaN included, and no norm takes |mu_hat|^2 deeper than mu_hat
+        meas = fs.SelfSimilarMeasure(_named_system(name))
+        for t in self.norms(meas, squared=True) + self.norms(meas):
+            d = meas.depth_for(t, squared=True)
+            assert d == self.search(meas, t, squared=True), t
+            assert d <= meas.depth_for(t), t
+        assert meas.depth_for(math.inf, squared=True) == fs.measure.MAX_PRODUCT_DEPTH
+        assert meas.depth_for(math.nan, squared=True) == 1
 
 
 class TestGramOracle:

@@ -255,7 +255,7 @@ class TestQ1:
             layer = np.array([p for p, word in enum.points if len(word) == d], dtype=float)
             vals, layer_tail = meas.mu_hat_sq_pairs(T, layer)
             acc += vals.sum(axis=1)
-            tail += 2 * layer_tail * len(layer)
+            tail += layer_tail * len(layer)
             assert np.abs(prof.partial_sums[:, d] - acc).max() <= 1e-12
         # one call per layer here, so the same truncation and the same tail
         assert prof.fourier_tail == pytest.approx(np.full(len(T), tail), rel=1e-9)
@@ -267,12 +267,14 @@ class TestQ1:
         sysm = fs.get_system(name)
         T = fs.dual_hull(sysm, 4).sample({1: 8, 3: 2}[sysm.dim])[:8]
         whole = fs.q1_profile(sysm, T, p_depth)
-        pairs = []
+        pairs, tails = [], []
         kernel = fs.SelfSimilarMeasure.mu_hat_sq_pairs
 
         def counted(self, rows, lam):
+            vals, tail = kernel(self, rows, lam)
             pairs.append(len(rows) * len(lam))
-            return kernel(self, rows, lam)
+            tails.append(tail)
+            return vals, tail
 
         monkeypatch.setattr(fs.spectrum, "Q1_SCRATCH", 1024 * len(T))
         monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_pairs", counted)
@@ -281,8 +283,13 @@ class TestQ1:
         assert sum(pairs) == len(T) * sysm.N ** p_depth
         assert np.abs(chunked.partial_sums - whole.partial_sums).max() <= 1e-12
         # each call truncates at the adaptive depth of its own pairs, so a
-        # chunk nearer the probes may stop a level earlier with its own tail
-        assert chunked.fourier_tail == pytest.approx(whole.fourier_tail, rel=0.1)
+        # chunk nearer the probes may stop a level earlier with its own tail,
+        # which scales as |t - lambda|^2: every call's tail meets the
+        # tolerance, and a probe's tail is each call's tail times its pairs
+        # with that probe
+        assert max(tails) < fs.measure.DEFAULT_TAIL_TOL
+        expected = np.dot(tails, pairs) / len(T)
+        assert chunked.fourier_tail == pytest.approx(np.full(len(T), expected), rel=1e-12)
 
     def test_odd_scale_against_mpmath(self):
         # R = 7, B = {0, 1/4}, L = {0, 2}: the depth-14 sum of
