@@ -13,7 +13,7 @@ from .system import (AffineSystem, ScalingMatrix, ValidationReport, chi_B, chi_B
                      planar_collapse_system, system_from_json, system_to_json,
                      two_digit_system, unitarity_defect, validate_system)
 from .measure import (ConvolvedMeasure, FourierEvaluation, SelfSimilarMeasure,
-                      ZeroSetPredicate, convolve, growth_bound_check, moments,
+                      ZeroSetPredicate, growth_bound_check, moments,
                       mu2_closed_form, transform_profile, write_transform_csv)
 from .spectrum import (CompletenessReport, GramReport, Q1Profile, SpectrumEnumeration,
                        completeness_test, digits_of, enumerate_P, gram_matrix,
@@ -21,7 +21,7 @@ from .spectrum import (CompletenessReport, GramReport, Q1Profile, SpectrumEnumer
                        q1_depth, q1_profile, reconstruct, uniform_discreteness)
 from .transfer import (ContractivityReport, FixedPointResult, GridFunction,
                        TransferOperator, apply_C, beta_constant, gamma_1d,
-                       gamma_eiffel, gamma_L1, gamma_supnorm, grad_norm, grid_frame,
+                       gamma_eiffel, gamma_supnorm, grad_norm, grid_frame,
                        iterate_fixed_point, lebesgue_Q)
 from .geometry import (AttractorSample, Chart, Polytope, attractor_points, convex_hull,
                        dual_hull, hausdorff_dimension, hull_diameter, hull_volume,

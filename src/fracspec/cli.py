@@ -111,8 +111,6 @@ def cmd_validate(args, sys_obj: AffineSystem, validation) -> int:
 
 
 def cmd_spectrum(args, sys_obj: AffineSystem, validation) -> int:
-    if args.depth < 0:
-        raise UsageError("spectrum depth out of range for exact enumeration")
     sys_obj.check_words(args.depth, 200_000, "spectrum depth out of range for exact enumeration",
                         "words")
     enum = spectrum.enumerate_P(sys_obj, args.depth)
@@ -163,12 +161,11 @@ def cmd_gram(args, sys_obj: AffineSystem, validation) -> int:
 def cmd_q1(args, sys_obj: AffineSystem, validation) -> int:
     p_depth = args.p_depth if args.p_depth is not None else spectrum.q1_depth(sys_obj)
     spectrum.check_layer_depth(sys_obj, p_depth)
-    hull = geometry.dual_hull(sys_obj, 4)
+    hull = geometry.dual_hull(sys_obj)
     res = args.resolution
     if res is None:
         res = {1: 33, 2: 9, 3: 5}.get(sys_obj.dim, 5)
     grid = hull.sample(res)
-    grid = grid if len(grid) else hull.vertex_array()
     rep = spectrum.completeness_test(sys_obj, grid, eps_conv=args.tol,
                                      p_depth_cap=p_depth)
     prof = rep.profile
@@ -269,9 +266,8 @@ def cmd_report(args, sys_obj: AffineSystem, validation) -> int:
                                    for c in p] for p in gram.worst_pair],
                    "tail_bound": gram.tail_bound}
 
-    hull = geometry.dual_hull(sys_obj, 4)
+    hull = geometry.dual_hull(sys_obj)
     grid = hull.sample({1: 17, 2: 5, 3: 3}.get(sys_obj.dim, 3))
-    grid = grid if len(grid) else hull.vertex_array()
     comp = spectrum.completeness_test(sys_obj, grid)
     doc["completeness"] = {
         "verdict": comp.verdict,
@@ -364,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("transfer", help="fixed-point iteration of the operator")
     common(sp)
     sp.add_argument("--resolution", type=int, default=None)
-    sp.add_argument("--max-iters", type=int, default=200)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--max-iters", type=int, default=transfer.MAX_ITERS)
+    sp.add_argument("--tol", type=float, default=transfer.FIXED_POINT_TOL)
     sp.add_argument("--dump-grid", help="also write the final grid as CSV here")
     sp.set_defaults(handler=cmd_transfer)
 

@@ -101,10 +101,7 @@ class Chart:
 
     def param(self, X: np.ndarray) -> np.ndarray:
         """Parameters of ambient points; raises when a point leaves the
-        carrying subspace by more than FLOAT_TOL.  A full-rank chart spans
-        the ambient space, so it has no residual to check."""
-        if self.k == len(self.origin):
-            return (np.atleast_2d(X) - self.origin) @ np.linalg.inv(self.basis)
+        carrying subspace by more than FLOAT_TOL."""
         U, resid = self._solve(X)
         worst = resid.max() if resid.size else 0.0
         if worst > FLOAT_TOL:
@@ -205,7 +202,9 @@ class Polytope:
 
     def sample(self, n: int) -> np.ndarray:
         """Ambient points of the n-per-axis mesh of the chart box of the
-        vertices that lie inside every facet; the point itself for a 0-dim hull."""
+        vertices that lie inside every facet, or the vertices when no mesh
+        point does (a thin simplex can miss a coarse mesh); the point itself
+        for a 0-dim hull."""
         if self.affine_dim == 0:
             return self.chart.origin[None]
         if n ** self.affine_dim > MAX_MESH_POINTS:
@@ -215,7 +214,8 @@ class Polytope:
         axes = [np.linspace(us[:, d].min(), us[:, d].max(), n) for d in range(self.affine_dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         U = np.stack([g.ravel() for g in mesh], axis=-1)
-        return self.chart.ambient(U[self._in_facets(U)])
+        inside = U[self._in_facets(U)]
+        return self.chart.ambient(inside) if len(inside) else self.vertex_array()
 
 
 def _affine_frame(ipts):
@@ -448,9 +448,11 @@ def polytope_to_json(P: Polytope) -> dict:
     }
 
 
-def hull_diameter(P: Polytope) -> float:
+def hull_diameter(points) -> float:
+    """Largest distance between two of the exact points, the diameter of
+    their hull (pass a hull's vertices), squared exactly before the root."""
     best = Fraction(0)
-    for a, b in itertools.combinations(P.vertices, 2):
+    for a, b in itertools.combinations(points, 2):
         d = rat.dot(rat.vec_sub(a, b), rat.vec_sub(a, b))
         if d > best:
             best = d

@@ -38,7 +38,9 @@ def _contraction_data(S: np.ndarray):
             kappa, rho = k, nrm
             break
     if rho is None:
-        raise ValueError("no power of the inverse transpose contracts; system is not expansive")
+        raise ValueError(f"no power S^k, k <= {MAX_PRODUCT_DEPTH}, of the inverse transpose "
+                         f"S = R*^-1 has operator norm below 1, so the transform's tail "
+                         f"bound is unavailable")
     c = max(float(np.linalg.norm(powers[j], 2)) for j in range(kappa))
     return kappa, rho, c
 
@@ -304,7 +306,7 @@ class SelfSimilarMeasure:
         return np.mean(f(a), axis=0)
 
     def support_diameter(self) -> float:
-        return geometry.hull_diameter(geometry.support_hull(self.system))
+        return geometry.hull_diameter(geometry.support_hull(self.system).vertices)
 
     def moments(self, k_max: int):
         return moments(self.system, k_max)
@@ -458,10 +460,6 @@ class ConvolvedMeasure:
 
     def support_diameter(self) -> float:
         return sum(p.support_diameter() for p in self.parts)
-
-
-def convolve(a, b) -> ConvolvedMeasure:
-    return ConvolvedMeasure(a, b)
 
 
 # ---------------------------------------------------------------------------

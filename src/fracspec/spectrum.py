@@ -210,8 +210,12 @@ class GramReport:
         return float(np.abs(np.diag(self.matrix) - 1.0).max())
 
 
-def _as_measure(m):
-    return SelfSimilarMeasure(m) if isinstance(m, AffineSystem) else m
+def _as_measure(measure, system: AffineSystem | None):
+    """The measure a sum runs against: a system stands for its self-similar
+    measure, and None for that of `system`."""
+    if measure is None:
+        measure = system
+    return SelfSimilarMeasure(measure) if isinstance(measure, AffineSystem) else measure
 
 
 def check_gram_count(count: int) -> None:
@@ -225,7 +229,7 @@ def gram_matrix(measure, points) -> GramReport:
     """Inner products of exponentials: entry (i, j) is the transform at
     lambda_j - lambda_i, the transpose of `mu_hat_pairs` of the points
     against themselves."""
-    measure = _as_measure(measure)
+    measure = _as_measure(measure, None)
     pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
     check_gram_count(len(pts))
     arr = np.stack(pts)
@@ -298,7 +302,7 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int, measure,
     m |P_h| <= Q1_SCRATCH; H is chunked so that no call has more than
     Q1_SCRATCH pairs.
     """
-    measure = _as_measure(measure) if measure is not None else SelfSimilarMeasure(system)
+    measure = _as_measure(measure, system)
     m, dim = T.shape
     cap = Q1_SCRATCH // 1024          # so that a call has room for 1024 spectrum points a row
     if m > cap:
@@ -421,13 +425,12 @@ def completeness_test(system: AffineSystem, grid, measure=None,
 # ---------------------------------------------------------------------------
 # maximal orthogonal families
 
-def max_orthogonal_family(orthogonal, candidates, tol: float = 1e-6) -> tuple:
+def max_orthogonal_family(orthogonal, candidates) -> tuple:
     """Maximum subset of `candidates` whose pairwise differences are
     orthogonal directions.
 
     `orthogonal` decides a pair: a ZeroSetPredicate (exact membership of the
-    difference), a measure (transform magnitude at the difference <= tol), or
-    any callable taking two candidates.
+    difference) or any callable taking two candidates.
     """
     cands = list(candidates)
     n = len(cands)
@@ -439,10 +442,6 @@ def max_orthogonal_family(orthogonal, candidates, tol: float = 1e-6) -> tuple:
     if isinstance(orthogonal, ZeroSetPredicate):
         def connected(a, b):
             return orthogonal.member(rat.as_fraction(a) - rat.as_fraction(b))
-    elif hasattr(orthogonal, "mu_hat"):
-        def connected(a, b):
-            da = np.atleast_1d(np.asarray(a, dtype=float)) - np.atleast_1d(np.asarray(b, dtype=float))
-            return abs(orthogonal.mu_hat(da).value) <= tol
     else:
         connected = orthogonal
 
@@ -543,7 +542,7 @@ def projection_norm_checks(system: AffineSystem, n_order: int = 1, p_depth: int 
     """
     if n_order not in (1, 2):
         raise ValueError("n_order must be 1 or 2")
-    measure = _as_measure(measure) if measure is not None else SelfSimilarMeasure(system)
+    measure = _as_measure(measure, system)
     parts = getattr(measure, "parts", (measure,))
     if quad_depth is None:
         branching = math.prod(p.system.N for p in parts)

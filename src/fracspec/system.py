@@ -49,6 +49,8 @@ class ScalingMatrix:
     def __init__(self, entries):
         self.entries = rat.mat(entries)
         n = len(self.entries)
+        if n < 1:
+            raise ValueError("scaling matrix must be at least 1 x 1")
         if any(len(r) != n for r in self.entries):
             raise ValueError("scaling matrix must be square")
         self.dim = n
@@ -57,16 +59,13 @@ class ScalingMatrix:
             raise ValueError("scaling matrix is singular")
         self.inverse = rat.inverse(self.entries)
         self.transpose = rat.transpose(self.entries)
-        self.inverse_transpose = rat.inverse(self.transpose)
+        self.inverse_transpose = rat.transpose(self.inverse)
 
     def apply(self, v: Point) -> Point:
         return rat.mat_vec(self.entries, v)
 
     def apply_transpose(self, v: Point) -> Point:
         return rat.mat_vec(self.transpose, v)
-
-    def to_float(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
 
     def eigenvalue_moduli(self) -> list[float]:
         """Moduli of the eigenvalues: triangular matrices read their diagonal
@@ -76,7 +75,7 @@ class ScalingMatrix:
         if all(a[i][j] == 0 for i in range(n) for j in range(n) if i > j) or \
            all(a[i][j] == 0 for i in range(n) for j in range(n) if i < j):
             return sorted(abs(float(a[i][i])) for i in range(n))
-        return sorted(abs(complex(z)) for z in np.linalg.eigvals(self.to_float()))
+        return sorted(abs(complex(z)) for z in np.linalg.eigvals(np.array(a, dtype=float)))
 
     def is_expansive(self) -> bool:
         return self.eigenvalue_moduli()[0] > 1.0 + EXPANSIVE_MARGIN
@@ -99,6 +98,8 @@ class AffineSystem:
     def __post_init__(self):
         if self.R.dim != self.dim:
             raise ValueError("R dimension does not match system dimension")
+        if not self.B or not self.L:
+            raise ValueError("B and L must each hold at least one point")
         for p in self.B + self.L:
             if len(p) != self.dim:
                 raise ValueError(f"point {p} has wrong dimension (expected {self.dim})")
@@ -412,9 +413,8 @@ def validate_system(sys: AffineSystem) -> ValidationReport:
     checks["zero_in_B"] = AxiomCheck(zero in sys.B)
     checks["zero_in_L"] = AxiomCheck(zero in sys.L)
 
-    moduli = sys.R.eigenvalue_moduli()
-    checks["expansive"] = AxiomCheck(moduli[0] > 1.0 + EXPANSIVE_MARGIN,
-                                     [round(m, 12) for m in moduli])
+    checks["expansive"] = AxiomCheck(sys.R.is_expansive(),
+                                     [round(m, 12) for m in sys.R.eigenvalue_moduli()])
 
     if checks["cardinality"].passed:
         defect = unitarity_defect(hadamard_matrix(sys.B, sys.L))
@@ -514,12 +514,22 @@ def system_to_json(sys: AffineSystem) -> dict:
     }
 
 
+def _json_rows(rows, what: str) -> list:
+    """Each entry of a JSON array as a tuple of exact rationals; an entry
+    that is not itself an array (a string would be read one character at a
+    time) is refused."""
+    for row in rows:
+        if not isinstance(row, list):
+            raise ValueError(f"malformed system definition: {what} {row!r} is not a JSON list")
+    return [tuple(rat.as_fraction(c) for c in row) for row in rows]
+
+
 def system_from_json(data: dict, name="") -> AffineSystem:
     try:
         dim = int(data["dim"])
-        R = [[rat.as_fraction(e) for e in row] for row in data["R"]]
-        B = [tuple(rat.as_fraction(c) for c in p) for p in data["B"]]
-        L = [tuple(rat.as_fraction(c) for c in p) for p in data["L"]]
+        R = _json_rows(data["R"], "row of R")
+        B = _json_rows(data["B"], "point of B")
+        L = _json_rows(data["L"], "point of L")
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed system definition: {exc}") from exc
     if len(R) != dim or any(len(row) != dim for row in R):

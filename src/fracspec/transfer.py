@@ -18,6 +18,8 @@ DEFAULT_PAD = 0.05
 MIN_RESOLUTION = 8
 BETA_SAMPLES = 32     # mesh points per chart axis: at most 32**3 for a 3-D hull
 LEBESGUE_TERMS = 4000  # terms of the Lebesgue fixed point's series
+MAX_ITERS = 200        # iterations of C before a fixed-point run gives up
+FIXED_POINT_TOL = 1e-8  # sup-norm residual at which a fixed-point run has converged
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +100,6 @@ class GridFunction:
     def value_at_zero(self) -> float:
         return float(self.interp(np.zeros((1, len(self.chart.origin))))[0])
 
-    def param_of_ambient_zero(self) -> np.ndarray:
-        return self.chart.param(np.zeros((1, len(self.chart.origin))))[0]
-
     def rows(self) -> list:
         """(ambient coords..., value) per node, for grid dumps."""
         pts = self.node_points()
@@ -109,7 +108,7 @@ class GridFunction:
 
     def quadratic_bump(self) -> "GridFunction":
         """1 + |u - u0|^2 / 2, with u0 the chart parameter of the ambient origin."""
-        u0 = self.param_of_ambient_zero()
+        u0 = self.chart.param(np.zeros((1, len(self.chart.origin))))[0]
         pts = self.node_params()
         vals = 1.0 + 0.5 * ((pts - u0) ** 2).sum(axis=1)
         return self.with_values(vals.reshape(self.values.shape))
@@ -117,10 +116,10 @@ class GridFunction:
 
 def grid_frame(sys: AffineSystem, resolution: int) -> GridFunction:
     """Constant-1 grid over the (padded) bounding box of the hull
-    `dual_hull(sys, 4)`, in the hull's chart, with the origin snapped onto
+    `dual_hull(sys)`, in the hull's chart, with the origin snapped onto
     the node lattice and the box grown until every rho_l image of it stays
     inside."""
-    hull = geometry.dual_hull(sys, 4)
+    hull = geometry.dual_hull(sys)
     if hull.affine_dim == 0:
         where = ", ".join(rat.format_fraction(c) for c in hull.vertices[0])
         raise ValueError(f"the hull Y is the single point ({where}); the transfer "
@@ -242,7 +241,8 @@ class FixedPointResult:
 
 
 def iterate_fixed_point(sys: AffineSystem, Q0: GridFunction,
-                        max_iters: int = 200, tol: float = 1e-8) -> FixedPointResult:
+                        max_iters: int = MAX_ITERS,
+                        tol: float = FIXED_POINT_TOL) -> FixedPointResult:
     """Iterate C, assembled once on Q0's grid, from Q0 (normalized to
     Q0(0) = 1), recording sup-norm residuals.
 
@@ -298,8 +298,7 @@ def lebesgue_Q(t):
 
 def _gradient_norm_field(Q: GridFunction) -> np.ndarray:
     """Pointwise Euclidean norm of the ambient gradient at the nodes."""
-    grads = np.gradient(Q.values, *Q.spacing) if Q.k > 1 else \
-        [np.gradient(Q.values, Q.spacing[0])]
+    grads = [np.gradient(Q.values, h, axis=d) for d, h in enumerate(Q.spacing)]
     G = np.stack([g.ravel() for g in grads], axis=-1)       # d/du
     Ginv = np.linalg.inv(Q.chart.metric())
     sq = np.einsum("ni,ij,nj->n", G, Ginv, G)
@@ -377,9 +376,7 @@ def beta_constant(sys: AffineSystem, Y: Polytope) -> BetaResult:
     of |sin 2 pi q| are symmetric under q -> -q, so it gives the same value
     bit for bit.
     """
-    diam_sq = max((rat.dot(rat.vec_sub(p, q), rat.vec_sub(p, q))
-                   for p in sys.B for q in sys.B), default=Fraction(0))
-    diam_B = math.sqrt(float(diam_sq))
+    diam_B = geometry.hull_diameter(sys.B)
     sin_sup = 0.0
     for bi, bj in itertools.combinations(range(sys.N), 2):
         d = rat.vec_sub(sys.B[bi], sys.B[bj])
@@ -451,7 +448,7 @@ def gamma_supnorm(sys: AffineSystem, Y: Polytope | None = None) -> Contractivity
     union of the rho_l images, so it compares mixed norms and certifies
     nothing by itself; None when Y is degenerate.
     """
-    Y = Y if Y is not None else geometry.dual_hull(sys, 4)
+    Y = Y if Y is not None else geometry.dual_hull(sys)
     beta_res = beta_constant(sys, Y)
     Rinv = np.array(sys.R.inverse, dtype=float)
     op = float(np.linalg.norm(Rinv, 2))
@@ -478,10 +475,3 @@ def gamma_supnorm(sys: AffineSystem, Y: Polytope | None = None) -> Contractivity
     return ContractivityReport(beta_res.beta, gamma_sup, gamma_l1,
                                gamma_l1_sharp, sharp_ok, norms, beta_res,
                                gamma_L1_detfree=detfree)
-
-
-def gamma_L1(sys: AffineSystem, Y: Polytope | None = None):
-    """The integral-norm bound and, when the shifted hulls don't overlap,
-    its sharper variant (None otherwise)."""
-    rep = gamma_supnorm(sys, Y)
-    return rep.gamma_L1, (rep.gamma_L1_sharp if rep.sharp_valid else None)

@@ -54,7 +54,7 @@ def mu3(triadic):
 
 @pytest.fixture(scope="session")
 def mu34(mu3, mu4):
-    return fs.convolve(mu3, mu4)
+    return fs.ConvolvedMeasure(mu3, mu4)
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -64,6 +65,7 @@ class TestSpectrumCommand:
     def test_depth_out_of_range(self):
         r = run_cli("spectrum", "--system", "scale4", "--depth", "-1")
         assert r.returncode == 2
+        assert r.stderr == "error: depth must be >= 0\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -181,6 +183,11 @@ class TestTransferCommand:
     def test_resolution_floor(self):
         r = run_cli("transfer", "--system", "scale4", "--resolution", "4")
         assert r.returncode == 2
+
+    def test_defaults_are_the_iteration_defaults(self):
+        params = inspect.signature(fs.iterate_fixed_point).parameters
+        args = cli.build_parser().parse_args(["transfer", "--system", "scale4"])
+        assert (args.max_iters, args.tol) == (params["max_iters"].default, params["tol"].default)
 
 
 class TestQ1Command:
@@ -343,6 +350,64 @@ class TestSharedParser:
         assert [code for code, _ in shared] == [0, 2, 0]
         assert "invalid int value: 'many'" in shared[1][1].err
         assert shared == fresh
+
+
+class TestMalformedSystemFile:
+    """A malformed system file exits 2 with a message, never a traceback,
+    a hang or a silent reading."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"dim": 0, "R": [], "B": [], "L": []}, "at least 1 x 1"),
+        ({"dim": 1, "R": [["4"]], "B": [], "L": []}, "at least one point"),
+        ({"dim": 1, "R": [["4"]], "B": ["0", "1"], "L": [["0"], ["1/2"]]}, "not a JSON list"),
+        ({"dim": 1, "R": [["4"]], "B": ["0", "12"], "L": [["0"], ["1/2"]]}, "not a JSON list"),
+    ], ids=["dim-0", "empty-B-and-L", "string-points", "string-point-12"])
+    @pytest.mark.parametrize("command", ["validate", "q1", "gram"])
+    def test_exits_2(self, tmp_path, capsys, doc, message, command):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main([command, "--file", str(p), "--force"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot parse system file: ") and message in err
+
+    @pytest.mark.parametrize("command", ["gram", "q1"])
+    def test_empty_B_exits_at_once(self, tmp_path, command):
+        # gram's depth loop never ended at N = 0; q1 failed on an empty max()
+        p = tmp_path / "empty-B.json"
+        p.write_text(json.dumps({"dim": 1, "R": [["4"]], "B": [], "L": [["0"]]}))
+        r = subprocess.run(RUN + [command, "--force", "--file", str(p)],
+                           capture_output=True, text=True, timeout=20)
+        assert r.returncode == 2
+        assert r.stderr == "error: cannot parse system file: B and L must each hold at least one point\n"
+
+
+class TestSlowShear:
+    """R = [[101/100, 100], [0, 101/100]] is expansive (both moduli 1.01), but
+    its first power of R*^-1 below 1 in operator norm is the 1172nd, past the
+    transform's MAX_PRODUCT_DEPTH = 200."""
+
+    @pytest.fixture
+    def shear(self, tmp_path):
+        doc = {"dim": 2, "R": [["101/100", "100"], ["0", "101/100"]],
+               "B": [["0", "0"], ["1/2", "0"]], "L": [["0", "0"], ["1", "0"]]}
+        p = tmp_path / "shear.json"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    def test_validate_passes_expansive(self, capsys, shear):
+        assert cli.main(["validate", "--file", shear, "--format", "json"]) == 1
+        axioms = json.loads(capsys.readouterr().out)["validation"]["axioms"]
+        assert axioms["expansive"] == {"passed": True, "mandatory": True,
+                                       "witness": [1.01, 1.01]}
+        assert not axioms["compatibility"]["passed"]
+
+    def test_q1_names_the_missing_tail_bound(self, capsys, shear):
+        assert cli.main(["q1", "--file", shear]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "tail bound is unavailable" in err
+        assert "k <= 200" in err and "not expansive" not in err
 
 
 class TestUsage:

@@ -311,6 +311,19 @@ class TestFloatChart:
         assert np.allclose(got, np.array(want, dtype=float), rtol=1e-13, atol=1e-13)
         assert np.allclose(chart.ambient(got), np.array(X, dtype=float), rtol=0, atol=1e-13)
 
+    def test_sample_falls_back_to_the_vertices(self):
+        # a thin tetrahedron between the nodes of the 3-per-axis mesh of its
+        # box: no mesh point lies inside, so the sample is its 4 vertices
+        hull = fs.convex_hull([(F(1, 6), F(11, 24), F(5, 12)), (F(3, 8), F(5, 8), F(5, 6)),
+                               (F(17, 24), F(5, 12), F(7, 24)), (F(19, 24), F(1, 2), F(17, 24))])
+        assert hull.affine_dim == 3
+        us = hull.chart.param(hull.vertex_array())
+        axes = [np.linspace(us[:, d].min(), us[:, d].max(), 3) for d in range(3)]
+        mesh = np.array(list(itertools.product(*axes)))
+        assert not hull.contains_float(hull.chart.ambient(mesh)).any()
+        assert np.array_equal(hull.sample(3), hull.vertex_array())
+        assert len(hull.sample(3)) == 4
+
     def test_planar_hull_in_space(self, planar3d):
         hull = fs.dual_hull(planar3d, 4)
         assert hull.affine_dim == 2

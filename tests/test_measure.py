@@ -639,7 +639,7 @@ class TestConvolution:
 
     def test_dimension_mismatch(self, mu4, eiffel2):
         with pytest.raises(ValueError):
-            fs.convolve(mu4, fs.SelfSimilarMeasure(eiffel2))
+            fs.ConvolvedMeasure(mu4, fs.SelfSimilarMeasure(eiffel2))
 
     def test_support_diameter_adds(self, mu3, mu4, mu34):
         assert abs(mu34.support_diameter()

@@ -454,7 +454,8 @@ class TestMaxOrthogonalFamily:
         assert fs.max_orthogonal_family(pred, [F(7)]) == (F(7),)
 
     def test_numeric_fallback(self, mu4):
-        fam = fs.max_orthogonal_family(mu4, [0.0, 1.0, 2.0, 4.0], tol=1e-6)
+        fam = fs.max_orthogonal_family(lambda a, b: abs(mu4.mu_hat(a - b).value) <= 1e-6,
+                                       [0.0, 1.0, 2.0, 4.0])
         assert set(fam) == {0.0, 1.0, 4.0}
 
     def test_too_many_candidates(self):

@@ -177,6 +177,18 @@ class TestEigenvalues:
     def test_triangular_read_exactly(self):
         assert fs.ScalingMatrix([[3, 5], [0, -2]]).eigenvalue_moduli() == [2.0, 3.0]
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="at least 1 x 1"):
+            fs.ScalingMatrix([])
+
+    @pytest.mark.parametrize("R", [[[4]], [[2, 100], [0, 2]], [[0, 0, 4], [1, 0, 0], [0, 1, 0]],
+                                   [[Fraction(101, 100), 100], [0, Fraction(101, 100)]],
+                                   [[2, Fraction(1, 3), 0], [-1, 3, 1], [Fraction(5, 7), 0, 2]]])
+    def test_inverse_transpose_is_exact(self, R):
+        Rm = fs.ScalingMatrix(R)
+        assert Rm.inverse_transpose == rat.inverse(rat.transpose(Rm.entries))
+        assert rat.mat_mul(Rm.transpose, Rm.inverse_transpose) == rat.identity(Rm.dim)
+
 
 class TestValidation:
     def test_scale4_all_pass(self, scale4):
@@ -194,6 +206,15 @@ class TestValidation:
         n, b, l, v = rep.checks["compatibility"].witness[0]
         assert (n, v) == (1, "3/2")
 
+    @pytest.mark.parametrize("R", [1, 4, -2, [[2, 100], [0, 2]], [[2, -2], [2, 2]],
+                                   [[Fraction(101, 100), 100], [0, Fraction(101, 100)]]])
+    def test_expansive_axiom_is_the_matrix_rule(self, R):
+        dim = 1 if isinstance(R, int) else len(R)
+        sysm = fs.make_system(R, [(0,) * dim], [(0,) * dim])
+        check = fs.validate_system(sysm).checks["expansive"]
+        assert check.passed == sysm.R.is_expansive()
+        assert check.witness == [round(m, 12) for m in sysm.R.eigenvalue_moduli()]
+
     def test_identity_scale_fails_expansivity(self):
         sysm = fs.make_system(1, [(0,)], [(0,)])
         rep = fs.validate_system(sysm)
@@ -208,6 +229,11 @@ class TestValidation:
     def test_dimension_mismatch_is_structural(self):
         with pytest.raises(ValueError):
             fs.make_system([[2, 0], [0, 2]], [(0, 0)], [(0, 0, 0)])
+
+    @pytest.mark.parametrize("B, L", [([], []), ([], [0]), ([0], [])], ids=["both", "B", "L"])
+    def test_empty_digit_set_is_structural(self, B, L):
+        with pytest.raises(ValueError, match="at least one point"):
+            fs.make_system(4, B, L)
 
     def test_catalog_hadamard_defects(self):
         for name in ("scale4", "scale2", "triadic", "planar-collapse", "eiffel"):
@@ -292,6 +318,21 @@ class TestSystemFiles:
         with pytest.raises(ValueError):
             fs.system_from_json(data)
 
+    @pytest.mark.parametrize("data, message", [
+        ({"dim": 0, "R": [], "B": [], "L": []}, "at least 1 x 1"),
+        ({"dim": 1, "R": [["4"]], "B": [], "L": []}, "at least one point"),
+        ({"dim": 1, "R": [["4"]], "B": [], "L": [["0"]]}, "at least one point"),
+        # a string was read one character at a time: "0", "1" as [[0], [1]]
+        ({"dim": 1, "R": [["4"]], "B": ["0", "1"], "L": [["0"], ["1/2"]]}, "point of B '0'"),
+        ({"dim": 1, "R": [["4"]], "B": ["0", "12"], "L": [["0"], ["1/2"]]}, "point of B '0'"),
+        ({"dim": 1, "R": [["4"]], "B": [["0"], ["1/2"]], "L": [["0"], "1"]}, "point of L '1'"),
+        ({"dim": 1, "R": ["4"], "B": [["0"], ["1/2"]], "L": [["0"], ["1"]]}, "row of R '4'"),
+    ], ids=["dim-0", "empty-B-and-L", "empty-B", "string-points", "string-point-12",
+            "string-point-of-L", "string-row-of-R"])
+    def test_malformed_rejected_with_reason(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            fs.system_from_json(data)
+
 
 class TestRational:
     def test_det_inverse(self):
@@ -323,7 +364,7 @@ def _removed_keyword_calls():
         "depth_for-tol": lambda: mu.depth_for(1.0, tol=1e-10),
         "support_diameter-depth": lambda: mu.support_diameter(depth=4),
         "ConvolvedMeasure.support_diameter-depth":
-            lambda: fs.convolve(mu, mu).support_diameter(depth=4),
+            lambda: fs.ConvolvedMeasure(mu, mu).support_diameter(depth=4),
         "transform_profile-depth": lambda: fs.transform_profile(mu, [0.5], depth=10),
         "write_transform_csv-depth":
             lambda: fs.write_transform_csv(mu, [0.5], io.StringIO(), depth=10),

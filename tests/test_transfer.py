@@ -289,6 +289,16 @@ class TestGammaSupnorm:
         assert fs.transfer.beta_constant(sysm, Y).sin_sup == exact
         assert fs.transfer._beta_sampled(sysm, Y) == sampled
 
+    @pytest.mark.parametrize("name", ["scale4", "scale2", "triadic", "planar-collapse",
+                                      "eiffel(2)", "eiffel(3)", "eiffel(4)", "scale4(3)"])
+    def test_diam_B_is_the_hull_diameter(self, name):
+        # the reference: the largest squared distance over ordered pairs of B
+        sysm = fs.get_system(name)
+        diam_sq = max(rat.dot(rat.vec_sub(p, q), rat.vec_sub(p, q))
+                      for p in sysm.B for q in sysm.B)
+        assert fs.hull_diameter(sysm.B) == math.sqrt(float(diam_sq))
+        assert fs.transfer.beta_constant(sysm, fs.dual_hull(sysm)).diam_B == math.sqrt(float(diam_sq))
+
     def test_rescaling_kills_gamma(self):
         vals = [fs.gamma_supnorm(fs.get_system(f"scale4({r})")).gamma_sup
                 for r in (1, 4, 16)]
@@ -300,8 +310,7 @@ class TestGammaL1:
     def test_one_dimensional_floor(self, scale4):
         rep = fs.gamma_supnorm(scale4)
         assert abs(rep.norms["det_times_hs"] - 1.0) <= 1e-12
-        bound, sharp = fs.gamma_L1(scale4)
-        assert sharp is not None and sharp >= 1.0
+        assert rep.sharp_valid and rep.gamma_L1_sharp >= 1.0
 
     def test_eiffel_det_times_hs(self):
         for r in (2, 3):
@@ -389,7 +398,7 @@ class TestOverlapDecision:
         Y = fs.dual_hull(sysm, 4)
         assert Y.vertices[0] == (-far / 3,)
         assert not fs.transfer.overlaps_measure_zero(sysm, Y)
-        assert fs.gamma_L1(sysm, Y)[1] is None
+        assert not fs.gamma_supnorm(sysm, Y).sharp_valid
 
     def test_cli_imports_no_scipy(self):
         code = ("import sys, fracspec.cli; "
