@@ -30,16 +30,13 @@ FLOAT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# attractor samples from the word walk of `AffineSystem.word_walk`
+# attractor samples from the word walk of `AffineSystem.lifted_walk`
 
 @dataclass(frozen=True)
 class AttractorSample:
     side: str
     depth: int
     points: tuple
-
-    def array(self) -> np.ndarray:
-        return np.array(self.points, dtype=float)
 
 
 def _lifted_images(sys: AffineSystem, side: str, depth: int) -> tuple:
@@ -451,9 +448,4 @@ def polytope_to_json(P: Polytope) -> dict:
 def hull_diameter(points) -> float:
     """Largest distance between two of the exact points, the diameter of
     their hull (pass a hull's vertices), squared exactly before the root."""
-    best = Fraction(0)
-    for a, b in itertools.combinations(points, 2):
-        d = rat.dot(rat.vec_sub(a, b), rat.vec_sub(a, b))
-        if d > best:
-            best = d
-    return math.sqrt(float(best))
+    return math.sqrt(float(max(rat.pairwise_sq_distances(points), default=0)))

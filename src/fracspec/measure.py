@@ -29,20 +29,16 @@ def _contraction_data(S: np.ndarray):
     the geometric data (rho, c) bounding ||S^n t|| <= c rho^{floor(n/kappa)} ||t||.
     A shear can take many powers to contract: R = [[2, 100], [0, 2]] first
     contracts at kappa = 9."""
-    rho = None
-    powers = [np.eye(S.shape[0])]
+    power, c = np.eye(S.shape[0]), 1.0      # c: the largest ||S^j||_op, j < k
     for k in range(1, MAX_PRODUCT_DEPTH + 1):
-        powers.append(powers[-1] @ S)
-        nrm = float(np.linalg.norm(powers[-1], 2))
+        power = power @ S
+        nrm = float(np.linalg.norm(power, 2))
         if nrm < 1.0:
-            kappa, rho = k, nrm
-            break
-    if rho is None:
-        raise ValueError(f"no power S^k, k <= {MAX_PRODUCT_DEPTH}, of the inverse transpose "
-                         f"S = R*^-1 has operator norm below 1, so the transform's tail "
-                         f"bound is unavailable")
-    c = max(float(np.linalg.norm(powers[j], 2)) for j in range(kappa))
-    return kappa, rho, c
+            return k, nrm, c
+        c = max(c, nrm)
+    raise ValueError(f"no power S^k, k <= {MAX_PRODUCT_DEPTH}, of the inverse transpose "
+                     f"S = R*^-1 has operator norm below 1, so the transform's tail "
+                     f"bound is unavailable")
 
 
 def _max_distance(T: np.ndarray, Lam: np.ndarray) -> float:
@@ -307,9 +303,6 @@ class SelfSimilarMeasure:
 
     def support_diameter(self) -> float:
         return geometry.hull_diameter(geometry.support_hull(self.system).vertices)
-
-    def moments(self, k_max: int):
-        return moments(self.system, k_max)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ entries' own arithmetic, so integer input gives an int.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -87,6 +88,14 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
 def vec_scale(c, v: Vec) -> Vec:
     c = as_fraction(c)
     return tuple(c * a for a in v)
+
+
+def pairwise_sq_distances(points):
+    """The exact squared distance |a - b|^2 of each pair of the points, in
+    `itertools.combinations` order."""
+    for a, b in itertools.combinations(points, 2):
+        d = vec_sub(a, b)
+        yield dot(d, d)
 
 
 def lift(vectors) -> tuple:

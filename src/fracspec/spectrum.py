@@ -3,6 +3,7 @@ completeness partial sums, maximal orthogonal families."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -45,16 +46,20 @@ class SpectrumEnumeration:
 
 def enumerate_P(sys: AffineSystem, depth: int) -> SpectrumEnumeration:
     """Exact expansion of all N^depth words l_0 + R* l_1 + ... + R*^{d-1} l_{d-1},
-    the tau side of `AffineSystem.word_walk`; a point reached by several
-    words keeps the first."""
+    the tau side of `AffineSystem.lifted_walk`; a point reached by several
+    words keeps the first.  Points are deduplicated and sorted on the
+    integer lift (one positive denominator keeps the order) and only the
+    distinct ones turned back into Fractions."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     sys.check_words(depth, MAX_EXACT_POINTS, "too many words for exact enumeration", "words")
+    walk, scale = sys.lifted_walk("tau", depth)
     seen = {}
-    for lam, word in sys.word_walk("tau", depth):
+    for lam, word in zip(walk, itertools.product(sys.L, repeat=depth)):
         seen.setdefault(lam, word)
+    lifted = sorted(seen)
     zero = sys.zero()
-    cleaned = sorted((lam, _strip(word, zero)) for lam, word in seen.items())
+    cleaned = zip(rat.unlift(lifted, scale), (_strip(seen[lam], zero) for lam in lifted))
     return SpectrumEnumeration(depth, tuple(cleaned), sys.N ** depth - len(seen))
 
 
@@ -182,16 +187,7 @@ def uniform_discreteness(enum: SpectrumEnumeration) -> float:
     """Exact minimum pairwise distance of the enumerated points."""
     if enum.collision_count:
         raise ValueError("enumeration has collisions; separation is zero")
-    pts = enum.coords()
-    if len(pts) < 2:
-        return math.inf
-    best = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = rat.dot(rat.vec_sub(pts[i], pts[j]), rat.vec_sub(pts[i], pts[j]))
-            if best is None or d < best:
-                best = d
-    return math.sqrt(float(best))
+    return math.sqrt(float(min(rat.pairwise_sq_distances(enum.coords()), default=math.inf)))
 
 
 # ---------------------------------------------------------------------------

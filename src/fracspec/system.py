@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import json
 import math
 import operator
@@ -133,10 +132,13 @@ class AffineSystem:
         }
 
     def lifted_walk(self, side: str, depth: int) -> tuple:
-        """The points of `word_walk` as integer vectors over one common
-        denominator, (ivecs, scale), in the same order.  Level k adds the
-        lifted vectors M^k t_d to the points of level k - 1, so a word costs
-        integer additions and no matrix product."""
+        """The image of 0 under every length-`depth` word w over the digits
+        of the side's maps g_d: x -> M x + t_d, in `itertools.product`
+        order, as (ivecs, scale): integer vectors over one common
+        denominator of the points sum_k M^k t_{w_k} = g_{w_0}(g_{w_1}(...
+        g_{w_last}(0))).  Level k adds the lifted vectors M^k t_d to the
+        points of level k - 1, so a word costs integer additions and no
+        matrix product."""
         if side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}, got {side!r}")
         M, table = self.maps[side]
@@ -150,15 +152,6 @@ class AffineSystem:
             level = isteps[k * n:(k + 1) * n]
             walk = [tuple(map(operator.add, p, t)) for p in walk for t in level]
         return walk, scale
-
-    def word_walk(self, side: str, depth: int) -> list:
-        """(point, word) for every length-`depth` word w over the digits of
-        the side's maps x -> M x + t_d, in `itertools.product` order, with
-        point sum_k M^k t_{w_k} = g_{w_0}(g_{w_1}(... g_{w_last}(0))), read
-        off `lifted_walk`."""
-        walk, scale = self.lifted_walk(side, depth)
-        words = itertools.product(self.maps[side][1], repeat=depth)
-        return list(zip(rat.unlift(walk, scale), words))
 
     @functools.cached_property
     def mask_table(self) -> tuple:
@@ -204,9 +197,7 @@ class AffineSystem:
 
 
 def make_system(R, B, L, name="") -> AffineSystem:
-    if isinstance(R, ScalingMatrix):
-        Rm = R
-    elif isinstance(R, (int, Fraction, str)):
+    if isinstance(R, (int, Fraction, str)):
         Rm = ScalingMatrix([[R]])
     else:
         Rm = ScalingMatrix(R)
@@ -318,14 +309,13 @@ def map_rho(sys: AffineSystem, l, t) -> Point:
 @dataclass
 class AxiomCheck:
     passed: bool
-    witness: object = None
+    witness: object = None      # a JSON value: ints, floats, strings and tuples of them
     mandatory: bool = True
 
 
 @dataclass
 class ValidationReport:
     checks: dict
-    n_check: int
 
     @property
     def passed(self) -> bool:
@@ -334,10 +324,10 @@ class ValidationReport:
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "n_check": self.n_check,
+            "n_check": DEFAULT_N_CHECK,
             "axioms": {
                 name: {"passed": c.passed, "mandatory": c.mandatory,
-                       "witness": _jsonable(c.witness)}
+                       "witness": c.witness}
                 for name, c in self.checks.items()
             },
         }
@@ -350,16 +340,6 @@ class ValidationReport:
             lines.append(f"  {name:<20} {tag}{extra}")
         lines.append(f"  overall: {'pass' if self.passed else 'FAIL'}")
         return lines
-
-
-def _jsonable(w):
-    if isinstance(w, Fraction):
-        return rat.format_fraction(w)
-    if isinstance(w, tuple):
-        return [_jsonable(x) for x in w]
-    if isinstance(w, list):
-        return [_jsonable(x) for x in w]
-    return w
 
 
 def _compatibility_witnesses(sys: AffineSystem) -> list:
@@ -440,7 +420,7 @@ def validate_system(sys: AffineSystem) -> ValidationReport:
         sys.N < abs(sys.R.det), (sys.N, rat.format_fraction(abs(sys.R.det))),
         mandatory=False)
 
-    return ValidationReport(checks, DEFAULT_N_CHECK)
+    return ValidationReport(checks)
 
 
 # ---------------------------------------------------------------------------

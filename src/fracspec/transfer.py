@@ -98,7 +98,14 @@ class GridFunction:
         return GridFunction(self.axes, values, self.chart)
 
     def value_at_zero(self) -> float:
-        return float(self.interp(np.zeros((1, len(self.chart.origin))))[0])
+        """Q(0), interpolated; a stencil fraction within 1e-9 of 0 or 1 reads
+        that node, so an origin on the node lattice (as `grid_frame` puts
+        it) reads its node's value even where the spacing, taken from the
+        axis, puts it a rounding off the node."""
+        base, frac = self.stencil(self.chart.param(np.zeros((1, len(self.chart.origin)))))
+        node = np.round(frac)
+        frac = np.where(np.abs(frac - node) <= 1e-9, node, frac)
+        return float(self.corner_sum(self.values, base, frac)[0])
 
     def rows(self) -> list:
         """(ambient coords..., value) per node, for grid dumps."""

@@ -80,6 +80,10 @@ class TestGramCommand:
         doc = json.loads(r.stdout)
         assert doc["max_offdiag"] <= 1e-7
 
+    def test_count_below_two(self, capsys):
+        assert cli.main(["gram", "--system", "scale4", "--count", "1"]) == 2
+        assert capsys.readouterr().err == "error: gram needs at least two points\n"
+
     def test_triadic_runs_without_force(self):
         # counterexample systems stay analysable
         r = run_cli("gram", "--system", "triadic", "--count", "4", "--format", "json")
@@ -408,6 +412,14 @@ class TestSlowShear:
         assert out == ""
         assert err.startswith("error: ") and "tail bound is unavailable" in err
         assert "k <= 200" in err and "not expansive" not in err
+
+    def test_transfer_starts_from_its_own_grid(self, capsys, shear):
+        # the origin is a node of the 10^6-wide grid, which the normalization
+        # check reads as the node: 1 + |0|^2 / 2, not a rounding off it
+        assert cli.main(["transfer", "--file", shear, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["residuals"]) == 200
+        assert doc["converged"] is False
 
 
 class TestUsage:

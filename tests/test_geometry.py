@@ -324,6 +324,12 @@ class TestFloatChart:
         assert np.array_equal(hull.sample(3), hull.vertex_array())
         assert len(hull.sample(3)) == 4
 
+    def test_point_hull_membership(self):
+        hull = fs.convex_hull([(F(1, 2), F(1, 3))])
+        assert hull.affine_dim == 0
+        assert hull.contains_float([[0.5, 1 / 3], [0.5, 1 / 3 + 1e-10]]).all()
+        assert not hull.contains_float([[0.5, 0.34], [0.6, 1 / 3]]).any()
+
     def test_planar_hull_in_space(self, planar3d):
         hull = fs.dual_hull(planar3d, 4)
         assert hull.affine_dim == 2

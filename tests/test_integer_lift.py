@@ -3,6 +3,7 @@ for: the word walk, the attractor fixed points and the compatibility check.
 Each reference below is the plain Fraction computation, written out."""
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -109,8 +110,11 @@ def system(request):
 @pytest.mark.parametrize("side", SIDES)
 class TestAgainstFractionLoops:
     def test_word_walk(self, system, side):
+        # the lifted walk, unlifted and paired with its words in product order
         for depth in range(1, 5):
-            walk = system.word_walk(side, depth)
+            ivecs, scale = system.lifted_walk(side, depth)
+            words = itertools.product(system.maps[side][1], repeat=depth)
+            walk = list(zip(rat.unlift(ivecs, scale), words))
             assert walk == fraction_word_walk(system, side, depth)
             assert _all_fractions(p for p, _ in walk)
 

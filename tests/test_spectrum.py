@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -69,6 +70,31 @@ class TestEnumeration:
         for sysm in (scale4, eiffel2):
             for lam, word in fs.enumerate_P(sysm, 3).points:
                 assert fs.reconstruct(sysm, word) == lam
+
+    @pytest.mark.parametrize("name", ["colliding", "scale4", "scale2", "triadic",
+                                      "planar-collapse", "eiffel(2)", "eiffel(3)"])
+    def test_first_word_kept(self, name):
+        # the kept word of each point is the first word of itertools.product
+        # order to reach it, trailing zero digits stripped; R = 2 with
+        # L = {0, 1, 2} sends 27 words to the 15 points 0..14
+        sysm = (fs.make_system(2, [0, F(1, 3), F(2, 3)], [0, 1, 2], "colliding")
+                if name == "colliding" else fs.get_system(name))
+        enum = fs.enumerate_P(sysm, 3)
+        first = {}
+        for word in itertools.product(sysm.L, repeat=3):
+            x = sysm.zero()
+            for l in reversed(word):
+                x = fs.map_tau(sysm, l, x)
+            while word and word[-1] == sysm.zero():
+                word = word[:-1]
+            first.setdefault(x, word)
+        assert dict(enum.points) == first
+        assert enum.collision_count == sysm.N ** 3 - len(first)
+        for lam, word in enum.points:
+            assert fs.reconstruct(sysm, word) == lam
+        if name == "colliding":
+            assert [p[0] for p in enum.coords()] == list(range(15))
+            assert enum.collision_count == 12
 
 
 class TestDigits:
@@ -448,6 +474,10 @@ class TestMaxOrthogonalFamily:
         assert sorted(fam) == p4
         for n in (2, 3, 6, 7):
             assert any(not pred.member(F(n) - m) for m in p4)
+
+    def test_no_candidates(self):
+        pred = fs.ZeroSetPredicate(4, F(1, 2))
+        assert fs.max_orthogonal_family(pred, []) == ()
 
     def test_single_candidate(self):
         pred = fs.ZeroSetPredicate(4, F(1, 2))

@@ -161,7 +161,9 @@ class TestWordWalk:
                     for d in reversed(w):
                         x = g(sysm, d, x)
                     oracle.append((x, w))
-                assert sysm.word_walk(side, depth) == oracle
+                walk = zip(rat.unlift(*sysm.lifted_walk(side, depth)),
+                           itertools.product(digits, repeat=depth))
+                assert list(walk) == oracle
 
 
 class TestEigenvalues:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -182,6 +183,42 @@ class TestIteration:
         bad = frame.with_values(2 * np.ones_like(frame.values))
         with pytest.raises(ValueError):
             fs.iterate_fixed_point(scale4, bad)
+
+    def test_divergence_flagged(self):
+        # L = {0, 1/3} is no dual of B = {0, 1/2} at R = 4: the residual
+        # grows over ten iterations in a row
+        sysm = fs.make_system(4, [0, Fraction(1, 2)], [0, Fraction(1, 3)])
+        res = fs.iterate_fixed_point(sysm, fs.grid_frame(sysm, 64).quadratic_bump())
+        assert res.diverged and not res.converged
+        assert len(res.residuals) == 11
+
+
+class TestGridFrame:
+    # the pad of the box taken, read back from an axis: h (resolution - 2) =
+    # (1 + 2 pad) width; the rotation-scaling needs the sixth box, the last
+    # grid_frame tries
+    @pytest.mark.parametrize("R, B, L, boxes, iterations", [
+        ([[2, -2], [2, 2]], [(0, 0), (Fraction(1, 2), 0)], [(0, 0), (1, 0)], 6, 20),
+        ([[0, 3], [-3, 0]], [(0, 0), (Fraction(1, 3), 0), (Fraction(2, 3), 0)],
+         [(0, 0), (1, 0), (2, 0)], 2, 16)])
+    def test_box_grows_until_self_mapped(self, R, B, L, boxes, iterations):
+        sysm = fs.make_system(R, B, L)
+        frame = fs.grid_frame(sysm, 24)
+        hull = fs.dual_hull(sysm)
+        us = hull.chart.param(hull.vertex_array())
+        for d, axis in enumerate(frame.axes):
+            width = us[:, d].max() - us[:, d].min()
+            pad = ((axis[1] - axis[0]) * 22 / width - 1) / 2
+            assert abs(pad - fs.transfer.DEFAULT_PAD * 1.7 ** (boxes - 1)) <= 1e-9
+        S = np.array(sysm.R.inverse_transpose, dtype=float)
+        corners = frame.chart.ambient(np.array(
+            list(itertools.product(*[(a[0], a[-1]) for a in frame.axes]))))
+        for l in sysm.l_array():
+            U = frame.chart.param((corners - l) @ S.T)
+            for d, axis in enumerate(frame.axes):
+                assert (U[:, d] >= axis[0] - 1e-12).all() and (U[:, d] <= axis[-1] + 1e-12).all()
+        res = fs.iterate_fixed_point(sysm, frame.quadratic_bump())
+        assert res.converged and len(res.residuals) == iterations
 
 
 class TestLebesgueQ:
