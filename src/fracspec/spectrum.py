@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, rational as rat
-from .measure import SelfSimilarMeasure, ZeroSetPredicate
+from .measure import STACK_ENTRIES, SelfSimilarMeasure, ZeroSetPredicate
 from .system import AffineSystem, point
 
 MAX_EXACT_POINTS = 2_000_000
@@ -22,6 +22,9 @@ Q1_EPS_CONV = 1e-6
 EPS_PASS = 0.02
 EPS_FAIL = 0.05
 Q1_SCRATCH = 6_000_000      # (t, lambda) pairs of one kernel call in a Q1 pass
+# (t, lambda) pairs of a run of small Q1 layers joined in one kernel call:
+# `_brackets` takes 32 levels of a call this size in one stacked product
+Q1_RUN_PAIRS = STACK_ENTRIES // 32
 FD_STEP = 1e-3              # step of the gradient stencil at the origin
 DIGIT_BUDGET = 24           # longest digit word that digits_of looks for
 
@@ -254,8 +257,9 @@ class Q1Profile:
     of factors a_k = |chi_B(R*^{-k}(t - lambda))|^2 in [0, 1], and cutting it
     at depth d overestimates it by at most sum_{k >= d} (1 - a_k), below the
     squared-form `SelfSimilarMeasure.tail_bound` of its kernel call.  The
-    tail is that bound times the pairs of the call, summed over every call;
-    the truncated sum is never below the exact one by more than rounding.
+    tail is that bound times the call's pairs in the kept layers, summed
+    over every call; the truncated sum is never below the exact one by more
+    than rounding.
     """
     tpoints: np.ndarray
     partial_sums: np.ndarray      # shape (m, depths+1), cumulative
@@ -289,40 +293,34 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int, measure,
     With `eps_conv` set, the layer loop stops once the increment of each of
     the first `watch` rows falls below it (partial sums are monotone, so
     later layers only add nonnegative mass); the other rows ride along.
+    The stop is decided layer by layer, also inside a joined run (below),
+    whose layers past it are dropped with their tail.
 
-    A layer of n points is the sum P_h + H of its first h digit sets (the
-    low part) and the rest (the high part), so t - lambda runs over the rows
-    t - eta, eta in H, against the points of P_h: the same pairs, with the
-    kernel's cos/sin taken on m |H| + |P_h| points instead of n.  h is the
-    largest with |P_h|^2 <= m n, which balances the two sides, and with
-    m |P_h| <= Q1_SCRATCH; H is chunked so that no call has more than
-    Q1_SCRATCH pairs.
+    A run of consecutive small layers, whose m n pairs add up to at most
+    Q1_RUN_PAIRS, goes to the kernel in one call over the run's points, so
+    each of its layers is truncated at the run's adaptive depth, never
+    shallower than its own: the truncated products only move down, toward
+    the exact ones.  Any larger layer of n points is the sum P_h + H of its
+    first h digit sets (the low part) and the rest (the high part), so
+    t - lambda runs over the rows t - eta, eta in H, against the points of
+    P_h: the same pairs, with the kernel's cos/sin taken on m |H| + |P_h|
+    points instead of n.  h is the largest with |P_h|^2 <= m n, which
+    balances the two sides, and with m |P_h| <= Q1_SCRATCH; H is chunked so
+    that no call has more than Q1_SCRATCH pairs.
     """
     measure = _as_measure(measure, system)
     m, dim = T.shape
     cap = Q1_SCRATCH // 1024          # so that a call has room for 1024 spectrum points a row
     if m > cap:
         raise ValueError(f"a Q1 pass over {m} rows exceeds its cap of {cap} rows")
+    if p_depth < 1:
+        # a profile's values and last increments need one layer past 0
+        raise ValueError(f"a Q1 pass needs p_depth >= 1, got {p_depth}")
     sums = []
     incs = []
     tail = 0.0
-    for d, sets in layer_digits(system, p_depth):
-        n = math.prod(len(s) for s in sets)
-        h, low_n = 0, 1
-        while h < len(sets):
-            grown = low_n * len(sets[h])
-            if grown ** 2 > m * n or m * grown > Q1_SCRATCH:
-                break
-            h, low_n = h + 1, grown
-        low, high = digit_sum(sets[:h], dim), digit_sum(sets[h:], dim)
-        chunk = Q1_SCRATCH // max(m * low_n, 1)
-        inc = np.zeros(m)
-        for start in range(0, len(high), chunk):
-            eta = high[start:start + chunk]
-            rows = (T[:, None, :] - eta[None, :, :]).reshape(-1, dim)
-            vals, block_tail = measure.mu_hat_sq_pairs(rows, low)
-            inc += vals.reshape(m, len(eta) * low_n).sum(axis=1)
-            tail += block_tail * len(eta) * low_n
+    for d, (inc, layer_tail) in enumerate(_layer_increments(system, T, p_depth, measure)):
+        tail += layer_tail
         if d == 0:
             sums.append(inc)
             continue
@@ -332,6 +330,49 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int, measure,
             break
     return Q1Profile(T, np.stack(sums, axis=1), np.stack(incs, axis=1), len(incs),
                      np.full(m, tail))
+
+
+def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int, measure):
+    """Yield each layer's increment of every row of T, d = 0..p_depth in
+    order, with its Fourier tail per row (each call's bound times the
+    layer's points in it): runs of small layers joined and any other layer
+    split, as `_q1_pass` describes."""
+    m, dim = T.shape
+    run = []                            # points of the pending run's layers
+
+    def joined():
+        vals, run_tail = measure.mu_hat_sq_pairs(T, np.concatenate(run))
+        start = 0
+        for pts in run:
+            yield vals[:, start:start + len(pts)].sum(axis=1), run_tail * len(pts)
+            start += len(pts)
+
+    for _, sets in layer_digits(system, p_depth):
+        n = math.prod(len(s) for s in sets)
+        if run and m * (sum(map(len, run)) + n) > Q1_RUN_PAIRS:
+            yield from joined()
+            run = []
+        if m * n <= Q1_RUN_PAIRS:
+            run.append(digit_sum(sets, dim))
+            continue
+        h, low_n = 0, 1
+        while h < len(sets):
+            grown = low_n * len(sets[h])
+            if grown ** 2 > m * n or m * grown > Q1_SCRATCH:
+                break
+            h, low_n = h + 1, grown
+        low, high = digit_sum(sets[:h], dim), digit_sum(sets[h:], dim)
+        chunk = Q1_SCRATCH // max(m * low_n, 1)
+        inc, tail = np.zeros(m), 0.0
+        for start in range(0, len(high), chunk):
+            eta = high[start:start + chunk]
+            rows = (T[:, None, :] - eta[None, :, :]).reshape(-1, dim)
+            vals, block_tail = measure.mu_hat_sq_pairs(rows, low)
+            inc += vals.reshape(m, len(eta) * low_n).sum(axis=1)
+            tail += block_tail * len(eta) * low_n
+        yield inc, tail
+    if run:
+        yield from joined()
 
 
 def q1_depth(system: AffineSystem) -> int:

@@ -6,11 +6,40 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fracspec as fs
 
 
 F = Fraction
+
+
+def _named_system(name):
+    """A catalog system, or "R=r" for (r, {0, 1/2}, {0, 1})."""
+    if name.startswith("R="):
+        return fs.two_digit_system(int(name[2:]), F(1, 2))
+    return fs.get_system(name)
+
+
+def _exact_layers(sysm, depth):
+    """Float points of P(L) from the exact enumeration, by the depth of
+    their last nonzero digit: a list of (n, dim) arrays, d = 0..depth."""
+    enum = fs.enumerate_P(sysm, depth)
+    return [np.array([p for p, word in enum.points if len(word) == d],
+                     dtype=float).reshape(-1, sysm.dim) for d in range(depth + 1)]
+
+
+def _joined_runs(m, sizes):
+    """Layer indices grouped as a Q1 pass of m rows joins them: a layer of n
+    points joins the run before it while the run's m n pairs add up to at
+    most Q1_RUN_PAIRS, and a larger layer stands alone."""
+    runs = []
+    for d, n in enumerate(sizes):
+        if runs and m * (sum(sizes[k] for k in runs[-1]) + n) <= fs.spectrum.Q1_RUN_PAIRS:
+            runs[-1].append(d)
+        else:
+            runs.append([d])
+    return runs
 
 
 class TestEnumeration:
@@ -217,6 +246,14 @@ class TestQ1:
         assert abs(value - 0.5) < 1e-3
         assert value <= 0.5
 
+    @pytest.mark.parametrize("p_depth", [0, -1])
+    def test_depth_below_one_is_refused(self, scale4, p_depth):
+        # the profile had no increment to stack and numpy raised
+        with pytest.raises(ValueError, match=f"p_depth >= 1, got {p_depth}"):
+            fs.q1_profile(scale4, [0.1], p_depth)
+        with pytest.raises(ValueError, match=f"p_depth >= 1, got {p_depth}"):
+            fs.completeness_test(scale4, [0.1], p_depth_cap=p_depth)
+
     def test_rows_capped_by_the_scratch(self, scale4):
         # each chunk holds at least 1024 spectrum points, so Q1_SCRATCH caps
         # the rows of one pass at 5859
@@ -269,21 +306,23 @@ class TestQ1:
                                               ("R=6", 5), ("eiffel(2)", 6)])
     def test_split_pass_is_the_per_point_sum(self, name, p_depth):
         # rows t - eta against the low digits give the same pairs as every
-        # probe against every exact point of the layer
-        sysm = (fs.two_digit_system(int(name[2:]), F(1, 2)) if name.startswith("R=")
-                else fs.get_system(name))
+        # probe against every exact point of the layer, and a run of small
+        # layers is one call over the exact points of its layers
+        sysm = _named_system(name)
         meas = fs.SelfSimilarMeasure(sysm)
         T = np.random.RandomState(12).uniform(-1, 1, size=(5, sysm.dim))
         prof = fs.q1_profile(sysm, T, p_depth)
-        enum = fs.enumerate_P(sysm, p_depth)
+        layers = _exact_layers(sysm, p_depth)
         acc, tail = np.zeros(len(T)), 0.0
-        for d in range(p_depth + 1):
-            layer = np.array([p for p, word in enum.points if len(word) == d], dtype=float)
-            vals, layer_tail = meas.mu_hat_sq_pairs(T, layer)
-            acc += vals.sum(axis=1)
-            tail += layer_tail * len(layer)
-            assert np.abs(prof.partial_sums[:, d] - acc).max() <= 1e-12
-        # one call per layer here, so the same truncation and the same tail
+        for run in _joined_runs(len(T), [len(layer) for layer in layers]):
+            vals, run_tail = meas.mu_hat_sq_pairs(T, np.concatenate([layers[d] for d in run]))
+            start = 0
+            for d in run:
+                acc += vals[:, start:start + len(layers[d])].sum(axis=1)
+                start += len(layers[d])
+                tail += run_tail * len(layers[d])
+                assert np.abs(prof.partial_sums[:, d] - acc).max() <= 1e-12
+        # one call per run or layer here, so the same truncation and the same tail
         assert prof.fourier_tail == pytest.approx(np.full(len(T), tail), rel=1e-9)
 
     @pytest.mark.parametrize("name,p_depth", [("scale2", 12), ("triadic", 12), ("eiffel(2)", 6)])
@@ -292,7 +331,6 @@ class TestQ1:
         # several calls, each within the scratch, that cover every pair once
         sysm = fs.get_system(name)
         T = fs.dual_hull(sysm, 4).sample({1: 8, 3: 2}[sysm.dim])[:8]
-        whole = fs.q1_profile(sysm, T, p_depth)
         pairs, tails = [], []
         kernel = fs.SelfSimilarMeasure.mu_hat_sq_pairs
 
@@ -302,10 +340,14 @@ class TestQ1:
             tails.append(tail)
             return vals, tail
 
-        monkeypatch.setattr(fs.spectrum, "Q1_SCRATCH", 1024 * len(T))
         monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_pairs", counted)
+        whole = fs.q1_profile(sysm, T, p_depth)
+        whole_calls = len(pairs)
+        pairs.clear()
+        tails.clear()
+        monkeypatch.setattr(fs.spectrum, "Q1_SCRATCH", 1024 * len(T))
         chunked = fs.q1_profile(sysm, T, p_depth)
-        assert len(pairs) > p_depth + 1 and max(pairs) <= 1024 * len(T)
+        assert len(pairs) > whole_calls and max(pairs) <= 1024 * len(T)
         assert sum(pairs) == len(T) * sysm.N ** p_depth
         assert np.abs(chunked.partial_sums - whole.partial_sums).max() <= 1e-12
         # each call truncates at the adaptive depth of its own pairs, so a
@@ -316,6 +358,76 @@ class TestQ1:
         assert max(tails) < fs.measure.DEFAULT_TAIL_TOL
         expected = np.dot(tails, pairs) / len(T)
         assert chunked.fourier_tail == pytest.approx(np.full(len(T), expected), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["scale2", "R=-3", "triadic", "eiffel(2)", "mu34"])
+    def test_joined_runs_only_lower_the_sums(self, request, monkeypatch, name):
+        # a joined layer is truncated at its run's adaptive depth, never
+        # shallower than its own, so against one call per layer its sums
+        # move only down, toward the exact ones, and by no more than the
+        # Fourier tail of that pass
+        if name == "mu34":
+            sysm, meas = request.getfixturevalue("scale4"), request.getfixturevalue("mu34")
+        else:
+            sysm, meas = _named_system(name), None
+        T = fs.dual_hull(sysm, 4).sample({1: 8, 3: 2}[sysm.dim])
+        p_depth = {1: 12, 3: 6}[sysm.dim]
+        joined = fs.q1_profile(sysm, T, p_depth, measure=meas)
+        monkeypatch.setattr(fs.spectrum, "Q1_RUN_PAIRS", 0)
+        alone = fs.q1_profile(sysm, T, p_depth, measure=meas)
+        assert (joined.partial_sums <= alone.partial_sums + 1e-15).all()
+        assert (joined.partial_sums >= alone.partial_sums - alone.fourier_tail[:, None]).all()
+
+    @pytest.mark.parametrize("name,probes", [("scale4", [0.0]), ("scale2", [-0.1, 0.3])])
+    def test_stop_inside_a_joined_run(self, monkeypatch, name, probes):
+        # the eps_conv stop falls inside the first run, which one call
+        # evaluated past it: the depth is that of one call per layer, no
+        # increment past the stop is kept, and the tail counts only the
+        # points of the kept layers
+        sysm = fs.get_system(name)
+        eps_conv = 1e-12 if name == "scale4" else 0.01
+        layers = _exact_layers(sysm, 10)
+        first = _joined_runs(len(probes), [len(layer) for layer in layers])[0]
+        joined = fs.q1_profile(sysm, probes, 10, eps_conv=eps_conv)
+        assert joined.depth < first[-1]
+        assert joined.increments.shape == (len(probes), joined.depth)
+        assert joined.partial_sums.shape == (len(probes), joined.depth + 1)
+        _, run_tail = fs.SelfSimilarMeasure(sysm).mu_hat_sq_pairs(
+            np.reshape(probes, (-1, 1)), np.concatenate([layers[d] for d in first]))
+        kept = sum(len(layers[d]) for d in range(joined.depth + 1))
+        assert joined.fourier_tail == pytest.approx(np.full(len(probes), run_tail * kept),
+                                                    rel=1e-12)
+        monkeypatch.setattr(fs.spectrum, "Q1_RUN_PAIRS", 0)
+        alone = fs.q1_profile(sysm, probes, 10, eps_conv=eps_conv)
+        assert alone.depth == joined.depth
+
+    def test_small_layers_share_a_call(self, monkeypatch, scale2):
+        # 5 rows at depth 14: the 15 layers take fewer kernel calls
+        calls = []
+        kernel = fs.SelfSimilarMeasure.mu_hat_sq_pairs
+
+        def counted(self, rows, lam):
+            calls.append(len(rows) * len(lam))
+            return kernel(self, rows, lam)
+
+        monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_pairs", counted)
+        fs.q1_profile(scale2, np.linspace(-1, 0, 5), 14)
+        assert len(calls) < 15
+        assert sum(calls) == 5 * 2 ** 14
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_bessel_on_two_digit_hadamard_triples(self, data):
+        # (R, {0, 1/2}, {0, p}) with R even and p odd is compatible, so P(L)
+        # is orthogonal and every exact partial sum is at most 1: the
+        # truncated ones exceed it by no more than the Fourier tail
+        R = data.draw(st.integers(1, 5).flatmap(lambda k: st.sampled_from((2 * k, -2 * k))))
+        p = data.draw(st.integers(0, 22)) * 2 + 1
+        sysm = fs.make_system(R, (0, F(1, 2)), (0, p))
+        depth = data.draw(st.integers(1, 10))
+        T = data.draw(st.lists(st.floats(-2, 2), min_size=1, max_size=4))
+        prof = fs.q1_profile(sysm, T, depth)
+        assert (prof.partial_sums <= 1 + prof.fourier_tail[:, None] + 1e-12).all()
+        assert prof.monotone
 
     def test_odd_scale_against_mpmath(self):
         # R = 7, B = {0, 1/4}, L = {0, 2}: the depth-14 sum of
