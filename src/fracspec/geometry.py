@@ -201,9 +201,9 @@ class Polytope:
         """Ambient points of the n-per-axis mesh of the chart box of the
         vertices that lie inside every facet, or the vertices when no mesh
         point does (a thin simplex can miss a coarse mesh); the point itself
-        for a 0-dim hull."""
+        for a 0-dim hull.  Always a new array: the hull is shared."""
         if self.affine_dim == 0:
-            return self.chart.origin[None]
+            return self.vertex_array()
         if n ** self.affine_dim > MAX_MESH_POINTS:
             raise ValueError(f"a mesh of {n}^{self.affine_dim} points exceeds the cap "
                              f"of {MAX_MESH_POINTS}")
@@ -432,8 +432,10 @@ def support_hull(sys: AffineSystem, depth: int = 4) -> Polytope:
 
 
 def dual_hull(sys: AffineSystem, depth: int = 4) -> Polytope:
-    """Convex hull of the depth-n rho-side fixed points (the hull Y)."""
-    return convex_hull(attractor_points(sys, "rho", depth).points)
+    """Convex hull of the depth-n rho-side fixed points (the hull Y), built
+    once per system and depth (`AffineSystem.once`) and shared."""
+    return sys.once(("dual_hull", depth),
+                    lambda: convex_hull(attractor_points(sys, "rho", depth).points))
 
 
 def polytope_to_json(P: Polytope) -> dict:

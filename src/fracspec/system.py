@@ -177,6 +177,22 @@ class AffineSystem:
                 np.array(E, dtype=float).reshape(len(E), self.dim),
                 np.full(len(E), (2 if real else 1) / self.N), real, c)
 
+    @functools.cached_property
+    def _derived(self) -> dict:
+        return {}
+
+    def once(self, key, compute):
+        """compute(), evaluated once per system and key and kept in the
+        system itself, so it lives and dies with the system: the facts of
+        the triple (the hull Y of `geometry.dual_hull` at each depth, the
+        report of `validate_system`) are computed once, however many
+        commands read them.  The values are shared between their readers
+        and must not be mutated."""
+        memo = self._derived
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
     def check_words(self, depth: int, cap: int, what: str, unit: str) -> None:
         """Refuse a depth whose N^depth words exceed `cap`, with a ValueError
         that names N, the depth and the cap.  The count is multiplied up one
@@ -306,14 +322,14 @@ def map_rho(sys: AffineSystem, l, t) -> Point:
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass
+@dataclass(frozen=True)
 class AxiomCheck:
     passed: bool
     witness: object = None      # a JSON value: ints, floats, strings and tuples of them
     mandatory: bool = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     checks: dict
 
@@ -384,7 +400,13 @@ def validate_system(sys: AffineSystem) -> ValidationReport:
     Mandatory axioms decide the overall verdict.  The span, integrality and
     cardinality-versus-determinant checks are informational: they gate the
     basis theorems, not the validity of the system itself.
+
+    The report is computed once per system (`AffineSystem.once`) and shared.
     """
+    return sys.once("validation", lambda: _check_axioms(sys))
+
+
+def _check_axioms(sys: AffineSystem) -> ValidationReport:
     checks: dict[str, AxiomCheck] = {}
     zero = sys.zero()
 
@@ -466,11 +488,18 @@ _CATALOG = {
 
 def get_system(name: str) -> AffineSystem:
     """A catalog system; `eiffel(r)` is the tower at scale r, and `name(r)`
-    of any other entry is that system with R times r, named `name*r{r}`."""
+    of any other entry is that system with R times r, named `name*r{r}`.
+    Each name is built once per process: every lookup of it returns the
+    same immutable instance, with the facts that instance has computed."""
     m = re.fullmatch(r"(\w[\w-]*)\((\d+)\)", name.strip())
     name, r = (m.group(1), int(m.group(2))) if m else (name.strip(), None)
     if name not in _CATALOG:
         raise KeyError(f"unknown system {name!r}; available: {', '.join(sorted(_CATALOG))}")
+    return _catalog_system(name, r)
+
+
+@functools.cache
+def _catalog_system(name: str, r: int | None) -> AffineSystem:
     factory = _CATALOG[name]
     if name == "eiffel":
         return factory(r) if r is not None else factory()

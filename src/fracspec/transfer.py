@@ -37,7 +37,9 @@ class GridFunction:
             raise ValueError("value array does not match the grid axes")
         if any(len(a) < MIN_RESOLUTION for a in self.axes):
             raise ValueError(f"resolution must be >= {MIN_RESOLUTION} per axis")
-        self.spacing = tuple(float(a[1] - a[0]) for a in self.axes)
+        # from the whole axis: a[1] - a[0] carries one rounding that a
+        # node's stencil position would multiply by its index
+        self.spacing = tuple(float(a[-1] - a[0]) / (len(a) - 1) for a in self.axes)
 
     @property
     def k(self) -> int:

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import polygamma
 
 import fracspec as fs
-from fracspec import rational as rat
+from fracspec import cli, rational as rat
 
 # Passes every axiom; R* = [[4, 0], [2, 4]] mixes the grid axes, so the
 # stencil of its transfer operator does not factor over them.
@@ -219,6 +219,20 @@ class TestGridFrame:
                 assert (U[:, d] >= axis[0] - 1e-12).all() and (U[:, d] <= axis[-1] + 1e-12).all()
         res = fs.iterate_fixed_point(sysm, frame.quadratic_bump())
         assert res.converged and len(res.residuals) == iterations
+
+
+    @pytest.mark.parametrize("name", ["scale4", "eiffel(2)", "planar-collapse", "slow-shear"])
+    def test_nodes_sit_on_their_stencil_positions(self, name):
+        # the spacing is read from the whole axis: a node's own stencil
+        # fraction is a rounding off an integer, not its index times one
+        if name == "slow-shear":
+            sysm = fs.make_system([[Fraction(101, 100), 100], [0, Fraction(101, 100)]],
+                                  [(0, 0), (Fraction(1, 2), 0)], [(0, 0), (1, 0)])
+        else:
+            sysm = fs.get_system(name)
+        frame = fs.grid_frame(sysm, cli.GRID_RESOLUTIONS[sysm.dim])
+        _, frac = frame.stencil(frame.node_params())
+        assert np.abs(frac - np.round(frac)).max() <= 2e-14
 
 
 class TestLebesgueQ:
