@@ -277,7 +277,7 @@ def cmd_report(args, sys_obj: AffineSystem, validation) -> int:
         "grad_at_zero": [float(g) for g in comp.grad_at_zero],
     }
 
-    gamma = transfer.gamma_supnorm(sys_obj, hull)
+    gamma = transfer.gamma_supnorm(sys_obj)
     doc["contractivity"] = gamma.to_dict()
 
     inv = geometry.invariance_check(sys_obj, hull)

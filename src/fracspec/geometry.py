@@ -450,4 +450,5 @@ def polytope_to_json(P: Polytope) -> dict:
 def hull_diameter(points) -> float:
     """Largest distance between two of the exact points, the diameter of
     their hull (pass a hull's vertices), squared exactly before the root."""
-    return math.sqrt(float(max(rat.pairwise_sq_distances(points), default=0)))
+    dists, scale = rat.pairwise_sq_distances(points)
+    return math.sqrt(max(dists, default=0) / scale ** 2)

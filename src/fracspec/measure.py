@@ -178,7 +178,11 @@ class SelfSimilarMeasure:
         once.  The level loop forms c levels with c m n <= STACK_ENTRIES by
         one matrix product into one (c, m, n) buffer, reused by every step,
         and multiplies them into the result: a small block takes all its
-        levels in one step, a large one a level per step.
+        levels in one step, a large one a level per step.  A block of more
+        than 2 STACK_ENTRIES pairs runs all its levels on one tile of rows
+        of about STACK_ENTRIES pairs (at least one row) before the next, so
+        the level buffer and the result rows it multiplies stay in cache;
+        every tile reuses one tile-sized buffer.
         """
         a0, _, w, real, _ = self.system.mask_table
         U, _ = self._level_data(depth)
@@ -205,12 +209,17 @@ class SelfSimilarMeasure:
         tab[:, 0, m:] = 1
         left, right = np.swapaxes(tab[..., :m], 1, 2), tab[..., m:]
         out = np.ones((m, n), dtype=dtype)
-        step = max(1, STACK_ENTRIES // max(m * n, 1))
-        buf = np.empty((min(step, depth), m, n), dtype=dtype)
-        for k in range(0, depth, step):
-            level = buf[:min(step, depth - k)]
-            np.matmul(left[k:k + step], right[k:k + step], out=level)
-            out *= level[0] if len(level) == 1 else level.prod(axis=0)
+        rows = max(1, m if m * n <= 2 * STACK_ENTRIES else STACK_ENTRIES // n)
+        tile = min(rows, m) * n
+        step = max(1, STACK_ENTRIES // max(tile, 1))
+        buf = np.empty(min(step, depth) * tile, dtype=dtype)
+        for i in range(0, m, rows):
+            block, lhs = out[i:i + rows], left[:, i:i + rows]
+            for k in range(0, depth, step):
+                c = min(step, depth - k)
+                level = buf[:c * block.size].reshape((c,) + block.shape)
+                np.matmul(lhs[k:k + step], right[k:k + step], out=level)
+                block *= level[0] if len(level) == 1 else level.prod(axis=0)
         return out
 
     def _pairs(self, T: np.ndarray, Lam: np.ndarray, depth: int) -> np.ndarray:
@@ -268,7 +277,7 @@ class SelfSimilarMeasure:
         prod = self._brackets(T, Lam, depth)
         if prod.dtype == complex:
             re, im = np.square(prod.real, out=prod.real), np.square(prod.imag, out=prod.imag)
-            return re + im, tail
+            return np.add(re, im, out=re), tail
         return np.square(prod, out=prod), tail
 
     def mu_hat(self, t, depth: int | None = None) -> FourierEvaluation:

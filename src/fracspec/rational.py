@@ -90,12 +90,15 @@ def vec_scale(c, v: Vec) -> Vec:
     return tuple(c * a for a in v)
 
 
-def pairwise_sq_distances(points):
-    """The exact squared distance |a - b|^2 of each pair of the points, in
-    `itertools.combinations` order."""
-    for a, b in itertools.combinations(points, 2):
-        d = vec_sub(a, b)
-        yield dot(d, d)
+def pairwise_sq_distances(points) -> tuple:
+    """(dists, scale): the points lifted once (`lift`), and the integer
+    squared distance of each pair of the lifted points, in
+    `itertools.combinations` order, so that |a - b|^2 = dist / scale^2
+    exactly.  A caller that keeps one distance divides once: int / int is
+    correctly rounded, so it is the float of that Fraction bit for bit."""
+    ivecs, scale = lift(points)
+    diffs = (tuple(map(operator.sub, a, b)) for a, b in itertools.combinations(ivecs, 2))
+    return (dot(d, d) for d in diffs), scale
 
 
 def lift(vectors) -> tuple:

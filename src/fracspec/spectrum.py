@@ -190,7 +190,8 @@ def uniform_discreteness(enum: SpectrumEnumeration) -> float:
     """Exact minimum pairwise distance of the enumerated points."""
     if enum.collision_count:
         raise ValueError("enumeration has collisions; separation is zero")
-    return math.sqrt(float(min(rat.pairwise_sq_distances(enum.coords()), default=math.inf)))
+    dists, scale = rat.pairwise_sq_distances(enum.coords())
+    return math.sqrt(min(dists, default=math.inf) / scale ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -366,7 +366,7 @@ def _sin_sup_on_interval(qmin: Fraction, qmax: Fraction) -> float:
                abs(math.sin(2 * math.pi * float(qmax))))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BetaResult:
     beta: float
     sin_sup: float
@@ -415,7 +415,7 @@ def _beta_sampled(sys: AffineSystem, Y: Polytope):
     return best
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContractivityReport:
     beta: float
     gamma_sup: float
@@ -456,8 +456,17 @@ def gamma_supnorm(sys: AffineSystem, Y: Polytope | None = None) -> Contractivity
     the integral gradient norm of CQ by the supremum gradient norm over the
     union of the rho_l images, so it compares mixed norms and certifies
     nothing by itself; None when Y is degenerate.
+
+    On the default hull, `geometry.dual_hull(sys)`, the report is computed
+    once per system (`AffineSystem.once`) and shared; an explicit Y is
+    computed afresh.
     """
-    Y = Y if Y is not None else geometry.dual_hull(sys)
+    if Y is None:
+        return sys.once("gamma_supnorm", lambda: _contractivity(sys, geometry.dual_hull(sys)))
+    return _contractivity(sys, Y)
+
+
+def _contractivity(sys: AffineSystem, Y: Polytope) -> ContractivityReport:
     beta_res = beta_constant(sys, Y)
     Rinv = np.array(sys.R.inverse, dtype=float)
     op = float(np.linalg.norm(Rinv, 2))

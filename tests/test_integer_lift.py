@@ -1,9 +1,11 @@
 """The integer layer of the exact code against the Fraction loops it stands
-for: the word walk, the attractor fixed points and the compatibility check.
-Each reference below is the plain Fraction computation, written out."""
+for: the word walk, the attractor fixed points, the compatibility check and
+the pairwise distance scan.  Each reference below is the plain Fraction
+computation, written out."""
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -128,6 +130,39 @@ class TestAgainstFractionLoops:
             got = fs.attractor_points(system, side, depth).points
             assert got == want
             assert _all_fractions(got)
+
+
+def fraction_extreme_sq_distances(points):
+    """(least, largest) |a - b|^2 over the pairs of the points, in Fractions.
+    In one dimension the nearest pair is adjacent in sorted order and the
+    farthest is the two ends; above, every pair is scanned."""
+    if len(points[0]) == 1:
+        xs = sorted(x for (x,) in points)
+        return min((b - a) ** 2 for a, b in zip(xs, xs[1:])), (xs[-1] - xs[0]) ** 2
+    sq = [rat.dot(d, d) for d in (rat.vec_sub(a, b) for a, b in itertools.combinations(points, 2))]
+    return min(sq), max(sq)
+
+
+def ten_digit_system():
+    """R = 10, B = {k/10}, L = {0..9}: a depth-3 enumeration of 1000 points."""
+    return fs.make_system(10, [(F(k, 10),) for k in range(10)], [(k,) for k in range(10)],
+                          "ten-digit")
+
+
+@pytest.mark.parametrize("name", ["scale4", "scale2", "triadic", "planar-collapse",
+                                  "eiffel(2)", "eiffel(3)", "eiffel(4)", "ten-digit"])
+def test_separation_and_diameter_against_fraction_scan(name):
+    # the lifted scan, divided once, is the float of the Fraction extreme
+    # bit for bit, on the enumeration `report` reads and on the hull Y
+    sysm = ten_digit_system() if name == "ten-digit" else fs.get_system(name)
+    enum = fs.enumerate_P(sysm, 3)
+    least, largest = fraction_extreme_sq_distances(enum.coords())
+    assert fs.uniform_discreteness(enum) == math.sqrt(float(least))
+    assert fs.hull_diameter(enum.coords()) == math.sqrt(float(largest))
+    vertices = fs.dual_hull(sysm).vertices
+    if len(vertices) > 1:
+        _, largest = fraction_extreme_sq_distances(vertices)
+        assert fs.hull_diameter(vertices) == math.sqrt(float(largest))
 
 
 class TestCompatibility:

@@ -320,6 +320,49 @@ class TestBrackets:
         sq, _ = meas.mu_hat_sq_pairs(T, Lam)
         assert np.abs(sq - np.abs(ref) ** 2).max() <= 1e-13
 
+    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2"])
+    @pytest.mark.parametrize("entries", [20, 40, 80, 120])
+    def test_row_tiles(self, request, monkeypatch, name, entries):
+        # 7 x 40 = 280 pairs, over 2 STACK_ENTRIES at each value, so the
+        # block runs on row tiles: one row (20 is below a row of 40, 40 is
+        # a row), two rows (7 = 2 + 2 + 2 + 1) and three rows (3 + 3 + 1)
+        sysm = request.getfixturevalue(name)
+        meas = fs.SelfSimilarMeasure(sysm)
+        T, Lam = _probe_pairs(sysm.dim)
+        T = np.concatenate([T, -T[:1]])
+        monkeypatch.setattr(fs.measure, "STACK_ENTRIES", entries)
+        diffs = T[:, None, :] - Lam[None, :, :]
+        got = meas._pairs(T, Lam, 30)
+        assert got.shape == (7, 40)
+        assert np.abs(got - per_digit_levels(sysm, diffs, 30)).max() <= 1e-13
+        ref, _ = per_digit_product(meas, diffs, squared=True)
+        sq, _ = meas.mu_hat_sq_pairs(T, Lam)
+        assert np.abs(sq - np.abs(ref) ** 2).max() <= 1e-13
+
+    @pytest.mark.parametrize("name", ["scale2", "eiffel2"])
+    def test_row_tiles_bound_the_level_buffer(self, request, name):
+        # the largest block of a catalog q1 (560 x 512 pairs, 32 levels)
+        # holds the side tables, the result and one tile-sized level buffer,
+        # not a second (m, n) array
+        sysm = request.getfixturevalue(name)
+        meas = fs.SelfSimilarMeasure(sysm)
+        rng = np.random.RandomState(5)
+        T, Lam = rng.uniform(-20, 20, (560, sysm.dim)), rng.uniform(-200, 200, (512, sysm.dim))
+        meas._level_data(32)
+        tracemalloc.start()
+        try:
+            out = meas._brackets(T, Lam, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _, _, w, real, _ = sysm.mask_table
+        width = 1 + len(w) * (2 if real else 1)
+        angles = 32 * len(w) * (len(T) + len(Lam)) * 8
+        tables = 32 * width * (len(T) + len(Lam)) * out.itemsize
+        tile = fs.measure.STACK_ENTRIES * out.itemsize
+        assert out.shape == (560, 512)
+        assert peak <= angles + tables + out.nbytes + tile + 2 ** 16
+
     def test_one_digit_system(self):
         # B = {1/3}: no digit off the centre (J = 0), mu is a point mass
         sysm = fs.make_system(2, [(Fraction(1, 3),)], [(0,)])

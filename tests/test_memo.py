@@ -1,8 +1,10 @@
 """The facts of a system are computed once per system: one catalog instance
 per name, one validation report per system, one hull Y per (system, depth),
-each kept in the system itself and released with it."""
+one contractivity report on the default hull, each kept in the system
+itself and released with it."""
 
 import contextlib
+import dataclasses
 import functools
 import gc
 import io
@@ -73,12 +75,27 @@ class TestOncePerSystem:
         assert fs.validate_system(sysm) is rep and counts["_check_axioms"] == 1
         assert rep.passed
 
+    def test_contractivity_is_computed_once_on_the_default_hull(self, monkeypatch):
+        sysm = fs.two_digit_system(4, Fraction(1, 2))
+        counts = {}
+        _counting(monkeypatch, fs.transfer, "beta_constant", counts)
+        rep = fs.gamma_supnorm(sysm)
+        assert fs.gamma_supnorm(sysm) is rep and counts["beta_constant"] == 1
+        # an explicit hull is computed afresh, to the same values
+        again = fs.gamma_supnorm(sysm, fs.dual_hull(sysm))
+        assert again is not rep and again == rep and counts["beta_constant"] == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.beta = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.beta_detail.beta = 0.0
+
     def test_memo_is_released_with_the_system(self):
         # hypothesis tests build thousands of systems: nothing outside a
         # system may keep it alive once it has computed its facts
         sysm = fs.make_system(4, (0, Fraction(1, 2)), (0, 1))
         assert fs.dual_hull(sysm) is fs.dual_hull(sysm)
         assert fs.validate_system(sysm) is fs.validate_system(sysm)
+        assert fs.gamma_supnorm(sysm) is fs.gamma_supnorm(sysm)
         ref = weakref.ref(sysm)
         del sysm
         gc.collect()
@@ -97,6 +114,15 @@ class TestCliSession:
         assert counts == {"rho": 1, "_check_axioms": 1}
         tower = fs.get_system("eiffel(2)")
         assert fs.dual_hull(tower).vertices == fs.simplex_Y(tower).vertices
+
+    def test_gamma_and_report_share_one_contractivity_report(self, monkeypatch,
+                                                            fresh_catalog):
+        counts = {}
+        _counting(monkeypatch, fs.transfer, "beta_constant", counts)
+        for command in ("gamma", "report"):
+            code, out = _run([command, "--system", "scale4", "--format", "json"])
+            assert code == 0 and json.loads(out)
+        assert counts == {"beta_constant": 1}
 
     def test_file_commands_answer_for_the_file_as_it_is(self, tmp_path):
         # a file is read afresh by every command: its system is its own,
