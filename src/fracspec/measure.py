@@ -41,11 +41,19 @@ def _contraction_data(S: np.ndarray):
                      f"bound is unavailable")
 
 
+def _row_tile(m: int, n: int) -> int:
+    """Rows of one tile of an (m, n) block of pairs: all m rows of a block of
+    at most 2 STACK_ENTRIES pairs, otherwise about STACK_ENTRIES pairs' worth
+    (at least one row)."""
+    return max(1, m if m * n <= 2 * STACK_ENTRIES else STACK_ENTRIES // n)
+
+
 def _max_distance(T: np.ndarray, Lam: np.ndarray) -> float:
     """max |t - lambda| over the rows of T and Lam.  In one dimension it is
     max(max T - min Lam, max Lam - min T), exactly; above, the largest
-    |t|^2 + |lambda|^2 - 2 t.lambda.  NaN when a coordinate is NaN, inf
-    when one is infinite."""
+    |t|^2 + |lambda|^2 - 2 t.lambda, scanned over the row tiles of
+    `_row_tile`, so no (m, n) array is formed.  NaN when a coordinate is
+    NaN, inf when one is infinite."""
     if not (T.size and Lam.size):
         return 0.0
     if T.shape[1] == 1:
@@ -53,11 +61,35 @@ def _max_distance(T: np.ndarray, Lam: np.ndarray) -> float:
         if math.isnan(top) and not (np.isnan(T).any() or np.isnan(Lam).any()):
             return math.inf             # the same infinity in both: inf - inf
         return top
-    d2 = (T ** 2).sum(axis=1)[:, None] + (Lam ** 2).sum(axis=1)[None, :] - 2 * (T @ Lam.T)
-    top = float(d2.max())
+    tt, ll = (T ** 2).sum(axis=1)[:, None], (Lam ** 2).sum(axis=1)[None, :]
+    rows, top = _row_tile(len(T), len(Lam)), -math.inf
+    for i in range(0, len(T), rows):
+        top = np.maximum(top, (tt[i:i + rows] + ll - 2 * (T[i:i + rows] @ Lam.T)).max())
+    top = float(top)
     if math.isnan(top) and not (np.isnan(T).any() or np.isnan(Lam).any()):
         return math.inf             # an infinite row: inf - inf in the expansion
     return math.sqrt(max(top, 0.0))
+
+
+def _abs_sq(prod: np.ndarray) -> np.ndarray:
+    """|prod|^2 elementwise, squared in place: the real array itself, or
+    re^2 + im^2 in the real parts of a complex one."""
+    if prod.dtype == complex:
+        re, im = np.square(prod.real, out=prod.real), np.square(prod.imag, out=prod.imag)
+        return np.add(re, im, out=re)
+    return np.square(prod, out=prod)
+
+
+def _group_sums(vals: np.ndarray, starts, out: np.ndarray) -> np.ndarray:
+    """Row sums of `vals` over the column groups that begin at `starts`
+    (nondecreasing, each group running to the next start or to the last
+    column), written into `out`, a (rows, len(starts)) array of zeros, and
+    returned; an empty group keeps its 0."""
+    ends = list(starts[1:]) + [vals.shape[1]]
+    for g, (a, b) in enumerate(zip(starts, ends)):
+        if b > a:
+            vals[:, a:b].sum(axis=1, out=out[:, g])
+    return out
 
 
 class SelfSimilarMeasure:
@@ -159,11 +191,14 @@ class SelfSimilarMeasure:
             self._stack = U, C
         return U[:depth], C[:depth]
 
-    def _brackets(self, T: np.ndarray, Lam: np.ndarray, depth: int) -> np.ndarray:
+    def _brackets(self, T: np.ndarray, Lam: np.ndarray, depth: int, starts) -> np.ndarray:
         """The product over levels k < depth of the bracket of
         `AffineSystem.mask_table`, a0 + sum_j w_j e^{i u_kj.(t - lambda)},
         for every row t of T and lambda of Lam: an (m, n) array, real when
-        the table is.
+        the table is, for `starts` None.  Given the column groups `starts`
+        of `_group_sums`, it returns instead the (m, len(starts)) row sums
+        of the squared modulus of that product over each group, and no
+        (m, n) array is formed.
 
         Angle addition splits each term into a t side and a lambda side, and
         a0 rides along as a constant column, so one matrix product forms a
@@ -180,9 +215,11 @@ class SelfSimilarMeasure:
         and multiplies them into the result: a small block takes all its
         levels in one step, a large one a level per step.  A block of more
         than 2 STACK_ENTRIES pairs runs all its levels on one tile of rows
-        of about STACK_ENTRIES pairs (at least one row) before the next, so
-        the level buffer and the result rows it multiplies stay in cache;
-        every tile reuses one tile-sized buffer.
+        of `_row_tile` before the next, so the level buffer and the result
+        rows it multiplies stay in cache; every tile reuses one tile-sized
+        buffer.  The reduction squares each finished tile in place and adds
+        its rows over the groups, so the result is one tile-sized buffer
+        too; every element is the same product, only summed tile by tile.
         """
         a0, _, w, real, _ = self.system.mask_table
         U, _ = self._level_data(depth)
@@ -208,19 +245,24 @@ class SelfSimilarMeasure:
         tab[:, 0, :m] = a0
         tab[:, 0, m:] = 1
         left, right = np.swapaxes(tab[..., :m], 1, 2), tab[..., m:]
-        out = np.ones((m, n), dtype=dtype)
-        rows = max(1, m if m * n <= 2 * STACK_ENTRIES else STACK_ENTRIES // n)
+        rows = _row_tile(m, n)
         tile = min(rows, m) * n
         step = max(1, STACK_ENTRIES // max(tile, 1))
         buf = np.empty(min(step, depth) * tile, dtype=dtype)
+        out = np.ones((m if starts is None else min(rows, m), n), dtype=dtype)
+        sums = None if starts is None else np.zeros((m, len(starts)))
         for i in range(0, m, rows):
-            block, lhs = out[i:i + rows], left[:, i:i + rows]
+            lhs = left[:, i:i + rows]
+            block = out[i:i + rows] if starts is None else out[:lhs.shape[1]]
             for k in range(0, depth, step):
                 c = min(step, depth - k)
                 level = buf[:c * block.size].reshape((c,) + block.shape)
                 np.matmul(lhs[k:k + step], right[k:k + step], out=level)
                 block *= level[0] if len(level) == 1 else level.prod(axis=0)
-        return out
+            if starts is not None:
+                _group_sums(_abs_sq(block), starts, sums[i:i + rows])
+                block.fill(1)               # the next tile's product starts from ones
+        return out if starts is None else sums
 
     def _pairs(self, T: np.ndarray, Lam: np.ndarray, depth: int) -> np.ndarray:
         """The depth-`depth` product mu_hat(t - lambda) as an (m, n) complex
@@ -228,7 +270,7 @@ class SelfSimilarMeasure:
         with c_d = sum_{k < depth} R*^{-k}' c."""
         _, C = self._level_data(depth)
         cd = np.cumsum(C, axis=0)[-1] if depth else np.zeros(self.dim)
-        out = self._brackets(T, Lam, depth) * np.exp(2j * np.pi * (T @ cd))[:, None]
+        out = self._brackets(T, Lam, depth, None) * np.exp(2j * np.pi * (T @ cd))[:, None]
         out *= np.exp(-2j * np.pi * (Lam @ cd))[None, :]
         return out
 
@@ -274,11 +316,16 @@ class SelfSimilarMeasure:
         is formed before it is squared, so a factor near a zero of the mask
         keeps |chi_B|^2 accurate to rounding squared."""
         T, Lam, depth, tail = self._adaptive(T, Lam, None, squared=True)
-        prod = self._brackets(T, Lam, depth)
-        if prod.dtype == complex:
-            re, im = np.square(prod.real, out=prod.real), np.square(prod.imag, out=prod.imag)
-            return np.add(re, im, out=re), tail
-        return np.square(prod, out=prod), tail
+        return _abs_sq(self._brackets(T, Lam, depth, None)), tail
+
+    def mu_hat_sq_sums(self, T, Lam, starts):
+        """The row sums of `mu_hat_sq_pairs(T, Lam)` over the column groups
+        that begin at `starts` (see `_group_sums`; an empty group sums to
+        0): the (m, len(starts)) array and the same tail bound.  The kernel
+        reduces each row tile as it finishes it, so no (m, n) array is
+        formed."""
+        T, Lam, depth, tail = self._adaptive(T, Lam, None, squared=True)
+        return self._brackets(T, Lam, depth, starts), tail
 
     def mu_hat(self, t, depth: int | None = None) -> FourierEvaluation:
         tv = np.asarray(t, dtype=float).reshape(-1)
@@ -450,6 +497,10 @@ class ConvolvedMeasure:
         va, ta = self.parts[0].mu_hat_sq_pairs(T, Lam)
         vb, tb = self.parts[1].mu_hat_sq_pairs(T, Lam)
         return va * vb, ta + tb
+
+    def mu_hat_sq_sums(self, T, Lam, starts):
+        vals, tail = self.mu_hat_sq_pairs(T, Lam)
+        return _group_sums(vals, starts, np.zeros((len(vals), len(starts)))), tail
 
     def atoms(self, depth: int) -> np.ndarray:
         aa = self.parts[0].atoms(depth)

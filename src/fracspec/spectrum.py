@@ -21,7 +21,10 @@ Q1_POINT_BUDGET = 300_000   # spectrum points enumerated at the default Q1 depth
 Q1_EPS_CONV = 1e-6
 EPS_PASS = 0.02
 EPS_FAIL = 0.05
-Q1_SCRATCH = 6_000_000      # (t, lambda) pairs of one kernel call in a Q1 pass
+# (t, lambda) pairs of one kernel call in a Q1 pass: it bounds the call's
+# side tables and its rows t - eta (the kernel streams its row sums, so no
+# call holds an array of its pairs)
+Q1_SCRATCH = 6_000_000
 # (t, lambda) pairs of a run of small Q1 layers joined in one kernel call:
 # `_brackets` takes 32 levels of a call this size in one stacked product
 Q1_RUN_PAIRS = STACK_ENTRIES // 32
@@ -297,17 +300,21 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int, measure,
     The stop is decided layer by layer, also inside a joined run (below),
     whose layers past it are dropped with their tail.
 
+    Every call goes to `mu_hat_sq_sums`, which returns the row sums of
+    |mu_hat(t - lambda)|^2 over column groups and never the pair values.
     A run of consecutive small layers, whose m n pairs add up to at most
-    Q1_RUN_PAIRS, goes to the kernel in one call over the run's points, so
-    each of its layers is truncated at the run's adaptive depth, never
-    shallower than its own: the truncated products only move down, toward
-    the exact ones.  Any larger layer of n points is the sum P_h + H of its
-    first h digit sets (the low part) and the rest (the high part), so
-    t - lambda runs over the rows t - eta, eta in H, against the points of
-    P_h: the same pairs, with the kernel's cos/sin taken on m |H| + |P_h|
-    points instead of n.  h is the largest with |P_h|^2 <= m n, which
-    balances the two sides, and with m |P_h| <= Q1_SCRATCH; H is chunked so
-    that no call has more than Q1_SCRATCH pairs.
+    Q1_RUN_PAIRS, goes to the kernel in one call over the run's points,
+    one column group per layer (an empty layer sums to 0), so each of its
+    layers is truncated at the run's adaptive depth, never shallower than
+    its own: the truncated products only move down, toward the exact ones.
+    Any larger layer of n points is the sum P_h + H of its first h digit
+    sets (the low part) and the rest (the high part), so t - lambda runs
+    over the rows t - eta, eta in H, against the points of P_h: the same
+    pairs, with the kernel's cos/sin taken on m |H| + |P_h| points instead
+    of n, and each row's one sum over P_h added up over eta.  h is the
+    largest with |P_h|^2 <= m n, which balances the two sides, and with
+    m |P_h| <= Q1_SCRATCH; H is chunked so that no call has more than
+    Q1_SCRATCH pairs.
     """
     measure = _as_measure(measure, system)
     m, dim = T.shape
@@ -342,11 +349,10 @@ def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int, measure
     run = []                            # points of the pending run's layers
 
     def joined():
-        vals, run_tail = measure.mu_hat_sq_pairs(T, np.concatenate(run))
-        start = 0
-        for pts in run:
-            yield vals[:, start:start + len(pts)].sum(axis=1), run_tail * len(pts)
-            start += len(pts)
+        starts = list(itertools.accumulate((len(pts) for pts in run[:-1]), initial=0))
+        sums, run_tail = measure.mu_hat_sq_sums(T, np.concatenate(run), starts)
+        for g, pts in enumerate(run):
+            yield sums[:, g], run_tail * len(pts)
 
     for _, sets in layer_digits(system, p_depth):
         n = math.prod(len(s) for s in sets)
@@ -368,8 +374,8 @@ def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int, measure
         for start in range(0, len(high), chunk):
             eta = high[start:start + chunk]
             rows = (T[:, None, :] - eta[None, :, :]).reshape(-1, dim)
-            vals, block_tail = measure.mu_hat_sq_pairs(rows, low)
-            inc += vals.reshape(m, len(eta) * low_n).sum(axis=1)
+            sums, block_tail = measure.mu_hat_sq_sums(rows, low, [0])
+            inc += sums.reshape(m, len(eta)).sum(axis=1)
             tail += block_tail * len(eta) * low_n
         yield inc, tail
     if run:

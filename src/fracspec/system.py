@@ -163,10 +163,10 @@ class AffineSystem:
         (`real` is True); otherwise every digit stays at weight 1/N.
 
         Every kernel forms the bracket before it squares it (`chi_B_sq` one
-        bracket, `SelfSimilarMeasure.mu_hat_sq_pairs` the product of the
-        brackets of its levels), so |chi_B|^2 stays accurate to rounding
-        squared at its zeros, where the cosine series over B - B would cancel
-        to rounding.
+        bracket, `SelfSimilarMeasure.mu_hat_sq_pairs` and `mu_hat_sq_sums`
+        the product of the brackets of its levels), so |chi_B|^2 stays
+        accurate to rounding squared at its zeros, where the cosine series
+        over B - B would cancel to rounding.
         """
         c = rat.vec_scale(Fraction(1, self.N), functools.reduce(rat.vec_add, self.B))
         centred = [rat.vec_sub(b, c) for b in self.B]
@@ -278,11 +278,12 @@ def chi_B_sq(sys: AffineSystem, T) -> np.ndarray:
 
 
 def chi_B_sq_grad(sys: AffineSystem, t) -> np.ndarray:
-    """Analytic gradient of |chi_B|^2 at t: 2 (Re grad Re + Im grad Im) of
-    the bracket of `AffineSystem.mask_table`."""
+    """Analytic gradient of |chi_B|^2 at t, shape (..., dim), one gradient
+    per frequency vector in an array of the same shape: 2 (Re grad Re +
+    Im grad Im) of the bracket of `AffineSystem.mask_table`."""
     _, E, w, _, _ = sys.mask_table
     re, im, P = _mask_parts(sys, t)
-    return 4 * np.pi * (w * (im * np.cos(P) - re * np.sin(P))) @ E
+    return 4 * np.pi * (w * (im[..., None] * np.cos(P) - re[..., None] * np.sin(P))) @ E
 
 
 # ---------------------------------------------------------------------------

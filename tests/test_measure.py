@@ -49,7 +49,7 @@ def full_depth_sq(meas, T, Lam):
     Lam = np.asarray(Lam, dtype=float).reshape(-1, meas.dim)
     out = np.ones((len(T), len(Lam)))
     for part in getattr(meas, "parts", (meas,)):
-        out *= np.abs(part._brackets(T, Lam, fs.measure.MAX_PRODUCT_DEPTH)) ** 2
+        out *= np.abs(part._brackets(T, Lam, fs.measure.MAX_PRODUCT_DEPTH, None)) ** 2
     return out
 
 
@@ -233,6 +233,71 @@ class TestSquaredPairs:
         assert got.max() <= 1e-28
 
 
+class TestSquaredSums:
+    """mu_hat_sq_sums, the row sums of mu_hat_sq_pairs over column groups
+    that the completeness sums read: the kernel squares and sums each row
+    tile as it finishes it."""
+
+    # groups of the 40 points: empty ones first, inside and last
+    STARTS = [0, 0, 5, 5, 17, 39, 40, 40]
+
+    @staticmethod
+    def reference(meas, T, Lam, starts):
+        vals, tail = meas.mu_hat_sq_pairs(T, Lam)
+        ends = starts[1:] + [vals.shape[1]]
+        return np.stack([vals[:, a:b].sum(axis=1) for a, b in zip(starts, ends)], axis=1), tail
+
+    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2", "mu34"])
+    @pytest.mark.parametrize("entries", [None, 20, 80])
+    def test_groups_match_the_pairs(self, request, monkeypatch, name, entries):
+        # real tables (scale4, triadic), complex ones (planar, eiffel2) and
+        # a convolution; one tile, and row tiles of one and of two rows
+        meas = _measure(request, name)
+        if entries is not None:
+            monkeypatch.setattr(fs.measure, "STACK_ENTRIES", entries)
+        T, Lam = _probe_pairs(meas.dim)
+        T = np.concatenate([T, -T[:1]])
+        ref, ref_tail = self.reference(meas, T, Lam, self.STARTS)
+        got, tail = meas.mu_hat_sq_sums(T, Lam, self.STARTS)
+        assert got.shape == (7, len(self.STARTS))
+        assert (got[:, [0, 2, 6, 7]] == 0).all()
+        assert np.abs(got - ref).max() <= 1e-13
+        assert tail == ref_tail
+
+    def test_one_digit_system(self):
+        # J = 0: every value is 1, so a group sums to its size
+        meas = fs.SelfSimilarMeasure(fs.make_system(2, [(Fraction(1, 3),)], [(0,)]))
+        T, Lam = _probe_pairs(1)
+        got, _ = meas.mu_hat_sq_sums(T, Lam, self.STARTS)
+        assert (got == np.diff(self.STARTS + [40])).all()
+
+    @pytest.mark.parametrize("name", ["scale2", "eiffel2"])
+    def test_no_pair_array(self, request, name):
+        # the largest block of a catalog q1 (560 x 512 pairs, 32 levels)
+        # holds the side tables, two tile-sized buffers (the level buffer
+        # and the result tile) and its row sums: no (m, n) array
+        sysm = request.getfixturevalue(name)
+        meas = fs.SelfSimilarMeasure(sysm)
+        rng = np.random.RandomState(5)
+        T, Lam = rng.uniform(-20, 20, (560, sysm.dim)), rng.uniform(-200, 200, (512, sysm.dim))
+        meas._level_data(32)
+        tracemalloc.start()
+        try:
+            sums = meas._brackets(T, Lam, 32, [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _, _, w, real, _ = sysm.mask_table
+        width, itemsize = 1 + len(w) * (2 if real else 1), 8 if real else 16
+        angles = 32 * len(w) * (len(T) + len(Lam)) * 8
+        tables = 32 * width * (len(T) + len(Lam)) * itemsize
+        tile = fs.measure.STACK_ENTRIES * itemsize
+        assert sums.shape == (560, 1)
+        assert peak <= angles + tables + 2 * tile + 2 ** 16
+        full = np.abs(meas._brackets(T, Lam, 32, None)) ** 2
+        assert np.abs(sums[:, 0] - full.sum(axis=1)).max() <= 1e-12
+
+
 class TestSquaredTail:
     """The squared-form tail of mu_hat_sq_pairs: the truncated |mu_hat|^2 is
     never below the full-depth one and at most its tail above it."""
@@ -351,7 +416,7 @@ class TestBrackets:
         meas._level_data(32)
         tracemalloc.start()
         try:
-            out = meas._brackets(T, Lam, 32)
+            out = meas._brackets(T, Lam, 32, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -392,7 +457,7 @@ class TestBrackets:
         meas = fs.SelfSimilarMeasure(sysm)
         T, Lam = _probe_pairs(sysm.dim)
         T, Lam = T[:m], Lam[:n]
-        got = meas._brackets(T, Lam, depth)
+        got = meas._brackets(T, Lam, depth, None)
         assert got.shape == (m, n) and (got == 1).all()
         diffs = T[:, None, :] - Lam[None, :, :]
         ref = per_digit_levels(sysm, diffs, depth)
@@ -425,7 +490,7 @@ class TestBrackets:
         meas._level_data(40)
         tracemalloc.start()
         try:
-            out = meas._brackets(T, Lam, 40)
+            out = meas._brackets(T, Lam, 40, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

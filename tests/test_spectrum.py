@@ -298,7 +298,7 @@ class TestQ1:
         def refuse(*_):
             raise AssertionError("the kernel ran before the layer cap was checked")
 
-        monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_pairs", refuse)
+        monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_sums", refuse)
         with pytest.raises(ValueError, match=r"depth 30 reaches 2\^30 points"):
             fs.q1_profile(triadic, [0.1], 30)
 
@@ -332,15 +332,15 @@ class TestQ1:
         sysm = fs.get_system(name)
         T = fs.dual_hull(sysm, 4).sample({1: 8, 3: 2}[sysm.dim])[:8]
         pairs, tails = [], []
-        kernel = fs.SelfSimilarMeasure.mu_hat_sq_pairs
+        kernel = fs.SelfSimilarMeasure.mu_hat_sq_sums
 
-        def counted(self, rows, lam):
-            vals, tail = kernel(self, rows, lam)
+        def counted(self, rows, lam, starts):
+            sums, tail = kernel(self, rows, lam, starts)
             pairs.append(len(rows) * len(lam))
             tails.append(tail)
-            return vals, tail
+            return sums, tail
 
-        monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_pairs", counted)
+        monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_sums", counted)
         whole = fs.q1_profile(sysm, T, p_depth)
         whole_calls = len(pairs)
         pairs.clear()
@@ -403,16 +403,31 @@ class TestQ1:
     def test_small_layers_share_a_call(self, monkeypatch, scale2):
         # 5 rows at depth 14: the 15 layers take fewer kernel calls
         calls = []
-        kernel = fs.SelfSimilarMeasure.mu_hat_sq_pairs
+        kernel = fs.SelfSimilarMeasure.mu_hat_sq_sums
 
-        def counted(self, rows, lam):
+        def counted(self, rows, lam, starts):
             calls.append(len(rows) * len(lam))
-            return kernel(self, rows, lam)
+            return kernel(self, rows, lam, starts)
 
-        monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_pairs", counted)
+        monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_sums", counted)
         fs.q1_profile(scale2, np.linspace(-1, 0, 5), 14)
         assert len(calls) < 15
         assert sum(calls) == 5 * 2 ** 14
+
+    def test_pass_holds_no_pair_array(self, scale2):
+        # the deepest layer of the default depth-14 pass has 35 rows (33
+        # probes and the gradient stencil) against 8192 points; the kernel
+        # keeps row sums per tile, so the pass stays below one 35 x 8192
+        # float array of |mu_hat|^2 values
+        probes = fs.dual_hull(scale2).sample(33)
+        assert fs.q1_depth(scale2) == 14 and len(probes) == 33
+        tracemalloc.start()
+        try:
+            fs.completeness_test(scale2, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 35 * 8192 * 8
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -119,6 +119,23 @@ class TestMask:
             fd = (abs(fs.chi_B(eiffel2, t + e)) ** 2 - abs(fs.chi_B(eiffel2, t - e)) ** 2) / (2 * h)
             assert abs(g[j] - fd) < 1e-8
 
+    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2"])
+    def test_gradient_of_a_batch(self, request, name):
+        # an (m, dim) array of t gives its m gradients as one (m, dim)
+        # array: the digit axis of the bracket must not broadcast against
+        # the rows.  A single t keeps the value of its formula bit for bit.
+        sys_obj = request.getfixturevalue(name)
+        T = np.random.RandomState(7).uniform(-4, 4, size=(6, sys_obj.dim))
+        batch = fs.chi_B_sq_grad(sys_obj, T)
+        rows = np.array([fs.chi_B_sq_grad(sys_obj, t) for t in T])
+        assert batch.shape == rows.shape == (6, sys_obj.dim)
+        assert np.abs(batch - rows).max() <= 1e-13
+        a0, E, w, real, _ = sys_obj.mask_table
+        for t, g in zip(T, rows):
+            P = 2 * np.pi * (t @ E.T)
+            re, im = a0 + np.cos(P) @ w, 0.0 if real else np.sin(P) @ w
+            assert (g == 4 * np.pi * (w * (im * np.cos(P) - re * np.sin(P))) @ E).all()
+
 
 class TestMaps:
     def test_sigma_example(self, scale4):
