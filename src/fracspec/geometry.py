@@ -47,11 +47,6 @@ def _lifted_images(sys: AffineSystem, side: str, depth: int) -> tuple:
     return sorted(set(walk)), scale
 
 
-def word_images(sys: AffineSystem, side: str, depth: int) -> tuple:
-    """Images of 0 under every depth-n word (the orbit truncation), sorted."""
-    return tuple(rat.unlift(*_lifted_images(sys, side, depth)))
-
-
 def attractor_points(sys: AffineSystem, side: str, depth: int) -> AttractorSample:
     """Fixed points of every depth-n word on the contractive sides (sigma, rho);
     word images of 0 on the expansive sides (tau, omega)."""
@@ -394,9 +389,6 @@ class InvarianceReport:
     def passed(self) -> bool:
         return all(r[-1] for r in self.rows)
 
-    def violations(self):
-        return [r for r in self.rows if not r[-1]]
-
 
 def invariance_check(sys: AffineSystem, P: Polytope) -> InvarianceReport:
     """Check rho_l-invariance of P exactly, including the midpoints
@@ -426,25 +418,11 @@ def hausdorff_dimension(sys: AffineSystem):
     return math.log(sys.N) / (0.5 * math.log(float(s)))
 
 
-def support_hull(sys: AffineSystem, depth: int = 4) -> Polytope:
-    """Convex hull of the depth-n sigma-side fixed points (the support side)."""
-    return convex_hull(attractor_points(sys, "sigma", depth).points)
-
-
 def dual_hull(sys: AffineSystem, depth: int = 4) -> Polytope:
     """Convex hull of the depth-n rho-side fixed points (the hull Y), built
     once per system and depth (`AffineSystem.once`) and shared."""
     return sys.once(("dual_hull", depth),
                     lambda: convex_hull(attractor_points(sys, "rho", depth).points))
-
-
-def polytope_to_json(P: Polytope) -> dict:
-    """Exact-vertex JSON form of a polytope ('p/q' strings)."""
-    return {
-        "ambient_dim": P.ambient_dim,
-        "affine_dim": P.affine_dim,
-        "vertices": [[rat.format_fraction(c) for c in v] for v in P.vertices],
-    }
 
 
 def hull_diameter(points) -> float:

@@ -1,5 +1,6 @@
-"""Fourier side of self-similar measures: truncated products with tail bounds,
-exact moments, word quadrature, two-digit zero sets, convolution."""
+"""Fourier side of self-similar measures: the transform and |mu_hat|^2 as
+truncated products over one bracket kernel, with tail bounds, the exact zero
+set of a two-digit measure, and convolution."""
 
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import geometry, rational as rat
-from .system import AffineSystem
+from . import rational as rat
+from .system import AffineSystem, probe_rows
 
 DEFAULT_TAIL_TOL = 1e-10
 MAX_PRODUCT_DEPTH = 200
@@ -275,12 +276,11 @@ class SelfSimilarMeasure:
         return out
 
     def _adaptive(self, T, Lam, depth, squared):
-        """T and Lam as (m, dim) and (n, dim) arrays, the depth (when None,
-        the one that meets the tail tolerance at the largest |t - lambda|),
-        and its tail bound at that distance; `squared` picks the tail of
-        |mu_hat|^2 over that of mu_hat."""
-        T = np.asarray(T, dtype=float).reshape(-1, self.dim)
-        Lam = np.asarray(Lam, dtype=float).reshape(-1, self.dim)
+        """T and Lam as (m, dim) and (n, dim) arrays (`probe_rows`), the
+        depth (when None, the one that meets the tail tolerance at the
+        largest |t - lambda|), and its tail bound at that distance;
+        `squared` picks the tail of |mu_hat|^2 over that of mu_hat."""
+        T, Lam = probe_rows(T, self.dim), probe_rows(Lam, self.dim)
         t_norm = _max_distance(T, Lam)
         if depth is None:
             depth = self.depth_for(t_norm, squared)
@@ -290,14 +290,12 @@ class SelfSimilarMeasure:
         """Transform values for an array of frequencies.
 
         In one dimension `T` is elementwise; above, its trailing axis must be
-        the ambient dimension.  Returns (values, tail_bound): the product at
-        `depth`, by default the adaptive depth of the largest norm in the
-        batch, and one conservative tail bound taken at that norm.
+        the ambient dimension (`probe_rows`, through `_adaptive`).  Returns
+        (values, tail_bound): the product at `depth`, by default the
+        adaptive depth of the largest norm in the batch, and one
+        conservative tail bound taken at that norm.
         """
-        T = np.asarray(T, dtype=float)
-        if self.dim > 1 and (T.ndim == 0 or T.shape[-1] != self.dim):
-            raise ValueError(f"frequency array must have trailing axis {self.dim}")
-        shape = T.shape if self.dim == 1 else T.shape[:-1]
+        shape = np.shape(T) if self.dim == 1 else np.shape(T)[:-1]
         T, origin, depth, tail = self._adaptive(T, np.zeros(self.dim), depth, squared=False)
         return self._pairs(T, origin, depth).reshape(shape), tail
 
@@ -334,110 +332,9 @@ class SelfSimilarMeasure:
         vals, tail = self.mu_hat_batch(tv.reshape(1, self.dim), depth)
         return FourierEvaluation(complex(vals.flat[0]), tail)
 
-    # -- quadrature ---------------------------------------------------------
-    def atoms(self, depth: int) -> np.ndarray:
-        """All N^depth depth-d word images of 0 under the sigma maps."""
-        self.system.check_words(depth, 20_000_000, "too many quadrature atoms", "atoms")
-        Rinv = np.array(self.system.R.inverse, dtype=float)
-        bs = self.system.b_array()
-        a = np.zeros((1, self.dim))
-        for _ in range(depth):
-            a = (a @ Rinv.T)[None, :, :] + bs[:, None, :]
-            a = a.reshape(-1, self.dim)
-        return a
-
-    def integrate(self, f, depth: int):
-        """Word quadrature N^{-d} sum_w f(sigma_w(0)) of a continuous f.
-
-        `f` gets the whole atom array: shape (n,) in one dimension, (n, dim)
-        above; it may return complex values.
-        """
-        a = self.atoms(depth)
-        if self.dim == 1:
-            a = a[:, 0]
-        return np.mean(f(a), axis=0)
-
-    def support_diameter(self) -> float:
-        return geometry.hull_diameter(geometry.support_hull(self.system).vertices)
-
 
 # ---------------------------------------------------------------------------
-# exact moments
-
-def _poly_mul(p, q, dim):
-    out = {}
-    for ka, ca in p.items():
-        for kb, cb in q.items():
-            k = tuple(ka[i] + kb[i] for i in range(dim))
-            out[k] = out.get(k, Fraction(0)) + ca * cb
-    return out
-
-
-def _affine_power(i, k, Rinv, b, dim):
-    """((R^{-1} x + b)_i)^k as a polynomial in x."""
-    lin = {tuple(1 if j == m else 0 for j in range(dim)): Rinv[i][m]
-           for m in range(dim) if Rinv[i][m] != 0}
-    if b[i] != 0:
-        lin[tuple(0 for _ in range(dim))] = b[i]
-    out = {tuple(0 for _ in range(dim)): Fraction(1)}
-    for _ in range(k):
-        out = _poly_mul(out, lin, dim)
-    return out
-
-
-def _multi_indices(dim, degree):
-    if dim == 1:
-        return [(degree,)]
-    out = []
-    for first in range(degree + 1):
-        out.extend((first,) + rest for rest in _multi_indices(dim - 1, degree - first))
-    return out
-
-
-def moments(sys: AffineSystem, k_max: int) -> dict:
-    """Exact rational moments m_k = int x^k dmu for all |k| <= k_max.
-
-    The self-similarity turns each total degree into a small linear system in
-    the same-degree moments with lower-degree data on the right-hand side;
-    expansivity keeps those systems nonsingular.
-    """
-    dim, N = sys.dim, sys.N
-    Rinv = sys.R.inverse
-    table = {tuple(0 for _ in range(dim)): Fraction(1)}
-    for degree in range(1, k_max + 1):
-        idxs = _multi_indices(dim, degree)
-        pos = {k: i for i, k in enumerate(idxs)}
-        n = len(idxs)
-        A = [[Fraction(0)] * n for _ in range(n)]
-        rhs = [Fraction(0)] * n
-        for row, k in enumerate(idxs):
-            for b in sys.B:
-                poly = {tuple(0 for _ in range(dim)): Fraction(1)}
-                for i in range(dim):
-                    if k[i]:
-                        poly = _poly_mul(poly, _affine_power(i, k[i], Rinv, b, dim), dim)
-                for alpha, coef in poly.items():
-                    if sum(alpha) == degree:
-                        A[row][pos[alpha]] += coef / N
-                    else:
-                        rhs[row] += coef * table[alpha] / N
-        M = rat.mat(tuple(tuple((1 if r == c else 0) - A[r][c] for c in range(n))
-                          for r in range(n)))
-        sol = rat.solve(M, tuple(rhs))
-        for k, v in zip(idxs, sol):
-            table[k] = v
-    return table
-
-
-# ---------------------------------------------------------------------------
-# closed forms and zero sets
-
-def mu2_closed_form(t):
-    """e^{i pi t} sin(pi t)/(pi t) with the removable singularity at 0."""
-    t = np.asarray(t, dtype=float)
-    val = np.exp(1j * np.pi * t) * np.sinc(t)
-    return complex(val) if val.ndim == 0 else val
-
+# zero sets
 
 @dataclass(frozen=True)
 class ZeroSetPredicate:
@@ -502,69 +399,4 @@ class ConvolvedMeasure:
         vals, tail = self.mu_hat_sq_pairs(T, Lam)
         return _group_sums(vals, starts, np.zeros((len(vals), len(starts)))), tail
 
-    def atoms(self, depth: int) -> np.ndarray:
-        aa = self.parts[0].atoms(depth)
-        ab = self.parts[1].atoms(depth)
-        s = aa[:, None, :] + ab[None, :, :]
-        return s.reshape(-1, self.dim)
-
     mu_hat = SelfSimilarMeasure.mu_hat
-    integrate = SelfSimilarMeasure.integrate
-
-    def support_diameter(self) -> float:
-        return sum(p.support_diameter() for p in self.parts)
-
-
-# ---------------------------------------------------------------------------
-# transform profile emitter
-
-def transform_profile(meas, ts) -> list:
-    """Rows (t..., re, im, abs, tail_bound) of the transform along `ts`;
-    entries of `ts` may be floats, exact rationals or 'p/q' strings."""
-    rows = []
-    for t in ts:
-        if isinstance(t, (str, int, Fraction)):
-            tv = (float(rat.as_fraction(t)),)
-        else:
-            tv = tuple(float(rat.as_fraction(c)) if isinstance(c, (str, int, Fraction))
-                       else float(c) for c in (t if hasattr(t, "__len__") else (t,)))
-        ev = meas.mu_hat(tv)
-        rows.append(tv + (ev.value.real, ev.value.imag, abs(ev.value), ev.tail_bound))
-    return rows
-
-
-def write_transform_csv(meas, ts, fh) -> None:
-    cols = [f"t{i + 1}" for i in range(meas.dim)] + ["re", "im", "abs", "tail_bound"]
-    fh.write(",".join(cols) + "\n")
-    for row in transform_profile(meas, ts):
-        fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# analytic growth check
-
-@dataclass
-class GrowthBoundRow:
-    s: tuple
-    norm_sq: float
-    bound: float
-
-    @property
-    def ok(self) -> bool:
-        return self.norm_sq <= self.bound * (1 + 1e-12)
-
-
-def growth_bound_check(measure, samples, depth: int = 12) -> list[GrowthBoundRow]:
-    """Check ||e_{t+is}||^2 = int e^{-4 pi s.x} dmu <= e^{4 pi m ||s||} at the
-    given imaginary parts, with m the support diameter."""
-    m = measure.support_diameter()
-    rows = []
-    for s in samples:
-        sv = np.atleast_1d(np.asarray(s, dtype=float))
-        if measure.dim == 1:
-            val = measure.integrate(lambda x: np.exp(-4 * np.pi * sv[0] * x), depth)
-        else:
-            val = measure.integrate(lambda x: np.exp(-4 * np.pi * (x @ sv)), depth)
-        bound = math.exp(4 * math.pi * m * float(np.linalg.norm(sv)))
-        rows.append(GrowthBoundRow(tuple(sv.tolist()), float(np.real(val)), bound))
-    return rows

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import geometry, rational as rat
 from .measure import STACK_ENTRIES, SelfSimilarMeasure, ZeroSetPredicate
-from .system import AffineSystem, point
+from .system import AffineSystem, point, probe_rows
 
 MAX_EXACT_POINTS = 2_000_000
 MAX_FLOAT_POINTS = 6_000_000
@@ -130,19 +130,6 @@ def digit_sum(sets, dim: int) -> np.ndarray:
     return pts
 
 
-def spectrum_layers(sys: AffineSystem, depth: int):
-    """Float coordinates of P(L) grouped by the depth of the last nonzero digit.
-
-    Yields (d, points) with points of shape (n, dim), the sum of the digit
-    sets of `layer_digits`.  When 0 is in L, the union over d = 0..depth is
-    the depth-`depth` enumeration of `enumerate_P`; without 0 in L (a system
-    that fails the zero_in_L axiom) the layers are another set.  Assumes digit uniqueness
-    (no dedupe is attempted).
-    """
-    for d, sets in layer_digits(sys, depth):
-        yield d, digit_sum(sets, sys.dim)
-
-
 def digits_of(sys: AffineSystem, lam):
     """Digit word of a spectrum point, or None when no expansion of length
     <= DIGIT_BUDGET ends at 0 or a second one does (failure value, not an
@@ -207,10 +194,6 @@ class GramReport:
     tail_bound: float
     max_offdiag: float
     worst_pair: tuple
-
-    @property
-    def max_diag_defect(self) -> float:
-        return float(np.abs(np.diag(self.matrix) - 1.0).max())
 
 
 def _as_measure(measure, system: AffineSystem | None):
@@ -400,7 +383,7 @@ def q1_profile(system: AffineSystem, tpoints, p_depth: int | None = None,
     measure's tail tolerance.  With `eps_conv` set, the layer loop stops early
     once every probe point's increment falls below it.
     """
-    T = np.asarray(tpoints, dtype=float).reshape(-1, system.dim)
+    T = probe_rows(tpoints, system.dim)
     if p_depth is None:
         p_depth = q1_depth(system)
     return _q1_pass(system, T, p_depth, measure, eps_conv, len(T))
@@ -418,13 +401,6 @@ class CompletenessReport:
     eps_conv: float
     grad_at_zero: np.ndarray
 
-    def low_points(self):
-        vals = self.profile.values()
-        stab = self.profile.stabilized_depth(self.eps_conv)
-        return [(tuple(self.profile.tpoints[i]), float(vals[i]))
-                for i in range(len(vals))
-                if stab[i] is not None and vals[i] <= 1 - EPS_FAIL]
-
 
 def completeness_test(system: AffineSystem, grid, measure=None,
                       eps_conv: float = Q1_EPS_CONV,
@@ -438,7 +414,7 @@ def completeness_test(system: AffineSystem, grid, measure=None,
     """
     # the rows +-FD_STEP e_j of the gradient stencil at the origin ride along
     # in the same pass; only the probe rows decide when it stops
-    T = np.asarray(grid, dtype=float).reshape(-1, system.dim)
+    T = probe_rows(grid, system.dim)
     m = len(T)
     if not m:
         # all() over no rows is True: an empty grid would pass unexamined
@@ -515,127 +491,3 @@ def max_orthogonal_family(orthogonal, candidates) -> tuple:
 
     expand([], set(range(n)))
     return tuple(cands[i] for i in sorted(best))
-
-
-# ---------------------------------------------------------------------------
-# isometric coefficient splitting
-
-def hardy_embedding(sys: AffineSystem, coeffs: dict, split_depth: int) -> dict:
-    """Partition spectrum-indexed coefficients by their leading digit words.
-
-    Returns {prefix: {reduced_point: coefficient}} where prefix is the tuple
-    of the first `split_depth` digits and the reduced point is the remaining
-    expansion; the squared-coefficient mass is preserved exactly because the
-    digit expansion is unique.
-    """
-    zero = sys.zero()
-    comps: dict = {}
-    for lam, c in coeffs.items():
-        word = digits_of(sys, lam)
-        if word is None:
-            raise ValueError(f"{lam} has no unique digit expansion (depth {DIGIT_BUDGET})")
-        prefix = (word + (zero,) * split_depth)[:split_depth]
-        rest = reconstruct(sys, word[split_depth:])
-        part = comps.setdefault(prefix, {})
-        part[rest] = part.get(rest, 0) + c
-    return comps
-
-
-def embedding_mass(coeffs: dict) -> float:
-    return float(sum(abs(c) ** 2 for c in coeffs.values()))
-
-
-def component_mass(components: dict) -> float:
-    return float(sum(abs(c) ** 2 for part in components.values() for c in part.values()))
-
-
-# ---------------------------------------------------------------------------
-# derivative identities at the origin
-
-@dataclass
-class ProjectionCheck:
-    order: int
-    fd_value: float
-    reference: float
-
-    @property
-    def abs_error(self) -> float:
-        return abs(self.fd_value - self.reference)
-
-    @property
-    def rel_error(self) -> float:
-        scale = max(abs(self.reference), 1e-30)
-        return self.abs_error / scale
-
-
-def projection_norm_checks(system: AffineSystem, n_order: int = 1, p_depth: int = 10,
-                           measure=None, quad_depth: int | None = None) -> ProjectionCheck:
-    """Match finite differences (step FD_STEP) of the completeness sum at 0
-    along the first coordinate axis against the projection-norm identity
-    computed by quadrature.
-
-    Order 1 checks the vanishing gradient; order 2 checks
-    d^2/dt_1^2 = 8 pi^2 (||A x_1||^2 - ||x_1||^2), the coordinate projected
-    onto the exponential span (both sides computed by independent routes).
-
-    The quadrature atoms must resolve the largest enumerated frequency or the
-    discrete coefficients alias; the default depth leaves a four-level margin
-    over `p_depth` where the atom budget allows it.  A convolution's atoms are
-    the sums a + b of its parts' atoms, so each coefficient is built from the
-    parts' own atom sums by the product rule, without the a + b grid.
-    """
-    if n_order not in (1, 2):
-        raise ValueError("n_order must be 1 or 2")
-    measure = _as_measure(measure, system)
-    parts = getattr(measure, "parts", (measure,))
-    if quad_depth is None:
-        branching = math.prod(p.system.N for p in parts)
-        quad_depth = p_depth + 4
-        while branching ** quad_depth > 400_000 and quad_depth > 2:
-            quad_depth -= 1
-
-    def qval(ts):
-        prof = q1_profile(system, ts, p_depth, measure=measure)
-        return prof.values()
-
-    h = FD_STEP
-    dim = system.dim
-
-    def axis_pts(*offsets):
-        pts = np.zeros((len(offsets), dim))
-        pts[:, 0] = offsets
-        return pts if dim > 1 else pts[:, 0]
-
-    if n_order == 1:
-        v = qval(axis_pts(h, -h, h / 2, -h / 2))
-        d_h = (v[0] - v[1]) / (2 * h)
-        d_h2 = (v[2] - v[3]) / h
-        fd = (4 * d_h2 - d_h) / 3
-        return ProjectionCheck(1, float(fd), 0.0)
-
-    v = qval(axis_pts(h, 0.0, -h, h / 2, -h / 2))
-    d_h = (v[0] - 2 * v[1] + v[2]) / h ** 2
-    d_h2 = (v[3] - 2 * v[1] + v[4]) / (h / 2) ** 2
-    fd = (4 * d_h2 - d_h) / 3
-
-    # E[x_1^2] and the coefficients E[e(-lambda.x) x_1] for x the sum of
-    # independent parts: e and f carry E[e(-lambda.x)] and E[e(-lambda.x) x_1]
-    atoms = [p.atoms(quad_depth) for p in parts]
-    mean = x_norm_sq = 0.0
-    for a in atoms:
-        x1 = a[:, 0]
-        x_norm_sq += 2 * mean * float(x1.mean()) + float(np.mean(x1 ** 2))
-        mean += float(x1.mean())
-    proj = 0.0
-    lam_chunk = max(1, 8_000_000 // max(len(a) for a in atoms))
-    for _, layer in spectrum_layers(system, p_depth):
-        for start in range(0, len(layer), lam_chunk):
-            block = layer[start:start + lam_chunk]
-            e, f = 1.0, 0.0
-            for a in atoms:
-                phases = np.exp(-2j * np.pi * (block @ a.T))     # (n, n_atoms)
-                pe, pf = phases.mean(axis=1), phases @ a[:, 0] / len(a)
-                e, f = e * pe, f * pe + e * pf
-            proj += float((np.abs(f) ** 2).sum())
-    reference = 8 * math.pi ** 2 * (proj - x_norm_sq)
-    return ProjectionCheck(2, float(fd), reference)

@@ -24,6 +24,7 @@ from . import rational as rat
 EXPANSIVE_MARGIN = 1e-9
 UNITARITY_TOL = 1e-12
 DEFAULT_N_CHECK = 12
+SIDES = ("sigma", "rho", "tau", "omega")   # the four map families of AffineSystem.maps
 
 Point = tuple  # tuple of Fractions, length = ambient dimension
 
@@ -33,6 +34,17 @@ def point(coords, dim=None) -> Point:
     if dim is not None and len(p) != dim:
         raise ValueError(f"point {p} has dimension {len(p)}, expected {dim}")
     return p
+
+
+def probe_rows(T, dim: int) -> np.ndarray:
+    """Float probe points T as an (m, dim) array of rows.  In one dimension
+    any shape is elementwise; above, the trailing axis must be `dim`."""
+    T = np.asarray(T, dtype=float)
+    if dim > 1 and (T.ndim == 0 or T.shape[-1] != dim):
+        axis = f"trailing axis {T.shape[-1]}" if T.ndim else "no axis"
+        raise ValueError(f"probe array of shape {T.shape} has {axis}, expected "
+                         f"trailing axis {dim}")
+    return T.reshape(-1, dim)
 
 
 def _unit_phase(q: Fraction) -> complex:
@@ -62,9 +74,6 @@ class ScalingMatrix:
 
     def apply(self, v: Point) -> Point:
         return rat.mat_vec(self.entries, v)
-
-    def apply_transpose(self, v: Point) -> Point:
-        return rat.mat_vec(self.transpose, v)
 
     def eigenvalue_moduli(self) -> list[float]:
         """Moduli of the eigenvalues: triangular matrices read their diagonal
@@ -247,9 +256,12 @@ def unitarity_defect(H: np.ndarray) -> float:
 
 
 def chi_B(sys: AffineSystem, t) -> complex:
-    """The mask (1/N) sum_b e^{i 2 pi b.t}; exact phase reduction for rational t."""
+    """The mask (1/N) sum_b e^{i 2 pi b.t} at one frequency t (a scalar in
+    one dimension); exact phase reduction for rational t, read by `point`."""
+    if not hasattr(t, "__len__"):
+        t = (t,)
     if all(isinstance(c, (int, Fraction)) for c in t):
-        tv = rat.vec(t)
+        tv = point(t, sys.dim)
         return sum(_unit_phase(rat.dot(b, tv)) for b in sys.B) / sys.N
     return complex(chi_B_batch(sys, t))
 
@@ -284,40 +296,6 @@ def chi_B_sq_grad(sys: AffineSystem, t) -> np.ndarray:
     _, E, w, _, _ = sys.mask_table
     re, im, P = _mask_parts(sys, t)
     return 4 * np.pi * (w * (im[..., None] * np.cos(P) - re[..., None] * np.sin(P))) @ E
-
-
-# ---------------------------------------------------------------------------
-# the four affine map families (read from AffineSystem.maps)
-
-SIDES = ("sigma", "rho", "tau", "omega")
-
-
-def _apply_map(sys: AffineSystem, side: str, digit, x) -> Point:
-    M, trans = sys.maps[side]
-    d = point(digit, sys.dim)
-    if d not in trans:
-        raise ValueError(f"{d} is not a point of {'B' if side in ('sigma', 'omega') else 'L'}")
-    return rat.vec_add(rat.mat_vec(M, point(x, sys.dim)), trans[d])
-
-
-def map_sigma(sys: AffineSystem, b, x) -> Point:
-    """sigma_b(x) = R^{-1} x + b."""
-    return _apply_map(sys, "sigma", b, x)
-
-
-def map_omega(sys: AffineSystem, b, x) -> Point:
-    """omega_b(x) = R(x - b), the inverse of sigma_b."""
-    return _apply_map(sys, "omega", b, x)
-
-
-def map_tau(sys: AffineSystem, l, x) -> Point:
-    """tau_l(x) = R* x + l."""
-    return _apply_map(sys, "tau", l, x)
-
-
-def map_rho(sys: AffineSystem, l, t) -> Point:
-    """rho_l(t) = R*^{-1}(t - l), the inverse of tau_l."""
-    return _apply_map(sys, "rho", l, t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Transfer operator on grid functions over the hull Y, fixed-point iteration,
-the Lebesgue second fixed point, and the contractivity constants."""
+"""Transfer operator on grid functions over the hull Y, assembled once per
+grid, its fixed-point iteration, and the contractivity constants."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from .system import AffineSystem, chi_B_sq
 DEFAULT_PAD = 0.05
 MIN_RESOLUTION = 8
 BETA_SAMPLES = 32     # mesh points per chart axis: at most 32**3 for a 3-D hull
-LEBESGUE_TERMS = 4000  # terms of the Lebesgue fixed point's series
 MAX_ITERS = 200        # iterations of C before a fixed-point run gives up
 FIXED_POINT_TOL = 1e-8  # sup-norm residual at which a fixed-point run has converged
 
@@ -88,13 +87,6 @@ class GridFunction:
                 offset = offset * len(self.axes[d]) + corner[d]
             out += w * flat[offset:].take(base)
         return out
-
-    def interp_params(self, U: np.ndarray) -> np.ndarray:
-        return self.corner_sum(self.values, *self.stencil(U))
-
-    def interp(self, X: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation at ambient points (m, ambient_dim)."""
-        return self.interp_params(self.chart.param(X))
 
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.axes, values, self.chart)
@@ -244,10 +236,6 @@ class FixedPointResult:
     converged: bool
     diverged: bool
 
-    def residual_ratios(self) -> np.ndarray:
-        r = np.asarray(self.residuals)
-        return r[1:] / np.maximum(r[:-1], 1e-300)
-
 
 def iterate_fixed_point(sys: AffineSystem, Q0: GridFunction,
                         max_iters: int = MAX_ITERS,
@@ -281,51 +269,6 @@ def iterate_fixed_point(sys: AffineSystem, Q0: GridFunction,
             break
     converged = bool(residuals and residuals[-1] < tol)
     return FixedPointResult(Q0.with_values(values), residuals, converged, diverged)
-
-
-# ---------------------------------------------------------------------------
-# the Lebesgue-measure fixed point
-
-def lebesgue_Q(t):
-    """sin^2(pi t)/pi^2 * sum_{n>=0} (t - n)^{-2}, summed directly over
-    LEBESGUE_TERMS terms with an integral tail correction; equals the
-    completeness sum of the Lebesgue system over the nonnegative integers."""
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    if (t > LEBESGUE_TERMS / 2).any():
-        raise ValueError("argument too large for the configured series length")
-    n = np.arange(LEBESGUE_TERMS + 1)
-    main = (np.sinc(t[:, None] - n[None, :]) ** 2).sum(axis=1)
-    tail = (np.sin(np.pi * t) / np.pi) ** 2 / (LEBESGUE_TERMS + 0.5 - t)
-    out = main + tail
-    return float(out[0]) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# gradient norms of grid functions
-
-def _gradient_norm_field(Q: GridFunction) -> np.ndarray:
-    """Pointwise Euclidean norm of the ambient gradient at the nodes."""
-    grads = [np.gradient(Q.values, h, axis=d) for d, h in enumerate(Q.spacing)]
-    G = np.stack([g.ravel() for g in grads], axis=-1)       # d/du
-    Ginv = np.linalg.inv(Q.chart.metric())
-    sq = np.einsum("ni,ij,nj->n", G, Ginv, G)
-    return np.sqrt(np.maximum(sq, 0.0))
-
-
-def grad_norm(Q: GridFunction, flavor: str = "sup", domain: Polytope | None = None) -> float:
-    """Sup or integral norm of |grad Q| over the grid (optionally restricted
-    to nodes inside `domain`)."""
-    field = _gradient_norm_field(Q)
-    if domain is not None:
-        field = field[domain.contains_float(Q.node_points())]
-    if flavor == "sup":
-        return float(field.max())
-    if flavor == "l1":
-        cell = float(np.prod(Q.spacing)) * math.sqrt(np.linalg.det(Q.chart.metric()))
-        return float(field.sum() * cell)
-    raise ValueError("flavor must be 'sup' or 'l1'")
 
 
 # ---------------------------------------------------------------------------

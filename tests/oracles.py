@@ -1,0 +1,203 @@
+"""Reference oracles that several test modules check the package against.
+
+None of this runs in the pipeline: closed forms, word quadrature atoms, the
+support side of the attractor, the Lebesgue second fixed point, the
+isometric coefficient splitting and the derivative identities of Q1 at the
+origin, plus readers of report fields that only tests ask for.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+import fracspec as fs
+from fracspec import geometry, spectrum
+
+LEBESGUE_TERMS = 4000  # terms of the Lebesgue fixed point's series
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+
+def mu2_closed_form(t):
+    """e^{i pi t} sin(pi t)/(pi t) with the removable singularity at 0."""
+    t = np.asarray(t, dtype=float)
+    val = np.exp(1j * np.pi * t) * np.sinc(t)
+    return complex(val) if val.ndim == 0 else val
+
+
+def lebesgue_Q(t):
+    """sin^2(pi t)/pi^2 * sum_{n>=0} (t - n)^{-2}, summed directly over
+    LEBESGUE_TERMS terms with an integral tail correction; equals the
+    completeness sum of the Lebesgue system over the nonnegative integers."""
+    t = np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    t = np.atleast_1d(t)
+    if (t > LEBESGUE_TERMS / 2).any():
+        raise ValueError("argument too large for the configured series length")
+    n = np.arange(LEBESGUE_TERMS + 1)
+    main = (np.sinc(t[:, None] - n[None, :]) ** 2).sum(axis=1)
+    tail = (np.sin(np.pi * t) / np.pi) ** 2 / (LEBESGUE_TERMS + 0.5 - t)
+    out = main + tail
+    return float(out[0]) if scalar else out
+
+
+# ---------------------------------------------------------------------------
+# quadrature atoms and the support side
+
+def atoms(measure, depth: int) -> np.ndarray:
+    """All N^depth depth-d word images of 0 under the sigma maps."""
+    if isinstance(measure, fs.ConvolvedMeasure):
+        aa, ab = (atoms(p, depth) for p in measure.parts)
+        return (aa[:, None, :] + ab[None, :, :]).reshape(-1, measure.dim)
+    sys = measure.system
+    sys.check_words(depth, 20_000_000, "too many quadrature atoms", "atoms")
+    Rinv = np.array(sys.R.inverse, dtype=float)
+    bs = sys.b_array()
+    a = np.zeros((1, measure.dim))
+    for _ in range(depth):
+        a = (a @ Rinv.T)[None, :, :] + bs[:, None, :]
+        a = a.reshape(-1, measure.dim)
+    return a
+
+
+def support_hull(sys, depth: int = 4) -> fs.Polytope:
+    """Convex hull of the depth-n sigma-side fixed points (the support side)."""
+    return fs.convex_hull(fs.attractor_points(sys, "sigma", depth).points)
+
+
+def support_diameter(measure) -> float:
+    if isinstance(measure, fs.ConvolvedMeasure):
+        return sum(support_diameter(p) for p in measure.parts)
+    return geometry.hull_diameter(support_hull(measure.system).vertices)
+
+
+# ---------------------------------------------------------------------------
+# report fields only tests read
+
+def residual_ratios(result: fs.FixedPointResult) -> np.ndarray:
+    r = np.asarray(result.residuals)
+    return r[1:] / np.maximum(r[:-1], 1e-300)
+
+
+def max_diag_defect(report: fs.GramReport) -> float:
+    return float(np.abs(np.diag(report.matrix) - 1.0).max())
+
+
+# ---------------------------------------------------------------------------
+# isometric coefficient splitting
+
+def hardy_embedding(sys, coeffs: dict, split_depth: int) -> dict:
+    """Partition spectrum-indexed coefficients by their leading digit words.
+
+    Returns {prefix: {reduced_point: coefficient}} where prefix is the tuple
+    of the first `split_depth` digits and the reduced point is the remaining
+    expansion; the squared-coefficient mass is preserved exactly because the
+    digit expansion is unique.
+    """
+    zero = sys.zero()
+    comps: dict = {}
+    for lam, c in coeffs.items():
+        word = fs.digits_of(sys, lam)
+        if word is None:
+            raise ValueError(f"{lam} has no unique digit expansion "
+                             f"(depth {spectrum.DIGIT_BUDGET})")
+        prefix = (word + (zero,) * split_depth)[:split_depth]
+        rest = fs.reconstruct(sys, word[split_depth:])
+        part = comps.setdefault(prefix, {})
+        part[rest] = part.get(rest, 0) + c
+    return comps
+
+
+# ---------------------------------------------------------------------------
+# derivative identities at the origin
+
+@dataclass
+class ProjectionCheck:
+    order: int
+    fd_value: float
+    reference: float
+
+    @property
+    def abs_error(self) -> float:
+        return abs(self.fd_value - self.reference)
+
+    @property
+    def rel_error(self) -> float:
+        scale = max(abs(self.reference), 1e-30)
+        return self.abs_error / scale
+
+
+def projection_norm_checks(system, n_order: int = 1, p_depth: int = 10,
+                           measure=None, quad_depth: int | None = None) -> ProjectionCheck:
+    """Match finite differences (step FD_STEP) of the completeness sum at 0
+    along the first coordinate axis against the projection-norm identity
+    computed by quadrature.
+
+    Order 1 checks the vanishing gradient; order 2 checks
+    d^2/dt_1^2 = 8 pi^2 (||A x_1||^2 - ||x_1||^2), the coordinate projected
+    onto the exponential span (both sides computed by independent routes).
+
+    The quadrature atoms must resolve the largest enumerated frequency or the
+    discrete coefficients alias; the default depth leaves a four-level margin
+    over `p_depth` where the atom budget allows it.  A convolution's atoms are
+    the sums a + b of its parts' atoms, so each coefficient is built from the
+    parts' own atom sums by the product rule, without the a + b grid.
+    """
+    if n_order not in (1, 2):
+        raise ValueError("n_order must be 1 or 2")
+    measure = spectrum._as_measure(measure, system)
+    parts = getattr(measure, "parts", (measure,))
+    if quad_depth is None:
+        branching = math.prod(p.system.N for p in parts)
+        quad_depth = p_depth + 4
+        while branching ** quad_depth > 400_000 and quad_depth > 2:
+            quad_depth -= 1
+
+    def qval(ts):
+        prof = fs.q1_profile(system, ts, p_depth, measure=measure)
+        return prof.values()
+
+    h = spectrum.FD_STEP
+    dim = system.dim
+
+    def axis_pts(*offsets):
+        pts = np.zeros((len(offsets), dim))
+        pts[:, 0] = offsets
+        return pts if dim > 1 else pts[:, 0]
+
+    if n_order == 1:
+        v = qval(axis_pts(h, -h, h / 2, -h / 2))
+        d_h = (v[0] - v[1]) / (2 * h)
+        d_h2 = (v[2] - v[3]) / h
+        fd = (4 * d_h2 - d_h) / 3
+        return ProjectionCheck(1, float(fd), 0.0)
+
+    v = qval(axis_pts(h, 0.0, -h, h / 2, -h / 2))
+    d_h = (v[0] - 2 * v[1] + v[2]) / h ** 2
+    d_h2 = (v[3] - 2 * v[1] + v[4]) / (h / 2) ** 2
+    fd = (4 * d_h2 - d_h) / 3
+
+    # E[x_1^2] and the coefficients E[e(-lambda.x) x_1] for x the sum of
+    # independent parts: e and f carry E[e(-lambda.x)] and E[e(-lambda.x) x_1]
+    part_atoms = [atoms(p, quad_depth) for p in parts]
+    mean = x_norm_sq = 0.0
+    for a in part_atoms:
+        x1 = a[:, 0]
+        x_norm_sq += 2 * mean * float(x1.mean()) + float(np.mean(x1 ** 2))
+        mean += float(x1.mean())
+    proj = 0.0
+    lam_chunk = max(1, 8_000_000 // max(len(a) for a in part_atoms))
+    for _, sets in spectrum.layer_digits(system, p_depth):
+        layer = spectrum.digit_sum(sets, dim)
+        for start in range(0, len(layer), lam_chunk):
+            block = layer[start:start + lam_chunk]
+            e, f = 1.0, 0.0
+            for a in part_atoms:
+                phases = np.exp(-2j * np.pi * (block @ a.T))     # (n, n_atoms)
+                pe, pf = phases.mean(axis=1), phases @ a[:, 0] / len(a)
+                e, f = e * pe, f * pe + e * pf
+            proj += float((np.abs(f) ** 2).sum())
+    reference = 8 * math.pi ** 2 * (proj - x_norm_sq)
+    return ProjectionCheck(2, float(fd), reference)

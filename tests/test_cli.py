@@ -261,7 +261,8 @@ class TestGate:
 
     def test_layers_are_not_the_spectrum_without_zero_in_L(self, no_zero_in_L):
         sysm = fs.load_system_file(no_zero_in_L)
-        layers = sum(len(pts) for _, pts in fs.spectrum.spectrum_layers(sysm, 3))
+        layers = sum(len(fs.spectrum.digit_sum(sets, 1))
+                     for _, sets in fs.spectrum.layer_digits(sysm, 3))
         assert (layers, len(fs.enumerate_P(sysm, 3).points)) == (15, 8)
 
     @pytest.mark.parametrize("argv", [["q1"], ["q1", "--force"], ["report"],

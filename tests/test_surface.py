@@ -1,0 +1,92 @@
+"""The package's public surface is the pipeline.
+
+Every module-level public function and class of `src/fracspec` must be read
+by some other code of the package: a function, a method or a module-level
+statement, found by walking the syntax trees (a regex would count the names
+that docstrings mention).  Test-only helpers belong in `tests/`, shared ones
+in `tests/oracles.py`.  The few names the package keeps without a caller are
+listed below, each with its reason.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fracspec"
+
+ALLOWED = {
+    "chi_B": "the exact mask at one rational frequency; the benchmark traces chi_B_batch "
+             "below it",
+    "chi_B_sq_grad": "the analytic gradient of |chi_B|^2, for the certified contraction "
+                     "condition",
+    "apply_C": "one step of the transfer operator; the benchmark traces it",
+    "q1_profile": "the completeness sums without a verdict; the benchmark traces it",
+    "simplex_Y": "the exact invariant simplex, the benchmark's oracle for every tower hull",
+    "max_orthogonal_family": "exact maximum orthogonal families, for the exact "
+                             "orthogonality route",
+    "ConvolvedMeasure": "criterion 6 runs completeness_test on a convolution",
+    "digits_of": "the exact digit expansion, in a round trip with reconstruct",
+    "reconstruct": "the exact point of a digit word, in a round trip with digits_of",
+}
+
+
+def _modules():
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
+            if p.name != "__init__.py"}
+
+
+def _public_definitions(modules) -> dict:
+    return {node.name: mod for mod, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def _readers(modules) -> dict:
+    """name -> {(module, top-level definition or None)} of every Name and
+    Attribute node that reads it."""
+    out: dict = {}
+    for mod, tree in modules.items():
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None:
+                    out.setdefault(name, set()).add((mod, owner))
+    return out
+
+
+def _without_caller() -> set:
+    modules = _modules()
+    readers = _readers(modules)
+    return {name for name, mod in _public_definitions(modules).items()
+            if not readers.get(name, set()) - {(mod, name)}}
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    unlisted = _without_caller() - set(ALLOWED)
+    assert not unlisted, (f"public names no other package code reads: {sorted(unlisted)}; "
+                          f"move them into tests/ or give a reason in ALLOWED")
+
+
+def test_no_stale_allowlist_entry():
+    modules = _modules()
+    gone = set(ALLOWED) - set(_public_definitions(modules))
+    assert not gone, f"allowlisted names that are gone: {sorted(gone)}"
+    called = set(ALLOWED) - _without_caller()
+    assert not called, f"allowlisted names that now have a caller: {sorted(called)}"
+
+
+@pytest.mark.parametrize("mod", sorted(p.stem for p in SRC.glob("*.py")))
+def test_package_imports_no_test_code(mod):
+    tree = ast.parse((SRC / f"{mod}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(a.name for a in node.names)
+    bad = {n for n in imported if n.split(".")[0] in ("tests", "oracles")}
+    assert not bad, f"fracspec.{mod} imports test code: {sorted(bad)}"

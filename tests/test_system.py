@@ -1,4 +1,3 @@
-import io
 import itertools
 import json
 import math
@@ -10,6 +9,7 @@ import pytest
 
 import fracspec as fs
 from fracspec import rational as rat
+from oracles import hardy_embedding, lebesgue_Q, projection_norm_checks, support_diameter
 
 
 class TestHadamard:
@@ -55,6 +55,24 @@ class TestMask:
     def test_eiffel_at_440(self, eiffel2):
         v = fs.chi_B(eiffel2, (Fraction(4), Fraction(4), Fraction(0)))
         assert abs(v - 1) < 1e-15
+
+    def test_scalar_frequency_in_one_dimension(self, scale4):
+        # a bare rational is the point (t,): exact, and the float path agrees
+        assert fs.chi_B(scale4, Fraction(1, 2)) == fs.chi_B(scale4, (Fraction(1, 2),))
+        assert fs.chi_B(scale4, Fraction(1, 2)) == pytest.approx(0.5 + 0.5j, abs=1e-15)
+        assert fs.chi_B(scale4, 0.5) == pytest.approx(fs.chi_B(scale4, Fraction(1, 2)),
+                                                      abs=1e-15)
+        assert fs.chi_B(scale4, 1.0) == fs.chi_B(scale4, (1.0,))
+
+    def test_wrong_dimension_refused(self, eiffel2, scale4):
+        # the dot product once zipped to the shorter vector: (1/2,) on eiffel2
+        # read as (1/2, 0, 0)
+        with pytest.raises(ValueError, match="dimension 1, expected 3"):
+            fs.chi_B(eiffel2, (Fraction(1, 2),))
+        with pytest.raises(ValueError, match="dimension 2, expected 1"):
+            fs.chi_B(scale4, (Fraction(1, 2), Fraction(0)))
+        with pytest.raises(ValueError):
+            fs.chi_B(eiffel2, (0.5,))
 
     def test_batch_matches_scalar(self, eiffel2):
         rng = np.random.RandomState(0)
@@ -137,46 +155,55 @@ class TestMask:
             assert (g == 4 * np.pi * (w * (im * np.cos(P) - re * np.sin(P))) @ E).all()
 
 
+def apply_map(sysm, side, digit, x):
+    """g_d(x) = M x + t_d from the table `AffineSystem.maps` of the side."""
+    M, shift = sysm.maps[side]
+    return rat.vec_add(rat.mat_vec(M, x), shift[digit])
+
+
 class TestMaps:
     def test_sigma_example(self, scale4):
-        assert fs.map_sigma(scale4, (Fraction(1, 2),), (Fraction(0),)) == (Fraction(1, 2),)
+        # sigma_b(x) = R^{-1} x + b
+        assert apply_map(scale4, "sigma", (Fraction(1, 2),), (Fraction(0),)) == (Fraction(1, 2),)
 
     def test_rho_example(self, scale4):
-        assert fs.map_rho(scale4, (Fraction(1),), (Fraction(0),)) == (Fraction(-1, 4),)
+        # rho_l(t) = R*^{-1}(t - l)
+        assert apply_map(scale4, "rho", (Fraction(1),), (Fraction(0),)) == (Fraction(-1, 4),)
 
     def test_inverse_pairs_exact(self, eiffel2):
+        # rho_l inverts tau_l(x) = R* x + l, omega_b(x) = R(x - b) inverts sigma_b
         rng = np.random.RandomState(4)
         for _ in range(5):
             x = tuple(Fraction(int(rng.randint(-20, 20)), int(rng.randint(1, 9)))
                       for _ in range(3))
             for l in eiffel2.L:
-                assert fs.map_rho(eiffel2, l, fs.map_tau(eiffel2, l, x)) == x
+                assert apply_map(eiffel2, "rho", l, apply_map(eiffel2, "tau", l, x)) == x
             for b in eiffel2.B:
-                assert fs.map_omega(eiffel2, b, fs.map_sigma(eiffel2, b, x)) == x
+                assert apply_map(eiffel2, "omega", b, apply_map(eiffel2, "sigma", b, x)) == x
 
     def test_unknown_digit_rejected(self, scale4):
-        with pytest.raises(ValueError):
-            fs.map_sigma(scale4, (Fraction(1, 3),), (Fraction(0),))
-        with pytest.raises(ValueError):
-            fs.map_rho(scale4, (Fraction(2),), (Fraction(0),))
+        # each side's table holds the digits of its own set and no others
+        assert (Fraction(1, 3),) not in scale4.maps["sigma"][1]
+        assert (Fraction(2),) not in scale4.maps["rho"][1]
+        for side in fs.system.SIDES:
+            digits = scale4.B if side in ("sigma", "omega") else scale4.L
+            assert tuple(scale4.maps[side][1]) == digits
 
 
 class TestWordWalk:
-    MAPS = {"sigma": fs.map_sigma, "rho": fs.map_rho, "tau": fs.map_tau, "omega": fs.map_omega}
-
     @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2", "planar3d"])
     def test_matches_product_oracle(self, request, name):
         # every word w of itertools.product, in its order, with the point
         # g_{w_0}(g_{w_1}(... g_{w_last}(0))) composed map by map
         sysm = request.getfixturevalue(name)
-        for side, g in self.MAPS.items():
+        for side in fs.system.SIDES:
             digits = sysm.B if side in ("sigma", "omega") else sysm.L
             for depth in (1, 2, 3):
                 oracle = []
                 for w in itertools.product(digits, repeat=depth):
                     x = sysm.zero()
                     for d in reversed(w):
-                        x = g(sysm, d, x)
+                        x = apply_map(sysm, side, d, x)
                     oracle.append((x, w))
                 walk = zip(rat.unlift(*sysm.lifted_walk(side, depth)),
                            itertools.product(digits, repeat=depth))
@@ -381,22 +408,19 @@ def _removed_keyword_calls():
     return {
         "SelfSimilarMeasure-tail_tol": lambda: fs.SelfSimilarMeasure(s4, tail_tol=1e-10),
         "depth_for-tol": lambda: mu.depth_for(1.0, tol=1e-10),
-        "support_diameter-depth": lambda: mu.support_diameter(depth=4),
+        "support_diameter-depth": lambda: support_diameter(mu, depth=4),
         "ConvolvedMeasure.support_diameter-depth":
-            lambda: fs.ConvolvedMeasure(mu, mu).support_diameter(depth=4),
-        "transform_profile-depth": lambda: fs.transform_profile(mu, [0.5], depth=10),
-        "write_transform_csv-depth":
-            lambda: fs.write_transform_csv(mu, [0.5], io.StringIO(), depth=10),
+            lambda: support_diameter(fs.ConvolvedMeasure(mu, mu), depth=4),
         "digits_of-max_depth": lambda: fs.digits_of(s4, (F(17),), max_depth=24),
         "hardy_embedding-max_depth":
-            lambda: fs.hardy_embedding(s4, {F(1): 1.0}, 1, max_depth=24),
-        "projection_norm_checks-j": lambda: fs.projection_norm_checks(s4, j=0),
+            lambda: hardy_embedding(s4, {F(1): 1.0}, 1, max_depth=24),
+        "projection_norm_checks-j": lambda: projection_norm_checks(s4, j=0),
         "projection_norm_checks-fd_step":
-            lambda: fs.projection_norm_checks(s4, fd_step=1e-3),
+            lambda: projection_norm_checks(s4, fd_step=1e-3),
         "get_system-r": lambda: fs.get_system("eiffel", r=4),
         "completeness_test-eps_pass": lambda: fs.completeness_test(s4, [0.0], eps_pass=0.02),
         "completeness_test-eps_fail": lambda: fs.completeness_test(s4, [0.0], eps_fail=0.05),
-        "lebesgue_Q-n_terms": lambda: fs.lebesgue_Q(0.5, n_terms=4000),
+        "lebesgue_Q-n_terms": lambda: lebesgue_Q(0.5, n_terms=4000),
         "quadratic_bump-amplitude":
             lambda: fs.grid_frame(s4, 16).quadratic_bump(amplitude=0.5),
         "grid_frame-hull": lambda: fs.grid_frame(s4, 16, hull=fs.dual_hull(s4, 4)),
