@@ -160,7 +160,6 @@ def cmd_gram(args, sys_obj: AffineSystem, validation) -> int:
 
 def cmd_q1(args, sys_obj: AffineSystem, validation) -> int:
     p_depth = args.p_depth if args.p_depth is not None else spectrum.q1_depth(sys_obj)
-    spectrum.check_layer_depth(sys_obj, p_depth)
     hull = geometry.dual_hull(sys_obj)
     res = args.resolution
     if res is None:

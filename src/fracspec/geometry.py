@@ -83,18 +83,12 @@ class Chart:
     def ambient(self, U: np.ndarray) -> np.ndarray:
         return self.origin + np.atleast_2d(U) @ self.basis
 
-    def _solve(self, X: np.ndarray):
-        """Least-squares parameters of the rows of X and the elementwise
-        residual of the reconstruction."""
-        X = np.atleast_2d(X) - self.origin
-        pinv = self.basis.T @ np.linalg.inv(self.basis @ self.basis.T)
-        U = X @ pinv
-        return U, np.abs(U @ self.basis - X)
-
     def param(self, X: np.ndarray) -> np.ndarray:
-        """Parameters of ambient points; raises when a point leaves the
-        carrying subspace by more than FLOAT_TOL."""
-        U, resid = self._solve(X)
+        """Least-squares parameters of ambient points; raises when a point
+        leaves the carrying subspace by more than FLOAT_TOL."""
+        X = np.atleast_2d(X) - self.origin
+        U = X @ (self.basis.T @ np.linalg.inv(self.basis @ self.basis.T))
+        resid = np.abs(U @ self.basis - X)
         worst = resid.max() if resid.size else 0.0
         if worst > FLOAT_TOL:
             raise ValueError(f"point leaves the hull's carrying subspace "
@@ -181,16 +175,6 @@ class Polytope:
     def _in_facets(self, U: np.ndarray) -> np.ndarray:
         A, c = self._unit_facets
         return (U @ A.T <= c + FLOAT_TOL).all(axis=1)
-
-    def contains_float(self, X) -> np.ndarray:
-        """Float membership of each ambient row of X: within sqrt(FLOAT_TOL)
-        of the carrying subspace and within FLOAT_TOL of every facet, both
-        in ambient distance."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.affine_dim == 0:
-            return np.abs(X - self.chart.origin).max(axis=1) <= FLOAT_TOL
-        U, resid = self.chart._solve(X)
-        return (resid.max(axis=1) <= math.sqrt(FLOAT_TOL)) & self._in_facets(U)
 
     def sample(self, n: int) -> np.ndarray:
         """Ambient points of the n-per-axis mesh of the chart box of the
@@ -382,7 +366,6 @@ def simplex_Y(sys: AffineSystem) -> Polytope:
 
 @dataclass
 class InvarianceReport:
-    polytope: Polytope
     rows: list          # (l, vertex, s, image, inside)
 
     @property
@@ -403,7 +386,7 @@ def invariance_check(sys: AffineSystem, P: Polytope) -> InvarianceReport:
             for s in svals:
                 img = rat.vec_add(Mv, rat.vec_scale(s, shift[l]))
                 rows.append((l, v, s, img, P.contains(img)))
-    return InvarianceReport(P, rows)
+    return InvarianceReport(rows)
 
 
 def hausdorff_dimension(sys: AffineSystem):

@@ -1,12 +1,10 @@
 """Fourier side of self-similar measures: the transform and |mu_hat|^2 as
-truncated products over one bracket kernel, with tail bounds, the exact zero
-set of a two-digit measure, and convolution."""
+truncated products over one bracket kernel, with tail bounds, and
+convolution."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -16,13 +14,6 @@ from .system import AffineSystem, probe_rows
 DEFAULT_TAIL_TOL = 1e-10
 MAX_PRODUCT_DEPTH = 200
 STACK_ENTRIES = 1 << 15     # (level, t, lambda) entries of one stacked product in _brackets
-
-
-@dataclass
-class FourierEvaluation:
-    """One value of the transform: truncated product plus its tail bound."""
-    value: complex
-    tail_bound: float
 
 
 def _contraction_data(S: np.ndarray):
@@ -292,7 +283,8 @@ class SelfSimilarMeasure:
         In one dimension `T` is elementwise; above, its trailing axis must be
         the ambient dimension (`probe_rows`, through `_adaptive`).  Returns
         (values, tail_bound): the product at `depth`, by default the
-        adaptive depth of the largest norm in the batch, and one
+        adaptive depth of the largest norm in the batch, shaped as T
+        without that axis (one frequency gives a 0-d value), and one
         conservative tail bound taken at that norm.
         """
         shape = np.shape(T) if self.dim == 1 else np.shape(T)[:-1]
@@ -325,48 +317,6 @@ class SelfSimilarMeasure:
         T, Lam, depth, tail = self._adaptive(T, Lam, None, squared=True)
         return self._brackets(T, Lam, depth, starts), tail
 
-    def mu_hat(self, t, depth: int | None = None) -> FourierEvaluation:
-        tv = np.asarray(t, dtype=float).reshape(-1)
-        if tv.shape[0] != self.dim:
-            raise ValueError(f"expected a {self.dim}-vector, got shape {tv.shape}")
-        vals, tail = self.mu_hat_batch(tv.reshape(1, self.dim), depth)
-        return FourierEvaluation(complex(vals.flat[0]), tail)
-
-
-# ---------------------------------------------------------------------------
-# zero sets
-
-@dataclass(frozen=True)
-class ZeroSetPredicate:
-    """Zero set {scale^n / (2 offset) * (odd integers) : n >= 0} of the
-    transform of a two-digit measure with digits {0, offset} at `scale`."""
-    scale: int
-    offset: Fraction
-
-    @classmethod
-    def of(cls, sys: AffineSystem) -> "ZeroSetPredicate":
-        """The zero set of a one-dimensional system with an integer scale
-        and digits B = {0, b}; ValueError for any other system."""
-        zero = sys.zero()
-        if (sys.dim != 1 or sys.N != 2 or zero not in sys.B
-                or sys.R.entries[0][0].denominator != 1):
-            raise ValueError(f"{sys!r} is not a one-dimensional two-digit system "
-                             "with an integer scale and 0 in B")
-        (b,) = next(d for d in sys.B if d != zero)
-        return cls(int(sys.R.entries[0][0]), b)
-
-    def member(self, t) -> bool:
-        t = rat.as_fraction(t) if not isinstance(t, Fraction) else t
-        if t == 0:
-            return False
-        u = 2 * abs(self.offset) * abs(t)
-        base = abs(self.scale)
-        while u >= 1:
-            if u.denominator == 1 and u.numerator % 2 == 1:
-                return True
-            u = u / base
-        return False
-
 
 # ---------------------------------------------------------------------------
 # convolution
@@ -379,11 +329,6 @@ class ConvolvedMeasure:
             raise ValueError("convolution needs equal ambient dimensions")
         self.parts = (a, b)
         self.dim = a.dim
-
-    def mu_hat_batch(self, T, depth=None):
-        va, ta = self.parts[0].mu_hat_batch(T, depth)
-        vb, tb = self.parts[1].mu_hat_batch(T, depth)
-        return va * vb, ta + tb
 
     def mu_hat_pairs(self, T, Lam):
         va, ta = self.parts[0].mu_hat_pairs(T, Lam)
@@ -398,5 +343,3 @@ class ConvolvedMeasure:
     def mu_hat_sq_sums(self, T, Lam, starts):
         vals, tail = self.mu_hat_sq_pairs(T, Lam)
         return _group_sums(vals, starts, np.zeros((len(vals), len(starts)))), tail
-
-    mu_hat = SelfSimilarMeasure.mu_hat

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, rational as rat
-from .measure import STACK_ENTRIES, SelfSimilarMeasure, ZeroSetPredicate
+from .measure import STACK_ENTRIES, SelfSimilarMeasure
 from .system import AffineSystem, point, probe_rows
 
 MAX_EXACT_POINTS = 2_000_000
@@ -94,21 +94,16 @@ def reconstruct(sys: AffineSystem, word) -> tuple:
     return rat.unlift([p], scale)[0]
 
 
-def check_layer_depth(sys: AffineSystem, depth: int) -> None:
-    """Refuse a layer depth whose N^depth points exceed MAX_FLOAT_POINTS."""
-    sys.check_words(depth, MAX_FLOAT_POINTS, "spectrum layer exceeds the point cap", "points")
-
-
 def layer_digits(sys: AffineSystem, depth: int):
     """Float digit sets of the spectrum layers.
 
     Yields (d, sets) for d = 0..depth, where layer d is the Minkowski sum of
     `sets`: R*^k L for k < d - 1 and R*^{d-1} (L minus 0), the points whose
     last nonzero digit is the d-th.  Layer 0 is {0}, the empty sum.  A depth
-    past the point cap of `check_layer_depth` is refused before any layer
+    whose N^depth points exceed MAX_FLOAT_POINTS is refused before any layer
     is yielded.
     """
-    check_layer_depth(sys, depth)
+    sys.check_words(depth, MAX_FLOAT_POINTS, "spectrum layer exceeds the point cap", "points")
     Rt = np.array(sys.R.transpose, dtype=float)
     Ls = sys.l_array()
     nonzero = Ls[[any(c != 0 for c in l) for l in sys.L]]
@@ -248,7 +243,6 @@ class Q1Profile:
     over every call; the truncated sum is never below the exact one by more
     than rounding.
     """
-    tpoints: np.ndarray
     partial_sums: np.ndarray      # shape (m, depths+1), cumulative
     increments: np.ndarray        # shape (m, depths)
     depth: int
@@ -267,10 +261,6 @@ class Q1Profile:
             idx = np.nonzero(row < eps)[0]
             out.append(int(idx[0]) + 1 if idx.size else None)
         return out
-
-    @property
-    def monotone(self) -> bool:
-        return bool((self.increments >= -1e-15).all())
 
 
 def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int, measure,
@@ -319,7 +309,7 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int, measure,
         sums.append(sums[-1] + inc)
         if eps_conv is not None and (inc[:watch] < eps_conv).all():
             break
-    return Q1Profile(T, np.stack(sums, axis=1), np.stack(incs, axis=1), len(incs),
+    return Q1Profile(np.stack(sums, axis=1), np.stack(incs, axis=1), len(incs),
                      np.full(m, tail))
 
 
@@ -398,7 +388,6 @@ VERDICT_INDETERMINATE = "INDETERMINATE"
 class CompletenessReport:
     verdict: str
     profile: Q1Profile
-    eps_conv: float
     grad_at_zero: np.ndarray
 
 
@@ -424,7 +413,7 @@ def completeness_test(system: AffineSystem, grid, measure=None,
         p_depth_cap = q1_depth(system)
     full = _q1_pass(system, np.concatenate([T, stencil]), p_depth_cap, measure,
                     eps_conv, m)
-    prof = Q1Profile(T, full.partial_sums[:m], full.increments[:m], full.depth,
+    prof = Q1Profile(full.partial_sums[:m], full.increments[:m], full.depth,
                      full.fourier_tail[:m])
     vals = prof.values()
     stab = prof.stabilized_depth(eps_conv)
@@ -439,7 +428,7 @@ def completeness_test(system: AffineSystem, grid, measure=None,
     # central finite-difference gradient of the partial sum at the origin
     v = full.values()[m:]
     grad = (v[0::2] - v[1::2]) / (2 * FD_STEP)
-    return CompletenessReport(verdict, prof, eps_conv, grad)
+    return CompletenessReport(verdict, prof, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +438,7 @@ def max_orthogonal_family(orthogonal, candidates) -> tuple:
     """Maximum subset of `candidates` whose pairwise differences are
     orthogonal directions.
 
-    `orthogonal` decides a pair: a ZeroSetPredicate (exact membership of the
-    difference) or any callable taking two candidates.
+    `orthogonal(a, b)` decides whether candidates a and b are a pair.
     """
     cands = list(candidates)
     n = len(cands)
@@ -459,16 +447,10 @@ def max_orthogonal_family(orthogonal, candidates) -> tuple:
     if n == 0:
         return ()
 
-    if isinstance(orthogonal, ZeroSetPredicate):
-        def connected(a, b):
-            return orthogonal.member(rat.as_fraction(a) - rat.as_fraction(b))
-    else:
-        connected = orthogonal
-
     adj = [set() for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if connected(cands[i], cands[j]):
+            if orthogonal(cands[i], cands[j]):
                 adj[i].add(j)
                 adj[j].add(i)
 

@@ -72,9 +72,6 @@ class ScalingMatrix:
         self.transpose = rat.transpose(self.entries)
         self.inverse_transpose = rat.transpose(self.inverse)
 
-    def apply(self, v: Point) -> Point:
-        return rat.mat_vec(self.entries, v)
-
     def eigenvalue_moduli(self) -> list[float]:
         """Moduli of the eigenvalues: triangular matrices read their diagonal
         exactly, any other goes to the numeric eigensolver."""
@@ -137,7 +134,7 @@ class AffineSystem:
             "sigma": (R.inverse, {b: b for b in self.B}),
             "rho": (Rti, {l: rat.vec_scale(-1, rat.mat_vec(Rti, l)) for l in self.L}),
             "tau": (R.transpose, {l: l for l in self.L}),
-            "omega": (R.entries, {b: rat.vec_scale(-1, R.apply(b)) for b in self.B}),
+            "omega": (R.entries, {b: rat.vec_scale(-1, rat.mat_vec(R.entries, b)) for b in self.B}),
         }
 
     def lifted_walk(self, side: str, depth: int) -> tuple:
@@ -257,11 +254,14 @@ def unitarity_defect(H: np.ndarray) -> float:
 
 def chi_B(sys: AffineSystem, t) -> complex:
     """The mask (1/N) sum_b e^{i 2 pi b.t} at one frequency t (a scalar in
-    one dimension); exact phase reduction for rational t, read by `point`."""
+    one dimension); exact phase reduction for rational t, read by `point`.
+    A frequency of another length than the dimension is refused."""
     if not hasattr(t, "__len__"):
         t = (t,)
+    if len(t) != sys.dim:
+        raise ValueError(f"frequency {tuple(t)} has dimension {len(t)}, expected {sys.dim}")
     if all(isinstance(c, (int, Fraction)) for c in t):
-        tv = point(t, sys.dim)
+        tv = point(t)
         return sum(_unit_phase(rat.dot(b, tv)) for b in sys.B) / sys.N
     return complex(chi_B_batch(sys, t))
 

@@ -312,9 +312,7 @@ def _sin_sup_on_interval(qmin: Fraction, qmax: Fraction) -> float:
 @dataclass(frozen=True)
 class BetaResult:
     beta: float
-    sin_sup: float
     diam_B: float
-    beta_sampled: float
     sample_agrees: bool          # exact vs sampled within 1%
 
 
@@ -339,7 +337,7 @@ def beta_constant(sys: AffineSystem, Y: Polytope) -> BetaResult:
 
     sampled = _beta_sampled(sys, Y)
     agrees = sampled <= sin_sup * (1 + 1e-9) and sampled >= sin_sup - 0.01 * max(sin_sup, 1e-12)
-    return BetaResult(beta, sin_sup, diam_B, 2 * math.pi * diam_B * sampled, agrees)
+    return BetaResult(beta, diam_B, agrees)
 
 
 def _beta_sampled(sys: AffineSystem, Y: Polytope):

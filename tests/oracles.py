@@ -1,18 +1,20 @@
 """Reference oracles that several test modules check the package against.
 
-None of this runs in the pipeline: closed forms, word quadrature atoms, the
-support side of the attractor, the Lebesgue second fixed point, the
-isometric coefficient splitting and the derivative identities of Q1 at the
-origin, plus readers of report fields that only tests ask for.
+None of this runs in the pipeline: closed forms, the exact zero set of a
+two-digit measure, word quadrature atoms, the support side of the attractor,
+the Lebesgue second fixed point, the isometric coefficient splitting and the
+derivative identities of Q1 at the origin, plus readers of report fields
+that only tests ask for.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 import fracspec as fs
-from fracspec import geometry, spectrum
+from fracspec import geometry, rational as rat, spectrum
 
 LEBESGUE_TERMS = 4000  # terms of the Lebesgue fixed point's series
 
@@ -43,6 +45,44 @@ def lebesgue_Q(t):
     return float(out[0]) if scalar else out
 
 
+@dataclass(frozen=True)
+class ZeroSetPredicate:
+    """Zero set {scale^n / (2 offset) * (odd integers) : n >= 0} of the
+    transform of a two-digit measure with digits {0, offset} at `scale`."""
+    scale: int
+    offset: Fraction
+
+    @classmethod
+    def of(cls, sys) -> "ZeroSetPredicate":
+        """The zero set of a one-dimensional system with an integer scale
+        and digits B = {0, b}; ValueError for any other system."""
+        zero = sys.zero()
+        if (sys.dim != 1 or sys.N != 2 or zero not in sys.B
+                or sys.R.entries[0][0].denominator != 1):
+            raise ValueError(f"{sys!r} is not a one-dimensional two-digit system "
+                             "with an integer scale and 0 in B")
+        (b,) = next(d for d in sys.B if d != zero)
+        return cls(int(sys.R.entries[0][0]), b)
+
+    def member(self, t) -> bool:
+        t = rat.as_fraction(t)
+        if t == 0:
+            return False
+        u = 2 * abs(self.offset) * abs(t)
+        base = abs(self.scale)
+        while u >= 1:
+            if u.denominator == 1 and u.numerator % 2 == 1:
+                return True
+            u = u / base
+        return False
+
+    def orthogonal(self, a, b) -> bool:
+        """Exact orthogonality of the exponentials at candidates a and b:
+        their difference lies in the zero set (`fs.max_orthogonal_family`'s
+        pair test)."""
+        return self.member(rat.as_fraction(a) - rat.as_fraction(b))
+
+
 # ---------------------------------------------------------------------------
 # quadrature atoms and the support side
 
@@ -71,6 +111,13 @@ def support_diameter(measure) -> float:
     if isinstance(measure, fs.ConvolvedMeasure):
         return sum(support_diameter(p) for p in measure.parts)
     return geometry.hull_diameter(support_hull(measure.system).vertices)
+
+
+def exact_inside(hull: fs.Polytope, X) -> np.ndarray:
+    """`Polytope.contains` of each float row of X, read at its exact binary
+    value: the exact oracle for float points such as `Polytope.sample`'s."""
+    return np.array([hull.contains(tuple(map(Fraction, x)))
+                     for x in np.atleast_2d(np.asarray(X, dtype=float)).tolist()])
 
 
 # ---------------------------------------------------------------------------

@@ -529,10 +529,12 @@ class TestUsage:
         (("gram", "--system", "scale4", "--count", "20000"), "a Gram matrix of 20000 points"),
     ])
     def test_capped_before_enumeration(self, monkeypatch, capsys, args, message):
+        # layer_digits decides the layer cap before its first layer, so no
+        # layer's points are summed
         def refuse(*_):
             raise AssertionError("enumeration started past the cap")
 
-        monkeypatch.setattr(fs.spectrum, "layer_digits", refuse)
+        monkeypatch.setattr(fs.spectrum, "digit_sum", refuse)
         monkeypatch.setattr(fs.spectrum, "enumerate_P", refuse)
         assert cli.main(list(args)) == 2
         err = capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 
 import fracspec as fs
 from fracspec import rational as rat
-from oracles import support_hull
+from oracles import exact_inside, support_hull
 
 
 F = Fraction
@@ -321,36 +321,38 @@ class TestFloatChart:
         us = hull.chart.param(hull.vertex_array())
         axes = [np.linspace(us[:, d].min(), us[:, d].max(), 3) for d in range(3)]
         mesh = np.array(list(itertools.product(*axes)))
-        assert not hull.contains_float(hull.chart.ambient(mesh)).any()
+        assert not exact_inside(hull, hull.chart.ambient(mesh)).any()
         assert np.array_equal(hull.sample(3), hull.vertex_array())
         assert len(hull.sample(3)) == 4
 
     def test_point_hull_membership(self):
         hull = fs.convex_hull([(F(1, 2), F(1, 3))])
         assert hull.affine_dim == 0
-        assert hull.contains_float([[0.5, 1 / 3], [0.5, 1 / 3 + 1e-10]]).all()
-        assert not hull.contains_float([[0.5, 0.34], [0.6, 1 / 3]]).any()
+        assert hull.contains((F(1, 2), F(1, 3)))
+        assert not hull.contains((F(1, 2), F(34, 100))) and not hull.contains((F(3, 5), F(1, 3)))
+        assert np.array_equal(hull.sample(5), [[0.5, 1 / 3]])
 
     def test_planar_hull_in_space(self, planar3d):
         hull = fs.dual_hull(planar3d, 4)
         assert hull.affine_dim == 2
         pts = hull.sample(9)
-        assert hull.contains_float(pts).all()
-        assert not hull.contains_float(pts + [0, 0, 1e-3]).any()     # off the plane
-        assert not hull.contains_float(pts + [0.5, 0, 0]).any()      # beside the square
+        assert exact_inside(hull, pts).all()
+        assert not exact_inside(hull, pts + [0, 0, 1e-3]).any()     # off the plane
+        assert not exact_inside(hull, pts + [0.5, 0, 0]).any()      # beside the square
         # brute force: the same mesh, each point mapped and tested on its own
         us = hull.chart.param(hull.vertex_array())
         axes = [np.linspace(us[:, d].min(), us[:, d].max(), 9) for d in range(2)]
         mesh = [hull.chart.ambient(np.array(u))[0] for u in itertools.product(*axes)]
-        inside = [p for p in mesh if hull.contains_float(p)[0]]
+        inside = [p for p in mesh if exact_inside(hull, p)[0]]
         assert len(inside) == len(pts)
         assert np.allclose(inside, pts, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["planar3d", "eiffel2"])
     def test_facet_tolerance_is_ambient_distance(self, request, name):
-        # a point off a facet's centre along its ambient unit normal is inside
-        # at 0.5 FLOAT_TOL and outside at 2 FLOAT_TOL, whatever the chart scale;
-        # the tower's depth-4 hull is its simplex (TestSimplex)
+        # a point off a facet's centre along its ambient unit normal passes the
+        # facet test of `sample` at 0.5 FLOAT_TOL and fails it at 2 FLOAT_TOL,
+        # whatever the chart scale; the tower's depth-4 hull is its simplex
+        # (TestSimplex)
         sysm = request.getfixturevalue(name)
         hull = fs.dual_hull(sysm, 4) if name == "planar3d" else fs.simplex_Y(sysm)
         tol = fs.geometry.FLOAT_TOL
@@ -362,8 +364,8 @@ class TestFloatChart:
             x = hull.chart.ambient(np.array(centre, dtype=float))[0]
             nf = np.array(n, dtype=float)
             w = hull.chart.basis.T @ Ginv @ nf / math.sqrt(nf @ Ginv @ nf)
-            assert hull.contains_float(x + 0.5 * tol * w)[0], (n, c)
-            assert not hull.contains_float(x + 2 * tol * w)[0], (n, c)
+            assert hull._in_facets(hull.chart.param(x + 0.5 * tol * w))[0], (n, c)
+            assert not hull._in_facets(hull.chart.param(x + 2 * tol * w))[0], (n, c)
 
 
 class TestSimplex:

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import fracspec as fs
 from fracspec import rational as rat
-from oracles import atoms, hardy_embedding, max_diag_defect, projection_norm_checks
+from oracles import (ZeroSetPredicate, atoms, hardy_embedding, max_diag_defect,
+                     projection_norm_checks)
 
 
 F = Fraction
@@ -196,8 +197,8 @@ class TestGram:
         m3 = fs.SelfSimilarMeasure(e3)
         rep = fs.gram_matrix(m3, [(0.0, 0.0, 0.0), (4.0, 4.0, 0.0)])
         assert rep.max_offdiag > 1e-3
-        inner = m3.mu_hat((4 / 3, 4 / 3, 0.0))
-        assert abs(abs(rep.matrix[0, 1]) - abs(inner.value)) < 1e-9
+        inner, _ = m3.mu_hat_batch((4 / 3, 4 / 3, 0.0))
+        assert abs(abs(rep.matrix[0, 1]) - abs(inner)) < 1e-9
 
     def test_duplicate_points_rejected(self, scale4):
         with pytest.raises(ValueError):
@@ -234,7 +235,8 @@ class TestGram:
 def _probe_calls(eiffel2, planar):
     """Each reader of the probe rule on probes of the wrong width: once
     silently reshaped into other rows (a (1, 1) Gram matrix, 2 values for 3
-    probes, tpoints of shape (3, 2), a (2, 1) array of pairs)."""
+    probes, probe rows of shape (3, 2), a (2, 1) array of pairs, a (3, 1)
+    column read as one 3-vector by the single-frequency transform)."""
     return {
         "gram_matrix": lambda: fs.gram_matrix(eiffel2, [0.0, 1.0, 2.0]),
         "q1_profile": lambda: fs.q1_profile(eiffel2, np.zeros((3, 2)), 3),
@@ -243,13 +245,15 @@ def _probe_calls(eiffel2, planar):
         "mu_hat_pairs": lambda: fs.SelfSimilarMeasure(eiffel2).mu_hat_pairs(
             np.zeros((3, 2)), np.zeros((1, 3))),
         "mu_hat_batch": lambda: fs.SelfSimilarMeasure(eiffel2).mu_hat_batch(np.zeros((3, 2))),
+        "mu_hat_batch_column": lambda: fs.SelfSimilarMeasure(eiffel2).mu_hat_batch(
+            np.zeros((3, 1))),
     }
 
 
 class TestProbeWidth:
     @pytest.mark.parametrize("call, width, dim", [
         ("gram_matrix", 1, 3), ("q1_profile", 2, 3), ("completeness_test", 3, 2),
-        ("mu_hat_pairs", 2, 3), ("mu_hat_batch", 2, 3)])
+        ("mu_hat_pairs", 2, 3), ("mu_hat_batch", 2, 3), ("mu_hat_batch_column", 1, 3)])
     def test_wrong_trailing_axis_refused(self, eiffel2, planar, call, width, dim):
         with pytest.raises(ValueError, match=f"trailing axis {width}, expected "
                                              f"trailing axis {dim}"):
@@ -262,21 +266,21 @@ class TestProbeWidth:
     def test_any_shape_is_elementwise_in_one_dimension(self, scale4):
         # the recorded verdict pools hand 1-D systems flat lists of probes
         flat = fs.completeness_test(scale4, [-0.1, -0.2, -0.3], p_depth_cap=6)
-        assert flat.profile.tpoints.shape == (3, 1)
+        assert flat.profile.values().shape == (3,)
         grid = np.linspace(-0.3, 0.0, 6)
         shaped = fs.q1_profile(scale4, grid.reshape(2, 3), 6)
         assert np.array_equal(shaped.values(), fs.q1_profile(scale4, grid, 6).values())
 
     def test_rows_of_any_leading_shape_above_one_dimension(self, planar):
         prof = fs.q1_profile(planar, np.full((2, 3, 2), 0.1), 3)
-        assert prof.tpoints.shape == (6, 2)
+        assert prof.values().shape == (6,)
 
 
 class TestQ1:
     def test_at_spectrum_point(self, scale4):
         prof = fs.q1_profile(scale4, [5.0], 4)
         assert prof.values()[0] >= 1 - 1e-9
-        assert prof.monotone
+        assert (prof.increments >= -1e-15).all()
 
     def test_scale4_interior_point(self, scale4):
         prof = fs.q1_profile(scale4, [-1 / 6], 10)
@@ -484,7 +488,7 @@ class TestQ1:
         T = data.draw(st.lists(st.floats(-2, 2), min_size=1, max_size=4))
         prof = fs.q1_profile(sysm, T, depth)
         assert (prof.partial_sums <= 1 + prof.fourier_tail[:, None] + 1e-12).all()
-        assert prof.monotone
+        assert (prof.increments >= -1e-15).all()
 
     def test_odd_scale_against_mpmath(self):
         # R = 7, B = {0, 1/4}, L = {0, 2}: the depth-14 sum of
@@ -514,7 +518,7 @@ class TestQ1:
     def test_monotone_in_depth(self, scale4):
         rng = np.random.RandomState(9)
         prof = fs.q1_profile(scale4, rng.uniform(-2, 2, 5), 8)
-        assert prof.monotone
+        assert (prof.increments >= -1e-15).all()
 
     def test_bessel_bound(self, scale4, mu4):
         rng = np.random.RandomState(10)
@@ -550,10 +554,12 @@ class TestQ1:
             fs.gram_matrix(planar, probes, fourier_depth=45)
 
 
-def low_points(report):
+def low_points(report, grid):
+    """(probe, value) of each probe of a 1-D grid that stabilized at or
+    below 1 - EPS_FAIL under the default eps_conv of `completeness_test`."""
     vals = report.profile.values()
-    stab = report.profile.stabilized_depth(report.eps_conv)
-    return [(tuple(report.profile.tpoints[i]), float(vals[i]))
+    stab = report.profile.stabilized_depth(fs.spectrum.Q1_EPS_CONV)
+    return [((float(grid[i]),), float(vals[i]))
             for i in range(len(vals))
             if stab[i] is not None and vals[i] <= 1 - fs.spectrum.EPS_FAIL]
 
@@ -574,7 +580,7 @@ class TestCompleteness:
         grid = np.linspace(-1 / 3, 0, 16)
         rep = fs.completeness_test(scale4, grid, measure=mu34)
         assert rep.verdict == fs.spectrum.VERDICT_INCOMPLETE
-        assert low_points(rep)
+        assert low_points(rep, grid)
 
     def test_indeterminate_when_capped(self, scale4, mu34):
         grid = np.linspace(-1 / 3, 0, 4)
@@ -626,7 +632,7 @@ class TestCompleteness:
         m = fs.SelfSimilarMeasure(eiffel2)
         for lam, _ in fs.enumerate_P(eiffel2, 4).points:
             u = np.array(lam, dtype=float) + np.array([1.0, 1.0, 0.0])
-            assert abs(m.mu_hat(u).value) <= 1e-12
+            assert abs(m.mu_hat_batch(u)[0]) <= 1e-12
         assert fs.q1_profile(eiffel2, [(-1.0, -1.0, 0.0)], 6).values()[0] <= 1e-20
 
     def test_tower_scale4_fills_in(self):
@@ -640,35 +646,35 @@ class TestCompleteness:
 class TestMaxOrthogonalFamily:
     def test_odd_scale_pairs_only(self):
         for R in (3, 5):
-            pred = fs.ZeroSetPredicate(R, F(1, 2))
-            fam = fs.max_orthogonal_family(pred, [F(k) for k in range(20)])
+            pred = ZeroSetPredicate(R, F(1, 2))
+            fam = fs.max_orthogonal_family(pred.orthogonal, [F(k) for k in range(20)])
             assert len(fam) == 2
 
     def test_mu4_maximal(self):
-        pred = fs.ZeroSetPredicate(4, F(1, 2))
+        pred = ZeroSetPredicate(4, F(1, 2))
         p4 = [F(n) for n in (0, 1, 4, 5, 16, 17, 20, 21)]
-        fam = fs.max_orthogonal_family(pred, p4 + [F(n) for n in (2, 3, 6, 7)])
+        fam = fs.max_orthogonal_family(pred.orthogonal, p4 + [F(n) for n in (2, 3, 6, 7)])
         assert sorted(fam) == p4
         for n in (2, 3, 6, 7):
             assert any(not pred.member(F(n) - m) for m in p4)
 
     def test_no_candidates(self):
-        pred = fs.ZeroSetPredicate(4, F(1, 2))
-        assert fs.max_orthogonal_family(pred, []) == ()
+        pred = ZeroSetPredicate(4, F(1, 2))
+        assert fs.max_orthogonal_family(pred.orthogonal, []) == ()
 
     def test_single_candidate(self):
-        pred = fs.ZeroSetPredicate(4, F(1, 2))
-        assert fs.max_orthogonal_family(pred, [F(7)]) == (F(7),)
+        pred = ZeroSetPredicate(4, F(1, 2))
+        assert fs.max_orthogonal_family(pred.orthogonal, [F(7)]) == (F(7),)
 
     def test_numeric_fallback(self, mu4):
-        fam = fs.max_orthogonal_family(lambda a, b: abs(mu4.mu_hat(a - b).value) <= 1e-6,
+        fam = fs.max_orthogonal_family(lambda a, b: abs(mu4.mu_hat_batch(a - b)[0]) <= 1e-6,
                                        [0.0, 1.0, 2.0, 4.0])
         assert set(fam) == {0.0, 1.0, 4.0}
 
     def test_too_many_candidates(self):
-        pred = fs.ZeroSetPredicate(4, F(1, 2))
+        pred = ZeroSetPredicate(4, F(1, 2))
         with pytest.raises(ValueError):
-            fs.max_orthogonal_family(pred, list(range(65)))
+            fs.max_orthogonal_family(pred.orthogonal, list(range(65)))
 
 
 class TestHardyEmbedding:

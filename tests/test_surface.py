@@ -3,9 +3,13 @@
 Every module-level public function and class of `src/fracspec` must be read
 by some other code of the package: a function, a method or a module-level
 statement, found by walking the syntax trees (a regex would count the names
-that docstrings mention).  Test-only helpers belong in `tests/`, shared ones
-in `tests/oracles.py`.  The few names the package keeps without a caller are
-listed below, each with its reason.
+that docstrings mention).  So must every public member of a package class:
+a method, property, class-level alias or field (a dataclass field, or an
+attribute `__init__` sets on self), read as an attribute outside its own
+body by code that is not itself such a member without a reader.  Test-only
+helpers belong in `tests/`, shared ones in `tests/oracles.py`.  The few
+names the package keeps without a caller are listed below, each with its
+reason.
 """
 
 import ast
@@ -28,6 +32,11 @@ ALLOWED = {
     "ConvolvedMeasure": "criterion 6 runs completeness_test on a convolution",
     "digits_of": "the exact digit expansion, in a round trip with reconstruct",
     "reconstruct": "the exact point of a digit word, in a round trip with digits_of",
+}
+
+ALLOWED_MEMBERS = {
+    "SelfSimilarMeasure.mu_hat_batch": "the transform at an array of frequencies; the "
+                                       "benchmark traces it",
 }
 
 
@@ -64,6 +73,55 @@ def _without_caller() -> set:
             if not readers.get(name, set()) - {(mod, name)}}
 
 
+def _public_members(modules) -> dict:
+    """"Class.member" -> (member name, its defining node) for every public
+    method, property, class-level alias and field of a module-level class."""
+    out = {}
+    for tree in modules.values():
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    found = [(node.name, node)]
+                    if node.name == "__init__":         # a field is its `self.x =` target
+                        found += [(t.attr, t) for t in ast.walk(node)
+                                  if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                                  and isinstance(t.value, ast.Name) and t.value.id == "self"]
+                elif isinstance(node, ast.Assign):
+                    found = [(t.id, node) for t in node.targets if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    found = [(node.target.id, node)]
+                else:
+                    continue
+                out.update({f"{cls.name}.{name}": (name, defn) for name, defn in found
+                            if not name.startswith("_")})
+    return out
+
+
+def _members_without_reader(allowed=()) -> set:
+    """Members no attribute read reaches, except from their own body or
+    from members in the same state (so a chain of wrappers that nothing
+    reads is found whole); the `allowed` members count as read."""
+    modules = _modules()
+    members = _public_members(modules)
+    owner = {}          # id of a node -> the member whose definition holds it
+    for key, (_, node) in members.items():
+        for sub in ast.walk(node):
+            owner.setdefault(id(sub), key)
+    reads: dict = {}    # attribute name -> the member (or None) of every read
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(owner.get(id(node)))
+    dead: set = set()
+    while True:
+        new = {key for key, (name, _) in members.items()
+               if key not in dead and key not in allowed
+               and all(r == key or r in dead for r in reads.get(name, []))}
+        if not new:
+            return dead
+        dead |= new
+
+
 def test_every_public_name_has_a_caller_or_a_reason():
     unlisted = _without_caller() - set(ALLOWED)
     assert not unlisted, (f"public names no other package code reads: {sorted(unlisted)}; "
@@ -76,6 +134,20 @@ def test_no_stale_allowlist_entry():
     assert not gone, f"allowlisted names that are gone: {sorted(gone)}"
     called = set(ALLOWED) - _without_caller()
     assert not called, f"allowlisted names that now have a caller: {sorted(called)}"
+
+
+def test_every_public_member_has_a_reader_or_a_reason():
+    unread = _members_without_reader(ALLOWED_MEMBERS)
+    assert not unread, (f"class members no other package code reads: {sorted(unread)}; "
+                        f"delete them, move them into tests/ or give a reason in "
+                        f"ALLOWED_MEMBERS")
+
+
+def test_no_stale_member_allowlist_entry():
+    gone = set(ALLOWED_MEMBERS) - set(_public_members(_modules()))
+    assert not gone, f"allowlisted members that are gone: {sorted(gone)}"
+    read = set(ALLOWED_MEMBERS) - _members_without_reader()
+    assert not read, f"allowlisted members that now have a reader: {sorted(read)}"
 
 
 @pytest.mark.parametrize("mod", sorted(p.stem for p in SRC.glob("*.py")))

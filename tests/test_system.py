@@ -71,8 +71,12 @@ class TestMask:
             fs.chi_B(eiffel2, (Fraction(1, 2),))
         with pytest.raises(ValueError, match="dimension 2, expected 1"):
             fs.chi_B(scale4, (Fraction(1, 2), Fraction(0)))
-        with pytest.raises(ValueError):
+        # the float branch once stopped at numpy's matmul error, naming
+        # neither dimension
+        with pytest.raises(ValueError, match="dimension 1, expected 3"):
             fs.chi_B(eiffel2, (0.5,))
+        with pytest.raises(ValueError, match="dimension 2, expected 1"):
+            fs.chi_B(scale4, (0.5, 0.0))
 
     def test_batch_matches_scalar(self, eiffel2):
         rng = np.random.RandomState(0)
