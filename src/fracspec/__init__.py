@@ -15,7 +15,7 @@ from .system import (AffineSystem, ScalingMatrix, ValidationReport, chi_B, chi_B
                      load_system_file, make_system, planar_collapse_system,
                      system_from_json, system_to_json, two_digit_system,
                      unitarity_defect, validate_system)
-from .measure import ConvolvedMeasure, SelfSimilarMeasure
+from .measure import SelfSimilarMeasure
 from .spectrum import (CompletenessReport, GramReport, Q1Profile, SpectrumEnumeration,
                        completeness_test, digits_of, enumerate_P, gram_matrix,
                        max_orthogonal_family, q1_depth, q1_profile, reconstruct,

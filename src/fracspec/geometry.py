@@ -121,7 +121,7 @@ class Polytope:
     facets: tuple                        # halfspaces in chart coordinates
     solver: tuple                        # (k pivot rows of the basis, exact inverse
                                          # of the k x k submatrix they select)
-    faces: tuple = ()                    # boundary: affine_dim chart vertices per face,
+    faces: tuple                         # boundary: affine_dim chart vertices per face,
                                          # outward-oriented for affine_dim 2 and 3
 
     def chart_coords(self, x) -> tuple | None:
@@ -300,7 +300,7 @@ def convex_hull(points) -> Polytope:
 
     if k == 0:
         p = rat.unlift(ipts[:1], scale)[0]
-        return Polytope(ambient, 0, (p,), p, (), (), ())
+        return Polytope(ambient, 0, (p,), p, (), (), (), ())
 
     if k == ambient:
         # the identity chart: the hull is built in ambient coordinates

@@ -1,6 +1,5 @@
-"""Fourier side of self-similar measures: the transform and |mu_hat|^2 as
-truncated products over one bracket kernel, with tail bounds, and
-convolution."""
+"""Fourier side of a self-similar measure: the transform and |mu_hat|^2 as
+truncated products over one bracket kernel, with tail bounds."""
 
 from __future__ import annotations
 
@@ -297,49 +296,17 @@ class SelfSimilarMeasure:
         T, Lam, depth, tail = self._adaptive(T, Lam, None, squared=False)
         return self._pairs(T, Lam, depth), tail
 
-    def mu_hat_sq_pairs(self, T, Lam):
-        """|mu_hat(t - lambda)|^2 for every row t of T and lambda of Lam: the
-        (m, n) array and the squared-form tail bound of |mu_hat|^2 at its
-        own adaptive depth, which the truncated values overestimate by at
-        most that bound.  The product of `_brackets` is squared once, at the
-        end; the centre phase has modulus one and is left out.  Each bracket
-        is formed before it is squared, so a factor near a zero of the mask
-        keeps |chi_B|^2 accurate to rounding squared."""
-        T, Lam, depth, tail = self._adaptive(T, Lam, None, squared=True)
-        return _abs_sq(self._brackets(T, Lam, depth, None)), tail
-
     def mu_hat_sq_sums(self, T, Lam, starts):
-        """The row sums of `mu_hat_sq_pairs(T, Lam)` over the column groups
-        that begin at `starts` (see `_group_sums`; an empty group sums to
-        0): the (m, len(starts)) array and the same tail bound.  The kernel
-        reduces each row tile as it finishes it, so no (m, n) array is
-        formed."""
+        """The row sums of |mu_hat(t - lambda)|^2, t a row of T and lambda of
+        Lam, over the column groups that begin at `starts` (see
+        `_group_sums`; an empty group sums to 0): the (m, len(starts)) array
+        and the squared-form tail bound of its own adaptive depth, which the
+        truncated values overestimate by at most that bound.  The product of
+        `_brackets` is squared tile by tile; the centre phase has modulus one
+        and is left out.  Each bracket is formed before it is squared, so a
+        factor near a zero of the mask keeps |chi_B|^2 accurate to rounding
+        squared.  The kernel reduces each row tile as it finishes it, so no
+        (m, n) array is formed."""
         T, Lam, depth, tail = self._adaptive(T, Lam, None, squared=True)
         return self._brackets(T, Lam, depth, starts), tail
 
-
-# ---------------------------------------------------------------------------
-# convolution
-
-class ConvolvedMeasure:
-    """Convolution of two measures: transforms multiply, tail bounds add."""
-
-    def __init__(self, a, b):
-        if a.dim != b.dim:
-            raise ValueError("convolution needs equal ambient dimensions")
-        self.parts = (a, b)
-        self.dim = a.dim
-
-    def mu_hat_pairs(self, T, Lam):
-        va, ta = self.parts[0].mu_hat_pairs(T, Lam)
-        vb, tb = self.parts[1].mu_hat_pairs(T, Lam)
-        return va * vb, ta + tb
-
-    def mu_hat_sq_pairs(self, T, Lam):
-        va, ta = self.parts[0].mu_hat_sq_pairs(T, Lam)
-        vb, tb = self.parts[1].mu_hat_sq_pairs(T, Lam)
-        return va * vb, ta + tb
-
-    def mu_hat_sq_sums(self, T, Lam, starts):
-        vals, tail = self.mu_hat_sq_pairs(T, Lam)
-        return _group_sums(vals, starts, np.zeros((len(vals), len(starts)))), tail

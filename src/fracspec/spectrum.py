@@ -191,14 +191,6 @@ class GramReport:
     worst_pair: tuple
 
 
-def _as_measure(measure, system: AffineSystem | None):
-    """The measure a sum runs against: a system stands for its self-similar
-    measure, and None for that of `system`."""
-    if measure is None:
-        measure = system
-    return SelfSimilarMeasure(measure) if isinstance(measure, AffineSystem) else measure
-
-
 def check_gram_count(count: int) -> None:
     """Refuse a Gram matrix of more than geometry.MAX_MESH_POINTS entries."""
     if count ** 2 > geometry.MAX_MESH_POINTS:
@@ -206,17 +198,16 @@ def check_gram_count(count: int) -> None:
                          f"{geometry.MAX_MESH_POINTS} entries")
 
 
-def gram_matrix(measure, points) -> GramReport:
-    """Inner products of exponentials: entry (i, j) is the transform at
-    lambda_j - lambda_i, the transpose of `mu_hat_pairs` of the points
-    against themselves."""
-    measure = _as_measure(measure, None)
+def gram_matrix(system: AffineSystem, points) -> GramReport:
+    """Inner products of exponentials in L^2 of the self-similar measure of
+    `system`: entry (i, j) is the transform at lambda_j - lambda_i, the
+    transpose of `mu_hat_pairs` of the points against themselves."""
     pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
     check_gram_count(len(pts))
     arr = np.stack(pts)
     if len({tuple(p) for p in arr.round(12).tolist()}) != len(pts):
         raise ValueError("Gram points must be pairwise distinct")
-    vals, tail = measure.mu_hat_pairs(arr, arr)
+    vals, tail = SelfSimilarMeasure(system).mu_hat_pairs(arr, arr)
     G = vals.T
     off = np.abs(G)
     np.fill_diagonal(off, 0.0)
@@ -232,7 +223,8 @@ def gram_matrix(measure, points) -> GramReport:
 
 @dataclass
 class Q1Profile:
-    """Partial sums of sum_{lambda} |mu_hat(t - lambda)|^2 per enumeration depth.
+    """Partial sums of sum_{lambda} |mu_hat(t - lambda)|^2 per enumeration
+    depth, mu the self-similar measure of a system and lambda over its P(L).
 
     `fourier_tail` bounds, per point, how far the truncated transform products
     can move the last partial sum: each |mu_hat(t - lambda)|^2 is a product
@@ -263,9 +255,10 @@ class Q1Profile:
         return out
 
 
-def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int, measure,
+def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int,
              eps_conv: float | None, watch: int) -> Q1Profile:
-    """Accumulate the partial sums of every row of T layer by layer.
+    """Accumulate the partial sums of every row of T layer by layer, against
+    the self-similar measure of `system` over its P(L).
 
     With `eps_conv` set, the layer loop stops once the increment of each of
     the first `watch` rows falls below it (partial sums are monotone, so
@@ -273,8 +266,9 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int, measure,
     The stop is decided layer by layer, also inside a joined run (below),
     whose layers past it are dropped with their tail.
 
-    Every call goes to `mu_hat_sq_sums`, which returns the row sums of
-    |mu_hat(t - lambda)|^2 over column groups and never the pair values.
+    Every call goes to `SelfSimilarMeasure.mu_hat_sq_sums`, which returns
+    the row sums of |mu_hat(t - lambda)|^2 over column groups and never the
+    pair values.
     A run of consecutive small layers, whose m n pairs add up to at most
     Q1_RUN_PAIRS, goes to the kernel in one call over the run's points,
     one column group per layer (an empty layer sums to 0), so each of its
@@ -289,7 +283,6 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int, measure,
     m |P_h| <= Q1_SCRATCH; H is chunked so that no call has more than
     Q1_SCRATCH pairs.
     """
-    measure = _as_measure(measure, system)
     m, dim = T.shape
     cap = Q1_SCRATCH // 1024          # so that a call has room for 1024 spectrum points a row
     if m > cap:
@@ -300,7 +293,7 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int, measure,
     sums = []
     incs = []
     tail = 0.0
-    for d, (inc, layer_tail) in enumerate(_layer_increments(system, T, p_depth, measure)):
+    for d, (inc, layer_tail) in enumerate(_layer_increments(system, T, p_depth)):
         tail += layer_tail
         if d == 0:
             sums.append(inc)
@@ -313,12 +306,13 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int, measure,
                      np.full(m, tail))
 
 
-def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int, measure):
+def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int):
     """Yield each layer's increment of every row of T, d = 0..p_depth in
     order, with its Fourier tail per row (each call's bound times the
     layer's points in it): runs of small layers joined and any other layer
     split, as `_q1_pass` describes."""
     m, dim = T.shape
+    measure = SelfSimilarMeasure(system)
     run = []                            # points of the pending run's layers
 
     def joined():
@@ -365,9 +359,10 @@ def q1_depth(system: AffineSystem) -> int:
 
 
 def q1_profile(system: AffineSystem, tpoints, p_depth: int | None = None,
-               measure=None, eps_conv: float | None = None) -> Q1Profile:
-    """Completeness partial sums at `tpoints`, accumulated layer by layer
-    to `p_depth`, by default `q1_depth(system)`.
+               eps_conv: float | None = None) -> Q1Profile:
+    """Completeness partial sums of the self-similar measure of `system` at
+    `tpoints`, accumulated layer by layer to `p_depth`, by default
+    `q1_depth(system)`.
 
     Each transform value is truncated at the adaptive depth that meets the
     measure's tail tolerance.  With `eps_conv` set, the layer loop stops early
@@ -376,7 +371,7 @@ def q1_profile(system: AffineSystem, tpoints, p_depth: int | None = None,
     T = probe_rows(tpoints, system.dim)
     if p_depth is None:
         p_depth = q1_depth(system)
-    return _q1_pass(system, T, p_depth, measure, eps_conv, len(T))
+    return _q1_pass(system, T, p_depth, eps_conv, len(T))
 
 
 VERDICT_BASIS = "BASIS-CONSISTENT"
@@ -391,16 +386,25 @@ class CompletenessReport:
     grad_at_zero: np.ndarray
 
 
-def completeness_test(system: AffineSystem, grid, measure=None,
-                      eps_conv: float = Q1_EPS_CONV,
-                      p_depth_cap: int | None = None) -> CompletenessReport:
-    """Run the partial-sum verdict over a grid inside the hull, with the
-    layers capped at `p_depth_cap`, by default `q1_depth(system)`.
+def _verdict(prof: Q1Profile, eps_conv: float) -> str:
+    """INCOMPLETE when a point stabilized (increment below `eps_conv`) at or
+    below 1 - EPS_FAIL; BASIS-CONSISTENT when every point stabilized at or
+    above 1 - EPS_PASS; INDETERMINATE otherwise (the depth cap bound before
+    stabilization)."""
+    vals = prof.values()
+    stabilized = [s is not None for s in prof.stabilized_depth(eps_conv)]
+    if any(st and v <= 1 - EPS_FAIL for st, v in zip(stabilized, vals)):
+        return VERDICT_INCOMPLETE
+    if all(stabilized) and (vals >= 1 - EPS_PASS).all():
+        return VERDICT_BASIS
+    return VERDICT_INDETERMINATE
 
-    INCOMPLETE when a stabilized point sits at or below 1 - EPS_FAIL;
-    BASIS-CONSISTENT when every point stabilized at or above 1 - EPS_PASS;
-    INDETERMINATE otherwise (the depth cap bound before stabilization).
-    """
+
+def completeness_test(system: AffineSystem, grid, eps_conv: float = Q1_EPS_CONV,
+                      p_depth_cap: int | None = None) -> CompletenessReport:
+    """Run the partial-sum verdict (`_verdict`) of the self-similar measure
+    of `system` over a grid inside the hull, with the layers capped at
+    `p_depth_cap`, by default `q1_depth(system)`."""
     # the rows +-FD_STEP e_j of the gradient stencil at the origin ride along
     # in the same pass; only the probe rows decide when it stops
     T = probe_rows(grid, system.dim)
@@ -411,24 +415,13 @@ def completeness_test(system: AffineSystem, grid, measure=None,
     stencil = np.concatenate([[FD_STEP * e, -FD_STEP * e] for e in np.eye(system.dim)])
     if p_depth_cap is None:
         p_depth_cap = q1_depth(system)
-    full = _q1_pass(system, np.concatenate([T, stencil]), p_depth_cap, measure,
-                    eps_conv, m)
+    full = _q1_pass(system, np.concatenate([T, stencil]), p_depth_cap, eps_conv, m)
     prof = Q1Profile(full.partial_sums[:m], full.increments[:m], full.depth,
                      full.fourier_tail[:m])
-    vals = prof.values()
-    stab = prof.stabilized_depth(eps_conv)
-    stabilized = [s is not None for s in stab]
-    if any(st and v <= 1 - EPS_FAIL for st, v in zip(stabilized, vals)):
-        verdict = VERDICT_INCOMPLETE
-    elif all(stabilized) and (vals >= 1 - EPS_PASS).all():
-        verdict = VERDICT_BASIS
-    else:
-        verdict = VERDICT_INDETERMINATE
-
     # central finite-difference gradient of the partial sum at the origin
     v = full.values()[m:]
     grad = (v[0::2] - v[1::2]) / (2 * FD_STEP)
-    return CompletenessReport(verdict, prof, grad)
+    return CompletenessReport(_verdict(prof, eps_conv), prof, grad)
 
 
 # ---------------------------------------------------------------------------

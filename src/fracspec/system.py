@@ -169,8 +169,8 @@ class AffineSystem:
         (`real` is True); otherwise every digit stays at weight 1/N.
 
         Every kernel forms the bracket before it squares it (`chi_B_sq` one
-        bracket, `SelfSimilarMeasure.mu_hat_sq_pairs` and `mu_hat_sq_sums`
-        the product of the brackets of its levels), so |chi_B|^2 stays
+        bracket, `SelfSimilarMeasure.mu_hat_sq_sums` the product of the
+        brackets of its levels), so |chi_B|^2 stays
         accurate to rounding squared at its zeros, where the cosine series
         over B - B would cancel to rounding.
         """

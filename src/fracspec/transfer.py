@@ -365,7 +365,7 @@ class ContractivityReport:
     sharp_valid: bool
     norms: dict
     beta_detail: BetaResult
-    gamma_L1_detfree: float | None = None   # mixed-norm diagnostic, see gamma_supnorm
+    gamma_L1_detfree: float | None      # mixed-norm diagnostic, see gamma_supnorm
 
     def to_dict(self) -> dict:
         return {
@@ -389,22 +389,18 @@ def overlaps_measure_zero(sys: AffineSystem, Y: Polytope) -> bool:
     return not any(D.contains(l, strict=True) for l in sys.L if any(l))
 
 
-def gamma_supnorm(sys: AffineSystem, Y: Polytope | None = None) -> ContractivityReport:
-    """All contractivity constants of the transfer operator on the hull Y.
+def gamma_supnorm(sys: AffineSystem) -> ContractivityReport:
+    """All contractivity constants of the transfer operator on the hull
+    Y = `geometry.dual_hull(sys)`, computed once per system
+    (`AffineSystem.once`) and shared.
 
     `gamma_L1_detfree` is the determinant-free diagnostic
     N vol(Y) [(1 - 1/N) beta ||R^{-1}||_op max|l| + N ||R^{-1}||_hs]: it bounds
     the integral gradient norm of CQ by the supremum gradient norm over the
     union of the rho_l images, so it compares mixed norms and certifies
     nothing by itself; None when Y is degenerate.
-
-    On the default hull, `geometry.dual_hull(sys)`, the report is computed
-    once per system (`AffineSystem.once`) and shared; an explicit Y is
-    computed afresh.
     """
-    if Y is None:
-        return sys.once("gamma_supnorm", lambda: _contractivity(sys, geometry.dual_hull(sys)))
-    return _contractivity(sys, Y)
+    return sys.once("gamma_supnorm", lambda: _contractivity(sys, geometry.dual_hull(sys)))
 
 
 def _contractivity(sys: AffineSystem, Y: Polytope) -> ContractivityReport:
@@ -432,5 +428,4 @@ def _contractivity(sys: AffineSystem, Y: Polytope) -> ContractivityReport:
         "det_times_hs": det_abs * hs,
     }
     return ContractivityReport(beta_res.beta, gamma_sup, gamma_l1,
-                               gamma_l1_sharp, sharp_ok, norms, beta_res,
-                               gamma_L1_detfree=detfree)
+                               gamma_l1_sharp, sharp_ok, norms, beta_res, detfree)

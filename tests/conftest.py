@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import fracspec as fs
+from oracles import ConvolvedMeasure
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +55,7 @@ def mu3(triadic):
 
 @pytest.fixture(scope="session")
 def mu34(mu3, mu4):
-    return fs.ConvolvedMeasure(mu3, mu4)
+    return ConvolvedMeasure(mu3, mu4)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,11 @@
 """Reference oracles that several test modules check the package against.
 
 None of this runs in the pipeline: closed forms, the exact zero set of a
-two-digit measure, word quadrature atoms, the support side of the attractor,
-the Lebesgue second fixed point, the isometric coefficient splitting and the
-derivative identities of Q1 at the origin, plus readers of report fields
-that only tests ask for.
+two-digit measure, |mu_hat|^2 pair by pair, the convolution of two
+self-similar measures with its dense completeness sums, word quadrature
+atoms, the support side of the attractor, the Lebesgue second fixed point,
+the isometric coefficient splitting and the derivative identities of Q1 at
+the origin, plus readers of report fields that only tests ask for.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 
 import fracspec as fs
 from fracspec import geometry, rational as rat, spectrum
+from fracspec.system import probe_rows
 
 LEBESGUE_TERMS = 4000  # terms of the Lebesgue fixed point's series
 
@@ -84,11 +86,67 @@ class ZeroSetPredicate:
 
 
 # ---------------------------------------------------------------------------
+# |mu_hat|^2 pair by pair, and the convolution
+
+def mu_hat_sq_pairs(measure, T, Lam):
+    """|mu_hat(t - lambda)|^2 for every row t of T and lambda of Lam, as an
+    (m, n) array, with its squared-form tail bound: the row sums of
+    `mu_hat_sq_sums` over one column group per lambda."""
+    return measure.mu_hat_sq_sums(T, Lam, range(len(Lam)))
+
+
+class ConvolvedMeasure:
+    """Convolution of two measures: transforms multiply, tail bounds add."""
+
+    def __init__(self, a, b):
+        if a.dim != b.dim:
+            raise ValueError("convolution needs equal ambient dimensions")
+        self.parts = (a, b)
+        self.dim = a.dim
+
+    def mu_hat_pairs(self, T, Lam):
+        va, ta = self.parts[0].mu_hat_pairs(T, Lam)
+        vb, tb = self.parts[1].mu_hat_pairs(T, Lam)
+        return va * vb, ta + tb
+
+    def q1_profile(self, system, tpoints, p_depth: int,
+                   eps_conv: float | None = None) -> fs.Q1Profile:
+        """Completeness partial sums of the convolution over P(L) of
+        `system`, dense layer by layer: each layer's |mu_hat_a mu_hat_b|^2
+        is the product of the parts' `mu_hat_sq_pairs`, and its tail the sum
+        of theirs times the layer's points.  With `eps_conv` set the loop
+        stops once every row's increment falls below it, as the package's
+        Q1 pass does."""
+        T = probe_rows(tpoints, self.dim)
+        sums, incs, tail = [], [], 0.0
+        for d, sets in spectrum.layer_digits(system, p_depth):
+            layer = spectrum.digit_sum(sets, self.dim)
+            (va, ta), (vb, tb) = (mu_hat_sq_pairs(p, T, layer) for p in self.parts)
+            inc = (va * vb).sum(axis=1)
+            tail += (ta + tb) * len(layer)
+            if d == 0:
+                sums.append(inc)
+                continue
+            incs.append(inc)
+            sums.append(sums[-1] + inc)
+            if eps_conv is not None and (inc < eps_conv).all():
+                break
+        return fs.Q1Profile(np.stack(sums, axis=1), np.stack(incs, axis=1), len(incs),
+                            np.full(len(T), tail))
+
+    def completeness_verdict(self, system, grid, eps_conv: float = spectrum.Q1_EPS_CONV):
+        """(verdict, profile) of the convolution at the probes `grid`, by the
+        verdict rule of `fs.completeness_test` at its default depth cap."""
+        prof = self.q1_profile(system, grid, spectrum.q1_depth(system), eps_conv)
+        return spectrum._verdict(prof, eps_conv), prof
+
+
+# ---------------------------------------------------------------------------
 # quadrature atoms and the support side
 
 def atoms(measure, depth: int) -> np.ndarray:
     """All N^depth depth-d word images of 0 under the sigma maps."""
-    if isinstance(measure, fs.ConvolvedMeasure):
+    if isinstance(measure, ConvolvedMeasure):
         aa, ab = (atoms(p, depth) for p in measure.parts)
         return (aa[:, None, :] + ab[None, :, :]).reshape(-1, measure.dim)
     sys = measure.system
@@ -108,7 +166,7 @@ def support_hull(sys, depth: int = 4) -> fs.Polytope:
 
 
 def support_diameter(measure) -> float:
-    if isinstance(measure, fs.ConvolvedMeasure):
+    if isinstance(measure, ConvolvedMeasure):
         return sum(support_diameter(p) for p in measure.parts)
     return geometry.hull_diameter(support_hull(measure.system).vertices)
 
@@ -180,7 +238,9 @@ def projection_norm_checks(system, n_order: int = 1, p_depth: int = 10,
                            measure=None, quad_depth: int | None = None) -> ProjectionCheck:
     """Match finite differences (step FD_STEP) of the completeness sum at 0
     along the first coordinate axis against the projection-norm identity
-    computed by quadrature.
+    computed by quadrature.  The sum is that of the self-similar measure of
+    `system`, or with `measure` a `ConvolvedMeasure`, the convolution's dense
+    sum over P(L) of `system`.
 
     Order 1 checks the vanishing gradient; order 2 checks
     d^2/dt_1^2 = 8 pi^2 (||A x_1||^2 - ||x_1||^2), the coordinate projected
@@ -194,8 +254,7 @@ def projection_norm_checks(system, n_order: int = 1, p_depth: int = 10,
     """
     if n_order not in (1, 2):
         raise ValueError("n_order must be 1 or 2")
-    measure = spectrum._as_measure(measure, system)
-    parts = getattr(measure, "parts", (measure,))
+    parts = (fs.SelfSimilarMeasure(system),) if measure is None else measure.parts
     if quad_depth is None:
         branching = math.prod(p.system.N for p in parts)
         quad_depth = p_depth + 4
@@ -203,8 +262,9 @@ def projection_norm_checks(system, n_order: int = 1, p_depth: int = 10,
             quad_depth -= 1
 
     def qval(ts):
-        prof = fs.q1_profile(system, ts, p_depth, measure=measure)
-        return prof.values()
+        if measure is None:
+            return fs.q1_profile(system, ts, p_depth).values()
+        return measure.q1_profile(system, ts, p_depth).values()
 
     h = spectrum.FD_STEP
     dim = system.dim

@@ -75,10 +75,10 @@ def test_criterion_05_completeness(scale4):
 
 def test_criterion_06_incompleteness(scale4, mu34):
     grid = np.linspace(-1 / 3, 0, 64)
-    rep = fs.completeness_test(scale4, grid, measure=mu34, eps_conv=1e-6)
-    stab = rep.profile.stabilized_depth(1e-6)
-    vals = rep.profile.values()
-    ok = rep.verdict == "INCOMPLETE" and any(
+    verdict, prof = mu34.completeness_verdict(scale4, grid, eps_conv=1e-6)
+    stab = prof.stabilized_depth(1e-6)
+    vals = prof.values()
+    ok = verdict == "INCOMPLETE" and any(
         s is not None and v <= 0.95 for s, v in zip(stab, vals))
     verdictline(6, "convolution incompleteness", ok)
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import fracspec as fs
 from fracspec import rational as rat
-from oracles import (ZeroSetPredicate, atoms, max_diag_defect, mu2_closed_form,
-                     support_diameter)
+from oracles import (ConvolvedMeasure, ZeroSetPredicate, atoms, max_diag_defect,
+                     mu2_closed_form, mu_hat_sq_pairs, support_diameter)
 
 
 def per_digit_product(meas, X, squared=False):
@@ -47,13 +47,10 @@ def per_digit_levels(sysm, X, depth):
 def full_depth_sq(meas, T, Lam):
     """|mu_hat(t - lambda)|^2 from the same brackets as the kernel, at
     MAX_PRODUCT_DEPTH: the value the truncated kernel may only exceed, and
-    by at most its tail.  A convolution multiplies its parts."""
+    by at most its tail."""
     T = np.asarray(T, dtype=float).reshape(-1, meas.dim)
     Lam = np.asarray(Lam, dtype=float).reshape(-1, meas.dim)
-    out = np.ones((len(T), len(Lam)))
-    for part in getattr(meas, "parts", (meas,)):
-        out *= np.abs(part._brackets(T, Lam, fs.measure.MAX_PRODUCT_DEPTH, None)) ** 2
-    return out
+    return np.abs(meas._brackets(T, Lam, fs.measure.MAX_PRODUCT_DEPTH, None)) ** 2
 
 
 def _named_system(name):
@@ -175,15 +172,15 @@ class TestMaxDistance:
 
 
 class TestSquaredPairs:
-    """mu_hat_sq_pairs, the real |mu_hat(t - lambda)|^2 kernel of the
-    completeness sums."""
+    """The real |mu_hat(t - lambda)|^2 kernel of the completeness sums, pair
+    by pair (one column group per lambda), and the complex kernels."""
 
-    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2", "mu34"])
+    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2"])
     def test_matches_complex_transform(self, request, name):
         meas = _measure(request, name)
         T, Lam = _probe_pairs(meas.dim)
         vals, tail = per_digit_product(meas, T[:, None, :] - Lam[None, :, :], squared=True)
-        got, got_tail = meas.mu_hat_sq_pairs(T, Lam)
+        got, got_tail = mu_hat_sq_pairs(meas, T, Lam)
         assert got.shape == (6, 40)
         assert np.abs(got - np.abs(vals) ** 2).max() <= 1e-12
         assert got_tail == pytest.approx(tail, rel=1e-12)
@@ -223,8 +220,8 @@ class TestSquaredPairs:
                  for n in rng.sample(range(2 ** 14), 60)]
         lams = [fs.reconstruct(sysm, w)[0] for w in words]
         probes = np.array([0.25, -0.625])
-        got, _ = fs.SelfSimilarMeasure(sysm).mu_hat_sq_pairs(
-            probes, np.array([float(lam) for lam in lams]))
+        got, _ = mu_hat_sq_pairs(fs.SelfSimilarMeasure(sysm), probes,
+                                 np.array([float(lam) for lam in lams]))
         with mpmath.workdps(60):
             pib = mpmath.pi * b.numerator / b.denominator
             for i, t in enumerate(probes):
@@ -239,29 +236,29 @@ class TestSquaredPairs:
     def test_zero_of_the_mask_stays_at_rounding_squared(self, eiffel2):
         # -(1, 1, 0) is orthogonal to the whole depth-4 spectrum at scale 2
         lam = np.array(fs.enumerate_P(eiffel2, 4).coords(), dtype=float)
-        got, _ = fs.SelfSimilarMeasure(eiffel2).mu_hat_sq_pairs([[-1.0, -1.0, 0.0]], lam)
+        got, _ = mu_hat_sq_pairs(fs.SelfSimilarMeasure(eiffel2), [[-1.0, -1.0, 0.0]], lam)
         assert got.max() <= 1e-28
 
 
 class TestSquaredSums:
-    """mu_hat_sq_sums, the row sums of mu_hat_sq_pairs over column groups
-    that the completeness sums read: the kernel squares and sums each row
-    tile as it finishes it."""
+    """mu_hat_sq_sums, the row sums of |mu_hat|^2 over column groups that
+    the completeness sums read: the kernel squares and sums each row tile
+    as it finishes it."""
 
     # groups of the 40 points: empty ones first, inside and last
     STARTS = [0, 0, 5, 5, 17, 39, 40, 40]
 
     @staticmethod
     def reference(meas, T, Lam, starts):
-        vals, tail = meas.mu_hat_sq_pairs(T, Lam)
+        vals, tail = mu_hat_sq_pairs(meas, T, Lam)
         ends = starts[1:] + [vals.shape[1]]
         return np.stack([vals[:, a:b].sum(axis=1) for a, b in zip(starts, ends)], axis=1), tail
 
-    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2", "mu34"])
+    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2"])
     @pytest.mark.parametrize("entries", [None, 20, 80])
     def test_groups_match_the_pairs(self, request, monkeypatch, name, entries):
-        # real tables (scale4, triadic), complex ones (planar, eiffel2) and
-        # a convolution; one tile, and row tiles of one and of two rows
+        # real tables (scale4, triadic) and complex ones (planar, eiffel2);
+        # one tile, and row tiles of one and of two rows
         meas = _measure(request, name)
         if entries is not None:
             monkeypatch.setattr(fs.measure, "STACK_ENTRIES", entries)
@@ -309,26 +306,26 @@ class TestSquaredSums:
 
 
 class TestSquaredTail:
-    """The squared-form tail of mu_hat_sq_pairs: the truncated |mu_hat|^2 is
-    never below the full-depth one and at most its tail above it."""
+    """The squared-form tail of the |mu_hat|^2 kernel: the truncated
+    |mu_hat|^2 is never below the full-depth one and at most its tail above
+    it."""
 
     ROUNDING = 1e-15
     TWO_DIGIT = [f"R={r}" for r in (2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8)]
 
     @staticmethod
     def assert_one_sided(meas, T, Lam):
-        got, tail = meas.mu_hat_sq_pairs(T, Lam)
+        got, tail = mu_hat_sq_pairs(meas, T, Lam)
         gap = got - full_depth_sq(meas, T, Lam)
         assert gap.min() >= -TestSquaredTail.ROUNDING
         assert gap.max() <= tail + TestSquaredTail.ROUNDING
         return tail
 
     @pytest.mark.parametrize("name", ["scale4", "scale2", "triadic", "planar-collapse",
-                                      "eiffel(2)", "mu34"] + TWO_DIGIT)
-    def test_one_sided_up_to_large_frequencies(self, request, name):
+                                      "eiffel(2)"] + TWO_DIGIT)
+    def test_one_sided_up_to_large_frequencies(self, name):
         # |lambda| from 1 to 1e8, log-spaced, in random directions
-        meas = (request.getfixturevalue(name) if name == "mu34"
-                else fs.SelfSimilarMeasure(_named_system(name)))
+        meas = fs.SelfSimilarMeasure(_named_system(name))
         rng = np.random.RandomState(21)
         T = rng.uniform(-1, 1, size=(6, meas.dim))
         Lam = rng.normal(size=(40, meas.dim))
@@ -392,7 +389,7 @@ class TestBrackets:
         got = meas._pairs(T, Lam, 30)
         assert np.abs(got - per_digit_levels(sysm, diffs, 30)).max() <= 1e-13
         ref, _ = per_digit_product(meas, diffs, squared=True)
-        sq, _ = meas.mu_hat_sq_pairs(T, Lam)
+        sq, _ = mu_hat_sq_pairs(meas, T, Lam)
         assert np.abs(sq - np.abs(ref) ** 2).max() <= 1e-13
 
     @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2"])
@@ -411,7 +408,7 @@ class TestBrackets:
         assert got.shape == (7, 40)
         assert np.abs(got - per_digit_levels(sysm, diffs, 30)).max() <= 1e-13
         ref, _ = per_digit_product(meas, diffs, squared=True)
-        sq, _ = meas.mu_hat_sq_pairs(T, Lam)
+        sq, _ = mu_hat_sq_pairs(meas, T, Lam)
         assert np.abs(sq - np.abs(ref) ** 2).max() <= 1e-13
 
     @pytest.mark.parametrize("name", ["scale2", "eiffel2"])
@@ -447,7 +444,7 @@ class TestBrackets:
         diffs = T[:, None, :] - Lam[None, :, :]
         got = meas._pairs(T, Lam, 30)
         assert np.abs(got - per_digit_levels(sysm, diffs, 30)).max() <= 1e-13
-        sq, _ = meas.mu_hat_sq_pairs(T, Lam)
+        sq, _ = mu_hat_sq_pairs(meas, T, Lam)
         assert (sq == 1.0).all()
 
     @pytest.mark.parametrize("name, m, n, depth", [
@@ -847,7 +844,7 @@ class TestZeroSets:
 
 def _at_origin(measure, t):
     """mu_hat(t) and its tail bound through `mu_hat_pairs` against the
-    origin, the path by which `gram_matrix` reads a convolution."""
+    origin, the one transform kernel of the convolution oracle."""
     vals, tail = measure.mu_hat_pairs([t], [0.0])
     return vals[0, 0], tail
 
@@ -873,7 +870,7 @@ class TestConvolution:
 
     def test_dimension_mismatch(self, mu4, eiffel2):
         with pytest.raises(ValueError):
-            fs.ConvolvedMeasure(mu4, fs.SelfSimilarMeasure(eiffel2))
+            ConvolvedMeasure(mu4, fs.SelfSimilarMeasure(eiffel2))
 
     def test_support_diameter_adds(self, mu3, mu4, mu34):
         assert abs(support_diameter(mu34)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import fracspec as fs
 from fracspec import rational as rat
 from oracles import (ZeroSetPredicate, atoms, hardy_embedding, max_diag_defect,
-                     projection_norm_checks)
+                     mu_hat_sq_pairs, projection_norm_checks)
 
 
 F = Fraction
@@ -195,7 +195,7 @@ class TestGram:
     def test_eiffel3_candidate_pair(self):
         e3 = fs.get_system("eiffel(3)")
         m3 = fs.SelfSimilarMeasure(e3)
-        rep = fs.gram_matrix(m3, [(0.0, 0.0, 0.0), (4.0, 4.0, 0.0)])
+        rep = fs.gram_matrix(e3, [(0.0, 0.0, 0.0), (4.0, 4.0, 0.0)])
         assert rep.max_offdiag > 1e-3
         inner, _ = m3.mu_hat_batch((4 / 3, 4 / 3, 0.0))
         assert abs(abs(rep.matrix[0, 1]) - abs(inner)) < 1e-9
@@ -361,7 +361,7 @@ class TestQ1:
         layers = _exact_layers(sysm, p_depth)
         acc, tail = np.zeros(len(T)), 0.0
         for run in _joined_runs(len(T), [len(layer) for layer in layers]):
-            vals, run_tail = meas.mu_hat_sq_pairs(T, np.concatenate([layers[d] for d in run]))
+            vals, run_tail = mu_hat_sq_pairs(meas, T, np.concatenate([layers[d] for d in run]))
             start = 0
             for d in run:
                 acc += vals[:, start:start + len(layers[d])].sum(axis=1)
@@ -405,21 +405,18 @@ class TestQ1:
         expected = np.dot(tails, pairs) / len(T)
         assert chunked.fourier_tail == pytest.approx(np.full(len(T), expected), rel=1e-12)
 
-    @pytest.mark.parametrize("name", ["scale2", "R=-3", "triadic", "eiffel(2)", "mu34"])
-    def test_joined_runs_only_lower_the_sums(self, request, monkeypatch, name):
+    @pytest.mark.parametrize("name", ["scale2", "R=-3", "triadic", "eiffel(2)"])
+    def test_joined_runs_only_lower_the_sums(self, monkeypatch, name):
         # a joined layer is truncated at its run's adaptive depth, never
         # shallower than its own, so against one call per layer its sums
         # move only down, toward the exact ones, and by no more than the
         # Fourier tail of that pass
-        if name == "mu34":
-            sysm, meas = request.getfixturevalue("scale4"), request.getfixturevalue("mu34")
-        else:
-            sysm, meas = _named_system(name), None
+        sysm = _named_system(name)
         T = fs.dual_hull(sysm, 4).sample({1: 8, 3: 2}[sysm.dim])
         p_depth = {1: 12, 3: 6}[sysm.dim]
-        joined = fs.q1_profile(sysm, T, p_depth, measure=meas)
+        joined = fs.q1_profile(sysm, T, p_depth)
         monkeypatch.setattr(fs.spectrum, "Q1_RUN_PAIRS", 0)
-        alone = fs.q1_profile(sysm, T, p_depth, measure=meas)
+        alone = fs.q1_profile(sysm, T, p_depth)
         assert (joined.partial_sums <= alone.partial_sums + 1e-15).all()
         assert (joined.partial_sums >= alone.partial_sums - alone.fourier_tail[:, None]).all()
 
@@ -437,8 +434,8 @@ class TestQ1:
         assert joined.depth < first[-1]
         assert joined.increments.shape == (len(probes), joined.depth)
         assert joined.partial_sums.shape == (len(probes), joined.depth + 1)
-        _, run_tail = fs.SelfSimilarMeasure(sysm).mu_hat_sq_pairs(
-            np.reshape(probes, (-1, 1)), np.concatenate([layers[d] for d in first]))
+        _, run_tail = mu_hat_sq_pairs(fs.SelfSimilarMeasure(sysm), np.reshape(probes, (-1, 1)),
+                                      np.concatenate([layers[d] for d in first]))
         kept = sum(len(layers[d]) for d in range(joined.depth + 1))
         assert joined.fourier_tail == pytest.approx(np.full(len(probes), run_tail * kept),
                                                     rel=1e-12)
@@ -554,11 +551,11 @@ class TestQ1:
             fs.gram_matrix(planar, probes, fourier_depth=45)
 
 
-def low_points(report, grid):
+def low_points(profile, grid):
     """(probe, value) of each probe of a 1-D grid that stabilized at or
     below 1 - EPS_FAIL under the default eps_conv of `completeness_test`."""
-    vals = report.profile.values()
-    stab = report.profile.stabilized_depth(fs.spectrum.Q1_EPS_CONV)
+    vals = profile.values()
+    stab = profile.stabilized_depth(fs.spectrum.Q1_EPS_CONV)
     return [((float(grid[i]),), float(vals[i]))
             for i in range(len(vals))
             if stab[i] is not None and vals[i] <= 1 - fs.spectrum.EPS_FAIL]
@@ -577,15 +574,15 @@ class TestCompleteness:
         assert np.abs(rep.grad_at_zero).max() <= 1e-4
 
     def test_mu34_incomplete(self, scale4, mu34):
+        # the convolution's dense sums over P(L) of scale4, by the same rule
         grid = np.linspace(-1 / 3, 0, 16)
-        rep = fs.completeness_test(scale4, grid, measure=mu34)
-        assert rep.verdict == fs.spectrum.VERDICT_INCOMPLETE
-        assert low_points(rep, grid)
+        verdict, prof = mu34.completeness_verdict(scale4, grid)
+        assert verdict == fs.spectrum.VERDICT_INCOMPLETE
+        assert low_points(prof, grid)
 
-    def test_indeterminate_when_capped(self, scale4, mu34):
+    def test_indeterminate_when_capped(self, scale4):
         grid = np.linspace(-1 / 3, 0, 4)
-        rep = fs.completeness_test(scale4, grid, measure=mu34, eps_conv=1e-30,
-                                   p_depth_cap=4)
+        rep = fs.completeness_test(scale4, grid, eps_conv=1e-30, p_depth_cap=4)
         assert rep.verdict == fs.spectrum.VERDICT_INDETERMINATE
 
     def test_planar_segment_consistent(self, planar):

@@ -9,7 +9,9 @@ attribute `__init__` sets on self), read as an attribute outside its own
 body by code that is not itself such a member without a reader.  Test-only
 helpers belong in `tests/`, shared ones in `tests/oracles.py`.  The few
 names the package keeps without a caller are listed below, each with its
-reason.
+reason.  So is every settable parameter (one with a default) and every
+dataclass field with a default: adding or removing one means updating
+`SETTABLE`.
 """
 
 import ast
@@ -29,7 +31,6 @@ ALLOWED = {
     "simplex_Y": "the exact invariant simplex, the benchmark's oracle for every tower hull",
     "max_orthogonal_family": "exact maximum orthogonal families, for the exact "
                              "orthogonality route",
-    "ConvolvedMeasure": "criterion 6 runs completeness_test on a convolution",
     "digits_of": "the exact digit expansion, in a round trip with reconstruct",
     "reconstruct": "the exact point of a digit word, in a round trip with digits_of",
 }
@@ -37,6 +38,32 @@ ALLOWED = {
 ALLOWED_MEMBERS = {
     "SelfSimilarMeasure.mu_hat_batch": "the transform at an array of frequencies; the "
                                        "benchmark traces it",
+}
+
+
+SETTABLE = {
+    "cli._emit.json_payload": "a command's own JSON document in place of its rows",
+    "cli.main.argv": "the command line; None reads sys.argv",
+    "cli.build_parser.common.depth_default": "the --depth default of spectrum and attractor",
+    "geometry.dual_hull.depth": "the hull depth; the pipeline reads 4, the tests other depths",
+    "geometry.Polytope.contains.strict": "interior membership, for the exact overlap decision",
+    "measure.SelfSimilarMeasure.tail_bound.squared": "the tail of |mu_hat|^2 over that of mu_hat",
+    "measure.SelfSimilarMeasure.depth_for.squared": "the depth of |mu_hat|^2 over that of mu_hat",
+    "measure.SelfSimilarMeasure.mu_hat_batch.depth": "a fixed product depth over the adaptive one",
+    "spectrum.q1_profile.p_depth": "the q1 command's --p-depth",
+    "spectrum.q1_profile.eps_conv": "an early stop of the layer loop",
+    "spectrum.completeness_test.eps_conv": "the q1 command's --tol",
+    "spectrum.completeness_test.p_depth_cap": "the q1 command's --p-depth",
+    "system.point.dim": "the dimension a point must have",
+    "system.make_system.name": "a system's catalog name",
+    "system.two_digit_system.name": "a system's catalog name",
+    "system.eiffel_system.r": "the tower's scale, eiffel(r) in the catalog",
+    "system.system_from_json.name": "a system file's name",
+    "transfer.iterate_fixed_point.max_iters": "the transfer command's --max-iters",
+    "transfer.iterate_fixed_point.tol": "the transfer command's --tol",
+    "system.AffineSystem.name": "a system's catalog name",
+    "system.AxiomCheck.witness": "the counterexample of a failed axiom",
+    "system.AxiomCheck.mandatory": "an informational axiom that does not fail validation",
 }
 
 
@@ -148,6 +175,39 @@ def test_no_stale_member_allowlist_entry():
     assert not gone, f"allowlisted members that are gone: {sorted(gone)}"
     read = set(ALLOWED_MEMBERS) - _members_without_reader()
     assert not read, f"allowlisted members that now have a reader: {sorted(read)}"
+
+
+def _settable(modules) -> set:
+    """"module.qualified function.parameter" of every parameter with a
+    default, and "module.Class.field" of every class-level annotated field
+    with a default."""
+    out = set()
+
+    def visit(prefix, parent):
+        for node in ast.iter_child_nodes(parent):
+            if isinstance(node, ast.ClassDef):
+                out.update(f"{prefix}{node.name}.{s.target.id}" for s in node.body
+                           if isinstance(s, ast.AnnAssign) and s.value is not None)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                pos = a.posonlyargs + a.args
+                names = [x.arg for x in pos[len(pos) - len(a.defaults):]]
+                names += [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                out.update(f"{prefix}{getattr(node, 'name', '<lambda>')}.{n}" for n in names)
+            named = isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(f"{prefix}{node.name}." if named else prefix, node)
+
+    for mod, tree in modules.items():
+        visit(f"{mod}.", tree)
+    return out
+
+
+def test_settable_parameters_are_pinned():
+    found = _settable(_modules())
+    new, gone = found - set(SETTABLE), set(SETTABLE) - found
+    assert not new, (f"new settable parameters or fields: {sorted(new)}; add them to "
+                     f"SETTABLE with a reason, or make them constants")
+    assert not gone, f"SETTABLE entries that are gone: {sorted(gone)}"
 
 
 @pytest.mark.parametrize("mod", sorted(p.stem for p in SRC.glob("*.py")))

@@ -9,7 +9,8 @@ import pytest
 
 import fracspec as fs
 from fracspec import rational as rat
-from oracles import hardy_embedding, lebesgue_Q, projection_norm_checks, support_diameter
+from oracles import (ConvolvedMeasure, hardy_embedding, lebesgue_Q, projection_norm_checks,
+                     support_diameter)
 
 
 class TestHadamard:
@@ -404,8 +405,9 @@ class TestRational:
 
 
 def _removed_keyword_calls():
-    """One call per keyword that no caller set: its default is now a constant
-    (gamma_1d never read its b)."""
+    """One call per keyword the package no longer takes: a default no caller
+    set is now a constant (gamma_1d never read its b), and the sums and the
+    contractivity report read the system's own measure and hull."""
     s4, e2 = fs.get_system("scale4"), fs.eiffel_system(2)
     mu = fs.SelfSimilarMeasure(s4)
     F = Fraction
@@ -414,7 +416,7 @@ def _removed_keyword_calls():
         "depth_for-tol": lambda: mu.depth_for(1.0, tol=1e-10),
         "support_diameter-depth": lambda: support_diameter(mu, depth=4),
         "ConvolvedMeasure.support_diameter-depth":
-            lambda: support_diameter(fs.ConvolvedMeasure(mu, mu), depth=4),
+            lambda: support_diameter(ConvolvedMeasure(mu, mu), depth=4),
         "digits_of-max_depth": lambda: fs.digits_of(s4, (F(17),), max_depth=24),
         "hardy_embedding-max_depth":
             lambda: hardy_embedding(s4, {F(1): 1.0}, 1, max_depth=24),
@@ -424,6 +426,9 @@ def _removed_keyword_calls():
         "get_system-r": lambda: fs.get_system("eiffel", r=4),
         "completeness_test-eps_pass": lambda: fs.completeness_test(s4, [0.0], eps_pass=0.02),
         "completeness_test-eps_fail": lambda: fs.completeness_test(s4, [0.0], eps_fail=0.05),
+        "completeness_test-measure": lambda: fs.completeness_test(s4, [0.0], measure=mu),
+        "q1_profile-measure": lambda: fs.q1_profile(s4, [0.0], 4, measure=mu),
+        "gamma_supnorm-Y": lambda: fs.gamma_supnorm(e2, Y=fs.dual_hull(e2)),
         "lebesgue_Q-n_terms": lambda: lebesgue_Q(0.5, n_terms=4000),
         "quadratic_bump-amplitude":
             lambda: fs.grid_frame(s4, 16).quadratic_bump(amplitude=0.5),

@@ -339,10 +339,12 @@ class TestGammaSupnorm:
             assert abs(rep.gamma_sup - fs.gamma_1d(R)) <= 1e-9
 
     def test_eiffel_beta(self):
-        # r=2 over the sampled hull, r=3 over the exact simplex
+        # r=2 over the sampled hull, r=3 over the exact simplex, which is
+        # its default hull
         rep2 = fs.gamma_supnorm(fs.eiffel_system(2))
         e3 = fs.eiffel_system(3)
-        rep3 = fs.gamma_supnorm(e3, fs.simplex_Y(e3))
+        assert fs.simplex_Y(e3) == fs.dual_hull(e3)
+        rep3 = fs.gamma_supnorm(e3)
         for rep in (rep2, rep3):
             assert abs(rep.beta - math.pi * math.sqrt(2)) <= 1e-9
 
@@ -400,12 +402,13 @@ class TestGammaL1:
     def test_eiffel_det_times_hs(self):
         for r in (2, 3):
             e = fs.eiffel_system(r)
-            rep = fs.gamma_supnorm(e, fs.simplex_Y(e))
+            assert fs.simplex_Y(e) == fs.dual_hull(e)
+            rep = fs.gamma_supnorm(e)
             assert abs(rep.norms["det_times_hs"] - math.sqrt(3) * r ** 2) <= 1e-9
 
     def test_degenerate_b_kills_first_term(self):
         sysm = fs.make_system(4, [(0,)], [(0,)])
-        rep = fs.gamma_supnorm(sysm, fs.convex_hull([(Fraction(0),), (Fraction(1),)]))
+        rep = fs.transfer._contractivity(sysm, fs.convex_hull([(Fraction(0),), (Fraction(1),)]))
         assert rep.beta == 0.0
         assert rep.gamma_L1 == pytest.approx(abs(4) * 1 * 0.25)
 
@@ -419,7 +422,8 @@ class TestGammaL1:
         vals = []
         for r in (2, 3, 4, 6):
             e = fs.eiffel_system(r)
-            vals.append(fs.gamma_supnorm(e, fs.simplex_Y(e)).gamma_L1_detfree)
+            assert fs.simplex_Y(e) == fs.dual_hull(e)
+            vals.append(fs.gamma_supnorm(e).gamma_L1_detfree)
         assert all(v is not None for v in vals)
         assert vals[0] > vals[1] > vals[2] > vals[3]
         assert fs.gamma_supnorm(fs.get_system("planar-collapse")).gamma_L1_detfree is None
@@ -483,7 +487,8 @@ class TestOverlapDecision:
         Y = fs.dual_hull(sysm, 4)
         assert Y.vertices[0] == (-far / 3,)
         assert not fs.transfer.overlaps_measure_zero(sysm, Y)
-        assert not fs.gamma_supnorm(sysm, Y).sharp_valid
+        assert Y is fs.dual_hull(sysm)                  # the hull gamma_supnorm reads
+        assert not fs.gamma_supnorm(sysm).sharp_valid
 
     def test_cli_imports_no_scipy(self):
         code = ("import sys, fracspec.cli; "
