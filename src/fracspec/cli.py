@@ -23,10 +23,6 @@ EXIT_USAGE = 2
 GRID_RESOLUTIONS = {1: 64, 2: 48, 3: 24}
 
 
-class UsageError(Exception):
-    pass
-
-
 def fmt(x) -> str:
     return f"{float(x):.17g}"
 
@@ -72,15 +68,15 @@ def _load(args) -> AffineSystem:
         try:
             return load_system_file(args.file)
         except FileNotFoundError as exc:
-            raise UsageError(f"system file not found: {exc}") from exc
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot parse system file: {exc}") from exc
+            raise ValueError(f"system file not found: {exc}") from exc
+        except ValueError as exc:       # json.JSONDecodeError among them
+            raise ValueError(f"cannot parse system file: {exc}") from exc
     if args.system:
         try:
             return get_system(args.system)
         except KeyError as exc:
-            raise UsageError(str(exc.args[0])) from exc
-    raise UsageError("one of --system or --file is required")
+            raise ValueError(str(exc.args[0])) from exc
+    raise ValueError("one of --system or --file is required")
 
 
 # The usability gate of the analysis commands; --force bypasses it.
@@ -127,15 +123,15 @@ def cmd_spectrum(args, sys_obj: AffineSystem, validation) -> int:
 
 def cmd_gram(args, sys_obj: AffineSystem, validation) -> int:
     if args.count < 2:
-        raise UsageError("gram needs at least two points")
+        raise ValueError("gram needs at least two points")
     if sys_obj.N == 1:
-        raise UsageError("a one-digit system has a single spectrum point and no Gram pair")
+        raise ValueError("a one-digit system has a single spectrum point and no Gram pair")
     spectrum.check_gram_count(args.count)
     depth = 0
     while sys_obj.N ** depth < args.count:
         depth += 1
     enum = spectrum.enumerate_P(sys_obj, depth)
-    pts = [p for p, _ in enum.points][:args.count]
+    pts = enum.coords()[:args.count]
     rep = spectrum.gram_matrix(sys_obj, pts)
     header = {"command": "gram", "system": sys_obj.name, "count": args.count,
               "max_offdiag": fmt(rep.max_offdiag), "tail_bound": fmt(rep.tail_bound)}
@@ -188,7 +184,7 @@ def cmd_transfer(args, sys_obj: AffineSystem, validation) -> int:
     if res is None:
         res = GRID_RESOLUTIONS.get(sys_obj.dim, 16)
     if res < transfer.MIN_RESOLUTION:
-        raise UsageError(f"resolution must be >= {transfer.MIN_RESOLUTION}")
+        raise ValueError(f"resolution must be >= {transfer.MIN_RESOLUTION}")
     frame = transfer.grid_frame(sys_obj, res)
     Q0 = frame.quadratic_bump()
     result = transfer.iterate_fixed_point(sys_obj, Q0, max_iters=args.max_iters,
@@ -257,7 +253,7 @@ def cmd_report(args, sys_obj: AffineSystem, validation) -> int:
                     if enum.collision_count == 0 and 1 < len(enum.points) <= 1000 else None),
     }
 
-    pts = [p for p, _ in enum.points][:16]
+    pts = enum.coords()[:16]
     gram = spectrum.gram_matrix(sys_obj, pts)
     claims["orthogonality"] = gram.max_offdiag <= 1e-7
     doc["gram"] = {"count": len(pts), "max_offdiag": gram.max_offdiag,
@@ -309,10 +305,10 @@ def _check_options(args) -> None:
     for name in POSITIVE_OPTIONS:
         value = getattr(args, name, None)
         if value is not None and value < 1:
-            raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
     tol = getattr(args, "tol", None)
     if tol is not None and not tol > 0:
-        raise UsageError(f"--tol must be > 0, got {tol}")
+        raise ValueError(f"--tol must be > 0, got {tol}")
 
 
 @functools.cache
@@ -390,7 +386,7 @@ def main(argv=None) -> int:
         sys_obj = _load(args)
         validation = validate_system(sys_obj)
         if args.command in NEED_ZERO_IN_L and not validation.checks["zero_in_L"].passed:
-            raise UsageError(f"{args.command} needs the zero_in_L axiom (0 in L), which "
+            raise ValueError(f"{args.command} needs the zero_in_L axiom (0 in L), which "
                              "--force does not lift: without it the Q1 layers are "
                              "another set than P(L)")
         bad = [name for name in GATE_AXIOMS if not validation.checks[name].passed]
@@ -401,7 +397,7 @@ def main(argv=None) -> int:
                 print(line, file=_sys.stderr)
             return EXIT_CLAIM
         return args.handler(args, sys_obj, validation)
-    except (UsageError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
 

@@ -34,8 +34,6 @@ FLOAT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AttractorSample:
-    side: str
-    depth: int
     points: tuple
 
 
@@ -64,7 +62,7 @@ def attractor_points(sys: AffineSystem, side: str, depth: int) -> AttractorSampl
         inv, den = rat.lift(rat.inverse(ImMn))
         pts = sorted(rat.mat_vec(inv, t) for t in pts)
         scale *= den
-    return AttractorSample(side, depth, tuple(rat.unlift(pts, scale)))
+    return AttractorSample(tuple(rat.unlift(pts, scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +364,7 @@ def simplex_Y(sys: AffineSystem) -> Polytope:
 
 @dataclass
 class InvarianceReport:
-    rows: list          # (l, vertex, s, image, inside)
+    rows: list          # (l, vertex, image, inside)
 
     @property
     def passed(self) -> bool:
@@ -374,18 +372,15 @@ class InvarianceReport:
 
 
 def invariance_check(sys: AffineSystem, P: Polytope) -> InvarianceReport:
-    """Check rho_l-invariance of P exactly, including the midpoints
-    R*^{-1}(v - s l) = M v + s t_l for s in {0, 1/2, 1}, with M and t_l
-    from the rho maps' table."""
+    """Check rho_l(P) within P exactly for every l: P is convex and rho_l
+    affine, so it holds iff every vertex image rho_l(v) = M v + t_l, with M
+    and t_l from the rho maps' table, lies in P."""
     M, shift = sys.maps["rho"]
     rows = []
-    svals = (Fraction(0), Fraction(1, 2), Fraction(1))
     for l in sys.L:
         for v in P.vertices:
-            Mv = rat.mat_vec(M, v)
-            for s in svals:
-                img = rat.vec_add(Mv, rat.vec_scale(s, shift[l]))
-                rows.append((l, v, s, img, P.contains(img)))
+            img = rat.vec_add(rat.mat_vec(M, v), shift[l])
+            rows.append((l, v, img, P.contains(img)))
     return InvarianceReport(rows)
 
 

@@ -42,7 +42,6 @@ class SpectrumEnumeration:
     `points` holds (point, word) pairs sorted lexicographically by coordinates;
     words are digit tuples with trailing zero digits stripped.
     """
-    depth: int
     points: tuple
     collision_count: int
 
@@ -66,7 +65,7 @@ def enumerate_P(sys: AffineSystem, depth: int) -> SpectrumEnumeration:
     lifted = sorted(seen)
     zero = sys.zero()
     cleaned = zip(rat.unlift(lifted, scale), (_strip(seen[lam], zero) for lam in lifted))
-    return SpectrumEnumeration(depth, tuple(cleaned), sys.N ** depth - len(seen))
+    return SpectrumEnumeration(tuple(cleaned), sys.N ** depth - len(seen))
 
 
 def _strip(word, zero):
@@ -184,7 +183,6 @@ def uniform_discreteness(enum: SpectrumEnumeration) -> float:
 
 @dataclass
 class GramReport:
-    points: tuple
     matrix: np.ndarray
     tail_bound: float
     max_offdiag: float
@@ -214,8 +212,7 @@ def gram_matrix(system: AffineSystem, points) -> GramReport:
     top = float(off.max())
     # argwhere is in row-major order, so its first row is the least tied pair
     i, j = np.argwhere(off >= top - 1e-12)[0]
-    return GramReport(tuple(map(tuple, arr.tolist())), G, tail,
-                      top, (tuple(arr[i].tolist()), tuple(arr[j].tolist())))
+    return GramReport(G, tail, top, (tuple(arr[i].tolist()), tuple(arr[j].tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -92,17 +92,14 @@ class ScalingMatrix:
 
 @dataclass(frozen=True)
 class AffineSystem:
-    """The triple (R, B, L) in dimension dim with N = #B = #L."""
+    """The triple (R, B, L) with N = #B = #L, in the dimension of R."""
 
-    dim: int
     R: ScalingMatrix
     B: tuple
     L: tuple
     name: str = ""
 
     def __post_init__(self):
-        if self.R.dim != self.dim:
-            raise ValueError("R dimension does not match system dimension")
         if not self.B or not self.L:
             raise ValueError("B and L must each hold at least one point")
         for p in self.B + self.L:
@@ -110,6 +107,10 @@ class AffineSystem:
                 raise ValueError(f"point {p} has wrong dimension (expected {self.dim})")
         if len(set(self.B)) != len(self.B) or len(set(self.L)) != len(self.L):
             raise ValueError("B and L must consist of distinct points")
+
+    @property
+    def dim(self) -> int:
+        return self.R.dim
 
     @property
     def N(self) -> int:
@@ -223,10 +224,8 @@ def make_system(R, B, L, name="") -> AffineSystem:
         Rm = ScalingMatrix([[R]])
     else:
         Rm = ScalingMatrix(R)
-    dim = Rm.dim
-    return AffineSystem(dim, Rm,
-                        tuple(point(b, dim) for b in B),
-                        tuple(point(l, dim) for l in L), name)
+    return AffineSystem(Rm, tuple(point(b, Rm.dim) for b in B),
+                        tuple(point(l, Rm.dim) for l in L), name)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +436,7 @@ def two_digit_system(R: int, b, name="") -> AffineSystem:
                        name or f"two-digit(R={R}, b={rat.format_fraction(b)})")
 
 
-def eiffel_system(r: int = 2) -> AffineSystem:
+def eiffel_system(r: int) -> AffineSystem:
     """Three-dimensional tower system with R = r I and four digits."""
     if r < 2:
         raise ValueError("eiffel scale r must be an integer >= 2")
@@ -460,7 +459,7 @@ _CATALOG = {
     "scale2": lambda: two_digit_system(2, Fraction(1, 2), name="scale2"),
     "triadic": lambda: make_system(3, (Fraction(0), Fraction(2, 3)),
                                    (Fraction(0), Fraction(3, 4)), "triadic"),
-    "eiffel": eiffel_system,
+    "eiffel": lambda: eiffel_system(2),
     "planar-collapse": planar_collapse_system,
 }
 
@@ -479,14 +478,13 @@ def get_system(name: str) -> AffineSystem:
 
 @functools.cache
 def _catalog_system(name: str, r: int | None) -> AffineSystem:
-    factory = _CATALOG[name]
-    if name == "eiffel":
-        return factory(r) if r is not None else factory()
-    if r is not None:
-        base = factory()
-        scaled = [[rat.as_fraction(r) * e for e in row] for row in base.R.entries]
-        return make_system(scaled, base.B, base.L, name=f"{base.name}*r{r}")
-    return factory()
+    if name == "eiffel" and r is not None:
+        return eiffel_system(r)
+    base = _CATALOG[name]()
+    if r is None:
+        return base
+    scaled = [[rat.as_fraction(r) * e for e in row] for row in base.R.entries]
+    return make_system(scaled, base.B, base.L, name=f"{base.name}*r{r}")
 
 
 # ---------------------------------------------------------------------------

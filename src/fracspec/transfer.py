@@ -92,14 +92,14 @@ class GridFunction:
         return GridFunction(self.axes, values, self.chart)
 
     def value_at_zero(self) -> float:
-        """Q(0), interpolated; a stencil fraction within 1e-9 of 0 or 1 reads
-        that node, so an origin on the node lattice (as `grid_frame` puts
-        it) reads its node's value even where the spacing, taken from the
-        axis, puts it a rounding off the node."""
-        base, frac = self.stencil(self.chart.param(np.zeros((1, len(self.chart.origin)))))
-        node = np.round(frac)
-        frac = np.where(np.abs(frac - node) <= 1e-9, node, frac)
-        return float(self.corner_sum(self.values, base, frac)[0])
+        """Q(0), read at the node whose chart parameters are the origin's:
+        `grid_frame` builds each axis as u0 + h k, so its node at k = 0 is
+        exactly u0.  A grid without that node is refused."""
+        u0 = self.chart.param(np.zeros((1, len(self.chart.origin))))[0]
+        at = [np.flatnonzero(a == u) for a, u in zip(self.axes, u0)]
+        if not all(i.size for i in at):
+            raise ValueError("the origin is not a node of the grid, so Q0(0) cannot be read")
+        return float(self.values[tuple(i[0] for i in at)])
 
     def rows(self) -> list:
         """(ambient coords..., value) per node, for grid dumps."""
@@ -364,7 +364,7 @@ class ContractivityReport:
     gamma_L1_sharp: float
     sharp_valid: bool
     norms: dict
-    beta_detail: BetaResult
+    beta_sample_agrees: bool
     gamma_L1_detfree: float | None      # mixed-norm diagnostic, see gamma_supnorm
 
     def to_dict(self) -> dict:
@@ -376,7 +376,7 @@ class ContractivityReport:
             "sharp_valid": self.sharp_valid,
             "gamma_L1_detfree": self.gamma_L1_detfree,
             "norms": dict(self.norms),
-            "beta_sample_agrees": self.beta_detail.sample_agrees,
+            "beta_sample_agrees": self.beta_sample_agrees,
         }
 
 
@@ -428,4 +428,4 @@ def _contractivity(sys: AffineSystem, Y: Polytope) -> ContractivityReport:
         "det_times_hs": det_abs * hs,
     }
     return ContractivityReport(beta_res.beta, gamma_sup, gamma_l1,
-                               gamma_l1_sharp, sharp_ok, norms, beta_res, detfree)
+                               gamma_l1_sharp, sharp_ok, norms, beta_res.sample_agrees, detfree)

@@ -273,6 +273,12 @@ class TestGate:
         assert out == ""
         assert err.startswith("error: ") and "zero_in_L" in err
 
+    def test_transfer_without_the_origin_in_its_box(self, capsys, no_zero_in_L):
+        # Y = [-2/3, -1/3]: the grid over it has no node at the origin to read Q0(0)
+        assert cli.main(["transfer", "--file", no_zero_in_L, "--force"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the origin is not a node of the grid, so Q0(0) cannot be read\n")
+
     @pytest.fixture
     def non_hadamard(self, tmp_path):
         # e(b l) = e(1/3) for b = 1/3, l = 1: the 2 x 2 matrix is not Hadamard

@@ -430,13 +430,41 @@ class TestInvariance:
         assert fs.invariance_check(planar, hull).passed
 
     def test_images_are_rho_of_the_shifted_vertices(self, eiffel2, planar):
-        # each image, read from the rho maps' table, is R*^{-1}(v - s l)
+        # one row per map and vertex, its image read from the rho maps'
+        # table: rho_l(v) = R*^{-1}(v - l)
         for sysm in (eiffel2, planar):
             Rti = sysm.R.inverse_transpose
+            vertices = fs.dual_hull(sysm, 3).vertices
             rows = fs.invariance_check(sysm, fs.dual_hull(sysm, 3)).rows
-            assert len(rows) == 3 * sysm.N * len(fs.dual_hull(sysm, 3).vertices)
-            for l, v, s, img, _ in rows:
-                assert img == rat.mat_vec(Rti, rat.vec_sub(v, rat.vec_scale(s, l)))
+            assert [(l, v) for l, v, _, _ in rows] == [(l, v) for l in sysm.L for v in vertices]
+            for l, v, img, _ in rows:
+                assert img == rat.mat_vec(Rti, rat.vec_sub(v, l))
+
+    def test_hull_without_zero_in_L(self):
+        # R = 4, B = {0, 1/2}, L = {1, 2}: Y = [-2/3, -1/3] is invariant,
+        # rho_1(Y) = [-5/12, -1/3] and rho_2(Y) = [-2/3, -7/12]
+        sysm = fs.make_system(4, (0, F(1, 2)), (1, 2))
+        Y = fs.dual_hull(sysm)
+        assert Y.vertices == ((F(-2, 3),), (F(-1, 3),))
+        rep = fs.invariance_check(sysm, Y)
+        assert rep.passed
+        assert {(l, img) for l, _, img, _ in rep.rows} == {
+            ((F(1),), (F(-5, 12),)), ((F(1),), (F(-1, 3),)),
+            ((F(2),), (F(-2, 3),)), ((F(2),), (F(-7, 12),))}
+
+    @pytest.mark.parametrize("name", ["scale4", "scale2", "triadic", "planar-collapse",
+                                      "eiffel(2)", "eiffel(3)"])
+    def test_midpoint_rows_are_implied_when_zero_in_L(self, name):
+        # with 0 in L, M v = rho_0(v) and M v + t_l / 2 is the midpoint of two
+        # vertex images: the rows for s in {0, 1/2} decide nothing more
+        sysm = fs.get_system(name)
+        for P in (fs.dual_hull(sysm), fs.convex_hull(
+                [tuple(F(9, 10) * c for c in v) for v in fs.dual_hull(sysm).vertices])):
+            M, shift = sysm.maps["rho"]
+            with_midpoints = all(
+                P.contains(rat.vec_add(rat.mat_vec(M, v), rat.vec_scale(s, shift[l])))
+                for l in sysm.L for v in P.vertices for s in (0, F(1, 2), 1))
+            assert fs.invariance_check(sysm, P).passed == with_midpoints
 
 
 class TestNesting:

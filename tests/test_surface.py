@@ -12,12 +12,21 @@ names the package keeps without a caller are listed below, each with its
 reason.  So is every settable parameter (one with a default) and every
 dataclass field with a default: adding or removing one means updating
 `SETTABLE`.
+
+A field that only echoes its call's argument has a reader of the same name
+(`args.depth` reads `depth`), so the syntax trees cannot tell it from a
+used one: every dataclass field must also be read at run time, by package
+code, on the way from a command line to its output.
 """
 
 import ast
+import dataclasses
 import pathlib
+import sys
 
 import pytest
+
+from fracspec import cli, system
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fracspec"
 
@@ -50,14 +59,13 @@ SETTABLE = {
     "measure.SelfSimilarMeasure.tail_bound.squared": "the tail of |mu_hat|^2 over that of mu_hat",
     "measure.SelfSimilarMeasure.depth_for.squared": "the depth of |mu_hat|^2 over that of mu_hat",
     "measure.SelfSimilarMeasure.mu_hat_batch.depth": "a fixed product depth over the adaptive one",
-    "spectrum.q1_profile.p_depth": "the q1 command's --p-depth",
+    "spectrum.q1_profile.p_depth": "the layer depth of the sums; None reads q1_depth(system)",
     "spectrum.q1_profile.eps_conv": "an early stop of the layer loop",
     "spectrum.completeness_test.eps_conv": "the q1 command's --tol",
     "spectrum.completeness_test.p_depth_cap": "the q1 command's --p-depth",
     "system.point.dim": "the dimension a point must have",
     "system.make_system.name": "a system's catalog name",
     "system.two_digit_system.name": "a system's catalog name",
-    "system.eiffel_system.r": "the tower's scale, eiffel(r) in the catalog",
     "system.system_from_json.name": "a system file's name",
     "transfer.iterate_fixed_point.max_iters": "the transfer command's --max-iters",
     "transfer.iterate_fixed_point.tol": "the transfer command's --tol",
@@ -222,3 +230,45 @@ def test_package_imports_no_test_code(mod):
             imported.update(a.name for a in node.names)
     bad = {n for n in imported if n.split(".")[0] in ("tests", "oracles")}
     assert not bad, f"fracspec.{mod} imports test code: {sorted(bad)}"
+
+
+# the commands of the run-time field test, each on every system below in CSV and JSON
+RUNTIME_COMMANDS = (["validate"], ["spectrum"], ["gram"], ["q1", "--p-depth", "3"],
+                    ["transfer"], ["gamma"], ["attractor"], ["report"])
+RUNTIME_SYSTEMS = ("scale4", "triadic", "planar-collapse", "eiffel(2)")
+
+
+def test_every_record_field_is_read_at_run_time(monkeypatch, tmp_path):
+    modules = {name: mod for name, mod in sys.modules.items() if name.startswith("fracspec.")}
+    files = {mod.__file__ for mod in modules.values()}
+    fields = {obj: {f.name for f in dataclasses.fields(obj)}
+              for name, mod in modules.items() for obj in vars(mod).values()
+              if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+              and obj.__module__ == name}
+    read = set()
+
+    def watching(cls):
+        names = fields[cls]
+
+        def __getattribute__(self, name):
+            # the methods dataclasses generates (__init__, __eq__, __repr__,
+            # ...) are compiled from strings, so no file of the package holds them
+            if name in names and sys._getframe(1).f_code.co_filename in files:
+                read.add(f"{cls.__name__}.{name}")
+            return object.__getattribute__(self, name)
+        return __getattribute__
+
+    for cls in fields:
+        monkeypatch.setattr(cls, "__getattribute__", watching(cls))
+    # a new system per command, so its facts are computed, not read from its memo
+    monkeypatch.setattr(system, "_catalog_system", system._catalog_system.__wrapped__)
+    out = str(tmp_path / "out")
+    for name in RUNTIME_SYSTEMS:
+        for argv in RUNTIME_COMMANDS:
+            if argv[0] == "report" and name == "eiffel(2)":
+                continue            # its completeness sums at the default depth take seconds
+            for fmt in ("csv", "json"):
+                assert cli.main(argv + ["--system", name, "--format", fmt, "--out", out]) in (0, 1)
+    unread = {f"{cls.__name__}.{f}" for cls, names in fields.items() for f in names} - read
+    assert not unread, (f"record fields no package code reads on the way from a command "
+                        f"line to its output: {sorted(unread)}")

@@ -217,6 +217,25 @@ class TestIteration:
         with pytest.raises(ValueError):
             fs.iterate_fixed_point(scale4, bad)
 
+    @pytest.mark.parametrize("name,res", [("scale4", 64), ("triadic", 64), ("planar3d", 24),
+                                          ("sheared", 48), ("eiffel(2)", 10)])
+    def test_value_at_zero_reads_the_origin_node(self, request, name, res):
+        # the node at the origin's chart parameters, found by its ambient
+        # point, holds the value that value_at_zero reads
+        frame = fs.grid_frame(_system(name, request), res)
+        at = np.flatnonzero(np.abs(frame.node_points()).max(axis=1) <= 1e-12)
+        assert len(at) == 1
+        assert frame.quadratic_bump().value_at_zero() == 1.0
+        values = np.arange(frame.values.size, dtype=float).reshape(frame.values.shape)
+        assert frame.with_values(values).value_at_zero() == at[0]
+
+    def test_grid_without_the_origin_node_refused(self, scale4):
+        frame = fs.grid_frame(scale4, 32)
+        half = fs.GridFunction([frame.axes[0] + frame.spacing[0] / 2], frame.values,
+                               frame.chart)
+        with pytest.raises(ValueError, match="the origin is not a node of the grid"):
+            half.value_at_zero()
+
     def test_divergence_flagged(self):
         # L = {0, 1/3} is no dual of B = {0, 1/2} at R = 4: the residual
         # grows over ten iterations in a row
@@ -351,7 +370,7 @@ class TestGammaSupnorm:
     def test_beta_sample_cross_check(self, scale4, eiffel2):
         for sysm in (scale4, eiffel2):
             rep = fs.gamma_supnorm(sysm)
-            assert rep.beta_detail.sample_agrees
+            assert rep.beta_sample_agrees
 
     @pytest.mark.parametrize("name", ["scale4", "scale2", "triadic", "planar-collapse",
                                       "eiffel(2)", "eiffel(3)", "eiffel(4)"])
