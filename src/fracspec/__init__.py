@@ -11,7 +11,7 @@ fixed point, the derivative identities) live with the tests.
 """
 
 from .system import (AffineSystem, ScalingMatrix, ValidationReport, chi_B, chi_B_batch,
-                     chi_B_sq, chi_B_sq_grad, eiffel_system, get_system, hadamard_matrix,
+                     chi_B_sq_grad, eiffel_system, get_system, hadamard_matrix,
                      load_system_file, make_system, planar_collapse_system,
                      system_from_json, system_to_json, two_digit_system,
                      unitarity_defect, validate_system)

@@ -190,10 +190,11 @@ def cmd_transfer(args, sys_obj: AffineSystem, validation) -> int:
     result = transfer.iterate_fixed_point(sys_obj, Q0, max_iters=args.max_iters,
                                           tol=args.tol)
     if args.dump_grid:
+        # (ambient coords..., value) per node, in one formatting call
+        table = np.column_stack([result.final.node_points(), result.final.values.ravel()])
         with open(args.dump_grid, "w") as fh:
             fh.write(",".join([f"x{i + 1}" for i in range(sys_obj.dim)] + ["value"]) + "\n")
-            for row in result.final.rows():
-                fh.write(",".join(fmt(c) for c in row) + "\n")
+            fh.write(fmt_rows(",".join(["%.17g"] * table.shape[1]), table) + "\n")
     header = {"command": "transfer", "system": sys_obj.name, "resolution": res,
               "converged": result.converged, "diverged": result.diverged}
     cols = ["iter", "sup_residual"]

@@ -81,11 +81,17 @@ class Chart:
     def ambient(self, U: np.ndarray) -> np.ndarray:
         return self.origin + np.atleast_2d(U) @ self.basis
 
+    @functools.cached_property
+    def dual_basis(self) -> np.ndarray:
+        """basis^T (basis basis^T)^{-1}, (ambient, k): ambient offsets to
+        their least-squares chart parameters, inverted once per chart."""
+        return self.basis.T @ np.linalg.inv(self.basis @ self.basis.T)
+
     def param(self, X: np.ndarray) -> np.ndarray:
         """Least-squares parameters of ambient points; raises when a point
         leaves the carrying subspace by more than FLOAT_TOL."""
         X = np.atleast_2d(X) - self.origin
-        U = X @ (self.basis.T @ np.linalg.inv(self.basis @ self.basis.T))
+        U = X @ self.dual_basis
         resid = np.abs(U @ self.basis - X)
         worst = resid.max() if resid.size else 0.0
         if worst > FLOAT_TOL:

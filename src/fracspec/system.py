@@ -169,9 +169,9 @@ class AffineSystem:
         2/N and the bracket is the real a0 + sum_k w_k cos(2 pi e_k.x)
         (`real` is True); otherwise every digit stays at weight 1/N.
 
-        Every kernel forms the bracket before it squares it (`chi_B_sq` one
-        bracket, `SelfSimilarMeasure.mu_hat_sq_sums` the product of the
-        brackets of its levels), so |chi_B|^2 stays
+        Every kernel forms the bracket before it squares it (the weights of
+        `transfer.TransferOperator` one bracket, `SelfSimilarMeasure.mu_hat_sq_sums`
+        the product of the brackets of its levels), so |chi_B|^2 stays
         accurate to rounding squared at its zeros, where the cosine series
         over B - B would cancel to rounding.
         """
@@ -280,12 +280,6 @@ def _mask_parts(sys: AffineSystem, T):
     P = 2 * np.pi * (np.asarray(T, dtype=float) @ E.T)
     re = a0 + np.cos(P) @ w
     return re, (np.zeros_like(re) if real else np.sin(P) @ w), P
-
-
-def chi_B_sq(sys: AffineSystem, T) -> np.ndarray:
-    """|chi_B|^2 for an array of frequency vectors, shape (..., dim)."""
-    re, im, _ = _mask_parts(sys, T)
-    return re * re + im * im
 
 
 def chi_B_sq_grad(sys: AffineSystem, t) -> np.ndarray:

@@ -12,13 +12,21 @@ import numpy as np
 
 from . import geometry, rational as rat
 from .geometry import Chart, Polytope
-from .system import AffineSystem, chi_B_sq
+from .system import AffineSystem
 
 DEFAULT_PAD = 0.05
 MIN_RESOLUTION = 8
 BETA_SAMPLES = 32     # mesh points per chart axis: at most 32**3 for a 3-D hull
 MAX_ITERS = 200        # iterations of C before a fixed-point run gives up
 FIXED_POINT_TOL = 1e-8  # sup-norm residual at which a fixed-point run has converged
+# Longest grid axis whose interpolation is one (n, n) matrix product a step; a
+# longer axis keeps its two-node stencil.  Measured per axis sweep of one
+# digit on a 2-vCPU machine, in ms, stencil gathers against the matrix
+# product: 3-D grids of n = 24, 64, 101 nodes per axis 0.31 / 0.08, 7.2 / 4.6,
+# 20.3 / 21.9; 2-D grids of n = 48, 128, 1024: 0.027 / 0.016, 0.13 / 0.20,
+# 20.8 / 99.6.  Every default grid of the transfer command (64, 48 and 24
+# nodes per axis in 1, 2 and 3 dimensions) falls under it.
+MATRIX_AXIS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +109,6 @@ class GridFunction:
             raise ValueError("the origin is not a node of the grid, so Q0(0) cannot be read")
         return float(self.values[tuple(i[0] for i in at)])
 
-    def rows(self) -> list:
-        """(ambient coords..., value) per node, for grid dumps."""
-        pts = self.node_points()
-        vals = self.values.ravel()
-        return [tuple(p) + (float(v),) for p, v in zip(pts.tolist(), vals)]
-
     def quadratic_bump(self) -> "GridFunction":
         """1 + |u - u0|^2 / 2, with u0 the chart parameter of the ambient origin."""
         u0 = self.chart.param(np.zeros((1, len(self.chart.origin))))[0]
@@ -169,19 +171,23 @@ def grid_frame(sys: AffineSystem, resolution: int) -> GridFunction:
 
 class TransferOperator:
     """C assembled on one grid: (Cv)(t) = sum_l |chi_B(t - l)|^2 v(R*^{-1}(t - l))
-    at the grid nodes t.  Per digit l it keeps the weights at the nodes and
-    the interpolation stencil of R*^{-1}(t - l), in a form decided once from
-    the matrix M of R*^{-1} in the grid's chart:
+    at the grid nodes t.  Per digit l it keeps the weights at the nodes, from
+    one phase table per grid axis (`_digit_weights`), and the interpolation
+    of R*^{-1}(t - l), in a form decided once from the matrix M of R*^{-1} in
+    the grid's chart:
 
     - `factored`: when M is diagonal (always for k = 1, and on every catalog
-      system), axis d keeps the 1-D stencil of the line of nodes along it
-      through the first node: lower and upper node indices, (n_d,), and
-      weights 1 - f and f shaped to broadcast along d, so each application
-      is k two-node interpolations, one along each axis;
-    - `gathered`: otherwise (a sheared R, say), the stencil's base indices
-      and fractions, so each application is a gather over the cell corners.
+      system), R*^{-1} maps each grid axis into itself, and axis d keeps the
+      two-node interpolation of the line of nodes along it through the first
+      node.  An axis of at most MATRIX_AXIS nodes keeps it as one (n_d, n_d)
+      matrix, row i holding 1 - f at the lower node and f at the upper one,
+      and a step applies the axis as one matrix product; a longer axis keeps
+      the stencil, lower and upper node indices, (n_d,), and weights 1 - f
+      and f shaped to broadcast along d, so memory stays linear in its length;
+    - `gathered`: otherwise (a sheared R, say), the stencil's base indices and
+      fractions, so each application is a gather over the cell corners.
 
-    Either way it ends in a multiply-add over node value arrays."""
+    Either way a step ends in a multiply-add over node value arrays."""
 
     def __init__(self, sys: AffineSystem, frame: GridFunction):
         self.frame = frame
@@ -189,39 +195,88 @@ class TransferOperator:
         chart, shape, k = frame.chart, frame.values.shape, frame.k
         S = np.array(sys.R.inverse_transpose, dtype=float)
         M = chart.param(chart.ambient(np.eye(k)) @ S.T) - chart.param(chart.origin @ S.T)
-        factors = not M[~np.eye(k, dtype=bool)].any()
-        if factors:
-            # the axis lines in one stencil call: its escape check meets them in grid order
-            first = [a[0] for a in frame.axes]
-            lines = chart.ambient(np.concatenate(
-                [np.where(np.arange(k) == d, a[:, None], first) for d, a in enumerate(frame.axes)]))
-            rows = [slice(end - n, end) for n, end in zip(shape, np.cumsum(shape))]
-        nodes = frame.node_points()
-        for l in sys.l_array():
-            w = chi_B_sq(sys, nodes - l)
-            if not factors:
-                self.gathered.append((w, *frame.stencil(chart.param((nodes - l) @ S.T))))
-                continue
+        if M[~np.eye(k, dtype=bool)].any():
+            nodes = frame.node_points()
+            self.gathered = [(w.ravel(), *frame.stencil(chart.param((nodes - l) @ S.T)))
+                             for l, w in zip(sys.l_array(), _digit_weights(sys, frame))]
+            return
+        # the axis lines in one stencil call: its escape check meets them in grid order
+        first = [a[0] for a in frame.axes]
+        lines = chart.ambient(np.concatenate(
+            [np.where(np.arange(k) == d, a[:, None], first) for d, a in enumerate(frame.axes)]))
+        rows = [slice(end - n, end) for n, end in zip(shape, np.cumsum(shape))]
+        for l, w in zip(sys.l_array(), _digit_weights(sys, frame)):
             base, frac = frame.stencil(chart.param((lines - l) @ S.T))
             cells = np.unravel_index(base, shape)
-            axes = [(cells[d][r], frac[d, r].reshape([-1 if e == d else 1 for e in range(k)]))
-                    for d, r in enumerate(rows)]
-            self.factored.append((w.reshape(shape), [(c, c + 1, 1.0 - f, f) for c, f in axes]))
+            self.factored.append((w, [_axis_step(cells[d][r], frac[d, r], d, k)
+                                      for d, r in enumerate(rows)]))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        total = np.zeros(self.frame.values.shape)
+        shape = values.shape
+        total = np.zeros(shape)
         for w, axes in self.factored:
             y = values
-            for d, (lower, upper, rest, f) in enumerate(axes):
+            for d, step in enumerate(axes):
+                if isinstance(step, np.ndarray):
+                    n = shape[d]
+                    if d == len(shape) - 1:
+                        y = y.reshape(-1, n) @ step.T
+                    else:
+                        y = step @ y.reshape(math.prod(shape[:d]), n, -1)
+                    y = y.reshape(shape)
+                    continue
+                lower, upper, rest, f = step
                 y, hi = y.take(lower, axis=d), y.take(upper, axis=d)
                 y *= rest                # in place: both gathers are new arrays
                 hi *= f
                 y += hi
-            total += w * y
+            y *= w                       # in place: every axis leaves a new array
+            total += y
         flat = total.reshape(-1)
         for w, base, frac in self.gathered:
             flat += w * self.frame.corner_sum(values, base, frac)
         return total
+
+
+def _axis_step(lower: np.ndarray, f: np.ndarray, d: int, k: int):
+    """The two-node interpolation along axis d of a k-axis grid, from the
+    lower node index and the fraction f of each node's image: an (n, n)
+    matrix up to MATRIX_AXIS nodes, (lower, upper, 1 - f, f) above, with the
+    weights shaped to broadcast along d."""
+    n = len(lower)
+    if n <= MATRIX_AXIS:
+        A, i = np.zeros((n, n)), np.arange(n)
+        A[i, lower] = 1.0 - f
+        A[i, lower + 1] = f
+        return A
+    f = f.reshape([-1 if e == d else 1 for e in range(k)])
+    return lower, lower + 1, 1.0 - f, f
+
+
+def _digit_weights(sys: AffineSystem, frame: GridFunction) -> list:
+    """|chi_B(t - l)|^2 at the grid nodes t, one array of the grid's shape
+    per digit l.  The nodes form the tensor grid t = o + sum_d u_d b_d of the
+    chart, so each term e^{i 2 pi e.(t - l)} of the bracket of
+    `AffineSystem.mask_table` is e^{i 2 pi e.(o - l)} prod_d
+    e^{i 2 pi u_d (e.b_d)}, read from one phase table per axis.  The bracket
+    is summed one mask digit e at a time into one complex node array, and
+    squared only then: its real part for a real table, its modulus
+    otherwise."""
+    a0, E, wj, real, _ = sys.mask_table
+    chart = frame.chart
+    tables = [np.exp(2j * np.pi * np.multiply.outer(E @ b, a))
+              for b, a in zip(chart.basis, frame.axes)]
+    out = []
+    for offsets in wj * np.exp(2j * np.pi * ((chart.origin - sys.l_array()) @ E.T)):
+        bracket = np.full(frame.values.shape, a0, dtype=complex)
+        for j, c in enumerate(offsets):
+            term = c * tables[0][j]
+            for table in tables[1:]:
+                term = np.multiply.outer(term, table[j])
+            bracket += term
+        re = bracket.real
+        out.append(re * re if real else re * re + bracket.imag * bracket.imag)
+    return out
 
 
 def apply_C(sys: AffineSystem, Q: GridFunction) -> GridFunction:

@@ -1,6 +1,7 @@
 """Reference oracles that several test modules check the package against.
 
-None of this runs in the pipeline: closed forms, the exact zero set of a
+None of this runs in the pipeline: closed forms, |chi_B|^2 with its trig
+taken at every point, the exact zero set of a
 two-digit measure, |mu_hat|^2 pair by pair, the convolution of two
 self-similar measures with its dense completeness sums, word quadrature
 atoms, the support side of the attractor, the Lebesgue second fixed point,
@@ -139,6 +140,21 @@ class ConvolvedMeasure:
         verdict rule of `fs.completeness_test` at its default depth cap."""
         prof = self.q1_profile(system, grid, spectrum.q1_depth(system), eps_conv)
         return spectrum._verdict(prof, eps_conv), prof
+
+
+# ---------------------------------------------------------------------------
+# the squared mask
+
+def chi_B_sq(sys, T) -> np.ndarray:
+    """|chi_B|^2 for an array of frequency vectors, shape (..., dim): the
+    bracket of `AffineSystem.mask_table` with one cosine and one sine per
+    vector and mask digit, squared.  The independent oracle for the weights
+    `transfer.TransferOperator` reads from its axis phase tables."""
+    a0, E, w, real, _ = sys.mask_table
+    P = 2 * np.pi * (np.asarray(T, dtype=float) @ E.T)
+    re = a0 + np.cos(P) @ w
+    im = np.zeros_like(re) if real else np.sin(P) @ w
+    return re * re + im * im
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,18 @@ class TestTransferCommand:
         assert doc["converged"] is True
         assert doc["final_deviation_from_one"] <= 1e-7
         assert dump.read_text().startswith("x1,value")
+        assert dump.read_text().splitlines() == self._grid_lines("scale4", 32)
+        run_cli("transfer", "--system", "eiffel(2)", "--resolution", "10", "--dump-grid", str(dump))
+        assert dump.read_text().splitlines() == self._grid_lines("eiffel(2)", 10)
+
+    @staticmethod
+    def _grid_lines(name, res):
+        # the header, then fmt of each node point and value of the final grid
+        sysm = fs.get_system(name)
+        final = fs.iterate_fixed_point(sysm, fs.grid_frame(sysm, res).quadratic_bump()).final
+        return ([",".join([f"x{i + 1}" for i in range(sysm.dim)] + ["value"])]
+                + [",".join(cli.fmt(c) for c in [*p, v])
+                   for p, v in zip(final.node_points(), final.values.ravel())])
 
     def test_eiffel2_default_resolution(self):
         # the 3-D grid at the CLI's default resolution, 24 nodes per axis

@@ -12,7 +12,7 @@ from scipy.special import polygamma
 
 import fracspec as fs
 from fracspec import cli, rational as rat
-from oracles import exact_inside, lebesgue_Q, residual_ratios
+from oracles import chi_B_sq, exact_inside, lebesgue_Q, residual_ratios
 
 # Passes every axiom; R* = [[4, 0], [2, 4]] mixes the grid axes, so the
 # stencil of its transfer operator does not factor over them.
@@ -20,6 +20,8 @@ SHEARED = fs.make_system([[4, 2], [0, 4]],
                          [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2)),
                           (Fraction(1, 2), Fraction(1, 2))],
                          [(0, 0), (1, 0), (0, 1), (1, 1)], name="sheared")
+# The same digits under R = 4 I: the stencil factors over the grid axes.
+PRODUCT = fs.make_system([[4, 0], [0, 4]], SHEARED.B, SHEARED.L, name="product")
 
 
 def _system(name, request):
@@ -71,6 +73,22 @@ def _assert_form(sysm, frame, factored):
     C = fs.transfer.TransferOperator(sysm, frame)
     assert len(C.factored if factored else C.gathered) == sysm.N
     assert not (C.gathered if factored else C.factored)
+    # an axis of at most MATRIX_AXIS nodes is one (n, n) matrix, a longer
+    # one its stencil of (n,) arrays
+    for _, axes in C.factored:
+        for n, step in zip(frame.values.shape, axes):
+            if n <= fs.transfer.MATRIX_AXIS:
+                assert isinstance(step, np.ndarray) and step.shape == (n, n)
+            else:
+                assert [a.size for a in step] == [n] * 4
+
+
+def _direct(sysm, Q):
+    """sum_l |chi_B(t - l)|^2 Q(R*^{-1}(t - l)) at the nodes t of Q, from the
+    oracle's weights and the interpolation at every point."""
+    S = np.array(sysm.R.inverse_transpose, dtype=float)
+    t = Q.node_points()
+    return sum(chi_B_sq(sysm, t - l) * interp(Q, (t - l) @ S.T) for l in sysm.l_array())
 
 
 class TestApplyC:
@@ -107,9 +125,9 @@ class TestApplyC:
         assert resid <= 5e-4
 
     @pytest.mark.parametrize("name,res,factored", _cases(
-        ("eiffel(2)", 10, True), ("eiffel(2)", 24, True), ("scale2", 64, True),
-        ("triadic", 64, True), ("planar-collapse", 48, True), ("planar3d", 24, True),
-        ("sheared", 48, False)))
+        ("eiffel(2)", 10, True), ("eiffel(2)", 24, True), ("eiffel(2)", 70, True),
+        ("scale2", 64, True), ("triadic", 64, True), ("planar-collapse", 48, True),
+        ("planar3d", 24, True), ("sheared", 48, False)))
     def test_matches_the_sum_over_digits(self, request, name, res, factored):
         # C assembled once agrees with sum_l |chi_B(t - l)|^2 Q(R*^{-1}(t - l))
         sysm = _system(name, request)
@@ -117,12 +135,34 @@ class TestApplyC:
         _assert_form(sysm, frame, factored)
         rng = np.random.RandomState(3)
         Q = frame.with_values(rng.rand(*frame.values.shape))
-        S = np.array(sysm.R.inverse_transpose, dtype=float)
-        t = frame.node_points()
-        direct = sum(fs.chi_B_sq(sysm, t - l) * interp(Q, (t - l) @ S.T)
-                     for l in sysm.l_array())
         out = fs.apply_C(sysm, Q).values.ravel()
-        assert np.abs(out - direct).max() <= 1e-14
+        assert np.abs(out - _direct(sysm, Q)).max() <= 1e-14
+
+    def test_matrix_and_stencil_axes_in_one_grid(self):
+        # a grid whose first axis is short enough for a matrix and whose
+        # second keeps its stencil, over the box of the product system's frame
+        frame = fs.grid_frame(PRODUCT, 48)
+        short, long = fs.transfer.MATRIX_AXIS - 24, fs.transfer.MATRIX_AXIS + 36
+        axes = [np.linspace(a[0], a[-1], n) for a, n in zip(frame.axes, (short, long))]
+        Q = fs.GridFunction(axes, np.random.RandomState(8).rand(short, long), frame.chart)
+        _assert_form(PRODUCT, Q, True)
+        out = fs.apply_C(PRODUCT, Q).values.ravel()
+        assert np.abs(out - _direct(PRODUCT, Q)).max() <= 1e-14
+
+    @pytest.mark.parametrize("name,res", [("scale4", 64), ("triadic", 64), ("eiffel(2)", 24),
+                                          ("planar3d", 24), ("sheared", 48)])
+    def test_weights_match_the_oracle(self, request, name, res):
+        # the weights from the axis phase tables against the oracle's trig at
+        # every node, digit by digit: real and complex mask tables, a chart
+        # that is not the identity, and the gathered form
+        sysm = _system(name, request)
+        frame = fs.grid_frame(sysm, res)
+        C = fs.transfer.TransferOperator(sysm, frame)
+        weights = [w for w, *_ in C.factored + C.gathered]
+        assert len(weights) == sysm.N
+        t = frame.node_points()
+        for w, l in zip(weights, sysm.l_array()):
+            assert np.abs(w.ravel() - chi_B_sq(sysm, t - l)).max() <= 1e-15
 
     def test_interpolation_is_exact_on_affine_values(self, eiffel2):
         frame = fs.grid_frame(eiffel2, 10)
@@ -150,7 +190,8 @@ class TestApplyC:
 
     def test_factored_form_is_linear_in_the_axis_lengths(self, scale4):
         # a fine 1-D grid: each axis keeps (n,) stencils, not an (n, n) matrix,
-        # and one step equals the gather over the same stencil bit for bit
+        # and one step equals the gather over the same stencil, with the
+        # operator's own weights, bit for bit
         frame = fs.grid_frame(scale4, 20000)
         C = fs.transfer.TransferOperator(scale4, frame)
         assert len(C.factored) == scale4.N and not C.gathered
@@ -159,8 +200,9 @@ class TestApplyC:
         S = np.array(scale4.R.inverse_transpose, dtype=float)
         t = frame.node_points()
         gathered = np.zeros(20000)
-        for l in scale4.l_array():
-            gathered += fs.chi_B_sq(scale4, t - l) * frame.corner_sum(
+        for (w, _), l in zip(C.factored, scale4.l_array()):
+            assert np.abs(w - chi_B_sq(scale4, t - l)).max() <= 1e-15
+            gathered += w * frame.corner_sum(
                 v, *frame.stencil(frame.chart.param((t - l) @ S.T)))
         assert np.array_equal(C(v), gathered)
 
@@ -197,12 +239,14 @@ class TestIteration:
 
     @pytest.mark.parametrize("name,res,factored", _cases(
         ("scale4", 64, True), ("eiffel(2)", 10, True), ("eiffel(2)", 24, True),
-        ("planar3d", 24, True), ("sheared", 48, False)))
+        ("eiffel(2)", 70, True), ("planar3d", 24, True), ("sheared", 48, False)))
     def test_residuals_match_repeated_apply(self, request, name, res, factored):
         sysm = _system(name, request)
         Q = fs.grid_frame(sysm, res).quadratic_bump()
         _assert_form(sysm, Q, factored)
-        out = fs.iterate_fixed_point(sysm, Q)
+        # the long-axis grid runs all MAX_ITERS steps without converging, and
+        # each apply_C below assembles C anew: twenty steps compare its path
+        out = fs.iterate_fixed_point(sysm, Q, 20 if res == 70 else fs.transfer.MAX_ITERS)
         residuals = []
         for _ in out.residuals:
             QN = fs.apply_C(sysm, Q)
