@@ -7,8 +7,8 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys as _sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -135,21 +135,19 @@ def cmd_gram(args, sys_obj: AffineSystem, validation) -> int:
     rep = spectrum.gram_matrix(sys_obj, pts)
     header = {"command": "gram", "system": sys_obj.name, "count": args.count,
               "max_offdiag": fmt(rep.max_offdiag), "tail_bound": fmt(rep.tail_bound)}
-    # |G| by np.hypot, which rounds as abs() of one entry does; np.abs of a
-    # complex array can differ in the last bit
     G = rep.matrix
-    absG = np.hypot(G.real, G.imag)
     if args.format == "json":
         payload = {"points": [[rat.format_fraction(c) for c in p] for p in pts],
-                   "max_offdiag": rep.max_offdiag, "worst_pair": rep.worst_pair,
-                   "tail_bound": rep.tail_bound, "matrix_abs": absG.tolist()}
+                   "max_offdiag": rep.max_offdiag,
+                   "worst_pair": [[float(c) for c in p] for p in rep.worst_pair],
+                   "tail_bound": rep.tail_bound, "matrix_abs": rep.moduli.tolist()}
         _emit(args, header, [], [], json_payload=payload)
         return EXIT_OK
     # one block of lines per row of G, each formatted in one call as it is written
     j = np.arange(len(G))
     blocks = (fmt_rows("%d,%d,%.17g,%.17g,%.17g",
                        np.column_stack([np.full(len(G), i), j, g.real, g.imag, a]))
-              for i, (g, a) in enumerate(zip(G, absG)))
+              for i, (g, a) in enumerate(zip(G, rep.moduli)))
     _write(args, itertools.chain(_csv_head(header, ["i", "j", "re", "im", "abs"]), blocks))
     return EXIT_OK
 
@@ -209,17 +207,14 @@ def cmd_transfer(args, sys_obj: AffineSystem, validation) -> int:
 def cmd_gamma(args, sys_obj: AffineSystem, validation) -> int:
     rep = transfer.gamma_supnorm(sys_obj)
     doc = rep.to_dict()
-    r = sys_obj.R.entries[0][0]
-    if sys_obj.dim == 3 and r.denominator == 1 and r >= 2:
-        # the tower eiffel(r), whatever the system's name or digit order
+    r = rat.scalar(sys_obj.R.entries)
+    if sys_obj.dim == 3 and r is not None and r.denominator == 1 and r >= 2:
+        # the tower eiffel(r), R = r I, whatever the system's name or digit order
         tower = eiffel_system(int(r))
-        if (sys_obj.R.entries, set(sys_obj.B), set(sys_obj.L)) == \
-           (tower.R.entries, set(tower.B), set(tower.L)):
+        if (set(sys_obj.B), set(sys_obj.L)) == (set(tower.B), set(tower.L)):
             doc["gamma_closed_form"] = transfer.gamma_eiffel(int(r))
-    if sys_obj.dim == 1 and sys_obj.N == 2:
-        Rv = sys_obj.R.entries[0][0]
-        if Rv.denominator == 1 and abs(Rv) >= 2:
-            doc["gamma_closed_form"] = transfer.gamma_1d(int(Rv))
+    if sys_obj.dim == 1 and sys_obj.N == 2 and r.denominator == 1 and abs(r) >= 2:
+        doc["gamma_closed_form"] = transfer.gamma_1d(int(r))
     header = {"command": "gamma", "system": sys_obj.name}
     rows = [[k, fmt(v)] for k, v in doc.items()
             if isinstance(v, (int, float)) and not isinstance(v, bool)]
@@ -258,8 +253,7 @@ def cmd_report(args, sys_obj: AffineSystem, validation) -> int:
     gram = spectrum.gram_matrix(sys_obj, pts)
     claims["orthogonality"] = gram.max_offdiag <= 1e-7
     doc["gram"] = {"count": len(pts), "max_offdiag": gram.max_offdiag,
-                   "worst_pair": [[rat.format_fraction(Fraction(c).limit_denominator(10 ** 9))
-                                   for c in p] for p in gram.worst_pair],
+                   "worst_pair": [[rat.format_fraction(c) for c in p] for p in gram.worst_pair],
                    "tail_bound": gram.tail_bound}
 
     hull = geometry.dual_hull(sys_obj)
@@ -302,14 +296,14 @@ POSITIVE_OPTIONS = ("p_depth", "resolution", "max_iters")
 
 def _check_options(args) -> None:
     """Reject numeric options out of range before any work: counts and
-    depths below 1, and a convergence tolerance that is not positive."""
+    depths below 1, and a convergence tolerance outside (0, inf)."""
     for name in POSITIVE_OPTIONS:
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
     tol = getattr(args, "tol", None)
-    if tol is not None and not tol > 0:
-        raise ValueError(f"--tol must be > 0, got {tol}")
+    if tol is not None and not 0 < tol < math.inf:
+        raise ValueError(f"--tol must be finite and > 0, got {tol}")
 
 
 @functools.cache
@@ -400,6 +394,9 @@ def main(argv=None) -> int:
         return args.handler(args, sys_obj, validation)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:
+        print(f"error: an entry is out of floating-point range: {exc}", file=_sys.stderr)
         return EXIT_USAGE
 
 

@@ -350,13 +350,10 @@ def simplex_Y(sys: AffineSystem) -> Polytope:
     """
     M = sys.R.entries
     d = sys.dim
-    c = M[0][0]
-    for i in range(d):
-        for j in range(d):
-            want = c if i == j else Fraction(0)
-            if M[i][j] != want:
-                raise ValueError("simplex construction needs R = c*I; "
-                                 "use convex_hull(attractor_points(..., 'rho', depth)) instead")
+    c = rat.scalar(M)
+    if c is None:
+        raise ValueError("simplex construction needs R = c*I; "
+                         "use convex_hull(attractor_points(..., 'rho', depth)) instead")
     if c.denominator != 1 or c < 2:
         raise ValueError("simplex construction needs an integer scale >= 2")
     MmI = tuple(tuple(M[i][j] - (1 if i == j else 0) for j in range(d)) for i in range(d))
@@ -392,13 +389,9 @@ def invariance_check(sys: AffineSystem, P: Polytope) -> InvarianceReport:
 
 def hausdorff_dimension(sys: AffineSystem):
     """ln N / ln r for similitudes R = r * (orthogonal matrix); None otherwise."""
-    RtR = rat.mat_mul(rat.transpose(sys.R.entries), sys.R.entries)
-    s = RtR[0][0]
-    for i in range(sys.dim):
-        for j in range(sys.dim):
-            want = s if i == j else Fraction(0)
-            if RtR[i][j] != want:
-                return None
+    s = rat.scalar(rat.mat_mul(rat.transpose(sys.R.entries), sys.R.entries))
+    if s is None:
+        return None
     return math.log(sys.N) / (0.5 * math.log(float(s)))
 
 

@@ -49,17 +49,15 @@ def _max_distance(T: np.ndarray, Lam: np.ndarray) -> float:
         return 0.0
     if T.shape[1] == 1:
         top = float(max(T.max() - Lam.min(), Lam.max() - T.min()))
-        if math.isnan(top) and not (np.isnan(T).any() or np.isnan(Lam).any()):
-            return math.inf             # the same infinity in both: inf - inf
-        return top
-    tt, ll = (T ** 2).sum(axis=1)[:, None], (Lam ** 2).sum(axis=1)[None, :]
-    rows, top = _row_tile(len(T), len(Lam)), -math.inf
-    for i in range(0, len(T), rows):
-        top = np.maximum(top, (tt[i:i + rows] + ll - 2 * (T[i:i + rows] @ Lam.T)).max())
-    top = float(top)
+    else:
+        tt, ll = (T ** 2).sum(axis=1)[:, None], (Lam ** 2).sum(axis=1)[None, :]
+        rows, top = _row_tile(len(T), len(Lam)), -math.inf
+        for i in range(0, len(T), rows):
+            top = np.maximum(top, (tt[i:i + rows] + ll - 2 * (T[i:i + rows] @ Lam.T)).max())
+        top = math.sqrt(max(float(top), 0.0))
     if math.isnan(top) and not (np.isnan(T).any() or np.isnan(Lam).any()):
-        return math.inf             # an infinite row: inf - inf in the expansion
-    return math.sqrt(max(top, 0.0))
+        return math.inf     # inf - inf: one infinity in both, or an infinite row
+    return top
 
 
 def _abs_sq(prod: np.ndarray) -> np.ndarray:

@@ -62,6 +62,13 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
+def scalar(m: Mat):
+    """c when m = c I, None for any other matrix."""
+    c = m[0][0]
+    return c if m == tuple(tuple(c if i == j else 0 for j in range(len(m)))
+                           for i in range(len(m))) else None
+
+
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m))
 

@@ -184,9 +184,10 @@ def uniform_discreteness(enum: SpectrumEnumeration) -> float:
 @dataclass
 class GramReport:
     matrix: np.ndarray
+    moduli: np.ndarray            # |matrix| by np.hypot, as abs() rounds one entry
     tail_bound: float
     max_offdiag: float
-    worst_pair: tuple
+    worst_pair: tuple             # two of the points as given, each a tuple
 
 
 def check_gram_count(count: int) -> None:
@@ -199,20 +200,23 @@ def check_gram_count(count: int) -> None:
 def gram_matrix(system: AffineSystem, points) -> GramReport:
     """Inner products of exponentials in L^2 of the self-similar measure of
     `system`: entry (i, j) is the transform at lambda_j - lambda_i, the
-    transpose of `mu_hat_pairs` of the points against themselves."""
-    pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
+    transpose of `mu_hat_pairs` of the points against themselves.  The
+    points are compared as given (exactly, for Fractions) and turned into
+    floats only as the kernel's input."""
+    pts = [tuple(np.atleast_1d(p).tolist()) for p in points]
     check_gram_count(len(pts))
-    arr = np.stack(pts)
-    if len({tuple(p) for p in arr.round(12).tolist()}) != len(pts):
+    if len(set(pts)) != len(pts):
         raise ValueError("Gram points must be pairwise distinct")
+    arr = np.array(pts, dtype=float)
     vals, tail = SelfSimilarMeasure(system).mu_hat_pairs(arr, arr)
     G = vals.T
-    off = np.abs(G)
+    moduli = np.hypot(G.real, G.imag)
+    off = moduli.copy()
     np.fill_diagonal(off, 0.0)
     top = float(off.max())
     # argwhere is in row-major order, so its first row is the least tied pair
     i, j = np.argwhere(off >= top - 1e-12)[0]
-    return GramReport(G, tail, top, (tuple(arr[i].tolist()), tuple(arr[j].tolist())))
+    return GramReport(G, moduli, tail, top, (pts[i], pts[j]))
 
 
 # ---------------------------------------------------------------------------

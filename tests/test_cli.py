@@ -102,6 +102,56 @@ class TestGramCommand:
                              f"{cli.fmt(abs(G[i, j]))}" for i in range(16) for j in range(16)]
 
 
+class TestGramExactPoints:
+    """The Gram record keeps the enumerated points as its one copy: they are
+    compared exactly, the worst pair is two of them, and one modulus array
+    gives max_offdiag and the printed |G|."""
+
+    # B = {0, 10^13}: four of its depth-3 points round to 0.0 at 12 decimals
+    TINY = {"dim": 1, "R": [["4"]], "B": [["0"], ["10000000000000"]],
+            "L": [["0"], ["1/20000000000000"]]}
+    # B = {0, 1000000007/2}: points with a denominator above 10^9
+    PRIME = {"dim": 1, "R": [["3"]], "B": [["0"], ["1000000007/2"]],
+             "L": [["0"], ["1/1000000007"]]}
+
+    @staticmethod
+    def _file(tmp_path, doc):
+        p = tmp_path / "system.json"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    @pytest.mark.parametrize("command", ["gram", "report"])
+    def test_points_closer_than_1e_12_are_distinct(self, tmp_path, capsys, command):
+        path = self._file(tmp_path, self.TINY)
+        assert cli.main([command, "--file", path, "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["config"]["command"] == command
+
+    def test_report_worst_pair_is_two_spectrum_points(self, tmp_path, capsys):
+        path = self._file(tmp_path, self.PRIME)
+        assert cli.main(["report", "--file", path, "--format", "json"]) == 1
+        pair = json.loads(capsys.readouterr().out)["gram"]["worst_pair"]
+        assert pair == [["1/1000000007"], ["3/1000000007"]]
+        points = fs.enumerate_P(fs.load_system_file(path), 3).coords()
+        assert {tuple(p) for p in pair} <= {tuple(map(fs.rational.format_fraction, q))
+                                            for q in points}
+
+    @pytest.mark.parametrize("name, count", [
+        ("scale4", 16), ("scale4", 256), ("planar-collapse", 16), ("planar-collapse", 64)])
+    def test_max_offdiag_is_the_largest_printed_modulus(self, capsys, name, count):
+        argv = ["gram", "--system", name, "--count", str(count)]
+        assert cli.main(argv + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        moduli = np.array(doc["matrix_abs"])
+        np.fill_diagonal(moduli, 0.0)
+        assert doc["max_offdiag"] == moduli.max()
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split(",") for line in lines[2:]]
+        top = max(float(r[4]) for r in rows if r[0] != r[1])
+        assert f" max_offdiag={cli.fmt(top)} " in lines[0]
+
+
 class TestFmtRows:
     def test_same_bytes_as_fmt(self):
         vals = np.array([0.0, -0.0, 1 / 3, -2.5e17, 1e-300, -5e-324, np.inf, -np.inf,
@@ -405,6 +455,56 @@ class TestMalformedSystemFile:
         assert r.stderr == "error: cannot parse system file: B and L must each hold at least one point\n"
 
 
+class TestRefusedInput:
+    """Inputs refused with exit 2 and one error line, never a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("validate", "--file", "REPEATED"),
+         "cannot parse system file: B and L must consist of distinct points"),
+        (("validate", "--system", "scale4(0)"), "scaling matrix is singular"),
+        (("validate", "--system", "eiffel(1)"), "eiffel scale r must be an integer >= 2"),
+    ], ids=["repeated-digit", "scale4(0)", "eiffel(1)"])
+    def test_exits_2_with_the_message(self, tmp_path, capsys, argv, message):
+        p = tmp_path / "repeated.json"
+        p.write_text(json.dumps({"dim": 1, "R": [["4"]], "B": [["0"], ["0"]],
+                                 "L": [["0"], ["1"]]}))
+        assert cli.main([str(p) if a == "REPEATED" else a for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    # R = 10^400, and L = {0, 10^400}: exact entries past the largest float
+    HUGE = {"R": {"dim": 1, "R": [["1e400"]], "B": [["0"], ["1/2"]], "L": [["0"], ["1"]]},
+            "L": {"dim": 1, "R": [["4"]], "B": [["0"], ["1/2"]], "L": [["0"], ["1e400"]]}}
+
+    @pytest.mark.parametrize("huge, command, code", [
+        *[("R", c, 2) for c in ("validate", "spectrum", "gram", "q1", "transfer",
+                                "gamma", "attractor", "report")],
+        *[("L", c, 2) for c in ("q1", "gram", "transfer", "gamma", "report")],
+        # Hadamard fails, and the commands that need no float of L still run
+        ("L", "validate", 1), ("L", "spectrum", 0), ("L", "attractor", 0),
+    ])
+    def test_entry_out_of_float_range(self, tmp_path, capsys, huge, command, code):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(self.HUGE[huge]))
+        assert cli.main([command, "--file", str(p), "--force"]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("error: ") and "floating-point range" in err
+            assert err.count("\n") == 1
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("name", ["scale4", "eiffel(2)"])
+    @pytest.mark.parametrize("command", ["validate", "spectrum", "gram", "q1", "transfer",
+                                         "gamma", "attractor", "report"])
+    def test_no_nan_or_infinity(self, capsys, name, command):
+        # a strict JSON parser rejects NaN and Infinity
+        def refuse(constant):
+            raise ValueError(f"{command} on {name} writes {constant}")
+
+        assert cli.main([command, "--system", name, "--format", "json"]) == 0
+        json.loads(capsys.readouterr().out, parse_constant=refuse)
+
+
 class TestSlowShear:
     """R = [[101/100, 100], [0, 101/100]] is expansive (both moduli 1.01), but
     its first power of R*^-1 below 1 in operator norm is the 1172nd, past the
@@ -476,6 +576,8 @@ class TestUsage:
         ("transfer", "--resolution", "0"),
         ("transfer", "--max-iters", "0"),
         ("transfer", "--tol", "-1"),
+        ("q1", "--tol", "inf"),
+        ("transfer", "--tol", "inf"),
     ])
     def test_numeric_option_out_of_range(self, capsys, command, option, value):
         # rejected before any work, so the parser is run in process

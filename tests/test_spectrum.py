@@ -204,6 +204,33 @@ class TestGram:
         with pytest.raises(ValueError):
             fs.gram_matrix(scale4, [F(0), F(0)])
 
+    def test_points_closer_than_1e_12_are_distinct(self):
+        # B = {0, 10^13}: the points 0, 5e-14, 2e-13 and 2.5e-13 of P(L) are
+        # distinct, though all of them round to 0.0 at 12 decimals
+        sysm = fs.two_digit_system(4, 10 ** 13)
+        pts = fs.enumerate_P(sysm, 3).coords()
+        assert len(pts) == 8 and pts[1] == (F(1, 2 * 10 ** 13),)
+        rep = fs.gram_matrix(sysm, pts)
+        assert rep.max_offdiag <= 1e-8
+
+    def test_worst_pair_is_two_of_the_given_points(self):
+        # the pair is read from the points, not guessed back from floats
+        sysm = fs.two_digit_system(3, F(1000000007, 2))
+        pts = fs.enumerate_P(sysm, 3).coords()
+        rep = fs.gram_matrix(sysm, pts)
+        assert rep.worst_pair == ((F(1, 1000000007),), (F(3, 1000000007),))
+        assert set(rep.worst_pair) <= set(pts)
+
+    @pytest.mark.parametrize("name", ["planar-collapse", "triadic"])
+    def test_moduli_are_the_one_modulus(self, name):
+        # max_offdiag reads the moduli the CLI prints, abs() of each entry
+        sysm = fs.get_system(name)
+        rep = fs.gram_matrix(sysm, fs.enumerate_P(sysm, 4).coords()[:64])
+        assert np.array_equal(rep.moduli, [[abs(g) for g in row] for row in rep.matrix])
+        off = rep.moduli.copy()
+        np.fill_diagonal(off, 0.0)
+        assert rep.max_offdiag == off.max()
+
     def test_point_count_capped(self, scale4):
         # 1025^2 entries exceed the 2^20 cap, refused before the differences
         with pytest.raises(ValueError, match="a Gram matrix of 1025 points"):
