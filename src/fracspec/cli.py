@@ -181,8 +181,6 @@ def cmd_transfer(args, sys_obj: AffineSystem, validation) -> int:
     res = args.resolution
     if res is None:
         res = GRID_RESOLUTIONS.get(sys_obj.dim, 16)
-    if res < transfer.MIN_RESOLUTION:
-        raise ValueError(f"resolution must be >= {transfer.MIN_RESOLUTION}")
     frame = transfer.grid_frame(sys_obj, res)
     Q0 = frame.quadratic_bump()
     result = transfer.iterate_fixed_point(sys_obj, Q0, max_iters=args.max_iters,

@@ -21,10 +21,10 @@ Mat = tuple
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction; reject floats."""
+    """Coerce ints, Fractions and 'p/q' strings to Fraction; reject bools, floats."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)

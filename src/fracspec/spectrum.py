@@ -25,8 +25,8 @@ EPS_FAIL = 0.05
 # side tables and its rows t - eta (the kernel streams its row sums, so no
 # call holds an array of its pairs)
 Q1_SCRATCH = 6_000_000
-# (t, lambda) pairs of a run of small Q1 layers joined in one kernel call:
-# `_brackets` takes 32 levels of a call this size in one stacked product
+# (t, lambda) pairs of the leading Q1 layers' one kernel call and of a whole
+# later layer: `_brackets` takes 32 levels of such a call in one stacked product
 Q1_RUN_PAIRS = STACK_ENTRIES // 32
 FD_STEP = 1e-3              # step of the gradient stencil at the origin
 DIGIT_BUDGET = 24           # longest digit word that digits_of looks for
@@ -208,6 +208,8 @@ def gram_matrix(system: AffineSystem, points) -> GramReport:
     if len(set(pts)) != len(pts):
         raise ValueError("Gram points must be pairwise distinct")
     arr = np.array(pts, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"Gram point {np.isfinite(arr).all(axis=1).argmin()} is not finite")
     vals, tail = SelfSimilarMeasure(system).mu_hat_pairs(arr, arr)
     G = vals.T
     moduli = np.hypot(G.real, G.imag)
@@ -264,25 +266,29 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int,
     With `eps_conv` set, the layer loop stops once the increment of each of
     the first `watch` rows falls below it (partial sums are monotone, so
     later layers only add nonnegative mass); the other rows ride along.
-    The stop is decided layer by layer, also inside a joined run (below),
-    whose layers past it are dropped with their tail.
+    The stop is decided layer by layer, also among the leading layers
+    (below), and drops the layers past it with their tail.  A row of T that
+    is not finite is refused: its distance would set the truncation depth
+    of every row of its kernel calls.
 
     Every call goes to `SelfSimilarMeasure.mu_hat_sq_sums`, which returns
     the row sums of |mu_hat(t - lambda)|^2 over column groups and never the
-    pair values.
-    A run of consecutive small layers, whose m n pairs add up to at most
-    Q1_RUN_PAIRS, goes to the kernel in one call over the run's points,
-    one column group per layer (an empty layer sums to 0), so each of its
-    layers is truncated at the run's adaptive depth, never shallower than
-    its own: the truncated products only move down, toward the exact ones.
-    Any larger layer of n points is the sum P_h + H of its first h digit
-    sets (the low part) and the rest (the high part), so t - lambda runs
-    over the rows t - eta, eta in H, against the points of P_h: the same
-    pairs, with the kernel's cos/sin taken on m |H| + |P_h| points instead
-    of n, and each row's one sum over P_h added up over eta.  h is the
-    largest with |P_h|^2 <= m n, which balances the two sides, and with
-    m |P_h| <= Q1_SCRATCH; H is chunked so that no call has more than
-    Q1_SCRATCH pairs.
+    pair values.  The leading layers, whose m n pairs add up to at most
+    Q1_RUN_PAIRS, go to the kernel in one call, one column group per layer,
+    so each is truncated at that call's adaptive depth, never shallower
+    than its own: the truncated products only move down, toward the exact
+    ones.  Every later layer is a call of its own, since a layer holds at
+    least as many points as all the layers before it (N^{d-1} (N - 1)
+    against N^{d-1} with 0 in L, N^d against (N^d - 1)/(N - 1) without;
+    with N = 1 the layers past 0 are empty).  A later layer of n points is
+    the sum P_h + H of its first h digit sets (the low part) and the rest
+    (the high part), so t - lambda runs over the rows t - eta, eta in H,
+    against the points of P_h: the same pairs, with the kernel's cos/sin
+    taken on m |H| + |P_h| points instead of n, and each row's one sum over
+    P_h added up over eta.  With m n <= Q1_RUN_PAIRS every digit set is low
+    (H = {0}); otherwise h is the largest with |P_h|^2 <= m n, balancing
+    the two sides, and with m |P_h| <= Q1_SCRATCH.  H is chunked so that no
+    call has more than Q1_SCRATCH pairs.
     """
     m, dim = T.shape
     cap = Q1_SCRATCH // 1024          # so that a call has room for 1024 spectrum points a row
@@ -291,49 +297,43 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int,
     if p_depth < 1:
         # a profile's values and last increments need one layer past 0
         raise ValueError(f"a Q1 pass needs p_depth >= 1, got {p_depth}")
-    sums = []
-    incs = []
-    tail = 0.0
-    for d, (inc, layer_tail) in enumerate(_layer_increments(system, T, p_depth)):
+    if not np.isfinite(T).all():
+        raise ValueError(f"Q1 probe row {np.isfinite(T).all(axis=1).argmin()} is not finite")
+    layer_sums, tail = [], 0.0
+    for inc, layer_tail in _layer_increments(system, T, p_depth):
+        layer_sums.append(inc)
         tail += layer_tail
-        if d == 0:
-            sums.append(inc)
-            continue
-        incs.append(inc)
-        sums.append(sums[-1] + inc)
-        if eps_conv is not None and (inc[:watch] < eps_conv).all():
+        if eps_conv is not None and len(layer_sums) > 1 and (inc[:watch] < eps_conv).all():
             break
-    return Q1Profile(np.stack(sums, axis=1), np.stack(incs, axis=1), len(incs),
+    layers = np.stack(layer_sums, axis=1)
+    return Q1Profile(np.cumsum(layers, axis=1), layers[:, 1:], len(layer_sums) - 1,
                      np.full(m, tail))
 
 
 def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int):
-    """Yield each layer's increment of every row of T, d = 0..p_depth in
-    order, with its Fourier tail per row (each call's bound times the
-    layer's points in it): runs of small layers joined and any other layer
-    split, as `_q1_pass` describes."""
+    """Yield each layer's increment of every row of T, d = 0..p_depth, with
+    its Fourier tail per row (each call's bound times the layer's points in
+    it): the leading layers in one call, each later one in its own."""
     m, dim = T.shape
     measure = SelfSimilarMeasure(system)
-    run = []                            # points of the pending run's layers
-
-    def joined():
-        starts = list(itertools.accumulate((len(pts) for pts in run[:-1]), initial=0))
-        sums, run_tail = measure.mu_hat_sq_sums(T, np.concatenate(run), starts)
-        for g, pts in enumerate(run):
-            yield sums[:, g], run_tail * len(pts)
-
-    for _, sets in layer_digits(system, p_depth):
-        n = math.prod(len(s) for s in sets)
-        if run and m * (sum(map(len, run)) + n) > Q1_RUN_PAIRS:
-            yield from joined()
-            run = []
-        if m * n <= Q1_RUN_PAIRS:
-            run.append(digit_sum(sets, dim))
-            continue
+    layers = (sets for _, sets in layer_digits(system, p_depth))
+    lead = []                           # points of the leading layers
+    for sets in layers:
+        if m * (sum(map(len, lead)) + math.prod(map(len, sets))) > Q1_RUN_PAIRS:
+            layers = itertools.chain([sets], layers)    # put back the first later layer
+            break
+        lead.append(digit_sum(sets, dim))
+    if lead:
+        starts = list(itertools.accumulate(map(len, lead[:-1]), initial=0))
+        sums, lead_tail = measure.mu_hat_sq_sums(T, np.concatenate(lead), starts)
+        for g, pts in enumerate(lead):
+            yield sums[:, g], lead_tail * len(pts)
+    for sets in layers:
+        n = math.prod(map(len, sets))
         h, low_n = 0, 1
         while h < len(sets):
             grown = low_n * len(sets[h])
-            if grown ** 2 > m * n or m * grown > Q1_SCRATCH:
+            if m * n > Q1_RUN_PAIRS and (grown ** 2 > m * n or m * grown > Q1_SCRATCH):
                 break
             h, low_n = h + 1, grown
         low, high = digit_sum(sets[:h], dim), digit_sum(sets[h:], dim)
@@ -346,8 +346,6 @@ def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int):
             inc += sums.reshape(m, len(eta)).sum(axis=1)
             tail += block_tail * len(eta) * low_n
         yield inc, tail
-    if run:
-        yield from joined()
 
 
 def q1_depth(system: AffineSystem) -> int:

@@ -506,7 +506,9 @@ def _json_rows(rows, what: str) -> list:
 
 def system_from_json(data: dict, name="") -> AffineSystem:
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
+        if type(dim) is not int:
+            raise TypeError(f"dim {dim!r} is not an integer")
         R = _json_rows(data["R"], "row of R")
         B = _json_rows(data["B"], "point of B")
         L = _json_rows(data["L"], "point of L")

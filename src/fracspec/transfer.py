@@ -122,6 +122,8 @@ def grid_frame(sys: AffineSystem, resolution: int) -> GridFunction:
     `dual_hull(sys)`, in the hull's chart, with the origin snapped onto
     the node lattice and the box grown until every rho_l image of it stays
     inside."""
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
     hull = geometry.dual_hull(sys)
     if hull.affine_dim == 0:
         where = ", ".join(rat.format_fraction(c) for c in hull.vertices[0])
@@ -406,8 +408,6 @@ def _beta_sampled(sys: AffineSystem, Y: Polytope):
         for l in ls:
             vals = np.abs(np.sin(2 * np.pi * ((pts - l) @ d)))
             best = max(best, float(vals.max()))
-    # one bisection refinement around the incumbent is subsumed by the exact
-    # interval evaluation; the sample is a cross-check only
     return best
 
 

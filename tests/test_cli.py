@@ -434,7 +434,15 @@ class TestMalformedSystemFile:
         ({"dim": 1, "R": [["4"]], "B": [], "L": []}, "at least one point"),
         ({"dim": 1, "R": [["4"]], "B": ["0", "1"], "L": [["0"], ["1/2"]]}, "not a JSON list"),
         ({"dim": 1, "R": [["4"]], "B": ["0", "12"], "L": [["0"], ["1/2"]]}, "not a JSON list"),
-    ], ids=["dim-0", "empty-B-and-L", "string-points", "string-point-12"])
+        # a JSON boolean is no rational, though Python's bool is an int
+        ({"dim": 1, "R": [["4"]], "B": [[False], [True]], "L": [["0"], ["1"]]}, "got bool"),
+        ({"dim": 1, "R": [[True]], "B": [["0"], ["1/2"]], "L": [["0"], ["1"]]}, "got bool"),
+        ({"dim": 1.9, "R": [["4"]], "B": [["0"], ["1/2"]], "L": [["0"], ["1"]]},
+         "dim 1.9 is not an integer"),
+        ({"dim": True, "R": [["4"]], "B": [["0"], ["1/2"]], "L": [["0"], ["1"]]},
+         "dim True is not an integer"),
+    ], ids=["dim-0", "empty-B-and-L", "string-points", "string-point-12", "boolean-B",
+            "boolean-R", "float-dim", "boolean-dim"])
     @pytest.mark.parametrize("command", ["validate", "q1", "gram"])
     def test_exits_2(self, tmp_path, capsys, doc, message, command):
         p = tmp_path / "bad.json"
@@ -443,6 +451,7 @@ class TestMalformedSystemFile:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: cannot parse system file: ") and message in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["gram", "q1"])
     def test_empty_B_exits_at_once(self, tmp_path, command):
@@ -463,7 +472,8 @@ class TestRefusedInput:
          "cannot parse system file: B and L must consist of distinct points"),
         (("validate", "--system", "scale4(0)"), "scaling matrix is singular"),
         (("validate", "--system", "eiffel(1)"), "eiffel scale r must be an integer >= 2"),
-    ], ids=["repeated-digit", "scale4(0)", "eiffel(1)"])
+        (("transfer", "--system", "scale4", "--resolution", "5"), "resolution must be >= 8"),
+    ], ids=["repeated-digit", "scale4(0)", "eiffel(1)", "transfer-resolution-5"])
     def test_exits_2_with_the_message(self, tmp_path, capsys, argv, message):
         p = tmp_path / "repeated.json"
         p.write_text(json.dumps({"dim": 1, "R": [["4"]], "B": [["0"], ["0"]],

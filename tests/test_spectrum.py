@@ -204,6 +204,15 @@ class TestGram:
         with pytest.raises(ValueError):
             fs.gram_matrix(scale4, [F(0), F(0)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["scale4", "eiffel(2)"])
+    def test_non_finite_point_is_refused(self, name, bad):
+        # a NaN row left no off-diagonal modulus at the maximum to index
+        sysm = fs.get_system(name)
+        pts = [0.0, bad] if sysm.dim == 1 else [np.zeros(3), np.full(3, bad)]
+        with pytest.raises(ValueError, match="Gram point 1 is not finite"):
+            fs.gram_matrix(sysm, pts)
+
     def test_points_closer_than_1e_12_are_distinct(self):
         # B = {0, 10^13}: the points 0, 5e-14, 2e-13 and 2.5e-13 of P(L) are
         # distinct, though all of them round to 0.0 at 12 decimals
@@ -470,6 +479,42 @@ class TestQ1:
         alone = fs.q1_profile(sysm, probes, 10, eps_conv=eps_conv)
         assert alone.depth == joined.depth
 
+    @pytest.mark.parametrize("m", [1, 2, 5, 17, 35, 51, 1024, 1025, 5859])
+    def test_joined_runs_are_one_leading_run(self, m):
+        # a layer holds at least as many points as all the layers before it,
+        # so the runs of small layers are the leading layers, whose m n pairs
+        # add up to at most Q1_RUN_PAIRS, and then each later layer alone
+        for N, zero_in_L in itertools.product(range(2, 9), (True, False)):
+            L = [(k + (not zero_in_L),) for k in range(N)]
+            sysm = fs.make_system(N + 1, [(F(k, N),) for k in range(N)], L)
+            depth = int(math.log(fs.spectrum.MAX_FLOAT_POINTS, N))
+            sizes = [math.prod(map(len, sets)) for _, sets in fs.spectrum.layer_digits(sysm, depth)]
+            assert sizes[1:] == [N ** (d - 1) * (N - 1) if zero_in_L else N ** d
+                                 for d in range(1, depth + 1)]
+            lead = list(itertools.takewhile(
+                lambda d: m * sum(sizes[:d + 1]) <= fs.spectrum.Q1_RUN_PAIRS, range(len(sizes))))
+            later = [[d] for d in range(len(lead), len(sizes))]
+            assert _joined_runs(m, sizes) == ([lead] if lead else []) + later
+
+    @pytest.mark.parametrize("name, rows, p_depth", [("scale2", 5, 14), ("eiffel(2)", 51, 6)])
+    def test_one_call_per_joined_run(self, monkeypatch, name, rows, p_depth):
+        # no layer here needs chunks, so each kernel call of the pass is one
+        # run of the joining rule: its pairs and its column groups
+        sysm = fs.get_system(name)
+        T = np.random.RandomState(3).uniform(-1, 1, size=(rows, sysm.dim))
+        calls = []
+        kernel = fs.SelfSimilarMeasure.mu_hat_sq_sums
+
+        def counted(self, rows, lam, starts):
+            calls.append((len(rows) * len(lam), len(starts)))
+            return kernel(self, rows, lam, starts)
+
+        monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_sums", counted)
+        fs.q1_profile(sysm, T, p_depth)
+        sizes = [len(layer) for layer in _exact_layers(sysm, p_depth)]
+        assert calls == [(rows * sum(sizes[d] for d in run), len(run))
+                         for run in _joined_runs(rows, sizes)]
+
     def test_small_layers_share_a_call(self, monkeypatch, scale2):
         # 5 rows at depth 14: the 15 layers take fewer kernel calls
         calls = []
@@ -641,6 +686,19 @@ class TestCompleteness:
         sysm = fs.get_system(name)
         with pytest.raises(ValueError, match="grid is empty"):
             fs.completeness_test(sysm, np.zeros((0, sysm.dim)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["scale4", "eiffel(2)"])
+    def test_non_finite_probe_is_refused(self, name, bad):
+        # a NaN distance cut every pair of its kernel call at depth 1, so a
+        # finite probe beside it summed to the 2^13 points of the pass
+        sysm = fs.get_system(name)
+        probes = np.full((3, sysm.dim), 0.1)
+        probes[1, -1] = bad
+        with pytest.raises(ValueError, match="Q1 probe row 1 is not finite"):
+            fs.completeness_test(sysm, probes)
+        with pytest.raises(ValueError, match="Q1 probe row 1 is not finite"):
+            fs.q1_profile(sysm, probes)
 
     def test_probes_alone_decide_the_stop(self, scale4):
         # Q1 at the spectrum point 0 gains nothing after depth 0, while the

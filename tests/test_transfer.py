@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -316,6 +317,15 @@ class TestGridFrame:
         res = fs.iterate_fixed_point(sysm, frame.quadratic_bump())
         assert res.converged and len(res.residuals) == iterations
 
+
+    @pytest.mark.parametrize("resolution", [-3, 0, 2, 7])
+    def test_resolution_floor(self, scale4, resolution):
+        # refused before the spacing (hi - lo) / (resolution - 2) is taken,
+        # which divided by zero at 2 and sized a negative grid at -3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^resolution must be >= 8$"):
+                fs.grid_frame(scale4, resolution)
 
     @pytest.mark.parametrize("name", ["scale4", "eiffel(2)", "planar-collapse", "slow-shear"])
     def test_nodes_sit_on_their_stencil_positions(self, name):
