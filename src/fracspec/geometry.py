@@ -24,7 +24,6 @@ import numpy as np
 from . import rational as rat
 from .system import AffineSystem, point
 
-MAX_WORDS = 200_000
 MAX_MESH_POINTS = 2 ** 20   # float nodes of one mesh or grid, entries of one Gram matrix
 FLOAT_TOL = 1e-9
 
@@ -37,20 +36,13 @@ class AttractorSample:
     points: tuple
 
 
-def _lifted_images(sys: AffineSystem, side: str, depth: int) -> tuple:
-    """The distinct images of 0 under the depth-n words, lifted to integers
-    and sorted, with their common denominator."""
-    sys.check_words(depth, MAX_WORDS, "attractor words exceed the exact-arithmetic cap", "words")
-    walk, scale = sys.lifted_walk(side, depth)
-    return sorted(set(walk)), scale
-
-
 def attractor_points(sys: AffineSystem, side: str, depth: int) -> AttractorSample:
     """Fixed points of every depth-n word on the contractive sides (sigma, rho);
     word images of 0 on the expansive sides (tau, omega)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    pts, scale = _lifted_images(sys, side, depth)
+    walk, scale = sys.lifted_walk(side, depth)
+    pts = sorted(set(walk))       # the distinct images of 0, lifted to integers
     if side in ("sigma", "rho"):
         # the word map x -> M^n x + t fixes (I - M^n)^{-1} t, one integer
         # matrix over the lifted images; it is injective, so no point repeats

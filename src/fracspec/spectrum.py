@@ -14,7 +14,6 @@ from . import geometry, rational as rat
 from .measure import STACK_ENTRIES, SelfSimilarMeasure
 from .system import AffineSystem, point, probe_rows
 
-MAX_EXACT_POINTS = 2_000_000
 MAX_FLOAT_POINTS = 6_000_000
 Q1_DEPTH_CAP = 14
 Q1_POINT_BUDGET = 300_000   # spectrum points enumerated at the default Q1 depth
@@ -51,13 +50,12 @@ class SpectrumEnumeration:
 
 def enumerate_P(sys: AffineSystem, depth: int) -> SpectrumEnumeration:
     """Exact expansion of all N^depth words l_0 + R* l_1 + ... + R*^{d-1} l_{d-1},
-    the tau side of `AffineSystem.lifted_walk`; a point reached by several
-    words keeps the first.  Points are deduplicated and sorted on the
-    integer lift (one positive denominator keeps the order) and only the
-    distinct ones turned back into Fractions."""
+    the tau side of `AffineSystem.lifted_walk` (capped at MAX_WORDS words); a
+    point reached by several words keeps the first.  Points are deduplicated
+    and sorted on the integer lift (one positive denominator keeps the order)
+    and only the distinct ones turned back into Fractions."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    sys.check_words(depth, MAX_EXACT_POINTS, "too many words for exact enumeration", "words")
     walk, scale = sys.lifted_walk("tau", depth)
     seen = {}
     for lam, word in zip(walk, itertools.product(sys.L, repeat=depth)):
@@ -99,21 +97,27 @@ def layer_digits(sys: AffineSystem, depth: int):
     Yields (d, sets) for d = 0..depth, where layer d is the Minkowski sum of
     `sets`: R*^k L for k < d - 1 and R*^{d-1} (L minus 0), the points whose
     last nonzero digit is the d-th.  Layer 0 is {0}, the empty sum.  A depth
-    whose N^depth points exceed MAX_FLOAT_POINTS is refused before any layer
-    is yielded.
+    whose N^depth points exceed MAX_FLOAT_POINTS, or whose layer points leave
+    the floating-point range, is refused before any layer is yielded.
     """
     sys.check_words(depth, MAX_FLOAT_POINTS, "spectrum layer exceeds the point cap", "points")
     Rt = np.array(sys.R.transpose, dtype=float)
     Ls = sys.l_array()
     nonzero = Ls[[any(c != 0 for c in l) for l in sys.L]]
-    low = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = list(itertools.accumulate(range(depth - 1), lambda p, _: Rt @ p,
+                                           initial=np.eye(sys.dim)))
+        low = [Ls @ power.T for power in powers]
+        # a point of layer d sums one point of each R*^k L, k < d, so the sum
+        # of their largest coordinates bounds its own
+        finite = np.isfinite(np.cumsum([np.abs(s).max() for s in low[:depth]]))
+    if not finite.all():
+        raise ValueError(f"spectrum layer {finite.argmin() + 1} of depth {depth} leaves the "
+                         "floating-point range")
     yield 0, []
-    power = np.eye(sys.dim)
     for d in range(1, depth + 1):
         # with no nonzero digit (N = 1) every layer past 0 is empty
-        yield d, low + [nonzero @ power.T]
-        low.append(Ls @ power.T)
-        power = Rt @ power
+        yield d, low[:d - 1] + [nonzero @ powers[d - 1].T]
 
 
 def digit_sum(sets, dim: int) -> np.ndarray:

@@ -113,7 +113,8 @@ class GridFunction:
         """1 + |u - u0|^2 / 2, with u0 the chart parameter of the ambient origin."""
         u0 = self.chart.param(np.zeros((1, len(self.chart.origin))))[0]
         pts = self.node_params()
-        vals = 1.0 + 0.5 * ((pts - u0) ** 2).sum(axis=1)
+        with np.errstate(over="ignore"):      # refused as a start by iterate_fixed_point
+            vals = 1.0 + 0.5 * ((pts - u0) ** 2).sum(axis=1)
         return self.with_values(vals.reshape(self.values.shape))
 
 
@@ -301,10 +302,13 @@ def iterate_fixed_point(sys: AffineSystem, Q0: GridFunction,
     Q0(0) = 1), recording sup-norm residuals.
 
     Residual growth over ten consecutive iterations flags divergence without
-    raising; convergent runs stop once the residual drops below `tol`.
+    raising; convergent runs stop once the residual drops below `tol`.  A Q0
+    with a value that is not finite is refused.
     """
     if abs(Q0.value_at_zero() - 1.0) > 1e-8:
         raise ValueError("Q0 must be normalized to Q0(0) = 1")
+    if not np.isfinite(Q0.values).all():
+        raise ValueError("the transfer start Q0 leaves the floating-point range on its grid")
     C = TransferOperator(sys, Q0)
     values = Q0.values
     residuals = []

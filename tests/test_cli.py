@@ -1,8 +1,10 @@
 import inspect
 import json
+import resource
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,6 +200,20 @@ class TestGammaCommand:
         tower = fs.make_system(e3.R.entries, e3.B[::-1], e3.L[1:] + e3.L[:1])
         doc = self._gamma_of_file(tmp_path, monkeypatch, capsys, "tower3.json", tower)
         assert doc["gamma_closed_form"] == fs.transfer.gamma_eiffel(3)
+
+    def test_two_digit_closed_form_needs_the_family(self, tmp_path, monkeypatch, capsys):
+        # R = 4, B = {0, 1/2} with L = {0, 3} is no two_digit_system: its
+        # gamma_sup (about 1.43) is not the family's closed form (about 0.59)
+        sysm = fs.make_system(4, (0, Fraction(1, 2)), (0, 3))
+        doc = self._gamma_of_file(tmp_path, monkeypatch, capsys, "l03.json", sysm)
+        assert "gamma_closed_form" not in doc
+
+    def test_two_digit_family_under_another_order(self, tmp_path, monkeypatch, capsys):
+        # scale4(3), R = 12, with its digits reversed
+        s12 = fs.get_system("scale4(3)")
+        sysm = fs.make_system(s12.R.entries, s12.B[::-1], s12.L[::-1])
+        doc = self._gamma_of_file(tmp_path, monkeypatch, capsys, "twelve.json", sysm)
+        assert doc["gamma_closed_form"] == fs.transfer.gamma_1d(12)
 
 
 class TestAttractorCommand:
@@ -481,9 +497,14 @@ class TestRefusedInput:
         assert cli.main([str(p) if a == "REPEATED" else a for a in argv]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    # R = 10^400, and L = {0, 10^400}: exact entries past the largest float
+    # R = 10^400, and L = {0, 10^400}: exact entries past the largest float;
+    # L = {0, 10^305} with B = {0, 1/(2 10^305)}: every entry is a float, but
+    # the Q1 layer points R*^k L pass the largest float at k = 6, and the
+    # transfer start squares node parameters near 3e304
     HUGE = {"R": {"dim": 1, "R": [["1e400"]], "B": [["0"], ["1/2"]], "L": [["0"], ["1"]]},
-            "L": {"dim": 1, "R": [["4"]], "B": [["0"], ["1/2"]], "L": [["0"], ["1e400"]]}}
+            "L": {"dim": 1, "R": [["4"]], "B": [["0"], ["1/2"]], "L": [["0"], ["1e400"]]},
+            "near": {"dim": 1, "R": [["4"]], "B": [["0"], ["5e-306"]],
+                     "L": [["0"], ["1e305"]]}}
 
     @pytest.mark.parametrize("huge, command, code", [
         *[("R", c, 2) for c in ("validate", "spectrum", "gram", "q1", "transfer",
@@ -491,6 +512,9 @@ class TestRefusedInput:
         *[("L", c, 2) for c in ("q1", "gram", "transfer", "gamma", "report")],
         # Hadamard fails, and the commands that need no float of L still run
         ("L", "validate", 1), ("L", "spectrum", 0), ("L", "attractor", 0),
+        # q1 and transfer printed NaN sums and residuals with exit 0
+        *[("near", c, 2) for c in ("q1", "transfer", "gamma", "report")],
+        ("near", "validate", 0),
     ])
     def test_entry_out_of_float_range(self, tmp_path, capsys, huge, command, code):
         p = tmp_path / "huge.json"
@@ -500,6 +524,27 @@ class TestRefusedInput:
         if code == 2:
             assert err.startswith("error: ") and "floating-point range" in err
             assert err.count("\n") == 1
+
+
+class TestMismatchedCounts:
+    """#B != #L is a malformed file: R = 31, B = {0}, L = {0, ..., 29} once
+    ran report past 40 s and spectrum --force through 810,000 words."""
+
+    @staticmethod
+    def _limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    @pytest.mark.parametrize("force", [[], ["--force"]], ids=["gated", "forced"])
+    @pytest.mark.parametrize("command", ["validate", "spectrum", "gram", "q1", "transfer",
+                                         "gamma", "attractor", "report"])
+    def test_exits_2(self, tmp_path, command, force):
+        p = tmp_path / "one-by-thirty.json"
+        p.write_text(json.dumps({"dim": 1, "R": [["31"]], "B": [["0"]],
+                                 "L": [[str(k)] for k in range(30)]}))
+        r = subprocess.run(RUN + [command, "--file", str(p), *force], capture_output=True,
+                           text=True, timeout=20, preexec_fn=self._limit)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == "error: cannot parse system file: #B = 1 and #L = 30 differ\n"
 
 
 class TestStrictJson:

@@ -199,12 +199,12 @@ class TestCompatibility:
         assert [w[0] for w in check.witness] == [2, 4, 6, 8, 10]
 
     @staticmethod
-    def _digits(data, dim):
-        # 1-4 distinct points of (Z / q)^dim, q drawn per set, so that both
+    def _digits(data, dim, n):
+        # n distinct points of (Z / q)^dim, q drawn per set, so that both
         # verdicts come up often
         q = data.draw(st.sampled_from((1, 2, 3, 4)))
         coord = st.integers(-4, 4).map(lambda k: F(k, q))
-        return data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4,
+        return data.draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n,
                                   unique=True))
 
     @settings(max_examples=100, deadline=None)
@@ -215,13 +215,15 @@ class TestCompatibility:
         R = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
                                min_size=dim, max_size=dim)
                       .filter(lambda m: rat.det(rat.mat(m)) != 0))
-        self._check(fs.make_system(R, self._digits(data, dim), self._digits(data, dim)))
+        n = data.draw(st.integers(1, 4))      # N = #B = #L
+        self._check(fs.make_system(R, self._digits(data, dim, n), self._digits(data, dim, n)))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_rational_scale_agrees_with_loop(self, data):
         r = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool))
-        self._check(fs.make_system(r, self._digits(data, 1), self._digits(data, 1)))
+        n = data.draw(st.integers(1, 4))
+        self._check(fs.make_system(r, self._digits(data, 1, n), self._digits(data, 1, n)))
 
 
 def cofactor_det(rows):

@@ -55,6 +55,13 @@ class TestEnumeration:
         enum = fs.enumerate_P(scale4, 0)
         assert enum.coords() == ((F(0),),)
 
+    def test_word_cap(self, scale4, scale2):
+        # the walk's MAX_WORDS cap: 2^18 = 262144 words are refused, 2^17 pass
+        with pytest.raises(ValueError, match=r"exact-arithmetic cap: depth 18 reaches 2\^18"):
+            fs.enumerate_P(scale4, 18)
+        enum = fs.enumerate_P(scale2, 17)
+        assert len(enum.points) == 2 ** 17 and enum.collision_count == 0
+
     def test_scale2_depth3_consecutive(self, scale2):
         enum = fs.enumerate_P(scale2, 3)
         assert [p[0] for p in enum.coords()] == list(range(8))
@@ -142,7 +149,8 @@ class TestDigits:
 
     def test_ambiguous_expansion_fails(self):
         # 2 = 0 + 2*1 = 2 + 2*0 when the digit set overflows the scale
-        sysm = fs.make_system(2, [(0,), (F(1, 2),)], [(0,), (1,), (2,), (3,)])
+        sysm = fs.make_system(2, [(0,), (F(1, 8),), (F(1, 4),), (F(3, 8),)],
+                              [(0,), (1,), (2,), (3,)])
         assert fs.digits_of(sysm, (F(2),)) is None
         # 4 = 2 + 2*1 = 0 + 2*2 = 0 + 2*0 + 4*1: after the digit 0 the
         # remainder 2 has two expansions, which is no dead end
@@ -383,6 +391,21 @@ class TestQ1:
         monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_sums", refuse)
         with pytest.raises(ValueError, match=r"depth 30 reaches 2\^30 points"):
             fs.q1_profile(triadic, [0.1], 30)
+
+    def test_layer_past_float_range_refused_before_the_kernel(self, monkeypatch):
+        # L = {0, 10^305}, R = 4: R*^6 L passes the largest float, so layer 7
+        # would be infinite; the pass once returned NaN sums
+        sysm = fs.two_digit_system(4, F(1, 2 * 10 ** 305))
+
+        def refuse(*_):
+            raise AssertionError("the kernel ran before the float range was checked")
+
+        monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_sums", refuse)
+        with pytest.raises(ValueError, match="spectrum layer 7 of depth 14 leaves the "
+                                             "floating-point range"):
+            fs.completeness_test(sysm, [0.0])
+        # six layers stay in range
+        assert len(list(fs.spectrum.layer_digits(sysm, 6))) == 7
 
     @pytest.mark.parametrize("name,p_depth", [("scale2", 12), ("scale4", 7), ("R=-2", 12),
                                               ("R=6", 5), ("eiffel(2)", 6)])
@@ -793,7 +816,8 @@ class TestHardyEmbedding:
     def test_second_expansion_raises(self):
         # 4 has the words (2, 1), (0, 2) and (0, 0, 1): its coefficient
         # belongs to no single prefix class
-        sysm = fs.make_system(2, [(0,), (F(1, 2),)], [(0,), (1,), (2,), (3,)])
+        sysm = fs.make_system(2, [(0,), (F(1, 8),), (F(1, 4),), (F(3, 8),)],
+                              [(0,), (1,), (2,), (3,)])
         with pytest.raises(ValueError):
             hardy_embedding(sysm, {F(4): 1.0}, 1)
 

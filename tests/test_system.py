@@ -214,6 +214,24 @@ class TestWordWalk:
                            itertools.product(digits, repeat=depth))
                 assert list(walk) == oracle
 
+    @pytest.mark.parametrize("name", ["scale4", "planar", "eiffel2"])
+    @pytest.mark.parametrize("side", fs.system.SIDES)
+    def test_cap_before_any_step(self, request, monkeypatch, name, side):
+        # the smallest depth whose N^depth words pass MAX_WORDS is refused
+        # before a step is lifted
+        sysm = request.getfixturevalue(name)
+        depth = next(d for d in itertools.count() if sysm.N ** d > fs.system.MAX_WORDS)
+
+        def refuse(*_):
+            raise AssertionError("a step was built past the cap")
+
+        monkeypatch.setattr(rat, "mat_vec", refuse)
+        monkeypatch.setattr(rat, "lift", refuse)
+        message = (f"{side} words exceed the exact-arithmetic cap: depth {depth} "
+                   f"reaches {sysm.N}\\^{depth} words, over {fs.system.MAX_WORDS}")
+        with pytest.raises(ValueError, match=message):
+            sysm.lifted_walk(side, depth)
+
 
 class TestEigenvalues:
     def test_rotation_scaling(self):
@@ -285,6 +303,23 @@ class TestValidation:
     def test_empty_digit_set_is_structural(self, B, L):
         with pytest.raises(ValueError, match="at least one point"):
             fs.make_system(4, B, L)
+
+    @pytest.mark.parametrize("nb, nl", [(1, 30), (2, 3)])
+    def test_digit_counts_must_agree(self, nb, nl):
+        # N = #B = #L: B and L are paired by the square N^{-1/2} (e^{i 2 pi b.l})
+        B = [Fraction(k, nb) for k in range(nb)]
+        L = list(range(nl))
+        message = f"#B = {nb} and #L = {nl} differ"
+        with pytest.raises(ValueError, match=message):
+            fs.make_system(31, B, L)
+        with pytest.raises(ValueError, match=message):
+            fs.system_from_json({"dim": 1, "R": [["31"]], "B": [[str(b)] for b in B],
+                                 "L": [[str(l)] for l in L]})
+
+    def test_cardinality_entry_is_n_by_n(self, planar, eiffel2):
+        for sysm in (planar, eiffel2):
+            check = fs.validate_system(sysm).checks["cardinality"]
+            assert (check.passed, check.witness) == (True, (sysm.N, sysm.N))
 
     def test_catalog_hadamard_defects(self):
         for name in ("scale4", "scale2", "triadic", "planar-collapse", "eiffel"):

@@ -262,6 +262,18 @@ class TestIteration:
         with pytest.raises(ValueError):
             fs.iterate_fixed_point(scale4, bad)
 
+    def test_start_past_float_range_rejected(self):
+        # B = {0, 1/(2 10^305)}: the bump squares node parameters near 3e304,
+        # and C iterated from it gave NaN residuals
+        sysm = fs.two_digit_system(4, Fraction(1, 2 * 10 ** 305))
+        frame = fs.grid_frame(sysm, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Q0 = frame.quadratic_bump()
+        with pytest.raises(ValueError, match="the transfer start Q0 leaves the "
+                                             "floating-point range"):
+            fs.iterate_fixed_point(sysm, Q0)
+
     @pytest.mark.parametrize("name,res", [("scale4", 64), ("triadic", 64), ("planar3d", 24),
                                           ("sheared", 48), ("eiffel(2)", 10)])
     def test_value_at_zero_reads_the_origin_node(self, request, name, res):
