@@ -45,13 +45,10 @@ def _write(args, lines) -> None:
         _sys.stdout.writelines(line + "\n" for line in lines)
 
 
-def _emit(args, header: dict, rows: list, columns: list, json_payload=None) -> None:
+def _emit(args, header: dict, rows: list, columns: list, json_payload: dict) -> None:
     """Write CSV rows (with a config-echo comment) or the JSON payload."""
     if args.format == "json":
-        doc = {"config": header}
-        doc.update(json_payload if json_payload is not None
-                   else {"columns": columns, "rows": rows})
-        _write(args, [json.dumps(doc, indent=2, default=str)])
+        _write(args, [json.dumps({"config": header, **json_payload}, indent=2, default=str)])
     else:
         _write(args, _csv_head(header, columns)
                + [",".join(str(c) for c in row) for row in rows])
@@ -83,13 +80,10 @@ def _load(args) -> AffineSystem:
 # Compatibility is deliberately not gated: systems that break it (the triadic
 # one, odd tower scales) are the counterexamples the analyses are for.
 # `validate` and `report` never gate; `validate` still treats compatibility as
-# mandatory for its own exit status.
+# mandatory for its own exit status.  Nor is `q1` gated on zero_in_L: its Q1
+# layers (`spectrum.layer_digits`) refuse a system without 0 in L, --force or not.
 GATE_AXIOMS = ("zero_in_B", "zero_in_L", "expansive", "hadamard")
 UNGATED = ("validate", "report")
-# The completeness sums run over the Q1 layers, which are the P(L) that
-# `spectrum` lists only when 0 is in L: these commands refuse a system
-# without it, even under --force.
-NEED_ZERO_IN_L = ("q1", "report")
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +109,7 @@ def cmd_spectrum(args, sys_obj: AffineSystem, validation) -> int:
         rows.append([rat.format_fraction(c) for c in p] + [digits or "0"])
     header = {"command": "spectrum", "system": sys_obj.name, "depth": args.depth,
               "collisions": enum.collision_count}
-    _emit(args, header, rows, cols)
+    _emit(args, header, rows, cols, json_payload={"columns": cols, "rows": rows})
     return EXIT_OK
 
 
@@ -227,7 +221,7 @@ def cmd_attractor(args, sys_obj: AffineSystem, validation) -> int:
     rows = [[fmt(c) for c in p] for p in sample.points]
     header = {"command": "attractor", "system": sys_obj.name, "side": args.side,
               "depth": args.depth, "count": len(sample.points)}
-    _emit(args, header, rows, cols)
+    _emit(args, header, rows, cols, json_payload={"columns": cols, "rows": rows})
     return EXIT_OK
 
 
@@ -378,11 +372,8 @@ def main(argv=None) -> int:
         _check_options(args)
         sys_obj = _load(args)
         validation = validate_system(sys_obj)
-        if args.command in NEED_ZERO_IN_L and not validation.checks["zero_in_L"].passed:
-            raise ValueError(f"{args.command} needs the zero_in_L axiom (0 in L), which "
-                             "--force does not lift: without it the Q1 layers are "
-                             "another set than P(L)")
-        bad = [name for name in GATE_AXIOMS if not validation.checks[name].passed]
+        bad = [name for name in GATE_AXIOMS if not validation.checks[name].passed
+               and (args.command, name) != ("q1", "zero_in_L")]
         if bad and not args.force and args.command not in UNGATED:
             print(f"system {sys_obj.name or '<file>'} fails {', '.join(bad)} "
                   f"(rerun with --force to analyse anyway):", file=_sys.stderr)

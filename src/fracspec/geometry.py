@@ -398,4 +398,4 @@ def hull_diameter(points) -> float:
     """Largest distance between two of the exact points, the diameter of
     their hull (pass a hull's vertices), squared exactly before the root."""
     dists, scale = rat.pairwise_sq_distances(points)
-    return math.sqrt(max(dists, default=0) / scale ** 2)
+    return rat.sqrt_ratio(max(dists, default=0), scale ** 2)

@@ -92,12 +92,13 @@ class SelfSimilarMeasure:
         self.dim = sys.dim
         self._S = np.array(sys.R.inverse_transpose, dtype=float)
         self._kappa, self._rho, self._c = _contraction_data(self._S)
-        self._b_max = math.sqrt(max(
-            float(rat.dot(b, b)) for b in sys.B))
-        _, E, w, _, c = sys.mask_table
-        # sigma^2 = N^-1 sum_b |b - c|^2: a real table keeps one row of each
-        # +-e pair at weight 2/N, so the weighted sum over rows is sigma^2
-        self._sigma_sq = float(w @ (E ** 2).sum(axis=1))
+        # on B = I / s, with sigma^2 = N^-1 sum_b |b - c|^2 and c the mean of B:
+        # (s max_b|b|)^2 = max_b |I_b|^2 and (N s sigma)^2 = N sum_b |I_b|^2 - |sum_b I_b|^2
+        I, s = rat.lift(sys.B)
+        sq, total = [rat.dot(b, b) for b in I], [sum(col) for col in zip(*I)]
+        self._b_max = rat.sqrt_ratio(max(sq), s * s)
+        self._sigma = rat.sqrt_ratio(sys.N * sum(sq) - rat.dot(total, total), (sys.N * s) ** 2)
+        _, E, _, _, c = sys.mask_table
         # the level frequencies and centres built so far; see _level_data
         self._stack = (2 * np.pi * E.T[None], np.array(c, dtype=float)[None])
 
@@ -120,16 +121,12 @@ class SelfSimilarMeasure:
         kappa rho^{2 floor(d/kappa)} / (1 - rho^2), and the truncated value
         is never below the true one.
         """
-        if squared:
-            if self._sigma_sq == 0.0:
-                return 0.0
-            r = self._rho ** 2
-            amp = 4.0 * math.pi ** 2 * self._sigma_sq * (self._c * t_norm) ** 2
-        else:
-            if self._b_max == 0.0:
-                return 0.0
-            r = self._rho
-            amp = 2.0 * math.pi * self._b_max * self._c * t_norm
+        s = self._sigma if squared else self._b_max
+        if s == 0.0:
+            return 0.0
+        a = 2.0 * math.pi * s * self._c * t_norm
+        # a * a, not a ** 2: a float ** raises OverflowError where a * a is inf
+        amp, r = (a * a, self._rho ** 2) if squared else (a, self._rho)
         if amp == math.inf:
             return amp                  # where r^{floor(d/kappa)} underflows to 0
         return amp * (self._kappa * r ** (depth // self._kappa) / (1.0 - r))

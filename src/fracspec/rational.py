@@ -100,12 +100,20 @@ def vec_scale(c, v: Vec) -> Vec:
 def pairwise_sq_distances(points) -> tuple:
     """(dists, scale): the points lifted once (`lift`), and the integer
     squared distance of each pair of the lifted points, in
-    `itertools.combinations` order, so that |a - b|^2 = dist / scale^2
-    exactly.  A caller that keeps one distance divides once: int / int is
-    correctly rounded, so it is the float of that Fraction bit for bit."""
+    `itertools.combinations` order, so that |a - b| = sqrt_ratio(dist, scale^2)."""
     ivecs, scale = lift(points)
     diffs = (tuple(map(operator.sub, a, b)) for a, b in itertools.combinations(ivecs, 2))
     return (dot(d, d) for d in diffs), scale
+
+
+def sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) of ints num >= 0 and den > 0 as sqrt(num 4^k / den) 2^-k,
+    the quotient near 1: int / int rounds correctly and 4^k is exact, so it is
+    math.sqrt(num / den) bit for bit where num / den is a normal float, and
+    within an ulp of the exact root wherever that root is a normal float."""
+    k = (den.bit_length() - num.bit_length()) // 2
+    q = (num << 2 * k) / den if k >= 0 else num / (den << -2 * k)
+    return math.ldexp(math.sqrt(q), -k)
 
 
 def lift(vectors) -> tuple:

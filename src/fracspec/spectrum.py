@@ -96,10 +96,13 @@ def layer_digits(sys: AffineSystem, depth: int):
 
     Yields (d, sets) for d = 0..depth, where layer d is the Minkowski sum of
     `sets`: R*^k L for k < d - 1 and R*^{d-1} (L minus 0), the points whose
-    last nonzero digit is the d-th.  Layer 0 is {0}, the empty sum.  A depth
-    whose N^depth points exceed MAX_FLOAT_POINTS, or whose layer points leave
+    last nonzero digit is the d-th.  Layer 0 is {0}, the empty sum.  A system
+    without 0 in L, whose layers are another set than P(L), a depth whose
+    N^depth points exceed MAX_FLOAT_POINTS, or one whose layer points leave
     the floating-point range, is refused before any layer is yielded.
     """
+    if sys.zero() not in sys.L:
+        raise ValueError("the Q1 layers need 0 in L (zero_in_L): without it they are not P(L)")
     sys.check_words(depth, MAX_FLOAT_POINTS, "spectrum layer exceeds the point cap", "points")
     Rt = np.array(sys.R.transpose, dtype=float)
     Ls = sys.l_array()
@@ -179,7 +182,8 @@ def uniform_discreteness(enum: SpectrumEnumeration) -> float:
     if enum.collision_count:
         raise ValueError("enumeration has collisions; separation is zero")
     dists, scale = rat.pairwise_sq_distances(enum.coords())
-    return math.sqrt(min(dists, default=math.inf) / scale ** 2)
+    gap = min(dists, default=None)
+    return math.inf if gap is None else rat.sqrt_ratio(gap, scale ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +287,7 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int,
     than its own: the truncated products only move down, toward the exact
     ones.  Every later layer is a call of its own, since a layer holds at
     least as many points as all the layers before it (N^{d-1} (N - 1)
-    against N^{d-1} with 0 in L, N^d against (N^d - 1)/(N - 1) without;
-    with N = 1 the layers past 0 are empty).  A later layer of n points is
+    against N^{d-1}; with N = 1 the layers past 0 are empty).  A later layer of n points is
     the sum P_h + H of its first h digit sets (the low part) and the rest
     (the high part), so t - lambda runs over the rows t - eta, eta in H,
     against the points of P_h: the same pairs, with the kernel's cos/sin

@@ -468,7 +468,8 @@ def _contractivity(sys: AffineSystem, Y: Polytope) -> ContractivityReport:
     op = float(np.linalg.norm(Rinv, 2))
     hs = float(np.linalg.norm(Rinv, "fro"))
     det_abs = abs(float(sys.R.det))
-    max_l = math.sqrt(max((float(rat.dot(l, l)) for l in sys.L), default=0.0))
+    lvecs, scale = rat.lift(sys.L)
+    max_l = rat.sqrt_ratio(max(rat.dot(l, l) for l in lvecs), scale ** 2)
     N = sys.N
     first = beta_res.beta * op * max_l
     bracket = (1 - 1 / N) * first + N * hs

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import resource
 import subprocess
@@ -338,10 +339,26 @@ class TestGate:
         return str(p)
 
     def test_layers_are_not_the_spectrum_without_zero_in_L(self, no_zero_in_L):
+        # every word over L = {1, 2} ends in a nonzero digit, so layers to
+        # depth 3 would hold the 15 points of the words of length <= 3, where
+        # P(L) at depth 3 has 8: the layers refuse the system
         sysm = fs.load_system_file(no_zero_in_L)
-        layers = sum(len(fs.spectrum.digit_sum(sets, 1))
-                     for _, sets in fs.spectrum.layer_digits(sysm, 3))
-        assert (layers, len(fs.enumerate_P(sysm, 3).points)) == (15, 8)
+        words = {fs.spectrum.reconstruct(sysm, w)
+                 for d in range(4) for w in itertools.product(sysm.L, repeat=d)}
+        assert (len(words), len(fs.enumerate_P(sysm, 3).points)) == (15, 8)
+        with pytest.raises(ValueError, match="zero_in_L"):
+            next(fs.spectrum.layer_digits(sysm, 3))
+
+    @pytest.mark.parametrize("run", [lambda s: fs.completeness_test(s, [0.1, 0.2]),
+                                     lambda s: fs.q1_profile(s, [0.1, 0.2], 3)],
+                             ids=["completeness_test", "q1_profile"])
+    def test_q1_layers_refuse_before_any_kernel_call(self, monkeypatch, no_zero_in_L, run):
+        calls = []
+        monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_sums",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="zero_in_L"):
+            run(fs.load_system_file(no_zero_in_L))
+        assert calls == []
 
     @pytest.mark.parametrize("argv", [["q1"], ["q1", "--force"], ["report"],
                                       ["report", "--force"]])
@@ -513,7 +530,7 @@ class TestRefusedInput:
         # Hadamard fails, and the commands that need no float of L still run
         ("L", "validate", 1), ("L", "spectrum", 0), ("L", "attractor", 0),
         # q1 and transfer printed NaN sums and residuals with exit 0
-        *[("near", c, 2) for c in ("q1", "transfer", "gamma", "report")],
+        *[("near", c, 2) for c in ("q1", "transfer", "report")],
         ("near", "validate", 0),
     ])
     def test_entry_out_of_float_range(self, tmp_path, capsys, huge, command, code):
@@ -524,6 +541,58 @@ class TestRefusedInput:
         if code == 2:
             assert err.startswith("error: ") and "floating-point range" in err
             assert err.count("\n") == 1
+
+
+class TestRescaledSystem:
+    """(B, L) -> (s B, L / s) leaves the basis question as it is: mu is
+    pushed forward by x -> s x, and e_{lambda/s}(s x) = e_lambda(x).  So three
+    copies of scale4, R = 4, B = s {0, 1/2} and L = {0, 1} / s, get scale4's
+    answers while their layer points stay in float range.  The third,
+    s = 10^-305, is the near-float-max file of TestRefusedInput."""
+
+    SCALES = {"2e-200": Fraction(2, 10 ** 200), "2e200": Fraction(2 * 10 ** 200),
+              "1e-305": Fraction(1, 10 ** 305)}
+
+    @staticmethod
+    def _run(capsys, tmp_path, s, *argv):
+        p = tmp_path / "rescaled.json"
+        p.write_text(json.dumps(fs.system_to_json(fs.make_system(4, (0, s / 2), (0, 1 / s)))))
+        code = cli.main([*argv, "--file", str(p), "--format", "json"])
+        out, err = capsys.readouterr()
+        return code, json.loads(out) if code == 0 else None, err
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_gamma_and_gram(self, capsys, tmp_path, scale):
+        code, doc, _ = self._run(capsys, tmp_path, self.SCALES[scale], "gamma")
+        assert code == 0 and doc["gamma_sup"] == 0.5900873807939158
+        assert doc["gamma_sup"] == fs.gamma_supnorm(fs.get_system("scale4")).gamma_sup
+        code, doc, _ = self._run(capsys, tmp_path, self.SCALES[scale], "gram")
+        assert code == 0 and doc["max_offdiag"] < 1e-13 and doc["tail_bound"] > 0
+
+    @pytest.mark.parametrize("scale", ["2e-200", "2e200"])
+    def test_q1(self, capsys, tmp_path, scale):
+        assert cli.main(["q1", "--system", "scale4", "--format", "json"]) == 0
+        want = min(json.loads(capsys.readouterr().out)["values"])
+        code, doc, _ = self._run(capsys, tmp_path, self.SCALES[scale], "q1")
+        assert code == 0 and doc["verdict"] == "BASIS-CONSISTENT"
+        assert min(doc["values"]) == pytest.approx(want, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("command, message", [
+        ("q1", "spectrum layer 7 of depth 14 leaves the floating-point range"),
+        ("transfer", "the transfer start Q0 leaves the floating-point range on its grid"),
+        ("report", "spectrum layer 7 of depth 14 leaves the floating-point range")],
+        ids=["q1", "transfer", "report"])
+    def test_layer_points_past_the_float_range(self, capsys, tmp_path, command, message):
+        code, _, err = self._run(capsys, tmp_path, self.SCALES["1e-305"], command)
+        assert (code, err) == (2, f"error: {message}\n")
+
+    def test_gamma_near_float_max(self, capsys, tmp_path):
+        # diam_B and max|l| are rooted from their exact squares, so no float
+        # of 10^610 is formed
+        code, doc, _ = self._run(capsys, tmp_path, self.SCALES["1e-305"], "gamma")
+        assert code == 0
+        assert doc["norms"]["diam_B"] == 5e-306
+        assert doc["beta"] == 2.7206990463513265e-305
 
 
 class TestMismatchedCounts:

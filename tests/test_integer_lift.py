@@ -7,10 +7,12 @@ import functools
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import fracspec as fs
 from fracspec import rational as rat
@@ -163,6 +165,44 @@ def test_separation_and_diameter_against_fraction_scan(name):
     if len(vertices) > 1:
         _, largest = fraction_extreme_sq_distances(vertices)
         assert fs.hull_diameter(vertices) == math.sqrt(float(largest))
+
+
+def ratios(max_shift):
+    """(num, den): a ratio of two integers below 2^80, times 2^e, |e| <= max_shift."""
+    return st.tuples(st.integers(0, 2 ** 80), st.integers(1, 2 ** 80),
+                     st.integers(-max_shift, max_shift)).map(
+        lambda t: (t[0] << t[2], t[1]) if t[2] >= 0 else (t[0], t[1] << -t[2]))
+
+
+class TestSqrtRatio:
+    """`rational.sqrt_ratio`, the root of every exact squared length."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ratios(1100))
+    def test_is_the_float_root_where_the_quotient_is_normal(self, ratio):
+        num, den = ratio
+        try:
+            q = num / den
+        except OverflowError:
+            q = math.inf
+        assume(num == 0 or sys.float_info.min <= q < math.inf)
+        assert rat.sqrt_ratio(num, den) == math.sqrt(q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ratios(2100))
+    def test_within_an_ulp_from_1e_minus_610_to_1e610(self, ratio):
+        num, den = ratio
+        assume(den <= num * 10 ** 610 and num <= den * 10 ** 610)
+        got = rat.sqrt_ratio(num, den)
+        with mpmath.workdps(50):
+            root = mpmath.sqrt(mpmath.mpf(num) / mpmath.mpf(den))
+            assert abs(mpmath.mpf(got) - root) <= math.ulp(got)
+
+    def test_stays_finite_where_the_quotient_leaves_the_float_range(self):
+        # 10^610 / 1 is past the largest float and 1 / 10^610 below the least
+        assert rat.sqrt_ratio(10 ** 610, 1) == pytest.approx(1e305, rel=1e-15)
+        assert rat.sqrt_ratio(1, 10 ** 610) == pytest.approx(1e-305, rel=1e-15)
+        assert rat.sqrt_ratio(0, 10 ** 610) == 0.0
 
 
 class TestCompatibility:

@@ -333,22 +333,20 @@ class TestSquaredTail:
         assert 0 < self.assert_one_sided(meas, T, Lam) < 2 * fs.measure.DEFAULT_TAIL_TOL
 
     def test_sigma_of_half_digits(self):
-        # B = {0, 1/2}: c = 1/4 and sigma^2 = 1/16; the real table keeps the
-        # one row e = 1/4 at weight 2/N = 1, and rows summed over N would
-        # give half of it
+        # B = {0, 1/2}: c = 1/4 and sigma^2 = 1/16
         sysm = fs.two_digit_system(4, Fraction(1, 2))
-        _, E, w, real, _ = sysm.mask_table
-        assert real and E.tolist() == [[0.25]] and w.tolist() == [1.0]
-        assert fs.SelfSimilarMeasure(sysm)._sigma_sq == 1 / 16
+        assert fs.SelfSimilarMeasure(sysm)._sigma == rat.sqrt_ratio(1, 16) == 0.25
 
     @pytest.mark.parametrize("name", ["scale4", "triadic", "planar-collapse", "eiffel(2)",
                                       "R=-5", "shear"])
     def test_sigma_is_the_variance_of_B(self, name):
-        # real tables (scale4, triadic, R=-5) and complex ones alike
+        # real tables (scale4, triadic, R=-5) and complex ones alike: sigma is
+        # the one rounding of the exact variance
         sysm = _named_system(name)
         c = [sum(b[i] for b in sysm.B) / sysm.N for i in range(sysm.dim)]
         exact = sum(sum((b[i] - c[i]) ** 2 for i in range(sysm.dim)) for b in sysm.B) / sysm.N
-        assert fs.SelfSimilarMeasure(sysm)._sigma_sq == pytest.approx(float(exact), rel=1e-15)
+        assert fs.SelfSimilarMeasure(sysm)._sigma == rat.sqrt_ratio(exact.numerator,
+                                                                    exact.denominator)
 
     def test_one_point_mass_has_no_tail(self):
         # B = {1/3}: sigma = 0, so |mu_hat|^2 = 1 at depth 1 with no tail,

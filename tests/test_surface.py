@@ -51,7 +51,6 @@ ALLOWED_MEMBERS = {
 
 
 SETTABLE = {
-    "cli._emit.json_payload": "a command's own JSON document in place of its rows",
     "cli.main.argv": "the command line; None reads sys.argv",
     "cli.build_parser.common.depth_default": "the --depth default of spectrum and attractor",
     "geometry.dual_hull.depth": "the hull depth; the pipeline reads 4, the tests other depths",
