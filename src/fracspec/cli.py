@@ -155,10 +155,8 @@ def cmd_q1(args, sys_obj: AffineSystem, validation) -> int:
                                      p_depth_cap=p_depth)
     prof = rep.profile
     cols = [f"t{i + 1}" for i in range(sys_obj.dim)] + ["partial_sum", "increment", "p_depth"]
-    rows = []
-    for i in range(len(grid)):
-        rows.append([fmt(c) for c in np.atleast_1d(grid[i])]
-                    + [fmt(prof.values()[i]), fmt(prof.last_increments()[i]), prof.depth])
+    rows = [[fmt(c) for c in np.atleast_1d(t)] + [fmt(v), fmt(inc), prof.depth]
+            for t, v, inc in zip(grid, prof.values(), prof.last_increments())]
     header = {"command": "q1", "system": sys_obj.name, "p_depth": p_depth,
               "eps_conv": args.tol, "verdict": rep.verdict}
     payload = {"verdict": rep.verdict, "p_depth": prof.depth,

@@ -103,6 +103,11 @@ class SelfSimilarMeasure:
         self._stack = (2 * np.pi * E.T[None], np.array(c, dtype=float)[None])
 
     # -- tail machinery ----------------------------------------------------
+    def _form(self, squared: bool) -> tuple:
+        """(s, r) of a tail bound's form: (sigma, rho^2) for |mu_hat|^2 and
+        (max_b|b|, rho) for mu_hat."""
+        return (self._sigma, self._rho ** 2) if squared else (self._b_max, self._rho)
+
     def tail_bound(self, depth: int, t_norm: float, squared: bool = False) -> float:
         """Bound on what the levels k >= depth can move the product at any
         frequency x with |x| <= t_norm, via ||R*^{-k} x|| <=
@@ -121,12 +126,12 @@ class SelfSimilarMeasure:
         kappa rho^{2 floor(d/kappa)} / (1 - rho^2), and the truncated value
         is never below the true one.
         """
-        s = self._sigma if squared else self._b_max
+        s, r = self._form(squared)
         if s == 0.0:
             return 0.0
         a = 2.0 * math.pi * s * self._c * t_norm
         # a * a, not a ** 2: a float ** raises OverflowError where a * a is inf
-        amp, r = (a * a, self._rho ** 2) if squared else (a, self._rho)
+        amp = a * a if squared else a
         if amp == math.inf:
             return amp                  # where r^{floor(d/kappa)} underflows to 0
         return amp * (self._kappa * r ** (depth // self._kappa) / (1.0 - r))
@@ -149,7 +154,7 @@ class SelfSimilarMeasure:
         elif head == math.inf:
             d = MAX_PRODUCT_DEPTH
         else:
-            r = self._rho ** 2 if squared else self._rho
+            r = self._form(squared)[1]
             q = math.floor(math.log(DEFAULT_TAIL_TOL / head) / math.log(r)) + 1
             d = min(max(self._kappa * q, 1), MAX_PRODUCT_DEPTH)
         while d > 1 and self.tail_bound(d - 1, t_norm, squared) < DEFAULT_TAIL_TOL:

@@ -234,36 +234,31 @@ def gram_matrix(system: AffineSystem, points) -> GramReport:
 
 @dataclass
 class Q1Profile:
-    """Partial sums of sum_{lambda} |mu_hat(t - lambda)|^2 per enumeration
-    depth, mu the self-similar measure of a system and lambda over its P(L).
+    """Per-layer sums of sum_{lambda} |mu_hat(t - lambda)|^2, mu the
+    self-similar measure of a system and lambda over its P(L): `layers[i, d]`
+    is the sum over the depth-d layer of P(L) at probe point i, d = 0..depth.
 
-    `fourier_tail` bounds, per point, how far the truncated transform products
-    can move the last partial sum: each |mu_hat(t - lambda)|^2 is a product
-    of factors a_k = |chi_B(R*^{-k}(t - lambda))|^2 in [0, 1], and cutting it
-    at depth d overestimates it by at most sum_{k >= d} (1 - a_k), below the
-    squared-form `SelfSimilarMeasure.tail_bound` of its kernel call.  The
-    tail is that bound times the call's pairs in the kept layers, summed
-    over every call; the truncated sum is never below the exact one by more
-    than rounding.
+    `fourier_tail` bounds, for every point, how far the truncated transform
+    products can move the last partial sum: each |mu_hat(t - lambda)|^2 is a
+    product of factors a_k = |chi_B(R*^{-k}(t - lambda))|^2 in [0, 1], and
+    cutting it at depth d overestimates it by at most sum_{k >= d} (1 - a_k),
+    below the squared-form `SelfSimilarMeasure.tail_bound` of its kernel
+    call.  The tail is that bound times the call's pairs in the kept layers,
+    summed over every call; the truncated sum is never below the exact one
+    by more than rounding.
     """
-    partial_sums: np.ndarray      # shape (m, depths+1), cumulative
-    increments: np.ndarray        # shape (m, depths)
-    depth: int
-    fourier_tail: np.ndarray      # shape (m,)
+    layers: np.ndarray            # shape (m, depth + 1)
+    fourier_tail: float
+
+    @property
+    def depth(self) -> int:
+        return self.layers.shape[1] - 1
 
     def values(self) -> np.ndarray:
-        return self.partial_sums[:, -1]
+        return np.cumsum(self.layers, axis=1)[:, -1]
 
     def last_increments(self) -> np.ndarray:
-        return self.increments[:, -1]
-
-    def stabilized_depth(self, eps: float) -> list:
-        """First depth with increment below eps per point (None if never)."""
-        out = []
-        for row in self.increments:
-            idx = np.nonzero(row < eps)[0]
-            out.append(int(idx[0]) + 1 if idx.size else None)
-        return out
+        return self.layers[:, -1]
 
 
 def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int,
@@ -312,9 +307,7 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int,
         tail += layer_tail
         if eps_conv is not None and len(layer_sums) > 1 and (inc[:watch] < eps_conv).all():
             break
-    layers = np.stack(layer_sums, axis=1)
-    return Q1Profile(np.cumsum(layers, axis=1), layers[:, 1:], len(layer_sums) - 1,
-                     np.full(m, tail))
+    return Q1Profile(np.stack(layer_sums, axis=1), tail)
 
 
 def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int):
@@ -393,15 +386,15 @@ class CompletenessReport:
 
 
 def _verdict(prof: Q1Profile, eps_conv: float) -> str:
-    """INCOMPLETE when a point stabilized (increment below `eps_conv`) at or
-    below 1 - EPS_FAIL; BASIS-CONSISTENT when every point stabilized at or
-    above 1 - EPS_PASS; INDETERMINATE otherwise (the depth cap bound before
-    stabilization)."""
+    """INCOMPLETE when a point stabilized (last increment below `eps_conv`)
+    at or below 1 - EPS_FAIL; BASIS-CONSISTENT when every point stabilized
+    at or above 1 - EPS_PASS; INDETERMINATE otherwise (the depth cap bound
+    before stabilization)."""
     vals = prof.values()
-    stabilized = [s is not None for s in prof.stabilized_depth(eps_conv)]
-    if any(st and v <= 1 - EPS_FAIL for st, v in zip(stabilized, vals)):
+    stabilized = prof.last_increments() < eps_conv
+    if (stabilized & (vals <= 1 - EPS_FAIL)).any():
         return VERDICT_INCOMPLETE
-    if all(stabilized) and (vals >= 1 - EPS_PASS).all():
+    if stabilized.all() and (vals >= 1 - EPS_PASS).all():
         return VERDICT_BASIS
     return VERDICT_INDETERMINATE
 
@@ -422,8 +415,7 @@ def completeness_test(system: AffineSystem, grid, eps_conv: float = Q1_EPS_CONV,
     if p_depth_cap is None:
         p_depth_cap = q1_depth(system)
     full = _q1_pass(system, np.concatenate([T, stencil]), p_depth_cap, eps_conv, m)
-    prof = Q1Profile(full.partial_sums[:m], full.increments[:m], full.depth,
-                     full.fourier_tail[:m])
+    prof = Q1Profile(full.layers[:m], full.fourier_tail)
     # central finite-difference gradient of the partial sum at the origin
     v = full.values()[m:]
     grad = (v[0::2] - v[1::2]) / (2 * FD_STEP)

@@ -112,28 +112,22 @@ class ConvolvedMeasure:
 
     def q1_profile(self, system, tpoints, p_depth: int,
                    eps_conv: float | None = None) -> fs.Q1Profile:
-        """Completeness partial sums of the convolution over P(L) of
+        """Completeness layer sums of the convolution over P(L) of
         `system`, dense layer by layer: each layer's |mu_hat_a mu_hat_b|^2
         is the product of the parts' `mu_hat_sq_pairs`, and its tail the sum
         of theirs times the layer's points.  With `eps_conv` set the loop
         stops once every row's increment falls below it, as the package's
         Q1 pass does."""
         T = probe_rows(tpoints, self.dim)
-        sums, incs, tail = [], [], 0.0
+        layers, tail = [], 0.0
         for d, sets in spectrum.layer_digits(system, p_depth):
             layer = spectrum.digit_sum(sets, self.dim)
             (va, ta), (vb, tb) = (mu_hat_sq_pairs(p, T, layer) for p in self.parts)
-            inc = (va * vb).sum(axis=1)
+            layers.append((va * vb).sum(axis=1))
             tail += (ta + tb) * len(layer)
-            if d == 0:
-                sums.append(inc)
-                continue
-            incs.append(inc)
-            sums.append(sums[-1] + inc)
-            if eps_conv is not None and (inc < eps_conv).all():
+            if eps_conv is not None and d > 0 and (layers[-1] < eps_conv).all():
                 break
-        return fs.Q1Profile(np.stack(sums, axis=1), np.stack(incs, axis=1), len(incs),
-                            np.full(len(T), tail))
+        return fs.Q1Profile(np.stack(layers, axis=1), tail)
 
     def completeness_verdict(self, system, grid, eps_conv: float = spectrum.Q1_EPS_CONV):
         """(verdict, profile) of the convolution at the probes `grid`, by the

@@ -63,7 +63,7 @@ def test_criterion_04_triadic_witness(triadic):
 def test_criterion_05_completeness(scale4):
     grid = np.linspace(-1 / 3, 0, 64)
     prof = fs.q1_profile(scale4, grid, 12)
-    ok = bool((prof.values() >= 0.98).all()) and bool((prof.increments >= -1e-15).all())
+    ok = bool((prof.values() >= 0.98).all()) and bool((prof.layers[:, 1:] >= -1e-15).all())
 
     q = fs.q1_profile(scale4, grid, 10).values()
     qa = fs.q1_profile(scale4, grid / 4, 10).values()
@@ -76,10 +76,8 @@ def test_criterion_05_completeness(scale4):
 def test_criterion_06_incompleteness(scale4, mu34):
     grid = np.linspace(-1 / 3, 0, 64)
     verdict, prof = mu34.completeness_verdict(scale4, grid, eps_conv=1e-6)
-    stab = prof.stabilized_depth(1e-6)
-    vals = prof.values()
-    ok = verdict == "INCOMPLETE" and any(
-        s is not None and v <= 0.95 for s, v in zip(stab, vals))
+    stab = prof.last_increments() < 1e-6
+    ok = verdict == "INCOMPLETE" and bool((stab & (prof.values() <= 0.95)).any())
     verdictline(6, "convolution incompleteness", ok)
 
 
@@ -218,9 +216,9 @@ def test_criterion_13c_planar_offline_probe(planar):
     _line_reduction(planar)
     probes = np.array([[0.25, 0.25], [0.05, 0.05], [1.25, 1.25], [0.2, -0.1]])
     prof = fs.q1_profile(planar, probes, 14, eps_conv=1e-6)
-    stab = prof.stabilized_depth(1e-6)
     vals = prof.values()
-    ok = all(s is not None for s in stab) and bool((prof.increments >= -1e-15).all())
+    ok = bool((prof.last_increments() < 1e-6).all())
+    ok &= bool((prof.layers[:, 1:] >= -1e-15).all())
     ok &= bool((np.abs(1 - vals) <= 1e-6).all())
     verdictline("13c", "planar collapse off-line probe", ok)
 

@@ -514,6 +514,19 @@ class TestRefusedInput:
         assert cli.main([str(p) if a == "REPEATED" else a for a in argv]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv", [("attractor", "--side", "sigma"),
+                                      ("attractor", "--side", "rho"), ("q1",)],
+                             ids=["attractor-sigma", "attractor-rho", "q1"])
+    def test_word_maps_that_are_no_contractions(self, tmp_path, capsys, argv):
+        # R = 1: every word map has M^n = I, so I - M^n has no inverse and
+        # the word maps have no fixed points; q1 reaches it through its hull
+        p = tmp_path / "unit-R.json"
+        p.write_text(json.dumps({"dim": 1, "R": [["1"]], "B": [["0"], ["1/2"]],
+                                 "L": [["0"], ["1"]]}))
+        assert cli.main([*argv, "--file", str(p), "--force"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: I - M^n is singular; the word maps are not contractions\n")
+
     # R = 10^400, and L = {0, 10^400}: exact entries past the largest float;
     # L = {0, 10^305} with B = {0, 1/(2 10^305)}: every entry is a float, but
     # the Q1 layer points R*^k L pass the largest float at k = 6, and the

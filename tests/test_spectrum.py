@@ -324,7 +324,7 @@ class TestQ1:
     def test_at_spectrum_point(self, scale4):
         prof = fs.q1_profile(scale4, [5.0], 4)
         assert prof.values()[0] >= 1 - 1e-9
-        assert (prof.increments >= -1e-15).all()
+        assert (prof.layers[:, 1:] >= -1e-15).all()
 
     def test_scale4_interior_point(self, scale4):
         prof = fs.q1_profile(scale4, [-1 / 6], 10)
@@ -417,6 +417,7 @@ class TestQ1:
         meas = fs.SelfSimilarMeasure(sysm)
         T = np.random.RandomState(12).uniform(-1, 1, size=(5, sysm.dim))
         prof = fs.q1_profile(sysm, T, p_depth)
+        partial_sums = np.cumsum(prof.layers, axis=1)
         layers = _exact_layers(sysm, p_depth)
         acc, tail = np.zeros(len(T)), 0.0
         for run in _joined_runs(len(T), [len(layer) for layer in layers]):
@@ -426,9 +427,9 @@ class TestQ1:
                 acc += vals[:, start:start + len(layers[d])].sum(axis=1)
                 start += len(layers[d])
                 tail += run_tail * len(layers[d])
-                assert np.abs(prof.partial_sums[:, d] - acc).max() <= 1e-12
+                assert np.abs(partial_sums[:, d] - acc).max() <= 1e-12
         # one call per run or layer here, so the same truncation and the same tail
-        assert prof.fourier_tail == pytest.approx(np.full(len(T), tail), rel=1e-9)
+        assert prof.fourier_tail == pytest.approx(tail, rel=1e-9)
 
     @pytest.mark.parametrize("name,p_depth", [("scale2", 12), ("triadic", 12), ("eiffel(2)", 6)])
     def test_chunks_over_the_high_digits(self, monkeypatch, name, p_depth):
@@ -454,7 +455,8 @@ class TestQ1:
         chunked = fs.q1_profile(sysm, T, p_depth)
         assert len(pairs) > whole_calls and max(pairs) <= 1024 * len(T)
         assert sum(pairs) == len(T) * sysm.N ** p_depth
-        assert np.abs(chunked.partial_sums - whole.partial_sums).max() <= 1e-12
+        assert np.abs(np.cumsum(chunked.layers, axis=1)
+                      - np.cumsum(whole.layers, axis=1)).max() <= 1e-12
         # each call truncates at the adaptive depth of its own pairs, so a
         # chunk nearer the probes may stop a level earlier with its own tail,
         # which scales as |t - lambda|^2: every call's tail meets the
@@ -462,7 +464,7 @@ class TestQ1:
         # with that probe
         assert max(tails) < fs.measure.DEFAULT_TAIL_TOL
         expected = np.dot(tails, pairs) / len(T)
-        assert chunked.fourier_tail == pytest.approx(np.full(len(T), expected), rel=1e-12)
+        assert chunked.fourier_tail == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["scale2", "R=-3", "triadic", "eiffel(2)"])
     def test_joined_runs_only_lower_the_sums(self, monkeypatch, name):
@@ -476,8 +478,9 @@ class TestQ1:
         joined = fs.q1_profile(sysm, T, p_depth)
         monkeypatch.setattr(fs.spectrum, "Q1_RUN_PAIRS", 0)
         alone = fs.q1_profile(sysm, T, p_depth)
-        assert (joined.partial_sums <= alone.partial_sums + 1e-15).all()
-        assert (joined.partial_sums >= alone.partial_sums - alone.fourier_tail[:, None]).all()
+        joined_sums, alone_sums = (np.cumsum(p.layers, axis=1) for p in (joined, alone))
+        assert (joined_sums <= alone_sums + 1e-15).all()
+        assert (joined_sums >= alone_sums - alone.fourier_tail).all()
 
     @pytest.mark.parametrize("name,probes", [("scale4", [0.0]), ("scale2", [-0.1, 0.3])])
     def test_stop_inside_a_joined_run(self, monkeypatch, name, probes):
@@ -491,13 +494,14 @@ class TestQ1:
         first = _joined_runs(len(probes), [len(layer) for layer in layers])[0]
         joined = fs.q1_profile(sysm, probes, 10, eps_conv=eps_conv)
         assert joined.depth < first[-1]
-        assert joined.increments.shape == (len(probes), joined.depth)
-        assert joined.partial_sums.shape == (len(probes), joined.depth + 1)
+        assert joined.layers.shape == (len(probes), joined.depth + 1)
+        # the kept layers end at the first one past 0 below eps_conv at every probe
+        stops = [d for d in range(1, joined.depth + 1) if (joined.layers[:, d] < eps_conv).all()]
+        assert stops == [joined.depth]
         _, run_tail = mu_hat_sq_pairs(fs.SelfSimilarMeasure(sysm), np.reshape(probes, (-1, 1)),
                                       np.concatenate([layers[d] for d in first]))
         kept = sum(len(layers[d]) for d in range(joined.depth + 1))
-        assert joined.fourier_tail == pytest.approx(np.full(len(probes), run_tail * kept),
-                                                    rel=1e-12)
+        assert joined.fourier_tail == pytest.approx(run_tail * kept, rel=1e-12)
         monkeypatch.setattr(fs.spectrum, "Q1_RUN_PAIRS", 0)
         alone = fs.q1_profile(sysm, probes, 10, eps_conv=eps_conv)
         assert alone.depth == joined.depth
@@ -577,8 +581,8 @@ class TestQ1:
         depth = data.draw(st.integers(1, 10))
         T = data.draw(st.lists(st.floats(-2, 2), min_size=1, max_size=4))
         prof = fs.q1_profile(sysm, T, depth)
-        assert (prof.partial_sums <= 1 + prof.fourier_tail[:, None] + 1e-12).all()
-        assert (prof.increments >= -1e-15).all()
+        assert (np.cumsum(prof.layers, axis=1) <= 1 + prof.fourier_tail + 1e-12).all()
+        assert (prof.layers[:, 1:] >= -1e-15).all()
 
     def test_odd_scale_against_mpmath(self):
         # R = 7, B = {0, 1/4}, L = {0, 2}: the depth-14 sum of
@@ -608,7 +612,7 @@ class TestQ1:
     def test_monotone_in_depth(self, scale4):
         rng = np.random.RandomState(9)
         prof = fs.q1_profile(scale4, rng.uniform(-2, 2, 5), 8)
-        assert (prof.increments >= -1e-15).all()
+        assert (prof.layers[:, 1:] >= -1e-15).all()
 
     def test_bessel_bound(self, scale4, mu4):
         rng = np.random.RandomState(10)
@@ -626,8 +630,7 @@ class TestQ1:
         grid = fs.dual_hull(sysm, 4).sample({1: 17, 2: 5, 3: 3}[sysm.dim])
         prof = fs.q1_profile(sysm, grid, p_depth)
         tail = prof.fourier_tail
-        assert tail.shape == (len(grid),)
-        assert (tail >= 0).all() and np.isfinite(tail).all()
+        assert isinstance(tail, float) and math.isfinite(tail) and tail >= 0
         assert (prof.values() <= 1 + tail + 1e-12).all()
 
     def test_no_fixed_transform_depth(self, planar):
@@ -647,11 +650,9 @@ class TestQ1:
 def low_points(profile, grid):
     """(probe, value) of each probe of a 1-D grid that stabilized at or
     below 1 - EPS_FAIL under the default eps_conv of `completeness_test`."""
-    vals = profile.values()
-    stab = profile.stabilized_depth(fs.spectrum.Q1_EPS_CONV)
-    return [((float(grid[i]),), float(vals[i]))
-            for i in range(len(vals))
-            if stab[i] is not None and vals[i] <= 1 - fs.spectrum.EPS_FAIL]
+    stab = profile.last_increments() < fs.spectrum.Q1_EPS_CONV
+    return [((float(t),), float(v)) for t, v, st in zip(grid, profile.values(), stab)
+            if st and v <= 1 - fs.spectrum.EPS_FAIL]
 
 
 class TestCompleteness:
@@ -676,6 +677,36 @@ class TestCompleteness:
     def test_indeterminate_when_capped(self, scale4):
         grid = np.linspace(-1 / 3, 0, 4)
         rep = fs.completeness_test(scale4, grid, eps_conv=1e-30, p_depth_cap=4)
+        assert rep.verdict == fs.spectrum.VERDICT_INDETERMINATE
+
+    def test_a_vanished_layer_then_growth_is_not_stabilized(self):
+        # layer 1 is 0, but the sum still grows after it: only the last
+        # increment says whether a row stabilized
+        prof = fs.Q1Profile(np.array([[1.0, 0.0, 0.5]]), 0.0)
+        assert fs.spectrum._verdict(prof, fs.spectrum.Q1_EPS_CONV) == \
+            fs.spectrum.VERDICT_INDETERMINATE
+
+    @pytest.mark.parametrize("value,last,verdict", [
+        (1 - fs.spectrum.EPS_FAIL, 0.0, fs.spectrum.VERDICT_INCOMPLETE),
+        (1 - fs.spectrum.EPS_PASS, 0.0, fs.spectrum.VERDICT_BASIS),
+        (1 - fs.spectrum.EPS_FAIL, 1e-3, fs.spectrum.VERDICT_INDETERMINATE),
+        (1 - fs.spectrum.EPS_PASS, 1e-3, fs.spectrum.VERDICT_INDETERMINATE)])
+    def test_verdict_thresholds(self, value, last, verdict):
+        # a stabilized row at 1 - EPS_FAIL is INCOMPLETE, and one at
+        # 1 - EPS_PASS BASIS-CONSISTENT, beside a row at 1
+        prof = fs.Q1Profile(np.array([[value - last, last], [1.0, 0.0]]), 0.0)
+        assert prof.values()[0] == value
+        assert fs.spectrum._verdict(prof, fs.spectrum.Q1_EPS_CONV) == verdict
+
+    def test_triadic_origin_is_not_stabilized(self, triadic):
+        # layer 1 at 0 is sum_{l != 0} |mu_hat(l)|^2, each term with the
+        # factor chi_B(l) = 0, yet Q1(0) keeps growing to the depth cap
+        grid = fs.dual_hull(triadic).sample(17)
+        rep = fs.completeness_test(triadic, grid)
+        origin = int(np.flatnonzero(np.ravel(grid) == 0)[0])
+        assert rep.profile.layers[origin, 1] < 1e-30
+        assert rep.profile.last_increments()[origin] >= fs.spectrum.Q1_EPS_CONV
+        assert rep.profile.values()[origin] > 1 + fs.spectrum.EPS_PASS
         assert rep.verdict == fs.spectrum.VERDICT_INDETERMINATE
 
     def test_planar_segment_consistent(self, planar):
