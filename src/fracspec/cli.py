@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import math
@@ -387,5 +388,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> int:
+    """The process entry of `fracspec` and `python -m fracspec.cli`: freeze
+    the heap that importing numpy and the package built, then run `main` on
+    sys.argv.  That heap lives until exit, so once frozen neither a command's
+    own collections nor the interpreter's final ones walk it.  `main(argv)`
+    is the in-process call and leaves its caller's heap alone."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

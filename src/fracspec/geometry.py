@@ -33,6 +33,7 @@ FLOAT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AttractorSample:
+    """The points of one side's depth-n words, sorted; `attractor_points` returns it."""
     points: tuple
 
 
@@ -359,6 +360,7 @@ def simplex_Y(sys: AffineSystem) -> Polytope:
 
 @dataclass
 class InvarianceReport:
+    """One (l, vertex, image, inside) row per rho map and vertex; `invariance_check` returns it."""
     rows: list          # (l, vertex, image, inside)
 
     @property

@@ -191,6 +191,7 @@ def uniform_discreteness(enum: SpectrumEnumeration) -> float:
 
 @dataclass
 class GramReport:
+    """Gram matrix of exponentials on given points, with its bounds; `gram_matrix` returns it."""
     matrix: np.ndarray
     moduli: np.ndarray            # |matrix| by np.hypot, as abs() rounds one entry
     tail_bound: float
@@ -380,6 +381,7 @@ VERDICT_INDETERMINATE = "INDETERMINATE"
 
 @dataclass
 class CompletenessReport:
+    """A verdict, its Q1 profile and Q1's gradient at 0; `completeness_test` returns it."""
     verdict: str
     profile: Q1Profile
     grad_at_zero: np.ndarray

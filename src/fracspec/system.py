@@ -300,6 +300,7 @@ def chi_B_sq_grad(sys: AffineSystem, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AxiomCheck:
+    """One axiom's outcome and its witness; `validate_system` makes one per axiom."""
     passed: bool
     witness: object = None      # a JSON value: ints, floats, strings and tuples of them
     mandatory: bool = True
@@ -307,6 +308,7 @@ class AxiomCheck:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Every axiom check of a triple, by name; `validate_system` returns it."""
     checks: dict
 
     @property

@@ -289,6 +289,7 @@ def apply_C(sys: AffineSystem, Q: GridFunction) -> GridFunction:
 
 @dataclass
 class FixedPointResult:
+    """The last iterate of C and its residuals; `iterate_fixed_point` returns it."""
     final: GridFunction
     residuals: list
     converged: bool
@@ -372,6 +373,7 @@ def _sin_sup_on_interval(qmin: Fraction, qmax: Fraction) -> float:
 
 @dataclass(frozen=True)
 class BetaResult:
+    """beta, diam(B) and the sampled cross-check's agreement; `beta_constant` returns it."""
     beta: float
     diam_B: float
     sample_agrees: bool          # exact vs sampled within 1%
@@ -417,6 +419,7 @@ def _beta_sampled(sys: AffineSystem, Y: Polytope):
 
 @dataclass(frozen=True)
 class ContractivityReport:
+    """The transfer operator's contractivity constants on Y; `gamma_supnorm` returns it."""
     beta: float
     gamma_sup: float
     gamma_L1: float

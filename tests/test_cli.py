@@ -1,9 +1,12 @@
+import gc
 import inspect
 import itertools
 import json
+import pathlib
 import resource
 import subprocess
 import sys
+import tomllib
 import tracemalloc
 from fractions import Fraction
 
@@ -796,3 +799,53 @@ class TestUsage:
         assert cli.main(list(args)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+class TestProcessEntry:
+    """`run` is the process entry: it freezes the import heap, then runs
+    `main`.  `main` is the in-process call and never freezes."""
+
+    COMMANDS = [
+        (["gamma", "--system", "scale4"], 0),
+        (["validate", "--system", "triadic"], 1),
+        (["q1", "--system", "scale4", "--tol", "0"], 2),
+    ]
+
+    @pytest.mark.parametrize("argv, code", COMMANDS, ids=["pass", "claim", "usage"])
+    def test_main_leaves_the_heap_alone(self, capsys, argv, code):
+        before = gc.get_freeze_count()
+        assert cli.main(argv) == code
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, code", COMMANDS, ids=["pass", "claim", "usage"])
+    def test_run_freezes_then_returns_mains_code(self, monkeypatch, capsys, argv, code):
+        # gc.freeze is recorded, not called, so this test process stays unfrozen
+        assert cli.main(argv) == code
+        expected = capsys.readouterr()
+        calls = []
+        main = cli.main
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or main(argv))
+        monkeypatch.setattr(sys, "argv", ["fracspec", *argv])
+        assert cli.run() == code
+        assert calls == ["freeze", "main"]
+        assert capsys.readouterr() == expected
+
+    def test_run_freezes_the_process_heap(self, capsys):
+        argv = ["validate", "--system", "triadic", "--format", "json"]
+        script = ("import gc, sys, fracspec.cli\n"
+                  f"sys.argv = {['fracspec', *argv]!r}\n"
+                  "code = fracspec.cli.run()\n"
+                  "print(code, gc.get_freeze_count() > 0, file=sys.stderr)\n")
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           timeout=60)
+        assert r.stderr == "1 True\n"
+        assert cli.main(argv) == 1
+        assert r.stdout == capsys.readouterr().out
+        assert json.loads(r.stdout)["validation"]["passed"] is False
+
+    def test_console_script_is_run(self):
+        pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"fracspec": "fracspec.cli:run"}
