@@ -17,9 +17,8 @@ from .system import (AffineSystem, ScalingMatrix, ValidationReport, chi_B, chi_B
                      unitarity_defect, validate_system)
 from .measure import SelfSimilarMeasure
 from .spectrum import (CompletenessReport, GramReport, Q1Profile, SpectrumEnumeration,
-                       completeness_test, digits_of, enumerate_P, gram_matrix,
-                       max_orthogonal_family, q1_depth, q1_profile, reconstruct,
-                       uniform_discreteness)
+                       completeness_test, enumerate_P, gram_matrix, max_orthogonal_family,
+                       q1_depth, q1_profile, uniform_discreteness)
 from .transfer import (ContractivityReport, FixedPointResult, GridFunction,
                        TransferOperator, apply_C, beta_constant, gamma_1d,
                        gamma_eiffel, gamma_supnorm, grid_frame, iterate_fixed_point)

@@ -62,19 +62,18 @@ def _csv_head(header: dict, columns: list) -> list:
 
 
 def _load(args) -> AffineSystem:
-    if args.file:
+    # the parser takes exactly one of --system and --file
+    if args.file is not None:
         try:
             return load_system_file(args.file)
         except FileNotFoundError as exc:
             raise ValueError(f"system file not found: {exc}") from exc
         except ValueError as exc:       # json.JSONDecodeError among them
             raise ValueError(f"cannot parse system file: {exc}") from exc
-    if args.system:
-        try:
-            return get_system(args.system)
-        except KeyError as exc:
-            raise ValueError(str(exc.args[0])) from exc
-    raise ValueError("one of --system or --file is required")
+    try:
+        return get_system(args.system)
+    except KeyError as exc:
+        raise ValueError(str(exc.args[0])) from exc
 
 
 # The usability gate of the analysis commands; --force bypasses it.
@@ -96,7 +95,7 @@ def cmd_validate(args, sys_obj: AffineSystem, validation) -> int:
     if args.format == "json":
         _emit(args, header, [], [], json_payload=payload)
     else:
-        _write(args, [f"validation of {sys_obj.name or args.file} (n_check={DEFAULT_N_CHECK}):"]
+        _write(args, [f"validation of {sys_obj.name} (n_check={DEFAULT_N_CHECK}):"]
                + validation.summary_lines())
     return EXIT_OK if validation.passed else EXIT_CLAIM
 
@@ -309,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
         # no prefix matching: a mistyped or retired option is an error, not
         # a silent match of a longer one (--r would be read as --resolution)
         sp.allow_abbrev = False
-        sp.add_argument("--system", help="catalog name, e.g. scale4, eiffel(3) or scale4(3)")
-        sp.add_argument("--file", help="system definition JSON file")
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--system", help="catalog name, e.g. scale4, eiffel(3) or scale4(3)")
+        source.add_argument("--file", help="system definition JSON file")
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--force", action="store_true",
@@ -374,7 +374,7 @@ def main(argv=None) -> int:
         bad = [name for name in GATE_AXIOMS if not validation.checks[name].passed
                and (args.command, name) != ("q1", "zero_in_L")]
         if bad and not args.force and args.command not in UNGATED:
-            print(f"system {sys_obj.name or '<file>'} fails {', '.join(bad)} "
+            print(f"system {sys_obj.name} fails {', '.join(bad)} "
                   f"(rerun with --force to analyse anyway):", file=_sys.stderr)
             for line in validation.summary_lines():
                 print(line, file=_sys.stderr)

@@ -1,18 +1,17 @@
-"""Candidate spectra P(L): enumeration, digit expansions, Gram matrices,
-completeness partial sums, maximal orthogonal families."""
+"""Candidate spectra P(L): enumeration, Gram matrices, completeness partial
+sums, maximal orthogonal families."""
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, rational as rat
 from .measure import STACK_ENTRIES, SelfSimilarMeasure
-from .system import AffineSystem, point, probe_rows
+from .system import AffineSystem, probe_rows
 
 MAX_FLOAT_POINTS = 6_000_000
 Q1_DEPTH_CAP = 14
@@ -28,7 +27,6 @@ Q1_SCRATCH = 6_000_000
 # later layer: `_brackets` takes 32 levels of such a call in one stacked product
 Q1_RUN_PAIRS = STACK_ENTRIES // 32
 FD_STEP = 1e-3              # step of the gradient stencil at the origin
-DIGIT_BUDGET = 24           # longest digit word that digits_of looks for
 
 
 # ---------------------------------------------------------------------------
@@ -73,24 +71,6 @@ def _strip(word, zero):
     return word[:k]
 
 
-def reconstruct(sys: AffineSystem, word) -> tuple:
-    """Exact point sum_k R*^k word[k] of a word over L, by Horner's rule
-    tau_{w_0}(tau_{w_1}(... tau_{w_last}(0))) on the integer lift: with the
-    tau table lifted once, R* = A / a and l = T_l / a, the point after j
-    digits is P_j / a^j and the next digit l gives A P_j + a^j T_l."""
-    M, shift = sys.maps["tau"]
-    ivecs, a = rat.lift(list(M) + list(shift))
-    A, steps = ivecs[:sys.dim], dict(zip(shift, ivecs[sys.dim:]))
-    p, scale = (0,) * sys.dim, 1
-    for digit in reversed(tuple(word)):
-        d = point(digit, sys.dim)
-        if d not in steps:
-            raise ValueError(f"{d} is not a point of L")
-        p = tuple(rat.dot(row, p) + scale * x for row, x in zip(A, steps[d]))
-        scale *= a
-    return rat.unlift([p], scale)[0]
-
-
 def layer_digits(sys: AffineSystem, depth: int):
     """Float digit sets of the spectrum layers.
 
@@ -129,52 +109,6 @@ def digit_sum(sets, dim: int) -> np.ndarray:
     for s in sets:
         pts = (s[:, None, :] + pts[None, :, :]).reshape(-1, dim)
     return pts
-
-
-def digits_of(sys: AffineSystem, lam):
-    """Digit word of a spectrum point, or None when no expansion of length
-    <= DIGIT_BUDGET ends at 0 or a second one does (failure value, not an
-    exception).
-
-    A breadth-first peel over the rho maps: level k keeps each remainder
-    rho_{w_{k-1}}(... rho_{w_0}(lam)) with the prefix w that reaches it, or
-    None once two prefixes reach it, and a remainder that reaches 0 ends an
-    expansion.  A remainder with m levels of budget left is dropped unless
-    every denominator divides den(L) * s^m, s the lcm of the denominators of
-    R, as every tau-word image of length <= m does.  On the integer lift a
-    remainder is P / D, D = lcm(den(lam), den(L) s^DIGIT_BUDGET), the rho
-    table M, t_l is A / a, T_l / a, and the image (A P + D T_l) / (a D) is
-    kept iff a D / (den(L) s^m) divides it.
-    """
-    lam = point(lam if hasattr(lam, "__len__") else (lam,), sys.dim)
-    if not any(lam):
-        return ()
-    Rti, shift = sys.maps["rho"]
-    ivecs, a = rat.lift(list(Rti) + list(shift.values()))
-    A = ivecs[:sys.dim]
-    den_L = math.lcm(*(c.denominator for l in sys.L for c in l))
-    s_R = math.lcm(*(e.denominator for row in sys.R.entries for e in row))
-    D = math.lcm(*(c.denominator for c in lam), den_L * s_R ** DIGIT_BUDGET)
-    steps = [(l, tuple(D * x for x in t)) for l, t in zip(shift, ivecs[sys.dim:])]
-    level, found = {tuple(int(c * D) for c in lam): ()}, None
-    for left in reversed(range(DIGIT_BUDGET)):
-        g, nxt = a * (D // (den_L * s_R ** left)), {}
-        for p, word in level.items():
-            base = [rat.dot(row, p) for row in A]
-            for l, t in steps:
-                q = tuple(map(operator.add, base, t))
-                if any(x % g for x in q):
-                    continue
-                q = tuple(x // a for x in q)
-                w = None if word is None or q in nxt else word + (l,)
-                if any(q):
-                    nxt[q] = w
-                elif w is None or found is not None:
-                    return None
-                else:
-                    found = w
-        level = nxt
-    return found
 
 
 def uniform_discreteness(enum: SpectrumEnumeration) -> float:

@@ -9,6 +9,8 @@ the isometric coefficient splitting and the derivative identities of Q1 at
 the origin, plus readers of report fields that only tests ask for.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +19,7 @@ import numpy as np
 
 import fracspec as fs
 from fracspec import geometry, rational as rat, spectrum
-from fracspec.system import probe_rows
+from fracspec.system import MAX_WORDS, point, probe_rows
 
 LEBESGUE_TERMS = 4000  # terms of the Lebesgue fixed point's series
 
@@ -210,16 +212,43 @@ def hardy_embedding(sys, coeffs: dict, split_depth: int) -> dict:
     of the first `split_depth` digits and the reduced point is the remaining
     expansion; the squared-coefficient mass is preserved exactly because the
     digit expansion is unique.
+
+    The words are those of the tau walk that `enumerate_P` reads
+    (`AffineSystem.lifted_walk`), trailing zero digits stripped, at the
+    smallest depth whose walk reaches every point of `coeffs`, up to
+    MAX_WORDS words; a point no word reaches, or one that two stripped words
+    reach, has no unique expansion.  The reduced point is read from the same
+    walk, at the word's tail padded with zero digits.
     """
     zero = sys.zero()
+    keys = {point(lam, sys.dim) for lam in coeffs}
+    for depth in itertools.count():
+        walk, scale = sys.lifted_walk("tau", depth)
+        lifted = {}
+        for lam in keys:
+            x = [c * scale for c in lam]
+            if all(c.denominator == 1 for c in x):
+                lifted[tuple(map(int, x))] = lam
+        words = {}
+        for p, word in zip(walk, itertools.product(sys.L, repeat=depth)):
+            if p in lifted:
+                words.setdefault(lifted[p], set()).add(spectrum._strip(word, zero))
+        if len(words) == len(keys):
+            break
+        if max(sys.N, 2) ** (depth + 1) > MAX_WORDS:
+            missing = min(keys - words.keys())
+            raise ValueError(f"{missing} has no digit expansion within {MAX_WORDS} words")
+    index = {l: i for i, l in enumerate(sys.L)}
     comps: dict = {}
     for lam, c in coeffs.items():
-        word = fs.digits_of(sys, lam)
-        if word is None:
-            raise ValueError(f"{lam} has no unique digit expansion "
-                             f"(depth {spectrum.DIGIT_BUDGET})")
+        found = words[point(lam, sys.dim)]
+        if len(found) > 1:
+            raise ValueError(f"{lam} has no unique digit expansion: {sorted(found)}")
+        (word,) = found
         prefix = (word + (zero,) * split_depth)[:split_depth]
-        rest = fs.reconstruct(sys, word[split_depth:])
+        tail = (word[split_depth:] + (zero,) * depth)[:depth]
+        at = functools.reduce(lambda i, l: i * sys.N + index[l], tail, 0)   # product order
+        rest = rat.unlift([walk[at]], scale)[0]
         part = comps.setdefault(prefix, {})
         part[rest] = part.get(rest, 0) + c
     return comps

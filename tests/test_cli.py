@@ -1,6 +1,5 @@
 import gc
 import inspect
-import itertools
 import json
 import pathlib
 import resource
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 
 import fracspec as fs
-from fracspec import cli
+from fracspec import cli, rational as rat
 
 RUN = [sys.executable, "-m", "fracspec.cli"]
 
@@ -346,9 +345,8 @@ class TestGate:
         # depth 3 would hold the 15 points of the words of length <= 3, where
         # P(L) at depth 3 has 8: the layers refuse the system
         sysm = fs.load_system_file(no_zero_in_L)
-        words = {fs.spectrum.reconstruct(sysm, w)
-                 for d in range(4) for w in itertools.product(sysm.L, repeat=d)}
-        assert (len(words), len(fs.enumerate_P(sysm, 3).points)) == (15, 8)
+        points = {p for d in range(4) for p in rat.unlift(*sysm.lifted_walk("tau", d))}
+        assert (len(points), len(fs.enumerate_P(sysm, 3).points)) == (15, 8)
         with pytest.raises(ValueError, match="zero_in_L"):
             next(fs.spectrum.layer_digits(sysm, 3))
 
@@ -685,6 +683,21 @@ class TestUsage:
     def test_no_system(self):
         r = run_cli("spectrum")
         assert r.returncode == 2
+        assert "one of the arguments --system --file is required" in r.stderr
+
+    def test_both_sources_exit_2(self, tmp_path):
+        # --system and --file are exclusive: neither one is dropped in silence
+        path = tmp_path / "scale2.json"
+        path.write_text(json.dumps(fs.system_to_json(fs.get_system("scale2"))))
+        r = run_cli("validate", "--system", "scale4", "--file", str(path))
+        assert (r.returncode, r.stdout) == (2, "")
+        assert "not allowed with argument" in r.stderr
+
+    @pytest.mark.parametrize("option", ["--file", "--system"])
+    def test_empty_source_is_an_error(self, option):
+        r = run_cli("validate", option, "")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
     def test_unknown_catalog_name(self):
         r = run_cli("validate", "--system", "foo")

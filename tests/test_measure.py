@@ -218,7 +218,7 @@ class TestSquaredPairs:
         rng = random.Random(R * 1000 + b.denominator)
         words = [[sysm.L[(n >> k) & 1] for k in range(14)]
                  for n in rng.sample(range(2 ** 14), 60)]
-        lams = [fs.reconstruct(sysm, w)[0] for w in words]
+        lams = [sum(l[0] * Fraction(R) ** k for k, l in enumerate(w)) for w in words]
         probes = np.array([0.25, -0.625])
         got, _ = mu_hat_sq_pairs(fs.SelfSimilarMeasure(sysm), probes,
                                  np.array([float(lam) for lam in lams]))

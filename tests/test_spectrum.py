@@ -103,11 +103,6 @@ class TestEnumeration:
             assert len(got) == len(exact)
             assert np.abs(rows(got) - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
 
-    def test_words_reconstruct(self, scale4, eiffel2):
-        for sysm in (scale4, eiffel2):
-            for lam, word in fs.enumerate_P(sysm, 3).points:
-                assert fs.reconstruct(sysm, word) == lam
-
     @pytest.mark.parametrize("name", ["colliding", "scale4", "scale2", "triadic",
                                       "planar-collapse", "eiffel(2)", "eiffel(3)"])
     def test_first_word_kept(self, name):
@@ -128,49 +123,43 @@ class TestEnumeration:
             first.setdefault(x, word)
         assert dict(enum.points) == first
         assert enum.collision_count == sysm.N ** 3 - len(first)
-        for lam, word in enum.points:
-            assert fs.reconstruct(sysm, word) == lam
         if name == "colliding":
             assert [p[0] for p in enum.coords()] == list(range(15))
             assert enum.collision_count == 12
 
 
 class TestDigits:
+    # the digit words of P(L) as `enumerate_P` keeps them
     def test_scale4_17(self, scale4):
-        word = fs.digits_of(scale4, (F(17),))
+        word = dict(fs.enumerate_P(scale4, 3).points)[(F(17),)]
         assert [d[0] for d in word] == [1, 0, 1]
 
     def test_zero_is_empty_word(self, scale4):
-        assert fs.digits_of(scale4, (F(0),)) == ()
+        assert dict(fs.enumerate_P(scale4, 3).points)[(F(0),)] == ()
 
     def test_non_member_fails(self, scale4):
-        assert fs.digits_of(scale4, (F(2),)) is None
-        assert fs.digits_of(scale4, (F(-1),)) is None
+        # a word of scale4 (R = 4, L = {0, 1}) whose last nonzero digit is
+        # the 4th or later sums to at least 4^3, so depth 3 holds every point
+        # of P below 64: the depth-6 points below 64 are the depth-3 ones
+        points = set(fs.enumerate_P(scale4, 3).coords())
+        assert {p for p in fs.enumerate_P(scale4, 6).coords() if p[0] < 64} == points
+        assert (F(2),) not in points and (F(-1),) not in points
 
     def test_ambiguous_expansion_fails(self):
-        # 2 = 0 + 2*1 = 2 + 2*0 when the digit set overflows the scale
+        # 2 = 0 + 2*1 = 2 + 2*0 when the digit set overflows the scale: the 16
+        # depth-2 words reach 10 points, and 2 keeps the first of its words in
+        # itertools.product order, the other one counted as a collision
         sysm = fs.make_system(2, [(0,), (F(1, 8),), (F(1, 4),), (F(3, 8),)],
                               [(0,), (1,), (2,), (3,)])
-        assert fs.digits_of(sysm, (F(2),)) is None
-        # 4 = 2 + 2*1 = 0 + 2*2 = 0 + 2*0 + 4*1: after the digit 0 the
-        # remainder 2 has two expansions, which is no dead end
-        assert fs.digits_of(sysm, (F(4),)) is None
-
-    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "scale5half"])
-    def test_round_trip_depth6(self, request, name):
-        sysm = request.getfixturevalue(name)
-        for lam, word in fs.enumerate_P(sysm, 6).points:
-            w = fs.digits_of(sysm, lam)
-            assert w == word and fs.reconstruct(sysm, w) == lam
-
-    def test_round_trip_eiffel(self, eiffel2):
-        for lam, word in fs.enumerate_P(eiffel2, 6).points:
-            w = fs.digits_of(eiffel2, lam)
-            assert w is not None and fs.reconstruct(eiffel2, w) == lam
+        enum = fs.enumerate_P(sysm, 2)
+        assert [p[0] for p in enum.coords()] == list(range(10))
+        assert enum.collision_count == 6
+        assert dict(enum.points)[(F(2),)] == ((F(0),), (F(1),))
 
     def test_triadic_member(self, triadic):
-        word = fs.digits_of(triadic, (F(3, 4) + 3 * F(3, 4),))
-        assert word is not None
+        # 3 = 3/4 + 3 * (3/4)
+        word = dict(fs.enumerate_P(triadic, 2).points)[(F(3),)]
+        assert word == ((F(3, 4),), (F(3, 4),))
 
 
 class TestUniformDiscreteness:

@@ -40,8 +40,6 @@ ALLOWED = {
     "simplex_Y": "the exact invariant simplex, the benchmark's oracle for every tower hull",
     "max_orthogonal_family": "exact maximum orthogonal families, for the exact "
                              "orthogonality route",
-    "digits_of": "the exact digit expansion, in a round trip with reconstruct",
-    "reconstruct": "the exact point of a digit word, in a round trip with digits_of",
 }
 
 ALLOWED_MEMBERS = {

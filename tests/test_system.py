@@ -452,7 +452,6 @@ def _removed_keyword_calls():
         "support_diameter-depth": lambda: support_diameter(mu, depth=4),
         "ConvolvedMeasure.support_diameter-depth":
             lambda: support_diameter(ConvolvedMeasure(mu, mu), depth=4),
-        "digits_of-max_depth": lambda: fs.digits_of(s4, (F(17),), max_depth=24),
         "hardy_embedding-max_depth":
             lambda: hardy_embedding(s4, {F(1): 1.0}, 1, max_depth=24),
         "projection_norm_checks-j": lambda: projection_norm_checks(s4, j=0),
