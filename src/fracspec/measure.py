@@ -211,9 +211,23 @@ class SelfSimilarMeasure:
         buffer.  The reduction squares each finished tile in place and adds
         its rows over the groups, so the result is one tile-sized buffer
         too; every element is the same product, only summed tile by tile.
+
+        A two-digit table (real, one row e of weight 1, a0 = 0: every system
+        with N = 2) takes two levels per table row, by cos a cos b =
+        (cos(a + b) + cos(a - b)) / 2: the columns u_k and u_{k+1} of levels
+        k and k + 1 become the row pair u_k + u_{k+1}, u_k - u_{k+1} at
+        weights 1/2 and 1/2, and the tables and the level loop above run on
+        these rows as they do on levels, so one width-5 product joins two
+        levels where two width-3 products and two multiplies did.  An odd
+        depth pads one zero level, which is exact: its row pair is u_k, u_k,
+        and cos(a)/2 + cos(a)/2 = cos a is the last level itself.
         """
         a0, _, w, real, _ = self.system.mask_table
         U, _ = self._level_data(depth)
+        if real and len(w) == 1 and a0 == 0:
+            U = np.concatenate([U, np.zeros((depth % 2,) + U.shape[1:])])
+            U = np.concatenate([U[0::2] + U[1::2], U[0::2] - U[1::2]], axis=2)
+            w, depth = np.array([0.5, 0.5]), len(U)
         m, n, J = len(T), len(Lam), len(w)
         if real:
             w, width, dtype = np.concatenate([w, w]), 1 + 2 * J, float

@@ -24,7 +24,8 @@ EPS_FAIL = 0.05
 # call holds an array of its pairs)
 Q1_SCRATCH = 6_000_000
 # (t, lambda) pairs of the leading Q1 layers' one kernel call and of a whole
-# later layer: `_brackets` takes 32 levels of such a call in one stacked product
+# later layer: `_brackets` takes 32 table rows of such a call in one stacked
+# product, which is 32 levels, or 64 levels of a two-digit system (two a row)
 Q1_RUN_PAIRS = STACK_ENTRIES // 32
 FD_STEP = 1e-3              # step of the gradient stencil at the origin
 

@@ -171,7 +171,9 @@ class AffineSystem:
         the nonzero digits b - c; a0 = #{b = c}/N.  When the centred digits
         are symmetric (e and -e alike), E keeps one of each pair at weight
         2/N and the bracket is the real a0 + sum_k w_k cos(2 pi e_k.x)
-        (`real` is True); otherwise every digit stays at weight 1/N.
+        (`real` is True); otherwise every digit stays at weight 1/N.  A
+        two-digit table is one cosine of weight 1: a0 = 0, E the one row
+        e = +-(b1 - b0)/2 and w = [1], so the bracket is cos(2 pi e.x).
 
         Every kernel forms the bracket before it squares it (the weights of
         `transfer.TransferOperator` one bracket, `SelfSimilarMeasure.mu_hat_sq_sums`

@@ -39,6 +39,20 @@ def planar():
 
 
 @pytest.fixture(scope="session")
+def scale4_2d():
+    # scale4 on the first axis of the plane: R = 4 I, B = {0, e1/2}, L = {0, e1}
+    h = Fraction(1, 2)
+    return fs.make_system([[4, 0], [0, 4]], [(0, 0), (h, 0)], [(0, 0), (1, 0)], "scale4-2d")
+
+
+@pytest.fixture(scope="session")
+def shear_2d():
+    # a two-digit shear, R = [[2, 1], [0, 2]], with the digits of scale4_2d
+    h = Fraction(1, 2)
+    return fs.make_system([[2, 1], [0, 2]], [(0, 0), (h, 0)], [(0, 0), (1, 0)], "shear-2d")
+
+
+@pytest.fixture(scope="session")
 def mu4(scale4):
     return fs.SelfSimilarMeasure(scale4)
 

@@ -78,6 +78,13 @@ def _probe_pairs(dim):
     return T, Lam
 
 
+def _at_depths(values):
+    """(value, depth) cases: each value at depth 30, with the value as its
+    id, and at the odd depths 29 and 31, with the depth in its id."""
+    return [pytest.param(v, d, id=str(v) if d == 30 else f"{v}-depth{d}")
+            for d in (30, 29, 31) for v in values]
+
+
 class TestMuHat:
     def test_at_zero_exact(self, mu4, mu2, mu3):
         for m in (mu4, mu2, mu3):
@@ -374,25 +381,30 @@ class TestBrackets:
     """The stacked bracket product behind every transform kernel, against
     the per-digit product at a fixed depth."""
 
-    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2"])
-    @pytest.mark.parametrize("levels", [1, 7, 30])
-    def test_stack_boundaries(self, request, monkeypatch, name, levels):
-        # 1 level per stacked product, 7 (which does not divide 30) and all
-        # 30; scale4 and triadic have real tables, planar and eiffel2 complex
+    # real two-digit tables, two levels per table row: 1-D and 2-D
+    TWO_DIGIT = ["scale4", "triadic", "scale4_2d", "shear_2d"]
+
+    @pytest.mark.parametrize("name", TWO_DIGIT + ["planar", "eiffel2"])
+    @pytest.mark.parametrize("levels, depth", _at_depths([1, 7, 30]))
+    def test_stack_boundaries(self, request, monkeypatch, name, levels, depth):
+        # 1 table row per stacked product, 7 (which divides none of the
+        # depths, nor their 15 or 16 rows of two levels) and 30; the two-digit
+        # systems take two levels per row, an odd depth padded with a zero
+        # level; planar and eiffel2 have complex tables, one level per row
         sysm = request.getfixturevalue(name)
         meas = fs.SelfSimilarMeasure(sysm)
         T, Lam = _probe_pairs(sysm.dim)
         monkeypatch.setattr(fs.measure, "STACK_ENTRIES", levels * len(T) * len(Lam))
         diffs = T[:, None, :] - Lam[None, :, :]
-        got = meas._pairs(T, Lam, 30)
-        assert np.abs(got - per_digit_levels(sysm, diffs, 30)).max() <= 1e-13
+        got = meas._pairs(T, Lam, depth)
+        assert np.abs(got - per_digit_levels(sysm, diffs, depth)).max() <= 1e-13
         ref, _ = per_digit_product(meas, diffs, squared=True)
         sq, _ = mu_hat_sq_pairs(meas, T, Lam)
         assert np.abs(sq - np.abs(ref) ** 2).max() <= 1e-13
 
-    @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2"])
-    @pytest.mark.parametrize("entries", [20, 40, 80, 120])
-    def test_row_tiles(self, request, monkeypatch, name, entries):
+    @pytest.mark.parametrize("name", TWO_DIGIT + ["planar", "eiffel2"])
+    @pytest.mark.parametrize("entries, depth", _at_depths([20, 40, 80, 120]))
+    def test_row_tiles(self, request, monkeypatch, name, entries, depth):
         # 7 x 40 = 280 pairs, over 2 STACK_ENTRIES at each value, so the
         # block runs on row tiles: one row (20 is below a row of 40, 40 is
         # a row), two rows (7 = 2 + 2 + 2 + 1) and three rows (3 + 3 + 1)
@@ -402,12 +414,34 @@ class TestBrackets:
         T = np.concatenate([T, -T[:1]])
         monkeypatch.setattr(fs.measure, "STACK_ENTRIES", entries)
         diffs = T[:, None, :] - Lam[None, :, :]
-        got = meas._pairs(T, Lam, 30)
+        got = meas._pairs(T, Lam, depth)
         assert got.shape == (7, 40)
-        assert np.abs(got - per_digit_levels(sysm, diffs, 30)).max() <= 1e-13
+        assert np.abs(got - per_digit_levels(sysm, diffs, depth)).max() <= 1e-13
         ref, _ = per_digit_product(meas, diffs, squared=True)
         sq, _ = mu_hat_sq_pairs(meas, T, Lam)
         assert np.abs(sq - np.abs(ref) ** 2).max() <= 1e-13
+
+    @pytest.mark.parametrize("name", TWO_DIGIT)
+    @pytest.mark.parametrize("entries", [None, 80])
+    def test_squared_sums_at_an_odd_depth(self, request, monkeypatch, name, entries):
+        # mu_hat_sq_sums over three column groups at depth 29, the last of
+        # its 15 rows of two levels a padded one; one tile, and row tiles of
+        # two rows
+        sysm = request.getfixturevalue(name)
+        meas = fs.SelfSimilarMeasure(sysm)
+        if entries is not None:
+            monkeypatch.setattr(fs.measure, "STACK_ENTRIES", entries)
+        monkeypatch.setattr(meas, "depth_for", lambda t_norm, squared=False: 29)
+        T, Lam = _probe_pairs(sysm.dim)
+        T = np.concatenate([T, -T[:1]])
+        starts = [0, 13, 27]
+        vals = np.abs(per_digit_levels(sysm, T[:, None, :] - Lam[None, :, :], 29)) ** 2
+        ref = np.stack([vals[:, a:b].sum(axis=1) for a, b in zip(starts, starts[1:] + [40])],
+                       axis=1)
+        got, tail = meas.mu_hat_sq_sums(T, Lam, starts)
+        assert got.shape == (7, 3)
+        assert np.abs(got - ref).max() <= 1e-13
+        assert tail == meas.tail_bound(29, fs.measure._max_distance(T, Lam), squared=True)
 
     @pytest.mark.parametrize("name", ["scale2", "eiffel2"])
     def test_row_tiles_bound_the_level_buffer(self, request, name):

@@ -579,8 +579,9 @@ class TestQ1:
         # with lambda up to 2.3e11.  Factor k depends on lambda mod 4 7^k
         # only, so the first 14 factors are multiplied at 40 digits once per
         # residue; past them the arguments are below pi/12 and double
-        # precision holds.  The direct pass was 8.6e-8 off, the split one is
-        # 6.0e-8 off.
+        # precision holds.  The direct pass was 8.6e-8 off, the split one
+        # 6.0e-8 off, and the split one with two levels per table row is
+        # 5.5e-8 off.
         sysm = fs.two_digit_system(7, F(1, 4))
         lams = [int(p[0]) for p in fs.enumerate_P(sysm, 14).coords()]
         t = 0.137
