@@ -103,10 +103,9 @@ def cmd_validate(args, sys_obj: AffineSystem, validation) -> int:
 def cmd_spectrum(args, sys_obj: AffineSystem, validation) -> int:
     enum = spectrum.enumerate_P(sys_obj, args.depth)
     cols = [f"t{i + 1}" for i in range(sys_obj.dim)] + ["digits"]
-    rows = []
-    for p, word in enum.points:
-        digits = "|".join(",".join(rat.format_fraction(c) for c in d) for d in word)
-        rows.append([rat.format_fraction(c) for c in p] + [digits or "0"])
+    label = {l: ",".join(map(rat.format_fraction, l)) for l in sys_obj.L}
+    rows = [[*map(rat.format_fraction, p), "|".join([label[d] for d in word]) or "0"]
+            for p, word in enum.points]
     header = {"command": "spectrum", "system": sys_obj.name, "depth": args.depth,
               "collisions": enum.collision_count}
     _emit(args, header, rows, cols, json_payload={"columns": cols, "rows": rows})
@@ -216,9 +215,11 @@ def cmd_gamma(args, sys_obj: AffineSystem, validation) -> int:
 def cmd_attractor(args, sys_obj: AffineSystem, validation) -> int:
     sample = geometry.attractor_points(sys_obj, args.side, args.depth)
     cols = [f"x{i + 1}" for i in range(sys_obj.dim)]
-    rows = [[fmt(c) for c in p] for p in sample.points]
+    # int / int rounds once, exactly as float(Fraction(n, scale)) does
+    scale = sample.scale
+    rows = [[fmt(n / scale) for n in p] for p in sample.lifted]
     header = {"command": "attractor", "system": sys_obj.name, "side": args.side,
-              "depth": args.depth, "count": len(sample.points)}
+              "depth": args.depth, "count": len(sample.lifted)}
     _emit(args, header, rows, cols, json_payload={"columns": cols, "rows": rows})
     return EXIT_OK
 

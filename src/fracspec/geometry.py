@@ -1,9 +1,10 @@
 """Dual attractors, exact convex hulls (dimension <= 3), invariant simplices,
 and the float chart and sampling of a hull.
 
-All hull computations run in exact arithmetic, on the point set lifted once
-to integers over its common denominator, so membership and invariance checks
-are decisions, not tolerance calls.  Degenerate point sets
+All hull computations run in exact arithmetic, on integer points over one
+common denominator (the lift `rational.lift` makes, or the one the word walk
+hands on), so membership and invariance checks are decisions, not tolerance
+calls.  Degenerate point sets
 (affine dimension below the ambient one) come back as lower-dimensional hulls
 carried by an explicit affine chart.  The float side (chart coordinates,
 membership within FLOAT_TOL, mesh samples) feeds the grid and sampling code.
@@ -33,29 +34,43 @@ FLOAT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AttractorSample:
-    """The points of one side's depth-n words, sorted; `attractor_points` returns it."""
-    points: tuple
+    """The points of one side's depth-n words, sorted, as an integer lift
+    that need not be in lowest terms: point i is lifted[i] / scale.
+    `attractor_points` returns it."""
+    lifted: tuple
+    scale: int
+
+    @functools.cached_property
+    def points(self) -> tuple:
+        """The points as Fractions, built on first read."""
+        return tuple(rat.unlift(self.lifted, self.scale))
 
 
 def attractor_points(sys: AffineSystem, side: str, depth: int) -> AttractorSample:
     """Fixed points of every depth-n word on the contractive sides (sigma, rho);
-    word images of 0 on the expansive sides (tau, omega)."""
+    word images of 0 on the expansive sides (tau, omega).  The walk's lift
+    is kept: the fixed-point map is applied to it as integer rows, and no
+    Fraction is built per point."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     walk, scale = sys.lifted_walk(side, depth)
     pts = sorted(set(walk))       # the distinct images of 0, lifted to integers
     if side in ("sigma", "rho"):
-        # the word map x -> M^n x + t fixes (I - M^n)^{-1} t, one integer
-        # matrix over the lifted images; it is injective, so no point repeats
-        Mn = functools.reduce(rat.mat_mul, [sys.maps[side][0]] * depth)
-        ImMn = tuple(tuple(int(i == j) - Mn[i][j] for j in range(sys.dim))
-                     for i in range(sys.dim))
-        if rat.det(ImMn) == 0:
+        # the word map x -> M^n x + t fixes (I - M^n)^{-1} t.  On the lift
+        # M = Mi / m that is m^n A^{-1} t with the integer A = m^n I - Mi^n,
+        # one integer matrix over the lifted images; it is injective, so no
+        # point repeats
+        Mi, m = rat.lift(sys.maps[side][0])
+        Mn, mn = functools.reduce(rat.mat_mul, [Mi] * depth), m ** depth
+        A = tuple(tuple(mn * (i == j) - Mn[i][j] for j in range(sys.dim))
+                  for i in range(sys.dim))
+        if rat.det(A) == 0:
             raise ValueError("I - M^n is singular; the word maps are not contractions")
-        inv, den = rat.lift(rat.inverse(ImMn))
+        inv, den = rat.lift(rat.inverse(A))
+        inv = tuple(tuple(mn * c for c in r) for r in inv)
         pts = sorted(rat.mat_vec(inv, t) for t in pts)
         scale *= den
-    return AttractorSample(tuple(rat.unlift(pts, scale)))
+    return AttractorSample(tuple(pts), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +219,19 @@ def _affine_frame(ipts):
 def _plane(face):
     """Normal n of face (a, ...) as the signed first-row cofactors of its
     edges, so n . (p - a) = det(p - a, edges), and its offset n . a; p lies
-    above the face (sees it) iff n . p > n . a.  A 1-D face (a,) has n = (1,)."""
+    above the face (sees it) iff n . p > n . a.  The cofactors are written
+    out for the k <= 3 of every hull: the cross product of the two edges of
+    a 3-D face, (e2, -e1) of the edge e of a 2-D face, and n = (1,) for a
+    1-D face (a,)."""
     a = face[0]
     edges = [tuple(map(operator.sub, q, a)) for q in face[1:]]
-    n = tuple((-1) ** j * rat.det([e[:j] + e[j + 1:] for e in edges]) for j in range(len(a)))
+    if len(a) == 3:
+        (x1, y1, z1), (x2, y2, z2) = edges
+        n = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+    elif len(a) == 2:
+        n = (edges[0][1], -edges[0][0])
+    else:
+        n = (1,)
     return n, rat.dot(n, a)
 
 
@@ -272,22 +296,24 @@ def _normalize_halfspace(n, off, den):
     return tuple(Fraction(v, g) for v in ints[:-1]), Fraction(ints[-1], g)
 
 
-def convex_hull(points) -> Polytope:
-    """Exact convex hull of rational points of affine dimension k <= 3.
+def convex_hull(points, scale: int) -> Polytope:
+    """Exact convex hull of the rational points points[i] / scale, given as
+    integer vectors over one positive denominator (`rational.lift`), of
+    affine dimension k <= 3.
 
     Degenerate inputs return the hull of their affine span, flagged through
-    `affine_dim` and carried by the chart (origin, basis).  The points are
-    lifted once to integers over their common denominator, and one Quickhull
+    `affine_dim` and carried by the chart (origin, basis).  One Quickhull
     builds the hull of every k >= 1 on integer chart coordinates: the points
     themselves when they span the ambient space, else A^{-1} (x - origin) on
-    k independent ambient coordinates, lifted once more.  Every hull vertex
-    is an input point, and `faces` holds k vertices per face.
+    k independent ambient coordinates, lifted once more.  The hull is the
+    same for every lift of the same points.  Every hull vertex is an input
+    point, and `faces` holds k vertices per face.
     """
-    pts = [point(p) for p in points]
-    if not pts:
+    if not points:
         raise ValueError("convex hull of an empty point set")
-    ipts, scale = rat.lift(pts)
-    ipts = sorted(set(ipts))
+    if scale < 1:
+        raise ValueError(f"the common denominator must be positive, got {scale}")
+    ipts = sorted(set(points))
     ambient = len(ipts[0])
     origin, basis = _affine_frame(ipts)
     k = len(basis)
@@ -346,7 +372,7 @@ def simplex_Y(sys: AffineSystem) -> Polytope:
     c = rat.scalar(M)
     if c is None:
         raise ValueError("simplex construction needs R = c*I; "
-                         "use convex_hull(attractor_points(..., 'rho', depth)) instead")
+                         "use dual_hull(sys, depth) instead")
     if c.denominator != 1 or c < 2:
         raise ValueError("simplex construction needs an integer scale >= 2")
     MmI = tuple(tuple(M[i][j] - (1 if i == j else 0) for j in range(d)) for i in range(d))
@@ -355,7 +381,7 @@ def simplex_Y(sys: AffineSystem) -> Polytope:
         if l == sys.zero():
             continue
         verts.append(rat.vec_scale(-1, rat.solve(MmI, l)))
-    return convex_hull(verts)
+    return convex_hull(*rat.lift(verts))
 
 
 @dataclass
@@ -391,9 +417,12 @@ def hausdorff_dimension(sys: AffineSystem):
 
 def dual_hull(sys: AffineSystem, depth: int = 4) -> Polytope:
     """Convex hull of the depth-n rho-side fixed points (the hull Y), built
-    once per system and depth (`AffineSystem.once`) and shared."""
-    return sys.once(("dual_hull", depth),
-                    lambda: convex_hull(attractor_points(sys, "rho", depth).points))
+    from their integer lift once per system and depth (`AffineSystem.once`)
+    and shared."""
+    def build():
+        sample = attractor_points(sys, "rho", depth)
+        return convex_hull(sample.lifted, sample.scale)
+    return sys.once(("dual_hull", depth), build)
 
 
 def hull_diameter(points) -> float:

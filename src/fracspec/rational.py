@@ -31,8 +31,11 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
-def format_fraction(x: Fraction) -> str:
-    x = Fraction(x)
+def format_fraction(x) -> str:
+    """'p/q', or 'p' for an integer, of an exact rational: an int or a
+    Fraction is read as it is, any other input goes through Fraction first."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
@@ -50,7 +53,7 @@ def mat(rows) -> Mat:
 def mat_vec(m: Mat, v: Vec) -> Vec:
     if len(m[0]) != len(v):
         raise ValueError("dimension mismatch in mat_vec")
-    return tuple(sum(r[j] * v[j] for j in range(len(v))) for r in m)
+    return tuple(sum(map(operator.mul, r, v)) for r in m)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:

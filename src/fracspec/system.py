@@ -146,23 +146,34 @@ class AffineSystem:
         of the side's maps g_d: x -> M x + t_d, in `itertools.product`
         order, as (ivecs, scale): integer vectors over one common
         denominator of the points sum_k M^k t_{w_k} = g_{w_0}(g_{w_1}(...
-        g_{w_last}(0))).  Level k adds the lifted vectors M^k t_d to the
-        points of level k - 1, so a word costs integer additions and no
-        matrix product.  More than MAX_WORDS words are refused up front."""
+        g_{w_last}(0))), scale the least one.
+
+        The steps M^k t_d are formed on the lifts M = Mi / m and
+        t_d = Ti / s, over the one denominator m^(depth-1) s, and then the
+        steps and that denominator are divided by their gcd, which leaves
+        the least common denominator of the steps.  Level k adds the
+        integer steps M^k t_d to the points of level k - 1, so a word
+        costs integer additions and no matrix product.  More than
+        MAX_WORDS words are refused up front."""
         if side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}, got {side!r}")
         self.check_words(depth, MAX_WORDS, f"{side} words exceed the exact-arithmetic cap", "words")
         M, table = self.maps[side]
-        n = len(table)
-        steps = list(table.values())
-        for _ in range(depth - 1):
-            steps.extend(rat.mat_vec(M, t) for t in steps[-n:])
-        isteps, scale = rat.lift(steps[:n * depth])
+        Mi, m = rat.lift(M)
+        Ti, s = rat.lift(list(table.values()))
+        # level k holds m^(depth-1-k) Mi^k Ti: below the last level the
+        # factor m is still there, so the next product divides by it exactly
+        top = m ** max(depth - 1, 0)
+        levels = [[tuple(c * top for c in t) for t in Ti]] if depth else []
+        while len(levels) < depth:
+            levels.append([tuple(c // m for c in rat.mat_vec(Mi, t)) for t in levels[-1]])
+        scale = s * top
+        g = math.gcd(scale, *(c for lv in levels for t in lv for c in t))
         walk = [(0,) * self.dim]
-        for k in range(depth):
-            level = isteps[k * n:(k + 1) * n]
-            walk = [tuple(map(operator.add, p, t)) for p in walk for t in level]
-        return walk, scale
+        for lv in levels:
+            lv = [tuple(c // g for c in t) for t in lv]
+            walk = [tuple(map(operator.add, p, t)) for p in walk for t in lv]
+        return walk, scale // g
 
     @functools.cached_property
     def mask_table(self) -> tuple:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -387,15 +388,25 @@ def beta_constant(sys: AffineSystem, Y: Polytope) -> BetaResult:
     sampled maximization cross-checks the value.  Both visit each unordered
     pair {b, b'} once: (b', b) negates the argument, and |sin| and the peaks
     of |sin 2 pi q| are symmetric under q -> -q, so it gives the same value
-    bit for bit.
+    bit for bit.  The extremes are taken on the integer lifts of B, of Y's
+    vertices and of L: (b - b').(v - l) is (b - b').v less (b - b').l, and
+    only the first term moves with v, so one scan of the vertices per pair
+    serves every l.
     """
     diam_B = geometry.hull_diameter(sys.B)
+    Bi, sb = rat.lift(sys.B)
+    VL, sv = rat.lift(Y.vertices + sys.L)
+    Vi, Li = VL[:len(Y.vertices)], VL[len(Y.vertices):]
+    den = sb * sv
     sin_sup = 0.0
-    for bi, bj in itertools.combinations(range(sys.N), 2):
-        d = rat.vec_sub(sys.B[bi], sys.B[bj])
-        for l in sys.L:
-            qs = [rat.dot(d, rat.vec_sub(v, l)) for v in Y.vertices]
-            sin_sup = max(sin_sup, _sin_sup_on_interval(min(qs), max(qs)))
+    for bi, bj in itertools.combinations(Bi, 2):
+        d = tuple(map(operator.sub, bi, bj))
+        proj = [rat.dot(d, v) for v in Vi]
+        lo, hi = min(proj), max(proj)
+        for l in Li:
+            c = rat.dot(d, l)
+            sin_sup = max(sin_sup, _sin_sup_on_interval(Fraction(lo - c, den),
+                                                        Fraction(hi - c, den)))
     beta = 2 * math.pi * diam_B * sin_sup
 
     sampled = _beta_sampled(sys, Y)
@@ -404,6 +415,15 @@ def beta_constant(sys: AffineSystem, Y: Polytope) -> BetaResult:
 
 
 def _beta_sampled(sys: AffineSystem, Y: Polytope):
+    """max |sin(2 pi (b - b').(x - l))| over the unordered pairs {b, b'},
+    the digits l and the points x of Y's vertices and its BETA_SAMPLES mesh.
+
+    With q = (b - b').x and c = (b - b').l, |sin 2 pi (q - c)| = |cos pi x'|
+    for x' = 2 (q - c) - 1/2, which falls as x' moves away from the nearest
+    integer.  So the mesh is projected once per pair, and for each l the
+    sine is evaluated once, at the point whose x' lies nearest an integer:
+    the maximum of the full scan, one sine per (pair, digit) instead of one
+    per mesh point."""
     pts = np.concatenate([Y.vertex_array(), Y.sample(BETA_SAMPLES)], axis=0)
 
     best = 0.0
@@ -411,9 +431,15 @@ def _beta_sampled(sys: AffineSystem, Y: Polytope):
     ls = sys.l_array()
     for i, j in itertools.combinations(range(sys.N), 2):
         d = bs[i] - bs[j]
-        for l in ls:
-            vals = np.abs(np.sin(2 * np.pi * ((pts - l) @ d)))
-            best = max(best, float(vals.max()))
+        q2 = 2 * (pts @ d)
+        at = []
+        for c in ls @ d:
+            x = q2 - (2 * c + 0.5)
+            x -= np.rint(x)
+            at.append(np.abs(x, out=x).argmin())
+        # the full scan's argument at each chosen point, one sine per digit
+        args = (pts[at] - ls) @ d
+        best = max(best, float(np.abs(np.sin(2 * np.pi * args)).max()))
     return best
 
 
@@ -447,7 +473,8 @@ def overlaps_measure_zero(sys: AffineSystem, Y: Polytope) -> bool:
     nonzero l.  For convex Y the interiors meet iff l lies in the interior of
     the difference body Y - Y, so this is an exact decision (and True when Y
     has no interior)."""
-    D = geometry.convex_hull([rat.vec_sub(v, w) for v in Y.vertices for w in Y.vertices])
+    vs, scale = rat.lift(Y.vertices)
+    D = geometry.convex_hull([tuple(map(operator.sub, v, w)) for v in vs for w in vs], scale)
     return not any(D.contains(l, strict=True) for l in sys.L if any(l))
 
 

@@ -174,7 +174,7 @@ def atoms(measure, depth: int) -> np.ndarray:
 
 def support_hull(sys, depth: int = 4) -> fs.Polytope:
     """Convex hull of the depth-n sigma-side fixed points (the support side)."""
-    return fs.convex_hull(fs.attractor_points(sys, "sigma", depth).points)
+    return fs.convex_hull(*rat.lift(fs.attractor_points(sys, "sigma", depth).points))
 
 
 def support_diameter(measure) -> float:
@@ -188,6 +188,21 @@ def exact_inside(hull: fs.Polytope, X) -> np.ndarray:
     value: the exact oracle for float points such as `Polytope.sample`'s."""
     return np.array([hull.contains(tuple(map(Fraction, x)))
                      for x in np.atleast_2d(np.asarray(X, dtype=float)).tolist()])
+
+
+def beta_sampled_scan(sys, Y: fs.Polytope) -> float:
+    """The full scan `transfer._beta_sampled` stands for: max |sin(2 pi
+    (b - b').(x - l))| over the unordered pairs {b, b'}, the digits l and
+    every point x of Y's vertices and its BETA_SAMPLES mesh, one sine per
+    point."""
+    pts = np.concatenate([Y.vertex_array(), Y.sample(fs.transfer.BETA_SAMPLES)], axis=0)
+    best = 0.0
+    bs, ls = sys.b_array(), sys.l_array()
+    for i, j in itertools.combinations(range(sys.N), 2):
+        d = bs[i] - bs[j]
+        for l in ls:
+            best = max(best, float(np.abs(np.sin(2 * np.pi * ((pts - l) @ d))).max()))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,51 @@ class TestAttractorCommand:
         assert [float(x) for x in rows[0].split(",")] == [pytest.approx(-1 / 3)]
 
 
+RENDERED = ("scale4", "triadic", "planar-collapse", "eiffel(2)")
+
+
+class TestExactRendering:
+    """`attractor` prints the floats of its integer lift and `spectrum` its
+    digits from one label per point of L: both must print what a rendering
+    from the Fractions prints."""
+
+    @staticmethod
+    def _rows(capsys, fmt, argv):
+        assert cli.main(argv + ["--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            doc = json.loads(out)
+            return doc["config"], doc["rows"]
+        lines = out.splitlines()
+        return lines[0], [line.split(",") for line in lines[2:]]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", RENDERED)
+    def test_attractor(self, capsys, name, fmt):
+        sysm = fs.get_system(name)
+        for side in fs.system.SIDES:
+            pts = fs.attractor_points(sysm, side, 4).points
+            want = [[f"{float(q):.17g}" for q in p] for p in pts]
+            head, rows = self._rows(capsys, fmt, ["attractor", "--system", name,
+                                                  "--side", side, "--force"])
+            assert rows == want
+            count = head["count"] if fmt == "json" else int(head.rsplit("=", 1)[1])
+            assert count == len(pts)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", RENDERED)
+    def test_spectrum(self, capsys, name, fmt):
+        sysm = fs.get_system(name)
+        want = [[rat.format_fraction(c) for c in p]
+                + ["|".join(",".join(rat.format_fraction(c) for c in d) for d in word) or "0"]
+                for p, word in fs.enumerate_P(sysm, 3).points]
+        _, rows = self._rows(capsys, fmt, ["spectrum", "--system", name, "--force"])
+        if fmt == "csv":
+            # the digits column holds commas of its own: rejoin it
+            rows = [r[:sysm.dim] + [",".join(r[sysm.dim:])] for r in rows]
+        assert rows == want
+
+
 class TestTransferCommand:
     def test_residual_history(self, tmp_path):
         dump = tmp_path / "grid.csv"

@@ -45,31 +45,31 @@ class TestAttractorPoints:
 class TestConvexHull:
     def test_scale4_depth2_segment(self, scale4):
         pts = fs.attractor_points(scale4, "rho", 2).points
-        hull = fs.convex_hull(pts)
+        hull = fs.convex_hull(*rat.lift(pts))
         assert hull.vertices == ((F(-1, 3),), (F(0),))
         assert hull.affine_dim == 1
 
     def test_planar_collapse_segment(self, planar):
-        hull = fs.convex_hull(fs.attractor_points(planar, "rho", 2).points)
+        hull = fs.convex_hull(*rat.lift(fs.attractor_points(planar, "rho", 2).points))
         assert hull.affine_dim == 1
         assert set(hull.vertices) == {(F(-2, 15), F(2, 15)), (F(2, 15), F(-2, 15))}
 
     def test_square_with_noise_points(self):
         pts = [(0, 0), (1, 0), (1, 1), (0, 1),
                (F(1, 2), F(1, 2)), (F(1, 2), 0), (F(1, 3), F(2, 3))]
-        hull = fs.convex_hull(pts)
+        hull = fs.convex_hull(*rat.lift(pts))
         assert len(hull.vertices) == 4
         assert fs.hull_volume(hull) == 1
 
     def test_cube_with_interior_points(self):
         pts = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
         pts += [(F(1, 2), F(1, 2), F(1, 2)), (F(1, 2), F(1, 2), F(0))]
-        hull = fs.convex_hull(pts)
+        hull = fs.convex_hull(*rat.lift(pts))
         assert len(hull.vertices) == 8
         assert fs.hull_volume(hull) == 1
 
     def test_membership_exact(self):
-        hull = fs.convex_hull([(0, 0), (4, 0), (0, 4)])
+        hull = fs.convex_hull(*rat.lift([(0, 0), (4, 0), (0, 4)]))
         assert hull.contains((F(1), F(1)))
         assert hull.contains((F(2), F(2)))          # on the slanted edge
         assert not hull.contains((F(2), F(2)), strict=True)
@@ -78,10 +78,10 @@ class TestConvexHull:
     def test_above_dimension_three_names_the_span(self):
         simplex = [tuple(F(int(i == j)) for j in range(4)) for i in range(5)]
         with pytest.raises(ValueError, match="span 4"):
-            fs.convex_hull(simplex)
+            fs.convex_hull(*rat.lift(simplex))
 
     def test_single_point(self):
-        hull = fs.convex_hull([(F(1, 2), F(1, 3))])
+        hull = fs.convex_hull(*rat.lift([(F(1, 2), F(1, 3))]))
         assert hull.affine_dim == 0
         assert hull.contains((F(1, 2), F(1, 3)))
         assert not hull.contains((F(0), F(0)))
@@ -170,7 +170,7 @@ class TestHullOracle:
     def _check(pts):
         # facets and vertices as the oracle's, every face corner a vertex,
         # every face outward
-        hull = fs.convex_hull(pts)
+        hull = fs.convex_hull(*rat.lift(pts))
         assert hull.affine_dim == 3
         facets, vertices = _oracle_hull(pts)
         assert set(hull.facets) == facets
@@ -184,7 +184,7 @@ class TestHullOracle:
 
     def test_lattice_cube(self):
         pts = [(F(x), F(y), F(z)) for x in range(4) for y in range(4) for z in range(4)]
-        hull = fs.convex_hull(pts)
+        hull = fs.convex_hull(*rat.lift(pts))
         facets, vertices = _oracle_hull(pts)
         assert set(hull.facets) == facets and len(facets) == 6
         assert hull.vertices == vertices and len(vertices) == 8
@@ -253,7 +253,7 @@ class TestHullOracle:
         params += [tuple(F(int(i == j)) for j in range(k)) for i in range(k + 1)]
         params += rng.sample(params, 2)                       # duplicates
         pts = [image(s) for s in params]
-        hull = fs.convex_hull(pts)
+        hull = fs.convex_hull(*rat.lift(pts))
         assert hull.affine_dim == k
         assert hull.vertices == tuple(sorted(image(s) for s in self._extreme_params(params)))
         assert all(hull.contains(p) for p in pts)
@@ -315,8 +315,9 @@ class TestFloatChart:
     def test_sample_falls_back_to_the_vertices(self):
         # a thin tetrahedron between the nodes of the 3-per-axis mesh of its
         # box: no mesh point lies inside, so the sample is its 4 vertices
-        hull = fs.convex_hull([(F(1, 6), F(11, 24), F(5, 12)), (F(3, 8), F(5, 8), F(5, 6)),
-                               (F(17, 24), F(5, 12), F(7, 24)), (F(19, 24), F(1, 2), F(17, 24))])
+        hull = fs.convex_hull(*rat.lift([
+            (F(1, 6), F(11, 24), F(5, 12)), (F(3, 8), F(5, 8), F(5, 6)),
+            (F(17, 24), F(5, 12), F(7, 24)), (F(19, 24), F(1, 2), F(17, 24))]))
         assert hull.affine_dim == 3
         us = hull.chart.param(hull.vertex_array())
         axes = [np.linspace(us[:, d].min(), us[:, d].max(), 3) for d in range(3)]
@@ -326,7 +327,7 @@ class TestFloatChart:
         assert len(hull.sample(3)) == 4
 
     def test_point_hull_membership(self):
-        hull = fs.convex_hull([(F(1, 2), F(1, 3))])
+        hull = fs.convex_hull(*rat.lift([(F(1, 2), F(1, 3))]))
         assert hull.affine_dim == 0
         assert hull.contains((F(1, 2), F(1, 3)))
         assert not hull.contains((F(1, 2), F(34, 100))) and not hull.contains((F(3, 5), F(1, 3)))
@@ -385,8 +386,10 @@ class TestSimplex:
 
     def test_hypothesis_rejected(self, planar):
         sysm = fs.make_system([[2, 1], [0, 2]], [(0, 0)], [(0, 0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"use dual_hull\(sys, depth\) instead"):
             fs.simplex_Y(sysm)
+        # the call the message names runs on the refused system
+        assert fs.dual_hull(sysm, 4).affine_dim == 0
 
     def test_depth4_hull_equals_simplex(self):
         for r in (2, 3):
@@ -396,11 +399,11 @@ class TestSimplex:
 
 class TestVolumes:
     def test_unit_cube(self):
-        cube = fs.convex_hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+        cube = fs.convex_hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)], 1)
         assert fs.hull_volume(cube) == 1
 
     def test_degenerate_zero(self, planar):
-        hull = fs.convex_hull(fs.attractor_points(planar, "rho", 2).points)
+        hull = fs.convex_hull(*rat.lift(fs.attractor_points(planar, "rho", 2).points))
         assert fs.hull_volume(hull) == 0
 
     def test_segment_length_1d(self, scale4):
@@ -420,7 +423,7 @@ class TestInvariance:
 
     def test_shrunk_simplex_violates(self, eiffel2):
         Y = fs.simplex_Y(eiffel2)
-        small = fs.convex_hull([tuple(F(9, 10) * c for c in v) for v in Y.vertices])
+        small = fs.convex_hull(*rat.lift([tuple(F(9, 10) * c for c in v) for v in Y.vertices]))
         rep = fs.invariance_check(eiffel2, small)
         assert not rep.passed
         assert [r for r in rep.rows if not r[-1]]       # the rows that violate
@@ -458,8 +461,8 @@ class TestInvariance:
         # with 0 in L, M v = rho_0(v) and M v + t_l / 2 is the midpoint of two
         # vertex images: the rows for s in {0, 1/2} decide nothing more
         sysm = fs.get_system(name)
-        for P in (fs.dual_hull(sysm), fs.convex_hull(
-                [tuple(F(9, 10) * c for c in v) for v in fs.dual_hull(sysm).vertices])):
+        for P in (fs.dual_hull(sysm), fs.convex_hull(*rat.lift(
+                [tuple(F(9, 10) * c for c in v) for v in fs.dual_hull(sysm).vertices]))):
             M, shift = sysm.maps["rho"]
             with_midpoints = all(
                 P.contains(rat.vec_add(rat.mat_vec(M, v), rat.vec_scale(s, shift[l])))
@@ -476,7 +479,7 @@ class TestNesting:
             for n in (1, 2, 3, 4):
                 pts = fs.attractor_points(e, "rho", n).points
                 assert all(Y.contains(p) for p in pts)
-                hull = fs.convex_hull(pts)
+                hull = fs.convex_hull(*rat.lift(pts))
                 if prev is not None:
                     assert all(hull.contains(v) for v in prev.vertices)
                 prev = hull
@@ -487,7 +490,7 @@ class TestNesting:
             imgs = rat.unlift(*scale4.lifted_walk("sigma", n))
             deeper = list(rat.unlift(*scale4.lifted_walk("sigma", n + 1)))
             deeper += list(fs.attractor_points(scale4, "sigma", n + 1).points)
-            hull = fs.convex_hull(deeper)
+            hull = fs.convex_hull(*rat.lift(deeper))
             assert all(hull.contains(p) for p in imgs)
 
 

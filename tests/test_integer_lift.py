@@ -3,6 +3,7 @@ for: the word walk, the attractor fixed points, the compatibility check and
 the pairwise distance scan.  Each reference below is the plain Fraction
 computation, written out."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -122,6 +123,22 @@ class TestAgainstFractionLoops:
             assert walk == fraction_word_walk(system, side, depth)
             assert _all_fractions(p for p, _ in walk)
 
+    def test_walk_keeps_the_lift_of_its_steps(self, system, side):
+        # the steps M^k t lifted over their least common denominator, and
+        # the walk summed from those integers
+        M, table = system.maps[side]
+        for depth in range(0, 5):
+            steps = [list(table.values())]
+            for _ in range(depth - 1):
+                steps.append([rat.mat_vec(M, t) for t in steps[-1]])
+            isteps, scale = rat.lift([t for level in steps[:depth] for t in level])
+            n = len(table)
+            walk = [(0,) * system.dim]
+            for k in range(depth):
+                walk = [tuple(a + b for a, b in zip(p, t))
+                        for p in walk for t in isteps[k * n:(k + 1) * n]]
+            assert system.lifted_walk(side, depth) == (walk, scale)
+
     def test_attractor_points(self, system, side):
         for depth in range(1, 5):
             want = fraction_attractor_points(system, side, depth)
@@ -132,6 +149,43 @@ class TestAgainstFractionLoops:
             got = fs.attractor_points(system, side, depth).points
             assert got == want
             assert _all_fractions(got)
+
+
+@st.composite
+def lifted_point_sets(draw):
+    """(ivecs, scale) of a rational point set in 1-4 dimensions spanning an
+    affine subspace of dimension 0-3: an origin plus rational combinations of
+    up to three rational directions, lifted once."""
+    ambient = draw(st.integers(1, 4))
+    q = st.fractions(-6, 6, max_denominator=7)
+    vector = st.lists(q, min_size=ambient, max_size=ambient)
+    origin = draw(vector)
+    directions = draw(st.lists(vector, min_size=0, max_size=min(ambient, 3)))
+    coeffs = draw(st.lists(st.lists(q, min_size=len(directions), max_size=len(directions)),
+                           min_size=len(directions) + 1, max_size=12))
+    points = [tuple(o + sum((c * d[i] for c, d in zip(cs, directions)), F(0))
+                    for i, o in enumerate(origin)) for cs in coeffs]
+    return rat.lift(points)
+
+
+class TestHullOfALift:
+    """`convex_hull(points, scale)` reads the points points[i] / scale, so
+    every lift of one point set gives the same hull."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lifted_point_sets(), st.integers(2, 60))
+    def test_same_hull_for_a_multiple_of_the_lift(self, lifted, k):
+        ivecs, scale = lifted
+        P = fs.convex_hull(ivecs, scale)
+        Q = fs.convex_hull([tuple(k * c for c in v) for v in ivecs], k * scale)
+        for field in dataclasses.fields(P):
+            assert getattr(Q, field.name) == getattr(P, field.name), field.name
+        assert fs.hull_volume(Q) == fs.hull_volume(P)
+        assert P.affine_dim <= 3 and set(P.vertices) <= set(rat.unlift(ivecs, scale))
+
+    def test_scale_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            fs.convex_hull([(1,), (2,)], -1)
 
 
 def fraction_extreme_sq_distances(points):
@@ -273,6 +327,19 @@ def cofactor_det(rows):
         return rows[0][0] if rows else 1
     return sum((-1) ** j * x * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
                for j, x in enumerate(rows[0]) if x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.tuples(*[st.integers(-9, 9)] * k), min_size=k, max_size=k)))
+def test_face_normal_is_the_signed_cofactor_row(face):
+    # the written-out normals of `geometry._plane` against the cofactors of
+    # the edges, n_j = (-1)^j det(edges without column j)
+    a = face[0]
+    edges = [tuple(x - y for x, y in zip(q, a)) for q in face[1:]]
+    n = tuple((-1) ** j * cofactor_det([e[:j] + e[j + 1:] for e in edges])
+              for j in range(len(a)))
+    assert fs.geometry._plane(face) == (n, rat.dot(n, a))
 
 
 def greedy_pivot_columns(rows):

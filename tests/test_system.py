@@ -437,6 +437,9 @@ class TestRational:
     def test_format(self):
         assert rat.format_fraction(Fraction(3, 4)) == "3/4"
         assert rat.format_fraction(Fraction(8, 4)) == "2"
+        # ints are read as they are; other exact input goes through Fraction
+        assert [rat.format_fraction(x) for x in (-7, 0, True, "6/8", "-10/5")] == \
+            ["-7", "0", "1", "3/4", "-2"]
 
 
 def _removed_keyword_calls():

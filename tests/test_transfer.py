@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,7 @@ from scipy.special import polygamma
 
 import fracspec as fs
 from fracspec import cli, rational as rat
-from oracles import chi_B_sq, exact_inside, lebesgue_Q, residual_ratios
+from oracles import beta_sampled_scan, chi_B_sq, exact_inside, lebesgue_Q, residual_ratios
 
 # Passes every axiom; R* = [[4, 0], [2, 4]] mixes the grid axes, so the
 # stencil of its transfer operator does not factor over them.
@@ -478,6 +479,51 @@ class TestGammaSupnorm:
         assert vals[2] < 0.05
 
 
+def _two_digit_triples(seed, count):
+    """Seeded 1-D two-digit systems (R, {0, b}, {0, l}), Hadamard or not."""
+    rng = random.Random(seed)
+    return [fs.make_system(rng.choice((2, 3, 4, 5, 6, 7, -2, -3, -5)),
+                           (0, Fraction(rng.randint(1, 9), rng.randint(1, 9))),
+                           (0, Fraction(rng.randint(1, 9), rng.randint(1, 9))),
+                           name=f"two-digit-{seed}-{k}")
+            for k in range(count)]
+
+
+# B = {0, 10^9}, L = {0, 1}: the projections of Y = [-1/3, 0] span 3 10^8 periods
+MANY_PERIODS = fs.make_system(4, (0, 10 ** 9), (0, 1), name="many-periods")
+BETA_SYSTEMS = ([fs.get_system(n) for n in ("scale4", "scale2", "triadic", "planar-collapse",
+                                            "scale4(3)")]
+                + [fs.eiffel_system(r) for r in range(2, 7)]
+                + _two_digit_triples(7, 12) + [MANY_PERIODS])
+
+
+class TestBetaSampled:
+    """`_beta_sampled` takes one sine per (pair, digit) where the full scan
+    (`oracles.beta_sampled_scan`) takes one per mesh point."""
+
+    @pytest.mark.parametrize("sysm", BETA_SYSTEMS, ids=[s.name for s in BETA_SYSTEMS])
+    def test_agrees_with_the_full_scan(self, monkeypatch, sysm):
+        Y = fs.dual_hull(sysm)
+        want = beta_sampled_scan(sysm, Y)
+        assert abs(fs.transfer._beta_sampled(sysm, Y) - want) <= 4 * math.ulp(want)
+        got = fs.transfer.beta_constant(sysm, Y)
+        monkeypatch.setattr(fs.transfer, "_beta_sampled", beta_sampled_scan)
+        assert fs.transfer.beta_constant(sysm, Y) == got
+
+    @pytest.mark.parametrize("sysm", [MANY_PERIODS, fs.eiffel_system(2)],
+                             ids=["many-periods", "eiffel(2)"])
+    def test_one_sine_per_pair_and_digit(self, monkeypatch, sysm):
+        Y = fs.dual_hull(sysm)
+        pts = np.concatenate([Y.vertex_array(), Y.sample(fs.transfer.BETA_SAMPLES)])
+        sines, sin = [], np.sin
+        monkeypatch.setattr(np, "sin", lambda x: sines.append(np.size(x)) or sin(x))
+        fs.transfer._beta_sampled(sysm, Y)
+        assert sum(sines) == math.comb(sysm.N, 2) * sysm.N < len(pts)
+        if sysm is MANY_PERIODS:
+            q = pts @ (sysm.b_array()[1] - sysm.b_array()[0])
+            assert q.max() - q.min() > 10 ** 8
+
+
 class TestGammaL1:
     def test_one_dimensional_floor(self, scale4):
         rep = fs.gamma_supnorm(scale4)
@@ -493,7 +539,7 @@ class TestGammaL1:
 
     def test_degenerate_b_kills_first_term(self):
         sysm = fs.make_system(4, [(0,)], [(0,)])
-        rep = fs.transfer._contractivity(sysm, fs.convex_hull([(Fraction(0),), (Fraction(1),)]))
+        rep = fs.transfer._contractivity(sysm, fs.convex_hull([(0,), (1,)], 1))
         assert rep.beta == 0.0
         assert rep.gamma_L1 == pytest.approx(abs(4) * 1 * 0.25)
 
