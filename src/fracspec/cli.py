@@ -80,8 +80,8 @@ def _load(args) -> AffineSystem:
 # Compatibility is deliberately not gated: systems that break it (the triadic
 # one, odd tower scales) are the counterexamples the analyses are for.
 # `validate` and `report` never gate; `validate` still treats compatibility as
-# mandatory for its own exit status.  Nor is `q1` gated on zero_in_L: its Q1
-# layers (`spectrum.layer_digits`) refuse a system without 0 in L, --force or not.
+# mandatory for its own exit status.  `q1` refuses a system without 0 in L,
+# --force or not: its Q1 levels R*^k L (`spectrum.layer_digits`) put 0 first.
 GATE_AXIOMS = ("zero_in_B", "zero_in_L", "expansive", "hadamard")
 UNGATED = ("validate", "report")
 

@@ -98,7 +98,7 @@ class SelfSimilarMeasure:
         sq, total = [rat.dot(b, b) for b in I], [sum(col) for col in zip(*I)]
         self._b_max = rat.sqrt_ratio(max(sq), s * s)
         self._sigma = rat.sqrt_ratio(sys.N * sum(sq) - rat.dot(total, total), (sys.N * s) ** 2)
-        _, E, _, _, c = sys.mask_table
+        E, _, _, c = sys.mask_table
         # the level frequencies and centres built so far; see _level_data
         self._stack = (2 * np.pi * E.T[None], np.array(c, dtype=float)[None])
 
@@ -108,7 +108,7 @@ class SelfSimilarMeasure:
         (max_b|b|, rho) for mu_hat."""
         return (self._sigma, self._rho ** 2) if squared else (self._b_max, self._rho)
 
-    def tail_bound(self, depth: int, t_norm: float, squared: bool = False) -> float:
+    def tail_bound(self, depth: int, t_norm: float, squared: bool) -> float:
         """Bound on what the levels k >= depth can move the product at any
         frequency x with |x| <= t_norm, via ||R*^{-k} x|| <=
         c rho^{floor(k/kappa)} |x| and sum_{k >= d} r^{floor(k/kappa)} <=
@@ -136,7 +136,7 @@ class SelfSimilarMeasure:
             return amp                  # where r^{floor(d/kappa)} underflows to 0
         return amp * (self._kappa * r ** (depth // self._kappa) / (1.0 - r))
 
-    def depth_for(self, t_norm: float, squared: bool = False) -> int:
+    def depth_for(self, t_norm: float, squared: bool) -> int:
         """Smallest product depth d >= 1 whose tail bound (of the form
         `squared` picks) is below DEFAULT_TAIL_TOL, or MAX_PRODUCT_DEPTH when
         no smaller one is.
@@ -184,71 +184,65 @@ class SelfSimilarMeasure:
 
     def _brackets(self, T: np.ndarray, Lam: np.ndarray, depth: int, starts) -> np.ndarray:
         """The product over levels k < depth of the bracket of
-        `AffineSystem.mask_table`, a0 + sum_j w_j e^{i u_kj.(t - lambda)},
-        for every row t of T and lambda of Lam: an (m, n) array, real when
-        the table is, for `starts` None.  Given the column groups `starts`
-        of `_group_sums`, it returns instead the (m, len(starts)) row sums
-        of the squared modulus of that product over each group, and no
-        (m, n) array is formed.
+        `AffineSystem.mask_table`, sum_j w_j e^{i u_kj.(t - lambda)}, for
+        every row t of T and lambda of Lam: an (m, n) array, real when the
+        table is, for `starts` None.  Given the column groups `starts` of
+        `_group_sums`, it returns instead the (m, len(starts)) row sums of
+        the squared modulus of that product over each group, and no (m, n)
+        array is formed.
 
-        Angle addition splits each term into a t side and a lambda side, and
-        a0 rides along as a constant column, so one matrix product forms a
-        level's bracket: [a0, w cos pt, w sin pt] @ [1; cos pl; sin pl] for a
-        real table, [a0, w e^{i pt}] @ [1; e^{-i pl}] for a complex one, with
-        pt = t.u_kj and pl = lambda.u_kj.
+        Angle addition splits each term into a t side and a lambda side, so
+        one matrix product forms a level's bracket: [w cos pt, w sin pt] @
+        [cos pl; sin pl] for a real table, [w e^{i pt}] @ [e^{-i pl}] for a
+        complex one, with pt = t.u_kj and pl = lambda.u_kj.  A digit at the
+        centre is a zero column u_kj, whose term is its weight.
 
         The tables are formed once per call for all levels, in one
         (depth, width, m + n) array whose first m columns are the t side and
         the rest the lambda side: one stacked product for the angles, one cos
-        and one sin, then the weights, the a0 row and the ones row, each set
-        once.  The level loop forms c levels with c m n <= STACK_ENTRIES by
-        one matrix product into one (c, m, n) buffer, reused by every step,
-        and multiplies them into the result: a small block takes all its
-        levels in one step, a large one a level per step.  A block of more
-        than 2 STACK_ENTRIES pairs runs all its levels on one tile of rows
-        of `_row_tile` before the next, so the level buffer and the result
-        rows it multiplies stay in cache; every tile reuses one tile-sized
-        buffer.  The reduction squares each finished tile in place and adds
+        and one sin, then the weights, set once.  The level loop forms c
+        levels with c m n <= STACK_ENTRIES by one matrix product into one
+        (c, m, n) buffer, reused by every step, and multiplies them into the
+        result: a small block takes all its levels in one step, a large one
+        a level per step.  A block of more than 2 STACK_ENTRIES pairs runs
+        all its levels on one tile of rows of `_row_tile` before the next,
+        so the level buffer and the result rows it multiplies stay in cache;
+        every tile reuses one tile-sized buffer.  The reduction squares each finished tile in place and adds
         its rows over the groups, so the result is one tile-sized buffer
         too; every element is the same product, only summed tile by tile.
 
-        A two-digit table (real, one row e of weight 1, a0 = 0: every system
-        with N = 2) takes two levels per table row, by cos a cos b =
-        (cos(a + b) + cos(a - b)) / 2: the columns u_k and u_{k+1} of levels
-        k and k + 1 become the row pair u_k + u_{k+1}, u_k - u_{k+1} at
-        weights 1/2 and 1/2, and the tables and the level loop above run on
-        these rows as they do on levels, so one width-5 product joins two
-        levels where two width-3 products and two multiplies did.  An odd
+        A two-digit table (N = 2: real, one row e of weight 1) takes two
+        levels per table row, by cos a cos b = (cos(a + b) + cos(a - b)) / 2:
+        the columns u_k and u_{k+1} of levels k and k + 1 become the row
+        pair u_k + u_{k+1}, u_k - u_{k+1} at weights 1/2 and 1/2, and the
+        tables and the level loop above run on these rows as they do on
+        levels, so one width-4 product joins two levels where two width-2
+        products and two multiplies did.  An odd
         depth pads one zero level, which is exact: its row pair is u_k, u_k,
         and cos(a)/2 + cos(a)/2 = cos a is the last level itself.
         """
-        a0, _, w, real, _ = self.system.mask_table
+        _, w, real, _ = self.system.mask_table
         U, _ = self._level_data(depth)
-        if real and len(w) == 1 and a0 == 0:
+        if self.system.N == 2:
             U = np.concatenate([U, np.zeros((depth % 2,) + U.shape[1:])])
             U = np.concatenate([U[0::2] + U[1::2], U[0::2] - U[1::2]], axis=2)
             w, depth = np.array([0.5, 0.5]), len(U)
         m, n, J = len(T), len(Lam), len(w)
-        if real:
-            w, width, dtype = np.concatenate([w, w]), 1 + 2 * J, float
-        else:
-            width, dtype = 1 + J, complex
+        w, dtype = (np.concatenate([w, w]), float) if real else (w, complex)
         # a complex table's lambda side is e^{-i pl}, at the angles of -lambda
         # (exact; numpy 2.4's in-place negative of those columns of P is wrong
         # at a 64-byte stride)
         X = np.concatenate([T, Lam if real else -Lam])
         P = np.swapaxes(U, 1, 2) @ X.T              # (depth, J, m + n)
-        tab = np.empty((depth, width, m + n), dtype=dtype)
+        tab = np.empty((depth, len(w), m + n), dtype=dtype)
         if real:
-            np.cos(P, out=tab[:, 1:J + 1])
-            np.sin(P, out=tab[:, J + 1:])
+            np.cos(P, out=tab[:, :J])
+            np.sin(P, out=tab[:, J:])
         else:
-            np.cos(P, out=tab.real[:, 1:])
-            np.sin(P, out=tab.imag[:, 1:])
+            np.cos(P, out=tab.real)
+            np.sin(P, out=tab.imag)
         del X, P
-        tab[:, 1:, :m] *= w[:, None]
-        tab[:, 0, :m] = a0
-        tab[:, 0, m:] = 1
+        tab[:, :, :m] *= w[:, None]
         left, right = np.swapaxes(tab[..., :m], 1, 2), tab[..., m:]
         rows = _row_tile(m, n)
         tile = min(rows, m) * n

@@ -72,36 +72,36 @@ def _strip(word, zero):
     return word[:k]
 
 
-def layer_digits(sys: AffineSystem, depth: int):
-    """Float digit sets of the spectrum layers.
+def layer_digits(sys: AffineSystem, depth: int) -> list:
+    """The float digit levels R*^k L of the spectrum, k < depth, each an
+    (N, dim) array with 0 first.
 
-    Yields (d, sets) for d = 0..depth, where layer d is the Minkowski sum of
-    `sets`: R*^k L for k < d - 1 and R*^{d-1} (L minus 0), the points whose
-    last nonzero digit is the d-th.  Layer 0 is {0}, the empty sum.  A system
-    without 0 in L, whose layers are another set than P(L), a depth whose
-    N^depth points exceed MAX_FLOAT_POINTS, or one whose layer points leave
-    the floating-point range, is refused before any layer is yielded.
+    Layer d >= 1 of P(L), the points whose last nonzero digit is the d-th,
+    is the Minkowski sum (`digit_sum`) of the levels below d - 1 and the
+    nonzero digits of level d - 1; layer 0 is {0}.  So the digit sum of the
+    levels below j holds the layers 0..j in order, layer d >= 1 at the
+    indices N^(d-1) to N^d.  A system without 0 in L, whose layers are
+    another set than P(L), a depth whose N^depth points exceed
+    MAX_FLOAT_POINTS, or one whose points leave the floating-point range,
+    is refused.
     """
-    if sys.zero() not in sys.L:
+    zero = sys.zero()
+    if zero not in sys.L:
         raise ValueError("the Q1 layers need 0 in L (zero_in_L): without it they are not P(L)")
     sys.check_words(depth, MAX_FLOAT_POINTS, "spectrum layer exceeds the point cap", "points")
     Rt = np.array(sys.R.transpose, dtype=float)
-    Ls = sys.l_array()
-    nonzero = Ls[[any(c != 0 for c in l) for l in sys.L]]
+    Ls = sys.l_array()[np.argsort([l != zero for l in sys.L], kind="stable")]
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = list(itertools.accumulate(range(depth - 1), lambda p, _: Rt @ p,
-                                           initial=np.eye(sys.dim)))
-        low = [Ls @ power.T for power in powers]
-        # a point of layer d sums one point of each R*^k L, k < d, so the sum
+        powers = itertools.accumulate(range(depth - 1), lambda p, _: Rt @ p,
+                                      initial=np.eye(sys.dim))
+        levels = [Ls @ power.T for power in powers][:depth]
+        # a point of layer d sums one point of each level k < d, so the sum
         # of their largest coordinates bounds its own
-        finite = np.isfinite(np.cumsum([np.abs(s).max() for s in low[:depth]]))
+        finite = np.isfinite(np.cumsum([np.abs(s).max() for s in levels]))
     if not finite.all():
         raise ValueError(f"spectrum layer {finite.argmin() + 1} of depth {depth} leaves the "
                          "floating-point range")
-    yield 0, []
-    for d in range(1, depth + 1):
-        # with no nonzero digit (N = 1) every layer past 0 is empty
-        yield d, low[:d - 1] + [nonzero @ powers[d - 1].T]
+    return levels
 
 
 def digit_sum(sets, dim: int) -> np.ndarray:
@@ -212,21 +212,23 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int,
 
     Every call goes to `SelfSimilarMeasure.mu_hat_sq_sums`, which returns
     the row sums of |mu_hat(t - lambda)|^2 over column groups and never the
-    pair values.  The leading layers, whose m n pairs add up to at most
-    Q1_RUN_PAIRS, go to the kernel in one call, one column group per layer,
-    so each is truncated at that call's adaptive depth, never shallower
-    than its own: the truncated products only move down, toward the exact
-    ones.  Every later layer is a call of its own, since a layer holds at
-    least as many points as all the layers before it (N^{d-1} (N - 1)
-    against N^{d-1}; with N = 1 the layers past 0 are empty).  A later layer of n points is
-    the sum P_h + H of its first h digit sets (the low part) and the rest
-    (the high part), so t - lambda runs over the rows t - eta, eta in H,
-    against the points of P_h: the same pairs, with the kernel's cos/sin
-    taken on m |H| + |P_h| points instead of n, and each row's one sum over
-    P_h added up over eta.  With m n <= Q1_RUN_PAIRS every digit set is low
-    (H = {0}); otherwise h is the largest with |P_h|^2 <= m n, balancing
-    the two sides, and with m |P_h| <= Q1_SCRATCH.  H is chunked so that no
-    call has more than Q1_SCRATCH pairs.
+    pair values.  The leading layers, layer 0 and those after it whose
+    m n pairs add up to at most Q1_RUN_PAIRS, go to the kernel in one call
+    on the digit sum of their levels (`layer_digits`), one column group per
+    layer, so each is truncated at that call's adaptive depth, never
+    shallower than its own: the truncated products only move down, toward
+    the exact ones.  Every later layer is a call of its own, since a layer
+    holds at least as many points as all the layers before it (N^{d-1}
+    (N - 1) against N^{d-1}; with N = 1 the layers past 0 are empty).  A
+    later layer of n points is the sum P_h + H of its first h digit sets
+    (the low part) and the rest (the high part), so t - lambda runs over
+    the rows t - eta, eta in H, against the points of P_h: the same pairs,
+    with the kernel's cos/sin taken on m |H| + |P_h| points instead of n,
+    and each row's one sum over P_h added up over eta.  With m n <=
+    Q1_RUN_PAIRS every digit set is low (H = {0}); otherwise h is the
+    largest with |P_h|^2 <= m n, balancing the two sides, and with
+    m |P_h| <= Q1_SCRATCH.  H is chunked so that no call has more than
+    Q1_SCRATCH pairs.
     """
     m, dim = T.shape
     cap = Q1_SCRATCH // 1024          # so that a call has room for 1024 spectrum points a row
@@ -249,22 +251,23 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int,
 def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int):
     """Yield each layer's increment of every row of T, d = 0..p_depth, with
     its Fourier tail per row (each call's bound times the layer's points in
-    it): the leading layers in one call, each later one in its own."""
+    it): the k leading layers in one call on the N^(k-1) points of the
+    levels below k - 1, one column group per layer, and each later layer in
+    its own."""
     m, dim = T.shape
+    N = system.N
     measure = SelfSimilarMeasure(system)
-    layers = (sets for _, sets in layer_digits(system, p_depth))
-    lead = []                           # points of the leading layers
-    for sets in layers:
-        if m * (sum(map(len, lead)) + math.prod(map(len, sets))) > Q1_RUN_PAIRS:
-            layers = itertools.chain([sets], layers)    # put back the first later layer
-            break
-        lead.append(digit_sum(sets, dim))
-    if lead:
-        starts = list(itertools.accumulate(map(len, lead[:-1]), initial=0))
-        sums, lead_tail = measure.mu_hat_sq_sums(T, np.concatenate(lead), starts)
-        for g, pts in enumerate(lead):
-            yield sums[:, g], lead_tail * len(pts)
-    for sets in layers:
+    levels = layer_digits(system, p_depth)
+    k = 1                               # layer 0, one point, always leads
+    while k <= p_depth and m * N ** k <= Q1_RUN_PAIRS:
+        k += 1
+    ends = [N ** j for j in range(k)]   # layer g is the block ends[g - 1]..ends[g]
+    starts = [0] + ends[:-1]
+    sums, lead_tail = measure.mu_hat_sq_sums(T, digit_sum(levels[:k - 1], dim), starts)
+    for g, (a, b) in enumerate(zip(starts, ends)):
+        yield sums[:, g], lead_tail * (b - a)
+    for d in range(k, p_depth + 1):
+        sets = levels[:d - 1] + [levels[d - 1][1:]]
         n = math.prod(map(len, sets))
         h, low_n = 0, 1
         while h < len(sets):

@@ -177,13 +177,14 @@ class AffineSystem:
 
     @functools.cached_property
     def mask_table(self) -> tuple:
-        """chi_B(x) = e^{i 2 pi c.x} (a0 + sum_k w_k e^{i 2 pi e_k.x}) as
-        (a0, E, w, real, c), with c the exact mean of B and the rows e_k of E
-        the nonzero digits b - c; a0 = #{b = c}/N.  When the centred digits
-        are symmetric (e and -e alike), E keeps one of each pair at weight
-        2/N and the bracket is the real a0 + sum_k w_k cos(2 pi e_k.x)
-        (`real` is True); otherwise every digit stays at weight 1/N.  A
-        two-digit table is one cosine of weight 1: a0 = 0, E the one row
+        """chi_B(x) = e^{i 2 pi c.x} sum_k w_k e^{i 2 pi e_k.x} as
+        (E, w, real, c), with c the exact mean of B and the rows e_k of E
+        the centred digits b - c.  When the centred digits are symmetric
+        (e and -e alike), E keeps one of each pair at weight 2/N and the
+        bracket is the real sum_k w_k cos(2 pi e_k.x) (`real` is True);
+        otherwise every digit stays at weight 1/N.  A digit at the centre is
+        the one zero row of E, at weight 1/N, the bracket's constant term.
+        A two-digit table is one cosine of weight 1: E the one row
         e = +-(b1 - b0)/2 and w = [1], so the bracket is cos(2 pi e.x).
 
         Every kernel forms the bracket before it squares it (the weights of
@@ -196,10 +197,9 @@ class AffineSystem:
         centred = [rat.vec_sub(b, c) for b in self.B]
         zero = self.zero()
         real = sorted(centred) == sorted(rat.vec_scale(-1, e) for e in centred)
-        E = [e for e in centred if (e > rat.vec_scale(-1, e) if real else e != zero)]
-        return (centred.count(zero) / self.N,
-                np.array(E, dtype=float).reshape(len(E), self.dim),
-                np.full(len(E), (2 if real else 1) / self.N), real, c)
+        E = [e for e in centred if not real or e >= rat.vec_scale(-1, e)]
+        w = np.array([(2 if real and e != zero else 1) / self.N for e in E])
+        return np.array(E, dtype=float).reshape(len(E), self.dim), w, real, c
 
     @functools.cached_property
     def _derived(self) -> dict:
@@ -287,15 +287,15 @@ def chi_B_batch(sys: AffineSystem, T: np.ndarray) -> np.ndarray:
     vectors, shape (..., dim), from the bracket of `AffineSystem.mask_table`."""
     T = np.asarray(T, dtype=float)
     re, im, _ = _mask_parts(sys, T)
-    return np.exp(2j * np.pi * (T @ np.array(sys.mask_table[4], dtype=float))) * (re + 1j * im)
+    return np.exp(2j * np.pi * (T @ np.array(sys.mask_table[3], dtype=float))) * (re + 1j * im)
 
 
 def _mask_parts(sys: AffineSystem, T):
     """Real and imaginary parts of the bracket of `AffineSystem.mask_table`
     at T, shape (..., dim), as two arrays of shape (...)."""
-    a0, E, w, real, _ = sys.mask_table
+    E, w, real, _ = sys.mask_table
     P = 2 * np.pi * (np.asarray(T, dtype=float) @ E.T)
-    re = a0 + np.cos(P) @ w
+    re = np.cos(P) @ w
     return re, (np.zeros_like(re) if real else np.sin(P) @ w), P
 
 
@@ -303,7 +303,7 @@ def chi_B_sq_grad(sys: AffineSystem, t) -> np.ndarray:
     """Analytic gradient of |chi_B|^2 at t, shape (..., dim), one gradient
     per frequency vector in an array of the same shape: 2 (Re grad Re +
     Im grad Im) of the bracket of `AffineSystem.mask_table`."""
-    _, E, w, _, _ = sys.mask_table
+    E, w, _, _ = sys.mask_table
     re, im, P = _mask_parts(sys, t)
     return 4 * np.pi * (w * (im[..., None] * np.cos(P) - re[..., None] * np.sin(P))) @ E
 

@@ -266,13 +266,13 @@ def _digit_weights(sys: AffineSystem, frame: GridFunction) -> list:
     is summed one mask digit e at a time into one complex node array, and
     squared only then: its real part for a real table, its modulus
     otherwise."""
-    a0, E, wj, real, _ = sys.mask_table
+    E, wj, real, _ = sys.mask_table
     chart = frame.chart
     tables = [np.exp(2j * np.pi * np.multiply.outer(E @ b, a))
               for b, a in zip(chart.basis, frame.axes)]
     out = []
     for offsets in wj * np.exp(2j * np.pi * ((chart.origin - sys.l_array()) @ E.T)):
-        bracket = np.full(frame.values.shape, a0, dtype=complex)
+        bracket = np.zeros(frame.values.shape, dtype=complex)
         for j, c in enumerate(offsets):
             term = c * tables[0][j]
             for table in tables[1:]:

@@ -53,6 +53,13 @@ def shear_2d():
 
 
 @pytest.fixture(scope="session")
+def three_digit():
+    # R = 6, B = {0, 1/6, 1/3}, L = {0, 2, 4}: a digit at the centre 1/6, so
+    # its real mask table has a zero row, the bracket's constant term
+    return fs.make_system(6, [0, Fraction(1, 6), Fraction(1, 3)], [0, 2, 4], "three-digit")
+
+
+@pytest.fixture(scope="session")
 def mu4(scale4):
     return fs.SelfSimilarMeasure(scale4)
 

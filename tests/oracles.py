@@ -98,6 +98,17 @@ def mu_hat_sq_pairs(measure, T, Lam):
     return measure.mu_hat_sq_sums(T, Lam, range(len(Lam)))
 
 
+def layer_points(system, depth: int):
+    """(d, points) of each spectrum layer d = 0..depth, one at a time from
+    the levels of `spectrum.layer_digits`: layer 0 is {0}, layer d >= 1 the
+    digit sum of the levels below d - 1 and the nonzero digits of level
+    d - 1."""
+    levels = spectrum.layer_digits(system, depth)
+    yield 0, np.zeros((1, system.dim))
+    for d in range(1, depth + 1):
+        yield d, spectrum.digit_sum(levels[:d - 1] + [levels[d - 1][1:]], system.dim)
+
+
 class ConvolvedMeasure:
     """Convolution of two measures: transforms multiply, tail bounds add."""
 
@@ -122,8 +133,7 @@ class ConvolvedMeasure:
         Q1 pass does."""
         T = probe_rows(tpoints, self.dim)
         layers, tail = [], 0.0
-        for d, sets in spectrum.layer_digits(system, p_depth):
-            layer = spectrum.digit_sum(sets, self.dim)
+        for d, layer in layer_points(system, p_depth):
             (va, ta), (vb, tb) = (mu_hat_sq_pairs(p, T, layer) for p in self.parts)
             layers.append((va * vb).sum(axis=1))
             tail += (ta + tb) * len(layer)
@@ -146,9 +156,9 @@ def chi_B_sq(sys, T) -> np.ndarray:
     bracket of `AffineSystem.mask_table` with one cosine and one sine per
     vector and mask digit, squared.  The independent oracle for the weights
     `transfer.TransferOperator` reads from its axis phase tables."""
-    a0, E, w, real, _ = sys.mask_table
+    E, w, real, _ = sys.mask_table
     P = 2 * np.pi * (np.asarray(T, dtype=float) @ E.T)
-    re = a0 + np.cos(P) @ w
+    re = np.cos(P) @ w
     im = np.zeros_like(re) if real else np.sin(P) @ w
     return re * re + im * im
 
@@ -350,8 +360,7 @@ def projection_norm_checks(system, n_order: int = 1, p_depth: int = 10,
         mean += float(x1.mean())
     proj = 0.0
     lam_chunk = max(1, 8_000_000 // max(len(a) for a in part_atoms))
-    for _, sets in spectrum.layer_digits(system, p_depth):
-        layer = spectrum.digit_sum(sets, dim)
+    for _, layer in layer_points(system, p_depth):
         for start in range(0, len(layer), lam_chunk):
             block = layer[start:start + lam_chunk]
             e, f = 1.0, 0.0

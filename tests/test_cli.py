@@ -393,7 +393,7 @@ class TestGate:
         points = {p for d in range(4) for p in rat.unlift(*sysm.lifted_walk("tau", d))}
         assert (len(points), len(fs.enumerate_P(sysm, 3).points)) == (15, 8)
         with pytest.raises(ValueError, match="zero_in_L"):
-            next(fs.spectrum.layer_digits(sysm, 3))
+            fs.spectrum.layer_digits(sysm, 3)
 
     @pytest.mark.parametrize("run", [lambda s: fs.completeness_test(s, [0.1, 0.2]),
                                      lambda s: fs.q1_profile(s, [0.1, 0.2], 3)],
@@ -847,7 +847,7 @@ class TestUsage:
         (("gram", "--system", "scale4", "--count", "20000"), "a Gram matrix of 20000 points"),
     ])
     def test_capped_before_enumeration(self, monkeypatch, capsys, args, message):
-        # layer_digits decides the layer cap before its first layer, so no
+        # layer_digits decides the layer cap before it forms a level, so no
         # layer's points are summed
         def refuse(*_):
             raise AssertionError("enumeration started past the cap")

@@ -111,7 +111,7 @@ class TestMuHat:
         assert (np.abs(vals) <= 1 + tail).all()
 
     def test_tail_bound_decreases_geometrically(self, mu4):
-        tails = [mu4.tail_bound(d, 10.0) for d in (5, 10, 15, 20)]
+        tails = [mu4.tail_bound(d, 10.0, squared=False) for d in (5, 10, 15, 20)]
         assert all(a > b for a, b in zip(tails, tails[1:]))
         assert tails[-1] < 1e-8 * tails[0]
 
@@ -301,8 +301,8 @@ class TestSquaredSums:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        _, _, w, real, _ = sysm.mask_table
-        width, itemsize = 1 + len(w) * (2 if real else 1), 8 if real else 16
+        _, w, real, _ = sysm.mask_table
+        width, itemsize = len(w) * (2 if real else 1), 8 if real else 16
         angles = 32 * len(w) * (len(T) + len(Lam)) * 8
         tables = 32 * width * (len(T) + len(Lam)) * itemsize
         tile = fs.measure.STACK_ENTRIES * itemsize
@@ -361,7 +361,7 @@ class TestSquaredTail:
         meas = fs.SelfSimilarMeasure(fs.make_system(2, [(Fraction(1, 3),)], [(0,)]))
         assert meas.tail_bound(0, 1e8, squared=True) == 0.0
         assert meas.depth_for(1e8, squared=True) == 1
-        assert meas.tail_bound(0, 1e8) > 0.0
+        assert meas.tail_bound(0, 1e8, squared=False) > 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -383,14 +383,17 @@ class TestBrackets:
 
     # real two-digit tables, two levels per table row: 1-D and 2-D
     TWO_DIGIT = ["scale4", "triadic", "scale4_2d", "shear_2d"]
+    # one level per table row: a real table with a zero row (three_digit)
+    # and complex tables
+    ONE_LEVEL = ["three_digit", "planar", "eiffel2"]
 
-    @pytest.mark.parametrize("name", TWO_DIGIT + ["planar", "eiffel2"])
+    @pytest.mark.parametrize("name", TWO_DIGIT + ONE_LEVEL)
     @pytest.mark.parametrize("levels, depth", _at_depths([1, 7, 30]))
     def test_stack_boundaries(self, request, monkeypatch, name, levels, depth):
         # 1 table row per stacked product, 7 (which divides none of the
         # depths, nor their 15 or 16 rows of two levels) and 30; the two-digit
         # systems take two levels per row, an odd depth padded with a zero
-        # level; planar and eiffel2 have complex tables, one level per row
+        # level; the others one level per row
         sysm = request.getfixturevalue(name)
         meas = fs.SelfSimilarMeasure(sysm)
         T, Lam = _probe_pairs(sysm.dim)
@@ -402,7 +405,7 @@ class TestBrackets:
         sq, _ = mu_hat_sq_pairs(meas, T, Lam)
         assert np.abs(sq - np.abs(ref) ** 2).max() <= 1e-13
 
-    @pytest.mark.parametrize("name", TWO_DIGIT + ["planar", "eiffel2"])
+    @pytest.mark.parametrize("name", TWO_DIGIT + ONE_LEVEL)
     @pytest.mark.parametrize("entries, depth", _at_depths([20, 40, 80, 120]))
     def test_row_tiles(self, request, monkeypatch, name, entries, depth):
         # 7 x 40 = 280 pairs, over 2 STACK_ENTRIES at each value, so the
@@ -431,7 +434,7 @@ class TestBrackets:
         meas = fs.SelfSimilarMeasure(sysm)
         if entries is not None:
             monkeypatch.setattr(fs.measure, "STACK_ENTRIES", entries)
-        monkeypatch.setattr(meas, "depth_for", lambda t_norm, squared=False: 29)
+        monkeypatch.setattr(meas, "depth_for", lambda t_norm, squared: 29)
         T, Lam = _probe_pairs(sysm.dim)
         T = np.concatenate([T, -T[:1]])
         starts = [0, 13, 27]
@@ -459,8 +462,8 @@ class TestBrackets:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        _, _, w, real, _ = sysm.mask_table
-        width = 1 + len(w) * (2 if real else 1)
+        _, w, real, _ = sysm.mask_table
+        width = len(w) * (2 if real else 1)
         angles = 32 * len(w) * (len(T) + len(Lam)) * 8
         tables = 32 * width * (len(T) + len(Lam)) * out.itemsize
         tile = fs.measure.STACK_ENTRIES * out.itemsize
@@ -468,10 +471,12 @@ class TestBrackets:
         assert peak <= angles + tables + out.nbytes + tile + 2 ** 16
 
     def test_one_digit_system(self):
-        # B = {1/3}: no digit off the centre (J = 0), mu is a point mass
+        # B = {1/3}: no digit off the centre, so the table is the one zero
+        # row of weight 1 and mu is a point mass
         sysm = fs.make_system(2, [(Fraction(1, 3),)], [(0,)])
         meas = fs.SelfSimilarMeasure(sysm)
-        assert meas.system.mask_table[1].shape == (0, 1)
+        E, w, _, _ = meas.system.mask_table
+        assert (E.tolist(), w.tolist()) == ([[0.0]], [1.0])
         T, Lam = _probe_pairs(1)
         diffs = T[:, None, :] - Lam[None, :, :]
         got = meas._pairs(T, Lam, 30)
@@ -533,8 +538,8 @@ class TestBrackets:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        _, _, w, real, _ = eiffel2.mask_table
-        width = 1 + len(w) * (2 if real else 1)
+        _, w, real, _ = eiffel2.mask_table
+        width = len(w) * (2 if real else 1)
         tables = 40 * width * (len(T) + len(Lam)) * out.itemsize
         assert out.shape == (2000, 500)
         assert peak <= tables + 2 * out.nbytes + 2 ** 20
@@ -587,7 +592,7 @@ class TestDepthFor:
     def test_matches_depth_by_depth_search(self, name):
         meas = fs.SelfSimilarMeasure(_named_system(name))
         for t in self.norms(meas):
-            assert meas.depth_for(t) == self.search(meas, t), t
+            assert meas.depth_for(t, squared=False) == self.search(meas, t), t
 
     @pytest.mark.parametrize("name", SYSTEMS)
     def test_squared_matches_search_and_is_never_deeper(self, name):
@@ -597,7 +602,7 @@ class TestDepthFor:
         for t in self.norms(meas, squared=True) + self.norms(meas):
             d = meas.depth_for(t, squared=True)
             assert d == self.search(meas, t, squared=True), t
-            assert d <= meas.depth_for(t), t
+            assert d <= meas.depth_for(t, squared=False), t
         assert meas.depth_for(math.inf, squared=True) == fs.measure.MAX_PRODUCT_DEPTH
         assert meas.depth_for(math.nan, squared=True) == 1
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import fracspec as fs
 from fracspec import rational as rat
-from oracles import (ZeroSetPredicate, atoms, hardy_embedding, max_diag_defect,
+from oracles import (ZeroSetPredicate, atoms, hardy_embedding, layer_points, max_diag_defect,
                      mu_hat_sq_pairs, projection_norm_checks)
 
 
@@ -80,15 +80,15 @@ class TestEnumeration:
     def test_layers_match_exact(self, scale4):
         enum = fs.enumerate_P(scale4, 4)
         coords = sorted(float(p[0]) for p in enum.coords())
-        acc = []
-        for _, sets in fs.spectrum.layer_digits(scale4, 4):
-            acc.extend(fs.spectrum.digit_sum(sets, 1)[:, 0].tolist())
+        acc = fs.spectrum.digit_sum(fs.spectrum.layer_digits(scale4, 4), 1)[:, 0].tolist()
         assert sorted(acc) == coords
 
     @pytest.mark.parametrize("name", ["scale4", "eiffel(2)", "planar-collapse", "shear"])
     def test_digit_sums_are_the_layers(self, name):
         # layer d holds the points whose last nonzero digit is the d-th: the
-        # exact points with words of length d; the shear has R* != R
+        # exact points with words of length d, one layer at a time and as the
+        # block N^(d-1)..N^d of the digit sum of all levels; the shear has
+        # R* != R
         sysm = (fs.make_system([[2, 1], [0, 3]], [(0, 0), (F(1, 2), 0)], [(0, 0), (1, 1)])
                 if name == "shear" else fs.get_system(name))
         enum = fs.enumerate_P(sysm, 6)
@@ -97,11 +97,13 @@ class TestEnumeration:
             a = np.asarray(a, dtype=float).reshape(-1, sysm.dim)
             return a[np.lexsort(np.round(a, 9).T[::-1])]
 
-        for d, sets in fs.spectrum.layer_digits(sysm, 6):
-            got = fs.spectrum.digit_sum(sets, sysm.dim)
+        tree = fs.spectrum.digit_sum(fs.spectrum.layer_digits(sysm, 6), sysm.dim)
+        starts = [0] + [sysm.N ** j for j in range(7)]
+        for d, got in layer_points(sysm, 6):
             exact = rows([p for p, word in enum.points if len(word) == d])
-            assert len(got) == len(exact)
-            assert np.abs(rows(got) - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
+            for pts in (got, tree[starts[d]:starts[d + 1]]):
+                assert len(pts) == len(exact)
+                assert np.abs(rows(pts) - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
 
     @pytest.mark.parametrize("name", ["colliding", "scale4", "scale2", "triadic",
                                       "planar-collapse", "eiffel(2)", "eiffel(3)"])
@@ -393,8 +395,8 @@ class TestQ1:
         with pytest.raises(ValueError, match="spectrum layer 7 of depth 14 leaves the "
                                              "floating-point range"):
             fs.completeness_test(sysm, [0.0])
-        # six layers stay in range
-        assert len(list(fs.spectrum.layer_digits(sysm, 6))) == 7
+        # six layers stay in range: their levels R*^k L, k < 6
+        assert len(fs.spectrum.layer_digits(sysm, 6)) == 6
 
     @pytest.mark.parametrize("name,p_depth", [("scale2", 12), ("scale4", 7), ("R=-2", 12),
                                               ("R=6", 5), ("eiffel(2)", 6)])
@@ -495,20 +497,45 @@ class TestQ1:
         alone = fs.q1_profile(sysm, probes, 10, eps_conv=eps_conv)
         assert alone.depth == joined.depth
 
+    @pytest.mark.parametrize("m", [1, 5, 1025])
+    def test_zero_need_not_be_first_in_L(self, scale4, m):
+        # each level puts 0 first, so scale4 written with L = (1, 0) has
+        # scale4's layers and sums: every layer in the leading call at m = 1,
+        # leading and later layers at m = 5, and layer 0 alone leading at
+        # m = 1025
+        swapped = fs.make_system(4, scale4.B, scale4.L[::-1])
+        assert swapped.L == ((F(1),), (F(0),))
+        T = np.random.RandomState(m).uniform(-1, 1, size=m)
+        for depth in range(1, 11):
+            got, ref = (fs.q1_profile(s, T, depth) for s in (swapped, scale4))
+            assert np.abs(got.layers - ref.layers).max() <= 1e-13
+            assert got.fourier_tail == pytest.approx(ref.fourier_tail, rel=1e-13)
+
     @pytest.mark.parametrize("m", [1, 2, 5, 17, 35, 51, 1024, 1025, 5859])
     def test_joined_runs_are_one_leading_run(self, m):
         # a layer holds at least as many points as all the layers before it,
-        # so the runs of small layers are the leading layers, whose m n pairs
-        # add up to at most Q1_RUN_PAIRS, and then each later layer alone
+        # so the runs of small layers are the k leading layers, whose m n
+        # pairs add up to at most Q1_RUN_PAIRS (layer 0 leads alone past
+        # it), and then each later layer alone; the k leading layers are the
+        # N^(k-1) points of the digit sum of the levels below k - 1, layer
+        # d >= 1 in the block from N^(d-1) to N^d
         for N in range(2, 9):
             sysm = fs.make_system(N + 1, [(F(k, N),) for k in range(N)], [(k,) for k in range(N)])
             depth = int(math.log(fs.spectrum.MAX_FLOAT_POINTS, N))
-            sizes = [math.prod(map(len, sets)) for _, sets in fs.spectrum.layer_digits(sysm, depth)]
-            assert sizes[1:] == [N ** (d - 1) * (N - 1) for d in range(1, depth + 1)]
-            lead = list(itertools.takewhile(
-                lambda d: m * sum(sizes[:d + 1]) <= fs.spectrum.Q1_RUN_PAIRS, range(len(sizes))))
-            later = [[d] for d in range(len(lead), len(sizes))]
-            assert _joined_runs(m, sizes) == ([lead] if lead else []) + later
+            levels = fs.spectrum.layer_digits(sysm, depth)
+            assert [len(level) for level in levels] == [N] * depth
+            assert all(level[0, 0] == 0 for level in levels)
+            sizes = [1] + [N ** (d - 1) * (N - 1) for d in range(1, depth + 1)]
+            runs = _joined_runs(m, sizes)
+            k = len(runs[0])
+            assert runs == [list(range(k))] + [[d] for d in range(k, depth + 1)]
+            assert k == 1 or m * N ** (k - 1) <= fs.spectrum.Q1_RUN_PAIRS
+            assert k == depth + 1 or m * N ** k > fs.spectrum.Q1_RUN_PAIRS
+            lead = fs.spectrum.digit_sum(levels[:k - 1], 1)
+            starts = [0] + [N ** j for j in range(k)]
+            assert len(lead) == starts[-1] == N ** (k - 1)
+            for d, exact in enumerate(_exact_layers(sysm, k - 1)):
+                assert sorted(lead[starts[d]:starts[d + 1], 0]) == sorted(exact[:, 0])
 
     @pytest.mark.parametrize("name, rows, p_depth", [("scale2", 5, 14), ("eiffel(2)", 51, 6)])
     def test_one_call_per_joined_run(self, monkeypatch, name, rows, p_depth):
@@ -863,8 +890,7 @@ class TestProjectionChecks:
         dense_atoms = atoms(mu34, 5)
         x = dense_atoms[:, 0]
         proj = 0.0
-        for _, sets in fs.spectrum.layer_digits(scale4, 6):
-            layer = fs.spectrum.digit_sum(sets, 1)
+        for _, layer in layer_points(scale4, 6):
             coefs = np.exp(-2j * np.pi * (layer @ dense_atoms.T)) @ x / len(x)
             proj += float((np.abs(coefs) ** 2).sum())
         dense = 8 * math.pi ** 2 * (proj - float(np.mean(x ** 2)))

@@ -53,8 +53,6 @@ SETTABLE = {
     "cli.build_parser.common.depth_default": "the --depth default of spectrum and attractor",
     "geometry.dual_hull.depth": "the hull depth; the pipeline reads 4, the tests other depths",
     "geometry.Polytope.contains.strict": "interior membership, for the exact overlap decision",
-    "measure.SelfSimilarMeasure.tail_bound.squared": "the tail of |mu_hat|^2 over that of mu_hat",
-    "measure.SelfSimilarMeasure.depth_for.squared": "the depth of |mu_hat|^2 over that of mu_hat",
     "measure.SelfSimilarMeasure.mu_hat_batch.depth": "a fixed product depth over the adaptive one",
     "spectrum.q1_profile.p_depth": "the layer depth of the sums; None reads q1_depth(system)",
     "spectrum.q1_profile.eps_conv": "an early stop of the layer loop",

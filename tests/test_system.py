@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fracspec as fs
 from fracspec import rational as rat
@@ -46,7 +47,52 @@ class TestHadamard:
             fs.unitarity_defect(np.ones((2, 3)))
 
 
+@st.composite
+def digit_sets(draw):
+    """1 to 7 distinct rational digits in one or two dimensions: as drawn,
+    mostly a complex table; odd symmetric about a centre c, {c, c +- p},
+    a real table with a zero row; or c and points c + p_i closed by
+    c - sum p_i, whose mean is c, a zero row mostly in a complex table."""
+    dim = draw(st.integers(1, 2))
+    coord = st.fractions(-3, 3, max_denominator=12)
+    points = st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=3)
+    c = draw(st.tuples(*[coord] * dim))
+    ps = draw(points)
+    shape = draw(st.sampled_from(["drawn", "symmetric", "centred"]))
+    if shape == "drawn":
+        B = [c] + ps
+    elif shape == "symmetric":
+        B = [c] + [tuple(a + s * b for a, b in zip(c, p)) for p in ps for s in (1, -1)]
+    else:
+        closing = tuple(a - sum(q) for a, q in zip(c, zip(*ps)))
+        B = [c] + [tuple(a + b for a, b in zip(c, p)) for p in ps] + [closing]
+    return list(dict.fromkeys(B))       # distinct, in order
+
+
 class TestMask:
+    @settings(max_examples=200, deadline=None)
+    @given(digit_sets())
+    @example([(Fraction(1, 3),)])                              # N = 1: the zero row alone
+    @example([(0,), (Fraction(1, 6),), (Fraction(1, 3),)])     # R = 6 three-digit, real
+    @example([(0, 0), (1, 0), (0, 1), (-1, -1)])               # centred, complex
+    def test_table_is_the_mask(self, B):
+        # e^{i 2 pi c.x} times the bracket sum_k w_k e^{i 2 pi e_k.x} (its
+        # real part for a real table) is N^-1 sum_b e^{i 2 pi b.x}, with one
+        # zero row exactly where a digit sits at the centre c
+        dim = len(B[0])
+        sysm = fs.make_system([[3 if i == j else 0 for j in range(dim)] for i in range(dim)],
+                              B, [(k,) + (0,) * (dim - 1) for k in range(len(B))])
+        E, w, real, c = sysm.mask_table
+        assert len(E) == len(w) and w.sum() == pytest.approx(1.0, abs=1e-15)
+        assert int((E == 0).all(axis=1).sum()) == (c in sysm.B)
+        X = np.random.RandomState(len(B)).uniform(-5, 5, size=(40, dim))
+        P = 2 * np.pi * (X @ E.T)
+        bracket = np.cos(P) @ w if real else np.exp(1j * P) @ w
+        ref = np.exp(2j * np.pi * (X @ sysm.b_array().T)).mean(axis=1)
+        got = bracket * np.exp(2j * np.pi * (X @ np.array(c, dtype=float)))
+        assert np.abs(got - ref).max() <= 1e-13
+        assert np.abs(fs.chi_B_batch(sysm, X) - ref).max() <= 1e-13
+
     def test_at_zero(self, scale4):
         assert fs.chi_B(scale4, (Fraction(0),)) == 1
 
@@ -117,11 +163,14 @@ class TestMask:
 
     def test_mask_table_is_real_for_symmetric_digits(self, scale4, planar, eiffel2):
         three = fs.make_system(6, [0, Fraction(1, 3), Fraction(2, 3)], [0, 1, 2])
-        assert [s.mask_table[3] for s in (scale4, three, planar, eiffel2)] == \
+        assert [s.mask_table[2] for s in (scale4, three, planar, eiffel2)] == \
             [True, True, False, False]
-        a0, E, w, _, c = three.mask_table      # centred digits {0, +-1/3}
-        assert a0 == 1 / 3 and E.tolist() == [[1 / 3]] and w.tolist() == [2 / 3]
+        E, w, _, c = three.mask_table      # centred digits {0, +-1/3}
+        assert E.tolist() == [[0.0], [1 / 3]] and w.tolist() == [1 / 3, 2 / 3]
         assert c == (Fraction(1, 3),)
+        # a zero row only where a digit sits at the centre: none on two digits
+        assert [len(s.mask_table[0]) for s in (scale4, planar, eiffel2)] == [1, 3, 4]
+        assert all(s.mask_table[0].any(axis=1).all() for s in (scale4, planar, eiffel2))
 
     def test_squared_mask_resolves_its_zeros(self, scale4, eiffel2):
         # |chi_B|^2 is a square of the bracket, so it stays at rounding
@@ -153,10 +202,10 @@ class TestMask:
         rows = np.array([fs.chi_B_sq_grad(sys_obj, t) for t in T])
         assert batch.shape == rows.shape == (6, sys_obj.dim)
         assert np.abs(batch - rows).max() <= 1e-13
-        a0, E, w, real, _ = sys_obj.mask_table
+        E, w, real, _ = sys_obj.mask_table
         for t, g in zip(T, rows):
             P = 2 * np.pi * (t @ E.T)
-            re, im = a0 + np.cos(P) @ w, 0.0 if real else np.sin(P) @ w
+            re, im = np.cos(P) @ w, 0.0 if real else np.sin(P) @ w
             assert (g == 4 * np.pi * (w * (im * np.cos(P) - re * np.sin(P))) @ E).all()
 
 
