@@ -1,5 +1,5 @@
 """Fourier side of a self-similar measure: the transform and |mu_hat|^2 as
-truncated products over one bracket kernel, with tail bounds."""
+truncated products over one bracket kernel, with one tail bound."""
 
 from __future__ import annotations
 
@@ -81,106 +81,99 @@ def _group_sums(vals: np.ndarray, starts, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mean(sys: AffineSystem) -> np.ndarray:
+    """The mean of the self-similar measure of `sys`, m = sum_k R^{-k} c =
+    (R - I)^{-1} R c with c the exact mean of B (`AffineSystem.mask_table`),
+    solved exactly and rounded to floats once."""
+    R = sys.R.entries
+    shifted = [rat.vec_sub(r, e) for r, e in zip(R, rat.identity(sys.dim))]
+    return np.array(rat.solve(shifted, rat.mat_vec(R, sys.mask_table[3])), dtype=float)
+
+
 class SelfSimilarMeasure:
     """The probability measure carried by (R, B); only the B side is used."""
 
     def __init__(self, sys: AffineSystem):
-        if not sys.R.is_expansive():
-            raise ValueError("transform evaluation needs an expansive matrix "
-                             "(tail bound unavailable otherwise)")
         self.system = sys
         self.dim = sys.dim
         self._S = np.array(sys.R.inverse_transpose, dtype=float)
         self._kappa, self._rho, self._c = _contraction_data(self._S)
         # on B = I / s, with sigma^2 = N^-1 sum_b |b - c|^2 and c the mean of B:
-        # (s max_b|b|)^2 = max_b |I_b|^2 and (N s sigma)^2 = N sum_b |I_b|^2 - |sum_b I_b|^2
+        # (N s sigma)^2 = N sum_b |I_b|^2 - |sum_b I_b|^2
         I, s = rat.lift(sys.B)
         sq, total = [rat.dot(b, b) for b in I], [sum(col) for col in zip(*I)]
-        self._b_max = rat.sqrt_ratio(max(sq), s * s)
         self._sigma = rat.sqrt_ratio(sys.N * sum(sq) - rat.dot(total, total), (sys.N * s) ** 2)
-        E, _, _, c = sys.mask_table
-        # the level frequencies and centres built so far; see _level_data
-        self._stack = (2 * np.pi * E.T[None], np.array(c, dtype=float)[None])
+        # the level frequencies built so far; see _level_data
+        self._U = 2 * np.pi * sys.mask_table[0].T[None]
 
     # -- tail machinery ----------------------------------------------------
-    def _form(self, squared: bool) -> tuple:
-        """(s, r) of a tail bound's form: (sigma, rho^2) for |mu_hat|^2 and
-        (max_b|b|, rho) for mu_hat."""
-        return (self._sigma, self._rho ** 2) if squared else (self._b_max, self._rho)
+    def tail_bound(self, depth: int, t_norm: float) -> float:
+        """Bound on what the levels k >= depth can move mu_hat or |mu_hat|^2
+        at any frequency x with |x| <= t_norm.
 
-    def tail_bound(self, depth: int, t_norm: float, squared: bool) -> float:
-        """Bound on what the levels k >= depth can move the product at any
-        frequency x with |x| <= t_norm, via ||R*^{-k} x|| <=
-        c rho^{floor(k/kappa)} |x| and sum_{k >= d} r^{floor(k/kappa)} <=
-        kappa r^{floor(d/kappa)} / (1 - r).
-
-        Linear form, for mu_hat: |1 - chi_B(y)| <= 2 pi max_b|b| |y| and
-        |prod a_k - prod b_k| <= sum |a_k - b_k| for factors of modulus at
-        most one give 2 pi max_b|b| c t_norm kappa rho^{floor(d/kappa)} / (1 - rho).
-
-        Squared form, for |mu_hat|^2: with sigma^2 = N^-1 sum_b |b - c|^2
-        and c the mean of B, 1 - |chi_B(y)|^2 = N^-2 sum_{b,b'} (1 -
-        cos 2 pi (b - b').y) <= 4 pi^2 sigma^2 |y|^2.  With a_k =
-        |chi_B(R*^{-k} x)|^2 in [0, 1], 0 <= prod_{k<d} a_k - prod_k a_k <=
-        sum_{k>=d} (1 - a_k), so the bound is 4 pi^2 sigma^2 c^2 t_norm^2
-        kappa rho^{2 floor(d/kappa)} / (1 - rho^2), and the truncated value
-        is never below the true one.
+        chi_B(y) is e^{i 2 pi c.y} times the centred bracket b(y) =
+        N^-1 sum_b e^{i 2 pi (b - c).y}, c the mean of B, and the phases of
+        all levels multiply to the mean phase of `_pairs`, which is kept
+        whole, so only the brackets are cut.  With sigma^2 = N^-1
+        sum_b |b - c|^2, 1 - |b(y)|^2 = N^-2 sum_{b,b'} (1 - cos 2 pi
+        (b - b').y) <= 4 pi^2 sigma^2 |y|^2, and since the centred angles
+        th_b = 2 pi (b - c).y sum to zero, |1 - b(y)| = |N^-1 sum_b (1 -
+        e^{i th_b} + i th_b)| <= 2 pi^2 sigma^2 |y|^2.  For factors a_k of
+        modulus at most one, |prod_{k<d} a_k - prod_k a_k| <= sum_{k>=d}
+        |1 - a_k| (and for a_k = |b_k|^2 in [0, 1] the difference is
+        nonnegative, so the truncated |mu_hat|^2 is never below the true
+        one).  With ||R*^{-k} x|| <= c rho^{floor(k/kappa)} |x| and
+        sum_{k >= d} rho^{2 floor(k/kappa)} <= kappa rho^{2 floor(d/kappa)}
+        / (1 - rho^2), the bound is 4 pi^2 sigma^2 c^2 t_norm^2 kappa
+        rho^{2 floor(d/kappa)} / (1 - rho^2): that of |mu_hat|^2, and twice
+        what mu_hat needs.
         """
-        s, r = self._form(squared)
-        if s == 0.0:
+        if self._sigma == 0.0:
             return 0.0
-        a = 2.0 * math.pi * s * self._c * t_norm
+        a = 2.0 * math.pi * self._sigma * self._c * t_norm
         # a * a, not a ** 2: a float ** raises OverflowError where a * a is inf
-        amp = a * a if squared else a
+        amp, r = a * a, self._rho ** 2
         if amp == math.inf:
             return amp                  # where r^{floor(d/kappa)} underflows to 0
         return amp * (self._kappa * r ** (depth // self._kappa) / (1.0 - r))
 
-    def depth_for(self, t_norm: float, squared: bool) -> int:
-        """Smallest product depth d >= 1 whose tail bound (of the form
-        `squared` picks) is below DEFAULT_TAIL_TOL, or MAX_PRODUCT_DEPTH when
-        no smaller one is.
+    def depth_for(self, t_norm: float) -> int:
+        """Smallest product depth d >= 1 whose tail bound is below
+        DEFAULT_TAIL_TOL, or MAX_PRODUCT_DEPTH when no smaller one is.
 
-        Either bound is its depth-0 value times r^{floor(d/kappa)}, with
-        r = rho for the linear form and rho^2 for the squared one, so one
-        logarithm places d; steps of `tail_bound` itself then settle the
-        rounding, so d is the one a depth-by-depth search would find.  The
-        squared bound is below the linear one wherever the linear one meets
-        the tolerance (sigma <= max_b|b|), so its depth is never deeper.
+        The bound is its depth-0 value times r^{floor(d/kappa)}, r = rho^2,
+        so one logarithm places d; steps of `tail_bound` itself then settle
+        the rounding, so d is the one a depth-by-depth search would find.
         """
-        head = self.tail_bound(0, t_norm, squared)
+        head = self.tail_bound(0, t_norm)
         if not head >= DEFAULT_TAIL_TOL:             # also a zero or NaN norm
             d = 1
         elif head == math.inf:
             d = MAX_PRODUCT_DEPTH
         else:
-            r = self._form(squared)[1]
-            q = math.floor(math.log(DEFAULT_TAIL_TOL / head) / math.log(r)) + 1
+            q = math.floor(math.log(DEFAULT_TAIL_TOL / head) / math.log(self._rho ** 2)) + 1
             d = min(max(self._kappa * q, 1), MAX_PRODUCT_DEPTH)
-        while d > 1 and self.tail_bound(d - 1, t_norm, squared) < DEFAULT_TAIL_TOL:
+        while d > 1 and self.tail_bound(d - 1, t_norm) < DEFAULT_TAIL_TOL:
             d -= 1
-        while d < MAX_PRODUCT_DEPTH and self.tail_bound(d, t_norm, squared) >= DEFAULT_TAIL_TOL:
+        while d < MAX_PRODUCT_DEPTH and self.tail_bound(d, t_norm) >= DEFAULT_TAIL_TOL:
             d += 1
         return d
 
     # -- evaluation --------------------------------------------------------
-    def _level_data(self, depth: int):
-        """(U, C) of the depth-`depth` product: U of shape (depth, dim, J)
-        stacks the columns u_kj = 2 pi R*^{-k}' e_j of each level k, e_j the
-        rows of E in `AffineSystem.mask_table`, and C of shape (depth, dim)
-        the level centres R*^{-k}' c.  Both follow the recurrence
-        x_{k+1} = R*^{-1}' x_k, run once per level and measure: a deeper
+    def _level_data(self, depth: int) -> np.ndarray:
+        """U of shape (depth, dim, J), the columns u_kj = 2 pi R*^{-k}' e_j
+        of each level k < depth, e_j the rows of E in
+        `AffineSystem.mask_table`.  It follows the recurrence
+        u_{k+1} = R*^{-1}' u_k, run once per level and measure: a deeper
         product extends the stack, a shallower one takes a slice."""
-        U, C = self._stack
+        U = self._U
         if depth > len(U):
             built = len(U)
             U = np.concatenate([U, np.empty((depth - built,) + U.shape[1:])])
-            C = np.concatenate([C, np.empty((depth - built, self.dim))])
             for k in range(built, depth):
                 np.matmul(self._S.T, U[k - 1], out=U[k])
-                np.matmul(self._S.T, C[k - 1], out=C[k])
-            self._stack = U, C
-        return U[:depth], C[:depth]
+            self._U = U
+        return U[:depth]
 
     def _brackets(self, T: np.ndarray, Lam: np.ndarray, depth: int, starts) -> np.ndarray:
         """The product over levels k < depth of the bracket of
@@ -222,7 +215,7 @@ class SelfSimilarMeasure:
         and cos(a)/2 + cos(a)/2 = cos a is the last level itself.
         """
         _, w, real, _ = self.system.mask_table
-        U, _ = self._level_data(depth)
+        U = self._level_data(depth)
         if self.system.N == 2:
             U = np.concatenate([U, np.zeros((depth % 2,) + U.shape[1:])])
             U = np.concatenate([U[0::2] + U[1::2], U[0::2] - U[1::2]], axis=2)
@@ -265,24 +258,22 @@ class SelfSimilarMeasure:
 
     def _pairs(self, T: np.ndarray, Lam: np.ndarray, depth: int) -> np.ndarray:
         """The depth-`depth` product mu_hat(t - lambda) as an (m, n) complex
-        array: `_brackets` times the centre phase e^{i 2 pi c_d.(t - lambda)},
-        with c_d = sum_{k < depth} R*^{-k}' c."""
-        _, C = self._level_data(depth)
-        cd = np.cumsum(C, axis=0)[-1] if depth else np.zeros(self.dim)
-        out = self._brackets(T, Lam, depth, None) * np.exp(2j * np.pi * (T @ cd))[:, None]
-        out *= np.exp(-2j * np.pi * (Lam @ cd))[None, :]
+        array: `_brackets` times the mean phase e^{i 2 pi m.(t - lambda)},
+        m the mean of mu (`_mean`, once per system)."""
+        mean = self.system.once("mean", lambda: _mean(self.system))
+        out = self._brackets(T, Lam, depth, None) * np.exp(2j * np.pi * (T @ mean))[:, None]
+        out *= np.exp(-2j * np.pi * (Lam @ mean))[None, :]
         return out
 
-    def _adaptive(self, T, Lam, depth, squared):
+    def _adaptive(self, T, Lam, depth):
         """T and Lam as (m, dim) and (n, dim) arrays (`probe_rows`), the
         depth (when None, the one that meets the tail tolerance at the
-        largest |t - lambda|), and its tail bound at that distance;
-        `squared` picks the tail of |mu_hat|^2 over that of mu_hat."""
+        largest |t - lambda|), and its tail bound at that distance."""
         T, Lam = probe_rows(T, self.dim), probe_rows(Lam, self.dim)
         t_norm = _max_distance(T, Lam)
         if depth is None:
-            depth = self.depth_for(t_norm, squared)
-        return T, Lam, depth, self.tail_bound(depth, t_norm, squared)
+            depth = self.depth_for(t_norm)
+        return T, Lam, depth, self.tail_bound(depth, t_norm)
 
     def mu_hat_batch(self, T, depth: int | None = None):
         """Transform values for an array of frequencies.
@@ -295,26 +286,25 @@ class SelfSimilarMeasure:
         conservative tail bound taken at that norm.
         """
         shape = np.shape(T) if self.dim == 1 else np.shape(T)[:-1]
-        T, origin, depth, tail = self._adaptive(T, np.zeros(self.dim), depth, squared=False)
+        T, origin, depth, tail = self._adaptive(T, np.zeros(self.dim), depth)
         return self._pairs(T, origin, depth).reshape(shape), tail
 
     def mu_hat_pairs(self, T, Lam):
         """mu_hat(t - lambda) for every row t of T and lambda of Lam: the
         (m, n) complex array and the tail bound of the adaptive depth."""
-        T, Lam, depth, tail = self._adaptive(T, Lam, None, squared=False)
+        T, Lam, depth, tail = self._adaptive(T, Lam, None)
         return self._pairs(T, Lam, depth), tail
 
     def mu_hat_sq_sums(self, T, Lam, starts):
         """The row sums of |mu_hat(t - lambda)|^2, t a row of T and lambda of
         Lam, over the column groups that begin at `starts` (see
         `_group_sums`; an empty group sums to 0): the (m, len(starts)) array
-        and the squared-form tail bound of its own adaptive depth, which the
-        truncated values overestimate by at most that bound.  The product of
-        `_brackets` is squared tile by tile; the centre phase has modulus one
+        and the tail bound of its own adaptive depth, which the truncated
+        values overestimate by at most that bound.  The product of
+        `_brackets` is squared tile by tile; the mean phase has modulus one
         and is left out.  Each bracket is formed before it is squared, so a
         factor near a zero of the mask keeps |chi_B|^2 accurate to rounding
         squared.  The kernel reduces each row tile as it finishes it, so no
         (m, n) array is formed."""
-        T, Lam, depth, tail = self._adaptive(T, Lam, None, squared=True)
+        T, Lam, depth, tail = self._adaptive(T, Lam, None)
         return self._brackets(T, Lam, depth, starts), tail
-

@@ -146,7 +146,10 @@ def gram_matrix(system: AffineSystem, points) -> GramReport:
     `system`: entry (i, j) is the transform at lambda_j - lambda_i, the
     transpose of `mu_hat_pairs` of the points against themselves.  The
     points are compared as given (exactly, for Fractions) and turned into
-    floats only as the kernel's input."""
+    floats only as the kernel's input.  `worst_pair` is the first pair in
+    row-major order whose off-diagonal modulus is within the Gram's own
+    tail bound (at least 1e-12) of the largest: moduli that close are tied,
+    as true ties such as triadic's |mu_hat(1.5)| = |mu_hat(4.5)| are."""
     pts = [tuple(np.atleast_1d(p).tolist()) for p in points]
     check_gram_count(len(pts))
     if len(set(pts)) != len(pts):
@@ -160,8 +163,8 @@ def gram_matrix(system: AffineSystem, points) -> GramReport:
     off = moduli.copy()
     np.fill_diagonal(off, 0.0)
     top = float(off.max())
-    # argwhere is in row-major order, so its first row is the least tied pair
-    i, j = np.argwhere(off >= top - 1e-12)[0]
+    # argmax of the flat mask is its first True: no index array of every tie
+    i, j = divmod(int(np.argmax(off >= top - max(tail, 1e-12))), len(pts))
     return GramReport(G, moduli, tail, top, (pts[i], pts[j]))
 
 
@@ -178,10 +181,10 @@ class Q1Profile:
     products can move the last partial sum: each |mu_hat(t - lambda)|^2 is a
     product of factors a_k = |chi_B(R*^{-k}(t - lambda))|^2 in [0, 1], and
     cutting it at depth d overestimates it by at most sum_{k >= d} (1 - a_k),
-    below the squared-form `SelfSimilarMeasure.tail_bound` of its kernel
-    call.  The tail is that bound times the call's pairs in the kept layers,
-    summed over every call; the truncated sum is never below the exact one
-    by more than rounding.
+    below the `SelfSimilarMeasure.tail_bound` of its kernel call.  The tail
+    is that bound times the call's pairs in the kept layers, summed over
+    every call; the truncated sum is never below the exact one by more than
+    rounding.
     """
     layers: np.ndarray            # shape (m, depth + 1)
     fourier_tail: float

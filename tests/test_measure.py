@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -15,21 +16,37 @@ from oracles import (ConvolvedMeasure, ZeroSetPredicate, atoms, max_diag_defect,
                      mu2_closed_form, mu_hat_sq_pairs, support_diameter)
 
 
-def per_digit_product(meas, X, squared=False):
-    """Reference transform at the rows of X, shape (..., dim): the product
-    prod_{k < depth} (1/N) sum_b e^{i 2 pi b.R*^{-k} x}, one complex
-    exponential per digit and level, at the adaptive depth of the largest
-    |x|, the depth and tail of |mu_hat|^2 when `squared` is set.  A
-    convolution multiplies its parts' products and adds their tails.
+def per_digit_product(meas, X):
+    """Reference transform at the rows of X, shape (..., dim): the per-digit
+    product of `mean_phase_levels` at the adaptive depth of the largest |x|.
+    A convolution multiplies its parts' products and adds their tails.
     Returns (values, tail bound)."""
     X = np.asarray(X, dtype=float)
     norm = float(np.sqrt((X ** 2).sum(axis=-1)).max())
     vals, tail = np.ones(X.shape[:-1], dtype=complex), 0.0
     for part in getattr(meas, "parts", (meas,)):
-        depth = part.depth_for(norm, squared)
-        vals = vals * per_digit_levels(part.system, X, depth)
-        tail += part.tail_bound(depth, norm, squared)
+        depth = part.depth_for(norm)
+        vals = vals * mean_phase_levels(part.system, X, depth)
+        tail += part.tail_bound(depth, norm)
     return vals, tail
+
+
+def exact_mean(sysm):
+    """The mean of the measure as exact rationals: its first moments."""
+    table = moments(sysm, 1)
+    return tuple(table[tuple(int(i == j) for j in range(sysm.dim))] for i in range(sysm.dim))
+
+
+def mean_phase_levels(sysm, X, depth):
+    """The depth-`depth` transform with its whole mean phase, at the rows of
+    X: the per-digit product, whose phase is e^{i 2 pi c_d.x} with
+    c_d = sum_{k < depth} R^{-k} c, times e^{i 2 pi (m - c_d).x}, m the
+    exact mean (`exact_mean`).  m - c_d = R^{-depth} m exactly."""
+    rest = exact_mean(sysm)
+    for _ in range(depth):
+        rest = rat.mat_vec(sysm.R.inverse, rest)
+    phase = np.exp(2j * np.pi * (X @ np.array(rest, dtype=float)))
+    return per_digit_levels(sysm, X, depth) * phase
 
 
 def per_digit_levels(sysm, X, depth):
@@ -111,7 +128,7 @@ class TestMuHat:
         assert (np.abs(vals) <= 1 + tail).all()
 
     def test_tail_bound_decreases_geometrically(self, mu4):
-        tails = [mu4.tail_bound(d, 10.0, squared=False) for d in (5, 10, 15, 20)]
+        tails = [mu4.tail_bound(d, 10.0) for d in (5, 10, 15, 20)]
         assert all(a > b for a, b in zip(tails, tails[1:]))
         assert tails[-1] < 1e-8 * tails[0]
 
@@ -130,8 +147,9 @@ class TestMuHat:
             assert math.isnan(mu4.mu_hat_batch([np.nan])[1])
 
     def test_non_expansive_rejected(self):
+        # no power of R*^-1 = 1 contracts, so the transform has no tail bound
         sysm = fs.make_system(1, [(0,), (Fraction(1, 2),)], [(0,), (1,)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tail bound is unavailable"):
             fs.SelfSimilarMeasure(sysm)
 
     def test_late_contracting_shear(self):
@@ -186,7 +204,7 @@ class TestSquaredPairs:
     def test_matches_complex_transform(self, request, name):
         meas = _measure(request, name)
         T, Lam = _probe_pairs(meas.dim)
-        vals, tail = per_digit_product(meas, T[:, None, :] - Lam[None, :, :], squared=True)
+        vals, tail = per_digit_product(meas, T[:, None, :] - Lam[None, :, :])
         got, got_tail = mu_hat_sq_pairs(meas, T, Lam)
         assert got.shape == (6, 40)
         assert np.abs(got - np.abs(vals) ** 2).max() <= 1e-12
@@ -313,9 +331,8 @@ class TestSquaredSums:
 
 
 class TestSquaredTail:
-    """The squared-form tail of the |mu_hat|^2 kernel: the truncated
-    |mu_hat|^2 is never below the full-depth one and at most its tail above
-    it."""
+    """The tail of the |mu_hat|^2 kernel: the truncated |mu_hat|^2 is never
+    below the full-depth one and at most its tail above it."""
 
     ROUNDING = 1e-15
     TWO_DIGIT = [f"R={r}" for r in (2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8)]
@@ -356,12 +373,16 @@ class TestSquaredTail:
                                                                     exact.denominator)
 
     def test_one_point_mass_has_no_tail(self):
-        # B = {1/3}: sigma = 0, so |mu_hat|^2 = 1 at depth 1 with no tail,
-        # while the linear form still needs max|b| = 1/3
+        # B = {1/3}: sigma = 0, so mu is the point mass at its mean
+        # m = (R - 1)^-1 R / 3 = 2/3 and mu_hat(x) = e^{i 2 pi m x} is its
+        # mean phase alone, at depth 1 with no tail, as |mu_hat|^2 = 1 is
         meas = fs.SelfSimilarMeasure(fs.make_system(2, [(Fraction(1, 3),)], [(0,)]))
-        assert meas.tail_bound(0, 1e8, squared=True) == 0.0
-        assert meas.depth_for(1e8, squared=True) == 1
-        assert meas.tail_bound(0, 1e8, squared=False) > 0.0
+        assert meas.tail_bound(0, 1e8) == 0.0
+        assert meas.depth_for(1e8) == 1
+        T, Lam = _probe_pairs(1)
+        got, tail = meas.mu_hat_pairs(T, Lam)
+        assert tail == 0.0
+        assert np.abs(got - np.exp(2j * np.pi * (2 / 3) * (T - Lam.T))).max() <= 1e-13
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -400,8 +421,8 @@ class TestBrackets:
         monkeypatch.setattr(fs.measure, "STACK_ENTRIES", levels * len(T) * len(Lam))
         diffs = T[:, None, :] - Lam[None, :, :]
         got = meas._pairs(T, Lam, depth)
-        assert np.abs(got - per_digit_levels(sysm, diffs, depth)).max() <= 1e-13
-        ref, _ = per_digit_product(meas, diffs, squared=True)
+        assert np.abs(got - mean_phase_levels(sysm, diffs, depth)).max() <= 1e-13
+        ref, _ = per_digit_product(meas, diffs)
         sq, _ = mu_hat_sq_pairs(meas, T, Lam)
         assert np.abs(sq - np.abs(ref) ** 2).max() <= 1e-13
 
@@ -419,8 +440,8 @@ class TestBrackets:
         diffs = T[:, None, :] - Lam[None, :, :]
         got = meas._pairs(T, Lam, depth)
         assert got.shape == (7, 40)
-        assert np.abs(got - per_digit_levels(sysm, diffs, depth)).max() <= 1e-13
-        ref, _ = per_digit_product(meas, diffs, squared=True)
+        assert np.abs(got - mean_phase_levels(sysm, diffs, depth)).max() <= 1e-13
+        ref, _ = per_digit_product(meas, diffs)
         sq, _ = mu_hat_sq_pairs(meas, T, Lam)
         assert np.abs(sq - np.abs(ref) ** 2).max() <= 1e-13
 
@@ -434,7 +455,7 @@ class TestBrackets:
         meas = fs.SelfSimilarMeasure(sysm)
         if entries is not None:
             monkeypatch.setattr(fs.measure, "STACK_ENTRIES", entries)
-        monkeypatch.setattr(meas, "depth_for", lambda t_norm, squared: 29)
+        monkeypatch.setattr(meas, "depth_for", lambda t_norm: 29)
         T, Lam = _probe_pairs(sysm.dim)
         T = np.concatenate([T, -T[:1]])
         starts = [0, 13, 27]
@@ -444,7 +465,7 @@ class TestBrackets:
         got, tail = meas.mu_hat_sq_sums(T, Lam, starts)
         assert got.shape == (7, 3)
         assert np.abs(got - ref).max() <= 1e-13
-        assert tail == meas.tail_bound(29, fs.measure._max_distance(T, Lam), squared=True)
+        assert tail == meas.tail_bound(29, fs.measure._max_distance(T, Lam))
 
     @pytest.mark.parametrize("name", ["scale2", "eiffel2"])
     def test_row_tiles_bound_the_level_buffer(self, request, name):
@@ -480,7 +501,7 @@ class TestBrackets:
         T, Lam = _probe_pairs(1)
         diffs = T[:, None, :] - Lam[None, :, :]
         got = meas._pairs(T, Lam, 30)
-        assert np.abs(got - per_digit_levels(sysm, diffs, 30)).max() <= 1e-13
+        assert np.abs(got - mean_phase_levels(sysm, diffs, 30)).max() <= 1e-13
         sq, _ = mu_hat_sq_pairs(meas, T, Lam)
         assert (sq == 1.0).all()
 
@@ -504,7 +525,7 @@ class TestBrackets:
         got = meas._brackets(T, Lam, depth, None)
         assert got.shape == (m, n) and (got == 1).all()
         diffs = T[:, None, :] - Lam[None, :, :]
-        ref = per_digit_levels(sysm, diffs, depth)
+        ref = mean_phase_levels(sysm, diffs, depth)
         assert np.abs(meas._pairs(T, Lam, depth) - ref).max(initial=0.0) <= 1e-13
 
     @pytest.mark.parametrize("name", ["scale4", "planar", "eiffel2"])
@@ -520,7 +541,7 @@ class TestBrackets:
             for n in range(10):
                 T, Lam = rng.uniform(-20, 20, (m, sysm.dim)), rng.uniform(-20, 20, (n, sysm.dim))
                 diffs = T[:, None, :] - Lam[None, :, :]
-                ref = per_digit_levels(sysm, diffs, 13)
+                ref = mean_phase_levels(sysm, diffs, 13)
                 got = meas._pairs(T, Lam, 13)
                 assert np.abs(got - ref).max(initial=0.0) <= 1e-13, (m, n)
 
@@ -553,10 +574,11 @@ class TestBrackets:
         T, Lam = _probe_pairs(sysm.dim)
         diffs = T[:, None, :] - Lam[None, :, :]
         for depth in (40, 12, 90, 3, 0):
+            ref = mean_phase_levels(sysm, diffs, depth)
             got = meas._pairs(T, Lam, depth)
-            assert np.abs(got - per_digit_levels(sysm, diffs, depth)).max() <= 1e-13
+            assert np.abs(got - ref).max() <= 1e-13
             batch, _ = meas.mu_hat_batch(diffs if sysm.dim > 1 else diffs[..., 0], depth)
-            assert np.abs(batch - per_digit_levels(sysm, diffs, depth)).max() <= 1e-13
+            assert np.abs(batch - ref).max() <= 1e-13
 
 
 class TestDepthFor:
@@ -569,22 +591,35 @@ class TestDepthFor:
                + ["shear"])
 
     @staticmethod
-    def search(meas, t_norm, squared=False):
+    def search(meas, t_norm, bound=None):
+        """The least depth whose `bound` (by default the measure's tail) is
+        below the tolerance, stepped one depth at a time up to the cap."""
+        bound = bound or meas.tail_bound
         d = 1
-        while meas.tail_bound(d, t_norm, squared) >= fs.measure.DEFAULT_TAIL_TOL \
+        while bound(d, t_norm) >= fs.measure.DEFAULT_TAIL_TOL \
                 and d < fs.measure.MAX_PRODUCT_DEPTH:
             d += 1
         return d
 
     @staticmethod
-    def norms(meas, squared=False):
-        """Log-spaced norms, 0, inf and NaN, and the norms at which the bound
-        of each depth crosses the tolerance, with their neighbours; on the
-        shear (kappa = 9) the cap binds from a norm of about 3e-13 on."""
+    def linear_tail(meas):
+        """The linear tail of a transform whose phase is cut with its
+        brackets, from |1 - chi_B(y)| <= 2 pi max_b|b| |y|:
+        2 pi max_b|b| c t_norm kappa rho^{floor(d/kappa)} / (1 - rho)."""
+        b_max = max(math.sqrt(sum(float(x) ** 2 for x in b)) for b in meas.system.B)
+        return lambda d, t_norm: (2 * math.pi * b_max * meas._c * t_norm * meas._kappa
+                                  * meas._rho ** (d // meas._kappa) / (1 - meas._rho))
+
+    @staticmethod
+    def norms(meas, bound=None, power=2):
+        """Log-spaced norms, 0, inf and NaN, and the norms at which `bound`
+        (by default the tail, quadratic in the norm; `power` 1 for a linear
+        one) of each depth crosses the tolerance, with their neighbours; on
+        the shear (kappa = 9) the cap binds from a norm of about 3e-13 on."""
+        bound = bound or meas.tail_bound
         norms = [0.0, math.inf, math.nan] + np.logspace(-6, 12, 241).tolist()
         for d in range(1, 80):
-            ratio = fs.measure.DEFAULT_TAIL_TOL / meas.tail_bound(d, 1.0, squared)
-            t = math.sqrt(ratio) if squared else ratio
+            t = (fs.measure.DEFAULT_TAIL_TOL / bound(d, 1.0)) ** (1 / power)
             norms += [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)]
         return norms
 
@@ -592,19 +627,21 @@ class TestDepthFor:
     def test_matches_depth_by_depth_search(self, name):
         meas = fs.SelfSimilarMeasure(_named_system(name))
         for t in self.norms(meas):
-            assert meas.depth_for(t, squared=False) == self.search(meas, t), t
+            assert meas.depth_for(t) == self.search(meas, t), t
 
     @pytest.mark.parametrize("name", SYSTEMS)
     def test_squared_matches_search_and_is_never_deeper(self, name):
-        # the logarithm over rho^2 gives the searched depth, the cap, inf and
-        # NaN included, and no norm takes |mu_hat|^2 deeper than mu_hat
+        # the one tail, quadratic in the norm, also at the norms where the
+        # linear tail of a cut phase crosses the tolerance, and it never takes
+        # the transform deeper than that linear tail would
         meas = fs.SelfSimilarMeasure(_named_system(name))
-        for t in self.norms(meas, squared=True) + self.norms(meas):
-            d = meas.depth_for(t, squared=True)
-            assert d == self.search(meas, t, squared=True), t
-            assert d <= meas.depth_for(t, squared=False), t
-        assert meas.depth_for(math.inf, squared=True) == fs.measure.MAX_PRODUCT_DEPTH
-        assert meas.depth_for(math.nan, squared=True) == 1
+        linear = self.linear_tail(meas)
+        for t in self.norms(meas) + self.norms(meas, linear, power=1):
+            d = meas.depth_for(t)
+            assert d == self.search(meas, t), t
+            assert d <= self.search(meas, t, linear), t
+        assert meas.depth_for(math.inf) == fs.measure.MAX_PRODUCT_DEPTH
+        assert meas.depth_for(math.nan) == 1
 
 
 class TestGramOracle:
@@ -621,6 +658,75 @@ class TestGramOracle:
         assert rep.matrix.shape == (256, 256)
         assert np.abs(rep.matrix - ref).max() <= 1e-11
         assert rep.tail_bound == pytest.approx(tail, rel=1e-12)
+
+
+@st.composite
+def _digit_systems(draw):
+    """A system in one or two dimensions whose B is symmetric about its
+    mean, not symmetric, symmetric with a digit at the centre, or one digit;
+    L only matches B's size, since the transform reads B alone."""
+    dim = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["symmetric", "asymmetric", "centre", "one"]))
+    point = st.tuples(*[st.fractions(-1, 1, max_denominator=8)] * dim)
+    scale = st.sampled_from([2, 3, 4, 5, -2, -3, -4, -5])
+    R = [[draw(scale)]] if dim == 1 else [[draw(scale), draw(st.integers(0, 1))],
+                                          [0, draw(scale)]]
+    centre = draw(point)
+    if kind == "one":
+        B = [centre]
+    elif kind == "asymmetric":
+        B = draw(st.lists(point, min_size=2, max_size=4, unique=True))
+    else:
+        offsets = draw(st.lists(point, min_size=1, max_size=2, unique_by=lambda e: (
+            max(e, rat.vec_scale(-1, e)))).filter(lambda es: all(any(es_i) for es_i in es)))
+        B = [f(centre, e) for e in offsets for f in (rat.vec_add, rat.vec_sub)]
+        B += [centre] if kind == "centre" else []
+    L = [tuple([k] + [0] * (dim - 1)) for k in range(len(B))]
+    return fs.make_system(R, B, L)
+
+
+class TestOneTail:
+    """One tail bounds both kernels.  The transform keeps its mean phase
+    whole, so it is cut only in its centred brackets b, and |1 - b(y)| <=
+    2 pi^2 sigma^2 |y|^2 is half the bound 4 pi^2 sigma^2 |y|^2 on
+    1 - |b(y)|^2 that |mu_hat|^2 is cut at."""
+
+    ROUNDING = 1e-12
+    CATALOG = ["scale4", "scale2", "triadic", "planar-collapse", "eiffel(2)", "eiffel(3)",
+               "eiffel(4)"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_digit_systems(), st.data())
+    def test_within_the_tail_of_a_200_level_product(self, sysm, data):
+        meas = fs.SelfSimilarMeasure(sysm)
+        rows = st.lists(st.tuples(*[st.floats(-10, 10)] * sysm.dim), min_size=1, max_size=5)
+        T, Lam = np.array(data.draw(rows)), np.array(data.draw(rows))
+        ref = per_digit_levels(sysm, T[:, None, :] - Lam[None, :, :], 200)
+        got, tail = meas.mu_hat_pairs(T, Lam)
+        assert np.abs(got - ref).max() <= tail + self.ROUNDING
+        sq, sq_tail = mu_hat_sq_pairs(meas, T, Lam)
+        gap = sq - np.abs(ref) ** 2
+        assert sq_tail == tail
+        assert -self.ROUNDING <= gap.min() and gap.max() <= tail + self.ROUNDING
+        # at a depth where the bound binds, the transform takes half of it
+        depth = data.draw(st.integers(0, 30))
+        bound = meas.tail_bound(depth, fs.measure._max_distance(T, Lam))
+        assert np.abs(meas._pairs(T, Lam, depth) - ref).max() <= bound / 2 + self.ROUNDING
+
+    @pytest.mark.parametrize("name", CATALOG + ["rational-R"])
+    def test_mean_is_the_first_moment(self, tmp_path, name):
+        # the float mean of the phase is the exact first moment, rounded once,
+        # on the catalog and on a file with a rational, non-diagonal R
+        if name == "rational-R":
+            path = tmp_path / "rational.json"
+            path.write_text(json.dumps({"dim": 2, "R": [["5/2", "1/2"], ["0", "-7/3"]],
+                                        "B": [["0", "0"], ["1/2", "0"], ["0", "1/3"]],
+                                        "L": [["0", "0"], ["1", "0"], ["0", "1"]]}))
+            sysm = fs.load_system_file(str(path))
+        else:
+            sysm = fs.get_system(name)
+        mean = fs.measure._mean(sysm)
+        assert mean.tolist() == [float(x) for x in exact_mean(sysm)]
 
 
 class TestClosedForm:

@@ -1,7 +1,7 @@
 """The facts of a system are computed once per system: one catalog instance
 per name, one validation report per system, one hull Y per (system, depth),
-one contractivity report on the default hull, each kept in the system
-itself and released with it."""
+one contractivity report on the default hull, one float mean of the
+measure, each kept in the system itself and released with it."""
 
 import contextlib
 import dataclasses
@@ -86,6 +86,19 @@ class TestOncePerSystem:
         assert again is not rep and again == rep and counts["beta_constant"] == 2
         with pytest.raises(dataclasses.FrozenInstanceError):
             rep.beta = 0.0
+
+    def test_mean_is_solved_once_and_only_for_the_transform(self, monkeypatch):
+        # a Q1 pass squares the brackets and never reads the mean phase;
+        # the transform solves the mean once, however many measures read it
+        sysm = fs.two_digit_system(4, Fraction(1, 2))
+        counts = {}
+        _counting(monkeypatch, fs.measure, "_mean", counts)
+        fs.completeness_test(sysm, [0.1, 0.3])
+        assert counts == {}
+        rep = fs.gram_matrix(sysm, [Fraction(0), Fraction(1), Fraction(4)])
+        fs.SelfSimilarMeasure(sysm).mu_hat_batch([0.5, 1.5])
+        fs.gram_matrix(sysm, [Fraction(0), Fraction(1)])
+        assert counts == {"_mean": 1} and rep.max_offdiag <= 1e-8
 
     def test_memo_is_released_with_the_system(self):
         # hypothesis tests build thousands of systems: nothing outside a

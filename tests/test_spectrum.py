@@ -191,6 +191,34 @@ class TestGram:
                               for n in range(1, 60)]))
         assert abs(rep.max_offdiag - oracle) < 1e-10
 
+    def test_triadic_tie_keeps_the_first_pair(self, triadic):
+        # chi_B(4.5) = 1, so |mu_hat(4.5)| = |mu_hat(1.5)|, and so on up the
+        # powers of 3: the pairs at those distances are tied, their float
+        # moduli up to about 1e-12 apart, and the first of them in row-major
+        # order, (0.75, 2.25), is the worst pair, as the references record
+        pts = fs.enumerate_P(triadic, 4).coords()
+        rep = fs.gram_matrix(triadic, pts)
+        assert len(pts) == 16
+        assert rep.worst_pair == ((F(3, 4),), (F(9, 4),))
+        a, b, c = (pts.index((x,)) for x in (F(3, 4), F(9, 4), F(27, 4)))
+        for tied in (rep.moduli[a, b], rep.moduli[b, c]):
+            assert 0 <= rep.max_offdiag - tied <= rep.tail_bound
+
+    @pytest.mark.parametrize("command", ["gram", "report"])
+    @pytest.mark.parametrize("name", ["scale4", "scale2", "planar-collapse", "eiffel(2)",
+                                      "eiffel(4)"])
+    def test_orthogonal_system_names_the_first_diagonal_pair(self, name, command):
+        # on the points of `gram` (16, at the least depth that has them) and
+        # of `report` (the first 16 at depth 3) every off-diagonal modulus is
+        # within the tail of the zeroed diagonal, so the first point is paired
+        # with itself, as the benchmark references record it
+        sysm = fs.get_system(name)
+        depth = 3 if command == "report" else next(d for d in range(9) if sysm.N ** d >= 16)
+        pts = fs.enumerate_P(sysm, depth).coords()[:16]
+        rep = fs.gram_matrix(sysm, pts)
+        assert rep.max_offdiag < 1e-12 < rep.tail_bound
+        assert rep.worst_pair == (pts[0], pts[0])
+
     def test_eiffel3_candidate_pair(self):
         e3 = fs.get_system("eiffel(3)")
         m3 = fs.SelfSimilarMeasure(e3)
