@@ -22,6 +22,7 @@ EXIT_CLAIM = 1
 EXIT_USAGE = 2
 
 GRID_RESOLUTIONS = {1: 64, 2: 48, 3: 24}
+JSON_BATCH = 1 << 14        # JSON encoder chunks joined into one write
 
 
 def fmt(x) -> str:
@@ -39,17 +40,32 @@ def fmt_rows(template: str, table: np.ndarray) -> str:
 def _write(args, lines) -> None:
     """Write the lines of an iterable, each ended by a newline, to --out or
     stdout, one at a time."""
+    _write_text(args, (line + "\n" for line in lines))
+
+
+def _write_text(args, pieces) -> None:
+    """Write the text pieces of an iterable to --out or stdout, one at a time."""
     if args.out:
         with open(args.out, "w") as out:
-            out.writelines(line + "\n" for line in lines)
+            out.writelines(pieces)
     else:
-        _sys.stdout.writelines(line + "\n" for line in lines)
+        _sys.stdout.writelines(pieces)
+
+
+def _json_text(doc):
+    """The text of json.dumps(doc, indent=2, default=str) and a newline, in
+    pieces of JSON_BATCH encoder chunks each, so no list of every chunk of a
+    large document (about 3 M for the 1024^2 Gram moduli) is held."""
+    chunks = json.JSONEncoder(indent=2, default=str).iterencode(doc)
+    while batch := list(itertools.islice(chunks, JSON_BATCH)):
+        yield "".join(batch)
+    yield "\n"
 
 
 def _emit(args, header: dict, rows: list, columns: list, json_payload: dict) -> None:
     """Write CSV rows (with a config-echo comment) or the JSON payload."""
     if args.format == "json":
-        _write(args, [json.dumps({"config": header, **json_payload}, indent=2, default=str)])
+        _write_text(args, _json_text({"config": header, **json_payload}))
     else:
         _write(args, _csv_head(header, columns)
                + [",".join(str(c) for c in row) for row in rows])
@@ -84,6 +100,10 @@ def _load(args) -> AffineSystem:
 # --force or not: its Q1 levels R*^k L (`spectrum.layer_digits`) put 0 first.
 GATE_AXIOMS = ("zero_in_B", "zero_in_L", "expansive", "hadamard")
 UNGATED = ("validate", "report")
+# `validate` reports every axiom and `spectrum` only enumerates P(L); every
+# other command needs word maps that contract, so it refuses a non-expansive
+# R, --force or not, before any hull, transform or attractor is built.
+ANY_R = ("validate", "spectrum")
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +400,10 @@ def main(argv=None) -> int:
             for line in validation.summary_lines():
                 print(line, file=_sys.stderr)
             return EXIT_CLAIM
+        expansive = validation.checks["expansive"]
+        if not expansive.passed and args.command not in ANY_R:
+            raise ValueError(f"the expansive axiom fails (eigenvalue moduli {expansive.witness}): "
+                             f"{args.command} needs word maps that contract")
         return args.handler(args, sys_obj, validation)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

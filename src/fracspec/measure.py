@@ -3,7 +3,9 @@ truncated products over one bracket kernel, with one tail bound."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -105,6 +107,8 @@ class SelfSimilarMeasure:
         self._sigma = rat.sqrt_ratio(sys.N * sum(sq) - rat.dot(total, total), (sys.N * s) ** 2)
         # the level frequencies built so far; see _level_data
         self._U = 2 * np.pi * sys.mask_table[0].T[None]
+        # the weights of a table row (`_rows`): the mask's, or 1/2 and 1/2 on two digits
+        self._w = np.array([0.5, 0.5]) if sys.N == 2 else sys.mask_table[1]
 
     # -- tail machinery ----------------------------------------------------
     def tail_bound(self, depth: int, t_norm: float) -> float:
@@ -165,83 +169,103 @@ class SelfSimilarMeasure:
         of each level k < depth, e_j the rows of E in
         `AffineSystem.mask_table`.  It follows the recurrence
         u_{k+1} = R*^{-1}' u_k, run once per level and measure: a deeper
-        product extends the stack, a shallower one takes a slice."""
+        product extends the stack, a shallower one takes a slice.  In one
+        dimension a step multiplies by the scalar R*^{-1}, so one running
+        product takes every new level, with the same roundings."""
         U = self._U
         if depth > len(U):
             built = len(U)
             U = np.concatenate([U, np.empty((depth - built,) + U.shape[1:])])
-            for k in range(built, depth):
-                np.matmul(self._S.T, U[k - 1], out=U[k])
+            if self.dim == 1:
+                U[built:] = self._S[0, 0]
+                np.cumprod(U[built - 1:], axis=0, out=U[built - 1:])
+            else:
+                for k in range(built, depth):
+                    np.matmul(self._S.T, U[k - 1], out=U[k])
             self._U = U
         return U[:depth]
 
-    def _brackets(self, T: np.ndarray, Lam: np.ndarray, depth: int, starts) -> np.ndarray:
-        """The product over levels k < depth of the bracket of
-        `AffineSystem.mask_table`, sum_j w_j e^{i u_kj.(t - lambda)}, for
-        every row t of T and lambda of Lam: an (m, n) array, real when the
-        table is, for `starts` None.  Given the column groups `starts` of
-        `_group_sums`, it returns instead the (m, len(starts)) row sums of
-        the squared modulus of that product over each group, and no (m, n)
-        array is formed.
+    def _rows(self, A: np.ndarray) -> np.ndarray:
+        """Kernel levels, on the first axis of A, as the rows of the bracket
+        table, with the table's columns on the last axis: A itself, or on a
+        two-digit system (N = 2) the row pairs a_k + a_{k+1}, a_k - a_{k+1}
+        of levels k and k + 1, an odd count padded with a zero level (see
+        `_brackets`).  It takes the level columns u_kj as well as the phases
+        of digits at each level, which are linear in u_kj."""
+        if self.system.N != 2:
+            return A
+        if len(A) % 2:
+            A = np.concatenate([A, np.zeros((1,) + A.shape[1:])])
+        return np.concatenate([A[0::2] + A[1::2], A[0::2] - A[1::2]], axis=-1)
 
-        Angle addition splits each term into a t side and a lambda side, so
-        one matrix product forms a level's bracket: [w cos pt, w sin pt] @
-        [cos pl; sin pl] for a real table, [w e^{i pt}] @ [e^{-i pl}] for a
-        complex one, with pt = t.u_kj and pl = lambda.u_kj.  A digit at the
-        centre is a zero column u_kj, whose term is its weight.
+    def _side_tables(self, T: np.ndarray, Lam: np.ndarray, depth: int) -> tuple:
+        """The two side tables of `_brackets` for every row t of T and lambda
+        of Lam at `depth`, from the float points.
 
-        The tables are formed once per call for all levels, in one
-        (depth, width, m + n) array whose first m columns are the t side and
+        The tables are formed once for all levels, in one
+        (rows, width, m + n) array whose first m columns are the t side and
         the rest the lambda side: one stacked product for the angles, one cos
-        and one sin, then the weights, set once.  The level loop forms c
-        levels with c m n <= STACK_ENTRIES by one matrix product into one
-        (c, m, n) buffer, reused by every step, and multiplies them into the
-        result: a small block takes all its levels in one step, a large one
-        a level per step.  A block of more than 2 STACK_ENTRIES pairs runs
-        all its levels on one tile of rows of `_row_tile` before the next,
-        so the level buffer and the result rows it multiplies stay in cache;
-        every tile reuses one tile-sized buffer.  The reduction squares each finished tile in place and adds
-        its rows over the groups, so the result is one tile-sized buffer
-        too; every element is the same product, only summed tile by tile.
-
-        A two-digit table (N = 2: real, one row e of weight 1) takes two
-        levels per table row, by cos a cos b = (cos(a + b) + cos(a - b)) / 2:
-        the columns u_k and u_{k+1} of levels k and k + 1 become the row
-        pair u_k + u_{k+1}, u_k - u_{k+1} at weights 1/2 and 1/2, and the
-        tables and the level loop above run on these rows as they do on
-        levels, so one width-4 product joins two levels where two width-2
-        products and two multiplies did.  An odd
-        depth pads one zero level, which is exact: its row pair is u_k, u_k,
-        and cos(a)/2 + cos(a)/2 = cos a is the last level itself.
-        """
-        _, w, real, _ = self.system.mask_table
-        U = self._level_data(depth)
-        if self.system.N == 2:
-            U = np.concatenate([U, np.zeros((depth % 2,) + U.shape[1:])])
-            U = np.concatenate([U[0::2] + U[1::2], U[0::2] - U[1::2]], axis=2)
-            w, depth = np.array([0.5, 0.5]), len(U)
-        m, n, J = len(T), len(Lam), len(w)
-        w, dtype = (np.concatenate([w, w]), float) if real else (w, complex)
+        and one sin, then the weights, set once.  A real table's columns are
+        [w cos pt, w sin pt] against [cos pl; sin pl], a complex one's
+        [w e^{i pt}] against [e^{-i pl}], with pt = t.u_kj and pl =
+        lambda.u_kj.  A digit at the centre is a zero column u_kj, whose
+        term is its weight."""
+        real = self.system.mask_table[2]
+        U, w, m = self._rows(self._level_data(depth)), self._w, len(T)
         # a complex table's lambda side is e^{-i pl}, at the angles of -lambda
         # (exact; numpy 2.4's in-place negative of those columns of P is wrong
         # at a 64-byte stride)
         X = np.concatenate([T, Lam if real else -Lam])
-        P = np.swapaxes(U, 1, 2) @ X.T              # (depth, J, m + n)
-        tab = np.empty((depth, len(w), m + n), dtype=dtype)
-        if real:
-            np.cos(P, out=tab[:, :J])
-            np.sin(P, out=tab[:, J:])
-        else:
-            np.cos(P, out=tab.real)
-            np.sin(P, out=tab.imag)
+        P = np.swapaxes(U, 1, 2) @ X.T              # (rows, J, m + n)
+        tab = _unit_table(P, real)
         del X, P
-        tab[:, :, :m] *= w[:, None]
-        left, right = np.swapaxes(tab[..., :m], 1, 2), tab[..., m:]
+        tab[:, :, :m] *= (np.concatenate([w, w]) if real else w)[:, None]
+        return np.swapaxes(tab[..., :m], 1, 2), tab[..., m:]
+
+    def _brackets(self, left: np.ndarray, right: np.ndarray, starts) -> np.ndarray:
+        """The product over the table rows of the bracket of
+        `AffineSystem.mask_table`, sum_j w_j e^{i u_kj.(t - lambda)}, from
+        its two side tables: `left` of shape (rows, m, width) for the rows t
+        and `right` of shape (rows, width, n) for the points lambda, so that
+        one matrix product forms a row's bracket for every pair (angle
+        addition splits each term into a t side and a lambda side).  It is
+        an (m, n) array, real when the tables are, for `starts` None.  Given
+        the column groups `starts` of `_group_sums`, it returns instead the
+        (m, len(starts)) row sums of the squared modulus of that product
+        over each group, and no (m, n) array is formed.  The tables come
+        from float points (`_side_tables`) or from exact digit phases
+        (`DigitPhases.tables`).
+
+        The level loop forms c rows with c m n <= STACK_ENTRIES by one
+        matrix product into one (c, m, n) buffer, reused by every step, and
+        multiplies them into the result: a small block takes all its rows
+        in one step, a large one a row per step.  A block of more than
+        2 STACK_ENTRIES pairs runs all its rows on one tile of rows of
+        `_row_tile` before the next, so the level buffer and the result rows
+        it multiplies stay in cache; every tile reuses one tile-sized
+        buffer.  The reduction squares each finished tile in place and adds
+        its rows over the groups, so the result is one tile-sized buffer
+        too; every element is the same product, only summed tile by tile.
+
+        A row is a level, except on a two-digit table (N = 2: real, one row
+        e of weight 1), where a row is two levels, by cos a cos b =
+        (cos(a + b) + cos(a - b)) / 2: the columns u_k and u_{k+1} of levels
+        k and k + 1 become the row pair u_k + u_{k+1}, u_k - u_{k+1} at
+        weights 1/2 and 1/2 (`_rows`), so one width-4 product joins two
+        levels where two width-2 products and two multiplies did.  An odd
+        depth pads one zero level, which is exact: its row pair is u_k, u_k,
+        and cos(a)/2 + cos(a)/2 = cos a is the last level itself.
+        """
+        depth, m, _ = left.shape
+        n, dtype = right.shape[2], left.dtype
         rows = _row_tile(m, n)
         tile = min(rows, m) * n
         step = max(1, STACK_ENTRIES // max(tile, 1))
         buf = np.empty(min(step, depth) * tile, dtype=dtype)
-        out = np.ones((m if starts is None else min(rows, m), n), dtype=dtype)
+        # the first step of a tile writes its product, so only a product of
+        # no rows is ones
+        out = (np.empty if depth else np.ones)((m if starts is None else min(rows, m), n),
+                                               dtype=dtype)
         sums = None if starts is None else np.zeros((m, len(starts)))
         for i in range(0, m, rows):
             lhs = left[:, i:i + rows]
@@ -250,10 +274,12 @@ class SelfSimilarMeasure:
                 c = min(step, depth - k)
                 level = buf[:c * block.size].reshape((c,) + block.shape)
                 np.matmul(lhs[k:k + step], right[k:k + step], out=level)
-                block *= level[0] if len(level) == 1 else level.prod(axis=0)
+                if k:
+                    block *= level[0] if c == 1 else level.prod(axis=0)
+                else:
+                    np.prod(level, axis=0, out=block)
             if starts is not None:
                 _group_sums(_abs_sq(block), starts, sums[i:i + rows])
-                block.fill(1)               # the next tile's product starts from ones
         return out if starts is None else sums
 
     def _pairs(self, T: np.ndarray, Lam: np.ndarray, depth: int) -> np.ndarray:
@@ -261,7 +287,8 @@ class SelfSimilarMeasure:
         array: `_brackets` times the mean phase e^{i 2 pi m.(t - lambda)},
         m the mean of mu (`_mean`, once per system)."""
         mean = self.system.once("mean", lambda: _mean(self.system))
-        out = self._brackets(T, Lam, depth, None) * np.exp(2j * np.pi * (T @ mean))[:, None]
+        out = self._brackets(*self._side_tables(T, Lam, depth), None) * \
+            np.exp(2j * np.pi * (T @ mean))[:, None]
         out *= np.exp(-2j * np.pi * (Lam @ mean))[None, :]
         return out
 
@@ -295,16 +322,205 @@ class SelfSimilarMeasure:
         T, Lam, depth, tail = self._adaptive(T, Lam, None)
         return self._pairs(T, Lam, depth), tail
 
-    def mu_hat_sq_sums(self, T, Lam, starts):
+    def mu_hat_sq_sums(self, T, Lam, starts, tables):
         """The row sums of |mu_hat(t - lambda)|^2, t a row of T and lambda of
         Lam, over the column groups that begin at `starts` (see
         `_group_sums`; an empty group sums to 0): the (m, len(starts)) array
         and the tail bound of its own adaptive depth, which the truncated
-        values overestimate by at most that bound.  The product of
-        `_brackets` is squared tile by tile; the mean phase has modulus one
-        and is left out.  Each bracket is formed before it is squared, so a
-        factor near a zero of the mask keeps |chi_B|^2 accurate to rounding
-        squared.  The kernel reduces each row tile as it finishes it, so no
-        (m, n) array is formed."""
+        values overestimate by at most that bound.  `tables(depth)` gives
+        the two side tables of `_brackets` for these rows and points at
+        that depth: `_side_tables` of the float points, or a Q1 pass's
+        tables at exact digit phases (`DigitPhases.tables`); the float
+        points decide the depth either way.  The product of `_brackets` is
+        squared tile by tile; the mean phase has modulus one and is left
+        out.  Each bracket is formed before it is squared, so a factor near
+        a zero of the mask keeps |chi_B|^2 accurate to rounding squared.
+        The kernel reduces each row tile as it finishes it, so no (m, n)
+        array is formed."""
         T, Lam, depth, tail = self._adaptive(T, Lam, None)
-        return self._brackets(T, Lam, depth, starts), tail
+        return self._brackets(*tables(depth), starts), tail
+
+
+def _exact_residues(sys: AffineSystem, digits, count: int) -> np.ndarray:
+    """(count, N - 1, J) floats in [0, 1): (R^n e_j).l mod 1 for n < count,
+    each digit l of `digits` past the first, 0, and each exact row e_j of
+    the mask (`AffineSystem.mask_rows`).  It is the phase e_j.R*^{i-k} l, in
+    turns, of a digit l of level i at kernel level k <= i, n = i - k.
+
+    On the integer lifts R = Ri / r, E = Ei / e and L = Li / s it is
+    (Li.Ri^n Ei_j mod r^n e s) / (r^n e s), rounded once, so it is exact to
+    half an ulp however large R*^i l is.  Every modulus divides M = r^(count-1)
+    e s, so the powers Ri^n Ei are kept mod M, and taken by doubling: the
+    stack of the first 2^k is the one before times Ri^(2^k).  They are
+    integers in floats while every product stays below 2^53, and Python
+    ints otherwise."""
+    Ri, r = rat.lift(sys.R.entries)
+    Ei, e = rat.lift(sys.mask_rows[0])
+    Li, s = rat.lift(digits[1:])
+    M = e * s * r ** (count - 1)
+    top = max(M, *(abs(x) for row in Ri + Ei + Li for x in row))
+    dtype = float if sys.dim * top * M < 2 ** 53 else object
+    P, powers = np.array(Ri, dtype), np.array(Ei, dtype).T[None] % M
+    while len(powers) < count:
+        powers = np.concatenate([powers, P @ powers % M])
+        P = P @ P % M
+    den = e * s * np.array([r ** n for n in range(count)], dtype)[:, None, None]
+    num = np.array(Li, dtype).reshape(len(Li), sys.dim) @ powers[:count] % den
+    return np.asarray(num / den, dtype=float)
+
+
+def _unit_table(angles: np.ndarray, real: bool) -> np.ndarray:
+    """e^{i angles} for angles of shape (rows, J, points), one cos and one
+    sin per angle, in the layout of the side tables of `_brackets`: the
+    (rows, 2 J, points) blocks [cos; sin] of a real table, or the complex
+    values."""
+    J = angles.shape[1]
+    if real:
+        out = np.empty((len(angles), 2 * J) + angles.shape[2:])
+        np.cos(angles, out=out[:, :J])
+        np.sin(angles, out=out[:, J:])
+    else:
+        out = np.empty(angles.shape, dtype=complex)
+        np.cos(angles, out=out.real)
+        np.sin(angles, out=out.imag)
+    return out
+
+
+def _turns(phases: np.ndarray, sign: int) -> np.ndarray:
+    """The angles sign 2 pi x of phases x in turns, each reduced to its
+    nearest residue in [-1/2, 1/2] first, so every angle is in [-pi, pi]."""
+    x = phases - np.rint(phases)
+    x *= sign * 2 * np.pi
+    return x
+
+
+class DigitPhases:
+    """The phase table of one Q1 pass: the side tables of `_brackets` for
+    its probe rows t, its rows t - eta and its points lambda, every eta and
+    lambda a digit sum sum_i R*^i l_i of the levels of `spectrum.layer_digits`.
+
+    The phase of lambda at kernel level k and mask row e_j, in turns, is
+    the sum over its digits of e_j.R*^{i-k} l_i: exact mod 1 where i >= k
+    (`_exact_residues`), and a float where i < k, where R*^{i-k} contracts
+    (from the level columns of `SelfSimilarMeasure._level_data`).  So the
+    digit sums of these residues, reduced mod 1, are the phases at the
+    exact points, and no float spectrum coordinate reaches a cos or a sin:
+    every angle is in [-pi, pi] however far lambda is.  A point carries its
+    digits as digit columns, a one for each of its digits past 0 (0 has
+    phase 0 at every level); `tagged` is each level's float digits with
+    their columns, so a digit sum of tagged levels (`spectrum.digit_sum`)
+    gives the float points and their columns together, and the residues
+    times the columns give the phases.
+
+    The tables are by table row (`SelfSimilarMeasure._rows`: two levels a
+    row on two digits, whose sums and differences of phases are as exact).
+    The cos and sin are taken once per probe row and table row, once per
+    eta and table row of its call, and once per table row for each point
+    of the pass's low table, the digit sum of the levels below the largest
+    h so far, whose first N^h points are every low set of full levels and
+    the leading call's points (`spectrum.layer_digits` puts digit 0 first).
+    The rows t - eta are the probe table times the eta table, by angle
+    addition.  The padded last row of an odd two-digit depth is no row of
+    a deeper call, so it is formed for its call alone.
+    """
+
+    def __init__(self, measure: SelfSimilarMeasure, T: np.ndarray, levels, digits):
+        sys = measure.system
+        count, N, dim = len(levels), sys.N, sys.dim
+        self._measure, self._T = measure, T
+        self._per = 2 if N == 2 else 1              # levels per table row
+        self._real = sys.mask_table[2]
+        self._exact = _exact_residues(sys, digits, count)
+        K = count * (N - 1)
+        tagged = np.zeros((count, N, dim + K))
+        tagged[:, :, :dim] = levels
+        tagged[:, 1:, dim:] = np.eye(K).reshape(count, N - 1, K)
+        self.tagged = list(tagged)
+        self._L = tagged[0, 1:, :dim]               # the digits past 0, in floats
+        # by table row: the digits' residue rows (rows, width, K) and the
+        # probe rows' weighted complex tables (`_grow`), the low set's
+        # tables and its digit columns (`_low_rows`)
+        self._W = np.empty((0, K, self._exact.shape[2]))
+        self._low = self._low_digits = None
+
+    def _grow(self, depth: int) -> None:
+        """Build the residue rows and the probe tables for the kernel levels
+        below depth + 8, once a call asks past those built, so a pass whose
+        calls go a level deeper each builds them every eight calls.  Level k
+        of W holds in column i (N - 1) + a - 1 the residue of digit a of
+        level i, exact where i >= k."""
+        if depth <= len(self._W):
+            return
+        D, measure, per = depth + 8, self._measure, self._per
+        U = measure._level_data(D)
+        below = self._L @ U[:0:-1] / (2 * np.pi)     # e_j.R*^-n l for n = D - 1 .. 1
+        G = np.concatenate([below, self._exact])    # index i - k + D - 1
+        idx = np.arange(len(self._exact)) - np.arange(D)[:, None] + D - 1
+        self._W = G[idx].reshape(D, -1, G.shape[2])
+        full, w = D // per, measure._w[:, None]
+        self._rows = np.swapaxes(measure._rows(self._W[:per * full]), 1, 2)
+        z = _unit_table(np.swapaxes(U, 1, 2) @ self._T.T, False)     # e^{i u_k.t}
+        if per == 1:
+            self._probe = z * w
+        else:
+            # a row's columns are u_k +- u_{k+1}, and the padded row of level
+            # k is u_k, u_k
+            a, b = z[0:per * full:2], z[1:per * full:2]
+            self._probe = np.concatenate([a * b, a * b.conj()], axis=1) * w
+            self._probe_pads = np.concatenate([z, z], axis=1) * w
+
+    def _call_rows(self, depth: int) -> np.ndarray:
+        """The residue rows of a call of `depth`: its full table rows, and
+        on an odd two-digit depth the padded last one (`_pad`)."""
+        full = depth // self._per
+        if depth % self._per:
+            return np.concatenate([self._rows[:full], self._pad(depth)])
+        return self._rows[:full]
+
+    def _pad(self, depth: int) -> np.ndarray:
+        """The residue row u_k, u_k of the padded last level k = depth - 1."""
+        pad = np.swapaxes(self._W[depth - 1:depth], 1, 2)
+        return np.concatenate([pad, pad], axis=1)
+
+    def _low_rows(self, low: np.ndarray, shared: bool, depth: int) -> np.ndarray:
+        """The lambda side of `_brackets` at `depth` for points with digit
+        columns `low` (the table of e^{i 2 pi phi} on a real mask, of
+        e^{-i 2 pi phi} on a complex one), from the pass's low table when
+        they are its first points (`shared`)."""
+        real, full = self._real, depth // self._per
+        sign = 1 if real else -1
+        if not shared:
+            return _unit_table(_turns(self._call_rows(depth) @ low.T, sign), real)
+        if self._low is None:
+            self._low = _unit_table(_turns(self._rows @ low.T, sign), real)
+            self._low_digits = low.T
+        n, have = len(low), self._low_digits.shape[1]
+        if n > have:
+            new = _unit_table(_turns(self._rows[:len(self._low)] @ low[have:].T, sign), real)
+            self._low = np.concatenate([self._low, new], axis=2)
+            self._low_digits = np.concatenate([self._low_digits, low[have:].T], axis=1)
+        if full > len(self._low):
+            new = self._rows[len(self._low):] @ self._low_digits
+            self._low = np.concatenate([self._low, _unit_table(_turns(new, sign), real)])
+        if depth % self._per:
+            pad = _turns(self._pad(depth) @ low.T, sign)
+            return np.concatenate([self._low[:full, :, :n], _unit_table(pad, real)])
+        return self._low[:full, :, :n]
+
+    def tables(self, eta, low, shared: bool, depth: int) -> tuple:
+        """The side tables of `_brackets` at `depth` for the rows t - eta,
+        t a probe row and eta a point with digit columns in the rows of
+        `eta` (t alone for None), against the points with digit columns in
+        the rows of `low`, which are the first points of the pass's low
+        table when `shared` is set."""
+        self._grow(depth)
+        full = depth // self._per
+        rows = self._probe[:full]
+        if depth % self._per:
+            rows = np.concatenate([rows, self._probe_pads[depth - 1:depth]])
+        if eta is not None:
+            z = _unit_table(_turns(self._call_rows(depth) @ eta.T, -1), False)
+            rows = (rows[..., None] * z[:, :, None, :]).reshape(rows.shape[:2] + (-1,))
+        if self._real:
+            rows = np.concatenate([rows.real, rows.imag], axis=1)
+        return np.swapaxes(rows, 1, 2), self._low_rows(low, shared, depth)

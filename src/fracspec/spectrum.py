@@ -3,6 +3,7 @@ sums, maximal orthogonal families."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, rational as rat
-from .measure import STACK_ENTRIES, SelfSimilarMeasure
+from .measure import STACK_ENTRIES, DigitPhases, SelfSimilarMeasure
 from .system import AffineSystem, probe_rows
 
 MAX_FLOAT_POINTS = 6_000_000
@@ -85,23 +86,36 @@ def layer_digits(sys: AffineSystem, depth: int) -> list:
     MAX_FLOAT_POINTS, or one whose points leave the floating-point range,
     is refused.
     """
-    zero = sys.zero()
-    if zero not in sys.L:
+    if sys.zero() not in sys.L:
         raise ValueError("the Q1 layers need 0 in L (zero_in_L): without it they are not P(L)")
     sys.check_words(depth, MAX_FLOAT_POINTS, "spectrum layer exceeds the point cap", "points")
     Rt = np.array(sys.R.transpose, dtype=float)
-    Ls = sys.l_array()[np.argsort([l != zero for l in sys.L], kind="stable")]
+    Ls = np.array(_zero_first(sys), dtype=float).reshape(sys.N, sys.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = itertools.accumulate(range(depth - 1), lambda p, _: Rt @ p,
-                                      initial=np.eye(sys.dim))
-        levels = [Ls @ power.T for power in powers][:depth]
+        if sys.dim == 1:
+            # a step multiplies by the scalar R*, so one running product
+            # takes every power, with the same roundings
+            powers = np.cumprod(np.concatenate([[1.0], np.repeat(Rt[0, 0], depth)]))
+            powers = powers[:depth].reshape(-1, 1, 1)
+        else:
+            powers = itertools.accumulate(range(depth - 1), lambda p, _: Rt @ p,
+                                          initial=np.eye(sys.dim))
+            powers = np.array(list(powers)[:depth]).reshape(-1, sys.dim, sys.dim)
+        levels = Ls @ np.swapaxes(powers, 1, 2)
         # a point of layer d sums one point of each level k < d, so the sum
         # of their largest coordinates bounds its own
-        finite = np.isfinite(np.cumsum([np.abs(s).max() for s in levels]))
+        finite = np.isfinite(np.cumsum(np.abs(levels).max(axis=(1, 2))))
     if not finite.all():
         raise ValueError(f"spectrum layer {finite.argmin() + 1} of depth {depth} leaves the "
                          "floating-point range")
-    return levels
+    return list(levels)
+
+
+def _zero_first(sys: AffineSystem) -> list:
+    """The digits of L with 0 first, the order of every level of
+    `layer_digits`."""
+    zero = sys.zero()
+    return sorted(sys.L, key=lambda l: l != zero)
 
 
 def digit_sum(sets, dim: int) -> np.ndarray:
@@ -226,12 +240,19 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int,
     later layer of n points is the sum P_h + H of its first h digit sets
     (the low part) and the rest (the high part), so t - lambda runs over
     the rows t - eta, eta in H, against the points of P_h: the same pairs,
-    with the kernel's cos/sin taken on m |H| + |P_h| points instead of n,
     and each row's one sum over P_h added up over eta.  With m n <=
     Q1_RUN_PAIRS every digit set is low (H = {0}); otherwise h is the
     largest with |P_h|^2 <= m n, balancing the two sides, and with
     m |P_h| <= Q1_SCRATCH.  H is chunked so that no call has more than
     Q1_SCRATCH pairs.
+
+    The pass has one phase table (`DigitPhases`), which gives every call
+    its side tables at the exact digit phases of its points: the kernel's
+    cos and sin are taken once per probe row, once per eta and once per
+    point of the largest low set, whose first N^h points are every other
+    low set and the leading call's points, all at angles in [-pi, pi];
+    the rows t - eta are products of the probe and eta tables.  The float
+    points still decide each call's depth and tail.
     """
     m, dim = T.shape
     cap = Q1_SCRATCH // 1024          # so that a call has room for 1024 spectrum points a row
@@ -256,35 +277,73 @@ def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int):
     its Fourier tail per row (each call's bound times the layer's points in
     it): the k leading layers in one call on the N^(k-1) points of the
     levels below k - 1, one column group per layer, and each later layer in
-    its own."""
+    its own.
+
+    The points are digit sums of the levels tagged with their digit
+    columns (`DigitPhases.tagged`): their float coordinates decide each
+    call's depth, and their digits give its side tables at exact phases.
+    Each digit sum is carried on from the one before rather than redone:
+    the low sets are the first N^h points of one sum of the levels from 0
+    (and a whole layer's low set is its block in that sum), and the high
+    sets of the layers that split at the same h share the sum of their
+    full levels."""
     m, dim = T.shape
     N = system.N
     measure = SelfSimilarMeasure(system)
-    levels = layer_digits(system, p_depth)
+    phases = DigitPhases(measure, T, layer_digits(system, p_depth), _zero_first(system))
+    tagged, width = phases.tagged, phases.tagged[0].shape[1]
+    origin = np.zeros((1, width))
+    first, below = origin, 0            # the sum of the levels below `below`
+    run = (0, 0, origin)                # (h, j, the sum of the levels h..j-1)
+
+    # a sum carried on from an earlier one is the digit sum with that sum
+    # as its first set, the same additions after one of 0
+    def low_points(H):
+        nonlocal first, below
+        if H > below:
+            first, below = digit_sum([first] + tagged[below:H], width), H
+        return first[:N ** H]
+
+    def high_points(h, d):
+        nonlocal run
+        h0, j, pts = run
+        if h0 != h or j > d - 1:
+            j, pts = h, origin
+        run = (h, d - 1, digit_sum([pts] + tagged[j:d - 1], width))
+        return digit_sum([run[2], tagged[d - 1][1:]], width)
+
     k = 1                               # layer 0, one point, always leads
     while k <= p_depth and m * N ** k <= Q1_RUN_PAIRS:
         k += 1
     ends = [N ** j for j in range(k)]   # layer g is the block ends[g - 1]..ends[g]
     starts = [0] + ends[:-1]
-    sums, lead_tail = measure.mu_hat_sq_sums(T, digit_sum(levels[:k - 1], dim), starts)
+    lead = low_points(k - 1)
+    sums, lead_tail = measure.mu_hat_sq_sums(
+        T, lead[:, :dim], starts, functools.partial(phases.tables, None, lead[:, dim:], True))
     for g, (a, b) in enumerate(zip(starts, ends)):
         yield sums[:, g], lead_tail * (b - a)
     for d in range(k, p_depth + 1):
-        sets = levels[:d - 1] + [levels[d - 1][1:]]
-        n = math.prod(map(len, sets))
+        n = N ** (d - 1) * (N - 1)
         h, low_n = 0, 1
-        while h < len(sets):
-            grown = low_n * len(sets[h])
+        while h < d:
+            grown = low_n * (N if h < d - 1 else N - 1)
             if m * n > Q1_RUN_PAIRS and (grown ** 2 > m * n or m * grown > Q1_SCRATCH):
                 break
             h, low_n = h + 1, grown
-        low, high = digit_sum(sets[:h], dim), digit_sum(sets[h:], dim)
+        # the low digits are the levels below h, or the whole layer: its
+        # block in the sum of the levels below d, which the pass's low table
+        # does not hold
+        shared = h < d
+        low = low_points(h) if shared else low_points(d)[N ** (d - 1):]
+        high = high_points(h, d) if shared else origin
         chunk = Q1_SCRATCH // max(m * low_n, 1)
         inc, tail = np.zeros(m), 0.0
         for start in range(0, len(high), chunk):
             eta = high[start:start + chunk]
-            rows = (T[:, None, :] - eta[None, :, :]).reshape(-1, dim)
-            sums, block_tail = measure.mu_hat_sq_sums(rows, low, [0])
+            rows = (T[:, None, :] - eta[None, :, :dim]).reshape(-1, dim)
+            tables = functools.partial(phases.tables, eta[:, dim:] if shared else None,
+                                       low[:, dim:], shared)
+            sums, block_tail = measure.mu_hat_sq_sums(rows, low[:, :dim], [0], tables)
             inc += sums.reshape(m, len(eta)).sum(axis=1)
             tail += block_tail * len(eta) * low_n
         yield inc, tail

@@ -176,16 +176,27 @@ class AffineSystem:
         return walk, scale // g
 
     @functools.cached_property
+    def mask_rows(self) -> tuple:
+        """The exact rows of `mask_table` as (E, real, c): E the centred
+        digits b - c that the table keeps, as exact vectors, `real` whether
+        they are symmetric and c the exact mean of B."""
+        c = rat.vec_scale(Fraction(1, self.N), functools.reduce(rat.vec_add, self.B))
+        centred = [rat.vec_sub(b, c) for b in self.B]
+        real = sorted(centred) == sorted(rat.vec_scale(-1, e) for e in centred)
+        return tuple(e for e in centred if not real or e >= rat.vec_scale(-1, e)), real, c
+
+    @functools.cached_property
     def mask_table(self) -> tuple:
         """chi_B(x) = e^{i 2 pi c.x} sum_k w_k e^{i 2 pi e_k.x} as
         (E, w, real, c), with c the exact mean of B and the rows e_k of E
-        the centred digits b - c.  When the centred digits are symmetric
-        (e and -e alike), E keeps one of each pair at weight 2/N and the
-        bracket is the real sum_k w_k cos(2 pi e_k.x) (`real` is True);
-        otherwise every digit stays at weight 1/N.  A digit at the centre is
-        the one zero row of E, at weight 1/N, the bracket's constant term.
-        A two-digit table is one cosine of weight 1: E the one row
-        e = +-(b1 - b0)/2 and w = [1], so the bracket is cos(2 pi e.x).
+        the centred digits b - c (`mask_rows`, in floats here).  When the
+        centred digits are symmetric (e and -e alike), E keeps one of each
+        pair at weight 2/N and the bracket is the real sum_k w_k
+        cos(2 pi e_k.x) (`real` is True); otherwise every digit stays at
+        weight 1/N.  A digit at the centre is the one zero row of E, at
+        weight 1/N, the bracket's constant term.  A two-digit table is one
+        cosine of weight 1: E the one row e = +-(b1 - b0)/2 and w = [1], so
+        the bracket is cos(2 pi e.x).
 
         Every kernel forms the bracket before it squares it (the weights of
         `transfer.TransferOperator` one bracket, `SelfSimilarMeasure.mu_hat_sq_sums`
@@ -193,11 +204,8 @@ class AffineSystem:
         accurate to rounding squared at its zeros, where the cosine series
         over B - B would cancel to rounding.
         """
-        c = rat.vec_scale(Fraction(1, self.N), functools.reduce(rat.vec_add, self.B))
-        centred = [rat.vec_sub(b, c) for b in self.B]
+        E, real, c = self.mask_rows
         zero = self.zero()
-        real = sorted(centred) == sorted(rat.vec_scale(-1, e) for e in centred)
-        E = [e for e in centred if not real or e >= rat.vec_scale(-1, e)]
         w = np.array([(2 if real and e != zero else 1) / self.N for e in E])
         return np.array(E, dtype=float).reshape(len(E), self.dim), w, real, c
 

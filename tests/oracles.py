@@ -91,11 +91,18 @@ class ZeroSetPredicate:
 # ---------------------------------------------------------------------------
 # |mu_hat|^2 pair by pair, and the convolution
 
+def float_sq_sums(measure, T, Lam, starts):
+    """`mu_hat_sq_sums` of float rows and points, on the side tables of the
+    float points themselves (`_side_tables`)."""
+    T, Lam = probe_rows(T, measure.dim), probe_rows(Lam, measure.dim)
+    return measure.mu_hat_sq_sums(T, Lam, starts, functools.partial(measure._side_tables, T, Lam))
+
+
 def mu_hat_sq_pairs(measure, T, Lam):
     """|mu_hat(t - lambda)|^2 for every row t of T and lambda of Lam, as an
     (m, n) array, with its squared-form tail bound: the row sums of
     `mu_hat_sq_sums` over one column group per lambda."""
-    return measure.mu_hat_sq_sums(T, Lam, range(len(Lam)))
+    return float_sq_sums(measure, T, Lam, range(len(probe_rows(Lam, measure.dim))))
 
 
 def layer_points(system, depth: int):

@@ -565,13 +565,15 @@ class TestRefusedInput:
                              ids=["attractor-sigma", "attractor-rho", "q1"])
     def test_word_maps_that_are_no_contractions(self, tmp_path, capsys, argv):
         # R = 1: every word map has M^n = I, so I - M^n has no inverse and
-        # the word maps have no fixed points; q1 reaches it through its hull
+        # the word maps have no fixed points; the failed expansive axiom is
+        # named before any attractor or hull is built
         p = tmp_path / "unit-R.json"
         p.write_text(json.dumps({"dim": 1, "R": [["1"]], "B": [["0"], ["1/2"]],
                                  "L": [["0"], ["1"]]}))
         assert cli.main([*argv, "--file", str(p), "--force"]) == 2
         assert capsys.readouterr() == (
-            "", "error: I - M^n is singular; the word maps are not contractions\n")
+            "", f"error: the expansive axiom fails (eigenvalue moduli [1.0]): {argv[0]} needs "
+                "word maps that contract\n")
 
     # R = 10^400, and L = {0, 10^400}: exact entries past the largest float;
     # L = {0, 10^305} with B = {0, 1/(2 10^305)}: every entry is a float, but
@@ -722,6 +724,37 @@ class TestSlowShear:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["residuals"]) == 200
         assert doc["converged"] is False
+
+
+class TestNonExpansive:
+    """R = 1 with B = {0, 1/2}, L = {0, 1} fails only the expansive axiom:
+    under --force every command that needs contracting word maps refuses it
+    with one message, before any hull, transform or attractor is built."""
+
+    @pytest.fixture
+    def unit_scale(self, tmp_path):
+        doc = {"dim": 1, "R": [["1"]], "B": [["0"], ["1/2"]], "L": [["0"], ["1"]]}
+        p = tmp_path / "unit-scale.json"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    @pytest.mark.parametrize("command", ["q1", "gamma", "transfer", "attractor", "gram",
+                                         "report"])
+    def test_refused_with_one_message(self, monkeypatch, capsys, unit_scale, command):
+        def refuse(*_):
+            raise AssertionError("a hull was built for a non-expansive R")
+
+        monkeypatch.setattr(fs.geometry, "dual_hull", refuse)
+        assert cli.main([command, "--file", unit_scale, "--force"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: the expansive axiom fails (eigenvalue moduli [1.0]): "
+                       f"{command} needs word maps that contract\n")
+
+    def test_spectrum_and_validate_keep_their_exits(self, capsys, unit_scale):
+        assert cli.main(["spectrum", "--file", unit_scale, "--force"]) == 0
+        assert cli.main(["validate", "--file", unit_scale]) == 1
+        assert "expansive" in capsys.readouterr().out
 
 
 class TestUsage:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import fracspec as fs
 from fracspec import rational as rat
-from oracles import (ConvolvedMeasure, ZeroSetPredicate, atoms, max_diag_defect,
+from oracles import (ConvolvedMeasure, ZeroSetPredicate, atoms, float_sq_sums, max_diag_defect,
                      mu2_closed_form, mu_hat_sq_pairs, support_diameter)
 
 
@@ -67,7 +67,7 @@ def full_depth_sq(meas, T, Lam):
     by at most its tail."""
     T = np.asarray(T, dtype=float).reshape(-1, meas.dim)
     Lam = np.asarray(Lam, dtype=float).reshape(-1, meas.dim)
-    return np.abs(meas._brackets(T, Lam, fs.measure.MAX_PRODUCT_DEPTH, None)) ** 2
+    return np.abs(meas._brackets(*meas._side_tables(T, Lam, fs.measure.MAX_PRODUCT_DEPTH), None)) ** 2
 
 
 def _named_system(name):
@@ -290,7 +290,7 @@ class TestSquaredSums:
         T, Lam = _probe_pairs(meas.dim)
         T = np.concatenate([T, -T[:1]])
         ref, ref_tail = self.reference(meas, T, Lam, self.STARTS)
-        got, tail = meas.mu_hat_sq_sums(T, Lam, self.STARTS)
+        got, tail = float_sq_sums(meas, T, Lam, self.STARTS)
         assert got.shape == (7, len(self.STARTS))
         assert (got[:, [0, 2, 6, 7]] == 0).all()
         assert np.abs(got - ref).max() <= 1e-13
@@ -300,7 +300,7 @@ class TestSquaredSums:
         # J = 0: every value is 1, so a group sums to its size
         meas = fs.SelfSimilarMeasure(fs.make_system(2, [(Fraction(1, 3),)], [(0,)]))
         T, Lam = _probe_pairs(1)
-        got, _ = meas.mu_hat_sq_sums(T, Lam, self.STARTS)
+        got, _ = float_sq_sums(meas, T, Lam, self.STARTS)
         assert (got == np.diff(self.STARTS + [40])).all()
 
     @pytest.mark.parametrize("name", ["scale2", "eiffel2"])
@@ -315,7 +315,7 @@ class TestSquaredSums:
         meas._level_data(32)
         tracemalloc.start()
         try:
-            sums = meas._brackets(T, Lam, 32, [0])
+            sums = meas._brackets(*meas._side_tables(T, Lam, 32), [0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -326,7 +326,7 @@ class TestSquaredSums:
         tile = fs.measure.STACK_ENTRIES * itemsize
         assert sums.shape == (560, 1)
         assert peak <= angles + tables + 2 * tile + 2 ** 16
-        full = np.abs(meas._brackets(T, Lam, 32, None)) ** 2
+        full = np.abs(meas._brackets(*meas._side_tables(T, Lam, 32), None)) ** 2
         assert np.abs(sums[:, 0] - full.sum(axis=1)).max() <= 1e-12
 
 
@@ -462,7 +462,7 @@ class TestBrackets:
         vals = np.abs(per_digit_levels(sysm, T[:, None, :] - Lam[None, :, :], 29)) ** 2
         ref = np.stack([vals[:, a:b].sum(axis=1) for a, b in zip(starts, starts[1:] + [40])],
                        axis=1)
-        got, tail = meas.mu_hat_sq_sums(T, Lam, starts)
+        got, tail = float_sq_sums(meas, T, Lam, starts)
         assert got.shape == (7, 3)
         assert np.abs(got - ref).max() <= 1e-13
         assert tail == meas.tail_bound(29, fs.measure._max_distance(T, Lam))
@@ -479,7 +479,7 @@ class TestBrackets:
         meas._level_data(32)
         tracemalloc.start()
         try:
-            out = meas._brackets(T, Lam, 32, None)
+            out = meas._brackets(*meas._side_tables(T, Lam, 32), None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -522,7 +522,7 @@ class TestBrackets:
         meas = fs.SelfSimilarMeasure(sysm)
         T, Lam = _probe_pairs(sysm.dim)
         T, Lam = T[:m], Lam[:n]
-        got = meas._brackets(T, Lam, depth, None)
+        got = meas._brackets(*meas._side_tables(T, Lam, depth), None)
         assert got.shape == (m, n) and (got == 1).all()
         diffs = T[:, None, :] - Lam[None, :, :]
         ref = mean_phase_levels(sysm, diffs, depth)
@@ -555,7 +555,7 @@ class TestBrackets:
         meas._level_data(40)
         tracemalloc.start()
         try:
-            out = meas._brackets(T, Lam, 40, None)
+            out = meas._brackets(*meas._side_tables(T, Lam, 40), None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -727,6 +727,101 @@ class TestOneTail:
             sysm = fs.get_system(name)
         mean = fs.measure._mean(sysm)
         assert mean.tolist() == [float(x) for x in exact_mean(sysm)]
+
+
+@st.composite
+def _phase_systems(draw):
+    """A system in one to three dimensions with a triangular R whose
+    diagonal is an integer, a non-integer or a negative rational, one to
+    four digits in B and L, and 0 in L."""
+    dim = draw(st.integers(1, 3))
+    diag = st.sampled_from([2, 3, -2, -3, 4, Fraction(3, 2), Fraction(-5, 2), Fraction(7, 3)])
+    upper = st.sampled_from([0, 1, Fraction(1, 2)])
+    R = [[draw(diag) if i == j else draw(upper) if j > i else 0 for j in range(dim)]
+         for i in range(dim)]
+    N = draw(st.integers(1, 4))
+    point = st.tuples(*[st.fractions(-1, 1, max_denominator=6)] * dim)
+    B = draw(st.lists(point, min_size=N, max_size=N, unique=True))
+    L = draw(st.lists(point.filter(any), min_size=N - 1, max_size=N - 1, unique=True))
+    return fs.make_system(R, B, [(0,) * dim] + L)
+
+
+class TestDigitPhases:
+    """The phase table of a Q1 pass: exact digit residues, and side tables
+    that are those of the float points wherever the float angles are
+    accurate."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_phase_systems(), st.integers(1, 8))
+    def test_residues_are_fraction_arithmetic_mod_1(self, sysm, count):
+        digits = fs.spectrum._zero_first(sysm)
+        got = fs.measure._exact_residues(sysm, digits, count)
+        power = rat.identity(sysm.dim)
+        for n in range(count):
+            for a, l in enumerate(digits[1:]):
+                for j, e in enumerate(sysm.mask_rows[0]):
+                    x = rat.dot(rat.mat_vec(power, e), l)
+                    assert got[n, a, j] == float(x - math.floor(x))
+            power = rat.mat_mul(sysm.R.entries, power)
+
+    def test_residues_past_the_float_integers(self):
+        # R = [[7/3, 1], [0, -2]] at 40 levels: the modulus 3^39 e s is past
+        # 2^53, so the powers are taken in Python ints
+        sysm = fs.make_system([[Fraction(7, 3), 1], [0, -2]],
+                              [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 3))],
+                              [(0, 0), (1, 0), (0, 1)])
+        digits = fs.spectrum._zero_first(sysm)
+        got = fs.measure._exact_residues(sysm, digits, 40)
+        power = rat.identity(2)
+        for n in range(40):
+            for a, l in enumerate(digits[1:]):
+                for j, e in enumerate(sysm.mask_rows[0]):
+                    x = rat.dot(rat.mat_vec(power, e), l)
+                    assert got[n, a, j] == float(x - math.floor(x))
+            power = rat.mat_mul(sysm.R.entries, power)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_phase_systems(), st.data())
+    def test_tables_are_those_of_the_float_points(self, sysm, data):
+        # with |lambda| <= 1e4 the float angles are accurate, so the tables
+        # of every kind of call of a pass, deeper and shallower and at odd
+        # and even depths, match cos and sin of the float angles
+        digits = fs.spectrum._zero_first(sysm)
+        p_depth = 5
+        while p_depth > 1 and sum(np.abs(lv).max() for lv in
+                                  fs.spectrum.layer_digits(sysm, p_depth)) > 1e4:
+            p_depth -= 1
+        levels = fs.spectrum.layer_digits(sysm, p_depth)
+        meas = fs.SelfSimilarMeasure(sysm)
+        T = np.array(data.draw(st.lists(st.tuples(*[st.floats(-2, 2)] * sysm.dim),
+                                        min_size=1, max_size=3)))
+        phases = fs.measure.DigitPhases(meas, T, levels, digits)
+        width = sysm.dim + p_depth * (sysm.N - 1)
+
+        def points(sets):
+            pts = fs.spectrum.digit_sum([phases.tagged[i][first:] for i, first in sets], width)
+            return pts[:, :sysm.dim], pts[:, sysm.dim:]
+
+        for _ in range(4):
+            d = data.draw(st.integers(1, p_depth))
+            sets = [(i, 0) for i in range(d - 1)] + [(d - 1, 1)]
+            h = data.draw(st.integers(0, len(sets)))
+            shared = data.draw(st.booleans())
+            if shared:
+                # the first points of the pass's low table, a digit sum of full levels
+                sets = [(i, 0) for i in range(d)]
+                h = min(h, d - 1)
+            (low, low_digits), (high, high_digits) = points(sets[:h]), points(sets[h:])
+            if not shared:
+                # a low set of its own against the probe rows alone
+                high, high_digits = np.zeros((1, sysm.dim)), None
+            depth = data.draw(st.integers(1, 25))
+            rows = (T[:, None, :] - high[None]).reshape(-1, sysm.dim)
+            left, right = phases.tables(high_digits, low_digits, shared, depth)
+            ref_left, ref_right = meas._side_tables(rows, low, depth)
+            assert left.shape == ref_left.shape and right.shape == ref_right.shape
+            assert np.abs(left - ref_left).max(initial=0) <= 1e-12
+            assert np.abs(right - ref_right).max(initial=0) <= 1e-12
 
 
 class TestClosedForm:

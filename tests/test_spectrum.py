@@ -459,8 +459,8 @@ class TestQ1:
         pairs, tails = [], []
         kernel = fs.SelfSimilarMeasure.mu_hat_sq_sums
 
-        def counted(self, rows, lam, starts):
-            sums, tail = kernel(self, rows, lam, starts)
+        def counted(self, rows, lam, starts, tables):
+            sums, tail = kernel(self, rows, lam, starts, tables)
             pairs.append(len(rows) * len(lam))
             tails.append(tail)
             return sums, tail
@@ -574,9 +574,9 @@ class TestQ1:
         calls = []
         kernel = fs.SelfSimilarMeasure.mu_hat_sq_sums
 
-        def counted(self, rows, lam, starts):
+        def counted(self, rows, lam, starts, tables):
             calls.append((len(rows) * len(lam), len(starts)))
-            return kernel(self, rows, lam, starts)
+            return kernel(self, rows, lam, starts, tables)
 
         monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_sums", counted)
         fs.q1_profile(sysm, T, p_depth)
@@ -589,9 +589,9 @@ class TestQ1:
         calls = []
         kernel = fs.SelfSimilarMeasure.mu_hat_sq_sums
 
-        def counted(self, rows, lam, starts):
+        def counted(self, rows, lam, starts, tables):
             calls.append(len(rows) * len(lam))
-            return kernel(self, rows, lam, starts)
+            return kernel(self, rows, lam, starts, tables)
 
         monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_sums", counted)
         fs.q1_profile(scale2, np.linspace(-1, 0, 5), 14)
@@ -628,31 +628,55 @@ class TestQ1:
         assert (np.cumsum(prof.layers, axis=1) <= 1 + prof.fourier_tail + 1e-12).all()
         assert (prof.layers[:, 1:] >= -1e-15).all()
 
-    def test_odd_scale_against_mpmath(self):
-        # R = 7, B = {0, 1/4}, L = {0, 2}: the depth-14 sum of
-        # prod_k cos^2(pi (t - lambda) / (4 7^k)) over 16384 exact points
-        # with lambda up to 2.3e11.  Factor k depends on lambda mod 4 7^k
-        # only, so the first 14 factors are multiplied at 40 digits once per
-        # residue; past them the arguments are below pi/12 and double
-        # precision holds.  The direct pass was 8.6e-8 off, the split one
-        # 6.0e-8 off, and the split one with two levels per table row is
-        # 5.5e-8 off.
-        sysm = fs.two_digit_system(7, F(1, 4))
-        lams = [int(p[0]) for p in fs.enumerate_P(sysm, 14).coords()]
-        t = 0.137
-        got = fs.q1_profile(sysm, [t], 14).values()[0]
+    @staticmethod
+    def residue_oracle(sysm, depth=14, t=0.137):
+        """(pass, exact) Q1 at t over the depth-14 points of a
+        one-dimensional two-digit system (R, {0, b}, L), the exact sum of
+        prod_k cos^2(pi b (t - lambda) / R^k).  With Lam = c lambda an
+        integer and b / c = p / q, factor k depends on p Lam mod q |R|^k
+        only, so the first `depth` factors are multiplied at 40 digits once
+        per residue; past them the arguments are small and double
+        precision holds."""
+        R, b = int(sysm.R.entries[0][0]), sysm.B[1][0]
+        lifted, c = rat.lift(fs.enumerate_P(sysm, depth).coords())
+        lams = [lam for lam, in lifted]
+        p, q = (b / c).numerator, (b / c).denominator
+        got = fs.q1_profile(sysm, [t], depth).values()[0]
         with mpmath.workdps(40):
-            tq = mpmath.mpf(t)
+            bt = mpmath.mpf(b.numerator) * mpmath.mpf(t) / b.denominator
             prods, prev = {0: mpmath.mpf(1)}, 1
-            for k in range(14):
-                mod = 4 * 7 ** k
-                prods = {r: prods[r % prev] * mpmath.cos(mpmath.pi * (tq - r) / mod) ** 2
-                         for r in {lam % mod for lam in lams}}
+            for k in range(depth):
+                # p Lam / (q R^k) = sign(R^k) residue / (q |R|^k) mod 1
+                mod, sign = q * abs(R) ** k, (-1) ** k if R < 0 else 1
+                prods = {r: prods[r % prev] * mpmath.cos(
+                    mpmath.pi * (bt / mpmath.mpf(R) ** k - sign * mpmath.mpf(r) / mod)) ** 2
+                    for r in {p * lam % mod for lam in lams}}
                 prev = mod
-            x = np.array([float((F(t) - lam) / (4 * 7 ** 14)) for lam in lams])
-            tail = np.prod(np.cos(np.pi * x[:, None] / 7.0 ** np.arange(40)) ** 2, axis=1)
-            exact = mpmath.fsum(prods[lam] * float(w) for lam, w in zip(lams, tail))
-        assert abs(got - float(exact)) <= 8.6e-8
+            x = np.array([float(b * (F(t) - F(lam, c)) / F(R) ** depth) for lam in lams])
+            tail = np.prod(np.cos(np.pi * x[:, None] / float(R) ** np.arange(40)) ** 2, axis=1)
+            exact = mpmath.fsum(prods[p * lam % prev] * float(w) for lam, w in zip(lams, tail))
+        return got, float(exact)
+
+    def test_odd_scale_against_mpmath(self):
+        # R = 7, B = {0, 1/4}, L = {0, 2}: lambda up to 2.3e11.  The pass was
+        # 8.6e-8 off with one float angle per point, 6.0e-8 with the split
+        # into low and high digits and 5.5e-8 with two levels per table
+        # row; with its phases exact mod 1 it is 1.7e-12 off, mostly the
+        # truncation of each product at its tail, and the bound is nine
+        # times that
+        got, exact = self.residue_oracle(fs.two_digit_system(7, F(1, 4)))
+        assert abs(got - exact) <= 1.6e-11
+
+    @pytest.mark.parametrize("R, b, bound", [(-7, "1/4", 9.5e-12), (7, "3/2", 1.6e-11),
+                                             (3, "triadic", 4.5e-10)],
+                             ids=["R=-7", "b=3/2", "triadic"])
+    def test_large_lambda_against_mpmath(self, R, b, bound):
+        # the oracle of the odd scale at R = -7, at b = 3/2 (L = {0, 1/3})
+        # and on triadic (R = 3, B = {0, 2/3}, L = {0, 3/4}); each bound is
+        # about ten times the pass's error
+        sysm = fs.get_system("triadic") if b == "triadic" else fs.two_digit_system(R, F(b))
+        got, exact = self.residue_oracle(sysm)
+        assert abs(got - exact) <= bound
 
     def test_monotone_in_depth(self, scale4):
         rng = np.random.RandomState(9)
