@@ -3,9 +3,7 @@ truncated products over one bracket kernel, with one tail bound."""
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -437,11 +435,12 @@ class DigitPhases:
         tagged[:, 1:, dim:] = np.eye(K).reshape(count, N - 1, K)
         self.tagged = list(tagged)
         self._L = tagged[0, 1:, :dim]               # the digits past 0, in floats
-        # by table row: the digits' residue rows (rows, width, K) and the
-        # probe rows' weighted complex tables (`_grow`), the low set's
-        # tables and its digit columns (`_low_rows`)
+        # `_grow` sets the residues W by level, the residue rows (rows,
+        # width, K) and the probe rows' weighted complex tables by table row,
+        # and on two digits both again as padded rows by level; `_low_rows`
+        # sets the low table and its points' digit columns
         self._W = np.empty((0, K, self._exact.shape[2]))
-        self._low = self._low_digits = None
+        self._pads = self._probe_pads = self._low = self._low_digits = None
 
     def _grow(self, depth: int) -> None:
         """Build the residue rows and the probe tables for the kernel levels
@@ -468,19 +467,16 @@ class DigitPhases:
             a, b = z[0:per * full:2], z[1:per * full:2]
             self._probe = np.concatenate([a * b, a * b.conj()], axis=1) * w
             self._probe_pads = np.concatenate([z, z], axis=1) * w
+            self._pads = np.swapaxes(np.concatenate([self._W, self._W], axis=2), 1, 2)
 
-    def _call_rows(self, depth: int) -> np.ndarray:
-        """The residue rows of a call of `depth`: its full table rows, and
-        on an odd two-digit depth the padded last one (`_pad`)."""
+    def _padded(self, rows: np.ndarray, pads: np.ndarray, depth: int) -> np.ndarray:
+        """The table rows of a call of `depth` from a table by row and its
+        padded rows by level: the full rows, and on an odd two-digit depth
+        the padded row of the last level."""
         full = depth // self._per
         if depth % self._per:
-            return np.concatenate([self._rows[:full], self._pad(depth)])
-        return self._rows[:full]
-
-    def _pad(self, depth: int) -> np.ndarray:
-        """The residue row u_k, u_k of the padded last level k = depth - 1."""
-        pad = np.swapaxes(self._W[depth - 1:depth], 1, 2)
-        return np.concatenate([pad, pad], axis=1)
+            return np.concatenate([rows[:full], pads[depth - 1:depth]])
+        return rows[:full]
 
     def _low_rows(self, low: np.ndarray, shared: bool, depth: int) -> np.ndarray:
         """The lambda side of `_brackets` at `depth` for points with digit
@@ -490,7 +486,8 @@ class DigitPhases:
         real, full = self._real, depth // self._per
         sign = 1 if real else -1
         if not shared:
-            return _unit_table(_turns(self._call_rows(depth) @ low.T, sign), real)
+            phases = self._padded(self._rows, self._pads, depth) @ low.T
+            return _unit_table(_turns(phases, sign), real)
         if self._low is None:
             self._low = _unit_table(_turns(self._rows @ low.T, sign), real)
             self._low_digits = low.T
@@ -503,7 +500,7 @@ class DigitPhases:
             new = self._rows[len(self._low):] @ self._low_digits
             self._low = np.concatenate([self._low, _unit_table(_turns(new, sign), real)])
         if depth % self._per:
-            pad = _turns(self._pad(depth) @ low.T, sign)
+            pad = _turns(self._pads[depth - 1:depth] @ low.T, sign)
             return np.concatenate([self._low[:full, :, :n], _unit_table(pad, real)])
         return self._low[:full, :, :n]
 
@@ -514,12 +511,10 @@ class DigitPhases:
         the rows of `low`, which are the first points of the pass's low
         table when `shared` is set."""
         self._grow(depth)
-        full = depth // self._per
-        rows = self._probe[:full]
-        if depth % self._per:
-            rows = np.concatenate([rows, self._probe_pads[depth - 1:depth]])
+        rows = self._padded(self._probe, self._probe_pads, depth)
         if eta is not None:
-            z = _unit_table(_turns(self._call_rows(depth) @ eta.T, -1), False)
+            phases = self._padded(self._rows, self._pads, depth) @ eta.T
+            z = _unit_table(_turns(phases, -1), False)
             rows = (rows[..., None] * z[:, :, None, :]).reshape(rows.shape[:2] + (-1,))
         if self._real:
             rows = np.concatenate([rows.real, rows.imag], axis=1)

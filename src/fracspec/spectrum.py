@@ -92,15 +92,9 @@ def layer_digits(sys: AffineSystem, depth: int) -> list:
     Rt = np.array(sys.R.transpose, dtype=float)
     Ls = np.array(_zero_first(sys), dtype=float).reshape(sys.N, sys.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        if sys.dim == 1:
-            # a step multiplies by the scalar R*, so one running product
-            # takes every power, with the same roundings
-            powers = np.cumprod(np.concatenate([[1.0], np.repeat(Rt[0, 0], depth)]))
-            powers = powers[:depth].reshape(-1, 1, 1)
-        else:
-            powers = itertools.accumulate(range(depth - 1), lambda p, _: Rt @ p,
-                                          initial=np.eye(sys.dim))
-            powers = np.array(list(powers)[:depth]).reshape(-1, sys.dim, sys.dim)
+        powers = itertools.accumulate(range(depth - 1), lambda p, _: Rt @ p,
+                                      initial=np.eye(sys.dim))
+        powers = np.array(list(powers)[:depth]).reshape(-1, sys.dim, sys.dim)
         levels = Ls @ np.swapaxes(powers, 1, 2)
         # a point of layer d sums one point of each level k < d, so the sum
         # of their largest coordinates bounds its own
