@@ -67,7 +67,8 @@ def full_depth_sq(meas, T, Lam):
     by at most its tail."""
     T = np.asarray(T, dtype=float).reshape(-1, meas.dim)
     Lam = np.asarray(Lam, dtype=float).reshape(-1, meas.dim)
-    return np.abs(meas._brackets(*meas._side_tables(T, Lam, fs.measure.MAX_PRODUCT_DEPTH), None)) ** 2
+    tables = meas._side_tables(T, Lam, fs.measure.MAX_PRODUCT_DEPTH)
+    return np.abs(meas._brackets(*tables, None)) ** 2
 
 
 def _named_system(name):
@@ -751,9 +752,9 @@ class TestDigitPhases:
     that are those of the float points wherever the float angles are
     accurate."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(_phase_systems(), st.integers(1, 8))
-    def test_residues_are_fraction_arithmetic_mod_1(self, sysm, count):
+    @staticmethod
+    def check_residues(sysm, count):
+        # (R^n e).l mod 1 in Fraction arithmetic, rounded once
         digits = fs.spectrum._zero_first(sysm)
         got = fs.measure._exact_residues(sysm, digits, count)
         power = rat.identity(sysm.dim)
@@ -764,21 +765,17 @@ class TestDigitPhases:
                     assert got[n, a, j] == float(x - math.floor(x))
             power = rat.mat_mul(sysm.R.entries, power)
 
+    @settings(max_examples=40, deadline=None)
+    @given(_phase_systems(), st.integers(1, 8))
+    def test_residues_are_fraction_arithmetic_mod_1(self, sysm, count):
+        self.check_residues(sysm, count)
+
     def test_residues_past_the_float_integers(self):
         # R = [[7/3, 1], [0, -2]] at 40 levels: the modulus 3^39 e s is past
         # 2^53, so the powers are taken in Python ints
-        sysm = fs.make_system([[Fraction(7, 3), 1], [0, -2]],
-                              [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 3))],
-                              [(0, 0), (1, 0), (0, 1)])
-        digits = fs.spectrum._zero_first(sysm)
-        got = fs.measure._exact_residues(sysm, digits, 40)
-        power = rat.identity(2)
-        for n in range(40):
-            for a, l in enumerate(digits[1:]):
-                for j, e in enumerate(sysm.mask_rows[0]):
-                    x = rat.dot(rat.mat_vec(power, e), l)
-                    assert got[n, a, j] == float(x - math.floor(x))
-            power = rat.mat_mul(sysm.R.entries, power)
+        self.check_residues(fs.make_system([[Fraction(7, 3), 1], [0, -2]],
+                                           [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 3))],
+                                           [(0, 0), (1, 0), (0, 1)]), 40)
 
     @settings(max_examples=40, deadline=None)
     @given(_phase_systems(), st.data())
