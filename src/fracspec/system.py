@@ -179,11 +179,18 @@ class AffineSystem:
     def mask_rows(self) -> tuple:
         """The exact rows of `mask_table` as (E, real, c): E the centred
         digits b - c that the table keeps, as exact vectors, `real` whether
-        they are symmetric and c the exact mean of B."""
-        c = rat.vec_scale(Fraction(1, self.N), functools.reduce(rat.vec_add, self.B))
-        centred = [rat.vec_sub(b, c) for b in self.B]
-        real = sorted(centred) == sorted(rat.vec_scale(-1, e) for e in centred)
-        return tuple(e for e in centred if not real or e >= rat.vec_scale(-1, e)), real, c
+        they are symmetric and c the exact mean of B.  They are decided on
+        one integer lift of B, N s (b - c) = N Bi_b - sum Bi, whose order
+        and signs are those of the centred digits."""
+        Bi, s = rat.lift(self.B)
+        total = [sum(col) for col in zip(*Bi)]
+        centred = [tuple([self.N * x - t for x, t in zip(b, total)]) for b in Bi]
+        flipped = [tuple([-x for x in e]) for e in centred]
+        real = sorted(centred) == sorted(flipped)
+        scale = self.N * s
+        E = tuple(tuple(Fraction(x, scale) for x in e) for e, f in zip(centred, flipped)
+                  if not real or e >= f)
+        return E, real, tuple(Fraction(t, scale) for t in total)
 
     @functools.cached_property
     def mask_table(self) -> tuple:
