@@ -489,7 +489,8 @@ class DigitPhases:
             phases = self._padded(self._rows, self._pads, depth) @ low.T
             return _unit_table(_turns(phases, sign), real)
         if self._low is None:
-            self._low = _unit_table(_turns(self._rows @ low.T, sign), real)
+            # the first call's rows; a deeper call takes every row built
+            self._low = _unit_table(_turns(self._rows[:full] @ low.T, sign), real)
             self._low_digits = low.T
         n, have = len(low), self._low_digits.shape[1]
         if n > have:
