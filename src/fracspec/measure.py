@@ -347,24 +347,24 @@ def _exact_residues(sys: AffineSystem, digits, count: int) -> np.ndarray:
 
     On the integer lifts R = Ri / r, E = Ei / e and L = Li / s it is
     (Li.Ri^n Ei_j mod r^n e s) / (r^n e s), rounded once, so it is exact to
-    half an ulp however large R*^i l is.  Every modulus divides M = r^(count-1)
-    e s, so the powers Ri^n Ei are kept mod M, and taken by doubling: the
-    stack of the first 2^k is the one before times Ri^(2^k).  They are
-    integers in floats while every product stays below 2^53, and Python
-    ints otherwise."""
+    half an ulp however large R*^i l is.  Every modulus divides
+    M = r^(count-1) e s, so the lifts and the powers Ri^n Ei are kept mod M,
+    and the powers are taken by doubling: the stack of the first 2^k is the
+    one before times Ri^(2^k).  They are integers in floats while every
+    product, at most dim M^2, stays below 2^53, and Python ints otherwise."""
     Ri, r = rat.lift(sys.R.entries)
     Ei, e = rat.lift(sys.mask_rows[0])
     Li, s = rat.lift(digits[1:])
     M = e * s * r ** (count - 1)
-    top = max(M, *(abs(x) for row in Ri + Ei + Li for x in row))
-    dtype = float if sys.dim * top * M < 2 ** 53 else object
-    P, powers = np.array(Ri, dtype), np.array(Ei, dtype).T[None] % M
+    dtype = float if sys.dim * M * M < 2 ** 53 else object
+    P, powers, Li = (np.array([[x % M for x in row] for row in A], dtype).reshape(len(A), sys.dim)
+                     for A in (Ri, Ei, Li))
+    powers = powers.T[None]
     while len(powers) < count:
         powers = np.concatenate([powers, P @ powers % M])
         P = P @ P % M
     den = e * s * np.array([r ** n for n in range(count)], dtype)[:, None, None]
-    num = np.array(Li, dtype).reshape(len(Li), sys.dim) @ powers[:count] % den
-    return np.asarray(num / den, dtype=float)
+    return np.asarray(Li @ powers[:count] % den / den, dtype=float)
 
 
 def _unit_table(angles: np.ndarray, real: bool) -> np.ndarray:

@@ -770,12 +770,17 @@ class TestDigitPhases:
     def test_residues_are_fraction_arithmetic_mod_1(self, sysm, count):
         self.check_residues(sysm, count)
 
-    def test_residues_past_the_float_integers(self):
+    @pytest.mark.parametrize("R, B, L, count", [
         # R = [[7/3, 1], [0, -2]] at 40 levels: the modulus 3^39 e s is past
         # 2^53, so the powers are taken in Python ints
-        self.check_residues(fs.make_system([[Fraction(7, 3), 1], [0, -2]],
-                                           [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 3))],
-                                           [(0, 0), (1, 0), (0, 1)]), 40)
+        ([[Fraction(7, 3), 1], [0, -2]], [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 3))],
+         [(0, 0), (1, 0), (0, 1)], 40),
+        # R = 100000001 with the modulus 4: R^2 is no float, but R is
+        # reduced mod 4 before its first product, so every power is exact
+        ([[100000001]], [(0,), (Fraction(1, 2),)], [(0,), (1,)], 6)],
+        ids=["modulus-past-2^53", "R-past-the-modulus"])
+    def test_residues_past_the_float_integers(self, R, B, L, count):
+        self.check_residues(fs.make_system(R, B, L), count)
 
     @settings(max_examples=40, deadline=None)
     @given(_phase_systems(), st.data())
