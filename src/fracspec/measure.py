@@ -1,5 +1,7 @@
 """Fourier side of a self-similar measure: the transform and |mu_hat|^2 as
-truncated products over one bracket kernel, with one tail bound."""
+truncated products over one bracket kernel, the transform's with its
+quadratic tail bound and the |mu_hat|^2 sums' closed by one more bracket,
+with its quartic one."""
 
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from .system import AffineSystem, probe_rows
 DEFAULT_TAIL_TOL = 1e-10
 MAX_PRODUCT_DEPTH = 200
 STACK_ENTRIES = 1 << 15     # (level, t, lambda) entries of one stacked product in _brackets
+_AHEAD = 8                  # levels a Q1 pass's phase table builds past a call's depth
 
 
 def _contraction_data(S: np.ndarray):
@@ -23,13 +26,86 @@ def _contraction_data(S: np.ndarray):
     power, c = np.eye(S.shape[0]), 1.0      # c: the largest ||S^j||_op, j < k
     for k in range(1, MAX_PRODUCT_DEPTH + 1):
         power = power @ S
-        nrm = float(np.linalg.norm(power, 2))
+        # the operator norm of a 1 x 1 power is its modulus
+        nrm = abs(float(power[0, 0])) if S.shape == (1, 1) else float(np.linalg.norm(power, 2))
         if nrm < 1.0:
             return k, nrm, c
         c = max(c, nrm)
     raise ValueError(f"no power S^k, k <= {MAX_PRODUCT_DEPTH}, of the inverse transpose "
                      f"S = R*^-1 has operator norm below 1, so the transform's tail "
                      f"bound is unavailable")
+
+
+def extend_levels(S: np.ndarray, stack: np.ndarray, depth: int) -> np.ndarray:
+    """A stack of level columns (levels, dim, J) extended to `depth` levels by
+    the recurrence column_{k+1} = S' column_k, or itself when it has them.
+    In one dimension a step multiplies by the scalar S, so one running
+    product takes every new level, with the same roundings."""
+    built = len(stack)
+    if depth <= built:
+        return stack
+    stack = np.concatenate([stack, np.empty((depth - built,) + stack.shape[1:])])
+    if S.shape == (1, 1):
+        stack[built:] = S[0, 0]
+        np.cumprod(stack[built - 1:], axis=0, out=stack[built - 1:])
+    else:
+        for k in range(built, depth):
+            np.matmul(S.T, stack[k - 1], out=stack[k])
+    return stack
+
+
+def _closure(sys: AffineSystem, lifted, S: np.ndarray, kappa: int, rho: float,
+             U0: np.ndarray):
+    """The closure level of the |mu_hat|^2 sums (`SelfSimilarMeasure.sq_tail_bound`):
+    V0 = G' U0, the level-0 columns of the closure, whose level d is the
+    bracket at A_d x = G S^d x, and the constants (kA, k4) of its quartic
+    remainder; (None, None) when there is none.  `lifted` is the integer
+    lift (I, s) of B.
+
+    With Sigma_B = N^-1 sum_b (b - c)(b - c)' and Q_0 = sum_{k >= 0}
+    S^k' Sigma_B S^k, G = Sigma_B^{+1/2} Q_0^{1/2} gives A_d' Sigma_B A_d =
+    S^d' Q_0 S^d = Q_d, the quadratic form of the levels k >= d, whenever
+    the range of Q_0 lies in that of Sigma_B, that is when the span of the
+    centred digits is R-invariant (exact ranks).  For a scalar R it is
+    G = gamma I, gamma = (1 - rho^2)^{-1/2}, and the closure of level d is
+    gamma u_d.  With mu4 = N^-2 sum_{b,b'} |b - b'|^4 and m4 = (2 pi)^4
+    mu4 / 24, kA^4 = m4 ||G||^4 and k4^4 = m4 kappa / (1 - rho^4)."""
+    Ii, s = lifted
+    N, scale = sys.N, sys.N * s
+    total = [sum(col) for col in zip(*Ii)]
+    D = [tuple(N * x - t for x, t in zip(b, total)) for b in Ii]     # N s (b - c)
+    if not any(map(any, D)):
+        return None, None                   # one point: no tail to close
+    if sys.dim == 1 or rat.scalar(sys.R.entries) is not None:
+        g = 1.0 / math.sqrt(1.0 - rho * rho)
+        V0 = g * U0
+    else:
+        rank = rat.rank(D)
+        if rank < sys.dim and rat.rank(D + [rat.mat_vec(sys.R.entries, d) for d in D]) > rank:
+            return None, None
+        Df = np.array(D, dtype=float) / scale
+        Q = sigma = Df.T @ Df / N
+        power = S
+        while np.abs(power).max() > 1e-30 * np.abs(Q).max():
+            Q, power = Q + power.T @ Q @ power, power @ power
+        lam, vec = np.linalg.eigh(sigma)
+        keep = lam > 1e-12 * lam.max()
+        root_inv = (vec[:, keep] / np.sqrt(lam[keep])) @ vec[:, keep].T
+        lam, vec = np.linalg.eigh(Q)
+        G = root_inv @ (vec * np.sqrt(np.maximum(lam, 0.0))) @ vec.T
+        g, V0 = float(np.linalg.norm(G, 2)), G.T @ U0
+    # m4^{1/4}, from the logarithm of the exact sum so that no power of B
+    # leaves the float range, rounded up
+    quartic = sum(sum((x - y) ** 2 for x, y in zip(a, b)) ** 2 for a in D for b in D)
+    root = 2 * math.pi * math.exp((math.log(quartic) - math.log(24 * N * N)) / 4) / scale
+    root *= 1 + 1e-12
+    return V0[None], (root * g, root * (kappa / (1.0 - rho ** 4)) ** 0.25)
+
+
+def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The two-digit table rows of the level pairs (a_k, b_k), stacked on
+    the first axis: the columns a_k + b_k and a_k - b_k, on the last."""
+    return np.concatenate([a + b, a - b], axis=-1)
 
 
 def _row_tile(m: int, n: int) -> int:
@@ -105,7 +181,13 @@ class SelfSimilarMeasure:
         self._sigma = rat.sqrt_ratio(sys.N * sum(sq) - rat.dot(total, total), (sys.N * s) ** 2)
         # the level frequencies built so far; see _level_data
         self._U = 2 * np.pi * sys.mask_table[0].T[None]
-        # the weights of a table row (`_rows`): the mask's, or 1/2 and 1/2 on two digits
+        # the closure columns built so far and the constants of their quartic
+        # remainder, or None; see sq_tail_bound
+        self._V, self._quartic = _closure(sys, (I, s), self._S, self._kappa, self._rho,
+                                          self._U[0])
+        # levels per table row (`_rows`), and the weights of a row: the mask's,
+        # or 1/2 and 1/2 on two digits
+        self._per = 2 if sys.N == 2 else 1
         self._w = np.array([0.5, 0.5]) if sys.N == 2 else sys.mask_table[1]
 
     # -- tail machinery ----------------------------------------------------
@@ -123,10 +205,12 @@ class SelfSimilarMeasure:
         e^{i th_b} + i th_b)| <= 2 pi^2 sigma^2 |y|^2.  For factors a_k of
         modulus at most one, |prod_{k<d} a_k - prod_k a_k| <= sum_{k>=d}
         |1 - a_k| (and for a_k = |b_k|^2 in [0, 1] the difference is
-        nonnegative, so the truncated |mu_hat|^2 is never below the true
-        one).  With ||R*^{-k} x|| <= c rho^{floor(k/kappa)} |x| and
-        sum_{k >= d} rho^{2 floor(k/kappa)} <= kappa rho^{2 floor(d/kappa)}
-        / (1 - rho^2), the bound is 4 pi^2 sigma^2 c^2 t_norm^2 kappa
+        nonnegative, so a plain truncation of |mu_hat|^2 is never below the
+        true one; the sums close theirs instead, and a closed value may sit
+        on either side of the true one, `sq_tail_bound`).  With
+        ||R*^{-k} x|| <= c rho^{floor(k/kappa)} |x| and sum_{k >= d}
+        rho^{2 floor(k/kappa)} <= kappa rho^{2 floor(d/kappa)} / (1 -
+        rho^2), the bound is 4 pi^2 sigma^2 c^2 t_norm^2 kappa
         rho^{2 floor(d/kappa)} / (1 - rho^2): that of |mu_hat|^2, and twice
         what mu_hat needs.
         """
@@ -141,23 +225,83 @@ class SelfSimilarMeasure:
 
     def depth_for(self, t_norm: float) -> int:
         """Smallest product depth d >= 1 whose tail bound is below
-        DEFAULT_TAIL_TOL, or MAX_PRODUCT_DEPTH when no smaller one is.
+        DEFAULT_TAIL_TOL, or MAX_PRODUCT_DEPTH when no smaller one is."""
+        return self._least_depth(self.tail_bound, t_norm, self.tail_bound(0, t_norm), 0.0)
 
-        The bound is its depth-0 value times r^{floor(d/kappa)}, r = rho^2,
-        so one logarithm places d; steps of `tail_bound` itself then settle
-        the rounding, so d is the one a depth-by-depth search would find.
+    def sq_tail_bound(self, depth: int, t_norm: float) -> float:
+        """Bound on how far a call of `mu_hat_sq_sums` at `depth` can put
+        |mu_hat|^2 from the exact value, on either side, at any frequency x
+        with |x| <= t_norm: its product of the levels k < depth times the
+        closure level, the bracket's |b(A x)|^2 with A' Sigma_B A = Q_d (see
+        `_closure`), or `tail_bound` when the measure has no closure.
+
+        Write |b(y)|^2 = N^-2 sum_{b,b'} cos 2 pi (b - b').y = 1 - q(y) +
+        r(y) with q(y) = 4 pi^2 y' Sigma_B y and, from cos z in [1 - z^2/2,
+        1 - z^2/2 + z^4/24], 0 <= r(y) <= s(y) = (2 pi)^4 N^-2 sum_{b,b'}
+        ((b - b').y)^4 / 24 <= m4 |y|^4 (`_closure`).  The levels k >= d
+        multiply to T = prod (1 - a_k), a_k = q_k - r_k in [0, 1], whose sum
+        A lies in [Q - S4, Q], Q = sum_k q(S^k x) = 4 pi^2 x' Q_d x and S4 =
+        sum_k s(S^k x); so 1 - Q <= 1 - A <= T <= e^-A <= 1 - Q + S4 +
+        Q^2/2, and T <= 1.  The closure is C = 1 - Q + r(A x), in [1 - Q,
+        1 - Q + s(A x)] and at most 1.  So T - C lies in [-min(Q, s(A x)),
+        min(Q, S4 + Q^2/2)], and so does the difference of the two products
+        once both are multiplied by the levels k < d, which lie in [0, 1].
+        With Q at most `tail_bound`, |S^k x| <= c rho^{floor(k/kappa)} |x|,
+        S4 <= (k4 y)^4 and s(A x) <= (kA y)^4, y = c t_norm
+        rho^{floor(d/kappa)} (`_closure`), the bound is min(Q, max((kA y)^4,
+        (k4 y)^4 + Q^2/2)): quartic in the norm, and never above
+        `tail_bound`.
         """
+        quad = self.tail_bound(depth, t_norm)
+        if self._V is None:
+            return quad
+        kA, k4 = self._quartic
+        y = self._c * t_norm * self._rho ** (depth // self._kappa)
+        a, b = kA * y, k4 * y
+        a, b = a * a, b * b
+        closed = max(a * a, b * b + quad * quad / 2)
+        return closed if closed < quad else quad        # also where y is NaN
+
+    def sq_depth_for(self, t_norm: float) -> int:
+        """The depth of a call of `mu_hat_sq_sums`: the smallest d >= 1 whose
+        `sq_tail_bound` is below DEFAULT_TAIL_TOL (MAX_PRODUCT_DEPTH when no
+        smaller one is), rounded up on two digits so that the levels of the
+        call, the closure included, fill whole table rows (`_rows`): an odd
+        d with a closure, an even one without."""
         head = self.tail_bound(0, t_norm)
+        if self._V is None:
+            d = self._least_depth(self.tail_bound, t_norm, head, 0.0)
+            return d + d % self._per
+        kA, k4 = self._quartic
+        a, b = kA * self._c * t_norm, k4 * self._c * t_norm
+        a, b = a * a, b * b
+        d = self._least_depth(self.sq_tail_bound, t_norm, head,
+                              max(a * a, b * b + head * head / 2))
+        return d + (d + 1) % self._per
+
+    def _least_depth(self, bound, t_norm: float, head: float, quartic: float) -> int:
+        """Smallest d >= 1 with bound(d, t_norm) below DEFAULT_TAIL_TOL, or
+        MAX_PRODUCT_DEPTH when no smaller one is: for `tail_bound`, whose
+        value is its depth-0 value `head` times q = r^{floor(d/kappa)},
+        r = rho^2, or for `sq_tail_bound`, min(head q, quartic q^2).
+
+        One logarithm places d at the least q that meets the tolerance;
+        steps of `bound` itself then settle the rounding, so d is the one a
+        depth-by-depth search would find.
+        """
         if not head >= DEFAULT_TAIL_TOL:             # also a zero or NaN norm
             d = 1
         elif head == math.inf:
             d = MAX_PRODUCT_DEPTH
         else:
-            q = math.floor(math.log(DEFAULT_TAIL_TOL / head) / math.log(self._rho ** 2)) + 1
+            q = DEFAULT_TAIL_TOL / head
+            if quartic:
+                q = max(q, math.sqrt(DEFAULT_TAIL_TOL / quartic))
+            q = math.floor(math.log(q) / math.log(self._rho ** 2)) + 1
             d = min(max(self._kappa * q, 1), MAX_PRODUCT_DEPTH)
-        while d > 1 and self.tail_bound(d - 1, t_norm) < DEFAULT_TAIL_TOL:
+        while d > 1 and bound(d - 1, t_norm) < DEFAULT_TAIL_TOL:
             d -= 1
-        while d < MAX_PRODUCT_DEPTH and self.tail_bound(d, t_norm) >= DEFAULT_TAIL_TOL:
+        while d < MAX_PRODUCT_DEPTH and bound(d, t_norm) >= DEFAULT_TAIL_TOL:
             d += 1
         return d
 
@@ -166,22 +310,19 @@ class SelfSimilarMeasure:
         """U of shape (depth, dim, J), the columns u_kj = 2 pi R*^{-k}' e_j
         of each level k < depth, e_j the rows of E in
         `AffineSystem.mask_table`.  It follows the recurrence
-        u_{k+1} = R*^{-1}' u_k, run once per level and measure: a deeper
-        product extends the stack, a shallower one takes a slice.  In one
-        dimension a step multiplies by the scalar R*^{-1}, so one running
-        product takes every new level, with the same roundings."""
-        U = self._U
-        if depth > len(U):
-            built = len(U)
-            U = np.concatenate([U, np.empty((depth - built,) + U.shape[1:])])
-            if self.dim == 1:
-                U[built:] = self._S[0, 0]
-                np.cumprod(U[built - 1:], axis=0, out=U[built - 1:])
-            else:
-                for k in range(built, depth):
-                    np.matmul(self._S.T, U[k - 1], out=U[k])
-            self._U = U
-        return U[:depth]
+        u_{k+1} = R*^{-1}' u_k (`extend_levels`), run once per level and
+        measure: a deeper product extends the stack, a shallower one takes a
+        slice."""
+        self._U = extend_levels(self._S, self._U, depth)
+        return self._U[:depth]
+
+    def _closure_data(self, depth: int) -> np.ndarray:
+        """(depth, dim, J): the columns 2 pi A_k' e_j of the closure level of
+        a call of each depth k < `depth`, A_k = G S^k (`_closure`), from
+        those of depth 0 by the recurrence of `_level_data`: gamma u_k for a
+        scalar R."""
+        self._V = extend_levels(self._S, self._V, depth)
+        return self._V[:depth]
 
     def _rows(self, A: np.ndarray) -> np.ndarray:
         """Kernel levels, on the first axis of A, as the rows of the bracket
@@ -194,11 +335,12 @@ class SelfSimilarMeasure:
             return A
         if len(A) % 2:
             A = np.concatenate([A, np.zeros((1,) + A.shape[1:])])
-        return np.concatenate([A[0::2] + A[1::2], A[0::2] - A[1::2]], axis=-1)
+        return _join(A[0::2], A[1::2])
 
-    def _side_tables(self, T: np.ndarray, Lam: np.ndarray, depth: int) -> tuple:
+    def _side_tables(self, T: np.ndarray, Lam: np.ndarray, levels: np.ndarray) -> tuple:
         """The two side tables of `_brackets` for every row t of T and lambda
-        of Lam at `depth`, from the float points.
+        of Lam at the level columns `levels` (of `_level_data`, and of
+        `_closure_data` for a closure level), from the float points.
 
         The tables are formed once for all levels, in one
         (rows, width, m + n) array whose first m columns are the t side and
@@ -209,7 +351,7 @@ class SelfSimilarMeasure:
         lambda.u_kj.  A digit at the centre is a zero column u_kj, whose
         term is its weight."""
         real = self.system.mask_table[2]
-        U, w, m = self._rows(self._level_data(depth)), self._w, len(T)
+        U, w, m = self._rows(levels), self._w, len(T)
         # a complex table's lambda side is e^{-i pl}, at the angles of -lambda
         # (exact; numpy 2.4's in-place negative of those columns of P is wrong
         # at a 64-byte stride)
@@ -251,8 +393,10 @@ class SelfSimilarMeasure:
         k and k + 1 become the row pair u_k + u_{k+1}, u_k - u_{k+1} at
         weights 1/2 and 1/2 (`_rows`), so one width-4 product joins two
         levels where two width-2 products and two multiplies did.  An odd
-        depth pads one zero level, which is exact: its row pair is u_k, u_k,
-        and cos(a)/2 + cos(a)/2 = cos a is the last level itself.
+        count of levels pads one zero level, which is exact: its row pair is
+        u_k, u_k, and cos(a)/2 + cos(a)/2 = cos a is the last level itself;
+        a call of `mu_hat_sq_sums` takes a depth whose levels, its closure
+        included, fill whole rows (`sq_depth_for`).
         """
         depth, m, _ = left.shape
         n, dtype = right.shape[2], left.dtype
@@ -285,7 +429,7 @@ class SelfSimilarMeasure:
         array: `_brackets` times the mean phase e^{i 2 pi m.(t - lambda)},
         m the mean of mu (`_mean`, once per system)."""
         mean = self.system.once("mean", lambda: _mean(self.system))
-        out = self._brackets(*self._side_tables(T, Lam, depth), None) * \
+        out = self._brackets(*self._side_tables(T, Lam, self._level_data(depth)), None) * \
             np.exp(2j * np.pi * (T @ mean))[:, None]
         out *= np.exp(-2j * np.pi * (Lam @ mean))[None, :]
         return out
@@ -324,19 +468,22 @@ class SelfSimilarMeasure:
         """The row sums of |mu_hat(t - lambda)|^2, t a row of T and lambda of
         Lam, over the column groups that begin at `starts` (see
         `_group_sums`; an empty group sums to 0): the (m, len(starts)) array
-        and the tail bound of its own adaptive depth, which the truncated
-        values overestimate by at most that bound.  `tables(depth)` gives
-        the two side tables of `_brackets` for these rows and points at
-        that depth: `_side_tables` of the float points, or a Q1 pass's
-        tables at exact digit phases (`DigitPhases.tables`); the float
-        points decide the depth either way.  The product of `_brackets` is
-        squared tile by tile; the mean phase has modulus one and is left
-        out.  Each bracket is formed before it is squared, so a factor near
-        a zero of the mask keeps |chi_B|^2 accurate to rounding squared.
-        The kernel reduces each row tile as it finishes it, so no (m, n)
-        array is formed."""
-        T, Lam, depth, tail = self._adaptive(T, Lam, None)
-        return self._brackets(*tables(depth), starts), tail
+        and the `sq_tail_bound` of its depth (`sq_depth_for`) at the largest
+        |t - lambda|, which bounds each value's distance from the exact one,
+        on either side.  `tables(depth)` gives the two side tables of
+        `_brackets` for these rows and points at that depth, the closure
+        level included (`_closure_data`): `_side_tables` of the float points,
+        or a Q1 pass's tables at exact digit phases (`DigitPhases.tables`);
+        the float points decide the depth either way.  The product of
+        `_brackets` is squared tile by tile; the mean phase has modulus one
+        and is left out.  Each bracket is formed before it is squared, so a
+        factor near a zero of the mask keeps |chi_B|^2 accurate to rounding
+        squared.  The kernel reduces each row tile as it finishes it, so no
+        (m, n) array is formed."""
+        T, Lam = probe_rows(T, self.dim), probe_rows(Lam, self.dim)
+        t_norm = _max_distance(T, Lam)
+        depth = self.sq_depth_for(t_norm)
+        return self._brackets(*tables(depth), starts), self.sq_tail_bound(depth, t_norm)
 
 
 def _exact_residues(sys: AffineSystem, digits, count: int) -> np.ndarray:
@@ -418,15 +565,23 @@ class DigitPhases:
     h so far, whose first N^h points are every low set of full levels and
     the leading call's points (`spectrum.layer_digits` puts digit 0 first).
     The rows t - eta are the probe table times the eta table, by angle
-    addition.  The padded last row of an odd two-digit depth is no row of
-    a deeper call, so it is formed for its call alone.
+    addition.  The closure level of a call (`SelfSimilarMeasure._closure_data`)
+    lies past every digit level of its points, where R*^{i-d} contracts,
+    so its phases are floats, those of the float digits at the closure
+    columns, with no residue.  The row that holds it is no row of a deeper
+    call, so the residue and probe tables are laid out as the closure rows
+    of the depths the pass reaches next, one slot and the full rows, and
+    the low table as the slot and the full rows: a call puts its closure
+    row into the slot (the low table's is formed anew when a call reads
+    another closure row than the call before), and its tables are the slot
+    and its full rows.
     """
 
     def __init__(self, measure: SelfSimilarMeasure, T: np.ndarray, levels, digits):
         sys = measure.system
         count, N, dim = len(levels), sys.N, sys.dim
         self._measure, self._T = measure, T
-        self._per = 2 if N == 2 else 1              # levels per table row
+        self._per = measure._per                    # levels per table row
         self._real = sys.mask_table[2]
         self._exact = _exact_residues(sys, digits, count)
         K = count * (N - 1)
@@ -435,88 +590,105 @@ class DigitPhases:
         tagged[:, 1:, dim:] = np.eye(K).reshape(count, N - 1, K)
         self.tagged = list(tagged)
         self._L = tagged[0, 1:, :dim]               # the digits past 0, in floats
-        # `_grow` sets the residues W by level, the residue rows (rows,
-        # width, K) and the probe rows' weighted complex tables by table row,
-        # and on two digits both again as padded rows by level; `_low_rows`
-        # sets the low table and its points' digit columns
+        self._F = tagged[:, 1:, :dim].reshape(K, dim)    # every digit column's float point
+        # the rows before the full rows: the closure rows of the depths
+        # first, first + per, ..., first + _AHEAD (`_grow`) and the slot
+        self._lead = _AHEAD // self._per + 2 if measure._V is not None else 0
+        # `_grow` sets the residues W by level and, in the layout above, the
+        # residue rows (rows, width, K) and the probe rows' weighted complex
+        # tables; `_low_rows` sets the low table, its points' digit columns
+        # and the index of the closure row in its slot
         self._W = np.empty((0, K, self._exact.shape[2]))
-        self._pads = self._probe_pads = self._low = self._low_digits = None
+        self._first, self._low, self._low_digits, self._low_slot = 0, None, None, None
 
     def _grow(self, depth: int) -> None:
-        """Build the residue rows and the probe tables for the kernel levels
-        below depth + 8, once a call asks past those built, so a pass whose
-        calls go a level deeper each builds them every eight calls.  Level k
-        of W holds in column i (N - 1) + a - 1 the residue of digit a of
-        level i, exact where i >= k."""
-        if depth <= len(self._W):
+        """Build the residue rows and the probe tables of the kernel levels
+        below depth + _AHEAD and of the closure rows of the depths depth,
+        depth + per, ..., depth + _AHEAD, once a call asks for a depth
+        outside those, so a pass whose calls go a level deeper each builds
+        them every _AHEAD calls (a pass's calls never go shallower; one
+        that did would build them again, with no fewer levels).  Level k of
+        W holds in column i (N - 1) + a - 1 the residue of digit a of level
+        i, exact where i >= k.  The closure row of a call of depth d is its
+        closure alone, or on two digits its closure beside its last level
+        d - 1 (`SelfSimilarMeasure.sq_depth_for` makes d odd)."""
+        lead = self._lead
+        if depth <= len(self._W) and (not lead or self._first <= depth <= self._first + _AHEAD):
             return
-        D, measure, per = depth + 8, self._measure, self._per
+        D, measure, per = max(depth + _AHEAD, len(self._W)), self._measure, self._per
         U = measure._level_data(D)
         below = self._L @ U[:0:-1] / (2 * np.pi)     # e_j.R*^-n l for n = D - 1 .. 1
         G = np.concatenate([below, self._exact])    # index i - k + D - 1
         idx = np.arange(len(self._exact)) - np.arange(D)[:, None] + D - 1
-        self._W = G[idx].reshape(D, -1, G.shape[2])
-        full, w = D // per, measure._w[:, None]
-        self._rows = np.swapaxes(measure._rows(self._W[:per * full]), 1, 2)
-        z = _unit_table(np.swapaxes(U, 1, 2) @ self._T.T, False)     # e^{i u_k.t}
-        if per == 1:
-            self._probe = z * w
-        else:
-            # a row's columns are u_k +- u_{k+1}, and the padded row of level
-            # k is u_k, u_k
-            a, b = z[0:per * full:2], z[1:per * full:2]
-            self._probe = np.concatenate([a * b, a * b.conj()], axis=1) * w
-            self._probe_pads = np.concatenate([z, z], axis=1) * w
-            self._pads = np.swapaxes(np.concatenate([self._W, self._W], axis=2), 1, 2)
+        W = self._W = G[idx].reshape(D, -1, G.shape[2])
+        full = D // per
+        rows, columns = [measure._rows(W[:per * full])], [measure._rows(U[:per * full])]
+        if lead:
+            # the closure rows, and the slot as a copy of the last of them
+            C = measure._closure_data(depth + _AHEAD + 1)[depth::per]
+            Wc = self._F @ C / (2 * np.pi)           # the digits' closure phases
+            if per == 2:
+                last = slice(depth - 1, depth + _AHEAD, 2)
+                Wc, C = _join(W[last], Wc), _join(U[last], C)
+            rows, columns = [Wc, Wc[-1:]] + rows, [C, C[-1:]] + columns
+            self._first = depth
+        self._rows = np.swapaxes(np.concatenate(rows), 1, 2)
+        self._probe = _unit_table(np.swapaxes(np.concatenate(columns), 1, 2) @ self._T.T,
+                                  False) * self._measure._w[:, None]
+        self._low_slot = None                       # the closure rows are new
 
-    def _padded(self, rows: np.ndarray, pads: np.ndarray, depth: int) -> np.ndarray:
-        """The table rows of a call of `depth` from a table by row and its
-        padded rows by level: the full rows, and on an odd two-digit depth
-        the padded row of the last level."""
-        full = depth // self._per
-        if depth % self._per:
-            return np.concatenate([rows[:full], pads[depth - 1:depth]])
-        return rows[:full]
+    def _low_table(self, phases: np.ndarray) -> np.ndarray:
+        """The lambda side of `_brackets` at the phases of points, in turns:
+        the table of e^{i 2 pi phi} on a real mask, of e^{-i 2 pi phi} on a
+        complex one."""
+        return _unit_table(_turns(phases, 1 if self._real else -1), self._real)
 
-    def _low_rows(self, low: np.ndarray, shared: bool, depth: int) -> np.ndarray:
-        """The lambda side of `_brackets` at `depth` for points with digit
-        columns `low` (the table of e^{i 2 pi phi} on a real mask, of
-        e^{-i 2 pi phi} on a complex one), from the pass's low table when
-        they are its first points (`shared`)."""
-        real, full = self._real, depth // self._per
-        sign = 1 if real else -1
+    def _low_rows(self, low: np.ndarray, shared: bool, start: int, end: int,
+                  closing) -> np.ndarray:
+        """The lambda side of `_brackets` at the rows start..end of the
+        tables (the slot and a call's full rows, or its full rows alone) for
+        points with digit columns `low`: from the pass's low table, which
+        holds the slot and the full rows, when they are its first points
+        (`shared`).  Its slot holds the closure row at index `closing` of
+        the tables, formed anew over the table's points when a call reads
+        another one."""
         if not shared:
-            phases = self._padded(self._rows, self._pads, depth) @ low.T
-            return _unit_table(_turns(phases, sign), real)
+            return self._low_table(self._rows[start:end] @ low.T)
         if self._low is None:
             # the first call's rows; a deeper call takes every row built
-            self._low = _unit_table(_turns(self._rows[:full] @ low.T, sign), real)
-            self._low_digits = low.T
+            self._low = self._low_table(self._rows[start:end] @ low.T)
+            self._low_digits, self._low_slot = low.T, closing
+        elif closing != self._low_slot:
+            self._low[0] = self._low_table(self._rows[start:start + 1] @ self._low_digits)[0]
+            self._low_slot = closing
         n, have = len(low), self._low_digits.shape[1]
         if n > have:
-            new = _unit_table(_turns(self._rows[:len(self._low)] @ low[have:].T, sign), real)
+            new = self._low_table(self._rows[start:start + len(self._low)] @ low[have:].T)
             self._low = np.concatenate([self._low, new], axis=2)
             self._low_digits = np.concatenate([self._low_digits, low[have:].T], axis=1)
-        if full > len(self._low):
-            new = self._rows[len(self._low):] @ self._low_digits
-            self._low = np.concatenate([self._low, _unit_table(_turns(new, sign), real)])
-        if depth % self._per:
-            pad = _turns(self._pads[depth - 1:depth] @ low.T, sign)
-            return np.concatenate([self._low[:full, :, :n], _unit_table(pad, real)])
-        return self._low[:full, :, :n]
+        if end > start + len(self._low):
+            new = self._low_table(self._rows[start + len(self._low):] @ self._low_digits)
+            self._low = np.concatenate([self._low, new])
+        return self._low[:end - start, :, :n]
 
     def tables(self, eta, low, shared: bool, depth: int) -> tuple:
-        """The side tables of `_brackets` at `depth` for the rows t - eta,
-        t a probe row and eta a point with digit columns in the rows of
-        `eta` (t alone for None), against the points with digit columns in
-        the rows of `low`, which are the first points of the pass's low
-        table when `shared` is set."""
+        """The side tables of `_brackets` at `depth`, the closure level
+        included, for the rows t - eta, t a probe row and eta a point with
+        digit columns in the rows of `eta` (t alone for None), against the
+        points with digit columns in the rows of `low`, which are the first
+        points of the pass's low table when `shared` is set."""
         self._grow(depth)
-        rows = self._padded(self._probe, self._probe_pads, depth)
+        lead, per = self._lead, self._per
+        if lead:
+            # the call's closure row into the slot of each table
+            i, start, end = (depth - self._first) // per, lead - 1, lead + (depth + 1) // per - 1
+            self._rows[start], self._probe[start] = self._rows[i], self._probe[i]
+        else:
+            i, start, end = None, 0, depth // per
+        rows, probe = self._rows[start:end], self._probe[start:end]
         if eta is not None:
-            phases = self._padded(self._rows, self._pads, depth) @ eta.T
-            z = _unit_table(_turns(phases, -1), False)
-            rows = (rows[..., None] * z[:, :, None, :]).reshape(rows.shape[:2] + (-1,))
+            z = _unit_table(_turns(rows @ eta.T, -1), False)
+            probe = (probe[..., None] * z[:, :, None, :]).reshape(probe.shape[:2] + (-1,))
         if self._real:
-            rows = np.concatenate([rows.real, rows.imag], axis=1)
-        return np.swapaxes(rows, 1, 2), self._low_rows(low, shared, depth)
+            probe = np.concatenate([probe.real, probe.imag], axis=1)
+        return np.swapaxes(probe, 1, 2), self._low_rows(low, shared, start, end, i)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, rational as rat
-from .measure import STACK_ENTRIES, DigitPhases, SelfSimilarMeasure
+from .measure import STACK_ENTRIES, DigitPhases, SelfSimilarMeasure, extend_levels
 from .system import AffineSystem, probe_rows
 
 MAX_FLOAT_POINTS = 6_000_000
@@ -89,13 +89,11 @@ def layer_digits(sys: AffineSystem, depth: int) -> list:
     if sys.zero() not in sys.L:
         raise ValueError("the Q1 layers need 0 in L (zero_in_L): without it they are not P(L)")
     sys.check_words(depth, MAX_FLOAT_POINTS, "spectrum layer exceeds the point cap", "points")
-    Rt = np.array(sys.R.transpose, dtype=float)
+    R = np.array(sys.R.entries, dtype=float)
     Ls = np.array(_zero_first(sys), dtype=float).reshape(sys.N, sys.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = itertools.accumulate(range(depth - 1), lambda p, _: Rt @ p,
-                                      initial=np.eye(sys.dim))
-        powers = np.array(list(powers)[:depth]).reshape(-1, sys.dim, sys.dim)
-        levels = Ls @ np.swapaxes(powers, 1, 2)
+        # the levels R*^k l, k < depth, by the recurrence of the kernel's levels
+        levels = np.swapaxes(extend_levels(R, Ls.T[None], depth), 1, 2)
         # a point of layer d sums one point of each level k < d, so the sum
         # of their largest coordinates bounds its own
         finite = np.isfinite(np.cumsum(np.abs(levels).max(axis=(1, 2))))
@@ -185,14 +183,15 @@ class Q1Profile:
     self-similar measure of a system and lambda over its P(L): `layers[i, d]`
     is the sum over the depth-d layer of P(L) at probe point i, d = 0..depth.
 
-    `fourier_tail` bounds, for every point, how far the truncated transform
+    `fourier_tail` bounds, for every point, how far the closed transform
     products can move the last partial sum: each |mu_hat(t - lambda)|^2 is a
     product of factors a_k = |chi_B(R*^{-k}(t - lambda))|^2 in [0, 1], and
-    cutting it at depth d overestimates it by at most sum_{k >= d} (1 - a_k),
-    below the `SelfSimilarMeasure.tail_bound` of its kernel call.  The tail
-    is that bound times the call's pairs in the kept layers, summed over
-    every call; the truncated sum is never below the exact one by more than
-    rounding.
+    its kernel call keeps those of the levels k < d and closes them with one
+    bracket that stands for the levels k >= d, which puts it within the
+    `SelfSimilarMeasure.sq_tail_bound` of that call of the exact value.  The
+    budget is two-sided: a closed value may sit on either side of the exact
+    one.  The tail is that bound times the call's pairs in the kept layers,
+    summed over every call.
     """
     layers: np.ndarray            # shape (m, depth + 1)
     fourier_tail: float
@@ -226,9 +225,9 @@ def _q1_pass(system: AffineSystem, T: np.ndarray, p_depth: int,
     pair values.  The leading layers, layer 0 and those after it whose
     m n pairs add up to at most Q1_RUN_PAIRS, go to the kernel in one call
     on the digit sum of their levels (`layer_digits`), one column group per
-    layer, so each is truncated at that call's adaptive depth, never
-    shallower than its own: the truncated products only move down, toward
-    the exact ones.  Every later layer is a call of its own, since a layer
+    layer, so each is closed at that call's adaptive depth, never
+    shallower than its own, and within that call's tail of the exact
+    values.  Every later layer is a call of its own, since a layer
     holds at least as many points as all the layers before it (N^{d-1}
     (N - 1) against N^{d-1}; with N = 1 the layers past 0 are empty).  A
     later layer of n points is the sum P_h + H of its first h digit sets

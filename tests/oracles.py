@@ -91,18 +91,43 @@ class ZeroSetPredicate:
 # ---------------------------------------------------------------------------
 # |mu_hat|^2 pair by pair, and the convolution
 
+def sq_levels(measure, depth):
+    """The level columns of a `mu_hat_sq_sums` call of `depth`: those of the
+    levels k < depth and, when the measure has a closure, its closure
+    column of `depth` as one more level."""
+    U = measure._level_data(depth)
+    if measure._V is None:
+        return U
+    return np.concatenate([U, measure._closure_data(depth + 1)[depth:]])
+
+
 def float_sq_sums(measure, T, Lam, starts):
     """`mu_hat_sq_sums` of float rows and points, on the side tables of the
-    float points themselves (`_side_tables`)."""
+    float points themselves (`_side_tables` at the levels of `sq_levels`,
+    the closure included)."""
     T, Lam = probe_rows(T, measure.dim), probe_rows(Lam, measure.dim)
-    return measure.mu_hat_sq_sums(T, Lam, starts, functools.partial(measure._side_tables, T, Lam))
+    return measure.mu_hat_sq_sums(
+        T, Lam, starts, lambda depth: measure._side_tables(T, Lam, sq_levels(measure, depth)))
 
 
 def mu_hat_sq_pairs(measure, T, Lam):
     """|mu_hat(t - lambda)|^2 for every row t of T and lambda of Lam, as an
-    (m, n) array, with its squared-form tail bound: the row sums of
-    `mu_hat_sq_sums` over one column group per lambda."""
+    (m, n) array, with the tail bound of its closed product
+    (`sq_tail_bound`): the row sums of `mu_hat_sq_sums` over one column
+    group per lambda."""
     return float_sq_sums(measure, T, Lam, range(len(probe_rows(Lam, measure.dim))))
+
+
+def per_digit_levels(sysm, X, depth):
+    """prod_{k < depth} (1/N) sum_b e^{i 2 pi b.R*^{-k} x} at the rows of X,
+    shape (..., dim): one complex exponential per digit and level."""
+    S = np.array(sysm.R.inverse_transpose, dtype=float)
+    B = sysm.b_array()
+    vals, Y = np.ones(X.shape[:-1], dtype=complex), X
+    for _ in range(depth):
+        vals = vals * np.exp(2j * np.pi * (Y @ B.T)).sum(axis=-1) / sysm.N
+        Y = Y @ S.T
+    return vals
 
 
 def layer_points(system, depth: int):

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import fracspec as fs
 from fracspec import rational as rat
 from oracles import (ConvolvedMeasure, ZeroSetPredicate, atoms, float_sq_sums, max_diag_defect,
-                     mu2_closed_form, mu_hat_sq_pairs, support_diameter)
+                     mu2_closed_form, mu_hat_sq_pairs, per_digit_levels, sq_levels,
+                     support_diameter)
 
 
 def per_digit_product(meas, X):
@@ -49,26 +50,60 @@ def mean_phase_levels(sysm, X, depth):
     return per_digit_levels(sysm, X, depth) * phase
 
 
-def per_digit_levels(sysm, X, depth):
-    """prod_{k < depth} (1/N) sum_b e^{i 2 pi b.R*^{-k} x} at the rows of X,
-    shape (..., dim): one complex exponential per digit and level."""
-    S = np.array(sysm.R.inverse_transpose, dtype=float)
-    B = sysm.b_array()
-    vals, Y = np.ones(X.shape[:-1], dtype=complex), X
-    for _ in range(depth):
-        vals = vals * np.exp(2j * np.pi * (Y @ B.T)).sum(axis=-1) / sysm.N
-        Y = Y @ S.T
-    return vals
-
-
-def full_depth_sq(meas, T, Lam):
-    """|mu_hat(t - lambda)|^2 from the same brackets as the kernel, at
-    MAX_PRODUCT_DEPTH: the value the truncated kernel may only exceed, and
-    by at most its tail."""
+def full_depth_sq(meas, T, Lam, depth=fs.measure.MAX_PRODUCT_DEPTH):
+    """|mu_hat(t - lambda)|^2 from the same brackets as the kernel, as the
+    plain product of the levels below `depth`, by default
+    MAX_PRODUCT_DEPTH: the value a plain truncation may only exceed, and by
+    at most its tail."""
     T = np.asarray(T, dtype=float).reshape(-1, meas.dim)
     Lam = np.asarray(Lam, dtype=float).reshape(-1, meas.dim)
-    tables = meas._side_tables(T, Lam, fs.measure.MAX_PRODUCT_DEPTH)
+    tables = meas._side_tables(T, Lam, meas._level_data(depth))
     return np.abs(meas._brackets(*tables, None)) ** 2
+
+
+def closure_matrix(sysm, depth):
+    """A_d = G S^d with G = Sigma_B^{+1/2} Q_0^{1/2} and Q_0 = sum_k S^k'
+    Sigma_B S^k summed level by level until S^k < 1e-20, so that A_d'
+    Sigma_B A_d = Q_d, the quadratic form of the levels k >= d; None when
+    no A_d has it, Q_0 not in the range of Sigma_B, or when Sigma_B = 0."""
+    S = np.array(sysm.R.inverse_transpose, dtype=float)
+    B = sysm.b_array()
+    centred = B - B.mean(axis=0)
+    sigma = centred.T @ centred / sysm.N
+    if not sigma.any():
+        return None
+    Q, power = np.zeros_like(sigma), np.eye(sysm.dim)
+    while np.abs(power).max() > 1e-20:
+        Q += power.T @ sigma @ power
+        power = power @ S
+    lam, vec = np.linalg.eigh(sigma)
+    keep = lam > 1e-12 * lam.max()
+    span = vec[:, keep] @ vec[:, keep].T
+    if np.abs(Q - span @ Q @ span).max() > 1e-9 * np.abs(Q).max():
+        return None
+    lam_q, vec_q = np.linalg.eigh(Q)
+    G = (vec[:, keep] / np.sqrt(lam[keep])) @ vec[:, keep].T \
+        @ (vec_q * np.sqrt(np.maximum(lam_q, 0))) @ vec_q.T
+    return G @ np.linalg.matrix_power(S, depth)
+
+
+def closed_sq_levels(sysm, X, depth):
+    """The closed |mu_hat|^2 of `mu_hat_sq_sums` at the rows of X, shape
+    (..., dim), per digit: |prod_{k < depth} b(R*^-k x)|^2 times the
+    closure |b(A_d x)|^2 (`closure_matrix`), or the plain product where
+    there is no closure."""
+    sq = np.abs(per_digit_levels(sysm, X, depth)) ** 2
+    A = closure_matrix(sysm, depth)
+    return sq if A is None else sq * np.abs(per_digit_levels(sysm, X @ A.T, 1)) ** 2
+
+
+def closed_sq_product(meas, X):
+    """`closed_sq_levels` at the depth of `sq_depth_for` at the largest |x|,
+    with its `sq_tail_bound`: the values and tail `mu_hat_sq_sums` reports."""
+    X = np.asarray(X, dtype=float)
+    norm = float(np.sqrt((X ** 2).sum(axis=-1)).max())
+    depth = meas.sq_depth_for(norm)
+    return closed_sq_levels(meas.system, X, depth), meas.sq_tail_bound(depth, norm)
 
 
 def _named_system(name):
@@ -203,12 +238,14 @@ class TestSquaredPairs:
 
     @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2"])
     def test_matches_complex_transform(self, request, name):
+        # the closed product, per digit: the levels below its depth and the
+        # bracket at A_d x
         meas = _measure(request, name)
         T, Lam = _probe_pairs(meas.dim)
-        vals, tail = per_digit_product(meas, T[:, None, :] - Lam[None, :, :])
+        vals, tail = closed_sq_product(meas, T[:, None, :] - Lam[None, :, :])
         got, got_tail = mu_hat_sq_pairs(meas, T, Lam)
         assert got.shape == (6, 40)
-        assert np.abs(got - np.abs(vals) ** 2).max() <= 1e-12
+        assert np.abs(got - vals).max() <= 1e-12
         assert got_tail == pytest.approx(tail, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["scale4", "triadic", "planar", "eiffel2", "mu34"])
@@ -313,10 +350,10 @@ class TestSquaredSums:
         meas = fs.SelfSimilarMeasure(sysm)
         rng = np.random.RandomState(5)
         T, Lam = rng.uniform(-20, 20, (560, sysm.dim)), rng.uniform(-200, 200, (512, sysm.dim))
-        meas._level_data(32)
+        levels = meas._level_data(32)
         tracemalloc.start()
         try:
-            sums = meas._brackets(*meas._side_tables(T, Lam, 32), [0])
+            sums = meas._brackets(*meas._side_tables(T, Lam, levels), [0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -327,13 +364,16 @@ class TestSquaredSums:
         tile = fs.measure.STACK_ENTRIES * itemsize
         assert sums.shape == (560, 1)
         assert peak <= angles + tables + 2 * tile + 2 ** 16
-        full = np.abs(meas._brackets(*meas._side_tables(T, Lam, 32), None)) ** 2
+        full = np.abs(meas._brackets(*meas._side_tables(T, Lam, levels), None)) ** 2
         assert np.abs(sums[:, 0] - full.sum(axis=1)).max() <= 1e-12
 
 
 class TestSquaredTail:
-    """The tail of the |mu_hat|^2 kernel: the truncated |mu_hat|^2 is never
-    below the full-depth one and at most its tail above it."""
+    """The tails of the |mu_hat|^2 kernel: a plain truncation of |mu_hat|^2
+    is never below the full-depth one and at most its quadratic tail above
+    it, and the closed product of the sums, cut where that plain one would
+    not yet meet the tolerance, is within its quartic tail of the
+    full-depth one, on either side."""
 
     ROUNDING = 1e-15
     TWO_DIGIT = [f"R={r}" for r in (2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8)]
@@ -341,9 +381,14 @@ class TestSquaredTail:
     @staticmethod
     def assert_one_sided(meas, T, Lam):
         got, tail = mu_hat_sq_pairs(meas, T, Lam)
-        gap = got - full_depth_sq(meas, T, Lam)
-        assert gap.min() >= -TestSquaredTail.ROUNDING
-        assert gap.max() <= tail + TestSquaredTail.ROUNDING
+        full = full_depth_sq(meas, T, Lam)
+        X, Y = (np.asarray(A, dtype=float).reshape(-1, meas.dim) for A in (T, Lam))
+        t_norm = fs.measure._max_distance(X, Y)
+        depth = meas.sq_depth_for(t_norm)
+        plain = full_depth_sq(meas, T, Lam, depth) - full
+        assert plain.min() >= -TestSquaredTail.ROUNDING
+        assert plain.max() <= meas.tail_bound(depth, t_norm) + TestSquaredTail.ROUNDING
+        assert np.abs(got - full).max() <= tail + TestSquaredTail.ROUNDING
         return tail
 
     @pytest.mark.parametrize("name", ["scale4", "scale2", "triadic", "planar-collapse",
@@ -423,9 +468,9 @@ class TestBrackets:
         diffs = T[:, None, :] - Lam[None, :, :]
         got = meas._pairs(T, Lam, depth)
         assert np.abs(got - mean_phase_levels(sysm, diffs, depth)).max() <= 1e-13
-        ref, _ = per_digit_product(meas, diffs)
+        ref, _ = closed_sq_product(meas, diffs)
         sq, _ = mu_hat_sq_pairs(meas, T, Lam)
-        assert np.abs(sq - np.abs(ref) ** 2).max() <= 1e-13
+        assert np.abs(sq - ref).max() <= 1e-13
 
     @pytest.mark.parametrize("name", TWO_DIGIT + ONE_LEVEL)
     @pytest.mark.parametrize("entries, depth", _at_depths([20, 40, 80, 120]))
@@ -442,31 +487,31 @@ class TestBrackets:
         got = meas._pairs(T, Lam, depth)
         assert got.shape == (7, 40)
         assert np.abs(got - mean_phase_levels(sysm, diffs, depth)).max() <= 1e-13
-        ref, _ = per_digit_product(meas, diffs)
+        ref, _ = closed_sq_product(meas, diffs)
         sq, _ = mu_hat_sq_pairs(meas, T, Lam)
-        assert np.abs(sq - np.abs(ref) ** 2).max() <= 1e-13
+        assert np.abs(sq - ref).max() <= 1e-13
 
     @pytest.mark.parametrize("name", TWO_DIGIT)
     @pytest.mark.parametrize("entries", [None, 80])
     def test_squared_sums_at_an_odd_depth(self, request, monkeypatch, name, entries):
         # mu_hat_sq_sums over three column groups at depth 29, the last of
-        # its 15 rows of two levels a padded one; one tile, and row tiles of
-        # two rows
+        # its 15 rows of two levels level 28 beside the closure; one tile,
+        # and row tiles of two rows
         sysm = request.getfixturevalue(name)
         meas = fs.SelfSimilarMeasure(sysm)
         if entries is not None:
             monkeypatch.setattr(fs.measure, "STACK_ENTRIES", entries)
-        monkeypatch.setattr(meas, "depth_for", lambda t_norm: 29)
+        monkeypatch.setattr(meas, "sq_depth_for", lambda t_norm: 29)
         T, Lam = _probe_pairs(sysm.dim)
         T = np.concatenate([T, -T[:1]])
         starts = [0, 13, 27]
-        vals = np.abs(per_digit_levels(sysm, T[:, None, :] - Lam[None, :, :], 29)) ** 2
+        vals = closed_sq_levels(sysm, T[:, None, :] - Lam[None, :, :], 29)
         ref = np.stack([vals[:, a:b].sum(axis=1) for a, b in zip(starts, starts[1:] + [40])],
                        axis=1)
         got, tail = float_sq_sums(meas, T, Lam, starts)
         assert got.shape == (7, 3)
         assert np.abs(got - ref).max() <= 1e-13
-        assert tail == meas.tail_bound(29, fs.measure._max_distance(T, Lam))
+        assert tail == meas.sq_tail_bound(29, fs.measure._max_distance(T, Lam))
 
     @pytest.mark.parametrize("name", ["scale2", "eiffel2"])
     def test_row_tiles_bound_the_level_buffer(self, request, name):
@@ -477,10 +522,10 @@ class TestBrackets:
         meas = fs.SelfSimilarMeasure(sysm)
         rng = np.random.RandomState(5)
         T, Lam = rng.uniform(-20, 20, (560, sysm.dim)), rng.uniform(-200, 200, (512, sysm.dim))
-        meas._level_data(32)
+        levels = meas._level_data(32)
         tracemalloc.start()
         try:
-            out = meas._brackets(*meas._side_tables(T, Lam, 32), None)
+            out = meas._brackets(*meas._side_tables(T, Lam, levels), None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -523,7 +568,7 @@ class TestBrackets:
         meas = fs.SelfSimilarMeasure(sysm)
         T, Lam = _probe_pairs(sysm.dim)
         T, Lam = T[:m], Lam[:n]
-        got = meas._brackets(*meas._side_tables(T, Lam, depth), None)
+        got = meas._brackets(*meas._side_tables(T, Lam, meas._level_data(depth)), None)
         assert got.shape == (m, n) and (got == 1).all()
         diffs = T[:, None, :] - Lam[None, :, :]
         ref = mean_phase_levels(sysm, diffs, depth)
@@ -553,10 +598,10 @@ class TestBrackets:
         meas = fs.SelfSimilarMeasure(eiffel2)
         rng = np.random.RandomState(5)
         T, Lam = rng.uniform(-20, 20, (2000, 3)), rng.uniform(-20, 20, (500, 3))
-        meas._level_data(40)
+        levels = meas._level_data(40)
         tracemalloc.start()
         try:
-            out = meas._brackets(*meas._side_tables(T, Lam, 40), None)
+            out = meas._brackets(*meas._side_tables(T, Lam, levels), None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -644,6 +689,38 @@ class TestDepthFor:
         assert meas.depth_for(math.inf) == fs.measure.MAX_PRODUCT_DEPTH
         assert meas.depth_for(math.nan) == 1
 
+    @pytest.mark.parametrize("name", [f"R={r}" for r in (2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7,
+                                                         -7, 8, -8)]
+                             + ["planar-collapse", "eiffel(2)", "eiffel(3)", "shear"])
+    def test_contraction_data_of_the_operator_norm(self, name):
+        # (kappa, rho, c) of every verdict-pool R, and of a shear, bit for bit
+        # as the operator norm by SVD gives them: a 1 x 1 power's is its modulus
+        S = np.array(_named_system(name).R.inverse_transpose, dtype=float)
+        power, c = np.eye(len(S)), 1.0
+        for k in range(1, fs.measure.MAX_PRODUCT_DEPTH + 1):
+            power = power @ S
+            norm = float(np.linalg.norm(power, 2))
+            if norm < 1.0:
+                break
+            c = max(c, norm)
+        assert fs.measure._contraction_data(S) == (k, norm, c)
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_closed_matches_search_and_is_never_deeper(self, name):
+        # the depth of the sums is the depth-by-depth search of their closed
+        # tail, quartic in the norm, rounded up to whole two-digit rows, also
+        # at the norms where either tail crosses the tolerance; it is never
+        # deeper than the quadratic depth
+        meas = fs.SelfSimilarMeasure(_named_system(name))
+        closed = meas._V is not None
+        assert closed
+        for t in self.norms(meas) + self.norms(meas, meas.sq_tail_bound, power=4):
+            d, least = meas.sq_depth_for(t), self.search(meas, t, meas.sq_tail_bound)
+            assert d == least + (least + 1) % meas._per, t
+            if meas.depth_for(t) < fs.measure.MAX_PRODUCT_DEPTH:
+                assert d <= meas.depth_for(t), t
+        assert meas.sq_depth_for(math.nan) == 1
+
 
 class TestGramOracle:
     @pytest.mark.parametrize("name", ["scale4", "triadic", "planar-collapse", "eiffel(2)"])
@@ -705,10 +782,9 @@ class TestOneTail:
         ref = per_digit_levels(sysm, T[:, None, :] - Lam[None, :, :], 200)
         got, tail = meas.mu_hat_pairs(T, Lam)
         assert np.abs(got - ref).max() <= tail + self.ROUNDING
+        # the closed |mu_hat|^2 is within its own tail on either side
         sq, sq_tail = mu_hat_sq_pairs(meas, T, Lam)
-        gap = sq - np.abs(ref) ** 2
-        assert sq_tail == tail
-        assert -self.ROUNDING <= gap.min() and gap.max() <= tail + self.ROUNDING
+        assert np.abs(sq - np.abs(ref) ** 2).max() <= sq_tail + self.ROUNDING
         # at a depth where the bound binds, the transform takes half of it
         depth = data.draw(st.integers(0, 30))
         bound = meas.tail_bound(depth, fs.measure._max_distance(T, Lam))
@@ -745,6 +821,92 @@ def _phase_systems(draw):
     B = draw(st.lists(point, min_size=N, max_size=N, unique=True))
     L = draw(st.lists(point.filter(any), min_size=N - 1, max_size=N - 1, unique=True))
     return fs.make_system(R, B, [(0,) * dim] + L)
+
+
+class TestClosedTail:
+    """The |mu_hat|^2 sums close each product with one bracket for the
+    levels past its depth, at A x with A' Sigma_B A = Q_d, and cut it where
+    the quartic remainder meets the tolerance: each value is within the
+    call's `sq_tail_bound` of a 200-level product, on either side."""
+
+    ROUNDING = 1e-12
+    SYSTEMS = {
+        # scalar R, real tables, in one and two dimensions, and negative R
+        "scale4": lambda: fs.get_system("scale4"),
+        "R=-5": lambda: fs.two_digit_system(-5, Fraction(1, 2)),
+        "scale4-2d": lambda: fs.make_system([[4, 0], [0, 4]], [(0, 0), (Fraction(1, 2), 0)],
+                                            [(0, 0), (1, 0)]),
+        # a digit at the centre: the table's zero row
+        "three-digit": lambda: fs.make_system(6, [0, Fraction(1, 6), Fraction(1, 3)],
+                                              [0, 2, 4]),
+        # complex tables in two and three dimensions
+        "planar-collapse": lambda: fs.get_system("planar-collapse"),
+        "eiffel(2)": lambda: fs.get_system("eiffel(2)"),
+        # non-scalar R: the digits span an R-invariant line, or all of R^3
+        "shear-2d": lambda: fs.make_system([[2, 1], [0, 2]], [(0, 0), (Fraction(1, 2), 0)],
+                                           [(0, 0), (1, 0)]),
+        "triangular-3d": lambda: fs.make_system(
+            [[2, 1, 0], [0, -3, Fraction(1, 2)], [0, 0, Fraction(5, 2)]],
+            [(0, 0, 0), (Fraction(1, 2), 0, 0), (0, Fraction(1, 3), 0), (0, 0, Fraction(1, 2))],
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        # no closure: the digits span a line that R does not keep, or one point
+        "no-A": lambda: fs.make_system([[2, 1], [0, 2]], [(0, 0), (0, Fraction(1, 2))],
+                                       [(0, 0), (1, 0)]),
+        "one-digit": lambda: fs.make_system(2, [(Fraction(1, 3),)], [(0,)]),
+    }
+
+    @classmethod
+    def assert_within_the_tail(cls, sysm, T, Lam):
+        meas = fs.SelfSimilarMeasure(sysm)
+        # the package and the oracle decide alike whether there is a closure
+        assert (meas._V is None) == (closure_matrix(sysm, 0) is None)
+        ref = np.abs(per_digit_levels(sysm, T[:, None, :] - Lam[None, :, :], 200)) ** 2
+        got, tail = mu_hat_sq_pairs(meas, T, Lam)
+        assert np.abs(got - ref).max() <= tail + cls.ROUNDING
+        # and the sums are the closed product of the oracle, per digit
+        closed, _ = closed_sq_product(meas, T[:, None, :] - Lam[None, :, :])
+        assert np.abs(got - closed).max() <= cls.ROUNDING
+        return meas, tail
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_within_the_tail_of_a_200_level_product(self, name):
+        sysm = self.SYSTEMS[name]()
+        T, Lam = _probe_pairs(sysm.dim)
+        meas, tail = self.assert_within_the_tail(sysm, T, Lam)
+        assert (meas._V is None) == (name in ("no-A", "one-digit"))
+        assert tail < fs.measure.DEFAULT_TAIL_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_digit_systems(), _phase_systems()), st.data())
+    def test_sums_within_the_tail_of_a_200_level_product(self, sysm, data):
+        # one to three dimensions, real and complex tables, scalar,
+        # triangular and negative R, a digit at the centre, one digit, and
+        # digits whose span R does not keep
+        rows = st.lists(st.tuples(*[st.floats(-10, 10)] * sysm.dim), min_size=1, max_size=5)
+        T, Lam = np.array(data.draw(rows)), np.array(data.draw(rows))
+        self.assert_within_the_tail(sysm, T, Lam)
+
+    @pytest.mark.parametrize("name", ["scale4", "R=-5", "scale4-2d", "three-digit",
+                                      "planar-collapse", "eiffel(2)", "shear-2d",
+                                      "triangular-3d"])
+    def test_the_closure_has_the_quadratic_form_of_the_tail(self, name):
+        # the closure of depth d is the bracket at A_d x, its columns 2 pi
+        # A_d' e_j, with A_d' Sigma_B A_d = Q_d = sum_{k >= d} S^k' Sigma_B
+        # S^k, summed level by level: the quadratic term of the tail
+        sysm = self.SYSTEMS[name]()
+        meas = fs.SelfSimilarMeasure(sysm)
+        S = np.array(sysm.R.inverse_transpose, dtype=float)
+        sigma = np.cov(sysm.b_array().T, bias=True).reshape(sysm.dim, sysm.dim)
+        for d in (0, 1, 6, 17):
+            A = closure_matrix(sysm, d)
+            got = meas._closure_data(d + 1)[d]
+            assert np.abs(got - 2 * np.pi * A.T @ sysm.mask_table[0].T).max() \
+                <= 1e-12 * np.abs(got).max()
+            Q, power = np.zeros_like(sigma), np.linalg.matrix_power(S, d)
+            for _ in range(400):
+                Q += power.T @ sigma @ power
+                power = power @ S
+            assert np.abs(A.T @ sigma @ A - Q).max() <= 1e-12 * np.abs(Q).max()
 
 
 class TestDigitPhases:
@@ -786,8 +948,8 @@ class TestDigitPhases:
     @given(_phase_systems(), st.data())
     def test_tables_are_those_of_the_float_points(self, sysm, data):
         # with |lambda| <= 1e4 the float angles are accurate, so the tables
-        # of every kind of call of a pass, deeper and shallower and at odd
-        # and even depths, match cos and sin of the float angles
+        # of every kind of call of a pass, deeper and shallower, with their
+        # closure level, match cos and sin of the float angles
         digits = fs.spectrum._zero_first(sysm)
         p_depth = 5
         while p_depth > 1 and sum(np.abs(lv).max() for lv in
@@ -817,10 +979,16 @@ class TestDigitPhases:
             if not shared:
                 # a low set of its own against the probe rows alone
                 high, high_digits = np.zeros((1, sysm.dim)), None
+            # a depth of `sq_depth_for`: odd with a closure and even without
+            # on two digits, so the levels fill whole table rows
             depth = data.draw(st.integers(1, 25))
+            depth += (depth + (meas._V is not None)) % meas._per
             rows = (T[:, None, :] - high[None]).reshape(-1, sysm.dim)
             left, right = phases.tables(high_digits, low_digits, shared, depth)
-            ref_left, ref_right = meas._side_tables(rows, low, depth)
+            ref_left, ref_right = meas._side_tables(rows, low, sq_levels(meas, depth))
+            if meas._V is not None:
+                # the phase table takes the closure row first, in its slot
+                ref_left, ref_right = np.roll(ref_left, 1, axis=0), np.roll(ref_right, 1, axis=0)
             assert left.shape == ref_left.shape and right.shape == ref_right.shape
             assert np.abs(left - ref_left).max(initial=0) <= 1e-12
             assert np.abs(right - ref_right).max(initial=0) <= 1e-12

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import fracspec as fs
 from fracspec import rational as rat
 from oracles import (ZeroSetPredicate, atoms, hardy_embedding, layer_points, max_diag_defect,
-                     mu_hat_sq_pairs, projection_norm_checks)
+                     mu_hat_sq_pairs, per_digit_levels, projection_norm_checks)
 
 
 F = Fraction
@@ -487,10 +487,12 @@ class TestQ1:
 
     @pytest.mark.parametrize("name", ["scale2", "R=-3", "triadic", "eiffel(2)"])
     def test_joined_runs_only_lower_the_sums(self, monkeypatch, name):
-        # a joined layer is truncated at its run's adaptive depth, never
-        # shallower than its own, so against one call per layer its sums
-        # move only down, toward the exact ones, and by no more than the
-        # Fourier tail of that pass
+        # a joined layer is cut at its run's adaptive depth, never shallower
+        # than its own, and each call closes its products, which puts them
+        # within its tail of the exact ones on either side: against one call
+        # per layer the sums move by no more than the two passes' Fourier
+        # tails, and each pass is within its own tail of the sums of a
+        # 200-level product over the exact points
         sysm = _named_system(name)
         T = fs.dual_hull(sysm, 4).sample({1: 8, 3: 2}[sysm.dim])
         p_depth = {1: 12, 3: 6}[sysm.dim]
@@ -498,8 +500,11 @@ class TestQ1:
         monkeypatch.setattr(fs.spectrum, "Q1_RUN_PAIRS", 0)
         alone = fs.q1_profile(sysm, T, p_depth)
         joined_sums, alone_sums = (np.cumsum(p.layers, axis=1) for p in (joined, alone))
-        assert (joined_sums <= alone_sums + 1e-15).all()
-        assert (joined_sums >= alone_sums - alone.fourier_tail).all()
+        assert np.abs(joined_sums - alone_sums).max() <= joined.fourier_tail + alone.fourier_tail
+        exact = np.cumsum([(np.abs(per_digit_levels(sysm, T[:, None, :] - layer[None], 200)) ** 2)
+                           .sum(axis=1) for layer in _exact_layers(sysm, p_depth)], axis=0).T
+        for prof, sums in ((joined, joined_sums), (alone, alone_sums)):
+            assert np.abs(sums - exact).max() <= prof.fourier_tail + 1e-12
 
     @pytest.mark.parametrize("name,probes", [("scale4", [0.0]), ("scale2", [-0.1, 0.3])])
     def test_stop_inside_a_joined_run(self, monkeypatch, name, probes):
@@ -661,9 +666,10 @@ class TestQ1:
         # R = 7, B = {0, 1/4}, L = {0, 2}: lambda up to 2.3e11.  The pass was
         # 8.6e-8 off with one float angle per point, 6.0e-8 with the split
         # into low and high digits and 5.5e-8 with two levels per table
-        # row; with its phases exact mod 1 it is 1.7e-12 off, mostly the
-        # truncation of each product at its tail, and the bound is nine
-        # times that
+        # row; with its phases exact mod 1 it was 1.7e-12 off, mostly the
+        # truncation of each product at its tail, on which the bound was
+        # set at nine times that; with each product closed it is 2.7e-15
+        # off
         got, exact = self.residue_oracle(fs.two_digit_system(7, F(1, 4)))
         assert abs(got - exact) <= 1.6e-11
 
@@ -674,8 +680,9 @@ class TestQ1:
     def test_large_lambda_against_mpmath(self, system, bound):
         # the oracle of the odd scale at R = -7, at b = 3/2 (L = {0, 1/3})
         # and on triadic (R = 3, B = {0, 2/3}, L = {0, 3/4}), where the pass
-        # is 9.6e-13, 1.6e-12 and 4.6e-11 off; each bound is just under ten
-        # times that
+        # was 9.6e-13, 1.6e-12 and 4.6e-11 off with each product cut at its
+        # quadratic tail, and each bound was set just under ten times that;
+        # closed, it is 6.7e-16, 1.8e-15 and 4.4e-14 off
         got, exact = self.residue_oracle(system())
         assert abs(got - exact) <= bound
 
@@ -695,7 +702,7 @@ class TestQ1:
                                               ("eiffel(2)", 6), ("planar-collapse", 8)])
     def test_fourier_tail_keeps_bessel(self, name, p_depth):
         # P(L) is orthogonal here, so the exact partial sums are <= 1 and the
-        # truncated products can only add up to the recorded Fourier tail
+        # closed products can move them by at most the recorded Fourier tail
         sysm = fs.get_system(name)
         grid = fs.dual_hull(sysm, 4).sample({1: 17, 2: 5, 3: 3}[sysm.dim])
         prof = fs.q1_profile(sysm, grid, p_depth)
