@@ -5,7 +5,9 @@ with its quartic one."""
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 
 import numpy as np
 
@@ -18,22 +20,50 @@ STACK_ENTRIES = 1 << 15     # (level, t, lambda) entries of one stacked product 
 _AHEAD = 8                  # levels a Q1 pass's phase table builds past a call's depth
 
 
-def _contraction_data(S: np.ndarray):
-    """Smallest power kappa <= MAX_PRODUCT_DEPTH with ||S^kappa||_op < 1, plus
-    the geometric data (rho, c) bounding ||S^n t|| <= c rho^{floor(n/kappa)} ||t||.
-    A shear can take many powers to contract: R = [[2, 100], [0, 2]] first
-    contracts at kappa = 9."""
-    power, c = np.eye(S.shape[0]), 1.0      # c: the largest ||S^j||_op, j < k
-    for k in range(1, MAX_PRODUCT_DEPTH + 1):
-        power = power @ S
-        # the operator norm of a 1 x 1 power is its modulus
-        nrm = abs(float(power[0, 0])) if S.shape == (1, 1) else float(np.linalg.norm(power, 2))
-        if nrm < 1.0:
-            return k, nrm, c
-        c = max(c, nrm)
-    raise ValueError(f"no power S^k, k <= {MAX_PRODUCT_DEPTH}, of the inverse transpose "
-                     f"S = R*^-1 has operator norm below 1, so the transform's tail "
-                     f"bound is unavailable")
+def _stein(S: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The Stein sum Q = sum_{k >= 0} S^k' W S^k, Q - S'Q S = W, of an S of
+    spectral radius below 1, by doubling (Q_2m = Q_m + S^m' Q_m S^m)."""
+    Q, power = W, S
+    while np.abs(power).max() > 1e-30 * np.abs(Q).max():
+        Q, power = Q + power.T @ Q @ power, power @ power
+    return Q
+
+
+def _tails(sys: AffineSystem) -> tuple:
+    """The tail data of a system, once per system (`AffineSystem.once`): S =
+    R*^-1, sigma, the tables n_d = ||S^d||_2 and q_d = tr Q^_0 n_d^2 (Q^_0
+    the Stein sum of Sigma_B / sigma^2 under S) of `tail_bound` for d <=
+    MAX_PRODUCT_DEPTH, the running minimum of n_1 .. n_d (`_least_depth`;
+    n itself for a scalar S) and the closure (`_closure`).  A scalar S = +-rho I
+    has n_d = rho^d and q_d = rho^{2d} / (1 - rho^2); the shear R = [[2,
+    100], [0, 2]] first has n_d < 1 at d = 9."""
+    S = np.array(sys.R.inverse_transpose, dtype=float)
+    # D = N s (b - c) on B = I / s, c the mean of B: sigma^2 is sum_b |D_b|^2
+    # / (N (N s)^2), and Sigma_B / sigma^2 is sum_b D_b D_b' / sum_b |D_b|^2
+    I, s = rat.lift(sys.B)
+    total = [sum(col) for col in zip(*I)]
+    D = [tuple(sys.N * x - t for x, t in zip(b, total)) for b in I]
+    sq = sum(rat.dot(d, d) for d in D)
+    sigma = np.array([[sum(d[i] * d[j] for d in D) / (sq or 1) for j in range(sys.dim)]
+                      for i in range(sys.dim)])
+    scalar = rat.scalar(sys.R.entries) is not None
+    if scalar:
+        n = [abs(float(S[0, 0])) ** d for d in range(MAX_PRODUCT_DEPTH + 1)]
+    else:                   # the powers by doubling: the first m, then those times S^m
+        powers = S[None]
+        while len(powers) < MAX_PRODUCT_DEPTH:
+            powers = np.concatenate([powers, powers @ powers[-1]])
+        n = [1.0] + np.linalg.norm(powers[:MAX_PRODUCT_DEPTH], 2, axis=(1, 2)).tolist()
+    if not min(n[1:]) < 1.0:
+        raise ValueError(f"no power S^k, k <= {MAX_PRODUCT_DEPTH}, of the inverse transpose "
+                         f"S = R*^-1 has operator norm below 1, so the transform's tail "
+                         f"bound is unavailable")
+    r, Q = n[1] ** 2, None if scalar else _stein(S, sigma)
+    q = [r ** d / (1.0 - r) for d in range(MAX_PRODUCT_DEPTH + 1)] if scalar else \
+        [float(np.trace(Q)) * x * x for x in n]
+    V0, quartic = _closure(sys, S, D, sys.N * s, sigma, Q) if sq else (None, None)
+    return (S, rat.sqrt_ratio(sq, sys.N * (sys.N * s) ** 2), n, q,
+            n[1:] if scalar else np.minimum.accumulate(n[1:]).tolist(), V0, quartic)
 
 
 def extend_levels(S: np.ndarray, stack: np.ndarray, depth: int) -> np.ndarray:
@@ -54,52 +84,43 @@ def extend_levels(S: np.ndarray, stack: np.ndarray, depth: int) -> np.ndarray:
     return stack
 
 
-def _closure(sys: AffineSystem, lifted, S: np.ndarray, kappa: int, rho: float,
-             U0: np.ndarray):
+def _closure(sys: AffineSystem, S: np.ndarray, D, scale: int, sigma: np.ndarray, Q):
     """The closure level of the |mu_hat|^2 sums (`SelfSimilarMeasure.sq_tail_bound`):
-    V0 = G' U0, the level-0 columns of the closure, whose level d is the
+    V0, the level-0 columns 2 pi G' e_j of the closure, whose level d is the
     bracket at A_d x = G S^d x, and the constants (kA, k4) of its quartic
-    remainder; (None, None) when there is none.  `lifted` is the integer
-    lift (I, s) of B.
-
-    With Sigma_B = N^-1 sum_b (b - c)(b - c)' and Q_0 = sum_{k >= 0}
-    S^k' Sigma_B S^k, G = Sigma_B^{+1/2} Q_0^{1/2} gives A_d' Sigma_B A_d =
-    S^d' Q_0 S^d = Q_d, the quadratic form of the levels k >= d, whenever
-    the range of Q_0 lies in that of Sigma_B, that is when the span of the
-    centred digits is R-invariant (exact ranks).  For a scalar R it is
-    G = gamma I, gamma = (1 - rho^2)^{-1/2}, and the closure of level d is
-    gamma u_d.  With mu4 = N^-2 sum_{b,b'} |b - b'|^4 and m4 = (2 pi)^4
-    mu4 / 24, kA^4 = m4 ||G||^4 and k4^4 = m4 kappa / (1 - rho^4)."""
-    Ii, s = lifted
-    N, scale = sys.N, sys.N * s
-    total = [sum(col) for col in zip(*Ii)]
-    D = [tuple(N * x - t for x, t in zip(b, total)) for b in Ii]     # N s (b - c)
-    if not any(map(any, D)):
-        return None, None                   # one point: no tail to close
-    if sys.dim == 1 or rat.scalar(sys.R.entries) is not None:
-        g = 1.0 / math.sqrt(1.0 - rho * rho)
+    remainder; (None, None) when there is none.  D holds scale (b - c) for
+    the digits b of B, sigma is Sigma_B / sigma^2 and Q its Stein sum under
+    S, None for a scalar R (`_tails`).  With Q_0 the Stein sum of Sigma_B,
+    G = Sigma_B^{+1/2} Q_0^{1/2} gives A_d' Sigma_B A_d = S^d' Q_0 S^d =
+    Q_d, the quadratic form of the levels k >= d, whenever the range of Q_0
+    lies in that of Sigma_B, that is when the span of the centred digits is
+    R-invariant (exact ranks); sigma^2 cancels in G.  A scalar R has G =
+    gamma I, gamma = (1 - n_1^2)^{-1/2}, n_1 = |S_11|: the closure of level
+    d is gamma u_d.  With m4 = (2 pi)^4 N^-2 sum_{b,b'} |b - b'|^4 / 24,
+    kA^4 = m4 ||G||^4 and k4^4 = m4 lambda_max P, P the Stein sum of I
+    under S (x) S: 1 / (1 - n_1^4) for a scalar R."""
+    N, dim, U0 = sys.N, sys.dim, 2 * np.pi * sys.mask_table[0].T
+    if Q is None:
+        n1 = abs(float(S[0, 0]))
+        g, lam = 1.0 / math.sqrt(1.0 - n1 * n1), 1.0 / (1.0 - n1 ** 4)
         V0 = g * U0
     else:
         rank = rat.rank(D)
-        if rank < sys.dim and rat.rank(D + [rat.mat_vec(sys.R.entries, d) for d in D]) > rank:
+        if rank < dim and rat.rank(D + [rat.mat_vec(sys.R.entries, d) for d in D]) > rank:
             return None, None
-        Df = np.array(D, dtype=float) / scale
-        Q = sigma = Df.T @ Df / N
-        power = S
-        while np.abs(power).max() > 1e-30 * np.abs(Q).max():
-            Q, power = Q + power.T @ Q @ power, power @ power
         lam, vec = np.linalg.eigh(sigma)
         keep = lam > 1e-12 * lam.max()
         root_inv = (vec[:, keep] / np.sqrt(lam[keep])) @ vec[:, keep].T
         lam, vec = np.linalg.eigh(Q)
         G = root_inv @ (vec * np.sqrt(np.maximum(lam, 0.0))) @ vec.T
         g, V0 = float(np.linalg.norm(G, 2)), G.T @ U0
+        lam = float(np.linalg.eigvalsh(_stein(np.kron(S, S), np.eye(dim * dim)))[-1])
     # m4^{1/4}, from the logarithm of the exact sum so that no power of B
     # leaves the float range, rounded up
     quartic = sum(sum((x - y) ** 2 for x, y in zip(a, b)) ** 2 for a in D for b in D)
     root = 2 * math.pi * math.exp((math.log(quartic) - math.log(24 * N * N)) / 4) / scale
     root *= 1 + 1e-12
-    return V0[None], (root * g, root * (kappa / (1.0 - rho ** 4)) ** 0.25)
+    return V0[None], (root * g, root * lam ** 0.25)
 
 
 def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,19 +193,11 @@ class SelfSimilarMeasure:
     def __init__(self, sys: AffineSystem):
         self.system = sys
         self.dim = sys.dim
-        self._S = np.array(sys.R.inverse_transpose, dtype=float)
-        self._kappa, self._rho, self._c = _contraction_data(self._S)
-        # on B = I / s, with sigma^2 = N^-1 sum_b |b - c|^2 and c the mean of B:
-        # (N s sigma)^2 = N sum_b |I_b|^2 - |sum_b I_b|^2
-        I, s = rat.lift(sys.B)
-        sq, total = [rat.dot(b, b) for b in I], [sum(col) for col in zip(*I)]
-        self._sigma = rat.sqrt_ratio(sys.N * sum(sq) - rat.dot(total, total), (sys.N * s) ** 2)
+        # R*^-1, sigma, the tail tables and the closure built so far (`_tails`)
+        (self._S, self._sigma, self._n, self._q, self._least_n, self._V,
+         self._quartic) = sys.once("tails", lambda: _tails(sys))
         # the level frequencies built so far; see _level_data
         self._U = 2 * np.pi * sys.mask_table[0].T[None]
-        # the closure columns built so far and the constants of their quartic
-        # remainder, or None; see sq_tail_bound
-        self._V, self._quartic = _closure(sys, (I, s), self._S, self._kappa, self._rho,
-                                          self._U[0])
         # levels per table row (`_rows`), and the weights of a row: the mask's,
         # or 1/2 and 1/2 on two digits
         self._per = 2 if sys.N == 2 else 1
@@ -198,30 +211,29 @@ class SelfSimilarMeasure:
         chi_B(y) is e^{i 2 pi c.y} times the centred bracket b(y) =
         N^-1 sum_b e^{i 2 pi (b - c).y}, c the mean of B, and the phases of
         all levels multiply to the mean phase of `_pairs`, which is kept
-        whole, so only the brackets are cut.  With sigma^2 = N^-1
-        sum_b |b - c|^2, 1 - |b(y)|^2 = N^-2 sum_{b,b'} (1 - cos 2 pi
-        (b - b').y) <= 4 pi^2 sigma^2 |y|^2, and since the centred angles
+        whole, so only the brackets are cut.  With Sigma_B = N^-1 sum_b
+        (b - c)(b - c)', 1 - |b(y)|^2 = N^-2 sum_{b,b'} (1 - cos 2 pi
+        (b - b').y) <= 4 pi^2 y' Sigma_B y, and since the centred angles
         th_b = 2 pi (b - c).y sum to zero, |1 - b(y)| = |N^-1 sum_b (1 -
-        e^{i th_b} + i th_b)| <= 2 pi^2 sigma^2 |y|^2.  For factors a_k of
+        e^{i th_b} + i th_b)| <= 2 pi^2 y' Sigma_B y.  For factors a_k of
         modulus at most one, |prod_{k<d} a_k - prod_k a_k| <= sum_{k>=d}
-        |1 - a_k| (and for a_k = |b_k|^2 in [0, 1] the difference is
-        nonnegative, so a plain truncation of |mu_hat|^2 is never below the
-        true one; the sums close theirs instead, and a closed value may sit
-        on either side of the true one, `sq_tail_bound`).  With
-        ||R*^{-k} x|| <= c rho^{floor(k/kappa)} |x| and sum_{k >= d}
-        rho^{2 floor(k/kappa)} <= kappa rho^{2 floor(d/kappa)} / (1 -
-        rho^2), the bound is 4 pi^2 sigma^2 c^2 t_norm^2 kappa
-        rho^{2 floor(d/kappa)} / (1 - rho^2): that of |mu_hat|^2, and twice
-        what mu_hat needs.
+        |1 - a_k| (a plain truncation of |mu_hat|^2 is never below the true
+        one; the sums close theirs, `sq_tail_bound`).  Level k is at S^k x,
+        S = R*^-1, so the levels k >= d sum to at most 4 pi^2 x' Q_d x, Q_d =
+        S^d' Q_0 S^d, Q_0 - S'Q_0 S = Sigma_B (`_stein`), and x' Q_d x <= tr
+        Q_0 |S^d x|^2 <= tr Q_0 y^2, y = n_d t_norm (`_tails`).  The bound
+        4 pi^2 sigma^2 tr Q^_0 y^2 is that of |mu_hat|^2, twice what mu_hat
+        needs; 4 pi^2 sigma^2 t_norm^2 rho^{2d} / (1 - rho^2) for a scalar
+        R.  A depth past MAX_PRODUCT_DEPTH takes that depth's bound.
         """
         if self._sigma == 0.0:
             return 0.0
-        a = 2.0 * math.pi * self._sigma * self._c * t_norm
+        a = 2.0 * math.pi * self._sigma * t_norm
         # a * a, not a ** 2: a float ** raises OverflowError where a * a is inf
-        amp, r = a * a, self._rho ** 2
+        amp = a * a
         if amp == math.inf:
-            return amp                  # where r^{floor(d/kappa)} underflows to 0
-        return amp * (self._kappa * r ** (depth // self._kappa) / (1.0 - r))
+            return amp                  # where q_d underflows to 0
+        return amp * self._q[min(depth, MAX_PRODUCT_DEPTH)]
 
     def depth_for(self, t_norm: float) -> int:
         """Smallest product depth d >= 1 whose tail bound is below
@@ -229,11 +241,11 @@ class SelfSimilarMeasure:
         return self._least_depth(self.tail_bound, t_norm, self.tail_bound(0, t_norm), 0.0)
 
     def sq_tail_bound(self, depth: int, t_norm: float) -> float:
-        """Bound on how far a call of `mu_hat_sq_sums` at `depth` can put
-        |mu_hat|^2 from the exact value, on either side, at any frequency x
-        with |x| <= t_norm: its product of the levels k < depth times the
-        closure level, the bracket's |b(A x)|^2 with A' Sigma_B A = Q_d (see
-        `_closure`), or `tail_bound` when the measure has no closure.
+        """Bound on how far a call of `mu_hat_sq_sums` at `depth` <=
+        MAX_PRODUCT_DEPTH can put |mu_hat|^2 from the exact value, on either
+        side, at any |x| <= t_norm: its levels k < depth times the closure,
+        the bracket's |b(A x)|^2 with A' Sigma_B A = Q_d (`_closure`), or
+        `tail_bound` when the measure has no closure.
 
         Write |b(y)|^2 = N^-2 sum_{b,b'} cos 2 pi (b - b').y = 1 - q(y) +
         r(y) with q(y) = 4 pi^2 y' Sigma_B y and, from cos z in [1 - z^2/2,
@@ -246,18 +258,17 @@ class SelfSimilarMeasure:
         1 - Q + s(A x)] and at most 1.  So T - C lies in [-min(Q, s(A x)),
         min(Q, S4 + Q^2/2)], and so does the difference of the two products
         once both are multiplied by the levels k < d, which lie in [0, 1].
-        With Q at most `tail_bound`, |S^k x| <= c rho^{floor(k/kappa)} |x|,
-        S4 <= (k4 y)^4 and s(A x) <= (kA y)^4, y = c t_norm
-        rho^{floor(d/kappa)} (`_closure`), the bound is min(Q, max((kA y)^4,
-        (k4 y)^4 + Q^2/2)): quartic in the norm, and never above
-        `tail_bound`.
+        With y = n_d t_norm, Q is at most `tail_bound`, s(A x) <= m4 |G S^d
+        x|^4 <= (kA y)^4, and since |S^k x|^4 = |(S (x) S)^k (x (x) x)|^2,
+        S4 <= m4 lambda_max P |S^d x|^4 <= (k4 y)^4 with P - (S (x) S)' P
+        (S (x) S) = I (`_closure`).  The bound is min(Q, max((kA y)^4,
+        (k4 y)^4 + Q^2/2)): quartic in the norm, never above `tail_bound`.
         """
         quad = self.tail_bound(depth, t_norm)
         if self._V is None:
             return quad
-        kA, k4 = self._quartic
-        y = self._c * t_norm * self._rho ** (depth // self._kappa)
-        a, b = kA * y, k4 * y
+        y = t_norm * self._n[depth]
+        a, b = (k * y for k in self._quartic)
         a, b = a * a, b * b
         closed = max(a * a, b * b + quad * quad / 2)
         return closed if closed < quad else quad        # also where y is NaN
@@ -267,43 +278,31 @@ class SelfSimilarMeasure:
         `sq_tail_bound` is below DEFAULT_TAIL_TOL (MAX_PRODUCT_DEPTH when no
         smaller one is), rounded up on two digits so that the levels of the
         call, the closure included, fill whole table rows (`_rows`): an odd
-        d with a closure, an even one without."""
-        head = self.tail_bound(0, t_norm)
-        if self._V is None:
-            d = self._least_depth(self.tail_bound, t_norm, head, 0.0)
-            return d + d % self._per
-        kA, k4 = self._quartic
-        a, b = kA * self._c * t_norm, k4 * self._c * t_norm
+        d with a closure, an even one without, at most MAX_PRODUCT_DEPTH."""
+        head, odd = self.tail_bound(0, t_norm), self._V is not None
+        a, b = (k * t_norm for k in self._quartic) if odd else (0.0, 0.0)
         a, b = a * a, b * b
         d = self._least_depth(self.sq_tail_bound, t_norm, head,
-                              max(a * a, b * b + head * head / 2))
-        return d + (d + 1) % self._per
+                              max(a * a, b * b + head * head / 2) if odd else 0.0)
+        return min(d + (d + odd) % self._per,
+                   MAX_PRODUCT_DEPTH - (MAX_PRODUCT_DEPTH + odd) % self._per)
 
     def _least_depth(self, bound, t_norm: float, head: float, quartic: float) -> int:
         """Smallest d >= 1 with bound(d, t_norm) below DEFAULT_TAIL_TOL, or
-        MAX_PRODUCT_DEPTH when no smaller one is: for `tail_bound`, whose
-        value is its depth-0 value `head` times q = r^{floor(d/kappa)},
-        r = rho^2, or for `sq_tail_bound`, min(head q, quartic q^2).
-
-        One logarithm places d at the least q that meets the tolerance;
-        steps of `bound` itself then settle the rounding, so d is the one a
-        depth-by-depth search would find.
-        """
-        if not head >= DEFAULT_TAIL_TOL:             # also a zero or NaN norm
-            d = 1
-        elif head == math.inf:
-            d = MAX_PRODUCT_DEPTH
-        else:
-            q = DEFAULT_TAIL_TOL / head
-            if quartic:
-                q = max(q, math.sqrt(DEFAULT_TAIL_TOL / quartic))
-            q = math.floor(math.log(q) / math.log(self._rho ** 2)) + 1
-            d = min(max(self._kappa * q, 1), MAX_PRODUCT_DEPTH)
-        while d > 1 and bound(d - 1, t_norm) < DEFAULT_TAIL_TOL:
-            d -= 1
+        MAX_PRODUCT_DEPTH when no smaller one is: `tail_bound` is `head`
+        (its depth-0 value) times v = n_d^2, within rounding, and
+        `sq_tail_bound` min(head v, quartic v^2), so d meets the tolerance
+        only where n_d is below one threshold.  One bisection on the running
+        minimum of n_1 .. n_d places d at the first n_d a hair above it, and
+        steps of `bound` settle the rounding and skip the larger n_d past
+        it: d is the one a depth-by-depth search finds."""
+        # the threshold of n_d^2: 0 at an infinite norm, inf at a zero or NaN one
+        v = max(DEFAULT_TAIL_TOL / head, math.sqrt(DEFAULT_TAIL_TOL / quartic) if quartic
+                else 0.0) if head > 0.0 else math.inf
+        d = 1 + bisect.bisect_right(self._least_n, -math.sqrt(v) * (1 + 1e-9), key=operator.neg)
         while d < MAX_PRODUCT_DEPTH and bound(d, t_norm) >= DEFAULT_TAIL_TOL:
             d += 1
-        return d
+        return min(d, MAX_PRODUCT_DEPTH)
 
     # -- evaluation --------------------------------------------------------
     def _level_data(self, depth: int) -> np.ndarray:

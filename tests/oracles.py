@@ -6,7 +6,8 @@ two-digit measure, |mu_hat|^2 pair by pair, the convolution of two
 self-similar measures with its dense completeness sums, word quadrature
 atoms, the support side of the attractor, the Lebesgue second fixed point,
 the isometric coefficient splitting and the derivative identities of Q1 at
-the origin, plus readers of report fields that only tests ask for.
+the origin, a system's conjugates and iterates, which carry the same
+answers, plus readers of report fields that only tests ask for.
 """
 
 import functools
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 import fracspec as fs
 from fracspec import geometry, rational as rat, spectrum
@@ -178,6 +180,53 @@ class ConvolvedMeasure:
         verdict rule of `fs.completeness_test` at its default depth cap."""
         prof = self.q1_profile(system, grid, spectrum.q1_depth(system), eps_conv)
         return spectrum._verdict(prof, eps_conv), prof
+
+
+# ---------------------------------------------------------------------------
+# exact symmetries: conjugation and iteration
+
+def conjugate(sysm, A):
+    """(A R A^-1, A B, A^-T L) for an invertible rational A: its measure is
+    the image of the system's under x -> A x, and its P(L) is A^-T P(L),
+    word by word."""
+    A = rat.mat(A)
+    Ai = rat.inverse(A)
+    return fs.make_system(rat.mat_mul(rat.mat_mul(A, sysm.R.entries), Ai),
+                          [rat.mat_vec(A, b) for b in sysm.B],
+                          [rat.mat_vec(rat.transpose(Ai), l) for l in sysm.L])
+
+
+@st.composite
+def conjugators(draw, dim):
+    """An integer A with entries of modulus at most 3 and determinant +-1 or
+    +-2: lower unitriangular times diag(+-1, .., +-1 or +-2) times upper
+    unitriangular, with entries in -1..1, or that diagonal alone where the
+    product has a larger entry."""
+    unit = st.integers(-1, 1)
+    Lo = [[1 if i == j else draw(unit) if j < i else 0 for j in range(dim)] for i in range(dim)]
+    Up = [[1 if i == j else draw(unit) if j > i else 0 for j in range(dim)] for i in range(dim)]
+    diag = [draw(st.sampled_from([1, -1])) for _ in range(dim)]
+    diag[draw(st.integers(0, dim - 1))] *= draw(st.sampled_from([1, 2]))
+    A = rat.mat_mul(rat.mat_mul(Lo, [[diag[i] if i == j else 0 for j in range(dim)]
+                                     for i in range(dim)]), Up)
+    A = [[int(x) for x in row] for row in A]
+    if any(abs(x) > 3 for row in A for x in row):
+        A = [[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+    return A
+
+
+def iterate(sysm, p: int):
+    """(R^p, B_p, L_p) with B_p = sum_{j<p} R^-j B and L_p = sum_{j<p} R*^j
+    L: the same measure, and the same P(L), whose depth-d words are the
+    system's depth-pd words."""
+    def sums(M, digits):
+        powers = [rat.identity(sysm.dim)]
+        for _ in range(p - 1):
+            powers.append(rat.mat_mul(M, powers[-1]))
+        return [functools.reduce(rat.vec_add, (rat.mat_vec(P, d) for P, d in zip(powers, word)))
+                for word in itertools.product(digits, repeat=p)]
+    Rp = functools.reduce(rat.mat_mul, [sysm.R.entries] * p)
+    return fs.make_system(Rp, sums(sysm.R.inverse, sysm.B), sums(sysm.R.transpose, sysm.L))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import fracspec as fs
 from fracspec import rational as rat
-from oracles import (ConvolvedMeasure, ZeroSetPredicate, atoms, float_sq_sums, max_diag_defect,
-                     mu2_closed_form, mu_hat_sq_pairs, per_digit_levels, sq_levels,
-                     support_diameter)
+from oracles import (ConvolvedMeasure, ZeroSetPredicate, atoms, conjugate, conjugators,
+                     float_sq_sums, max_diag_defect, mu2_closed_form, mu_hat_sq_pairs,
+                     per_digit_levels, sq_levels, support_diameter)
 
 
 def per_digit_product(meas, X):
@@ -628,8 +628,9 @@ class TestBrackets:
 
 
 class TestDepthFor:
-    """depth_for places the depth with one logarithm; it must give the depth
-    of the depth-by-depth search everywhere, the cap included."""
+    """depth_for places the depth with one bisection on the running minimum
+    of n_d = ||S^d||; it must give the depth of the depth-by-depth search
+    everywhere, the cap included."""
 
     SYSTEMS = (["scale4", "scale2", "triadic", "eiffel(2)", "eiffel(3)", "eiffel(4)",
                 "planar-collapse"]
@@ -650,18 +651,18 @@ class TestDepthFor:
     @staticmethod
     def linear_tail(meas):
         """The linear tail of a transform whose phase is cut with its
-        brackets, from |1 - chi_B(y)| <= 2 pi max_b|b| |y|:
-        2 pi max_b|b| c t_norm kappa rho^{floor(d/kappa)} / (1 - rho)."""
+        brackets, from |1 - chi_B(y)| <= 2 pi max_b|b| |y| and |S^k x| <=
+        n_k |x|: 2 pi max_b|b| t_norm sum_{k >= d} n_k, the sum taken over
+        the table's n_k (k <= MAX_PRODUCT_DEPTH), so a little below the
+        full sum; rho^d / (1 - rho) for a scalar S = +-rho I."""
         b_max = max(math.sqrt(sum(float(x) ** 2 for x in b)) for b in meas.system.B)
-        return lambda d, t_norm: (2 * math.pi * b_max * meas._c * t_norm * meas._kappa
-                                  * meas._rho ** (d // meas._kappa) / (1 - meas._rho))
+        return lambda d, t_norm: 2 * math.pi * b_max * t_norm * math.fsum(meas._n[d:])
 
     @staticmethod
     def norms(meas, bound=None, power=2):
         """Log-spaced norms, 0, inf and NaN, and the norms at which `bound`
         (by default the tail, quadratic in the norm; `power` 1 for a linear
-        one) of each depth crosses the tolerance, with their neighbours; on
-        the shear (kappa = 9) the cap binds from a norm of about 3e-13 on."""
+        one) of each depth crosses the tolerance, with their neighbours."""
         bound = bound or meas.tail_bound
         norms = [0.0, math.inf, math.nan] + np.logspace(-6, 12, 241).tolist()
         for d in range(1, 80):
@@ -693,32 +694,35 @@ class TestDepthFor:
                                                          -7, 8, -8)]
                              + ["planar-collapse", "eiffel(2)", "eiffel(3)", "shear"])
     def test_contraction_data_of_the_operator_norm(self, name):
-        # (kappa, rho, c) of every verdict-pool R, and of a shear, bit for bit
-        # as the operator norm by SVD gives them: a 1 x 1 power's is its modulus
-        S = np.array(_named_system(name).R.inverse_transpose, dtype=float)
-        power, c = np.eye(len(S)), 1.0
-        for k in range(1, fs.measure.MAX_PRODUCT_DEPTH + 1):
+        # the table n_d = ||S^d||_2 of every verdict-pool R, and of a shear,
+        # against the operator norm by SVD of each power formed one product
+        # at a time, and n_1 bit for bit: a 1 x 1 power's norm is its
+        # modulus, and a scalar's n_d is rho^d
+        meas = fs.SelfSimilarMeasure(_named_system(name))
+        S = np.array(meas.system.R.inverse_transpose, dtype=float)
+        power = np.eye(len(S))
+        for d in range(fs.measure.MAX_PRODUCT_DEPTH + 1):
+            assert meas._n[d] == pytest.approx(float(np.linalg.norm(power, 2)), rel=1e-12), d
             power = power @ S
-            norm = float(np.linalg.norm(power, 2))
-            if norm < 1.0:
-                break
-            c = max(c, norm)
-        assert fs.measure._contraction_data(S) == (k, norm, c)
+        assert meas._n[1] == float(np.linalg.norm(S, 2))
 
     @pytest.mark.parametrize("name", SYSTEMS)
     def test_closed_matches_search_and_is_never_deeper(self, name):
         # the depth of the sums is the depth-by-depth search of their closed
-        # tail, quartic in the norm, rounded up to whole two-digit rows, also
-        # at the norms where either tail crosses the tolerance; it is never
-        # deeper than the quadratic depth
+        # tail, quartic in the norm, rounded up to whole two-digit rows within
+        # the cap (199 on two digits), also at the norms where either tail
+        # crosses the tolerance; it is never deeper than the quadratic depth
         meas = fs.SelfSimilarMeasure(_named_system(name))
         closed = meas._V is not None
         assert closed
-        for t in self.norms(meas) + self.norms(meas, meas.sq_tail_bound, power=4):
+        cap = fs.measure.MAX_PRODUCT_DEPTH
+        cap -= (cap + 1) % meas._per
+        for t in self.norms(meas) + self.norms(meas, meas.sq_tail_bound, power=4) + [1e300]:
             d, least = meas.sq_depth_for(t), self.search(meas, t, meas.sq_tail_bound)
-            assert d == least + (least + 1) % meas._per, t
+            assert d == min(least + (least + 1) % meas._per, cap), t
             if meas.depth_for(t) < fs.measure.MAX_PRODUCT_DEPTH:
                 assert d <= meas.depth_for(t), t
+        assert meas.sq_depth_for(math.inf) == cap
         assert meas.sq_depth_for(math.nan) == 1
 
 
@@ -823,6 +827,15 @@ def _phase_systems(draw):
     return fs.make_system(R, B, [(0,) * dim] + L)
 
 
+@st.composite
+def _non_normal_systems(draw):
+    """A system of `_phase_systems` in two or three dimensions conjugated by
+    an integer A (`oracles.conjugators`): its R is dense and, in general,
+    not normal, so n_d = ||S^d|| is far above the spectral radius."""
+    sysm = draw(_phase_systems().filter(lambda s: s.dim > 1))
+    return conjugate(sysm, draw(conjugators(sysm.dim)))
+
+
 class TestClosedTail:
     """The |mu_hat|^2 sums close each product with one bracket for the
     levels past its depth, at A x with A' Sigma_B A = Q_d, and cut it where
@@ -876,12 +889,12 @@ class TestClosedTail:
         assert (meas._V is None) == (name in ("no-A", "one-digit"))
         assert tail < fs.measure.DEFAULT_TAIL_TOL
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.one_of(_digit_systems(), _phase_systems()), st.data())
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(_digit_systems(), _phase_systems(), _non_normal_systems()), st.data())
     def test_sums_within_the_tail_of_a_200_level_product(self, sysm, data):
         # one to three dimensions, real and complex tables, scalar,
-        # triangular and negative R, a digit at the centre, one digit, and
-        # digits whose span R does not keep
+        # triangular, dense non-normal and negative R, a digit at the
+        # centre, one digit, and digits whose span R does not keep
         rows = st.lists(st.tuples(*[st.floats(-10, 10)] * sysm.dim), min_size=1, max_size=5)
         T, Lam = np.array(data.draw(rows)), np.array(data.draw(rows))
         self.assert_within_the_tail(sysm, T, Lam)
