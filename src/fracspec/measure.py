@@ -6,6 +6,7 @@ with its quartic one."""
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 
@@ -17,7 +18,7 @@ from .system import AffineSystem, probe_rows
 DEFAULT_TAIL_TOL = 1e-10
 MAX_PRODUCT_DEPTH = 200
 STACK_ENTRIES = 1 << 15     # (level, t, lambda) entries of one stacked product in _brackets
-_AHEAD = 8                  # levels a Q1 pass's phase table builds past a call's depth
+_AHEAD = 4                  # table rows a Q1 pass's phase table builds past a call's
 
 
 def _stein(S: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -31,39 +32,69 @@ def _stein(S: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 def _tails(sys: AffineSystem) -> tuple:
     """The tail data of a system, once per system (`AffineSystem.once`): S =
-    R*^-1, sigma, the tables n_d = ||S^d||_2 and q_d = tr Q^_0 n_d^2 (Q^_0
-    the Stein sum of Sigma_B / sigma^2 under S) of `tail_bound` for d <=
-    MAX_PRODUCT_DEPTH, the running minimum of n_1 .. n_d (`_least_depth`;
-    n itself for a scalar S) and the closure (`_closure`).  A scalar S = +-rho I
-    has n_d = rho^d and q_d = rho^{2d} / (1 - rho^2); the shear R = [[2,
-    100], [0, 2]] first has n_d < 1 at d = 9."""
+    R*^-1, sigma, n(d) = ||S^d||_2 and q(d) = tr Q^_0 n_d^2 (Q^_0 the Stein
+    sum of Sigma_B / sigma^2 under S) of `tail_bound` for d <=
+    MAX_PRODUCT_DEPTH, above(x), the count of the d in 1 .. MAX_PRODUCT_DEPTH
+    whose running minimum of n_1 .. n_d is at least x (`_least_depth`), and
+    the closure (`_closure`).  A scalar S = +-rho I reads n_d = rho^d and q_d
+    = rho^{2d} / (1 - rho^2) on demand, and counts its powers of rho from
+    their logarithm (`_scalar_above`); another S keeps the tables of its
+    norms.  The shear R = [[2, 100], [0, 2]] first has n_d < 1 at d = 9."""
     S = np.array(sys.R.inverse_transpose, dtype=float)
     # D = N s (b - c) on B = I / s, c the mean of B: sigma^2 is sum_b |D_b|^2
     # / (N (N s)^2), and Sigma_B / sigma^2 is sum_b D_b D_b' / sum_b |D_b|^2
-    I, s = rat.lift(sys.B)
+    I, s = sys.lifts[1]
     total = [sum(col) for col in zip(*I)]
     D = [tuple(sys.N * x - t for x, t in zip(b, total)) for b in I]
     sq = sum(rat.dot(d, d) for d in D)
     sigma = np.array([[sum(d[i] * d[j] for d in D) / (sq or 1) for j in range(sys.dim)]
                       for i in range(sys.dim)])
-    scalar = rat.scalar(sys.R.entries) is not None
-    if scalar:
-        n = [abs(float(S[0, 0])) ** d for d in range(MAX_PRODUCT_DEPTH + 1)]
+    if rat.scalar(sys.R.entries) is not None:
+        rho = abs(float(S[0, 0]))
+        norm, q, above, least, Q = (rho.__pow__, functools.partial(_scalar_q, rho ** 2),
+                                    functools.partial(_scalar_above, rho), rho, None)
     else:                   # the powers by doubling: the first m, then those times S^m
         powers = S[None]
         while len(powers) < MAX_PRODUCT_DEPTH:
             powers = np.concatenate([powers, powers @ powers[-1]])
         n = [1.0] + np.linalg.norm(powers[:MAX_PRODUCT_DEPTH], 2, axis=(1, 2)).tolist()
-    if not min(n[1:]) < 1.0:
+        Q = _stein(S, sigma)
+        trace, running = float(np.trace(Q)), np.minimum.accumulate(n[1:]).tolist()
+        norm, q, above, least = (n.__getitem__, [trace * x * x for x in n].__getitem__,
+                                 functools.partial(_table_above, running), running[-1])
+    if not least < 1.0:
         raise ValueError(f"no power S^k, k <= {MAX_PRODUCT_DEPTH}, of the inverse transpose "
                          f"S = R*^-1 has operator norm below 1, so the transform's tail "
                          f"bound is unavailable")
-    r, Q = n[1] ** 2, None if scalar else _stein(S, sigma)
-    q = [r ** d / (1.0 - r) for d in range(MAX_PRODUCT_DEPTH + 1)] if scalar else \
-        [float(np.trace(Q)) * x * x for x in n]
     V0, quartic = _closure(sys, S, D, sys.N * s, sigma, Q) if sq else (None, None)
-    return (S, rat.sqrt_ratio(sq, sys.N * (sys.N * s) ** 2), n, q,
-            n[1:] if scalar else np.minimum.accumulate(n[1:]).tolist(), V0, quartic)
+    return S, rat.sqrt_ratio(sq, sys.N * (sys.N * s) ** 2), norm, q, above, V0, quartic
+
+
+def _scalar_q(r: float, d: int) -> float:
+    """q_d = r^d / (1 - r) of a scalar S, r = rho^2 (`_tails`)."""
+    return r ** d / (1.0 - r)
+
+
+def _scalar_above(rho: float, x: float) -> int:
+    """The count of the d in 1 .. MAX_PRODUCT_DEPTH with rho^d >= x, for 0 <
+    rho < 1: rho^d decreases in d, so it is the largest such d, placed by
+    log x / log rho and settled on the powers themselves; every d for x <= 0
+    or NaN, as a bisection of the table of rho^d gives (`_table_above`)."""
+    if not x > 0.0:
+        return MAX_PRODUCT_DEPTH
+    if x >= 1.0:
+        return 0
+    d = min(int(math.log(x) / math.log(rho)), MAX_PRODUCT_DEPTH)
+    while d < MAX_PRODUCT_DEPTH and rho ** (d + 1) >= x:
+        d += 1
+    while d and not rho ** d >= x:
+        d -= 1
+    return d
+
+
+def _table_above(running: list, x: float) -> int:
+    """The count of the entries at least x of a nonincreasing table."""
+    return bisect.bisect_right(running, -x, key=operator.neg)
 
 
 def extend_levels(S: np.ndarray, stack: np.ndarray, depth: int) -> np.ndarray:
@@ -106,7 +137,7 @@ def _closure(sys: AffineSystem, S: np.ndarray, D, scale: int, sigma: np.ndarray,
         V0 = g * U0
     else:
         rank = rat.rank(D)
-        if rank < dim and rat.rank(D + [rat.mat_vec(sys.R.entries, d) for d in D]) > rank:
+        if rank < dim and rat.rank(D + [rat.mat_vec(sys.lifts[0][0], d) for d in D]) > rank:
             return None, None
         lam, vec = np.linalg.eigh(sigma)
         keep = lam > 1e-12 * lam.max()
@@ -193,8 +224,8 @@ class SelfSimilarMeasure:
     def __init__(self, sys: AffineSystem):
         self.system = sys
         self.dim = sys.dim
-        # R*^-1, sigma, the tail tables and the closure built so far (`_tails`)
-        (self._S, self._sigma, self._n, self._q, self._least_n, self._V,
+        # R*^-1, sigma, the tail data and the closure built so far (`_tails`)
+        (self._S, self._sigma, self._norm, self._q, self._above, self._V,
          self._quartic) = sys.once("tails", lambda: _tails(sys))
         # the level frequencies built so far; see _level_data
         self._U = 2 * np.pi * sys.mask_table[0].T[None]
@@ -233,7 +264,7 @@ class SelfSimilarMeasure:
         amp = a * a
         if amp == math.inf:
             return amp                  # where q_d underflows to 0
-        return amp * self._q[min(depth, MAX_PRODUCT_DEPTH)]
+        return amp * self._q(min(depth, MAX_PRODUCT_DEPTH))
 
     def depth_for(self, t_norm: float) -> int:
         """Smallest product depth d >= 1 whose tail bound is below
@@ -267,8 +298,9 @@ class SelfSimilarMeasure:
         quad = self.tail_bound(depth, t_norm)
         if self._V is None:
             return quad
-        y = t_norm * self._n[depth]
-        a, b = (k * y for k in self._quartic)
+        y = t_norm * self._norm(depth)
+        ka, k4 = self._quartic
+        a, b = ka * y, k4 * y
         a, b = a * a, b * b
         closed = max(a * a, b * b + quad * quad / 2)
         return closed if closed < quad else quad        # also where y is NaN
@@ -280,10 +312,13 @@ class SelfSimilarMeasure:
         call, the closure included, fill whole table rows (`_rows`): an odd
         d with a closure, an even one without, at most MAX_PRODUCT_DEPTH."""
         head, odd = self.tail_bound(0, t_norm), self._V is not None
-        a, b = (k * t_norm for k in self._quartic) if odd else (0.0, 0.0)
-        a, b = a * a, b * b
-        d = self._least_depth(self.sq_tail_bound, t_norm, head,
-                              max(a * a, b * b + head * head / 2) if odd else 0.0)
+        quartic = 0.0
+        if odd:
+            ka, k4 = self._quartic
+            a, b = ka * t_norm, k4 * t_norm
+            a, b = a * a, b * b
+            quartic = max(a * a, b * b + head * head / 2)
+        d = self._least_depth(self.sq_tail_bound, t_norm, head, quartic)
         return min(d + (d + odd) % self._per,
                    MAX_PRODUCT_DEPTH - (MAX_PRODUCT_DEPTH + odd) % self._per)
 
@@ -292,14 +327,15 @@ class SelfSimilarMeasure:
         MAX_PRODUCT_DEPTH when no smaller one is: `tail_bound` is `head`
         (its depth-0 value) times v = n_d^2, within rounding, and
         `sq_tail_bound` min(head v, quartic v^2), so d meets the tolerance
-        only where n_d is below one threshold.  One bisection on the running
-        minimum of n_1 .. n_d places d at the first n_d a hair above it, and
-        steps of `bound` settle the rounding and skip the larger n_d past
-        it: d is the one a depth-by-depth search finds."""
+        only where n_d is below one threshold.  The count of the running
+        minima of n_1 .. n_d at or above it (`_tails`) places d at the first
+        n_d a hair above it, and steps of `bound` settle the rounding and
+        skip the larger n_d past it: d is the one a depth-by-depth search
+        finds."""
         # the threshold of n_d^2: 0 at an infinite norm, inf at a zero or NaN one
         v = max(DEFAULT_TAIL_TOL / head, math.sqrt(DEFAULT_TAIL_TOL / quartic) if quartic
                 else 0.0) if head > 0.0 else math.inf
-        d = 1 + bisect.bisect_right(self._least_n, -math.sqrt(v) * (1 + 1e-9), key=operator.neg)
+        d = 1 + self._above(math.sqrt(v) * (1 + 1e-9))
         while d < MAX_PRODUCT_DEPTH and bound(d, t_norm) >= DEFAULT_TAIL_TOL:
             d += 1
         return min(d, MAX_PRODUCT_DEPTH)
@@ -473,7 +509,9 @@ class SelfSimilarMeasure:
         `_brackets` for these rows and points at that depth, the closure
         level included (`_closure_data`): `_side_tables` of the float points,
         or a Q1 pass's tables at exact digit phases (`DigitPhases.tables`);
-        the float points decide the depth either way.  The product of
+        the float rows and points decide the depth either way, through their
+        largest |t - lambda| alone, so with the pass's tables the rows of T
+        may stand for more (`spectrum._extreme_rows`).  The product of
         `_brackets` is squared tile by tile; the mean phase has modulus one
         and is left out.  Each bracket is formed before it is squared, so a
         factor near a zero of the mask keeps |chi_B|^2 accurate to rounding
@@ -485,32 +523,55 @@ class SelfSimilarMeasure:
         return self._brackets(*tables(depth), starts), self.sq_tail_bound(depth, t_norm)
 
 
-def _exact_residues(sys: AffineSystem, digits, count: int) -> np.ndarray:
+def _exact_residues(sys: AffineSystem, count: int) -> np.ndarray:
     """(count, N - 1, J) floats in [0, 1): (R^n e_j).l mod 1 for n < count,
-    each digit l of `digits` past the first, 0, and each exact row e_j of
-    the mask (`AffineSystem.mask_rows`).  It is the phase e_j.R*^{i-k} l, in
-    turns, of a digit l of level i at kernel level k <= i, n = i - k.
+    each digit l of L past 0, in the order of `spectrum.layer_digits`, and
+    each exact row e_j of the mask (`AffineSystem.mask_rows`).  It is the
+    phase e_j.R*^{i-k} l, in turns, of a digit l of level i at kernel level
+    k <= i, n = i - k.
 
-    On the integer lifts R = Ri / r, E = Ei / e and L = Li / s it is
-    (Li.Ri^n Ei_j mod r^n e s) / (r^n e s), rounded once, so it is exact to
-    half an ulp however large R*^i l is.  Every modulus divides
-    M = r^(count-1) e s, so the lifts and the powers Ri^n Ei are kept mod M,
-    and the powers are taken by doubling: the stack of the first 2^k is the
-    one before times Ri^(2^k).  They are integers in floats while every
-    product, at most dim M^2, stays below 2^53, and Python ints otherwise."""
-    Ri, r = rat.lift(sys.R.entries)
-    Ei, e = rat.lift(sys.mask_rows[0])
-    Li, s = rat.lift(digits[1:])
+    On the integer lifts R = Ri / r and L = Li / s of the system
+    (`AffineSystem.lifts`) and E = Ei / e it is (Li.Ri^n Ei_j mod r^n e s) /
+    (r^n e s), rounded once, so it is exact to half an ulp however large
+    R*^i l is.  Every modulus divides M = r^(count-1) e s, so the lifts and
+    the powers Ri^n Ei are kept mod M: in one dimension the powers of the
+    scalar Ri by a running product of ints, and above by doubling, the
+    stack of the first 2^k being the one before times Ri^(2^k).  They are
+    integers in floats while every product, at most dim M^2, stays below
+    2^53, and Python ints otherwise."""
+    (Ri, r), _, (Li, s) = sys.lifts
+    Ei, e, _, _ = sys.mask_rows
+    g = math.gcd(e, *(x for row in Ei for x in row))    # E over its least denominator
+    Ei, e = [[x // g for x in row] for row in Ei], e // g
+    Li = [l for l in Li if any(l)]
     M = e * s * r ** (count - 1)
     dtype = float if sys.dim * M * M < 2 ** 53 else object
-    P, powers, Li = (np.array([[x % M for x in row] for row in A], dtype).reshape(len(A), sys.dim)
-                     for A in (Ri, Ei, Li))
-    powers = powers.T[None]
-    while len(powers) < count:
-        powers = np.concatenate([powers, P @ powers % M])
-        P = P @ P % M
+    if sys.dim == 1:
+        powers = [1]
+        while len(powers) < count:
+            powers.append(powers[-1] * Ri[0][0] % M)
+        phases = np.array(powers, dtype)[:, None, None] * \
+            np.array([[l[0] * x[0] % M for x in Ei] for l in Li], dtype).reshape(len(Li), len(Ei))
+    else:
+        P, powers, Li = (np.array([[x % M for x in row] for row in A], dtype).reshape(
+            len(A), sys.dim) for A in (Ri, Ei, Li))
+        powers = powers.T[None]
+        while len(powers) < count:
+            powers = np.concatenate([powers, P @ powers % M])
+            P = P @ P % M
+        phases = Li @ powers[:count]
     den = e * s * np.array([r ** n for n in range(count)], dtype)[:, None, None]
-    return np.asarray(Li @ powers[:count] % den / den, dtype=float)
+    return np.asarray(phases % den / den, dtype=float)
+
+
+@functools.cache
+def _toeplitz(count: int, D: int) -> np.ndarray:
+    """The (D, count) indices i - k + D - 1 of `DigitPhases._grow`, by which
+    level k of the residue rows takes digit level i; kept per shape, and
+    only read."""
+    idx = np.arange(count) - np.arange(D)[:, None] + D - 1
+    idx.flags.writeable = False
+    return idx
 
 
 def _unit_table(angles: np.ndarray, real: bool) -> np.ndarray:
@@ -576,13 +637,13 @@ class DigitPhases:
     and its full rows.
     """
 
-    def __init__(self, measure: SelfSimilarMeasure, T: np.ndarray, levels, digits):
+    def __init__(self, measure: SelfSimilarMeasure, T: np.ndarray, levels):
         sys = measure.system
         count, N, dim = len(levels), sys.N, sys.dim
         self._measure, self._T = measure, T
         self._per = measure._per                    # levels per table row
         self._real = sys.mask_table[2]
-        self._exact = _exact_residues(sys, digits, count)
+        self._exact = _exact_residues(sys, count)
         K = count * (N - 1)
         tagged = np.zeros((count, N, dim + K))
         tagged[:, :, :dim] = levels
@@ -591,50 +652,65 @@ class DigitPhases:
         self._L = tagged[0, 1:, :dim]               # the digits past 0, in floats
         self._F = tagged[:, 1:, :dim].reshape(K, dim)    # every digit column's float point
         # the rows before the full rows: the closure rows of the depths
-        # first, first + per, ..., first + _AHEAD (`_grow`) and the slot
-        self._lead = _AHEAD // self._per + 2 if measure._V is not None else 0
+        # first, first + per, ..., first + ahead (`_grow`) and the slot, with
+        # ahead the levels of _AHEAD table rows
+        self._ahead = _AHEAD * self._per
+        self._lead = _AHEAD + 2 if measure._V is not None else 0
         # `_grow` sets the residues W by level and, in the layout above, the
         # residue rows (rows, width, K) and the probe rows' weighted complex
-        # tables; `_low_rows` sets the low table, its points' digit columns
-        # and the index of the closure row in its slot
+        # tables, `tables` the index of the closure row in their slot, and
+        # `_low_rows` the low table, its points' digit columns and the index
+        # of the closure row in its slot
         self._W = np.empty((0, K, self._exact.shape[2]))
-        self._first, self._low, self._low_digits, self._low_slot = 0, None, None, None
+        self._first, self._slot = 0, None
+        self._low, self._low_digits, self._low_slot = None, None, None
 
     def _grow(self, depth: int) -> None:
         """Build the residue rows and the probe tables of the kernel levels
-        below depth + _AHEAD and of the closure rows of the depths depth,
-        depth + per, ..., depth + _AHEAD, once a call asks for a depth
-        outside those, so a pass whose calls go a level deeper each builds
-        them every _AHEAD calls (a pass's calls never go shallower; one
+        below depth + ahead and of the closure rows of the depths depth,
+        depth + per, ..., depth + ahead, once a call asks for a depth
+        outside those, so a pass whose calls go a table row deeper each
+        builds them every _AHEAD calls (a pass's calls never go shallower; one
         that did would build them again, with no fewer levels).  Level k of
         W holds in column i (N - 1) + a - 1 the residue of digit a of level
         i, exact where i >= k.  The closure row of a call of depth d is its
         closure alone, or on two digits its closure beside its last level
         d - 1 (`SelfSimilarMeasure.sq_depth_for` makes d odd)."""
         lead = self._lead
-        if depth <= len(self._W) and (not lead or self._first <= depth <= self._first + _AHEAD):
+        ahead = self._ahead
+        if depth <= len(self._W) and (not lead or self._first <= depth <= self._first + ahead):
             return
-        D, measure, per = max(depth + _AHEAD, len(self._W)), self._measure, self._per
+        D, measure, per = max(depth + ahead, len(self._W)), self._measure, self._per
         U = measure._level_data(D)
         below = self._L @ U[:0:-1] / (2 * np.pi)     # e_j.R*^-n l for n = D - 1 .. 1
         G = np.concatenate([below, self._exact])    # index i - k + D - 1
-        idx = np.arange(len(self._exact)) - np.arange(D)[:, None] + D - 1
-        W = self._W = G[idx].reshape(D, -1, G.shape[2])
-        full = D // per
-        rows, columns = [measure._rows(W[:per * full])], [measure._rows(U[:per * full])]
+        W = self._W = G[_toeplitz(len(self._exact), D)].reshape(D, -1, G.shape[2])
+        full, Wc, C = per * (D // per), None, None
+
+        def stack(closing, levels):
+            # the closure rows, the slot (a copy of the last of them) and the
+            # full rows
+            return np.concatenate([closing, closing[-1:], levels]) if lead else levels
+
         if lead:
-            # the closure rows, and the slot as a copy of the last of them
-            C = measure._closure_data(depth + _AHEAD + 1)[depth::per]
+            C = measure._closure_data(depth + ahead + 1)[depth::per]
             Wc = self._F @ C / (2 * np.pi)           # the digits' closure phases
-            if per == 2:
-                last = slice(depth - 1, depth + _AHEAD, 2)
-                Wc, C = _join(W[last], Wc), _join(U[last], C)
-            rows, columns = [Wc, Wc[-1:]] + rows, [C, C[-1:]] + columns
             self._first = depth
-        self._rows = np.swapaxes(np.concatenate(rows), 1, 2)
-        self._probe = _unit_table(np.swapaxes(np.concatenate(columns), 1, 2) @ self._T.T,
+        if per == 1:
+            rows, columns = stack(Wc, W[:full]), stack(C, U[:full])
+        else:
+            # a row joins the levels k and k + 1 (`SelfSimilarMeasure._rows`),
+            # and a closure row the call's last level and its closure
+            last = slice(depth - 1, depth + ahead, 2)
+            rows = _join(stack(W[last], W[:full:2]), stack(Wc, W[1:full:2]))
+            columns = _join(stack(U[last], U[:full:2]), stack(C, U[1:full:2]))
+        self._rows = np.swapaxes(rows, 1, 2)
+        self._probe = _unit_table(np.swapaxes(columns, 1, 2) @ self._T.T,
                                   False) * self._measure._w[:, None]
-        self._low_slot = None                       # the closure rows are new
+        self._slot = None
+        if lead and self._low is not None:          # the closure rows are new
+            self._low[:lead] = self._low_table(self._rows[:lead] @ self._low_digits)
+            self._low_slot = None
 
     def _low_table(self, phases: np.ndarray) -> np.ndarray:
         """The lambda side of `_brackets` at the phases of points, in turns:
@@ -646,29 +722,29 @@ class DigitPhases:
                   closing) -> np.ndarray:
         """The lambda side of `_brackets` at the rows start..end of the
         tables (the slot and a call's full rows, or its full rows alone) for
-        points with digit columns `low`: from the pass's low table, which
-        holds the slot and the full rows, when they are its first points
-        (`shared`).  Its slot holds the closure row at index `closing` of
-        the tables, formed anew over the table's points when a call reads
-        another one."""
+        points with digit columns `low`: from the pass's low table when they
+        are its first points (`shared`).  The low table holds every row of
+        the tables up to the deepest call's, the closure rows included, so
+        a call that reads another closure row than the call before copies
+        it into the slot (index `closing` of the tables) and forms nothing."""
         if not shared:
             return self._low_table(self._rows[start:end] @ low.T)
         if self._low is None:
-            # the first call's rows; a deeper call takes every row built
-            self._low = self._low_table(self._rows[start:end] @ low.T)
+            # the closure rows and the first call's; a deeper call takes every row built
+            self._low = self._low_table(self._rows[:end] @ low.T)
             self._low_digits, self._low_slot = low.T, closing
         elif closing != self._low_slot:
-            self._low[0] = self._low_table(self._rows[start:start + 1] @ self._low_digits)[0]
+            self._low[start] = self._low[closing]
             self._low_slot = closing
         n, have = len(low), self._low_digits.shape[1]
         if n > have:
-            new = self._low_table(self._rows[start:start + len(self._low)] @ low[have:].T)
+            new = self._low_table(self._rows[:len(self._low)] @ low[have:].T)
             self._low = np.concatenate([self._low, new], axis=2)
             self._low_digits = np.concatenate([self._low_digits, low[have:].T], axis=1)
-        if end > start + len(self._low):
-            new = self._low_table(self._rows[start + len(self._low):] @ self._low_digits)
+        if end > len(self._low):
+            new = self._low_table(self._rows[len(self._low):] @ self._low_digits)
             self._low = np.concatenate([self._low, new])
-        return self._low[:end - start, :, :n]
+        return self._low[start:end, :, :n]
 
     def tables(self, eta, low, shared: bool, depth: int) -> tuple:
         """The side tables of `_brackets` at `depth`, the closure level
@@ -681,7 +757,9 @@ class DigitPhases:
         if lead:
             # the call's closure row into the slot of each table
             i, start, end = (depth - self._first) // per, lead - 1, lead + (depth + 1) // per - 1
-            self._rows[start], self._probe[start] = self._rows[i], self._probe[i]
+            if i != self._slot:
+                self._rows[start], self._probe[start] = self._rows[i], self._probe[i]
+                self._slot = i
         else:
             i, start, end = None, 0, depth // per
         rows, probe = self._rows[start:end], self._probe[start:end]
@@ -690,4 +768,4 @@ class DigitPhases:
             probe = (probe[..., None] * z[:, :, None, :]).reshape(probe.shape[:2] + (-1,))
         if self._real:
             probe = np.concatenate([probe.real, probe.imag], axis=1)
-        return np.swapaxes(probe, 1, 2), self._low_rows(low, shared, start, end, i)
+        return probe.swapaxes(1, 2), self._low_rows(low, shared, start, end, i)

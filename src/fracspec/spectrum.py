@@ -86,7 +86,7 @@ def layer_digits(sys: AffineSystem, depth: int) -> list:
     MAX_FLOAT_POINTS, or one whose points leave the floating-point range,
     is refused.
     """
-    if sys.zero() not in sys.L:
+    if all(map(any, sys.L)):
         raise ValueError("the Q1 layers need 0 in L (zero_in_L): without it they are not P(L)")
     sys.check_words(depth, MAX_FLOAT_POINTS, "spectrum layer exceeds the point cap", "points")
     R = np.array(sys.R.entries, dtype=float)
@@ -95,25 +95,28 @@ def layer_digits(sys: AffineSystem, depth: int) -> list:
         # the levels R*^k l, k < depth, by the recurrence of the kernel's levels
         levels = np.swapaxes(extend_levels(R, Ls.T[None], depth), 1, 2)
         # a point of layer d sums one point of each level k < d, so the sum
-        # of their largest coordinates bounds its own
-        finite = np.isfinite(np.cumsum(np.abs(levels).max(axis=(1, 2))))
-    if not finite.all():
-        raise ValueError(f"spectrum layer {finite.argmin() + 1} of depth {depth} leaves the "
-                         "floating-point range")
+        # of their largest coordinates bounds its own; the sums only grow,
+        # so the last is finite when every one is
+        bound = np.cumsum(np.abs(levels).max(axis=(1, 2)))
+    if not math.isfinite(bound[-1]):
+        raise ValueError(f"spectrum layer {np.isfinite(bound).argmin() + 1} of depth {depth} "
+                         "leaves the floating-point range")
     return list(levels)
 
 
 def _zero_first(sys: AffineSystem) -> list:
-    """The digits of L with 0 first, the order of every level of
-    `layer_digits`."""
-    zero = sys.zero()
-    return sorted(sys.L, key=lambda l: l != zero)
+    """The digits of L with 0 first and the others in their order, the order
+    of every level of `layer_digits` (and of `measure._exact_residues`)."""
+    return sorted(sys.L, key=any)
 
 
 def digit_sum(sets, dim: int) -> np.ndarray:
-    """Minkowski sum of digit sets as an (n, dim) array, the last set slowest."""
-    pts = np.zeros((1, dim))
-    for s in sets:
+    """Minkowski sum of digit sets as an (n, dim) array, the last set slowest:
+    the first set itself when it is the only one, the origin for none."""
+    if not sets:
+        return np.zeros((1, dim))
+    pts = sets[0]
+    for s in sets[1:]:
         pts = (s[:, None, :] + pts[None, :, :]).reshape(-1, dim)
     return pts
 
@@ -282,8 +285,9 @@ def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int):
     full levels."""
     m, dim = T.shape
     N = system.N
+    t_lo, t_hi = T.min(), T.max()       # in one dimension, for `_extreme_rows`
     measure = SelfSimilarMeasure(system)
-    phases = DigitPhases(measure, T, layer_digits(system, p_depth), _zero_first(system))
+    phases = DigitPhases(measure, T, layer_digits(system, p_depth))
     tagged, width = phases.tagged, phases.tagged[0].shape[1]
     origin = np.zeros((1, width))
     first, below = origin, 0            # the sum of the levels below `below`
@@ -333,13 +337,25 @@ def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int):
         inc, tail = np.zeros(m), 0.0
         for start in range(0, len(high), chunk):
             eta = high[start:start + chunk]
-            rows = (T[:, None, :] - eta[None, :, :dim]).reshape(-1, dim)
+            rows = _extreme_rows(t_lo, t_hi, eta[:, :dim]) if dim == 1 else \
+                (T[:, None, :] - eta[None, :, :dim]).reshape(-1, dim)
             tables = functools.partial(phases.tables, eta[:, dim:] if shared else None,
                                        low[:, dim:], shared)
             sums, block_tail = measure.mu_hat_sq_sums(rows, low[:, :dim], [0], tables)
             inc += sums.reshape(m, len(eta)).sum(axis=1)
             tail += block_tail * len(eta) * low_n
         yield inc, tail
+
+
+def _extreme_rows(t_lo, t_hi, eta: np.ndarray) -> np.ndarray:
+    """The least and largest of the one-dimensional rows t - eta, t in
+    [t_lo, t_hi] (the extremes of the probe rows) and eta a row of `eta`, as
+    two rows: t_lo - max eta and t_hi - min eta, bit for bit, since float
+    rounding is monotone.  The rows of a later layer's call only set its
+    depth and tail (`measure._max_distance`, which in one dimension reads
+    their extremes alone), as its side tables come from the digits, so
+    these two stand for all m |eta|."""
+    return np.array([[t_lo - eta.max()], [t_hi - eta.min()]])
 
 
 def q1_depth(system: AffineSystem) -> int:
@@ -406,7 +422,8 @@ def completeness_test(system: AffineSystem, grid, eps_conv: float = Q1_EPS_CONV,
     if not m:
         # all() over no rows is True: an empty grid would pass unexamined
         raise ValueError("the completeness grid is empty: no probe point to decide on")
-    stencil = np.concatenate([[FD_STEP * e, -FD_STEP * e] for e in np.eye(system.dim)])
+    E = np.eye(system.dim)
+    stencil = np.stack([FD_STEP * E, -FD_STEP * E], axis=1).reshape(-1, system.dim)
     if p_depth_cap is None:
         p_depth_cap = q1_depth(system)
     full = _q1_pass(system, np.concatenate([T, stencil]), p_depth_cap, eps_conv, m)

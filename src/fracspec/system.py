@@ -176,27 +176,37 @@ class AffineSystem:
         return walk, scale // g
 
     @functools.cached_property
+    def lifts(self) -> tuple:
+        """((Ri, r), (Bi, s), (Li, l)): R, B and L each lifted once to
+        integers over one common denominator (`rational.lift`), so R =
+        Ri / r, B = Bi / s and L = Li / l.  Every exact reader of the triple
+        shares them: `mask_rows`, the compatibility check of
+        `validate_system`, and the tail data and exact phases of `measure`."""
+        return rat.lift(self.R.entries), rat.lift(self.B), rat.lift(self.L)
+
+    @functools.cached_property
     def mask_rows(self) -> tuple:
-        """The exact rows of `mask_table` as (E, real, c): E the centred
-        digits b - c that the table keeps, as exact vectors, `real` whether
-        they are symmetric and c the exact mean of B.  They are decided on
-        one integer lift of B, N s (b - c) = N Bi_b - sum Bi, whose order
-        and signs are those of the centred digits."""
-        Bi, s = rat.lift(self.B)
+        """The exact rows of `mask_table` as (Ei, scale, real, c): Ei the
+        centred digits b - c that the table keeps as integer vectors over
+        `scale`, `real` whether they are symmetric and c the exact mean of
+        B.  They are decided on the integer lift of B (`lifts`), N s (b - c)
+        = N Bi_b - sum Bi over scale = N s, whose order and signs are those
+        of the centred digits."""
+        Bi, s = self.lifts[1]
         total = [sum(col) for col in zip(*Bi)]
         centred = [tuple([self.N * x - t for x, t in zip(b, total)]) for b in Bi]
         flipped = [tuple([-x for x in e]) for e in centred]
         real = sorted(centred) == sorted(flipped)
         scale = self.N * s
-        E = tuple(tuple(Fraction(x, scale) for x in e) for e, f in zip(centred, flipped)
-                  if not real or e >= f)
-        return E, real, tuple(Fraction(t, scale) for t in total)
+        Ei = tuple(e for e, f in zip(centred, flipped) if not real or e >= f)
+        return Ei, scale, real, tuple(Fraction(t, scale) for t in total)
 
     @functools.cached_property
     def mask_table(self) -> tuple:
         """chi_B(x) = e^{i 2 pi c.x} sum_k w_k e^{i 2 pi e_k.x} as
         (E, w, real, c), with c the exact mean of B and the rows e_k of E
-        the centred digits b - c (`mask_rows`, in floats here).  When the
+        the centred digits b - c (`mask_rows`, in floats here, each the
+        correctly rounded Ei / scale).  When the
         centred digits are symmetric (e and -e alike), E keeps one of each
         pair at weight 2/N and the bracket is the real sum_k w_k
         cos(2 pi e_k.x) (`real` is True); otherwise every digit stays at
@@ -211,10 +221,10 @@ class AffineSystem:
         accurate to rounding squared at its zeros, where the cosine series
         over B - B would cancel to rounding.
         """
-        E, real, c = self.mask_rows
-        zero = self.zero()
-        w = np.array([(2 if real and e != zero else 1) / self.N for e in E])
-        return np.array(E, dtype=float).reshape(len(E), self.dim), w, real, c
+        Ei, scale, real, c = self.mask_rows
+        w = np.array([(2 if real and any(e) else 1) / self.N for e in Ei])
+        E = np.array([[x / scale for x in e] for e in Ei]).reshape(len(Ei), self.dim)
+        return E, w, real, c
 
     @functools.cached_property
     def _derived(self) -> dict:
@@ -238,9 +248,9 @@ class AffineSystem:
         level at a time and the loop stops once past the cap, so the power
         is never formed.  A one-digit system counts as two digits: its words
         are one point, but every level still costs a step."""
-        total = 1
+        total, base = 1, max(self.N, 2)
         for _ in range(depth):
-            total *= max(self.N, 2)
+            total *= base
             if total > cap:
                 counted = " (one digit counts as two)" if self.N == 1 else ""
                 raise ValueError(f"{what}: depth {depth} reaches {self.N}^{depth} "
@@ -374,9 +384,7 @@ def _compatibility_witnesses(sys: AffineSystem) -> list:
     none does and the loop stops there.  Rational R keeps the sample
     n <= DEFAULT_N_CHECK.
     """
-    Ri, r = rat.lift(sys.R.entries)
-    Bi, sb = rat.lift(sys.B)
-    Li, sl = rat.lift(sys.L)
+    (Ri, r), (Bi, sb), (Li, sl) = sys.lifts
     n_decisive = sys.dim if r == 1 else DEFAULT_N_CHECK
     failures = []
     Rn = Ri

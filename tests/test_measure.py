@@ -656,7 +656,8 @@ class TestDepthFor:
         the table's n_k (k <= MAX_PRODUCT_DEPTH), so a little below the
         full sum; rho^d / (1 - rho) for a scalar S = +-rho I."""
         b_max = max(math.sqrt(sum(float(x) ** 2 for x in b)) for b in meas.system.B)
-        return lambda d, t_norm: 2 * math.pi * b_max * t_norm * math.fsum(meas._n[d:])
+        n = [meas._norm(k) for k in range(fs.measure.MAX_PRODUCT_DEPTH + 1)]
+        return lambda d, t_norm: 2 * math.pi * b_max * t_norm * math.fsum(n[d:])
 
     @staticmethod
     def norms(meas, bound=None, power=2):
@@ -702,9 +703,9 @@ class TestDepthFor:
         S = np.array(meas.system.R.inverse_transpose, dtype=float)
         power = np.eye(len(S))
         for d in range(fs.measure.MAX_PRODUCT_DEPTH + 1):
-            assert meas._n[d] == pytest.approx(float(np.linalg.norm(power, 2)), rel=1e-12), d
+            assert meas._norm(d) == pytest.approx(float(np.linalg.norm(power, 2)), rel=1e-12), d
             power = power @ S
-        assert meas._n[1] == float(np.linalg.norm(S, 2))
+        assert meas._norm(1) == float(np.linalg.norm(S, 2))
 
     @pytest.mark.parametrize("name", SYSTEMS)
     def test_closed_matches_search_and_is_never_deeper(self, name):
@@ -931,11 +932,12 @@ class TestDigitPhases:
     def check_residues(sysm, count):
         # (R^n e).l mod 1 in Fraction arithmetic, rounded once
         digits = fs.spectrum._zero_first(sysm)
-        got = fs.measure._exact_residues(sysm, digits, count)
+        got = fs.measure._exact_residues(sysm, count)
+        Ei, scale = sysm.mask_rows[:2]
         power = rat.identity(sysm.dim)
         for n in range(count):
             for a, l in enumerate(digits[1:]):
-                for j, e in enumerate(sysm.mask_rows[0]):
+                for j, e in enumerate(rat.unlift(Ei, scale)):
                     x = rat.dot(rat.mat_vec(power, e), l)
                     assert got[n, a, j] == float(x - math.floor(x))
             power = rat.mat_mul(sysm.R.entries, power)
@@ -963,7 +965,6 @@ class TestDigitPhases:
         # with |lambda| <= 1e4 the float angles are accurate, so the tables
         # of every kind of call of a pass, deeper and shallower, with their
         # closure level, match cos and sin of the float angles
-        digits = fs.spectrum._zero_first(sysm)
         p_depth = 5
         while p_depth > 1 and sum(np.abs(lv).max() for lv in
                                   fs.spectrum.layer_digits(sysm, p_depth)) > 1e4:
@@ -972,7 +973,7 @@ class TestDigitPhases:
         meas = fs.SelfSimilarMeasure(sysm)
         T = np.array(data.draw(st.lists(st.tuples(*[st.floats(-2, 2)] * sysm.dim),
                                         min_size=1, max_size=3)))
-        phases = fs.measure.DigitPhases(meas, T, levels, digits)
+        phases = fs.measure.DigitPhases(meas, T, levels)
         width = sysm.dim + p_depth * (sysm.N - 1)
 
         def points(sets):

@@ -460,8 +460,10 @@ class TestQ1:
         kernel = fs.SelfSimilarMeasure.mu_hat_sq_sums
 
         def counted(self, rows, lam, starts, tables):
+            # the pairs of a call are its sums' rows times its points: in one
+            # dimension a later layer's rows are their two extremes
             sums, tail = kernel(self, rows, lam, starts, tables)
-            pairs.append(len(rows) * len(lam))
+            pairs.append(len(sums) * len(lam))
             tails.append(tail)
             return sums, tail
 
@@ -580,8 +582,9 @@ class TestQ1:
         kernel = fs.SelfSimilarMeasure.mu_hat_sq_sums
 
         def counted(self, rows, lam, starts, tables):
-            calls.append((len(rows) * len(lam), len(starts)))
-            return kernel(self, rows, lam, starts, tables)
+            sums, tail = kernel(self, rows, lam, starts, tables)
+            calls.append((len(sums) * len(lam), len(starts)))
+            return sums, tail
 
         monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_sums", counted)
         fs.q1_profile(sysm, T, p_depth)
@@ -595,8 +598,9 @@ class TestQ1:
         kernel = fs.SelfSimilarMeasure.mu_hat_sq_sums
 
         def counted(self, rows, lam, starts, tables):
-            calls.append(len(rows) * len(lam))
-            return kernel(self, rows, lam, starts, tables)
+            sums, tail = kernel(self, rows, lam, starts, tables)
+            calls.append(len(sums) * len(lam))
+            return sums, tail
 
         monkeypatch.setattr(fs.SelfSimilarMeasure, "mu_hat_sq_sums", counted)
         fs.q1_profile(scale2, np.linspace(-1, 0, 5), 14)
