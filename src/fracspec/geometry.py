@@ -209,11 +209,24 @@ class Polytope:
 def _affine_frame(ipts):
     """Origin plus a maximal independent set of difference vectors of the
     integer points: the first independent ones, the pivot columns of the
-    matrix whose column i is point i + 1 minus the origin."""
+    matrix whose column i is point i + 1 minus the origin.  Each difference
+    is reduced, fraction-free, against the reduced differences kept so far
+    and kept when a remainder is left, and the scan stops once it holds as
+    many as the ambient dimension, so the points past the last pivot are
+    never reduced."""
     origin = ipts[0]
-    diffs = [[x - o for x in xs] for xs, o in zip(zip(*ipts[1:]), origin)]
-    return origin, [tuple(map(operator.sub, ipts[c + 1], origin))
-                    for c in rat.pivot_columns(diffs)]
+    basis, reduced = [], []                     # reduced: (vector, its first nonzero)
+    for p in ipts[1:]:
+        if len(basis) == len(origin):
+            break
+        d = r = tuple(map(operator.sub, p, origin))
+        for e, c in reduced:
+            if r[c]:
+                r = tuple(e[c] * x - r[c] * y for x, y in zip(r, e))
+        if any(r):
+            basis.append(d)
+            reduced.append((r, next(i for i, x in enumerate(r) if x)))
+    return origin, basis
 
 
 def _plane(face):

@@ -163,6 +163,33 @@ def _signed_volume6(hull):
     return sum(rat.det(rat.mat(list(face))) for face in hull.faces)
 
 
+class TestAffineFrame:
+    """The hull's chart: the first independent differences, found by a scan
+    that stops at the ambient dimension."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_basis_is_the_pivot_columns_of_every_difference(self, seed):
+        # points of a random affine dimension 0..3 in 1..4 ambient dimensions,
+        # on a lattice coarse enough for repeated and collinear points
+        rng = random.Random(seed)
+        ambient = rng.randint(1, 4)
+        k = rng.randint(0, min(ambient, 3))
+        gens = [[rng.randint(-3, 3) for _ in range(ambient)] for _ in range(k)]
+        base = [rng.randint(-5, 5) for _ in range(ambient)]
+        pts = sorted({tuple(b + sum(rng.randint(-2, 2) * g[i] for g in gens)
+                            for i, b in enumerate(base)) for _ in range(rng.randint(1, 30))})
+        origin, basis = fs.geometry._affine_frame(pts)
+        diffs = [[x - o for x in xs] for xs, o in zip(zip(*pts[1:]), origin)]
+        assert origin == pts[0]
+        assert basis == [tuple(x - o for x, o in zip(pts[c + 1], origin))
+                         for c in rat.pivot_columns(diffs)]
+
+    def test_eiffel_rho_hull_spans_the_space(self, eiffel2):
+        walk, _ = eiffel2.lifted_walk("rho", 4)
+        origin, basis = fs.geometry._affine_frame(sorted(set(walk)))
+        assert len(basis) == 3 and rat.rank(basis) == 3
+
+
 class TestHullOracle:
     """`convex_hull` in 3-D against brute force over every triple."""
 

@@ -219,6 +219,21 @@ class TestMaxDistance:
             assert fs.measure._max_distance(T, Lam) == np.abs(T - Lam.T).max()
             assert fs.measure._max_distance(Lam, T) == np.abs(T - Lam.T).max()
 
+    def test_extreme_rows_stand_for_the_formed_rows(self):
+        # a later layer's call gives its one-dimensional rows t - eta as their
+        # two extremes: the same distance bit for bit as every formed row,
+        # also where the subtraction rounds (rows near 1e15 and mixed scales)
+        rng = np.random.RandomState(4)
+        for m, k, scale, shift in ((1, 1, 1, 0), (5, 64, 1e3, 0), (35, 512, 1e12, 0),
+                                   (3, 40, 1.0, 1e15), (7, 9, 1e-9, -3e7)):
+            T = shift + scale * rng.standard_normal((m, 1))
+            eta = rng.uniform(-1, 1, (k, 1)) * rng.choice([1e-3, 1.0, 1e6, 1e14], (k, 1))
+            Lam = rng.uniform(-1, 1, (k + 3, 1)) * rng.choice([1.0, 1e9], (k + 3, 1))
+            rows = (T[:, None, :] - eta[None]).reshape(-1, 1)
+            two = fs.spectrum._extreme_rows(T.min(), T.max(), eta)
+            assert two.min() == rows.min() and two.max() == rows.max()
+            assert fs.measure._max_distance(two, Lam) == fs.measure._max_distance(rows, Lam)
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_inf_and_nan(self, dim):
         dist = fs.measure._max_distance
@@ -706,6 +721,31 @@ class TestDepthFor:
             assert meas._norm(d) == pytest.approx(float(np.linalg.norm(power, 2)), rel=1e-12), d
             power = power @ S
         assert meas._norm(1) == float(np.linalg.norm(S, 2))
+
+    @pytest.mark.parametrize("R", [2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8,
+                                   Fraction(7, 2), 10 ** 6, "scale4(3)"])
+    def test_scalar_tails_are_the_powers(self, R):
+        # a scalar S = +-rho I reads n_d and q_d on demand: rho^d and
+        # r^d / (1 - r), r = rho^2, bit for bit at every depth of the cap
+        sysm = fs.get_system(R) if isinstance(R, str) else fs.two_digit_system(R, Fraction(1, 2))
+        meas = fs.SelfSimilarMeasure(sysm)
+        rho = abs(float(sysm.R.inverse_transpose[0][0]))
+        r = rho ** 2
+        for d in range(fs.measure.MAX_PRODUCT_DEPTH + 1):
+            assert meas._norm(d) == rho ** d, d
+            assert meas._q(d) == r ** d / (1 - r), d
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_listed_norms_match_search(self, name):
+        # both depths against the depth-by-depth search at the ends of the
+        # float range: 0, the least subnormal, inf and NaN among them
+        meas = fs.SelfSimilarMeasure(_named_system(name))
+        cap = fs.measure.MAX_PRODUCT_DEPTH
+        cap -= (cap + 1) % meas._per
+        for t in (0.0, 5e-324, 1e-3, 1.0, 1e3, 1e12, 1e300, math.inf, math.nan):
+            assert meas.depth_for(t) == self.search(meas, t), t
+            least = self.search(meas, t, meas.sq_tail_bound)
+            assert meas.sq_depth_for(t) == min(least + (least + 1) % meas._per, cap), t
 
     @pytest.mark.parametrize("name", SYSTEMS)
     def test_closed_matches_search_and_is_never_deeper(self, name):

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import pathlib
 import tracemalloc
 from fractions import Fraction
 
@@ -856,6 +858,48 @@ class TestCompleteness:
         grid = np.array([[-1 / 3, -1 / 3, 0.0], [0.0, -1 / 3, -1 / 3]])
         prof = fs.q1_profile(e4, grid, 8)
         assert (prof.values() >= 0.999).all()
+
+
+VERDICT_REFS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "verdict.json"
+
+
+def _pool_system(spec):
+    """A fresh system of a verdict pool entry (`perfbench/refs/verdict.json`):
+    a new instance at every call, so it shares no fact with an earlier one."""
+    if spec["kind"] == "two-digit":
+        return fs.two_digit_system(spec["R"], F(spec["b"]))
+    base = fs.get_system(spec["name"])
+    return fs.AffineSystem(base.R, base.B, base.L, base.name)
+
+
+class TestPassCaches:
+    """A Q1 pass reads what its system keeps (`AffineSystem.once`, the cached
+    lifts and mask rows) and what its phase table builds, so a verdict must
+    not depend on what ran on the system before: on every recorded verdict
+    probe set, a fresh system, a second call on it and a system of the same
+    triple that the other probe sets of its class have used give the same
+    bits."""
+
+    @staticmethod
+    def record(report):
+        prof = report.profile
+        return (report.verdict, prof.layers.shape, prof.layers.tobytes(),
+                prof.fourier_tail, report.grad_at_zero.tobytes())
+
+    @pytest.mark.parametrize("cls", sorted(json.loads(VERDICT_REFS.read_text())["pool"]))
+    def test_verdict_pool_is_bit_identical_on_reused_systems(self, cls):
+        pool = json.loads(VERDICT_REFS.read_text())["pool"][cls]
+        runs = [(np.array(inst["probes"], dtype=float), inst["cap"]) for inst in pool]
+        for k, inst in enumerate(pool):
+            probes, cap = runs[k]
+            sysm = _pool_system(inst["system"])
+            fresh = self.record(fs.completeness_test(sysm, probes, p_depth_cap=cap))
+            assert fresh[0] == inst["verdict"]
+            assert self.record(fs.completeness_test(sysm, probes, p_depth_cap=cap)) == fresh
+            used = _pool_system(inst["system"])
+            for other, other_cap in runs[k + 1:] + runs[:k]:
+                fs.completeness_test(used, other, p_depth_cap=other_cap)
+            assert self.record(fs.completeness_test(used, probes, p_depth_cap=cap)) == fresh
 
 
 class TestMaxOrthogonalFamily:
