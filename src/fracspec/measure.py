@@ -629,12 +629,10 @@ class DigitPhases:
     lies past every digit level of its points, where R*^{i-d} contracts,
     so its phases are floats, those of the float digits at the closure
     columns, with no residue.  The row that holds it is no row of a deeper
-    call, so the residue and probe tables are laid out as the closure rows
-    of the depths the pass reaches next, one slot and the full rows, and
-    the low table as the slot and the full rows: a call puts its closure
-    row into the slot (the low table's is formed anew when a call reads
-    another closure row than the call before), and its tables are the slot
-    and its full rows.
+    call, so the residue, probe and low tables are laid out as the closure
+    rows of the depths the pass reaches next, one slot and the full rows: a
+    call copies its closure row into the slot of each (when it is another
+    than the call before's), and its tables are the slot and its full rows.
     """
 
     def __init__(self, measure: SelfSimilarMeasure, T: np.ndarray, levels):

@@ -285,7 +285,6 @@ def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int):
     full levels."""
     m, dim = T.shape
     N = system.N
-    t_lo, t_hi = T.min(), T.max()       # in one dimension, for `_extreme_rows`
     measure = SelfSimilarMeasure(system)
     phases = DigitPhases(measure, T, layer_digits(system, p_depth))
     tagged, width = phases.tagged, phases.tagged[0].shape[1]
@@ -319,6 +318,9 @@ def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int):
         T, lead[:, :dim], starts, functools.partial(phases.tables, None, lead[:, dim:], True))
     for g, (a, b) in enumerate(zip(starts, ends)):
         yield sums[:, g], lead_tail * (b - a)
+    # in one dimension a later layer's rows t - eta are their two extremes,
+    # from those of the probe rows (`_extreme_rows`)
+    ends = (T.min(), T.max()) if dim == 1 and k <= p_depth else None
     for d in range(k, p_depth + 1):
         n = N ** (d - 1) * (N - 1)
         h, low_n = 0, 1
@@ -337,8 +339,8 @@ def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int):
         inc, tail = np.zeros(m), 0.0
         for start in range(0, len(high), chunk):
             eta = high[start:start + chunk]
-            rows = _extreme_rows(t_lo, t_hi, eta[:, :dim]) if dim == 1 else \
-                (T[:, None, :] - eta[None, :, :dim]).reshape(-1, dim)
+            rows = (T[:, None, :] - eta[None, :, :dim]).reshape(-1, dim) if ends is None \
+                else _extreme_rows(*ends, eta[:, :dim])
             tables = functools.partial(phases.tables, eta[:, dim:] if shared else None,
                                        low[:, dim:], shared)
             sums, block_tail = measure.mu_hat_sq_sums(rows, low[:, :dim], [0], tables)

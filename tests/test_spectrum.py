@@ -594,6 +594,13 @@ class TestQ1:
         assert calls == [(rows * sum(sizes[d] for d in run), len(run))
                          for run in _joined_runs(rows, sizes)]
 
+    @pytest.mark.parametrize("name", ["scale4", "planar-collapse"])
+    def test_no_probe_rows_give_an_empty_profile(self, name):
+        # no rows: every layer joins the leading call, with no tail
+        sysm = fs.get_system(name)
+        prof = fs.q1_profile(sysm, np.zeros((0, sysm.dim)), 6)
+        assert prof.layers.shape == (0, 7) and prof.fourier_tail == 0.0
+
     def test_small_layers_share_a_call(self, monkeypatch, scale2):
         # 5 rows at depth 14: the 15 layers take fewer kernel calls
         calls = []
@@ -860,7 +867,7 @@ class TestCompleteness:
         assert (prof.values() >= 0.999).all()
 
 
-VERDICT_REFS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "verdict.json"
+VERDICT_REFS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "verdict.json"
 
 
 def _pool_system(spec):
