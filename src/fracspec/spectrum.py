@@ -320,7 +320,7 @@ def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int):
         yield sums[:, g], lead_tail * (b - a)
     # in one dimension a later layer's rows t - eta are their two extremes,
     # from those of the probe rows (`_extreme_rows`)
-    ends = (T.min(), T.max()) if dim == 1 and k <= p_depth else None
+    extremes = (T.min(), T.max()) if dim == 1 and k <= p_depth else None
     for d in range(k, p_depth + 1):
         n = N ** (d - 1) * (N - 1)
         h, low_n = 0, 1
@@ -339,8 +339,8 @@ def _layer_increments(system: AffineSystem, T: np.ndarray, p_depth: int):
         inc, tail = np.zeros(m), 0.0
         for start in range(0, len(high), chunk):
             eta = high[start:start + chunk]
-            rows = (T[:, None, :] - eta[None, :, :dim]).reshape(-1, dim) if ends is None \
-                else _extreme_rows(*ends, eta[:, :dim])
+            rows = (T[:, None, :] - eta[None, :, :dim]).reshape(-1, dim) if extremes is None \
+                else _extreme_rows(*extremes, eta[:, :dim])
             tables = functools.partial(phases.tables, eta[:, dim:] if shared else None,
                                        low[:, dim:], shared)
             sums, block_tail = measure.mu_hat_sq_sums(rows, low[:, :dim], [0], tables)
